@@ -39,6 +39,7 @@ type instance = {
   mutable decided : Types.payload option;
   mutable decided_at : float;  (** local learn time, for garbage collection *)
   mutable driver_running : bool;
+  mutable proposers : int;  (** local fibers blocked in [propose] *)
   mutable saved_est : Types.payload option;
       (** recovered adoption (crash-recovery mode) *)
   mutable saved_ts : int;
@@ -91,6 +92,7 @@ let ensure t key =
           decided = None;
           decided_at = nan;
           driver_running = false;
+          proposers = 0;
           saved_est = None;
           saved_ts = -1;
           restart_round = 0;
@@ -168,8 +170,10 @@ let record_decision t inst value =
           s.Rt.obs_count "consensus.decides" 1;
           s.Rt.obs_event ~trace:(trace_of_key inst.key) "consensus-decide"
             inst.key);
-      (* wake any local proposer blocked in [propose] *)
-      Rt.redeliver ~src:t.self (C_decided_local { key = inst.key });
+      (* wake a local proposer blocked in [propose]; with none blocked the
+         wake-up would sit unread in the mailbox for good *)
+      if inst.proposers > 0 then
+        Rt.redeliver ~src:t.self (C_decided_local { key = inst.key });
       (* reliable broadcast: forward on first learn *)
       List.iter
         (fun p ->
@@ -434,7 +438,10 @@ let propose t ~key value =
             ignore (Rt.recv ~timeout:(t.poll *. 5.) ~cls:cls_decided ~filter:wants ());
             wait ()
       in
-      wait ()
+      inst.proposers <- inst.proposers + 1;
+      let v = wait () in
+      inst.proposers <- inst.proposers - 1;
+      v
 
 let peek t ~key =
   match Hashtbl.find_opt t.instances key with

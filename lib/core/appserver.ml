@@ -1571,14 +1571,36 @@ type lease = {
   mutable epoch : int;  (** highest lease epoch known decided; 0 = none *)
   mutable holder : Types.proc_id option;  (** winner of [epoch] *)
   mutable seq : int;  (** next batch slot in our epoch (holder only) *)
-  mutable pending : (request * int) list;  (** queued (request, j) *)
-  mutable limbo : (request * int) list;
-      (** arrivals while [holder = None]; see above *)
+  pending : Window.t;  (** queued tries, arrival order *)
+  limbo : Window.t;  (** arrivals while [holder = None]; see above *)
   mutable tails : int;
       (** windows past their compute phase but not yet decided: the
           pipeline overlaps the next window's compute with the previous
           window's prepare/consensus, at most one such tail in flight *)
+  mutable parked : bool;  (** the batch thread is blocked in {!park} *)
 }
+
+type Types.payload += Window_wake
+
+let cls_window_wake =
+  Rt.register_class ~name:"window-wake" (function
+    | Window_wake -> true
+    | _ -> false)
+
+(* The batch thread blocks here until [ready ()]; the fibers that change
+   what [ready] reads call {!unpark}. A wake-up is sent only while the
+   thread is parked, so none is ever left unread in the mailbox. *)
+let park ls ready =
+  while not (ready ()) do
+    ls.parked <- true;
+    ignore (Rt.recv_cls cls_window_wake)
+  done
+
+let unpark ls =
+  if ls.parked then begin
+    ls.parked <- false;
+    Rt.redeliver ~src:(Rt.self ()) Window_wake
+  end
 
 (* Terminate a whole batch: one Decide_batch per database carrying every
    (xid, outcome), then one Result_batch_msg per known client carrying its
@@ -1699,10 +1721,10 @@ let lease_takeover ctx ls =
     | _ -> ctx.self
   in
   ls.epoch <- next;
-  ls.pending <- [];
+  Window.clear ls.pending;
   if winner <> ctx.self then begin
     ls.holder <- Some winner;
-    ls.limbo <- []
+    Window.clear ls.limbo
   end
   else begin
     (* CRITICAL ordering: holdership of the new epoch must not become
@@ -1721,8 +1743,8 @@ let lease_takeover ctx ls =
     (* promote bootstrap arrivals now that every predecessor is sealed:
        window assembly re-filters against [st.last], so anything sealing
        already decided cannot re-enter a batch *)
-    ls.pending <- ls.limbo;
-    ls.limbo <- [];
+    Window.clear ls.pending;
+    Window.transfer ls.limbo ~into:ls.pending;
     ls.holder <- Some ctx.self;
     Rt.note (Printf.sprintf "lease-acquired:g%d:e%d" ctx.cfg.group next);
     match ctx.sink with
@@ -1747,8 +1769,8 @@ let lease_monitor ctx ls () =
         ls.epoch <- ls.epoch + 1;
         ls.holder <- Some w;
         if w <> ctx.self then begin
-          ls.pending <- [];
-          ls.limbo <- []
+          Window.clear ls.pending;
+          Window.clear ls.limbo
         end;
         advance ()
     | Some _ | None -> ()
@@ -1772,10 +1794,10 @@ let lease_monitor ctx ls () =
    SQL of the N transactions overlaps), one group-commit prepare, a single
    batchD decision write — still the commit point — and one batched
    terminate round. *)
-let process_batch ctx ls items =
+let process_batch ctx ls (items : Window.entry list) =
   let group = ctx.cfg.group in
   let epoch = ls.epoch and seq = ls.seq in
-  let ids = List.map (fun ((r : request), j) -> (r.rid, j)) items in
+  let ids = List.map (fun (e : Window.entry) -> (e.request.rid, e.j)) items in
   let n = List.length items in
   let trace = match ids with (rid, _) :: _ -> rid | [] -> 0 in
   let bspan =
@@ -1806,8 +1828,7 @@ let process_batch ctx ls items =
          items, and assembly re-filters against [st.last]. *)
       if elected <> ids then begin
         ls.seq <- seq + 1;
-        if ls.holder = Some ctx.self then
-          ls.pending <- items @ ls.pending;
+        if ls.holder = Some ctx.self then Window.push_front ls.pending items;
         match ctx.sink with
         | None -> ()
         | Some s ->
@@ -1816,15 +1837,22 @@ let process_batch ctx ls items =
       end
       else begin
       ls.seq <- seq + 1;
+      (match ctx.sink with
+      | None -> ()
+      | Some s ->
+          s.Rt.obs_span_attr bspan "tries"
+            (String.concat " "
+               (List.map (fun (rid, j) -> Printf.sprintf "%d.%d" rid j) ids)));
       let gen = cache_generation ctx in
       let xids = List.map (fun (rid, j) -> Dbms.Xid.make ~rid ~j) ids in
       let results = Array.make n None in
+      let running = ref n in
       ospan ctx ~parent:bspan ~trace "compute" (fun () ->
           span ctx "start" (fun () ->
               Dbms.Stub.xa_start_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
                 ~dbs:ctx.cfg.dbs ~xids);
           List.iteri
-            (fun i ((r : request), j) ->
+            (fun i ({ request = r; j; _ } : Window.entry) ->
               let xid = Dbms.Xid.make ~rid:r.rid ~j in
               Rt.fork "batch-exec" (fun () ->
                   let result =
@@ -1832,11 +1860,11 @@ let process_batch ctx ls items =
                         run_business ctx ~xid ~attempt:j ~body:r.body)
                   in
                   Rt.note (Printf.sprintf "computed:%d:%d:%s" r.rid j result);
-                  results.(i) <- Some result))
+                  results.(i) <- Some result;
+                  decr running;
+                  if !running = 0 then unpark ls))
             items;
-          while Array.exists Option.is_none results do
-            Rt.sleep 1.
-          done;
+          park ls (fun () -> !running = 0);
           span ctx "end" (fun () ->
               Dbms.Stub.xa_end_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
                 ~dbs:ctx.cfg.dbs ~xids));
@@ -1885,8 +1913,8 @@ let process_batch ctx ls items =
         deliver_batch ctx ~parent:bspan ~trace ~async:true ~items:ids
           ~decisions ();
         List.iter2
-          (fun ((r : request), _) d ->
-            cache_after_decide ctx ~body:r.body ~gen d)
+          (fun (e : Window.entry) d ->
+            cache_after_decide ctx ~body:e.request.body ~gen d)
           items decisions;
         match ctx.sink with
         | None -> ()
@@ -1899,21 +1927,22 @@ let process_batch ctx ls items =
          windows stay register-ordered (the batchA election above happened
          in the assembly fiber, before the fork); one tail in flight bounds
          the overlap so prepares cannot reorder across windows. *)
-      while ls.tails > 0 do
-        Rt.sleep 1.
-      done;
+      park ls (fun () -> ls.tails = 0);
       ls.tails <- ls.tails + 1;
       Rt.fork "batch-tail" (fun () ->
           Fun.protect
             ~finally:(fun () -> ls.tails <- ls.tails - 1)
-            tail)
+            tail;
+          (* not in [finally]: a fiber unwinding out of a dead process
+             must not perform effects *)
+          unpark ls)
       end
   | _ ->
       (* lost the slot: a successor sealed our epoch — we are deposed. The
          dropped items re-drive through client retransmission to the new
          holder; nothing may be delivered from a lost election. *)
       ls.holder <- None;
-      ls.pending <- [];
+      Window.clear ls.pending;
       (match ctx.sink with
       | None -> ()
       | Some s ->
@@ -1976,30 +2005,25 @@ let batch_enqueue ctx ls (m : Types.message) =
                           compute_try_cross ctx st ~request ~j ~shards))
                 end
             | None ->
-                let queued q =
-                  List.exists
-                    (fun ((r : request), j') -> r.rid = request.rid && j' = j)
-                    q
+                let enqueue q =
+                  if not (Window.mem q ~rid:request.rid ~j) then
+                    Window.push q
+                      {
+                        request;
+                        j;
+                        keys = ctx.cfg.business.Business.keys request.body;
+                      }
                 in
-                if ls.holder = Some ctx.self then begin
-                  if not (queued ls.pending) then
-                    ls.pending <- ls.pending @ [ (request, j) ]
-                end
-                else if ls.holder = None && not (queued ls.limbo) then
-                  ls.limbo <- ls.limbo @ [ (request, j) ])
+                if ls.holder = Some ctx.self then enqueue ls.pending
+                else if ls.holder = None then enqueue ls.limbo)
       end
   | _ -> ()
-
-let rec take n = function
-  | x :: rest when n > 0 ->
-      let taken, dropped = take (n - 1) rest in
-      (x :: taken, dropped)
-  | rest -> ([], rest)
 
 (* The batched analogue of [compute_thread]: block for one request, drain
    whatever else already arrived (timeout 0 empties the mailbox without
    waiting), linger briefly while the queue is still growing, then push up
-   to [batch] queued requests through one pipeline cycle. *)
+   to [batch] mutually non-conflicting queued requests through one pipeline
+   cycle ({!Window.take}). *)
 let batch_thread ctx ls () =
   (* group-commit linger: after a window delivers, its clients re-issue
      within a few ms of each other — without a short wait the next window
@@ -2008,11 +2032,11 @@ let batch_thread ctx ls () =
      grew, so an idle or trickling workload pays at most one slice. *)
   let linger_step = 2. in
   let rec linger () =
-    let before = List.length ls.pending in
+    let before = Window.length ls.pending in
     if before < ctx.cfg.batch then begin
       Rt.sleep linger_step;
       drain ();
-      if List.length ls.pending > before then linger ()
+      if Window.length ls.pending > before then linger ()
     end
   and drain () =
     match Rt.recv_cls ~timeout:0. cls_request with
@@ -2026,7 +2050,10 @@ let batch_thread ctx ls () =
        not (bootstrap, deposed), the lease monitor may promote [limbo] into
        [pending] from its own fiber, so poll instead of blocking forever on
        a mailbox the clients will only refill at their back-off period *)
-    (if ls.holder = Some ctx.self && ls.pending <> [] then drain ()
+    let queued () =
+      ls.holder = Some ctx.self && not (Window.is_empty ls.pending)
+    in
+    (if queued () then drain ()
      else
        let timeout =
          if ls.holder = Some ctx.self then None else Some ctx.cfg.poll
@@ -2036,18 +2063,14 @@ let batch_thread ctx ls () =
        | Some m ->
            batch_enqueue ctx ls m;
            drain ());
-    if ls.holder = Some ctx.self && ls.pending <> [] then linger ();
-    if ls.holder = Some ctx.self && ls.pending <> [] then begin
-      let batch, rest = take ctx.cfg.batch ls.pending in
-      ls.pending <- rest;
+    if queued () then linger ();
+    if queued () then begin
       (* the registers decide; skip anything terminated meanwhile *)
       let batch =
-        List.filter
-          (fun ((r : request), j) ->
-            match (rid_state ctx r.rid).last with
-            | Some (j', _) when j' >= j -> false
-            | Some _ | None -> true)
-          batch
+        Window.take ls.pending ~cap:ctx.cfg.batch ~skip:(fun e ->
+            match (rid_state ctx e.request.rid).last with
+            | Some (j', _) -> j' >= e.j
+            | None -> false)
       in
       if batch <> [] then process_batch ctx ls batch
     end;
@@ -2202,9 +2225,10 @@ let spawn cfg =
               epoch = 0;
               holder = None;
               seq = 0;
-              pending = [];
-              limbo = [];
+              pending = Window.create ();
+              limbo = Window.create ();
               tails = 0;
+              parked = false;
             }
           in
           (* cross-shard tries bypass the lease windows, so their crashed

@@ -29,8 +29,8 @@
 
     With [batch > 1] the server runs the {e leased, batched} fast path
     instead (DESIGN.md §12): a stable leaseholder elected once per lease
-    epoch drains its request queue and pushes up to [batch] transactions
-    through one election ([batchA]), one XA window, one group-commit
+    epoch drains its request queue and pushes up to [batch] mutually
+    non-conflicting transactions ({!Window.take}) through one election ([batchA]), one XA window, one group-commit
     prepare, one decision write ([batchD] — still the commit point) and one
     batched terminate round. Peers contest the lease only after the failure
     detector suspects the holder; the takeover seals the suspect's epoch,

@@ -41,7 +41,7 @@ type reconfig = {
 
 type handle = {
   pid : Types.proc_id;
-  records : record list ref;
+  records : record list ref;  (** newest first *)
   finished : bool ref;
 }
 
@@ -261,12 +261,12 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
                       group;
                     }
                   in
-                  records := !records @ [ record ];
+                  records := record :: !records;
                   (match sink with
                   | None -> ()
                   | Some s ->
                       (* incremented exactly where the record is
-                         appended, so counter == |records| on any
+                         added, so counter == |records| on any
                          backend — the Spec cross-check relies on it *)
                       s.Rt.obs_count "client.committed" 1;
                       if cached then s.Rt.obs_count "client.cache_served" 1;
@@ -297,6 +297,6 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
 
 let pid t = t.pid
 
-let records t = !(t.records)
+let records t = List.rev !(t.records)
 
 let script_done t = !(t.finished)

@@ -377,6 +377,12 @@ let recover_at t at pid =
   let delay = Float.max 0. (at -. t.vnow) in
   schedule t ~delay (fun () -> recover t pid)
 
+let mailbox_length t ?cls pid =
+  let p = proc_of t pid in
+  match cls with
+  | None -> Cq.length p.mailbox
+  | Some c -> Cq.cls_length p.mailbox c
+
 let post t ~src ~dst payload = transmit t ~src ~dst payload
 
 type outcome = Quiescent | Deadline_reached | Stopped

@@ -94,6 +94,10 @@ val recover : t -> proc_id -> unit
 val crash_at : t -> time -> proc_id -> unit
 val recover_at : t -> time -> proc_id -> unit
 
+val mailbox_length : t -> ?cls:cls -> proc_id -> int
+(** Messages delivered to the process but not yet received — of one class
+    with [?cls]. Test/diagnostic use. *)
+
 val post : t -> src:proc_id -> dst:proc_id -> payload -> unit
 (** Orchestration-side send, subject to the network model. *)
 

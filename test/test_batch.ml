@@ -296,6 +296,184 @@ let prop_batched_spec_under_leaseholder_crashes =
       && List.length (Cluster.all_records c) = 8
       && Cluster.Spec.check_all c = [])
 
+(* ------------------------------------------------------------------ *)
+(* Conflict-aware windows: two tries touching one key never share a
+   window, so neither waits on the other's locks. *)
+
+let update_keys = Workload.Bank.update.Business.keys
+
+(* Two updates of one account sent together land in the same intake at
+   the bootstrap leaseholder. In one window the second would wait on the
+   first's lock until the database gave up ("busy:", an abort and a
+   second try); deferred to the next window, both commit first time. *)
+let test_same_account_pair_first_try () =
+  let scripts = List.init 2 (fun _ ~issue -> ignore (issue "acct0:1")) in
+  let _e, c =
+    Harness.Simrun.cluster ~seed:3 ~shards:1 ~batch:16
+      ~seed_data:(bank_seed ~clients:1) ~business:Workload.Bank.update
+      ~scripts ()
+  in
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  let records = Cluster.all_records c in
+  Alcotest.(check int) "both delivered" 2 (List.length records);
+  List.iter
+    (fun (r : Client.record) ->
+      Alcotest.(check int) (Printf.sprintf "rid %d on try 1" r.rid) 1 r.tries;
+      Alcotest.(check bool)
+        (Printf.sprintf "rid %d not busy (%s)" r.rid r.result)
+        false
+        (String.starts_with ~prefix:"busy:" r.result))
+    records;
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
+let conflict_free keyss =
+  let rec go = function
+    | [] -> true
+    | k :: rest ->
+        List.for_all (fun k' -> not (Window.conflicts k k')) rest && go rest
+  in
+  go keyss
+
+(* Window assembly alone, on a random stream of updates pushed in arrival
+   order with takes interleaved at random points: every window is
+   conflict-free, two conflicting tries enter windows in arrival order,
+   and every try is taken exactly once. *)
+let prop_window_assembly =
+  QCheck.Test.make
+    ~name:"window assembly: conflict-free, per-key arrival order, all taken"
+    ~count:300
+    QCheck.(triple (int_range 0 100_000) (int_range 1 12) (int_range 1 16))
+    (fun (seed, accounts, cap) ->
+      let n = 60 in
+      let bodies =
+        Workload.Generator.bodies ~seed ~n
+          (Workload.Generator.Bank_updates { accounts; max_delta = 9 })
+      in
+      let keys = Array.of_list (List.map update_keys bodies) in
+      let rng = Runtime.Rng.create ~seed in
+      let q = Window.create () in
+      let windows = ref [] in
+      let take () =
+        match Window.take q ~cap ~skip:(fun _ -> false) with
+        | [] -> ()
+        | w -> windows := w :: !windows
+      in
+      List.iteri
+        (fun i body ->
+          Window.push q
+            { request = { rid = i; key = ""; body }; j = 1; keys = keys.(i) };
+          if Runtime.Rng.int rng 4 = 0 then take ())
+        bodies;
+      while not (Window.is_empty q) do
+        take ()
+      done;
+      let windows = List.rev !windows in
+      let placed = Array.make n (-1) in
+      List.iteri
+        (fun w entries ->
+          List.iter
+            (fun (e : Window.entry) -> placed.(e.request.rid) <- w)
+            entries)
+        windows;
+      let in_order = ref true in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          if Window.conflicts keys.(a) keys.(b) && placed.(a) >= placed.(b)
+          then in_order := false
+        done
+      done;
+      List.length (List.concat windows) = n
+      && Array.for_all (fun w -> w >= 0) placed
+      && List.for_all
+           (fun w -> conflict_free (List.map (fun (e : Window.entry) -> e.keys) w))
+           windows
+      && !in_order)
+
+(* The elected window of every batch span (its "tries" attribute) as the
+   request bodies it carried. *)
+let elected_windows reg ~body_of =
+  List.filter_map
+    (fun (sp : Obs.Span.t) ->
+      if sp.name <> "batch" then None
+      else
+        Option.map
+          (fun tries ->
+            List.map
+              (fun t -> body_of (int_of_string (List.hd (String.split_on_char '.' t))))
+              (String.split_on_char ' ' tries))
+          (Obs.Span.attr sp "tries"))
+    (Obs.Registry.spans reg)
+
+let prop_batched_stream =
+  QCheck.Test.make
+    ~name:"batch-16 Bank_updates stream: conflict-free windows, all commit"
+    ~count:10
+    QCheck.(pair (int_range 0 100_000) (int_range 1 6))
+    (fun (seed, accounts) ->
+      let clients = 6 and per_client = 3 in
+      let kind = Workload.Generator.Bank_updates { accounts; max_delta = 9 } in
+      let bodies =
+        Array.of_list
+          (Workload.Generator.bodies ~seed ~n:(clients * per_client) kind)
+      in
+      let scripts =
+        List.init clients (fun c ~issue ->
+            for k = 0 to per_client - 1 do
+              ignore (issue bodies.((c * per_client) + k))
+            done)
+      in
+      let reg = Obs.Registry.create () in
+      let _e, cl =
+        Harness.Simrun.cluster ~seed ~obs:reg ~shards:1 ~batch:16
+          ~seed_data:(Workload.Generator.seed_data_of kind)
+          ~business:Workload.Bank.update ~scripts ()
+      in
+      let ok = Cluster.run_to_quiescence ~deadline:600_000. cl in
+      let records = Cluster.all_records cl in
+      let body_of rid =
+        (List.find (fun (r : Client.record) -> r.rid = rid) records).body
+      in
+      let windows = elected_windows reg ~body_of in
+      ok
+      && List.length records = clients * per_client
+      && Cluster.Spec.check_all cl = []
+      && windows <> []
+      && List.for_all
+           (fun bodies -> conflict_free (List.map update_keys bodies))
+           windows)
+
+(* Wake-ups go only to a blocked fiber: after a batched run has settled,
+   no app server holds an unread consensus decision wake-up or window
+   wake-up. *)
+let test_no_stale_wakeups () =
+  let clients = 8 and requests = 3 in
+  let e, c =
+    Harness.Simrun.cluster ~seed:11 ~shards:1 ~batch:16
+      ~seed_data:(bank_seed ~clients) ~business:Workload.Bank.update
+      ~scripts:(bank_scripts ~clients ~requests)
+      ()
+  in
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
+  let cls_named name =
+    fst
+      (List.find
+         (fun (_, n) -> String.equal n name)
+         (Dsim.Engine.registered_classes ()))
+  in
+  List.iter
+    (fun pid ->
+      List.iter
+        (fun name ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s unread at pid %d" name pid)
+            0
+            (Dsim.Engine.mailbox_length e ~cls:(cls_named name) pid))
+        [ "ct-decided"; "window-wake" ])
+    (Cluster.group c 0).app_servers
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "batch"
@@ -331,6 +509,15 @@ let () =
             test_batched_run_failure_free;
           Alcotest.test_case "crash leaseholder mid-batch" `Quick
             test_crash_leaseholder_mid_batch;
+        ] );
+      ( "conflict-aware",
+        [
+          Alcotest.test_case "same-account pair commits on try 1" `Quick
+            test_same_account_pair_first_try;
+          q prop_window_assembly;
+          q prop_batched_stream;
+          Alcotest.test_case "no stale wake-ups after a batched run" `Quick
+            test_no_stale_wakeups;
         ] );
       ("random-crashes", [ q prop_batched_spec_under_leaseholder_crashes ]);
     ]
