@@ -408,9 +408,35 @@ let test_seqdiag_max_lines () =
           (fun l -> l <> "")
           (String.split_on_char '\n' diagram)))
 
+(* ------------------------------------------------------------------ *)
+(* path goldens: see paths.ml *)
+
+let paths_golden =
+  lazy
+    (let ic = open_in_bin "paths.golden" in
+     let s = really_input_string ic (in_channel_length ic) in
+     close_in ic;
+     s)
+
+let test_path_golden name build () =
+  match Paths.section (Lazy.force paths_golden) name with
+  | None -> Alcotest.failf "path %s missing from paths.golden" name
+  | Some golden ->
+      Alcotest.(check string)
+        (name ^ " byte-identical to paths.golden")
+        golden (Paths.render build)
+
 let () =
+  match Sys.argv with
+  | [| _; "regen-paths"; file |] -> Paths.write file
+  | _ ->
   Alcotest.run "harness"
     [
+      ( "paths",
+        List.map
+          (fun (name, build) ->
+            Alcotest.test_case name `Quick (test_path_golden name build))
+          Paths.paths );
       ( "figure8",
         [
           Alcotest.test_case "four protocols" `Quick
