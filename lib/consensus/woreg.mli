@@ -1,31 +1,50 @@
-(** Write-once registers (the paper's wo-registers) over consensus.
+(** Write-once registers (the paper's wo-registers) over a pluggable
+    consensus.
 
     A wo-register behaves like a CD-ROM: it can be written once and read
     many times. [write v] returns either [v] (this writer won) or the value
     some other process already wrote; [read] returns the written value or
     [⊥] ([None]) — and if a value was written, repeated reads eventually
-    return it (decisions are reliably broadcast by the consensus agent).
+    return it (both backends broadcast their decisions).
 
-    Registers come in arrays indexed by the result identifier [j], scoped to
-    a request: the protocol's [regA] (which application server computes
-    result [j]) and [regD] (the decision — result and outcome — for [j]). *)
+    Registers come in arrays: register [j] of array [name] (the protocol's
+    [regA\[j\]], [regD\[j\]], a lease epoch, a batch slot, ...) is one
+    consensus instance. Arrays with the same name on different processes
+    denote the same shared registers, so the name must encode the scope.
+    This module is the one place that maps [(name, j)] to an instance key;
+    the backend behind it is chosen once, at construction ("along the lines
+    of [4]" — the paper leaves the consensus pluggable). *)
 
 open Runtime
 
 type t
-(** A register array backed by one consensus agent. *)
+(** One process's view of every register, backed by one consensus
+    multiplexer. *)
 
-val array : Agent.t -> name:string -> t
-(** [array agent ~name] is the register array [name] (e.g. ["regA:r0"]).
-    Arrays with the same name on different servers denote the same shared
-    registers; the name must therefore encode the request scope. *)
+val of_agent : Agent.t -> t
+(** Registers over the Chandra–Toueg {!Agent} (the default backend; the
+    only one with persistence and register GC). *)
 
-val write : t -> j:int -> Types.payload -> Types.payload
-(** [write arr ~j v] writes register [j]: blocks until the underlying
-    consensus instance decides, and returns the (unique) written value. *)
+val of_synod : Synod.t -> t
+(** Registers over single-decree Paxos ({!Synod}). It keeps every instance
+    forever: {!collect} and {!instances} answer [0]. *)
 
-val read : t -> j:int -> Types.payload option
+val write : t -> name:string -> j:int -> Types.payload -> Types.payload
+(** [write t ~name ~j v] writes register [j] of [name]: blocks until the
+    underlying consensus instance decides, and returns the (unique) written
+    value. *)
+
+val read : t -> name:string -> j:int -> Types.payload option
 (** Non-blocking read: the written value, or [None] for [⊥]. *)
 
-val key : t -> j:int -> string
-(** The underlying consensus instance key (tests, tracing). *)
+val decided_keys : t -> (string * int) list
+(** Every register this process knows decided, as [(name, j)], sorted by
+    instance key. *)
+
+val collect : t -> older_than:float -> int
+(** Forget every register decided at or before [older_than] (the paper's §5
+    clean-up; see {!Agent.collect} for the at-most-once caveat); returns how
+    many were collected. *)
+
+val instances : t -> int
+(** Locally known instances (memory accounting for GC). *)

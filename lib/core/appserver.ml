@@ -2,6 +2,7 @@ open Runtime
 module Rt = Etx_runtime
 open Dnet
 open Etx_types
+module Woreg = Consensus.Woreg
 
 type fd_spec =
   | Fd_oracle
@@ -143,16 +144,6 @@ type rid_state = {
           per-try and cleaner spans parent under it *)
 }
 
-(* The wo-register surface the protocol needs, abstracted over the two
-   consensus backends. *)
-type registers = {
-  reg_write : name:string -> j:int -> Types.payload -> Types.payload;
-  reg_read : name:string -> j:int -> Types.payload option;
-  reg_decided_keys : unit -> string list;
-  reg_collect : older_than:float -> int;
-  reg_instances : unit -> int;
-}
-
 (* Per-request outcome of this server's replica attempt. [Replica_answered]
    replays the same answer to client retransmissions (at-most-once reply
    without another replica read); [Replica_declined] latches the request to
@@ -169,7 +160,9 @@ type ctx = {
   self : Types.proc_id;
   ch : Rchannel.t;
   fd : Fdetect.t;
-  regs : registers;
+  regs : Woreg.t;
+      (** every register of this server's group (names namespaced by
+          group, see {!Etx_types.Reg_name}) *)
   rd : Dbms.Stub.Readiness.t;
   rids : (int, rid_state) Hashtbl.t;
   replica_memo : (int, replica_memo) Hashtbl.t;  (** by rid; replicas only *)
@@ -198,6 +191,11 @@ let rid_state ctx rid =
       in
       Hashtbl.replace ctx.rids rid st;
       st
+
+(* Bump obs counter [name] by [n] (nothing when obs is off or [n] = 0). *)
+let count ?(n = 1) ctx name =
+  if n > 0 then
+    match ctx.sink with None -> () | Some s -> s.Rt.obs_count name n
 
 let map_epoch ctx =
   match ctx.rc with None -> 0 | Some rc -> Shard_map.epoch rc.rc_map
@@ -239,25 +237,13 @@ let rc_bounced ctx ~(request : request) ~j ~client =
         | None -> false
       in
       if (foreign || sealed_away) && not replayable then begin
-        (match ctx.sink with
-        | None -> ()
-        | Some s -> s.Rt.obs_count "migrate.bounced" 1);
+        count ctx "migrate.bounced";
         Rt.note
           (Printf.sprintf "bounced:g%d:e%d" ctx.cfg.group (map_epoch ctx));
         send_nack ctx ~rid:request.rid ~j ~client;
         true
       end
       else false
-
-(* Register names are namespaced by replica group: the consensus layer keys
-   instances by these strings, so the prefix guarantees two shards' regA[j]
-   / regD[j] arrays can never collide even if their traffic ever met (rids
-   are also globally unique per runtime — the prefix makes the isolation
-   syntactic rather than an accident of uid allocation). The canonical
-   encode/decode pair lives in {!Etx_types.Reg_name}. *)
-let reg_a_name ~group rid = Reg_name.reg_a ~group ~rid
-
-let reg_d_name ~group rid = Reg_name.reg_d ~group ~rid
 
 let span ctx label f =
   match ctx.cfg.breakdown with
@@ -276,11 +262,38 @@ let ospan ctx ?(parent = 0) ~trace name f =
       s.Rt.obs_span_close id;
       r
 
+(* Open the obs span of one try-scoped step (a try, its terminate round, a
+   cleaner take-over): attribute "j" first, then [attrs] in order. *)
+let open_span ctx ~parent ~rid ~j ?(attrs = []) name =
+  match ctx.sink with
+  | None -> 0
+  | Some s ->
+      let id = s.Rt.obs_span_open ~parent ~trace:rid name in
+      s.Rt.obs_span_attr id "j" (string_of_int j);
+      List.iter (fun (k, v) -> s.Rt.obs_span_attr id k v) attrs;
+      id
+
+let close_span ctx ?attr id =
+  match ctx.sink with
+  | None -> ()
+  | Some s ->
+      Option.iter (fun (k, v) -> s.Rt.obs_span_attr id k v) attr;
+      s.Rt.obs_span_close id
+
+(* A fresh counter: successive calls return 0, 1, 2, ... *)
+let fresh_seq () =
+  let seq = ref 0 in
+  fun () ->
+    let s = !seq in
+    incr seq;
+    s
+
+(* The V.1 obligation's evidence: the result a try computed. *)
+let note_computed ~rid ~j result =
+  Rt.note (Printf.sprintf "computed:%d:%d:%s" rid j result)
+
 (* ---------------- Method cache (DESIGN.md §13) ---------------- *)
 
-let cache_count ctx name n =
-  if n > 0 then
-    match ctx.sink with None -> () | Some s -> s.Rt.obs_count name n
 
 (* Serve a read-only request straight from the method cache; [true] iff a
    reply went out. A hit bypasses the whole pipeline — no election, no
@@ -310,9 +323,7 @@ let serve_cached ctx ~(request : request) ~j ~client =
                    s.Rt.obs_observe "cache.hit_latency_ms" (Rt.now () -. t0));
                true
            | None ->
-               (match ctx.sink with
-               | None -> ()
-               | Some s -> s.Rt.obs_count "cache.miss" 1);
+               count ctx "cache.miss";
                false
          end
 
@@ -343,9 +354,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
           Rchannel.send ctx.ch client
             (Result_replica_msg
                { rid = request.rid; j; result; lsn; lag; group = ctx.cfg.group });
-          (match ctx.sink with
-          | None -> ()
-          | Some s -> s.Rt.obs_count "server.replica_replayed" 1);
+          count ctx "server.replica_replayed";
           true)
   | Some replicas_of ->
       ctx.cfg.business.Business.read_only request.body
@@ -353,7 +362,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
            let rid = request.rid in
            let bound = ctx.cfg.replica_bound in
            let t0 = Rt.now () in
-           let seq = ref 0 in
+           let next_seq = fresh_seq () in
            let snapshot = ref None in
            (* (lsn, lag) all replies must agree on *)
            let chosen_db = ref None in
@@ -370,8 +379,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
                | None | Some [] -> raise Replica_fallback
                | Some rs -> List.nth rs (rid mod List.length rs)
              in
-             let s = !seq in
-             incr seq;
+             let s = next_seq () in
              Rchannel.send ctx.ch replica
                (Dbms.Msg.Replica_exec { rid; seq = s; ops; bound });
              let filter m =
@@ -451,9 +459,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
                   stale, refusing or too slow once would eat another SQL
                   round and patience window on every retransmission *)
                Hashtbl.replace ctx.replica_memo rid Replica_declined;
-               (match ctx.sink with
-               | None -> ()
-               | Some s -> s.Rt.obs_count "server.replica_fallback" 1);
+               count ctx "server.replica_fallback";
                false
          end
 
@@ -487,8 +493,8 @@ let cache_after_decide ctx ~body ~gen (final : decision) =
         else
           let writes = (b.Business.keys body).Business.writes in
           if writes <> [] then
-            cache_count ctx "cache.invalidate"
-              (Method_cache.invalidate cache ~writes)
+            count ctx "cache.invalidate"
+              ~n:(Method_cache.invalidate cache ~writes)
       end
 
 let cache_generation ctx =
@@ -508,10 +514,10 @@ let invalidate_thread ctx cache () =
         | Dbms.Msg.Invalidate { keys = [] } ->
             (* flush-all sentinel: a recovered database can no longer
                enumerate the write keysets of the commits it replayed *)
-            cache_count ctx "cache.invalidate" (Method_cache.flush cache)
+            count ctx "cache.invalidate" ~n:(Method_cache.flush cache)
         | Dbms.Msg.Invalidate { keys } ->
-            cache_count ctx "cache.invalidate"
-              (Method_cache.invalidate cache ~writes:keys)
+            count ctx "cache.invalidate"
+              ~n:(Method_cache.invalidate cache ~writes:keys)
         | _ -> ()));
     loop ()
   in
@@ -526,39 +532,44 @@ let send_result ctx st ~rid ~j decision =
       Rchannel.send ctx.ch c
         (Result_msg { rid; j; decision; group = ctx.cfg.group })
 
-let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
-  let tspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent ~trace:rid "terminate" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        id
-  in
-  let xid = Dbms.Xid.make ~rid ~j in
-  let (_ : (Types.proc_id * unit) list) =
-    span ctx "commit" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-          ~dbs:ctx.cfg.dbs
-          ~request:(fun _ ->
-            Dbms.Msg.Decide { xid; outcome = decision.outcome })
-          ~matches:(function
-            | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid ->
-                Some ()
-            | _ -> None))
-  in
-  send_result ctx st ~rid ~j decision;
+(* The termination record of try [j], whichever path terminated it:
+   [st.last] never regresses to an older try (a late cleaner or a batch
+   re-delivery must not shadow a newer decision), and [terminated_at]
+   starts the GC grace period. *)
+let record_termination ctx st ~j (d : decision) =
   (match st.last with
   | Some (j', _) when j' >= j -> ()
-  | Some _ | None -> st.last <- Some (j, decision));
+  | Some _ | None -> st.last <- Some (j, d));
   st.terminated_at <- Some (Rt.now ());
   match ctx.sink with
   | None -> ()
   | Some s ->
       s.Rt.obs_count "server.terminated" 1;
-      if decision.outcome = Dbms.Rm.Commit then
-        s.Rt.obs_count "server.committed" 1;
-      s.Rt.obs_span_close tspan
+      if d.outcome = Dbms.Rm.Commit then s.Rt.obs_count "server.committed" 1
+
+let deliver ctx st ~rid ~j decision =
+  send_result ctx st ~rid ~j decision;
+  record_termination ctx st ~j decision
+
+(* Decide [xid] at every database of the group, resending until each
+   acknowledges (the round is idempotent). *)
+let decide_round ctx ~xid ~outcome =
+  let (_ : (Types.proc_id * unit) list) =
+    Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
+      ~dbs:ctx.cfg.dbs
+      ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
+      ~matches:(function
+        | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
+        | _ -> None)
+  in
+  ()
+
+let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
+  let tspan = open_span ctx ~parent ~rid ~j "terminate" in
+  span ctx "commit" (fun () ->
+      decide_round ctx ~xid:(Dbms.Xid.make ~rid ~j) ~outcome:decision.outcome);
+  deliver ctx st ~rid ~j decision;
+  close_span ctx tspan
 
 (* ---------------- Fig. 4: prepare() ---------------- *)
 
@@ -577,109 +588,108 @@ let prepare ctx ~xid =
 
 (* ---------------- Fig. 5: the computation thread ---------------- *)
 
-let xa_broadcast ctx ~xid ~label ~request ~matches =
+let xa_broadcast ctx ~label ~request ~matches =
   let (_ : (Types.proc_id * unit) list) =
     span ctx label (fun () ->
         Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
           ~dbs:ctx.cfg.dbs ~request ~matches)
   in
-  ignore xid
+  ()
+
+let xa_start ctx ~xid =
+  xa_broadcast ctx ~label:"start"
+    ~request:(fun _ -> Dbms.Msg.Xa_start { xid })
+    ~matches:(function
+      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
+      | _ -> None)
+
+let xa_end ctx ~xid =
+  xa_broadcast ctx ~label:"end"
+    ~request:(fun _ -> Dbms.Msg.Xa_end { xid })
+    ~matches:(function
+      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
+      | _ -> None)
+
+(* The exec capability of one business run (or cross-shard branch): every
+   physical exec it issues — across databases and conflict retries — gets
+   a distinct sequence number, so a redelivered batch can never execute
+   twice at the resource manager (Rm.exec_dedup). *)
+let exec_of ctx ~xid =
+  let next_seq = fresh_seq () in
+  fun ~db ops ->
+    Dbms.Stub.exec_retry ~poll:ctx.cfg.poll ~backoff:ctx.cfg.exec_backoff
+      ~fresh_seq:next_seq ctx.ch ctx.rd ~db ~xid ops
 
 let run_business ctx ~xid ~attempt ~body =
-  (* one exec-attempt counter per business run: every physical exec this
-     try issues (across databases and conflict retries) gets a distinct
-     sequence number, so a redelivered batch can never execute twice at
-     the resource manager (Rm.exec_dedup) *)
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
+  let context =
+    { Business.xid; dbs = ctx.cfg.dbs; exec = exec_of ctx ~xid; attempt }
   in
-  let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll:ctx.cfg.poll ~backoff:ctx.cfg.exec_backoff
-      ~fresh_seq ctx.ch ctx.rd ~db ~xid ops
-  in
-  let context = { Business.xid; dbs = ctx.cfg.dbs; exec; attempt } in
   ctx.cfg.business.Business.run context ~body
+
+(* Fig. 5 l. 5–6: open the "try" span of (rid, j) — parented under the
+   client's propagated root span; phases hang off it — and contest regA[j]
+   with [claim] ("log-start"). Returns the span and the winning claim. *)
+let elect_try ctx st ~rid ~j ?attrs claim =
+  let tspan = open_span ctx ~parent:st.rspan ~rid ~j ?attrs "try" in
+  let winner =
+    span ctx "log-start" (fun () ->
+        ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
+            Woreg.write ctx.regs
+              ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid)
+              ~j claim))
+  in
+  (tspan, winner)
+
+(* Fig. 5 l. 10 and Fig. 6 l. 7: write regD[j]. The returned decision — the
+   proposal, or whatever another server wrote first — is the one to
+   terminate, exactly as the paper's assignment semantics. *)
+let decide_try ctx ~rid ~j proposal =
+  match
+    Woreg.write ctx.regs
+      ~name:(Reg_name.reg_d ~group:ctx.cfg.group ~rid)
+      ~j (Reg_d_value proposal)
+  with
+  | Reg_d_value d -> d
+  | _ -> proposal
 
 let compute_try ctx st ~(request : request) ~j =
   let rid = request.rid in
   let xid = Dbms.Xid.make ~rid ~j in
-  (* one "try" span per (rid, j) attempt on this server, parented under the
-     client's propagated root span; phases hang off it *)
-  let tspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "try" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        id
-  in
-  (* elect the computing server for try j (regA write, "log-start") *)
-  let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
-            ctx.regs.reg_write
-              ~name:(reg_a_name ~group:ctx.cfg.group rid)
-              ~j (Reg_a_value ctx.self)))
-  in
+  let tspan, winner = elect_try ctx st ~rid ~j (Reg_a_value ctx.self) in
   match winner with
   | Reg_a_value w when w = ctx.self ->
       (* snapshot before the business logic reads anything: a fill is only
          accepted if no invalidation intervened (see cache_after_decide) *)
       let gen = cache_generation ctx in
-      ospan ctx ~parent:tspan ~trace:rid "compute" (fun () ->
-          xa_broadcast ctx ~xid ~label:"start"
-            ~request:(fun _ -> Dbms.Msg.Xa_start { xid })
-            ~matches:(function
-              | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid ->
-                  Some ()
-              | _ -> None);
-          let result =
-            span ctx "SQL" (fun () ->
-                run_business ctx ~xid ~attempt:j ~body:request.body)
-          in
-          Rt.note (Printf.sprintf "computed:%d:%d:%s" rid j result);
-          xa_broadcast ctx ~xid ~label:"end"
-            ~request:(fun _ -> Dbms.Msg.Xa_end { xid })
-            ~matches:(function
-              | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid ->
-                  Some ()
-              | _ -> None);
-          result)
-      |> fun result ->
+      let result =
+        ospan ctx ~parent:tspan ~trace:rid "compute" (fun () ->
+            xa_start ctx ~xid;
+            let result =
+              span ctx "SQL" (fun () ->
+                  run_business ctx ~xid ~attempt:j ~body:request.body)
+            in
+            note_computed ~rid ~j result;
+            xa_end ctx ~xid;
+            result)
+      in
       let outcome =
         span ctx "prepare" (fun () ->
             ospan ctx ~parent:tspan ~trace:rid "prepare" (fun () ->
                 prepare ctx ~xid))
       in
-      let proposal = { result = Some result; outcome } in
       let final =
         span ctx "log-outcome" (fun () ->
             ospan ctx ~parent:tspan ~trace:rid "consensus" (fun () ->
-                match
-                  ctx.regs.reg_write
-                    ~name:(reg_d_name ~group:ctx.cfg.group rid)
-                    ~j (Reg_d_value proposal)
-                with
-                | Reg_d_value d -> d
-                | _ -> proposal))
+                decide_try ctx ~rid ~j { result = Some result; outcome }))
       in
       terminate ctx st ~parent:tspan ~rid ~j final;
       cache_after_decide ctx ~body:request.body ~gen final;
-      (match ctx.sink with
-      | None -> ()
-      | Some s -> s.Rt.obs_span_close tspan)
+      close_span ctx tspan
   | Reg_a_value _ ->
       (* another server won the election: it (or the cleaning thread of a
          correct server) will terminate this try; the client's
          retransmission drives progress *)
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_span_attr tspan "lost_election" "true";
-          s.Rt.obs_span_close tspan)
+      close_span ctx ~attr:("lost_election", "true") tspan
   | _ -> ()
 
 (* ---------------- DESIGN.md §15: cross-shard commit ---------------- *)
@@ -752,132 +762,128 @@ let entry_replies ~ok entries values =
    itself: callers own the decisive write (and must handle losing it). *)
 let run_branch ctx ~rid ~j ~ops =
   let xid = Dbms.Xid.make ~rid ~j in
-  xa_broadcast ctx ~xid ~label:"start"
-    ~request:(fun _ -> Dbms.Msg.Xa_start { xid })
-    ~matches:(function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let db = List.hd ctx.cfg.dbs in
+  xa_start ctx ~xid;
   let reply =
-    span ctx "SQL" (fun () ->
-        Dbms.Stub.exec_retry ~poll:ctx.cfg.poll ~backoff:ctx.cfg.exec_backoff
-          ~fresh_seq ctx.ch ctx.rd ~db ~xid ops)
+    span ctx "SQL" (fun () -> exec_of ctx ~xid ~db:(List.hd ctx.cfg.dbs) ops)
   in
   let ok, values =
     match reply with
     | Dbms.Rm.Exec_ok { values; business_ok } -> (business_ok, values)
     | Dbms.Rm.Exec_conflict _ | Dbms.Rm.Exec_rejected -> (false, [])
   in
-  xa_broadcast ctx ~xid ~label:"end"
-    ~request:(fun _ -> Dbms.Msg.Xa_end { xid })
-    ~matches:(function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
+  xa_end ctx ~xid;
   (* a failed branch skips prepare: its vote is No either way, and the
      global Decide(Abort) round releases whatever the exec locked *)
   let ok = ok && prepare ctx ~xid = Dbms.Rm.Commit in
   (ok, values)
 
-(* Ask the servers of shard [k] — round-robin, resending every clean
-   period (the handler side is idempotent) — until one replies branch
-   [k]'s decided vote. *)
-let gx_vote_rpc ctx (cc : cross_cfg) ~rid ~j ~k ~make =
+(* Send [make ()] to the servers of shard [k] — round-robin, resending
+   every clean period (the handler side is idempotent) — until a reply
+   passing [filter] arrives. [None] when the shard has no servers. *)
+let gx_rpc ctx (cc : cross_cfg) ~k ~make ~filter =
   let peers = cc.peers k in
-  let filter m =
-    match m.Types.payload with
-    | Gx_voted { rid = r; j = j'; k = k'; _ } -> r = rid && j' = j && k' = k
-    | _ -> false
-  in
   let rec loop i =
     Rchannel.send ctx.ch (List.nth peers (i mod List.length peers)) (make ());
     match
       Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply ~filter ()
     with
-    | Some { Types.payload = Gx_voted { ok; values; _ }; _ } -> (ok, values)
-    | Some _ | None -> loop (i + 1)
-  in
-  if peers = [] then (false, []) else loop 0
-
-(* Decide the global outcome at shard [k]'s databases, resending until any
-   server of the group acknowledges (the Decide round is idempotent). *)
-let gx_complete_rpc ctx (cc : cross_cfg) ~rid ~j ~k ~outcome =
-  let peers = cc.peers k in
-  let filter m =
-    match m.Types.payload with
-    | Gx_completed { rid = r; j = j'; k = k' } -> r = rid && j' = j && k' = k
-    | _ -> false
-  in
-  let rec loop i =
-    Rchannel.send ctx.ch
-      (List.nth peers (i mod List.length peers))
-      (Gx_complete { rid; j; k; outcome });
-    match
-      Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply ~filter ()
-    with
-    | Some _ -> ()
+    | Some m -> Some m.Types.payload
     | None -> loop (i + 1)
   in
-  if peers <> [] then loop 0
+  if peers = [] then None else loop 0
 
-(* The coordinator's own branch: elect the executor through the gx_exec
-   register like any participant would, run it on a win, and read the vote
-   register out. Losing the election means a takeover already claimed the
-   branch — wait the register out, contesting only if the claimant dies. *)
+(* Branch [k]'s decided vote, fetched from its own group. *)
+let gx_vote_rpc ctx cc ~rid ~j ~k ~make =
+  match
+    gx_rpc ctx cc ~k ~make ~filter:(fun m ->
+        match m.Types.payload with
+        | Gx_voted { rid = r; j = j'; k = k'; _ } -> r = rid && j' = j && k' = k
+        | _ -> false)
+  with
+  | Some (Gx_voted { ok; values; _ }) -> (ok, values)
+  | _ -> (false, [])
+
+(* Decide the global outcome at shard [k]'s databases. *)
+let gx_complete_rpc ctx cc ~rid ~j ~k ~outcome =
+  ignore
+    (gx_rpc ctx cc ~k
+       ~make:(fun () -> Gx_complete { rid; j; k; outcome })
+       ~filter:(fun m ->
+         match m.Types.payload with
+         | Gx_completed { rid = r; j = j'; k = k' } ->
+             r = rid && j' = j && k' = k
+         | _ -> false))
+
+let vote_of = function
+  | Gx_vote_value { ok; values } -> (ok, values)
+  | _ -> (false, [])
+
+let reply_vote ctx ~src ~rid ~j ~k = function
+  | Some (Gx_vote_value { ok; values }) ->
+      Rchannel.send ctx.ch src (Gx_voted { rid; j; k; ok; values })
+  | Some _ | None -> ()
+
+(* Contest branch [k]'s vote register with an abort vote: an undecided
+   branch aborts the global transaction, a decided one keeps its value. *)
+let contest_vote ctx ~rid ~j ~k =
+  Woreg.write ctx.regs
+    ~name:(Reg_name.gx_vote ~rid ~j ~k)
+    ~j:0
+    (Gx_vote_value { ok = false; values = [] })
+
+type branch_election =
+  | Voted of Types.payload
+  | Lost_to of Types.proc_id
+  | Unelected
+
+(* Branch [k]'s executor election (the gx_exec register) and, on a win,
+   the branch run and its vote write. *)
+let elect_branch ctx ~rid ~j ~k ~ops =
+  match
+    Woreg.write ctx.regs
+      ~name:(Reg_name.gx_exec ~rid ~j ~k)
+      ~j:0 (Reg_a_value ctx.self)
+  with
+  | Reg_a_value w when w = ctx.self ->
+      let ok, values = run_branch ctx ~rid ~j ~ops in
+      Voted
+        (Woreg.write ctx.regs
+           ~name:(Reg_name.gx_vote ~rid ~j ~k)
+           ~j:0
+           (Gx_vote_value { ok; values }))
+  | Reg_a_value w -> Lost_to w
+  | _ -> Unelected
+
+(* After losing the branch election to [owner]: the vote if decided, else
+   an abort contest when [owner] is suspected; [None] = the elected
+   executor is alive and will decide the register. *)
+let vote_or_contest ctx ~rid ~j ~k ~owner =
+  match Woreg.read ctx.regs ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0 with
+  | Some v -> Some v
+  | None ->
+      if Fdetect.suspects ctx.fd owner then Some (contest_vote ctx ~rid ~j ~k)
+      else None
+
+(* The coordinator's own branch: elect the executor like any participant
+   would, run it on a win, and read the vote register out. Losing the
+   election means a takeover already claimed the branch — wait the register
+   out, contesting only if the claimant dies. *)
 let local_branch_vote ctx ~rid ~j ~k ~ops =
-  let name = Reg_name.gx_vote ~rid ~j ~k in
-  let decided = function
-    | Gx_vote_value { ok; values } -> (ok, values)
-    | _ -> (false, [])
-  in
-  match ctx.regs.reg_read ~name ~j:0 with
-  | Some v -> decided v
+  match Woreg.read ctx.regs ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0 with
+  | Some v -> vote_of v
   | None -> (
-      match
-        ctx.regs.reg_write
-          ~name:(Reg_name.gx_exec ~rid ~j ~k)
-          ~j:0 (Reg_a_value ctx.self)
-      with
-      | Reg_a_value w when w = ctx.self ->
-          let ok, values = run_branch ctx ~rid ~j ~ops in
-          decided (ctx.regs.reg_write ~name ~j:0 (Gx_vote_value { ok; values }))
-      | Reg_a_value w ->
+      match elect_branch ctx ~rid ~j ~k ~ops with
+      | Voted v -> vote_of v
+      | Lost_to w ->
           let rec wait () =
-            match ctx.regs.reg_read ~name ~j:0 with
-            | Some v -> decided v
+            match vote_or_contest ctx ~rid ~j ~k ~owner:w with
+            | Some v -> vote_of v
             | None ->
-                if Fdetect.suspects ctx.fd w then
-                  decided
-                    (ctx.regs.reg_write ~name ~j:0
-                       (Gx_vote_value { ok = false; values = [] }))
-                else begin
-                  Rt.sleep ctx.cfg.poll;
-                  wait ()
-                end
+                Rt.sleep ctx.cfg.poll;
+                wait ()
           in
           wait ()
-      | _ -> (false, []))
-
-(* Deliver a cross-shard decision on a server whose own group was not a
-   participant: everything [terminate] does except the local Decide round
-   (these databases never saw the transaction; deciding it here would
-   record a spurious outcome for the xid). *)
-let deliver_no_local ctx st ~rid ~j (final : decision) =
-  send_result ctx st ~rid ~j final;
-  (match st.last with
-  | Some (j', _) when j' >= j -> ()
-  | Some _ | None -> st.last <- Some (j, final));
-  st.terminated_at <- Some (Rt.now ());
-  match ctx.sink with
-  | None -> ()
-  | Some s ->
-      s.Rt.obs_count "server.terminated" 1;
-      if final.outcome = Dbms.Rm.Commit then s.Rt.obs_count "server.committed" 1
+      | Unelected -> (false, []))
 
 (* Drive a Paxos-Commit instance to its outcome and completion: collect
    every participant's vote register concurrently ([vote_for] says how —
@@ -932,9 +938,8 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
                branches votes)
         in
         let r = cross.Business.finish ~attempt:j ~body ~replies in
-        (* the V.1 obligation: a delivered result must have been computed —
-           [finish] is pure, so every driver emits the identical note *)
-        Rt.note (Printf.sprintf "computed:%d:%d:%s" rid j r);
+        (* [finish] is pure, so every driver emits the identical note *)
+        note_computed ~rid ~j r;
         Some r
   in
   let final = { result; outcome } in
@@ -949,9 +954,12 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
   while Array.exists not dones do
     Rt.sleep 1.
   done;
+  (* a group that was no participant delivers without a local Decide round:
+     its databases never saw the transaction, and deciding it there would
+     record a spurious outcome for the xid *)
   if List.mem_assoc ctx.cfg.group branches then
     terminate ctx st ~parent ~rid ~j final
-  else deliver_no_local ctx st ~rid ~j final;
+  else deliver ctx st ~rid ~j final;
   final
 
 (* The cross-shard fork of the computation pipeline: same regA[j] election
@@ -960,31 +968,15 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
    recompute the plan and finish the instance without the crashed owner. *)
 let compute_try_cross ctx st ~(request : request) ~j ~shards =
   let rid = request.rid in
-  let tspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "try" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        s.Rt.obs_span_attr id "cross" "true";
-        id
-  in
-  let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
-            ctx.regs.reg_write
-              ~name:(reg_a_name ~group:ctx.cfg.group rid)
-              ~j
-              (Gx_elect
-                 { owner = ctx.self; participants = shards; body = request.body })))
+  let tspan, winner =
+    elect_try ctx st ~rid ~j
+      ~attrs:[ ("cross", "true") ]
+      (Gx_elect { owner = ctx.self; participants = shards; body = request.body })
   in
   match winner with
   | Gx_elect { owner; _ } when owner = ctx.self ->
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_count "txn.cross_shard" 1;
-          s.Rt.obs_count "gx.open" 1);
+      count ctx "txn.cross_shard";
+      count ctx "gx.open";
       let (_ : decision) =
         drive_cross ctx st ~rid ~j ~body:request.body ~parent:tspan
           ~vote_for:(fun ~k ~ops ->
@@ -995,33 +987,24 @@ let compute_try_cross ctx st ~(request : request) ~j ~shards =
                 ~rid ~j ~k
                 ~make:(fun () -> Gx_branch { rid; j; k; ops }))
       in
-      (match ctx.sink with
-      | None -> ()
-      | Some s -> s.Rt.obs_span_close tspan)
+      close_span ctx tspan
   | Gx_elect _ | Reg_a_value _ ->
       (* lost the election: the winner (or the cleaning thread of a correct
          server) drives this try; the client's retransmission makes
          progress observable *)
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_span_attr tspan "lost_election" "true";
-          s.Rt.obs_span_close tspan)
+      close_span ctx ~attr:("lost_election", "true") tspan
   | _ -> ()
 
 (* Participant-side branch execution, triggered by a (re)sent [Gx_branch].
    The quick checks run synchronously — the running-mark check-and-set must
    not be separated from the fork by a suspension point, or two resends
    could both elect — and the blocking work runs in its own fiber so one
-   slow branch never heads-of-line-blocks the gx mailbox. *)
+   slow branch never heads-of-line-blocks the gx mailbox. A server that
+   loses the election to a live executor stays silent: the driver's resend
+   retries. *)
 let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
-  let name = Reg_name.gx_vote ~rid ~j ~k in
-  let reply (ok, values) =
-    Rchannel.send ctx.ch src (Gx_voted { rid; j; k; ok; values })
-  in
-  match ctx.regs.reg_read ~name ~j:0 with
-  | Some (Gx_vote_value { ok; values }) -> reply (ok, values)
-  | Some _ -> ()
+  match Woreg.read ctx.regs ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0 with
+  | Some _ as v -> reply_vote ctx ~src ~rid ~j ~k v
   | None ->
       if not (Hashtbl.mem ctx.gx_running (rid, j, k)) then begin
         Hashtbl.replace ctx.gx_running (rid, j, k) ();
@@ -1029,36 +1012,12 @@ let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
             Fun.protect
               ~finally:(fun () -> Hashtbl.remove ctx.gx_running (rid, j, k))
               (fun () ->
-                match
-                  ctx.regs.reg_write
-                    ~name:(Reg_name.gx_exec ~rid ~j ~k)
-                    ~j:0 (Reg_a_value ctx.self)
-                with
-                | Reg_a_value w when w = ctx.self ->
-                    let ok, values = run_branch ctx ~rid ~j ~ops in
-                    (match
-                       ctx.regs.reg_write ~name ~j:0
-                         (Gx_vote_value { ok; values })
-                     with
-                    | Gx_vote_value { ok; values } -> reply (ok, values)
-                    | _ -> ())
-                | Reg_a_value w -> (
-                    (* another server of this group executes the branch *)
-                    match ctx.regs.reg_read ~name ~j:0 with
-                    | Some (Gx_vote_value { ok; values }) -> reply (ok, values)
-                    | Some _ -> ()
-                    | None ->
-                        if Fdetect.suspects ctx.fd w then (
-                          match
-                            ctx.regs.reg_write ~name ~j:0
-                              (Gx_vote_value { ok = false; values = [] })
-                          with
-                          | Gx_vote_value { ok; values } -> reply (ok, values)
-                          | _ -> ())
-                        (* else: the elected executor is alive and will
-                           decide the register; stay silent — the driver's
-                           resend retries *))
-                | _ -> ()))
+                match elect_branch ctx ~rid ~j ~k ~ops with
+                | Voted v -> reply_vote ctx ~src ~rid ~j ~k (Some v)
+                | Lost_to w ->
+                    reply_vote ctx ~src ~rid ~j ~k
+                      (vote_or_contest ctx ~rid ~j ~k ~owner:w)
+                | Unelected -> ()))
       end
 
 (* Serve the cross-shard RPC surface of this group: branch execution,
@@ -1070,38 +1029,18 @@ let gx_thread ctx () =
     (match Rt.recv_cls cls_gx with
     | None -> ()
     | Some m -> (
+        let src = m.src in
         match m.payload with
         | Gx_branch { rid; j; k; ops } when k = ctx.cfg.group ->
-            gx_branch_handle ctx ~src:m.src ~rid ~j ~k ~ops
+            gx_branch_handle ctx ~src ~rid ~j ~k ~ops
         | Gx_resolve { rid; j; k } when k = ctx.cfg.group ->
-            let src = m.src in
             Rt.fork "gx-resolve" (fun () ->
-                match
-                  ctx.regs.reg_write
-                    ~name:(Reg_name.gx_vote ~rid ~j ~k)
-                    ~j:0
-                    (Gx_vote_value { ok = false; values = [] })
-                with
-                | Gx_vote_value { ok; values } ->
-                    Rchannel.send ctx.ch src (Gx_voted { rid; j; k; ok; values })
-                | _ -> ())
+                reply_vote ctx ~src ~rid ~j ~k
+                  (Some (contest_vote ctx ~rid ~j ~k)))
         | Gx_complete { rid; j; k; outcome } when k = ctx.cfg.group ->
-            let src = m.src in
             Rt.fork "gx-complete" (fun () ->
-                let xid = Dbms.Xid.make ~rid ~j in
-                let (_ : (Types.proc_id * unit) list) =
-                  Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                    ~dbs:ctx.cfg.dbs
-                    ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
-                    ~matches:(function
-                      | Dbms.Msg.Ack_decide { xid = x }
-                        when Dbms.Xid.equal x xid ->
-                          Some ()
-                      | _ -> None)
-                in
-                (match ctx.sink with
-                | None -> ()
-                | Some s -> s.Rt.obs_count "gx.complete" 1);
+                decide_round ctx ~xid:(Dbms.Xid.make ~rid ~j) ~outcome;
+                count ctx "gx.complete";
                 Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
         | _ -> () (* stamped for another shard: the driver's rotation moves on *)));
     loop ()
@@ -1158,14 +1097,14 @@ let rc_decisions ctx =
       match st.last with Some (j, d) -> add rid j d | None -> ())
     ctx.rids;
   List.iter
-    (fun key ->
-      match Reg_name.parse_reg_d key with
-      | Some (g, rid, j) when g = ctx.cfg.group -> (
-          match ctx.regs.reg_read ~name:(reg_d_name ~group:g rid) ~j with
+    (fun (name, j) ->
+      match Reg_name.parse_reg_d name with
+      | Some (g, rid) when g = ctx.cfg.group -> (
+          match Woreg.read ctx.regs ~name ~j with
           | Some (Reg_d_value d) -> add rid j d
           | _ -> ())
       | _ -> ())
-    (ctx.regs.reg_decided_keys ());
+    (Woreg.decided_keys ctx.regs);
   Hashtbl.fold
     (fun rid (j, d) acc -> (rid, j, d.result, d.outcome) :: acc)
     best []
@@ -1189,8 +1128,8 @@ let rc_caps ctx (rcc : reconfig_cfg) =
   {
     Reconfig.Driver.self = ctx.self;
     ch = ctx.ch;
-    propose = (fun ~key v -> ctx.regs.reg_write ~name:key ~j:0 v);
-    peek = (fun ~key -> ctx.regs.reg_read ~name:key ~j:0);
+    propose = (fun ~key v -> Woreg.write ctx.regs ~name:key ~j:0 v);
+    peek = (fun ~key -> Woreg.read ctx.regs ~name:key ~j:0);
     suspected = (fun p -> Fdetect.suspects ctx.fd p);
     servers_of = rcc.rc_servers_of;
     dbs_of = rcc.rc_dbs_of;
@@ -1318,69 +1257,103 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
   in
   loop ()
 
+(* ---------------- Request intake (every path) ---------------- *)
+
+(* Every client request enters here, on the classic and the batched path
+   alike, and meets the same rules in order:
+   - stamped for another group: bounce it (executing it here would commit
+     it on the wrong shard; the explicit nack makes the client fan out
+     again at once instead of waiting out its resend timer);
+   - a key this group does not own, or is sealing away: {!rc_bounced};
+   - read-only: the method cache, then a read replica, may answer it;
+   - otherwise record the client, root span and highest try seen, then
+     replay: a retransmitted terminated try gets its decision again, an
+     older try nothing, and a later try of a {e committed} request the
+     commit — commit is final. (Later tries of a committed request only
+     reach a server through migration: the client re-routed a try whose
+     commit-result message was lost, restarting it under a fresh j at this
+     destination, and the decision transfer seeded [st.last] with the
+     source commit.)
+   Anything else is a fresh try, handed to the path's [fresh]
+   continuation with its participant shards ({!cross_shards}). *)
+let intake ctx ~fresh (m : Types.message) =
+  match m.payload with
+  | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
+      count ctx "server.misrouted";
+      Rt.note (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
+      send_nack ctx ~rid:request.rid ~j ~client:m.src
+  | Request_msg { request; j; _ } when rc_bounced ctx ~request ~j ~client:m.src
+    ->
+      ()
+  | Request_msg { request; j; span; _ } ->
+      if
+        (not (serve_cached ctx ~request ~j ~client:m.src))
+        && not (serve_replica ctx ~request ~j ~client:m.src)
+      then begin
+        let st = rid_state ctx request.rid in
+        if st.client = None then st.client <- Some m.src;
+        if st.rspan = 0 then st.rspan <- span;
+        if j > st.seen then st.seen <- j;
+        match st.last with
+        | Some (j', d) when j' = j -> send_result ctx st ~rid:request.rid ~j d
+        | Some (j', _) when j' > j -> ()
+        | Some (_, d) when d.outcome = Dbms.Rm.Commit ->
+            send_result ctx st ~rid:request.rid ~j d
+        | Some _ | None ->
+            fresh st ~request ~j (cross_shards ctx ~body:request.body)
+      end
+  | _ -> ()
+
 let compute_thread ctx () =
+  let fresh st ~request ~j = function
+    | Some shards -> compute_try_cross ctx st ~request ~j ~shards
+    | None -> compute_try ctx st ~request ~j
+  in
   let rec loop () =
     (match Rt.recv_cls cls_request with
     | None -> ()
-    | Some m -> (
-        match m.payload with
-        | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
-            (* misrouted: addressed to another replica group; executing it
-               here would commit the request on the wrong shard. Bounce it
-               explicitly so the client re-fans out immediately instead of
-               waiting out its resend timer *)
-            (match ctx.sink with
-            | None -> ()
-            | Some s -> s.Rt.obs_count "server.misrouted" 1);
-            Rt.note
-              (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
-            send_nack ctx ~rid:request.rid ~j ~client:m.src
-        | Request_msg { request; j; _ }
-          when rc_bounced ctx ~request ~j ~client:m.src ->
-            ()
-        | Request_msg { request; j; span; _ } ->
-            if
-              (not (serve_cached ctx ~request ~j ~client:m.src))
-              && not (serve_replica ctx ~request ~j ~client:m.src)
-            then begin
-              let st = rid_state ctx request.rid in
-              if st.client = None then st.client <- Some m.src;
-              if st.rspan = 0 then st.rspan <- span;
-              if j > st.seen then st.seen <- j;
-              match st.last with
-              | Some (j', d) when j' = j ->
-                  (* retransmission of an already-terminated try *)
-                  send_result ctx st ~rid:request.rid ~j d
-              | Some (j', _) when j' > j -> ()
-              | Some (_, d) when d.outcome = Dbms.Rm.Commit ->
-                  (* a committed request is terminated forever: any later
-                     try must replay its result, never re-execute. Later
-                     tries of a committed request only reach a server
-                     through migration — the client re-routed a try whose
-                     commit-result message was lost, restarting it under a
-                     fresh j at this destination — and the decision
-                     transfer seeded [st.last] with the source commit. *)
-                  send_result ctx st ~rid:request.rid ~j d
-              | Some _ | None -> (
-                  match cross_shards ctx ~body:request.body with
-                  | Some shards -> compute_try_cross ctx st ~request ~j ~shards
-                  | None -> compute_try ctx st ~request ~j)
-            end
-        | _ -> ()));
+    | Some m -> intake ctx ~fresh m);
     loop ()
   in
   loop ()
 
 (* ---------------- Fig. 6: the cleaning thread ---------------- *)
 
-let parse_reg_a_rid key = Option.map snd (Reg_name.parse_reg_a key)
-
 let known_rids ctx =
   let from_requests = Hashtbl.fold (fun rid _ acc -> rid :: acc) ctx.rids [] in
   let from_registers =
-    List.filter_map parse_reg_a_rid (ctx.regs.reg_decided_keys ())
+    List.filter_map
+      (fun (name, _) -> Option.map snd (Reg_name.parse_reg_a name))
+      (Woreg.decided_keys ctx.regs)
   in
   List.sort_uniq compare (from_requests @ from_registers)
+
+(* The cleaner's record of one contested try, shared by every take-over
+   path (a try, a cross-shard instance, a sealed batch slot): the
+   contesting write either imposed the abort or lost to the crashed
+   owner's already-decided outcome, which the cleaner then finishes
+   delivering (paper Fig. 6). *)
+let note_cleaned ctx ~rid ~j (d : decision) =
+  Rt.note
+    (Printf.sprintf "cleaned:%d:%d:%s" rid j
+       (match d.outcome with
+       | Dbms.Rm.Commit -> "commit"
+       | Dbms.Rm.Abort -> "abort"));
+  match ctx.sink with
+  | None -> ()
+  | Some s ->
+      s.Rt.obs_count
+        (match d.outcome with
+        | Dbms.Rm.Abort -> "cleaner.aborts"
+        | Dbms.Rm.Commit -> "cleaner.finishes")
+        1
+
+(* One "clean" span per taken-over try; [rspan] is known when this server
+   saw the client's broadcast, else the span roots itself. *)
+let clean_span ctx st ~suspect ~rid ~j cross =
+  open_span ctx ~parent:st.rspan ~rid ~j
+    ~attrs:(cross @ [ ("suspect", ctx.cfg.rt.name_of suspect) ])
+    "clean"
 
 (* Take over a cross-shard try whose coordinator is suspected: contest
    every participant's vote register with an abort vote (any undecided
@@ -1389,56 +1362,26 @@ let known_rids ctx =
    delivering. [drive_cross] re-derives the plan from the [Gx_elect]'s body
    — the reason the election record carries it. *)
 let clean_cross ctx st ~suspect ~rid ~j ~body =
-  let cspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "clean" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        s.Rt.obs_span_attr id "cross" "true";
-        s.Rt.obs_span_attr id "suspect" (ctx.cfg.rt.name_of suspect);
-        id
-  in
-  (match ctx.sink with
-  | None -> ()
-  | Some s -> s.Rt.obs_count "gx.takeover" 1);
+  let cspan = clean_span ctx st ~suspect ~rid ~j [ ("cross", "true") ] in
+  count ctx "gx.takeover";
   let cc = Option.get ctx.cfg.cross in
   let final =
     drive_cross ctx st ~rid ~j ~body ~parent:cspan ~vote_for:(fun ~k ~ops:_ ->
-        if k = ctx.cfg.group then
-          match
-            ctx.regs.reg_write
-              ~name:(Reg_name.gx_vote ~rid ~j ~k)
-              ~j:0
-              (Gx_vote_value { ok = false; values = [] })
-          with
-          | Gx_vote_value { ok; values } -> (ok, values)
-          | _ -> (false, [])
+        if k = ctx.cfg.group then vote_of (contest_vote ctx ~rid ~j ~k)
         else
           gx_vote_rpc ctx cc ~rid ~j ~k ~make:(fun () ->
               Gx_resolve { rid; j; k }))
   in
-  Rt.note
-    (Printf.sprintf "cleaned:%d:%d:%s" rid j
-       (match final.outcome with
-       | Dbms.Rm.Commit -> "commit"
-       | Dbms.Rm.Abort -> "abort"));
-  (match ctx.sink with
-  | None -> ()
-  | Some s ->
-      s.Rt.obs_count
-        (match final.outcome with
-        | Dbms.Rm.Abort -> "cleaner.aborts"
-        | Dbms.Rm.Commit -> "cleaner.finishes")
-        1;
-      s.Rt.obs_span_close cspan);
+  note_cleaned ctx ~rid ~j final;
+  close_span ctx cspan;
   st.cleaned <- j :: st.cleaned
 
 let clean_request ctx ~suspect ~rid =
   let st = rid_state ctx rid in
-  let group = ctx.cfg.group in
   let rec scan j =
-    match ctx.regs.reg_read ~name:(reg_a_name ~group rid) ~j with
+    match
+      Woreg.read ctx.regs ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid) ~j
+    with
     | None ->
         (* ⊥ normally means no further tries exist (they start in order)
            — but after a migration the group's regA array can have holes:
@@ -1454,48 +1397,11 @@ let clean_request ctx ~suspect ~rid =
         if j <= floor then scan (j + 1)
     | Some (Reg_a_value winner) ->
         if winner = suspect && not (List.mem j st.cleaned) then begin
-          (* one "clean" span per taken-over try; [rspan] is known when this
-             server saw the client's broadcast, else the span roots itself *)
-          let cspan =
-            match ctx.sink with
-            | None -> 0
-            | Some s ->
-                let id =
-                  s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "clean"
-                in
-                s.Rt.obs_span_attr id "j" (string_of_int j);
-                s.Rt.obs_span_attr id "suspect"
-                  (ctx.cfg.rt.name_of suspect);
-                id
-          in
-          let final =
-            match
-              ctx.regs.reg_write ~name:(reg_d_name ~group rid) ~j
-                (Reg_d_value abort_decision)
-            with
-            | Reg_d_value d -> d
-            | _ -> abort_decision
-          in
-          Rt.note
-            (Printf.sprintf "cleaned:%d:%d:%s" rid j
-               (match final.outcome with
-               | Dbms.Rm.Commit -> "commit"
-               | Dbms.Rm.Abort -> "abort"));
-          (* abort-or-finish: the wo-register write either imposed the abort
-             or lost to the crashed winner's already-decided outcome, which
-             the cleaner then finishes delivering (paper Fig. 6) *)
-          (match ctx.sink with
-          | None -> ()
-          | Some s ->
-              s.Rt.obs_count
-                (match final.outcome with
-                | Dbms.Rm.Abort -> "cleaner.aborts"
-                | Dbms.Rm.Commit -> "cleaner.finishes")
-                1);
+          let cspan = clean_span ctx st ~suspect ~rid ~j [] in
+          let final = decide_try ctx ~rid ~j abort_decision in
+          note_cleaned ctx ~rid ~j final;
           terminate ctx st ~parent:cspan ~rid ~j final;
-          (match ctx.sink with
-          | None -> ()
-          | Some s -> s.Rt.obs_span_close cspan);
+          close_span ctx cspan;
           st.cleaned <- j :: st.cleaned
         end;
         scan (j + 1)
@@ -1544,12 +1450,12 @@ let gc_thread ctx ~after () =
         ctx.rids []
     in
     List.iter (fun rid -> Hashtbl.remove ctx.rids rid) expired;
-    let swept = ctx.regs.reg_collect ~older_than:(now -. after) in
+    let swept = Woreg.collect ctx.regs ~older_than:(now -. after) in
     if expired <> [] || swept > 0 then
       Rt.note
         (Printf.sprintf "gc:rids=%d:swept=%d:instances=%d"
            (List.length expired) swept
-           (ctx.regs.reg_instances ()));
+           (Woreg.instances ctx.regs));
     loop ()
   in
   loop ()
@@ -1637,15 +1543,7 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
   List.iter
     (fun ((rid, j), (d : decision)) ->
       let st = rid_state ctx rid in
-      (match st.last with
-      | Some (j', _) when j' >= j -> ()
-      | Some _ | None -> st.last <- Some (j, d));
-      st.terminated_at <- Some (Rt.now ());
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_count "server.terminated" 1;
-          if d.outcome = Dbms.Rm.Commit then s.Rt.obs_count "server.committed" 1);
+      record_termination ctx st ~j d;
       match st.client with
       | None -> () (* client unknown here (crashed before broadcasting) *)
       | Some c ->
@@ -1659,6 +1557,18 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
     by_client;
   if async then Rt.fork "batch-terminate" terminate
 
+(* The batched analogue of {!decide_try}: write batchD[e,k] and return the
+   decided per-item decisions — the proposal's, or all-abort when a
+   sealing successor's abort-all got there first. *)
+let decide_slot ctx ~epoch ~seq ~items claim =
+  match
+    Woreg.write ctx.regs
+      ~name:(Reg_name.batch_d ~group:ctx.cfg.group ~epoch ~seq)
+      ~j:0 claim
+  with
+  | Reg_batch_decide ds -> ds
+  | _ -> List.map (fun _ -> abort_decision) items
+
 (* Close every batch slot of a predecessor epoch (Fig. 6 transposed to
    windows): walk the slots in order, writing Seal into the first unused one
    — the deposed holder's next elect loses against it, ending the epoch —
@@ -1666,37 +1576,19 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
    decision register with abort-all. A slot whose decision was already
    written re-delivers the decided outcomes (idempotent). *)
 let seal_epoch ctx ~epoch =
-  let group = ctx.cfg.group in
   let rec scan seq =
     match
-      ctx.regs.reg_write ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0
-        Reg_batch_seal
+      Woreg.write ctx.regs
+        ~name:(Reg_name.batch_a ~group:ctx.cfg.group ~epoch ~seq)
+        ~j:0 Reg_batch_seal
     with
     | Reg_batch_seal -> () (* sealed: the epoch ends at this slot *)
     | Reg_batch_elect { items; _ } ->
         let decisions =
-          match
-            ctx.regs.reg_write ~name:(Reg_name.batch_d ~group ~epoch ~seq) ~j:0
-              Reg_batch_abort_all
-          with
-          | Reg_batch_decide ds -> ds
-          | Reg_batch_abort_all | _ -> List.map (fun _ -> abort_decision) items
+          decide_slot ctx ~epoch ~seq ~items Reg_batch_abort_all
         in
         List.iter2
-          (fun (rid, j) (d : decision) ->
-            Rt.note
-              (Printf.sprintf "cleaned:%d:%d:%s" rid j
-                 (match d.outcome with
-                 | Dbms.Rm.Commit -> "commit"
-                 | Dbms.Rm.Abort -> "abort"));
-            match ctx.sink with
-            | None -> ()
-            | Some s ->
-                s.Rt.obs_count
-                  (match d.outcome with
-                  | Dbms.Rm.Abort -> "cleaner.aborts"
-                  | Dbms.Rm.Commit -> "cleaner.finishes")
-                  1)
+          (fun (rid, j) d -> note_cleaned ctx ~rid ~j d)
           items decisions;
         let trace = match items with (rid, _) :: _ -> rid | [] -> 0 in
         deliver_batch ctx ~trace ~items ~decisions ();
@@ -1713,7 +1605,7 @@ let lease_takeover ctx ls =
   let next = ls.epoch + 1 in
   let winner =
     match
-      ctx.regs.reg_write
+      Woreg.write ctx.regs
         ~name:(Reg_name.lease ~group:ctx.cfg.group)
         ~j:next (Reg_lease_value ctx.self)
     with
@@ -1762,7 +1654,8 @@ let lease_takeover ctx ls =
 let lease_monitor ctx ls () =
   let rec advance () =
     match
-      ctx.regs.reg_read ~name:(Reg_name.lease ~group:ctx.cfg.group)
+      Woreg.read ctx.regs
+        ~name:(Reg_name.lease ~group:ctx.cfg.group)
         ~j:(ls.epoch + 1)
     with
     | Some (Reg_lease_value w) ->
@@ -1795,7 +1688,6 @@ let lease_monitor ctx ls () =
    batchD decision write — still the commit point — and one batched
    terminate round. *)
 let process_batch ctx ls (items : Window.entry list) =
-  let group = ctx.cfg.group in
   let epoch = ls.epoch and seq = ls.seq in
   let ids = List.map (fun (e : Window.entry) -> (e.request.rid, e.j)) items in
   let n = List.length items in
@@ -1813,7 +1705,9 @@ let process_batch ctx ls (items : Window.entry list) =
   let winner =
     span ctx "log-start" (fun () ->
         ospan ctx ~parent:bspan ~trace "election" (fun () ->
-            ctx.regs.reg_write ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0
+            Woreg.write ctx.regs
+              ~name:(Reg_name.batch_a ~group:ctx.cfg.group ~epoch ~seq)
+              ~j:0
               (Reg_batch_elect { owner = ctx.self; items = ids })))
   in
   match winner with
@@ -1829,11 +1723,7 @@ let process_batch ctx ls (items : Window.entry list) =
       if elected <> ids then begin
         ls.seq <- seq + 1;
         if ls.holder = Some ctx.self then Window.push_front ls.pending items;
-        match ctx.sink with
-        | None -> ()
-        | Some s ->
-            s.Rt.obs_span_attr bspan "stale-slot" "true";
-            s.Rt.obs_span_close bspan
+        close_span ctx ~attr:("stale-slot", "true") bspan
       end
       else begin
       ls.seq <- seq + 1;
@@ -1859,7 +1749,7 @@ let process_batch ctx ls (items : Window.entry list) =
                     span ctx "SQL" (fun () ->
                         run_business ctx ~xid ~attempt:j ~body:r.body)
                   in
-                  Rt.note (Printf.sprintf "computed:%d:%d:%s" r.rid j result);
+                  note_computed ~rid:r.rid ~j result;
                   results.(i) <- Some result;
                   decr running;
                   if !running = 0 then unpark ls))
@@ -1900,15 +1790,8 @@ let process_batch ctx ls (items : Window.entry list) =
         let decisions =
           span ctx "log-outcome" (fun () ->
               ospan ctx ~parent:bspan ~trace "consensus" (fun () ->
-                  match
-                    ctx.regs.reg_write
-                      ~name:(Reg_name.batch_d ~group ~epoch ~seq)
-                      ~j:0 (Reg_batch_decide proposal)
-                  with
-                  | Reg_batch_decide ds -> ds
-                  | Reg_batch_abort_all ->
-                      List.map (fun _ -> abort_decision) ids
-                  | _ -> proposal))
+                  decide_slot ctx ~epoch ~seq ~items:ids
+                    (Reg_batch_decide proposal)))
         in
         deliver_batch ctx ~parent:bspan ~trace ~async:true ~items:ids
           ~decisions ();
@@ -1943,81 +1826,39 @@ let process_batch ctx ls (items : Window.entry list) =
          holder; nothing may be delivered from a lost election. *)
       ls.holder <- None;
       Window.clear ls.pending;
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_span_attr bspan "deposed" "true";
-          s.Rt.obs_span_close bspan)
+      close_span ctx ~attr:("deposed", "true") bspan
 
-(* Request intake on the batched path. Only the holder queues; followers
-   answer what [st.last] already knows and otherwise DROP the request (the
-   client's retransmission reaches the holder). Queueing on a follower
-   would be unsound: its queue could go stale across an epoch change and
-   feed an already-decided (rid, j) into a fresh window. The one exception
-   is [limbo]: while NO holder is known, arrivals are parked there so the
+(* Request intake on the batched path ({!intake}, then): cross-shard
+   requests bypass the batching windows — they commit through their own
+   Paxos-Commit instance, not a batchD register, and the running mark
+   suppresses duplicate drives while retransmissions keep arriving. Only
+   the holder queues; followers DROP the request (the client's
+   retransmission reaches the holder). Queueing on a follower would be
+   unsound: its queue could go stale across an epoch change and feed an
+   already-decided (rid, j) into a fresh window. The one exception is
+   [limbo]: while NO holder is known, arrivals are parked there so the
    bootstrap head does not silently drop the first wave of requests and
    cost every client a full back-off period; limbo is promoted only
    through a won takeover (which seals predecessors first). *)
-let batch_enqueue ctx ls (m : Types.message) =
-  match m.payload with
-  | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
-      (match ctx.sink with
-      | None -> ()
-      | Some s -> s.Rt.obs_count "server.misrouted" 1);
-      Rt.note (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
-      send_nack ctx ~rid:request.rid ~j ~client:m.src
-  | Request_msg { request; j; _ } when rc_bounced ctx ~request ~j ~client:m.src
-    ->
-      ()
-  | Request_msg { request; j; span; _ } ->
-      if
-        (not (serve_cached ctx ~request ~j ~client:m.src))
-        && not (serve_replica ctx ~request ~j ~client:m.src)
-      then begin
-        let st = rid_state ctx request.rid in
-        if st.client = None then st.client <- Some m.src;
-        if st.rspan = 0 then st.rspan <- span;
-        if j > st.seen then st.seen <- j;
-        match st.last with
-        | Some (j', d) when j' = j ->
-            send_result ctx st ~rid:request.rid ~j d
-        | Some (j', _) when j' > j -> ()
-        | Some (_, d) when d.outcome = Dbms.Rm.Commit ->
-            (* commit is final — replay for any later try (see the
-               non-batched intake above for why this only arises across
-               a migration) *)
-            send_result ctx st ~rid:request.rid ~j d
-        | Some _ | None -> (
-            match cross_shards ctx ~body:request.body with
-            | Some shards ->
-                (* cross-shard requests bypass the batching windows: they
-                   commit through their own Paxos-Commit instance, not a
-                   batchD register. The running mark suppresses duplicate
-                   drives while retransmissions keep arriving *)
-                if not (Hashtbl.mem ctx.gx_running (request.rid, j, -1))
-                then begin
-                  Hashtbl.replace ctx.gx_running (request.rid, j, -1) ();
-                  Rt.fork "gx-coord" (fun () ->
-                      Fun.protect
-                        ~finally:(fun () ->
-                          Hashtbl.remove ctx.gx_running (request.rid, j, -1))
-                        (fun () ->
-                          compute_try_cross ctx st ~request ~j ~shards))
-                end
-            | None ->
-                let enqueue q =
-                  if not (Window.mem q ~rid:request.rid ~j) then
-                    Window.push q
-                      {
-                        request;
-                        j;
-                        keys = ctx.cfg.business.Business.keys request.body;
-                      }
-                in
-                if ls.holder = Some ctx.self then enqueue ls.pending
-                else if ls.holder = None then enqueue ls.limbo)
-      end
-  | _ -> ()
+let batch_enqueue ctx ls =
+  intake ctx ~fresh:(fun st ~(request : request) ~j -> function
+    | Some shards ->
+        if not (Hashtbl.mem ctx.gx_running (request.rid, j, -1)) then begin
+          Hashtbl.replace ctx.gx_running (request.rid, j, -1) ();
+          Rt.fork "gx-coord" (fun () ->
+              Fun.protect
+                ~finally:(fun () ->
+                  Hashtbl.remove ctx.gx_running (request.rid, j, -1))
+                (fun () -> compute_try_cross ctx st ~request ~j ~shards))
+        end
+    | None ->
+        let enqueue q =
+          if not (Window.mem q ~rid:request.rid ~j) then
+            Window.push q
+              { request; j; keys = ctx.cfg.business.Business.keys request.body }
+        in
+        if ls.holder = Some ctx.self then enqueue ls.pending
+        else if ls.holder = None then enqueue ls.limbo)
 
 (* The batched analogue of [compute_thread]: block for one request, drain
    whatever else already arrived (timeout 0 empties the mailbox without
@@ -2031,6 +1872,7 @@ let batch_thread ctx ls () =
      stretching in [linger_step] slices only while the queue actually
      grew, so an idle or trickling workload pays at most one slice. *)
   let linger_step = 2. in
+  let enqueue = batch_enqueue ctx ls in
   let rec linger () =
     let before = Window.length ls.pending in
     if before < ctx.cfg.batch then begin
@@ -2042,7 +1884,7 @@ let batch_thread ctx ls () =
     match Rt.recv_cls ~timeout:0. cls_request with
     | None -> ()
     | Some m ->
-        batch_enqueue ctx ls m;
+        enqueue m;
         drain ()
   in
   let rec loop () =
@@ -2061,7 +1903,7 @@ let batch_thread ctx ls () =
        match Rt.recv_cls ?timeout cls_request with
        | None -> ()
        | Some m ->
-           batch_enqueue ctx ls m;
+           enqueue m;
            drain ());
     if queued () then linger ();
     if queued () then begin
@@ -2132,37 +1974,11 @@ let spawn cfg =
                   ~fd ~ch ()
               in
               Consensus.Agent.start agent;
-              let key ~name ~j = Printf.sprintf "%s[%d]" name j in
-              {
-                reg_write =
-                  (fun ~name ~j v ->
-                    Consensus.Agent.propose agent ~key:(key ~name ~j) v);
-                reg_read =
-                  (fun ~name ~j ->
-                    Consensus.Agent.peek agent ~key:(key ~name ~j));
-                reg_decided_keys =
-                  (fun () -> Consensus.Agent.decided_keys agent);
-                reg_collect =
-                  (fun ~older_than -> Consensus.Agent.collect agent ~older_than);
-                reg_instances =
-                  (fun () -> Consensus.Agent.instance_count agent);
-              }
+              Woreg.of_agent agent
           | Reg_synod ->
               let synod = Consensus.Synod.create ~peers:cfg.servers ~ch () in
               Consensus.Synod.start synod;
-              let key ~name ~j = Printf.sprintf "%s[%d]" name j in
-              {
-                reg_write =
-                  (fun ~name ~j v ->
-                    Consensus.Synod.propose synod ~key:(key ~name ~j) v);
-                reg_read =
-                  (fun ~name ~j ->
-                    Consensus.Synod.peek synod ~key:(key ~name ~j));
-                reg_decided_keys =
-                  (fun () -> Consensus.Synod.decided_keys synod);
-                reg_collect = (fun ~older_than:_ -> 0);
-                reg_instances = (fun () -> 0);
-              }
+              Woreg.of_synod synod
         in
         let rd = Dbms.Stub.Readiness.create ~dbs:cfg.dbs in
         Dbms.Stub.Readiness.start rd;

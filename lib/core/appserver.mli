@@ -1,10 +1,14 @@
 (** The application-server protocol (paper Figures 4, 5 and 6).
 
     Each application server runs two protocol threads over a shared stack
-    (reliable channels, failure detector, consensus agent, database
+    (reliable channels, failure detector, the wo-registers of
+    {!Consensus.Woreg} over the configured consensus backend, database
     readiness tracker):
 
-    - the {e computation thread} (Fig. 5): on a client request [(r, j)] it
+    - the {e computation thread} (Fig. 5): every client request passes one
+      intake — misroute and reconfiguration bounces, cache and replica
+      reads, and the replay rules for terminated tries — on the classic
+      and the batched path alike. On a fresh try [(r, j)] it
       competes for [regA\[j\]] — the write-once register electing which
       server computes try [j]. The winner runs the business logic inside
       transaction [(r, j)] across all databases, runs the atomic-commitment
@@ -30,7 +34,8 @@
     With [batch > 1] the server runs the {e leased, batched} fast path
     instead (DESIGN.md §12): a stable leaseholder elected once per lease
     epoch drains its request queue and pushes up to [batch] mutually
-    non-conflicting transactions ({!Window.take}) through one election ([batchA]), one XA window, one group-commit
+    non-conflicting transactions ({!Window.take}) through one election
+    ([batchA]), one XA window, one group-commit
     prepare, one decision write ([batchD] — still the commit point) and one
     batched terminate round. Peers contest the lease only after the failure
     detector suspects the holder; the takeover seals the suspect's epoch,
@@ -206,10 +211,12 @@ val config :
   unit ->
   config
 (** Defaults: oracle failure detector, 20 ms clean period, 10 ms poll,
-    40 ms exec back-off, no garbage collection, no breakdown accounting,
-    group 0, batch 1 (classic path), no cache, no replicas, replica bound
-    8, no cross-shard wiring. Raises [Invalid_argument] if [batch < 1] or
-    if [batch > 1] is combined with [gc_after]. *)
+    40 ms exec back-off, no garbage collection, the [Reg_ct] backend, no
+    persistence, no breakdown accounting, group 0, batch 1 (classic path),
+    no cache, no replicas, replica bound 8, replica patience 1,000 ms, no
+    cross-shard wiring, no reconfiguration. Raises [Invalid_argument] if
+    [batch < 1], if [batch > 1] is combined with [gc_after], or if
+    [Reg_synod] is combined with [persist]. *)
 
 val spawn : config -> Types.proc_id
 (** Spawns on the backend in [cfg.rt]. *)

@@ -35,23 +35,20 @@ module Reg_name = struct
   let reg_a ~group ~rid = Printf.sprintf "g%d:regA:r%d" group rid
   let reg_d ~group ~rid = Printf.sprintf "g%d:regD:r%d" group rid
 
-  (* [parse_reg_a name] recovers the request id from a [reg_a] name (with or
-     without a consensus instance suffix "[j]"); [None] for every other
-     register family — the ":regA:r" literal rejects regD, lease and batch
-     names, so a scanner over decided keys sees exactly the classic
-     elections. *)
+  (* [parse_reg_a name] recovers (group, rid) from a [reg_a] name; [None]
+     for every other register family — the ":regA:r" literal rejects regD,
+     lease and batch names, so a scanner over decided registers sees
+     exactly the classic elections. *)
   let parse_reg_a name =
     try Scanf.sscanf name "g%d:regA:r%d" (fun g rid -> Some (g, rid))
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
-  (* [parse_reg_d name] recovers (group, rid, j) from a decided [reg_d]
-     instance key "g<g>:regD:r<rid>[<j>]" — the migration driver's
-     decision-transfer scan reads these to find tries terminated by
-     servers that have since crashed (their rid states are gone; the
-     registers are not). *)
+  (* [parse_reg_d name] recovers (group, rid) from a [reg_d] name — the
+     migration driver's decision-transfer scan reads decided regD
+     registers to find tries terminated by servers that have since
+     crashed (their rid states are gone; the registers are not). *)
   let parse_reg_d name =
-    try
-      Scanf.sscanf name "g%d:regD:r%d[%d]%!" (fun g rid j -> Some (g, rid, j))
+    try Scanf.sscanf name "g%d:regD:r%d%!" (fun g rid -> Some (g, rid))
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
   (* lease-epoch register: instance [e] of the consensus object elects the
@@ -79,16 +76,9 @@ module Reg_name = struct
      - [gx_exec]: which server of shard [k] executes the branch (the
        branch-local analogue of [regA]).
 
-     The "gx:" prefix is deliberately unparseable by [parse_reg_a], and
-     [parse_gx_exec] rejects vote names (the ":a" suffix), so each scanner
-     sees exactly its own family. *)
+     The "gx:" prefix is deliberately unparseable by [parse_reg_a]. *)
   let gx_vote ~rid ~j ~k = Printf.sprintf "gx:r%d.%d:p%d" rid j k
   let gx_exec ~rid ~j ~k = Printf.sprintf "gx:r%d.%d:p%d:a" rid j k
-
-  let parse_gx_exec name =
-    try
-      Scanf.sscanf name "gx:r%d.%d:p%d:a%!" (fun rid j k -> Some (rid, j, k))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 end
 
 (** Canonical names of method-cache entries. An entry caches the committed

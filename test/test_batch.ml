@@ -474,10 +474,90 @@ let test_no_stale_wakeups () =
         [ "ct-decided"; "window-wake" ])
     (Cluster.group c 0).app_servers
 
+(* ------------------------------------------------------------------ *)
+(* Request intake: the replay rules hold on the classic and the batched
+   path alike. A fake client sends a raw request and waits for its commit,
+   then re-sends it: the same (rid, j) gets the recorded decision back
+   without a second execution, an older j gets nothing. *)
+
+let test_intake_replay ~batch () =
+  let _e, c =
+    Harness.Simrun.cluster ~seed:4 ~shards:1 ~batch
+      ~seed_data:(bank_seed ~clients:1) ~business:Workload.Bank.update
+      ~scripts:[ (fun ~issue:_ -> ()) ]
+      ()
+  in
+  let rid = 1_000_000 in
+  let request = { Etx_types.rid; key = "acct0"; body = "acct0:1" } in
+  let server = Cluster.primary c ~shard:0 in
+  (* replies per send: the first try, its retransmission, an older try *)
+  let sends = [ 1; 1; 0 ] in
+  let replies = Array.make (List.length sends) [] and finished = ref false in
+  ignore
+    (c.rt.spawn ~name:"replayer" ~main:(fun ~recovery:_ () ->
+         let ch = Dnet.Rchannel.create () in
+         Dnet.Rchannel.start ch;
+         List.iteri
+           (fun i j ->
+             Dnet.Rchannel.send ch server
+               (Etx_types.Request_msg { request; j; group = 0; span = 0 });
+             let rec collect () =
+               match
+                 Runtime.Etx_runtime.recv_cls ~timeout:2_000.
+                   Etx_types.cls_result
+               with
+               | Some m ->
+                   replies.(i) <- m.Runtime.Types.payload :: replies.(i);
+                   collect ()
+               | None -> ()
+             in
+             collect ())
+           sends;
+         finished := true));
+  Alcotest.(check bool) "replayer finished" true
+    (c.rt.run_until ~deadline:600_000. (fun () -> !finished));
+  let committed = function
+    | Etx_types.Result_msg { rid = r; j = 1; decision; _ } when r = rid ->
+        Some decision
+    | Etx_types.Result_batch_msg { items = [ (r, 1, decision) ]; _ }
+      when r = rid ->
+        Some decision
+    | _ -> None
+  in
+  let first =
+    match replies.(0) with
+    | [ m ] -> (
+        match committed m with
+        | Some d when d.outcome = Dbms.Rm.Commit -> d
+        | _ -> Alcotest.fail "first try did not commit")
+    | ms -> Alcotest.failf "first try: %d replies" (List.length ms)
+  in
+  (match replies.(1) with
+  | [ (Etx_types.Result_msg _ as m) ] ->
+      Alcotest.(check bool) "retransmission replays the recorded decision"
+        true
+        (committed m = Some first)
+  | ms -> Alcotest.failf "retransmission: %d replies" (List.length ms));
+  Alcotest.(check int) "older try gets no reply" 0 (List.length replies.(2));
+  let prefix = Printf.sprintf "computed:%d:1:" rid in
+  let n = String.length prefix in
+  Alcotest.(check int) "executed once" 1
+    (List.length
+       (List.filter
+          (fun (_, note) -> String.length note >= n && String.sub note 0 n = prefix)
+          (c.rt.notes ())))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "batch"
     [
+      ( "intake",
+        [
+          Alcotest.test_case "replay rules at batch 1" `Quick
+            (test_intake_replay ~batch:1);
+          Alcotest.test_case "replay rules at batch 4" `Quick
+            (test_intake_replay ~batch:4);
+        ] );
       ( "reg-name",
         [
           Alcotest.test_case "round-trip" `Quick test_reg_name_round_trip;

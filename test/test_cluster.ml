@@ -172,11 +172,13 @@ let test_misrouted_request_dropped () =
 
 (* the drop is not silent: the wrong shard's server answers with an
    explicit bounce Nack, which the client counts and reacts to by fanning
-   out immediately instead of waiting out its resend timer *)
-let test_misrouted_request_bounced () =
+   out immediately instead of waiting out its resend timer — on the
+   classic and the batched intake alike *)
+let test_misrouted_request_bounced ~batch () =
   let reg = Obs.Registry.create () in
   let _e, c =
-    Harness.Simrun.cluster ~seed:3 ~shards:2 ~obs:reg ~business:Business.trivial
+    Harness.Simrun.cluster ~seed:3 ~shards:2 ~obs:reg ~batch
+      ~business:Business.trivial
       ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
       ()
   in
@@ -266,7 +268,9 @@ let () =
           Alcotest.test_case "misrouted request dropped" `Quick
             test_misrouted_request_dropped;
           Alcotest.test_case "misrouted request bounced" `Quick
-            test_misrouted_request_bounced;
+            (test_misrouted_request_bounced ~batch:1);
+          Alcotest.test_case "misrouted request bounced (batch 4)" `Quick
+            (test_misrouted_request_bounced ~batch:4);
         ] );
       ("random-faults", [ q prop_cluster_spec_under_random_faults ]);
     ]

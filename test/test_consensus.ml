@@ -165,84 +165,6 @@ let test_five_members_minority_crash () =
   | [] -> Alcotest.fail "no decisions"
 
 (* ------------------------------------------------------------------ *)
-(* Write-once registers *)
-
-let test_woreg_write_once () =
-  let results = Array.make 3 None in
-  let t =
-    members_scenario ~n:3
-      ~behave:(fun i agent ->
-        let reg = Consensus.Woreg.array agent ~name:"regA:r0" in
-        results.(i) <- Some (Consensus.Woreg.write reg ~j:1 (V i)))
-      ()
-  in
-  ignore (Engine.run ~deadline:5_000. t);
-  let values = Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v in
-  Alcotest.(check int) "all writes returned" 3 (List.length values);
-  match values with
-  | v :: rest -> List.iter (fun v' -> Alcotest.(check int) "single written value" v v') rest
-  | [] -> Alcotest.fail "no writes"
-
-let test_woreg_read_bottom_then_value () =
-  let before = ref (Some (V 999)) in
-  let after = ref None in
-  let t =
-    members_scenario ~n:3
-      ~behave:(fun i agent ->
-        let reg = Consensus.Woreg.array agent ~name:"regD:r0" in
-        if i = 1 then begin
-          before := Consensus.Woreg.read reg ~j:1;
-          Engine.sleep 200.;
-          after := Consensus.Woreg.read reg ~j:1
-        end
-        else if i = 0 then begin
-          Engine.sleep 10.;
-          ignore (Consensus.Woreg.write reg ~j:1 (V 5))
-        end)
-      ()
-  in
-  ignore (Engine.run ~deadline:2_000. t);
-  Alcotest.(check bool) "⊥ before any write" true (!before = None);
-  match !after with
-  | Some v -> Alcotest.(check int) "value after write" 5 (int_of_v v)
-  | None -> Alcotest.fail "read still ⊥ after write"
-
-let test_woreg_distinct_indices_independent () =
-  let r1 = ref None and r2 = ref None in
-  let t =
-    members_scenario ~n:3
-      ~behave:(fun i agent ->
-        let reg = Consensus.Woreg.array agent ~name:"regA:r1" in
-        if i = 0 then r1 := Some (Consensus.Woreg.write reg ~j:1 (V 10))
-        else if i = 1 then r2 := Some (Consensus.Woreg.write reg ~j:2 (V 20)))
-      ()
-  in
-  ignore (Engine.run ~deadline:5_000. t);
-  Alcotest.(check bool) "j=1 got 10" true
-    (match !r1 with Some v -> int_of_v v = 10 | None -> false);
-  Alcotest.(check bool) "j=2 got 20" true
-    (match !r2 with Some v -> int_of_v v = 20 | None -> false)
-
-let test_woreg_distinct_arrays_independent () =
-  let ra = ref None and rd = ref None in
-  let t =
-    members_scenario ~n:3
-      ~behave:(fun i agent ->
-        if i = 0 then begin
-          let a = Consensus.Woreg.array agent ~name:"regA:r2" in
-          let d = Consensus.Woreg.array agent ~name:"regD:r2" in
-          ra := Some (Consensus.Woreg.write a ~j:1 (V 1));
-          rd := Some (Consensus.Woreg.write d ~j:1 (V 2))
-        end)
-      ()
-  in
-  ignore (Engine.run ~deadline:5_000. t);
-  Alcotest.(check bool) "regA independent" true
-    (match !ra with Some v -> int_of_v v = 1 | None -> false);
-  Alcotest.(check bool) "regD independent" true
-    (match !rd with Some v -> int_of_v v = 2 | None -> false)
-
-(* ------------------------------------------------------------------ *)
 (* The Synod (Paxos) register backend *)
 
 let synod_scenario ?(seed = 1) ?(net = Netmodel.lan ()) ~n ~behave () =
@@ -409,6 +331,137 @@ let prop_synod_agreement_under_faults =
       | [] -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Write-once registers: one body per property, run over both backends *)
+
+type backend = Ct | Paxos
+
+let woreg_scenario backend ?seed ~n ~behave () =
+  match backend with
+  | Ct ->
+      members_scenario ?seed ~n
+        ~behave:(fun i agent -> behave i (Consensus.Woreg.of_agent agent))
+        ()
+  | Paxos ->
+      synod_scenario ?seed ~n
+        ~behave:(fun i synod -> behave i (Consensus.Woreg.of_synod synod))
+        ()
+
+(* enough virtual time for Paxos's duelling proposers to back off *)
+let woreg_deadline = 30_000.
+
+let test_woreg_write_once backend () =
+  let results = Array.make 3 None in
+  let t =
+    woreg_scenario backend ~n:3
+      ~behave:(fun i reg ->
+        results.(i) <-
+          Some (Consensus.Woreg.write reg ~name:"regA:r0" ~j:1 (V i)))
+      ()
+  in
+  ignore (Engine.run ~deadline:woreg_deadline t);
+  let values = Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v in
+  Alcotest.(check int) "all writes returned" 3 (List.length values);
+  match values with
+  | v :: rest -> List.iter (fun v' -> Alcotest.(check int) "single written value" v v') rest
+  | [] -> Alcotest.fail "no writes"
+
+let test_woreg_read_bottom_then_value backend () =
+  let before = ref (Some (V 999)) in
+  let after = ref None in
+  let t =
+    woreg_scenario backend ~n:3
+      ~behave:(fun i reg ->
+        if i = 1 then begin
+          before := Consensus.Woreg.read reg ~name:"regD:r0" ~j:1;
+          Engine.sleep 200.;
+          after := Consensus.Woreg.read reg ~name:"regD:r0" ~j:1
+        end
+        else if i = 0 then begin
+          Engine.sleep 10.;
+          ignore (Consensus.Woreg.write reg ~name:"regD:r0" ~j:1 (V 5))
+        end)
+      ()
+  in
+  ignore (Engine.run ~deadline:2_000. t);
+  Alcotest.(check bool) "⊥ before any write" true (!before = None);
+  match !after with
+  | Some v -> Alcotest.(check int) "value after write" 5 (int_of_v v)
+  | None -> Alcotest.fail "read still ⊥ after write"
+
+let test_woreg_distinct_indices_independent backend () =
+  let r1 = ref None and r2 = ref None in
+  let t =
+    woreg_scenario backend ~n:3
+      ~behave:(fun i reg ->
+        if i = 0 then
+          r1 := Some (Consensus.Woreg.write reg ~name:"regA:r1" ~j:1 (V 10))
+        else if i = 1 then
+          r2 := Some (Consensus.Woreg.write reg ~name:"regA:r1" ~j:2 (V 20)))
+      ()
+  in
+  ignore (Engine.run ~deadline:woreg_deadline t);
+  Alcotest.(check bool) "j=1 got 10" true
+    (match !r1 with Some v -> int_of_v v = 10 | None -> false);
+  Alcotest.(check bool) "j=2 got 20" true
+    (match !r2 with Some v -> int_of_v v = 20 | None -> false)
+
+let test_woreg_distinct_arrays_independent backend () =
+  let ra = ref None and rd = ref None and keys = ref [] in
+  let t =
+    woreg_scenario backend ~n:3
+      ~behave:(fun i reg ->
+        if i = 0 then begin
+          ra := Some (Consensus.Woreg.write reg ~name:"regA:r2" ~j:1 (V 1));
+          rd := Some (Consensus.Woreg.write reg ~name:"regD:r2" ~j:1 (V 2));
+          keys := Consensus.Woreg.decided_keys reg
+        end)
+      ()
+  in
+  ignore (Engine.run ~deadline:woreg_deadline t);
+  Alcotest.(check bool) "regA independent" true
+    (match !ra with Some v -> int_of_v v = 1 | None -> false);
+  Alcotest.(check bool) "regD independent" true
+    (match !rd with Some v -> int_of_v v = 2 | None -> false);
+  Alcotest.(check (list (pair string int)))
+    "decided registers by name and index"
+    [ ("regA:r2", 1); ("regD:r2", 1) ]
+    !keys
+
+let prop_write_once_under_concurrency backend =
+  QCheck.Test.make ~name:"wo-register write-once under concurrent writers"
+    ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n = 3 in
+      let results = Array.make n None in
+      let t =
+        woreg_scenario backend ~seed ~n
+          ~behave:(fun i reg ->
+            Engine.sleep (float_of_int (seed mod (i + 2)));
+            results.(i) <-
+              Some (Consensus.Woreg.write reg ~name:"reg" ~j:7 (V i)))
+          ()
+      in
+      ignore (Engine.run ~deadline:woreg_deadline t);
+      let values =
+        Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v
+      in
+      List.length values = n
+      && match values with v :: rest -> List.for_all (( = ) v) rest | [] -> false)
+
+let woreg_cases backend =
+  [
+    Alcotest.test_case "write-once" `Quick (test_woreg_write_once backend);
+    Alcotest.test_case "read ⊥ then value" `Quick
+      (test_woreg_read_bottom_then_value backend);
+    Alcotest.test_case "indices independent" `Quick
+      (test_woreg_distinct_indices_independent backend);
+    Alcotest.test_case "arrays independent" `Quick
+      (test_woreg_distinct_arrays_independent backend);
+    QCheck_alcotest.to_alcotest (prop_write_once_under_concurrency backend);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* garbage collection *)
 
 let test_forget_and_collect () =
@@ -521,28 +574,6 @@ let prop_agreement_under_faults =
       | v :: rest ->
           List.for_all (( = ) v) rest && List.mem v [ 100; 101; 102 ])
 
-let prop_write_once_under_concurrency =
-  QCheck.Test.make ~name:"wo-register write-once under concurrent writers"
-    ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let n = 3 in
-      let results = Array.make n None in
-      let t =
-        members_scenario ~seed ~n
-          ~behave:(fun i agent ->
-            let reg = Consensus.Woreg.array agent ~name:"reg" in
-            Engine.sleep (float_of_int (seed mod (i + 2)));
-            results.(i) <- Some (Consensus.Woreg.write reg ~j:7 (V i)))
-          ()
-      in
-      ignore (Engine.run ~deadline:30_000. t);
-      let values =
-        Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v
-      in
-      List.length values = n
-      && match values with v :: rest -> List.for_all (( = ) v) rest | [] -> false)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "consensus"
@@ -563,17 +594,8 @@ let () =
             test_five_members_minority_crash;
           q prop_agreement_under_faults;
         ] );
-      ( "woreg",
-        [
-          Alcotest.test_case "write-once" `Quick test_woreg_write_once;
-          Alcotest.test_case "read ⊥ then value" `Quick
-            test_woreg_read_bottom_then_value;
-          Alcotest.test_case "indices independent" `Quick
-            test_woreg_distinct_indices_independent;
-          Alcotest.test_case "arrays independent" `Quick
-            test_woreg_distinct_arrays_independent;
-          q prop_write_once_under_concurrency;
-        ] );
+      ("woreg", woreg_cases Ct);
+      ("woreg-synod", woreg_cases Paxos);
       ( "synod",
         [
           Alcotest.test_case "primary fast path" `Quick
