@@ -885,6 +885,16 @@ let local_branch_vote ctx ~rid ~j ~k ~ops =
           wait ()
       | Unelected -> (false, []))
 
+(* [f x] for every [x], each in its own fiber [name]; returns the results
+   in order once all are in (checked every 1 ms). *)
+let fork_all name f xs =
+  let results = Array.make (List.length xs) None in
+  List.iteri (fun i x -> Rt.fork name (fun () -> results.(i) <- Some (f x))) xs;
+  while Array.exists Option.is_none results do
+    Rt.sleep 1.
+  done;
+  Array.to_list results |> List.map Option.get
+
 (* Drive a Paxos-Commit instance to its outcome and completion: collect
    every participant's vote register concurrently ([vote_for] says how —
    the coordinator executes branches, the takeover cleaner contests), fold
@@ -898,16 +908,11 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
   let entries = cross.Business.plan ~attempt:j ~body in
   let branches = branches_of_plan cc entries in
   let n = List.length branches in
-  let votes = Array.make n None in
-  List.iteri
-    (fun i (k, bentries) ->
-      let ops = List.concat_map snd bentries in
-      Rt.fork "gx-vote" (fun () -> votes.(i) <- Some (vote_for ~k ~ops)))
-    branches;
-  while Array.exists Option.is_none votes do
-    Rt.sleep 1.
-  done;
-  let votes = Array.to_list votes |> List.map Option.get in
+  let votes =
+    fork_all "gx-vote"
+      (fun (k, bentries) -> vote_for ~k ~ops:(List.concat_map snd bentries))
+      branches
+  in
   let outcome =
     if List.for_all (fun (ok, _) -> ok) votes then Dbms.Rm.Commit
     else Dbms.Rm.Abort
@@ -943,17 +948,10 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
         Some r
   in
   let final = { result; outcome } in
-  let remote = List.filter (fun (k, _) -> k <> ctx.cfg.group) branches in
-  let dones = Array.make (List.length remote) false in
-  List.iteri
-    (fun i (k, _) ->
-      Rt.fork "gx-finish" (fun () ->
-          gx_complete_rpc ctx cc ~rid ~j ~k ~outcome;
-          dones.(i) <- true))
-    remote;
-  while Array.exists not dones do
-    Rt.sleep 1.
-  done;
+  ignore
+    (fork_all "gx-finish"
+       (fun (k, _) -> gx_complete_rpc ctx cc ~rid ~j ~k ~outcome)
+       (List.filter (fun (k, _) -> k <> ctx.cfg.group) branches));
   (* a group that was no participant delivers without a local Decide round:
      its databases never saw the transaction, and deciding it there would
      record a spurious outcome for the xid *)
@@ -995,30 +993,32 @@ let compute_try_cross ctx st ~(request : request) ~j ~shards =
       close_span ctx ~attr:("lost_election", "true") tspan
   | _ -> ()
 
+(* Fork [f] as fiber [name] unless cross-shard work [key] is already
+   running here. The check-and-set runs before any suspension point, so
+   two resends can never both start it. *)
+let fork_once ctx key name f =
+  if not (Hashtbl.mem ctx.gx_running key) then begin
+    Hashtbl.replace ctx.gx_running key ();
+    Rt.fork name (fun () ->
+        Fun.protect ~finally:(fun () -> Hashtbl.remove ctx.gx_running key) f)
+  end
+
 (* Participant-side branch execution, triggered by a (re)sent [Gx_branch].
-   The quick checks run synchronously — the running-mark check-and-set must
-   not be separated from the fork by a suspension point, or two resends
-   could both elect — and the blocking work runs in its own fiber so one
-   slow branch never heads-of-line-blocks the gx mailbox. A server that
-   loses the election to a live executor stays silent: the driver's resend
-   retries. *)
+   The quick checks run synchronously and the blocking work in its own
+   fiber, so one slow branch never heads-of-line-blocks the gx mailbox. A
+   server that loses the election to a live executor stays silent: the
+   driver's resend retries. *)
 let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
   match Woreg.read ctx.regs ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0 with
   | Some _ as v -> reply_vote ctx ~src ~rid ~j ~k v
   | None ->
-      if not (Hashtbl.mem ctx.gx_running (rid, j, k)) then begin
-        Hashtbl.replace ctx.gx_running (rid, j, k) ();
-        Rt.fork "gx-branch" (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Hashtbl.remove ctx.gx_running (rid, j, k))
-              (fun () ->
-                match elect_branch ctx ~rid ~j ~k ~ops with
-                | Voted v -> reply_vote ctx ~src ~rid ~j ~k (Some v)
-                | Lost_to w ->
-                    reply_vote ctx ~src ~rid ~j ~k
-                      (vote_or_contest ctx ~rid ~j ~k ~owner:w)
-                | Unelected -> ()))
-      end
+      fork_once ctx (rid, j, k) "gx-branch" (fun () ->
+          match elect_branch ctx ~rid ~j ~k ~ops with
+          | Voted v -> reply_vote ctx ~src ~rid ~j ~k (Some v)
+          | Lost_to w ->
+              reply_vote ctx ~src ~rid ~j ~k
+                (vote_or_contest ctx ~rid ~j ~k ~owner:w)
+          | Unelected -> ())
 
 (* Serve the cross-shard RPC surface of this group: branch execution,
    takeover contests, and completion. Forked only on cross-enabled
@@ -1843,14 +1843,8 @@ let process_batch ctx ls (items : Window.entry list) =
 let batch_enqueue ctx ls =
   intake ctx ~fresh:(fun st ~(request : request) ~j -> function
     | Some shards ->
-        if not (Hashtbl.mem ctx.gx_running (request.rid, j, -1)) then begin
-          Hashtbl.replace ctx.gx_running (request.rid, j, -1) ();
-          Rt.fork "gx-coord" (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  Hashtbl.remove ctx.gx_running (request.rid, j, -1))
-                (fun () -> compute_try_cross ctx st ~request ~j ~shards))
-        end
+        fork_once ctx (request.rid, j, -1) "gx-coord" (fun () ->
+            compute_try_cross ctx st ~request ~j ~shards)
     | None ->
         let enqueue q =
           if not (Window.mem q ~rid:request.rid ~j) then
