@@ -280,7 +280,6 @@ let close_span ctx ?attr id =
       Option.iter (fun (k, v) -> s.Rt.obs_span_attr id k v) attr;
       s.Rt.obs_span_close id
 
-(* A fresh counter: successive calls return 0, 1, 2, ... *)
 let fresh_seq () =
   let seq = ref 0 in
   fun () ->
