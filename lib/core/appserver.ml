@@ -778,40 +778,41 @@ let run_branch ctx ~rid ~j ~ops =
 
 (* Send [make ()] to the servers of shard [k] — round-robin, resending
    every clean period (the handler side is idempotent) — until a reply
-   passing [filter] arrives. [None] when the shard has no servers. *)
-let gx_rpc ctx (cc : cross_cfg) ~k ~make ~filter =
+   that [reply] accepts arrives; [reply]'s value. [None] when the shard
+   has no servers. *)
+let gx_rpc ctx (cc : cross_cfg) ~k ~make ~reply =
   let peers = cc.peers k in
   let rec loop i =
     Rchannel.send ctx.ch (List.nth peers (i mod List.length peers)) (make ());
     match
-      Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply ~filter ()
+      Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply
+        ~filter:(fun m -> reply m.Types.payload <> None)
+        ()
     with
-    | Some m -> Some m.Types.payload
+    | Some m -> reply m.Types.payload
     | None -> loop (i + 1)
   in
   if peers = [] then None else loop 0
 
 (* Branch [k]'s decided vote, fetched from its own group. *)
 let gx_vote_rpc ctx cc ~rid ~j ~k ~make =
-  match
-    gx_rpc ctx cc ~k ~make ~filter:(fun m ->
-        match m.Types.payload with
-        | Gx_voted { rid = r; j = j'; k = k'; _ } -> r = rid && j' = j && k' = k
-        | _ -> false)
-  with
-  | Some (Gx_voted { ok; values; _ }) -> (ok, values)
-  | _ -> (false, [])
+  gx_rpc ctx cc ~k ~make ~reply:(function
+    | Gx_voted { rid = r; j = j'; k = k'; ok; values }
+      when r = rid && j' = j && k' = k ->
+        Some (ok, values)
+    | _ -> None)
+  |> Option.value ~default:(false, [])
 
 (* Decide the global outcome at shard [k]'s databases. *)
 let gx_complete_rpc ctx cc ~rid ~j ~k ~outcome =
-  ignore
-    (gx_rpc ctx cc ~k
-       ~make:(fun () -> Gx_complete { rid; j; k; outcome })
-       ~filter:(fun m ->
-         match m.Types.payload with
-         | Gx_completed { rid = r; j = j'; k = k' } ->
-             r = rid && j' = j && k' = k
-         | _ -> false))
+  gx_rpc ctx cc ~k
+    ~make:(fun () -> Gx_complete { rid; j; k; outcome })
+    ~reply:(function
+      | Gx_completed { rid = r; j = j'; k = k' }
+        when r = rid && j' = j && k' = k ->
+          Some ()
+      | _ -> None)
+  |> ignore
 
 let vote_of = function
   | Gx_vote_value { ok; values } -> (ok, values)

@@ -3,10 +3,10 @@
    committed xids, the simulation event count, the protocol notes, the obs
    spans and the termination/cleaner counters. A refactor that claims to
    keep every message, fork, sleep and register write in place must render
-   [paths.golden] byte-for-byte.
+   its [paths/<name>.golden] byte-for-byte.
 
    Regenerate (only when a behaviour change is intended):
-     dune exec test/test_harness.exe -- regen-paths test/paths.golden *)
+     dune exec test/test_harness.exe -- regen-paths test/paths *)
 
 open Etx
 
@@ -178,36 +178,13 @@ let render build =
     counters;
   Buffer.contents b
 
-let marker name = Printf.sprintf "=== %s ===\n" name
+let golden_file dir name = Filename.concat dir (name ^ ".golden")
 
-let render_all () =
-  String.concat ""
-    (List.map (fun (name, build) -> marker name ^ render build) paths)
-
-let write file =
-  let oc = open_out_bin file in
-  output_string oc (render_all ());
-  close_out oc
-
-(* the golden's section for one path *)
-let section golden name =
-  let m = marker name in
-  let find_from s sub i =
-    let n = String.length sub in
-    let rec go i =
-      if i + n > String.length s then None
-      else if String.sub s i n = sub then Some i
-      else go (i + 1)
-    in
-    go i
-  in
-  match find_from golden m 0 with
-  | None -> None
-  | Some i ->
-      let start = i + String.length m in
-      let stop =
-        match find_from golden "\n=== " start with
-        | Some j -> j + 1
-        | None -> String.length golden
-      in
-      Some (String.sub golden start (stop - start))
+(* write every path's render to [dir] *)
+let write dir =
+  List.iter
+    (fun (name, build) ->
+      let oc = open_out_bin (golden_file dir name) in
+      output_string oc (render build);
+      close_out oc)
+    paths

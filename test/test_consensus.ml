@@ -346,8 +346,8 @@ let woreg_scenario backend ?seed ~n ~behave () =
         ~behave:(fun i synod -> behave i (Consensus.Woreg.of_synod synod))
         ()
 
-(* enough virtual time for Paxos's duelling proposers to back off *)
-let woreg_deadline = 30_000.
+(* Paxos needs more virtual time: its duelling proposers back off *)
+let woreg_deadline = function Ct -> 5_000. | Paxos -> 30_000.
 
 let test_woreg_write_once backend () =
   let results = Array.make 3 None in
@@ -358,7 +358,7 @@ let test_woreg_write_once backend () =
           Some (Consensus.Woreg.write reg ~name:"regA:r0" ~j:1 (V i)))
       ()
   in
-  ignore (Engine.run ~deadline:woreg_deadline t);
+  ignore (Engine.run ~deadline:(woreg_deadline backend) t);
   let values = Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v in
   Alcotest.(check int) "all writes returned" 3 (List.length values);
   match values with
@@ -399,7 +399,7 @@ let test_woreg_distinct_indices_independent backend () =
           r2 := Some (Consensus.Woreg.write reg ~name:"regA:r1" ~j:2 (V 20)))
       ()
   in
-  ignore (Engine.run ~deadline:woreg_deadline t);
+  ignore (Engine.run ~deadline:(woreg_deadline backend) t);
   Alcotest.(check bool) "j=1 got 10" true
     (match !r1 with Some v -> int_of_v v = 10 | None -> false);
   Alcotest.(check bool) "j=2 got 20" true
@@ -417,7 +417,7 @@ let test_woreg_distinct_arrays_independent backend () =
         end)
       ()
   in
-  ignore (Engine.run ~deadline:woreg_deadline t);
+  ignore (Engine.run ~deadline:(woreg_deadline backend) t);
   Alcotest.(check bool) "regA independent" true
     (match !ra with Some v -> int_of_v v = 1 | None -> false);
   Alcotest.(check bool) "regD independent" true
@@ -442,7 +442,7 @@ let prop_write_once_under_concurrency backend =
               Some (Consensus.Woreg.write reg ~name:"reg" ~j:7 (V i)))
           ()
       in
-      ignore (Engine.run ~deadline:woreg_deadline t);
+      ignore (Engine.run ~deadline:30_000. t);
       let values =
         Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v
       in

@@ -411,24 +411,17 @@ let test_seqdiag_max_lines () =
 (* ------------------------------------------------------------------ *)
 (* path goldens: see paths.ml *)
 
-let paths_golden =
-  lazy
-    (let ic = open_in_bin "paths.golden" in
-     let s = really_input_string ic (in_channel_length ic) in
-     close_in ic;
-     s)
-
 let test_path_golden name build () =
-  match Paths.section (Lazy.force paths_golden) name with
-  | None -> Alcotest.failf "path %s missing from paths.golden" name
-  | Some golden ->
-      Alcotest.(check string)
-        (name ^ " byte-identical to paths.golden")
-        golden (Paths.render build)
+  let file = Paths.golden_file "paths" name in
+  let ic = open_in_bin file in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string)
+    (file ^ " byte-identical") golden (Paths.render build)
 
 let () =
   match Sys.argv with
-  | [| _; "regen-paths"; file |] -> Paths.write file
+  | [| _; "regen-paths"; dir |] -> Paths.write dir
   | _ ->
   Alcotest.run "harness"
     [
