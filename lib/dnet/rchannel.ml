@@ -36,12 +36,20 @@ type out_entry = {
   mutable acked : bool;
 }
 
+(* A stream to a silent destination retransmits only its probe; see
+   [park]. *)
+type silence =
+  | Heard
+  | Probing of { probe : out_entry; mutable parked : out_entry list }
+
 (* sender-side per-destination stream *)
 type dst_state = {
   mutable next_seq : int;
   live : (int, out_entry) Hashtbl.t;  (** seq -> unacked entry *)
   mutable min_live : int;
       (** every seq below this is retired; cumulative acks advance it *)
+  mutable last_ack : float;  (** send time of the latest ack *)
+  mutable silence : silence;
 }
 
 (* receiver-side per-(source, endpoint) stream *)
@@ -59,13 +67,14 @@ type helem = { hdue : float; hseq : int; entry : out_entry }
 type t = {
   owner : Types.proc_id;
   ep : int;  (** endpoint incarnation, globally unique *)
-  retransmit_after : float;
-  backoff_factor : float;
-  max_backoff : float;
   streams : (Types.proc_id, dst_state) Hashtbl.t;
   timers : helem Heap.t;
   mutable hseq : int;
   mutable pending : int;  (** unacked outgoing messages, O(1) *)
+  mutable probing : int;  (** streams in [Probing] *)
+  mutable wake_at : float;
+      (** the due time the retransmitter sleeps toward; [infinity] while it
+          waits for a kick *)
   rx : (Types.proc_id * int, rx_state) Hashtbl.t;
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
 }
@@ -73,16 +82,16 @@ type t = {
 let count t name =
   match t.sink with None -> () | Some s -> s.Rt.obs_count name 1
 
-let create ?(retransmit_after = 10.) ?(backoff_factor = 2.)
-    ?(max_backoff = 200.) () =
+let retransmit_after = 10.
+let backoff_factor = 2.
+let max_backoff = 200.
+
+let create () =
   {
     owner = Rt.self ();
     (* endpoint ids are engine-scoped (unique across incarnations within a
        trial) so independent trials stay self-contained *)
     ep = Rt.fresh_uid ();
-    retransmit_after;
-    backoff_factor;
-    max_backoff;
     streams = Hashtbl.create 16;
     timers =
       Heap.create
@@ -90,6 +99,8 @@ let create ?(retransmit_after = 10.) ?(backoff_factor = 2.)
         ();
     hseq = 0;
     pending = 0;
+    probing = 0;
+    wake_at = Float.infinity;
     rx = Hashtbl.create 16;
     sink = Rt.obs ();
   }
@@ -100,7 +111,15 @@ let stream_to t dst =
   match Hashtbl.find_opt t.streams dst with
   | Some ds -> ds
   | None ->
-      let ds = { next_seq = 0; live = Hashtbl.create 16; min_live = 1 } in
+      let ds =
+        {
+          next_seq = 0;
+          live = Hashtbl.create 16;
+          min_live = 1;
+          last_ack = Float.neg_infinity;
+          silence = Heard;
+        }
+      in
       Hashtbl.add t.streams dst ds;
       ds
 
@@ -139,6 +158,52 @@ let handle_ack t ds ~seq ~cum =
     ds.min_live <- ds.min_live + 1
   done
 
+(* Silent destinations. An entry that reaches [max_backoff] while its
+   destination has sent no ack for [max_backoff] stops retransmitting on
+   its own: the stream's first such entry becomes the probe and keeps its
+   timer, every later one is parked without a timer. A destination that is
+   up keeps acking some frames, so its entries are not parked; with no
+   crash and little loss no entry even reaches the cap. [park] answers
+   whether [e] was parked. *)
+let park t e now =
+  let ds = Hashtbl.find t.streams e.dst in
+  if ds.last_ack >= now -. max_backoff then false
+  else
+    match ds.silence with
+    | Heard ->
+        ds.silence <- Probing { probe = e; parked = [] };
+        t.probing <- t.probing + 1;
+        false
+    | Probing p when p.probe == e -> false
+    | Probing p ->
+        p.parked <- e :: p.parked;
+        count t "rc.park";
+        true
+
+(* Any ack is proof of life: the probe is done, and every parked entry is
+   re-armed in [seq] order for immediate retransmission. [sent_at] is the
+   ack's send time: reading it instead of the clock keeps the per-ack path
+   allocation-free. *)
+let heard_from t ds ~sent_at =
+  ds.last_ack <- sent_at;
+  match ds.silence with
+  | Heard -> ()
+  | Probing { parked; _ } -> (
+      ds.silence <- Heard;
+      t.probing <- t.probing - 1;
+      match parked with
+      | [] -> ()
+      | parked ->
+          let now = Rt.now () in
+          List.iter
+            (fun e ->
+              if not e.acked then begin
+                e.due <- now;
+                push_timer t e
+              end)
+            (List.sort (fun a b -> Int.compare a.seq b.seq) parked);
+          Rt.redeliver ~src:t.owner Rc_kick)
+
 let handle_incoming t (m : Types.message) =
   match m.payload with
   | Rc_data { rc_ep; rc_seq; inner } ->
@@ -161,7 +226,9 @@ let handle_incoming t (m : Types.message) =
   | Rc_ack { rc_ep; rc_seq; rc_cum } ->
       if rc_ep = t.ep then
         (match Hashtbl.find_opt t.streams m.src with
-        | Some ds -> handle_ack t ds ~seq:rc_seq ~cum:rc_cum
+        | Some ds ->
+            handle_ack t ds ~seq:rc_seq ~cum:rc_cum;
+            heard_from t ds ~sent_at:m.sent_at
         | None -> ())
   | _ -> ()
 
@@ -205,26 +272,31 @@ let retransmitter_loop t () =
           Rt.send e.dst
             (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
           e.next_delay <-
-            Float.min t.max_backoff (e.next_delay *. t.backoff_factor);
+            Float.min max_backoff (e.next_delay *. backoff_factor);
           e.due <- now +. e.next_delay;
-          push_timer t e;
+          if e.next_delay < max_backoff || not (park t e now) then
+            push_timer t e;
           fire now
         end
   in
   let rec loop () =
     if t.pending = 0 then begin
       Heap.clear t.timers;
+      t.wake_at <- Float.infinity;
       ignore (Rt.recv_cls cls_kick);
       loop ()
     end
     else
       match next_due () with
       | None ->
-          (* unreachable while the every-live-entry-has-a-timer invariant
-             holds; blocking on a kick keeps quiescence safe regardless *)
+          (* unreachable while every live entry has a timer or is parked
+             behind a live probe (whose ack kicks us); blocking on a kick
+             keeps quiescence safe regardless *)
+          t.wake_at <- Float.infinity;
           ignore (Rt.recv_cls cls_kick);
           loop ()
       | Some due ->
+          t.wake_at <- due;
           let delay = Float.max 0.01 (due -. Rt.now ()) in
           ignore (Rt.recv_cls ~timeout:delay cls_kick);
           fire (Rt.now ());
@@ -236,27 +308,36 @@ let start t =
   Rt.fork "rchannel-rx" (receiver_loop t);
   Rt.fork "rchannel-retransmit" (retransmitter_loop t)
 
+(* The retransmitter learns of a new entry only through a kick. An idle one
+   always needs it. A busy one sleeps toward its earliest due time, which
+   is at most [retransmit_after] away unless every earlier entry backed
+   off; a probe's [max_backoff] timer must not hold back a fresh entry, so
+   while a stream is probing a new entry due sooner kicks it too. *)
 let send t dst inner =
   let ds = stream_to t dst in
   ds.next_seq <- ds.next_seq + 1;
   let seq = ds.next_seq in
+  let now = Rt.now () in
   let entry =
     {
       dst;
       seq;
       inner;
-      next_delay = t.retransmit_after;
-      due = Rt.now () +. t.retransmit_after;
+      next_delay = retransmit_after;
+      due = now +. retransmit_after;
       acked = false;
     }
   in
   Hashtbl.add ds.live seq entry;
   count t "rc.send";
-  let was_idle = t.pending = 0 in
+  let kick = t.pending = 0 || (t.probing > 0 && entry.due < t.wake_at) in
   t.pending <- t.pending + 1;
   push_timer t entry;
   Rt.send dst (Rc_data { rc_ep = t.ep; rc_seq = seq; inner });
-  if was_idle then Rt.redeliver ~src:t.owner Rc_kick
+  if kick then begin
+    t.wake_at <- now;
+    Rt.redeliver ~src:t.owner Rc_kick
+  end
 
 let broadcast t dsts inner = List.iter (fun dst -> send t dst inner) dsts
 

@@ -22,14 +22,16 @@ open Runtime
 
 type t
 
-val create :
-  ?retransmit_after:float ->
-  ?backoff_factor:float ->
-  ?max_backoff:float ->
-  unit ->
-  t
-(** Must be called from inside the owning fiber. Defaults: first
-    retransmission after 10 ms, doubling up to 200 ms. *)
+val create : unit -> t
+(** Must be called from inside the owning fiber. Each unacked message is
+    first retransmitted after 10 ms, the delay doubling up to a cap of
+    200 ms. A destination is {e silent} once one of its messages has
+    reached the cap and the latest ack received from it was sent more than
+    200 ms ago (or none has arrived). Then only its first capped message,
+    the probe, keeps retransmitting every 200 ms; later capped messages are
+    parked without a timer. Any ack from the destination re-sends every
+    parked message at once, so once a crashed destination is back up its
+    messages are delivered within one probe period plus one round trip. *)
 
 val start : t -> unit
 (** Forks the receive-handler and retransmitter fibers. Call once, from the

@@ -88,9 +88,9 @@ let test_partition () =
 (* ------------------------------------------------------------------ *)
 (* Reliable channel *)
 
-let run_rchannel_scenario ~seed ~loss ~dup n =
+let run_rchannel_scenario ?obs ~seed ~loss ~dup n =
   let net = Netmodel.lossy ~loss ~dup (Netmodel.lan ()) in
-  let t = Engine.create ~seed ~net () in
+  let t = Engine.create ~seed ~net ?obs () in
   let received = ref [] in
   let recorder = spawn_recorder t received in
   let _ = spawn_sender t recorder (List.init n (fun i -> i)) in
@@ -214,6 +214,135 @@ let test_rchannel_delivery_after_recovery () =
   let _ = spawn_sender t recorder [ 7 ] in
   ignore (Engine.run ~deadline:5_000. t);
   Alcotest.(check (list int)) "delivered after recovery" [ 7 ] !received
+
+(* Data frames [src] put on the wire to [dst] (delivered or lost) in
+   [lo, hi], as (App payload, send time). *)
+let frames_to t ~src ~dst ~lo ~hi =
+  List.filter_map
+    (fun { Trace.at; event } ->
+      match event with
+      | (Trace.Sent (m, _) | Trace.Dropped m)
+        when m.src = src && m.dst = dst && at >= lo && at <= hi -> (
+          match Rchannel.inner_payload m.payload with
+          | Some (App n) -> Some (n, at)
+          | _ -> None)
+      | _ -> None)
+    (Trace.entries (Engine.trace t))
+
+let test_rchannel_silent_destination_probed () =
+  (* 50 messages wait for a receiver that is down for 3 s. Once they have
+     backed off to the 200 ms cap, one probe frame per cap period goes on
+     the wire instead of one frame per message; the first ack after the
+     recovery re-sends the rest. *)
+  let t = Engine.create ~net:(Netmodel.lan ()) () in
+  let received = ref [] in
+  let recorder = spawn_recorder t received in
+  Engine.crash_at t 0.5 recorder;
+  Engine.recover_at t 3_000. recorder;
+  let sender = spawn_sender t recorder (List.init 50 Fun.id) in
+  ignore (Engine.run ~deadline:(3_000. +. 200. +. 50.) t);
+  let frames =
+    List.length (frames_to t ~src:sender ~dst:recorder ~lo:1_000. ~hi:3_000.)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d frames in [1 s, 3 s] <= %d" frames ((2000 / 200) + 2))
+    true
+    (frames <= (2000 / 200) + 2);
+  Alcotest.(check (list int))
+    "all delivered exactly once" (List.init 50 Fun.id)
+    (List.sort compare !received)
+
+let test_rchannel_lossy_live_never_parked () =
+  (* The heavy-loss scenario, then busier streams: a receiver that is up
+     keeps acking some frames, so no entry is parked even at 40% loss. *)
+  List.iter
+    (fun (seed, n) ->
+      let obs = Obs.Registry.create () in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d: all %d delivered once" seed n)
+        (List.init n Fun.id)
+        (run_rchannel_scenario ~obs ~seed ~loss:0.4 ~dup:0. n);
+      Alcotest.(check bool) "loss forced retransmissions" true
+        (Obs.Registry.counter_total obs "rc.retransmit" > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: nothing parked" seed)
+        0
+        (Obs.Registry.counter_total obs "rc.park"))
+    [ (2, 20); (1, 200); (2, 200); (3, 200); (4, 200); (5, 200) ]
+
+let test_rchannel_dead_neighbour () =
+  (* One sender, a live receiver and a crashed one. Frames to the live
+     receiver are lost for its first 600 ms, so its messages reach the cap
+     and get probed and parked too. Delays are constant, so the runs with
+     and without traffic to the crashed receiver must treat the live one
+     identically: same delivery order, same frames per message. *)
+  let run ~with_dead =
+    let t = Engine.create () in
+    let received = ref [] in
+    let live = spawn_recorder t received in
+    let dead = spawn_recorder t (ref []) in
+    Engine.crash_at t 0.5 dead;
+    Engine.set_net t (fun _ ~src:_ ~dst ->
+        if dst = live && Engine.now_of t < 600. then [] else [ 1. ]);
+    let sender =
+      Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+          let ch = Rchannel.create () in
+          Rchannel.start ch;
+          for n = 0 to 19 do
+            if with_dead then Rchannel.send ch dead (App (100 + n));
+            Rchannel.send ch live (App n);
+            Engine.sleep 5.
+          done)
+    in
+    ignore (Engine.run ~deadline:3_000. t);
+    let frames = frames_to t ~src:sender ~dst:live ~lo:0. ~hi:3_000. in
+    ( List.rev !received,
+      List.init 20 (fun n -> List.length (List.filter (fun (m, _) -> m = n) frames)) )
+  in
+  let alone_order, alone_frames = run ~with_dead:false in
+  let order, frames = run ~with_dead:true in
+  Alcotest.(check (list int)) "all delivered alone" (List.init 20 Fun.id)
+    (List.sort compare alone_order);
+  Alcotest.(check (list int)) "same delivery order" alone_order order;
+  Alcotest.(check (list int)) "same frames per message" alone_frames frames
+
+let test_rchannel_probe_does_not_hold_back_fresh () =
+  (* A stream to a crashed receiver is probing, so the retransmitter sleeps
+     toward the probe's 200 ms timer. A fresh message to a live receiver
+     whose first frame is lost must still be retransmitted after 10 ms. *)
+  let t = Engine.create () in
+  let received = ref [] in
+  let live = spawn_recorder t received in
+  let dead = spawn_recorder t (ref []) in
+  Engine.crash_at t 0.5 dead;
+  let first_to_live = ref true in
+  Engine.set_net t (fun _ ~src:_ ~dst ->
+      if dst = live && !first_to_live then begin
+        first_to_live := false;
+        []
+      end
+      else [ 1. ]);
+  let _ =
+    Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        Rchannel.start ch;
+        for n = 0 to 4 do
+          Rchannel.send ch dead (App n)
+        done;
+        Engine.sleep 1_000.;
+        Rchannel.send ch live (App 7))
+  in
+  let delivered_at = ref Float.nan in
+  ignore
+    (Engine.run_until ~deadline:2_000. t (fun () ->
+         if !received <> [] && Float.is_nan !delivered_at then
+           delivered_at := Engine.now_of t;
+         false));
+  Alcotest.(check (list int)) "delivered" [ 7 ] !received;
+  Alcotest.(check bool)
+    (Printf.sprintf "delivered at %.1f ms, within 1,015 ms" !delivered_at)
+    true
+    (!delivered_at <= 1_015.)
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
@@ -377,6 +506,14 @@ let () =
             test_rchannel_crashed_receiver_no_delivery;
           Alcotest.test_case "delivery after recovery" `Quick
             test_rchannel_delivery_after_recovery;
+          Alcotest.test_case "silent destination is probed" `Quick
+            test_rchannel_silent_destination_probed;
+          Alcotest.test_case "lossy live destination never parked" `Quick
+            test_rchannel_lossy_live_never_parked;
+          Alcotest.test_case "dead neighbour does not delay a live one" `Quick
+            test_rchannel_dead_neighbour;
+          Alcotest.test_case "probe does not hold back a fresh message" `Quick
+            test_rchannel_probe_does_not_hold_back_fresh;
           q prop_rchannel_exactly_once;
         ] );
       ( "fdetect",
