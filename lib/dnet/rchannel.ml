@@ -162,9 +162,9 @@ let handle_ack t ds ~seq ~cum =
    destination has sent no ack for [max_backoff] stops retransmitting on
    its own: the stream's first such entry becomes the probe and keeps its
    timer, every later one is parked without a timer. A destination that is
-   up keeps acking some frames, so its entries are not parked; with no
-   crash and little loss no entry even reaches the cap. [park] answers
-   whether [e] was parked. *)
+   up keeps acking some frames, so its entries are normally not parked;
+   with no crash and little loss no entry even reaches the cap. [park]
+   answers whether [e] was parked. *)
 let park t e now =
   let ds = Hashtbl.find t.streams e.dst in
   if ds.last_ack >= now -. max_backoff then false
