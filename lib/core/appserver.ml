@@ -166,11 +166,11 @@ type ctx = {
   rd : Dbms.Stub.Readiness.t;
   rids : (int, rid_state) Hashtbl.t;
   replica_memo : (int, replica_memo) Hashtbl.t;  (** by rid; replicas only *)
-  gx_running : (int * int * int, unit) Hashtbl.t;
-      (** cross-shard work in flight here, keyed (rid, j, k): branch
-          executions ([k] = participant shard) and coordinator drives
-          ([k] = -1). Purely a duplicate-suppression memo — the registers
-          stay the safety argument *)
+  running : (int * int * int, unit) Hashtbl.t;
+      (** tries and branches in flight here, keyed (rid, j, k): fresh tries
+          ([k] = -1) and cross-shard branch executions ([k] = participant
+          shard). Purely a duplicate-suppression memo — the registers stay
+          the safety argument *)
   rc : rc_state option;  (** reconfiguration state; None = map fixed *)
   sink : Rt.obs_sink option;  (** fetched once at spawn; None = obs off *)
 }
@@ -993,15 +993,25 @@ let compute_try_cross ctx st ~(request : request) ~j ~shards =
       close_span ctx ~attr:("lost_election", "true") tspan
   | _ -> ()
 
-(* Fork [f] as fiber [name] unless cross-shard work [key] is already
-   running here. The check-and-set runs before any suspension point, so
+(* Fork [f] as fiber [name] unless a try or branch [key] is already in
+   flight here. The check-and-set runs before any suspension point, so
    two resends can never both start it. *)
 let fork_once ctx key name f =
-  if not (Hashtbl.mem ctx.gx_running key) then begin
-    Hashtbl.replace ctx.gx_running key ();
+  if not (Hashtbl.mem ctx.running key) then begin
+    Hashtbl.replace ctx.running key ();
     Rt.fork name (fun () ->
-        Fun.protect ~finally:(fun () -> Hashtbl.remove ctx.gx_running key) f)
+        Fun.protect ~finally:(fun () -> Hashtbl.remove ctx.running key) f)
   end
+
+(* Start fresh try (rid, j) in its own fiber, on either path. Tries of
+   different requests never queue behind one another's SQL — the
+   databases' locks are the concurrency control — and a resend of a try
+   still in flight here is dropped instead of elected and run again. *)
+let start_try ctx st ~(request : request) ~j shards =
+  fork_once ctx (request.rid, j, -1) "try" (fun () ->
+      match shards with
+      | Some shards -> compute_try_cross ctx st ~request ~j ~shards
+      | None -> compute_try ctx st ~request ~j)
 
 (* Participant-side branch execution, triggered by a (re)sent [Gx_branch].
    The quick checks run synchronously and the blocking work in its own
@@ -1305,14 +1315,10 @@ let intake ctx ~fresh (m : Types.message) =
   | _ -> ()
 
 let compute_thread ctx () =
-  let fresh st ~request ~j = function
-    | Some shards -> compute_try_cross ctx st ~request ~j ~shards
-    | None -> compute_try ctx st ~request ~j
-  in
   let rec loop () =
     (match Rt.recv_cls cls_request with
     | None -> ()
-    | Some m -> intake ctx ~fresh m);
+    | Some m -> intake ctx ~fresh:(start_try ctx) m);
     loop ()
   in
   loop ()
@@ -1842,9 +1848,7 @@ let process_batch ctx ls (items : Window.entry list) =
    through a won takeover (which seals predecessors first). *)
 let batch_enqueue ctx ls =
   intake ctx ~fresh:(fun st ~(request : request) ~j -> function
-    | Some shards ->
-        fork_once ctx (request.rid, j, -1) "gx-coord" (fun () ->
-            compute_try_cross ctx st ~request ~j ~shards)
+    | Some _ as shards -> start_try ctx st ~request ~j shards
     | None ->
         let enqueue q =
           if not (Window.mem q ~rid:request.rid ~j) then
@@ -1996,7 +2000,7 @@ let spawn cfg =
             rd;
             rids = Hashtbl.create 16;
             replica_memo = Hashtbl.create 16;
-            gx_running = Hashtbl.create 16;
+            running = Hashtbl.create 16;
             rc;
             sink = Rt.obs ();
           }

@@ -351,6 +351,143 @@ let test_impatient_client_active_replication () =
   in
   Alcotest.(check int) "exactly one execution" 1 (List.length computed)
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent tries at one server *)
+
+let trace_of e = Dsim.Trace.entries (Dsim.Engine.trace e)
+
+let accounts n =
+  Workload.Bank.seed_accounts
+    (List.init n (fun i -> (Printf.sprintf "acct%d" i, 1000)))
+
+(* client-observed latency of one update per client, each on its own
+   account, every first try addressed to the head server *)
+let disjoint_update_latencies ~clients =
+  let _e, c =
+    Harness.Simrun.cluster ~seed:7 ~shards:1 ~seed_data:(accounts clients)
+      ~business:Workload.Bank.update
+      ~scripts:
+        (List.init clients (fun i ~issue ->
+             ignore (issue (Printf.sprintf "acct%d:1" i))))
+      ()
+  in
+  Alcotest.(check bool) "quiesced" true (Cluster.run_to_quiescence c);
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+  List.map
+    (fun (r : Client.record) ->
+      Alcotest.(check int) "first try" 1 r.tries;
+      r.delivered_at -. r.issued_at)
+    (Cluster.all_records c)
+
+let test_concurrent_tries_overlap () =
+  (* Each fresh try runs in its own fiber: tries of different requests at
+     the head server overlap instead of queueing behind one another's SQL
+     (one try at a time delivered the third request at ~2.7x). *)
+  let single =
+    match disjoint_update_latencies ~clients:1 with
+    | [ l ] -> l
+    | _ -> Alcotest.fail "expected one record"
+  in
+  let latencies = disjoint_update_latencies ~clients:3 in
+  Alcotest.(check int) "three records" 3 (List.length latencies);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "latency %.1f <= 1.5 x %.1f" l single)
+        true
+        (l <= 1.5 *. single))
+    latencies
+
+let test_inflight_duplicate_computed_once () =
+  (* A 100 ms client period re-sends try 1 to every server, the computing
+     head server included, while that try is still in its SQL phase. regA[1]
+     already names the head, so a second fiber there would win it again and
+     run the SQL twice: the running memo must drop the second intake. *)
+  let e, d =
+    Harness.Simrun.deployment ~client_period:100. ~seed_data:(accounts 1)
+      ~business:Workload.Bank.update
+      ~script:(fun ~issue -> ignore (issue "acct0:1"))
+      ()
+  in
+  Alcotest.(check bool) "quiesced" true (Deployment.run_to_quiescence d);
+  let head = Deployment.primary d in
+  let at_head, execs, computed =
+    List.fold_left
+      (fun (at_head, execs, computed) (en : Dsim.Trace.entry) ->
+        match en.event with
+        | Dsim.Trace.Delivered
+            { payload = Etx_types.Request_msg { j = 1; _ }; dst; _ }
+          when dst = head ->
+            (en.at :: at_head, execs, computed)
+        | Dsim.Trace.Delivered { payload = Dbms.Msg.Exec_req _; _ } ->
+            (at_head, en.at :: execs, computed)
+        | Dsim.Trace.Note (pid, s)
+          when String.starts_with ~prefix:"computed:" s ->
+            (at_head, execs, (pid, en.at) :: computed)
+        | _ -> (at_head, execs, computed))
+      ([], [], []) (trace_of e)
+  in
+  (match (execs, computed) with
+  | [ exec_at ], [ (pid, computed_at) ] ->
+      Alcotest.(check int) "computed at the head" head pid;
+      Alcotest.(check bool) "a resend reached the head during its SQL" true
+        (List.exists (fun t -> t > exec_at && t < computed_at) at_head)
+  | _ ->
+      Alcotest.failf "expected one exec and one computation, got %d and %d"
+        (List.length execs) (List.length computed));
+  check_no_violations "in-flight duplicate" d
+
+let test_contention_and_crash () =
+  (* Eight clients transfer between four accounts: concurrent tries at the
+     head server meet no-wait lock conflicts and exec back-off, and the head
+     crashes with several of them in flight. *)
+  let kind =
+    Workload.Generator.Bank_transfers { accounts = 4; max_amount = 5 }
+  in
+  let e, c =
+    Harness.Simrun.cluster ~seed:13 ~shards:1
+      ~fd_spec:
+        (Appserver.Fd_heartbeat
+           { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
+      ~client_period:300.
+      ~seed_data:(Workload.Generator.seed_data_of kind)
+      ~business:(Workload.Generator.business_of kind)
+      ~scripts:
+        (List.init 8 (fun i ~issue ->
+             List.iter
+               (fun b -> ignore (issue b))
+               (Workload.Generator.bodies ~seed:(1 + i) ~n:3 kind)))
+      ()
+  in
+  Dsim.Engine.crash_at e 400. (Cluster.primary c ~shard:0);
+  Alcotest.(check bool) "quiesced" true (Cluster.run_to_quiescence c);
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+  Alcotest.(check int) "every request delivered" 24
+    (List.length (Cluster.all_records c));
+  Alcotest.(check bool) "lock conflicts occurred" true
+    (List.exists
+       (fun (en : Dsim.Trace.entry) ->
+         match en.event with
+         | Dsim.Trace.Delivered
+             {
+               payload =
+                 Dbms.Msg.Exec_reply { reply = Dbms.Rm.Exec_conflict _; _ };
+               _;
+             } ->
+             true
+         | _ -> false)
+       (trace_of e));
+  let _, rm = List.hd c.groups.(0).dbs in
+  let total =
+    List.fold_left
+      (fun acc i ->
+        match Dbms.Rm.read_committed rm (Printf.sprintf "acct%d" i) with
+        | Some (Dbms.Value.Int v) -> acc + v
+        | _ -> acc)
+      0 [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check int) "transfers conserve money" 40_000 total
+
 (* --- the client protocol (Fig. 2) details --- *)
 
 let request_deliveries e =
@@ -819,6 +956,15 @@ let () =
             test_multiple_clients_contention;
           Alcotest.test_case "impatient client (active replication)" `Quick
             test_impatient_client_active_replication;
+        ] );
+      ( "concurrent-tries",
+        [
+          Alcotest.test_case "concurrent tries overlap" `Quick
+            test_concurrent_tries_overlap;
+          Alcotest.test_case "in-flight duplicate computed once" `Quick
+            test_inflight_duplicate_computed_once;
+          Alcotest.test_case "contention and head crash" `Quick
+            test_contention_and_crash;
         ] );
       ( "client",
         [

@@ -419,6 +419,13 @@ let test_path_golden name build () =
   Alcotest.(check string)
     (file ^ " byte-identical") golden (Paths.render build)
 
+(* a golden pins a run, not its correctness: each path must also meet the
+   full cluster specification *)
+let test_path_spec build () =
+  let _e, c = build (Obs.Registry.create ()) in
+  Alcotest.(check bool) "quiesced" true (Cluster.run_to_quiescence c);
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
 let () =
   match Sys.argv with
   | [| _; "regen-paths"; dir |] -> Paths.write dir
@@ -429,6 +436,11 @@ let () =
         List.map
           (fun (name, build) ->
             Alcotest.test_case name `Quick (test_path_golden name build))
+          Paths.paths );
+      ( "paths-spec",
+        List.map
+          (fun (name, build) ->
+            Alcotest.test_case name `Quick (test_path_spec build))
           Paths.paths );
       ( "figure8",
         [
