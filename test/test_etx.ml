@@ -440,7 +440,7 @@ let test_inflight_duplicate_computed_once () =
 let test_contention_and_crash () =
   (* Eight clients transfer between four accounts: concurrent tries at the
      head server meet no-wait lock conflicts and exec back-off, and the head
-     crashes with several of them in flight. *)
+     crashes mid-run. *)
   let kind =
     Workload.Generator.Bank_transfers { accounts = 4; max_amount = 5 }
   in
