@@ -452,19 +452,12 @@ let run_obs_overhead () =
     in
     let t0 = Unix.gettimeofday () in
     let e, d =
-      Harness.Simrun.deployment ~seed:42 ~tracing:false ?obs:reg
+      Harness.Simrun.cluster ~seed:42 ~tracing:false ?obs:reg
         ~n_app_servers:n_servers ~seed_data ~business:Workload.Bank.update
-        ~script:(script_for 0) ()
+        ~scripts:(List.init n_clients script_for)
+        ()
     in
-    let extra =
-      List.init (n_clients - 1) (fun i ->
-          Etx.Client.spawn d.rt
-            ~name:(Printf.sprintf "client%d" (i + 1))
-            ~period:400. ~servers:d.app_servers
-            ~script:(script_for (i + 1))
-            ())
-    in
-    let clients = d.client :: extra in
+    let clients = d.clients in
     let all_done () = List.for_all Etx.Client.script_done clients in
     if not (Dsim.Engine.run_until ~deadline:7_200_000. e all_done) then
       failwith "obs-overhead: run did not finish";
@@ -657,33 +650,17 @@ let run_live () =
       ignore (issue (Printf.sprintf "acct%d:1" i))
     done
   in
-  let d =
-    Etx.Deployment.build ~rt ~seed_data ~business:Workload.Bank.update
-      ~script:(script_for 0) ()
+  let c =
+    Cluster.build ~rt ~seed_data ~business:Workload.Bank.update
+      ~scripts:(List.init n_clients script_for)
+      ()
   in
-  let extra =
-    List.init (n_clients - 1) (fun i ->
-        Etx.Client.spawn rt
-          ~name:(Printf.sprintf "client%d" (i + 1))
-          ~servers:d.app_servers
-          ~script:(script_for (i + 1))
-          ())
-  in
-  let clients = d.client :: extra in
   let t0 = Unix.gettimeofday () in
-  (* wait for every client (run_to_quiescence only watches the deployment's
-     own), then let the databases settle *)
-  let all_done () = List.for_all Etx.Client.script_done clients in
-  let ok =
-    rt.run_until ~deadline:120_000. all_done
-    && Etx.Deployment.run_to_quiescence ~deadline:30_000. d
-  in
+  let ok = Cluster.run_to_quiescence ~deadline:120_000. c in
   let wall = Unix.gettimeofday () -. t0 in
   Runtime_live.shutdown lt;
   let total = n_clients * n_requests in
-  let delivered =
-    List.fold_left (fun acc c -> acc + List.length (Etx.Client.records c)) 0 clients
-  in
+  let delivered = List.length (Cluster.all_records c) in
   let rate = float_of_int delivered /. wall in
   live_rows := !live_rows @ [ (n_clients, total, wall, rate) ];
   section "Live backend (wall clock)"
@@ -907,11 +884,11 @@ let micro_tests =
   in
   let one_etx () =
     let _e, d =
-      Harness.Simrun.deployment ~business:Etx.Business.trivial
-        ~script:(fun ~issue -> ignore (issue "x"))
+      Harness.Simrun.cluster ~business:Etx.Business.trivial
+        ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
         ()
     in
-    ignore (Etx.Deployment.run_to_quiescence d)
+    ignore (Cluster.run_to_quiescence d)
   in
   let one_consensus () =
     (* a full three-member wo-register write *)

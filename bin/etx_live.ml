@@ -5,9 +5,10 @@
    violation; writes a machine-readable summary (LIVE_smoke.json) for CI.
 
    With [-shards S] (S > 1) the same smoke runs on a sharded cluster:
-   S independent replica groups behind the shard router, the crash/recovery
-   targeting shard 0's primary, and the cluster-level specification
-   (per-shard properties plus global exactly-once) checked at the end.
+   S independent replica groups behind the shard router. Either way the
+   crash/recovery targets shard 0's primary and the cluster-level
+   specification (per-shard properties plus global exactly-once) is
+   checked for every client at the end.
 
    With [-cache] every app server carries a method cache with
    commit-piggybacked invalidation, clients issue a read-dominant mix
@@ -194,126 +195,8 @@ let report ~n_shards ~n_delivered ~total ~wall_s ~violations ~ok =
   exit (if ok then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
-(* Single-group path: the original smoke, unchanged behaviour. *)
-
-let run_single () =
-  let n_clients = !clients and n_requests = !requests in
-  let reg = obs_registry () in
-  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Runtime_live.runtime lt in
-  (* disjoint accounts: each client updates its own, so every transaction
-     must commit and the per-account balance checks the commit count *)
-  let seed_data =
-    Workload.Bank.seed_accounts
-      (List.init n_clients (fun i -> (Printf.sprintf "acct%d" i, 1000)))
-  in
-  let script_for i ~issue =
-    for r = 0 to n_requests - 1 do
-      ignore (issue (body_for ~acct:(Printf.sprintf "acct%d" i) r))
-    done
-  in
-  let business =
-    if read_mix () then Workload.Bank.mixed else Workload.Bank.update
-  in
-  let t_start = Unix.gettimeofday () in
-  let d =
-    Etx.Deployment.build ~rt ~recoverable:true ~batch:!batch ~cache:!cache
-      ~replicas:!replicas ~replica_bound:!replica_bound
-      ~group_commit:!group_commit ~seed_data ~business ~script:(script_for 0)
-      ()
-  in
-  let extra =
-    List.init (n_clients - 1) (fun i ->
-        Etx.Client.spawn rt
-          ~name:(Printf.sprintf "client%d" (i + 1))
-          ~servers:d.app_servers
-          ~script:(script_for (i + 1))
-          ())
-  in
-  let all_clients = d.client :: extra in
-  let delivered () =
-    List.fold_left
-      (fun acc c -> acc + List.length (Etx.Client.records c))
-      0 all_clients
-  in
-  let total = n_clients * n_requests in
-  let primary = Etx.Deployment.primary d in
-  (* phase 1: let the cluster commit a few transactions *)
-  let warm = rt.run_until ~deadline:60_000. (fun () -> delivered () >= min total 2) in
-  if not warm then prerr_endline "etx_live: WARNING: slow start";
-  (* phase 2: kill the primary mid-run, let the cluster fail over... *)
-  Printf.printf "crashing primary (p%d %s) at %.0f ms, %d/%d delivered\n%!"
-    primary (rt.name_of primary) (Runtime_live.now_ms lt) (delivered ()) total;
-  rt.crash primary;
-  ignore (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
-  (* ...then bring it back: it must rejoin from its stable registers *)
-  Printf.printf "recovering primary at %.0f ms, %d/%d delivered\n%!"
-    (Runtime_live.now_ms lt) (delivered ()) total;
-  rt.recover primary;
-  (* phase 3: wait for every client (run_to_quiescence only watches the
-     deployment's own), then let the databases settle *)
-  let all_done () = List.for_all Etx.Client.script_done all_clients in
-  let finished = rt.run_until ~deadline:240_000. all_done in
-  let settled =
-    finished && Etx.Deployment.run_to_quiescence ~deadline:30_000. d
-  in
-  let wall_s = Unix.gettimeofday () -. t_start in
-  let n_delivered = delivered () in
-  let scripts_done = List.for_all Etx.Client.script_done all_clients in
-  let violations = if settled then Etx.Spec.check_all d else [] in
-  (* duplicate check for the extra clients (Spec covers d.client + the
-     databases): each account must show exactly [n_requests] increments *)
-  let dup_violations =
-    List.concat_map
-      (fun (dbpid, rm) ->
-        List.filter_map
-          (fun i ->
-            let acct = Printf.sprintf "acct%d" i in
-            let expect =
-              Dbms.Value.Int (1000 + updates_per_client n_requests)
-            in
-            match Dbms.Rm.read_committed rm acct with
-            | Some v when Dbms.Value.equal v expect -> None
-            | Some v ->
-                Some
-                  (Printf.sprintf
-                     "db p%d: %s = %s, expected %s (lost or duplicated \
-                      commit)"
-                     dbpid acct (Dbms.Value.to_string v)
-                     (Dbms.Value.to_string expect))
-            | None -> Some (Printf.sprintf "db p%d: %s missing" dbpid acct))
-          (List.init n_clients (fun i -> i)))
-      d.dbs
-  in
-  let violations =
-    violations @ dup_violations
-    @ obs_violations ~n_delivered reg
-    @ (match reg with
-      | Some r when !cache && settled ->
-          (* the read burst must actually exercise the cache *)
-          if Obs.Registry.counter_total r "cache.hit" > 0 then []
-          else [ "cache: no hits recorded during the read burst" ]
-      | _ -> [])
-    @ (match reg with
-      | Some r when !replicas > 0 && settled ->
-          (* the read burst must actually exercise the replicas *)
-          if Obs.Registry.counter_total r "replica.served" > 0 then []
-          else [ "replicas: no reads served during the read burst" ]
-      | _ -> [])
-    @ (if settled then [] else [ "run did not quiesce before the deadline" ])
-    @ (if scripts_done then [] else [ "a client script did not finish" ])
-    @
-    if n_delivered = total then []
-    else [ Printf.sprintf "delivered %d of %d requests" n_delivered total ]
-  in
-  let ok = violations = [] in
-  write_summary ~out:!out ~n_shards:1 ~n_clients ~n_requests ~n_delivered
-    ~wall_s ~violations ~ok ();
-  Runtime_live.shutdown lt;
-  report ~n_shards:1 ~n_delivered ~total ~wall_s ~violations ~ok
-
-(* ------------------------------------------------------------------ *)
-(* Sharded path. *)
+(* Default path: one replica group (the paper's deployment) or, with
+   [-shards S], S groups behind the shard router. *)
 
 (* one account per client, dealt so shard populations differ by at most 1 *)
 let client_keys map ~n_clients ~n_shards =
@@ -708,5 +591,4 @@ let () =
     if !shards < 2 then shards := 2;
     run_migrate ()
   end
-  else if !shards = 1 then run_single ()
   else run_sharded ()

@@ -451,27 +451,30 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
   let reg =
     if verbose || obs <> None then Some (Obs.Registry.create ()) else None
   in
-  let engine, d =
-    Harness.Simrun.deployment ~seed ?obs:reg ~n_app_servers ~n_dbs ~batch
+  let engine, c =
+    Harness.Simrun.cluster ~seed ?obs:reg ~n_app_servers ~n_dbs ~batch
       ~cache ~replicas ~replica_bound ~group_commit
       ~disk_force_latency:force_latency ~client_period:300. ~seed_data
       ~business
-      ~script:(fun ~issue ->
-        for i = 0 to requests - 1 do
-          ignore (issue (body_of i))
-        done)
+      ~scripts:
+        [
+          (fun ~issue ->
+            for i = 0 to requests - 1 do
+              ignore (issue (body_of i))
+            done);
+        ]
       ()
   in
   (match crash_primary_at with
-  | Some t -> Dsim.Engine.crash_at engine t (Etx.Deployment.primary d)
+  | Some t -> Dsim.Engine.crash_at engine t (Cluster.primary c ~shard:0)
   | None -> ());
   (match crash_db with
   | Some t ->
-      let db = fst (List.hd d.dbs) in
+      let db = fst (List.hd (Cluster.group c 0).dbs) in
       Dsim.Engine.crash_at engine t db;
       Dsim.Engine.recover_at engine (t +. 200.) db
   | None -> ());
-  let quiesced = Etx.Deployment.run_to_quiescence ~deadline:600_000. d in
+  let quiesced = Cluster.run_to_quiescence ~deadline:600_000. c in
   Printf.printf "quiesced: %b (virtual time %.1f ms)\n" quiesced
     (Dsim.Engine.now_of engine);
   List.iter
@@ -480,7 +483,7 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
         "  request %d %-24s -> %-40s (tries=%d, latency=%.1f ms)\n" r.rid
         r.body r.result r.tries
         (r.delivered_at -. r.issued_at))
-    (Etx.Client.records d.client);
+    (Cluster.all_records c);
   if replicas > 0 then
     List.iter
       (fun (_, rep, _) ->
@@ -488,8 +491,8 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
           (Dbms.Replica.name rep)
           (Dbms.Replica.applied_lsn rep)
           (Dbms.Replica.lag rep) (Dbms.Replica.served rep))
-      d.Etx.Deployment.replicas;
-  let violations = Etx.Spec.check_all d in
+      (Cluster.group c 0).replicas;
+  let violations = Cluster.Spec.check_all c in
   (match violations with
   | [] -> print_endline "specification: all properties hold"
   | vs ->
@@ -533,7 +536,7 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
     match (obs, reg) with
     | Some file, Some reg ->
         write_obs_dump ~file
-          ~delivered:(List.length (Etx.Client.records d.client))
+          ~delivered:(List.length (Cluster.all_records c))
           reg
     | _ -> true
   in

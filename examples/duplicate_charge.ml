@@ -43,23 +43,26 @@ let baseline_run () =
 
 let etransaction_run () =
   let engine, d =
-    Harness.Simrun.deployment ~client_period:300. ~seed_data
+    Harness.Simrun.cluster ~client_period:300. ~seed_data
       ~business:Workload.Bank.update
-      ~script:(fun ~issue ->
-        let r = issue "card:-100" in
-        Printf.printf "  e-Transaction client delivered %S (tries=%d)\n"
-          r.result r.tries)
+      ~scripts:
+        [
+          (fun ~issue ->
+            let r = issue "card:-100" in
+            Printf.printf "  e-Transaction client delivered %S (tries=%d)\n"
+              r.result r.tries);
+        ]
       ()
   in
-  Dsim.Engine.crash_at engine etx_crash (Etx.Deployment.primary d);
-  let quiesced = Etx.Deployment.run_to_quiescence ~deadline:120_000. d in
+  Dsim.Engine.crash_at engine etx_crash (Cluster.primary d ~shard:0);
+  let quiesced = Cluster.run_to_quiescence ~deadline:120_000. d in
   assert quiesced;
-  (match Etx.Spec.check_all d with
+  (match Cluster.Spec.check_all d with
   | [] -> ()
   | violations ->
       List.iter print_endline violations;
       exit 1);
-  let _, rm = List.hd d.dbs in
+  let _, rm = List.hd (Cluster.group d 0).dbs in
   match Dbms.Rm.read_committed rm "card" with
   | Some (Dbms.Value.Int balance) -> balance
   | Some (Dbms.Value.Str _) | None -> assert false

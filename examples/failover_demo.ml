@@ -27,30 +27,33 @@ let cleaner_notes engine =
 
 let scenario ~label ~crash_at =
   Printf.printf "--- %s (primary crashes at t=%.0f ms) ---\n" label crash_at;
-  let engine, deployment =
-    Harness.Simrun.deployment ~client_period:300.
+  let engine, cluster =
+    Harness.Simrun.cluster ~client_period:300.
       ~seed_data:(Workload.Bank.seed_accounts [ ("acct", 1000) ])
       ~business:Workload.Bank.update
-      ~script:(fun ~issue ->
-        let r = issue "acct:-100" in
-        Printf.printf "  client delivered %S after %d tr%s (%.1f ms)\n"
-          r.result r.tries
-          (if r.tries = 1 then "y" else "ies")
-          (r.delivered_at -. r.issued_at))
+      ~scripts:
+        [
+          (fun ~issue ->
+            let r = issue "acct:-100" in
+            Printf.printf "  client delivered %S after %d tr%s (%.1f ms)\n"
+              r.result r.tries
+              (if r.tries = 1 then "y" else "ies")
+              (r.delivered_at -. r.issued_at));
+        ]
       ()
   in
-  Dsim.Engine.crash_at engine crash_at (Etx.Deployment.primary deployment);
+  Dsim.Engine.crash_at engine crash_at (Cluster.primary cluster ~shard:0);
   let quiesced =
-    Etx.Deployment.run_to_quiescence ~deadline:120_000. deployment
+    Cluster.run_to_quiescence ~deadline:120_000. cluster
   in
   assert quiesced;
   List.iter print_endline (cleaner_notes engine);
-  let _, rm = List.hd deployment.dbs in
+  let _, rm = List.hd (Cluster.group cluster 0).dbs in
   (match Dbms.Rm.read_committed rm "acct" with
   | Some (Dbms.Value.Int balance) ->
       Printf.printf "  final balance: %d (debited exactly once)\n" balance
   | Some (Dbms.Value.Str _) | None -> assert false);
-  (match Etx.Spec.check_all deployment with
+  (match Cluster.Spec.check_all cluster with
   | [] -> print_endline "  specification holds"
   | violations ->
       List.iter print_endline violations;

@@ -10,16 +10,19 @@
    Run with:  dune exec examples/recoverable_cluster.exe *)
 
 let () =
-  let engine, deployment =
-    Harness.Simrun.deployment ~recoverable:true ~client_period:300.
+  let engine, cluster =
+    Harness.Simrun.cluster ~recoverable:true ~client_period:300.
       ~seed_data:(Workload.Bank.seed_accounts [ ("acct", 1000) ])
       ~business:Workload.Bank.update
-      ~script:(fun ~issue ->
-        let r = issue "acct:-100" in
-        Printf.printf "delivered %S after %d tr%s (%.1f virtual ms)\n"
-          r.result r.tries
-          (if r.tries = 1 then "y" else "ies")
-          (r.delivered_at -. r.issued_at))
+      ~scripts:
+        [
+          (fun ~issue ->
+            let r = issue "acct:-100" in
+            Printf.printf "delivered %S after %d tr%s (%.1f virtual ms)\n"
+              r.result r.tries
+              (if r.tries = 1 then "y" else "ies")
+              (r.delivered_at -. r.issued_at));
+        ]
       ()
   in
   List.iteri
@@ -27,14 +30,12 @@ let () =
       let at = 60. +. (float_of_int i *. 40.) in
       Dsim.Engine.crash_at engine at server;
       Dsim.Engine.recover_at engine (at +. 500.) server)
-    deployment.app_servers;
+    (Cluster.group cluster 0).app_servers;
 
-  let quiesced =
-    Etx.Deployment.run_to_quiescence ~deadline:300_000. deployment
-  in
+  let quiesced = Cluster.run_to_quiescence ~deadline:300_000. cluster in
   assert quiesced;
 
-  let _, rm = List.hd deployment.dbs in
+  let _, rm = List.hd (Cluster.group cluster 0).dbs in
   (match Dbms.Rm.read_committed rm "acct" with
   | Some (Dbms.Value.Int balance) ->
       Printf.printf "final balance: %d (debited exactly once across a full \
@@ -44,7 +45,8 @@ let () =
   | Some (Dbms.Value.Str _) | None -> assert false);
 
   (* agreement and non-blocking termination hold *)
-  assert (Etx.Spec.agreement_a2 deployment = []);
-  assert (Etx.Spec.agreement_a3 deployment = []);
-  assert (Etx.Spec.termination_t2 deployment = []);
+  let view = List.hd (Cluster.Spec.shard_views cluster) in
+  assert (Etx.Spec.View.agreement_a2 view = []);
+  assert (Etx.Spec.View.agreement_a3 view = []);
+  assert (Etx.Spec.View.termination_t2 view = []);
   print_endline "agreement + termination hold; see A5 for what this costs"

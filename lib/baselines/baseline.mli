@@ -51,5 +51,5 @@ val build :
   script:(issue:(string -> Etx.Client.record) -> unit) ->
   unit ->
   t
-(** Same shape as {!Etx.Deployment.build}: builds on a fresh [rt], with one
-    server and the paper's Figure 2 client driving it. *)
+(** Builds on a fresh [rt], like [Cluster.build], with one server and the
+    paper's Figure 2 client driving it. *)

@@ -40,7 +40,7 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
     ?(clean_period = 20.) ?(poll = 10.) ?gc_after
     ?(backend = Etx.Appserver.Reg_ct) ?(recoverable = false)
-    ?(register_disk_latency = 12.5) ?batch ?(cache = false)
+    ?(register_disk_latency = 12.5) ?breakdown ?batch ?(cache = false)
     ?(group_commit = false) ?(replicas = 0) ?(replica_bound = 8)
     ?(ship_period = 5.) ?(cross = false) ?(reconfig = false) ?(provision = 0)
     ~rt ~business ~scripts () =
@@ -65,17 +65,19 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     | None -> Dnet.Netmodel.three_tier ~n_dbs:(ngroups * n_dbs) ()
   in
   (rt : Rt.t).set_net net;
-  (* Group-0 processes keep the single-group names (db1, a1, client) so a
-     one-shard cluster is observably the plain deployment. *)
+  (* Group-0 processes keep the paper's names (db1, a1, client): a
+     one-shard cluster is the paper's deployment. *)
   let gname g base = if g = 0 then base else Printf.sprintf "g%d:%s" g base in
   (* Each shard stores only the keys it owns; a one-shard cluster gets
-     everything, matching [Deployment.build ~seed_data]. *)
+     everything. *)
   let seed_for s =
     List.filter (fun (k, _) -> Etx.Shard_map.shard_of map k = s) seed_data
   in
   (* Databases first, shard-major: pids 0 .. shards*n_dbs - 1. The network
-     model's "first pids are databases" convention and the deployment's pid
-     layout both survive sharding this way. *)
+     model's "first pids are databases" convention and the paper's pid
+     layout both survive sharding this way. With caching on the databases
+     broadcast commit write keysets (Invalidate) to their group's app
+     servers. *)
   let app_pids = Array.make ngroups [] in
   (* per-db replica pid cell, filled after the replicas spawn (last) *)
   let group_cells =
@@ -175,9 +177,10 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
               in
               let cfg =
                 Etx.Appserver.config ~fd_spec ~clean_period ~poll ?gc_after
-                  ~backend ?persist ?batch ?cache:mcache ?replicas:reps
-                  ~replica_bound ?cross:cross_cfg ?reconfig:reconfig_cfg
-                  ~group:s ~rt ~index ~servers ~dbs:db_pids ~business ()
+                  ~backend ?persist ?breakdown ?batch ?cache:mcache
+                  ?replicas:reps ~replica_bound ?cross:cross_cfg
+                  ?reconfig:reconfig_cfg ~group:s ~rt ~index ~servers
+                  ~dbs:db_pids ~business ()
               in
               let pid = Etx.Appserver.spawn cfg in
               (match mcache with
@@ -222,7 +225,7 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
       scripts
   in
   (* read replicas spawn LAST, shard-major: a [replicas:0] cluster
-     allocates exactly the pids it always did (see Etx.Deployment) *)
+     allocates exactly the pids it did before replicas existed *)
   let groups =
     Array.mapi
       (fun s g ->
@@ -262,6 +265,10 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     ops = ref 0;
   }
 
+(* Replica quiescence: every replica of an up primary has applied through
+   the primary's committed watermark (the shipper re-pushes every period,
+   so a settled run converges). A crashed primary's replicas are exempt —
+   they hold a consistent prefix and will catch up on its recovery. *)
 let group_replicas_settled rt g =
   List.for_all
     (fun (_, replica, db_pid) ->
@@ -277,9 +284,7 @@ let run_to_quiescence ?(deadline = 600_000.) t =
     && List.for_all Etx.Client.script_done t.clients
     && Array.for_all
          (fun g ->
-           List.for_all
-             (fun (_, rm) -> Etx.Deployment.rm_settled rm)
-             g.dbs
+           List.for_all (fun (_, rm) -> Dbms.Rm.settled rm) g.dbs
            && group_replicas_settled t.rt g)
          t.groups
   in
@@ -427,8 +432,8 @@ module Spec = struct
                  records;
              scripts_done;
              notes = t.rt.notes;
-             (* as in Etx.Spec.view: a crashed server's frozen cache is
-                unreachable and flushed on recovery — skip it *)
+             (* a crashed server's frozen cache is unreachable and
+                flushed on recovery — skip it *)
              caches =
                List.filter (fun (pid, _) -> t.rt.is_up pid) g.caches;
              business = Some t.business;

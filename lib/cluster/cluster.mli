@@ -12,9 +12,11 @@
     shards multiplies the cluster's independent agreement pipelines (partial
     replication in the sense of Sutra & Shapiro) instead of deepening one.
 
-    A one-shard cluster is the plain {!Etx.Deployment} — same spawn order,
-    same pids, same process names, same network model — so single-group
-    behaviour (and its goldens) are reproduced exactly.
+    The paper's deployment is a one-shard cluster: the client, the three
+    application servers and the database server(s) of one replica group,
+    with the paper's process names ([db1], [a1], [client]) and the
+    three-tier network model. {!build} is the only builder: every run,
+    sharded or not, is wired here.
 
     Built with [~cross:true], a request whose declared keyset spans several
     groups commits atomically across them (DESIGN.md §15): the home group's
@@ -73,6 +75,7 @@ val build :
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
   ?register_disk_latency:float ->
+  ?breakdown:Stats.Breakdown.t ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
@@ -93,23 +96,42 @@ val build :
     the keys the map places there. Pid layout: databases first, shard-major
     ([0 .. shards*n_dbs-1], preserving the three-tier network model's
     "first pids are databases" convention), then each shard's application
-    servers, then the clients. Remaining options mean exactly what they do
-    in {!Etx.Deployment.build}, applied per group.
+    servers, then the clients. Every option below applies per group.
 
-    [cache:true] equips every application server with a method cache and
-    every database with commit-piggybacked invalidation (both group-local;
-    see {!Etx.Deployment.build}); clients additionally rotate their
-    first-try server ([affinity = client index]) so cached read traffic
-    spreads over each group's servers. With the default [false], spawn
-    order, affinity and message streams are identical to earlier
-    revisions.
+    Defaults: three-tier network model (installed via [rt.set_net]), 3
+    application servers per group (tolerating one crash, as in the
+    paper's measurements), 1 database per group (the paper's
+    configuration), oracle failure detector, paper-calibrated timing,
+    400 ms client back-off.
 
-    [group_commit], [replicas], [replica_bound] and [ship_period] mean
-    what they do in {!Etx.Deployment.build}, applied per group: every
-    shard's databases get the coalescing redo log, and every shard gets
-    [replicas] asynchronous read replicas per database (names
-    [g<s>:db<i>-r<j>]), spawned after the clients so [replicas:0]
-    clusters keep their exact pid layout.
+    [recoverable:true] equips each application server with stable
+    register storage (forced write cost [register_disk_latency], default
+    12.5 ms), enabling crash-recovery of application servers — see
+    {!Etx.Appserver.config} for semantics and cost. [breakdown] collects
+    the winner path's per-phase latency (Figure 8). [batch] (default 1)
+    selects the leased, batched commit pipeline on every application
+    server.
+
+    [cache:true] equips every application server with a method cache for
+    read-only business calls and every database with commit-piggybacked
+    invalidation, both group-local (DESIGN.md §13); clients additionally
+    rotate their first-try server ([affinity = client index]) so cached
+    read traffic spreads over each group's servers. With the default
+    [false], spawn order, affinity and message streams are identical to
+    earlier revisions.
+
+    [group_commit:true] switches every database's redo log to the
+    group-commit scheduler (concurrent forced writes coalesce into one
+    disk force per window — see {!Dstore.Log}); the default keeps the
+    per-call force discipline. [replicas] (default 0) spawns that many
+    asynchronous change-log read replicas per database (DESIGN.md §14,
+    names [db<i>-r<j>], prefixed [g<s>:] beyond group 0): each primary
+    ships committed write-sets every [ship_period] ms (default 5) and
+    every application server routes cache-miss read-only requests to a
+    replica, falling back to the primary when the replica's provable
+    staleness exceeds [replica_bound] (LSN delta, default 8). Replicas
+    spawn after the clients, so [replicas:0] clusters keep their exact
+    pid layout.
 
     [cross:true] supplies every application server the cross-shard commit
     wiring ({!Etx.Appserver.cross_cfg}): requests whose declared keysets
@@ -131,9 +153,11 @@ val build :
     identical to the static cluster. *)
 
 val run_to_quiescence : ?deadline:float -> t -> bool
-(** Every client script finished, every database of every shard settled
-    (no in-doubt transaction, every yes vote decided), and every replica
-    of an up primary caught up to its primary's committed watermark. *)
+(** Run until every client script finished, every database of every
+    shard settled ({!Dbms.Rm.settled}), every replica of an up primary
+    caught up to its primary's committed watermark and every operator
+    split completed; returns whether that state was reached before the
+    deadline (default 600 s on the backend's clock). *)
 
 val shards : t -> int
 (** Number of replica groups, spare (pre-provisioned) ones included. *)

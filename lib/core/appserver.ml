@@ -1932,7 +1932,7 @@ let spawn cfg =
            would be unsound, so a recovered diskless server stays passive.
            Its cache still missed every invalidation while it was down and
            never will catch up: flush it so a runtime that reports this
-           process as up doesn't feed frozen entries to Spec.view *)
+           process as up doesn't feed frozen entries to the spec views *)
         (match cfg.cache with
         | Some cache -> ignore (Method_cache.flush cache)
         | None -> ());

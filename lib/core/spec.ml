@@ -468,30 +468,3 @@ module View = struct
     @ validity_v2 v @ termination_t1 v @ termination_t2 v @ exactly_once v
     @ cache_coherence v @ replica_consistency v
 end
-
-let view ?(label = "") (d : Deployment.t) =
-  {
-    View.label;
-    dbs = d.dbs;
-    records = Client.records d.client;
-    scripts_done = Client.script_done d.client;
-    notes = d.rt.notes;
-    (* only live servers' caches carry the coherence obligation: a crashed
-       server can serve nothing, and its recovery path starts cold *)
-    caches = List.filter (fun (pid, _) -> d.rt.is_up pid) d.caches;
-    business = Some d.business;
-    replicas = d.replicas;
-    replica_bound = d.replica_bound;
-  }
-
-let agreement_a1 d = View.agreement_a1 (view d)
-let agreement_a2 d = View.agreement_a2 (view d)
-let agreement_a3 d = View.agreement_a3 (view d)
-let validity_v1 d = View.validity_v1 (view d)
-let validity_v2 d = View.validity_v2 (view d)
-let termination_t1 d = View.termination_t1 (view d)
-let termination_t2 d = View.termination_t2 (view d)
-let exactly_once d = View.exactly_once (view d)
-let cache_coherence d = View.cache_coherence (view d)
-let replica_consistency d = View.replica_consistency (view d)
-let check_all d = View.check_all (view d)

@@ -1,14 +1,17 @@
 (** Checkers for the e-Transaction specification (paper Section 3).
 
-    Each check inspects a deployment after a run and returns human-readable
-    violation descriptions (empty list = property holds). Termination
-    properties are meaningful only after {!Deployment.run_to_quiescence}.
+    Each check inspects one replica group after a run and returns
+    human-readable violation descriptions (empty list = property holds).
+    Termination properties are meaningful only after the run reached
+    quiescence ([Cluster.run_to_quiescence]).
 
-    The checks themselves are written against a {!View.t} — the slice of a
-    run they inspect (databases, delivered records, completion flag, trace
-    notes). A single-group {!Deployment.t} is one view ({!view}); a sharded
-    cluster builds one view per replica group, filtering each client's
-    records to the shard owning their routing key. *)
+    The checks are written against a {!View.t} — the slice of a run they
+    inspect (databases, delivered records, completion flag, trace notes).
+    The cluster builds one view per replica group ([Cluster.Spec.shard_views]),
+    giving each the records whose transaction that group took part in; the
+    paper's deployment is a one-shard cluster, so it is a single view.
+    Whole-run checks, which add the cross-group obligations, are
+    [Cluster.Spec.check_all]. *)
 
 module View : sig
   type t = {
@@ -38,13 +41,39 @@ module View : sig
   }
 
   val agreement_a1 : t -> string list
+  (** A.1: no result delivered by a client unless committed by {e all}
+      database servers. *)
+
   val agreement_a2 : t -> string list
+  (** A.2: no database server commits two different results of one
+      request. *)
+
   val agreement_a3 : t -> string list
+  (** A.3: no two database servers decide differently on the same
+      result. *)
+
   val validity_v1 : t -> string list
+  (** V.1: every delivered result was computed by an application server
+      for a request a client issued (checked against the servers'
+      computation trace notes). *)
+
   val validity_v2 : t -> string list
+  (** V.2: no database commits a result unless every database voted yes
+      for it. *)
+
   val termination_t1 : t -> string list
+  (** T.1: every client (which did not crash) delivered a result for
+      every issued request — i.e. its script ran to completion. *)
+
   val termination_t2 : t -> string list
+  (** T.2: every result a database voted for was eventually committed or
+      aborted there (no in-doubt transaction remains). *)
+
   val exactly_once : t -> string list
+  (** End-to-end exactly-once: per delivered request, exactly one
+      transaction committed at every database, and it matches the
+      delivered try. Cache-served records are exempt (see
+      {!cache_coherence}). *)
 
   val cache_coherence : t -> string list
   (** Every entry still live in a method cache equals re-executing its
@@ -65,48 +94,5 @@ module View : sig
       made unenumerable are skipped (unverifiable, not violations). *)
 
   val check_all : t -> string list
+  (** All of the above. *)
 end
-
-val view : ?label:string -> Deployment.t -> View.t
-(** The whole deployment as one view (label defaults to empty = unprefixed
-    messages). *)
-
-val agreement_a1 : Deployment.t -> string list
-(** A.1: no result delivered by the client unless committed by {e all}
-    database servers. *)
-
-val agreement_a2 : Deployment.t -> string list
-(** A.2: no database server commits two different results of one request. *)
-
-val agreement_a3 : Deployment.t -> string list
-(** A.3: no two database servers decide differently on the same result. *)
-
-val validity_v1 : Deployment.t -> string list
-(** V.1: every delivered result was computed by an application server for a
-    request the client issued (checked against the servers' computation
-    trace notes). *)
-
-val validity_v2 : Deployment.t -> string list
-(** V.2: no database commits a result unless every database voted yes for
-    it. *)
-
-val termination_t1 : Deployment.t -> string list
-(** T.1: the client (which did not crash) delivered a result for every
-    issued request — i.e. its script ran to completion. *)
-
-val termination_t2 : Deployment.t -> string list
-(** T.2: every result a database voted for was eventually committed or
-    aborted there (no in-doubt transaction remains). *)
-
-val exactly_once : Deployment.t -> string list
-(** End-to-end exactly-once: per client-delivered request, exactly one
-    transaction committed at every database, and it matches the delivered
-    try. Cache-served records are exempt (see {!View.cache_coherence}). *)
-
-val cache_coherence : Deployment.t -> string list
-(** See {!View.cache_coherence}. *)
-
-val replica_consistency : Deployment.t -> string list
-
-val check_all : Deployment.t -> string list
-(** All of the above. *)

@@ -62,6 +62,14 @@ type txn = {
       (* per delivered exec sequence number: [None] while the batch is
          still executing, [Some reply] once terminal — the at-least-once
          redelivery guard (see [exec_dedup]) *)
+  mutable voting : bool;
+  mutable deciding : bool;
+      (* a session holds the transaction's prepare (resp. terminal) step
+         from its phase check to its phase change, across the CPU charge
+         and the log force. Under group commit every message runs in its
+         own session, so a duplicate Prepare or Decide would pass the
+         same check and log the step twice; it waits for the holder
+         instead and re-reads the phase (see [await_step]). *)
 }
 
 (* Typed redo records. Each occupies one LSN in the redo log; recovery is
@@ -220,7 +228,15 @@ let get_txn t xid =
   | Some txn -> txn
   | None ->
       let txn =
-        { xid; phase = Active; writes = []; poisoned = false; exec_log = [] }
+        {
+          xid;
+          phase = Active;
+          writes = [];
+          poisoned = false;
+          exec_log = [];
+          voting = false;
+          deciding = false;
+        }
       in
       Hashtbl.replace t.txns xid txn;
       txn
@@ -414,78 +430,54 @@ let violates_seal t txn =
   | None -> false
   | Some (_, owns) -> List.exists (fun (k, _) -> not (owns k)) txn.writes
 
-let vote t ~xid =
-  let record v =
-    t.vote_log <- (xid, v) :: t.vote_log;
-    v
-  in
-  record
-  @@
-  match find_txn t xid with
-  | None -> No
-  | Some txn -> (
-      match txn.phase with
-      | Prepared | Committed -> Yes
-      | Aborted -> No
-      | Active ->
-          if txn.poisoned || violates_seal t txn then begin
-            Rt.work "abort" t.timing.abort_cpu;
-            abort_local t txn ~log:false;
-            No
-          end
-          else begin
-            Rt.work "prepare" t.timing.prepare_cpu;
-            (* Both the CPU charge and the forced log write suspend this
-               fiber; a concurrent decide (e.g. a cleaning thread's abort)
-               may have terminated the transaction meanwhile, so re-validate
-               after every suspension instead of blindly promoting. *)
-            if txn.phase <> Active then
-              match txn.phase with
-              | Committed | Prepared -> Yes
-              | Aborted | Active -> No
-            else begin
-              ignore (log_one t ~label:"prepare" (W_prepared (xid, txn.writes)));
-              if txn.phase = Active then begin
-                txn.phase <- Prepared;
-                Yes
-              end
-              else
-                match txn.phase with
-                | Committed | Prepared -> Yes
-                | Aborted | Active ->
-                    (* aborted while the prepare record was being forced:
-                       make the log agree so recovery does not resurrect an
-                       in-doubt transaction *)
-                    ignore (log_one t ~label:"abort" (W_aborted xid));
-                    No
-            end
-          end)
+(* A session that finds another holding the same step of a transaction
+   polls until the holder lets go, then re-runs the step from its phase
+   check. Without group commit each handler runs its steps inline, so two
+   of a kind never overlap and nothing here ever sleeps. A crash kills
+   holder and waiter alike, and recovery rebuilds every transaction
+   unclaimed. *)
+let step_poll = 0.25
 
-(* Group-commit prepare: classify and charge each transaction exactly as
-   [vote] does, but stage the W_prepared records and force them all with a
-   single disk write. The same post-suspension re-validation applies — any
-   transaction aborted while the batch force was in flight gets a W_aborted
-   record so recovery cannot resurrect it. *)
-let vote_many t ~xids =
+let await_step held =
+  while held () do
+    Rt.sleep step_poll
+  done
+
+(* Prepare: classify and charge each transaction, stage the W_prepared
+   records and force them all with a single disk write ([vote] is the
+   one-transaction case, so its forced IO is the per-call discipline's).
+   Both the CPU charge and the force suspend this fiber; a concurrent
+   decide (e.g. a cleaning thread's abort) may have terminated a
+   transaction meanwhile, so re-validate after every suspension instead
+   of blindly promoting — one aborted while the force was in flight gets
+   a W_aborted record so recovery cannot resurrect it. A transaction
+   another session is preparing is left to [vote] once this session
+   holds no claim, so two batches never wait on each other. *)
+let rec vote_many t ~xids =
   let classify xid =
     match find_txn t xid with
     | None -> (xid, `No)
+    | Some txn when txn.voting -> (xid, `Busy)
     | Some txn -> (
         match txn.phase with
         | Prepared | Committed -> (xid, `Yes)
         | Aborted -> (xid, `No)
         | Active ->
+            txn.voting <- true;
             if txn.poisoned || violates_seal t txn then begin
               Rt.work "abort" t.timing.abort_cpu;
               abort_local t txn ~log:false;
+              txn.voting <- false;
               (xid, `No)
             end
             else begin
               Rt.work "prepare" t.timing.prepare_cpu;
-              if txn.phase <> Active then
+              if txn.phase <> Active then begin
+                txn.voting <- false;
                 match txn.phase with
                 | Committed | Prepared -> (xid, `Yes)
                 | Aborted | Active -> (xid, `No)
+              end
               else (xid, `Stage txn)
             end)
   in
@@ -501,27 +493,43 @@ let vote_many t ~xids =
     Dstore.Log.append_list t.log to_force;
     Dstore.Log.force ~label:"prepare" t.log
   end;
-  List.map
-    (fun (xid, cls) ->
-      let v =
-        match cls with
-        | `Yes -> Yes
-        | `No -> No
-        | `Stage txn ->
-            if txn.phase = Active then begin
-              txn.phase <- Prepared;
-              Yes
-            end
-            else (
-              match txn.phase with
-              | Committed | Prepared -> Yes
-              | Aborted | Active ->
-                  ignore (log_one t ~label:"abort" (W_aborted xid));
-                  No)
-      in
-      t.vote_log <- (xid, v) :: t.vote_log;
-      (xid, v))
-    staged
+  let settle (xid, cls) =
+    match cls with
+    | `Yes -> (xid, Some Yes)
+    | `No -> (xid, Some No)
+    | `Busy -> (xid, None)
+    | `Stage txn ->
+        let v =
+          if txn.phase = Active then begin
+            txn.phase <- Prepared;
+            Yes
+          end
+          else
+            match txn.phase with
+            | Committed | Prepared -> Yes
+            | Aborted | Active ->
+                ignore (log_one t ~label:"abort" (W_aborted xid));
+                No
+        in
+        txn.voting <- false;
+        (xid, Some v)
+  in
+  List.map settle staged
+  |> List.map (function
+       | xid, Some v ->
+           t.vote_log <- (xid, v) :: t.vote_log;
+           (xid, v)
+       | xid, None -> (xid, vote t ~xid))
+
+and vote t ~xid =
+  match find_txn t xid with
+  | Some txn when txn.voting ->
+      await_step (fun () -> txn.voting);
+      vote t ~xid
+  | Some _ | None -> (
+      match vote_many t ~xids:[ xid ] with
+      | [ (_, v) ] -> v
+      | _ -> assert false)
 
 let apply_writes t writes =
   List.iter (fun (k, v) -> Hashtbl.replace t.store k v) writes
@@ -536,23 +544,32 @@ let commit_prepared t txn =
   Hashtbl.replace t.commit_lsns txn.xid lsn;
   note_commit t ~lsn txn.writes
 
-let decide t ~xid outcome =
+let rec decide t ~xid outcome =
   match find_txn t xid with
   | None ->
       (* never heard of it: record the abort so later decides agree *)
       let txn = get_txn t xid in
       txn.phase <- Aborted;
       Abort
+  | Some txn when txn.deciding ->
+      (* another session is forcing this transaction's terminal record:
+         deciding it again would log, apply and count a second commit *)
+      await_step (fun () -> txn.deciding);
+      decide t ~xid outcome
   | Some txn -> (
       match (txn.phase, outcome) with
       | Committed, (Commit | Abort) -> Commit
       | Aborted, (Commit | Abort) -> Abort
       | Prepared, Commit ->
+          txn.deciding <- true;
           commit_prepared t txn;
+          txn.deciding <- false;
           Commit
       | Prepared, Abort ->
+          txn.deciding <- true;
           Rt.work "abort" t.timing.abort_cpu;
           abort_local t txn ~log:true;
+          txn.deciding <- false;
           Abort
       | Active, (Commit | Abort) ->
           (* commit without prepare violates V.2; abort defensively *)
@@ -562,45 +579,48 @@ let decide t ~xid outcome =
 
 (* Group-commit decide: stage every transaction's terminal log record (the
    per-transaction CPU still charges), force them together with one disk
-   write, then apply. Case analysis mirrors [decide]; the post-force phase
-   guard keeps a concurrently-decided transaction from being applied
-   twice. *)
+   write, then apply. Case analysis mirrors [decide], and so do the
+   claims: a staged transaction is this session's until it is applied,
+   and one another session is deciding goes through [decide] once this
+   session holds no claim. *)
 let decide_many t ~items =
   let stage (xid, outcome) =
     match find_txn t xid with
     | None ->
         let txn = get_txn t xid in
         txn.phase <- Aborted;
-        (xid, Abort, None)
+        (xid, `Done Abort)
+    | Some txn when txn.deciding -> (xid, `Busy outcome)
     | Some txn -> (
         match (txn.phase, outcome) with
-        | Committed, (Commit | Abort) -> (xid, Commit, None)
-        | Aborted, (Commit | Abort) -> (xid, Abort, None)
+        | Committed, (Commit | Abort) -> (xid, `Done Commit)
+        | Aborted, (Commit | Abort) -> (xid, `Done Abort)
         | Prepared, Commit ->
+            txn.deciding <- true;
             Rt.work "commit" t.timing.commit_cpu;
-            (xid, Commit, Some (txn, W_committed (xid, txn.writes)))
+            (xid, `Log (txn, W_committed (xid, txn.writes)))
         | Prepared, Abort ->
+            txn.deciding <- true;
             Rt.work "abort" t.timing.abort_cpu;
-            (xid, Abort, Some (txn, W_aborted xid))
+            (xid, `Log (txn, W_aborted xid))
         | Active, (Commit | Abort) ->
             (* commit without prepare violates V.2; abort defensively *)
             Rt.work "abort" t.timing.abort_cpu;
             abort_local t txn ~log:false;
-            (xid, Abort, None))
+            (xid, `Done Abort))
   in
   let staged = List.map stage items in
   (* stage every terminal record in the volatile tail (each draws its own
      LSN), then force the window with a single disk write *)
   let staged =
     List.map
-      (fun (xid, out, pending) ->
-        match pending with
-        | Some (txn, r) -> (xid, out, Some (txn, r, Dstore.Log.append t.log r))
-        | None -> (xid, out, None))
+      (function
+        | xid, `Log (txn, r) -> (xid, `Logged (txn, r, Dstore.Log.append t.log r))
+        | (_, (`Done _ | `Busy _)) as s -> s)
       staged
   in
   let records =
-    List.filter_map (function _, _, Some (_, r, _) -> Some r | _ -> None)
+    List.filter_map (function _, `Logged (_, r, _) -> Some r | _ -> None)
       staged
   in
   let label =
@@ -609,21 +629,28 @@ let decide_many t ~items =
     else "abort"
   in
   if records <> [] then Dstore.Log.force ~label t.log;
-  List.map
-    (fun (xid, out, pending) ->
-      (match pending with
-      | Some (txn, W_committed (_, writes), lsn) when txn.phase = Prepared ->
-          apply_writes t writes;
-          release_locks t xid;
-          txn.phase <- Committed;
-          t.commit_order <- xid :: t.commit_order;
-          Hashtbl.replace t.commit_lsns xid lsn;
-          note_commit t ~lsn writes
-      | Some (txn, W_aborted _, _) when txn.phase = Prepared ->
-          abort_local t txn ~log:false (* terminal record already forced *)
-      | Some _ | None -> ());
-      (xid, out))
-    staged
+  let apply (xid, s) =
+    match s with
+    | `Logged (txn, W_committed (_, writes), lsn) ->
+        apply_writes t writes;
+        release_locks t xid;
+        txn.phase <- Committed;
+        t.commit_order <- xid :: t.commit_order;
+        Hashtbl.replace t.commit_lsns xid lsn;
+        note_commit t ~lsn writes;
+        txn.deciding <- false;
+        (xid, `Done Commit)
+    | `Logged (txn, _, _) ->
+        abort_local t txn ~log:false (* terminal record already forced *);
+        txn.deciding <- false;
+        (xid, `Done Abort)
+    | (`Done _ | `Busy _) as s -> (xid, s)
+  in
+  List.map apply staged
+  |> List.map (fun (xid, s) ->
+         match s with
+         | `Done out -> (xid, out)
+         | `Busy outcome -> (xid, decide t ~xid outcome))
 
 let commit_one_phase t ~xid =
   match find_txn t xid with
@@ -856,6 +883,18 @@ let known_xids t =
   Hashtbl.fold (fun xid _ acc -> xid :: acc) t.txns [] |> List.sort Xid.compare
 
 let votes_cast t = List.rev t.vote_log
+
+(* A yes vote must reach a durable decision; a no vote aborted on the
+   spot and holds nothing, so it never blocks quiescence. *)
+let settled t =
+  in_doubt t = []
+  && List.for_all
+       (fun (xid, vote) ->
+         match (vote, phase_of t xid) with
+         | No, _ -> true
+         | Yes, (Some Committed | Some Aborted) -> true
+         | Yes, (Some Active | Some Prepared | None) -> false)
+       t.vote_log
 
 (* ---------------- Online shard migration surface ---------------- *)
 

@@ -139,7 +139,10 @@ val decide : t -> xid:Xid.t -> outcome -> outcome
     returns [Abort]; (b) a [Commit] input on a transaction that voted [Yes]
     commits and returns [Commit]. Defensively, [Commit] on a transaction
     that never prepared aborts it. Idempotent: a decided transaction
-    returns its decided outcome. *)
+    returns its decided outcome, and a decide that arrives while another
+    session is deciding the same transaction waits for it and returns its
+    outcome, so a transaction is logged, applied and counted committed at
+    most once. [vote] claims a transaction the same way. *)
 
 val decide_many : t -> items:(Xid.t * outcome) list -> (Xid.t * outcome) list
 (** Group-commit decide: terminates a whole batch with a {e single} forced
@@ -301,6 +304,10 @@ val locks_held : t -> (string * Xid.t) list
 val votes_cast : t -> (Xid.t * vote) list
 (** Every vote this server ever answered, oldest first — the V.2 property
     checker reads this. (In-memory test instrumentation, not recovered.) *)
+
+val settled : t -> bool
+(** No in-doubt transaction and every yes vote durably decided — the
+    database half of a run's quiescence. *)
 
 val name : t -> string
 val disk : t -> Dstore.Disk.t

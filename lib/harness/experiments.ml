@@ -67,17 +67,17 @@ let identical_updates ~transactions ~bd ~issue =
 let run_ar ~transactions ~seed =
   let bd = Stats.Breakdown.create () in
   let _e, d =
-    Simrun.deployment ~seed ~breakdown:bd ~seed_data:bank_seed
+    Simrun.cluster ~seed ~breakdown:bd ~seed_data:bank_seed
       ~business:Workload.Bank.update
-      ~script:(fun ~issue -> identical_updates ~transactions ~bd ~issue)
+      ~scripts:[ (fun ~issue -> identical_updates ~transactions ~bd ~issue) ]
       ()
   in
-  if not (Etx.Deployment.run_to_quiescence d) then
+  if not (Cluster.run_to_quiescence d) then
     failwith "figure8: AR run did not quiesce";
-  (match Etx.Spec.check_all d with
+  (match Cluster.Spec.check_all d with
   | [] -> ()
   | vs -> failwith ("figure8: AR violations: " ^ String.concat "; " vs));
-  summarize ~protocol:"AR (e-Transactions)" ~bd (Etx.Client.records d.client)
+  summarize ~protocol:"AR (e-Transactions)" ~bd (Cluster.all_records d)
 
 let run_baseline ~transactions ~seed =
   let bd = Stats.Breakdown.create () in
@@ -231,10 +231,10 @@ let figure7 ?(seed = 42) ?domains () =
           measure "primary-backup" e ~forced_ios:0);
       trial "AR" (fun ~seed ->
           let e, d =
-            Simrun.deployment ~seed ~seed_data:bank_seed
-              ~business:Workload.Bank.update ~script:one_request_script ()
+            Simrun.cluster ~seed ~seed_data:bank_seed
+              ~business:Workload.Bank.update ~scripts:[ one_request_script ] ()
           in
-          ignore (Etx.Deployment.run_to_quiescence d);
+          ignore (Cluster.run_to_quiescence d);
           measure "AR (e-Transactions)" e ~forced_ios:0);
     ]
 
@@ -284,25 +284,25 @@ let fig1_run ~label ~seed ?(crash_primary_at = None) ?business
     ?(seed_data = bank_seed) ?(body = update_body) () =
   let business = Option.value ~default:Workload.Bank.update business in
   let e, d =
-    Simrun.deployment ~seed ~client_period:300. ~seed_data ~business
-      ~script:(fun ~issue -> ignore (issue body))
+    Simrun.cluster ~seed ~client_period:300. ~seed_data ~business
+      ~scripts:[ (fun ~issue -> ignore (issue body)) ]
       ()
   in
   (match crash_primary_at with
-  | Some t -> Dsim.Engine.crash_at e t (Etx.Deployment.primary d)
+  | Some t -> Dsim.Engine.crash_at e t (Cluster.primary d ~shard:0)
   | None -> ());
-  let ok = Etx.Deployment.run_to_quiescence ~deadline:120_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:120_000. d in
   let tries =
-    match Etx.Client.records d.client with
+    match Cluster.all_records d with
     | [ r ] -> r.tries
     | _ -> -1
   in
   {
     label;
-    delivered = ok && Etx.Client.records d.client <> [];
+    delivered = ok && Cluster.all_records d <> [];
     tries;
     cleaner_outcome = cleaner_note e;
-    violations = Etx.Spec.check_all d;
+    violations = Cluster.Spec.check_all d;
   }
 
 let figure1 ?(seed = 42) ?domains () =
@@ -358,7 +358,7 @@ let failover_sweep ?(seed = 42) ?(timeouts = [ 20.; 50.; 100.; 200.; 400. ])
            run =
              (fun ~seed ->
                let e, d =
-                 Simrun.deployment ~seed ~client_period:300. ~tracing:false
+                 Simrun.cluster ~seed ~client_period:300. ~tracing:false
                    ~fd_spec:
                      (Etx.Appserver.Fd_heartbeat
                         {
@@ -367,12 +367,12 @@ let failover_sweep ?(seed = 42) ?(timeouts = [ 20.; 50.; 100.; 200.; 400. ])
                           timeout_bump = 25.;
                         })
                    ~seed_data:bank_seed ~business:Workload.Bank.update
-                   ~script:one_request_script ()
+                   ~scripts:[ one_request_script ] ()
                in
-               Dsim.Engine.crash_at e 100. (Etx.Deployment.primary d);
-               if not (Etx.Deployment.run_to_quiescence ~deadline:300_000. d)
+               Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+               if not (Cluster.run_to_quiescence ~deadline:300_000. d)
                then failwith "failover_sweep: run did not quiesce";
-               match Etx.Client.records d.client with
+               match Cluster.all_records d with
                | [ r ] -> (timeout, r.delivered_at -. r.issued_at, r.tries)
                | _ -> failwith "failover_sweep: expected one record");
          })
@@ -402,28 +402,28 @@ let backoff_sweep ?(seed = 42) ?(periods = [ 100.; 200.; 400.; 800.; 1600. ])
              (fun ~seed ->
                let nice =
                  let _e, d =
-                   Simrun.deployment ~seed ~client_period:period
+                   Simrun.cluster ~seed ~client_period:period
                      ~tracing:false ~seed_data:bank_seed
-                     ~business:Workload.Bank.update ~script:one_request_script
-                     ()
+                     ~business:Workload.Bank.update
+                     ~scripts:[ one_request_script ] ()
                  in
-                 if not (Etx.Deployment.run_to_quiescence ~deadline:120_000. d)
+                 if not (Cluster.run_to_quiescence ~deadline:120_000. d)
                  then failwith "backoff_sweep: nice run did not quiesce";
-                 match Etx.Client.records d.client with
+                 match Cluster.all_records d with
                  | [ r ] -> r.delivered_at -. r.issued_at
                  | _ -> failwith "backoff_sweep: expected one record"
                in
                let failover =
                  let e, d =
-                   Simrun.deployment ~seed ~client_period:period
+                   Simrun.cluster ~seed ~client_period:period
                      ~tracing:false ~seed_data:bank_seed
-                     ~business:Workload.Bank.update ~script:one_request_script
-                     ()
+                     ~business:Workload.Bank.update
+                     ~scripts:[ one_request_script ] ()
                  in
-                 Dsim.Engine.crash_at e 100. (Etx.Deployment.primary d);
-                 if not (Etx.Deployment.run_to_quiescence ~deadline:300_000. d)
+                 Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+                 if not (Cluster.run_to_quiescence ~deadline:300_000. d)
                  then failwith "backoff_sweep: failover run did not quiesce";
-                 match Etx.Client.records d.client with
+                 match Cluster.all_records d with
                  | [ r ] -> r.delivered_at -. r.issued_at
                  | _ -> failwith "backoff_sweep: expected one record"
                in
@@ -460,18 +460,21 @@ let loss_sweep ?(seed = 42) ?(rates = [ 0.; 0.05; 0.1; 0.2; 0.3 ]) ?domains ()
                in
                let n = 10 in
                let e, d =
-                 Simrun.deployment ~seed ~net ~client_period:300.
+                 Simrun.cluster ~seed ~net ~client_period:300.
                    ~seed_data:bank_seed ~business:Workload.Bank.update
-                   ~script:(fun ~issue ->
-                     for _ = 1 to n do
-                       ignore (issue update_body)
-                     done)
+                   ~scripts:
+                     [
+                       (fun ~issue ->
+                         for _ = 1 to n do
+                           ignore (issue update_body)
+                         done);
+                     ]
                    ()
                in
-               if not (Etx.Deployment.run_to_quiescence ~deadline:600_000. d)
+               if not (Cluster.run_to_quiescence ~deadline:600_000. d)
                then failwith "loss_sweep: run did not quiesce";
                let mean =
-                 Stats.Summary.mean (latencies (Etx.Client.records d.client))
+                 Stats.Summary.mean (latencies (Cluster.all_records d))
                in
                let msgs =
                  Msgclass.protocol_messages (Dsim.Engine.trace e) / n
@@ -519,13 +522,13 @@ let db_sweep ?(seed = 42) ?(counts = [ 1; 2; 4; 8 ]) ?domains () =
                in
                let ar =
                  let _e, d =
-                   Simrun.deployment ~seed ~n_dbs ~tracing:false
+                   Simrun.cluster ~seed ~n_dbs ~tracing:false
                      ~seed_data:bank_seed ~business:Workload.Bank.update
-                     ~script:one_request_script ()
+                     ~scripts:[ one_request_script ] ()
                  in
-                 if not (Etx.Deployment.run_to_quiescence ~deadline:120_000. d)
+                 if not (Cluster.run_to_quiescence ~deadline:120_000. d)
                  then failwith "db_sweep: AR did not quiesce";
-                 match Etx.Client.records d.client with
+                 match Cluster.all_records d with
                  | [ r ] -> r.delivered_at -. r.issued_at
                  | _ -> failwith "db_sweep: AR"
                in
@@ -570,12 +573,13 @@ let persistence_ablation ?(seed = 42) ?(transactions = 15) ?domains () =
   in
   let ar_mean ~recoverable ~seed =
     let _e, d =
-      Simrun.deployment ~seed ~recoverable ~tracing:false
-        ~seed_data:bank_seed ~business:Workload.Bank.update ~script ()
+      Simrun.cluster ~seed ~recoverable ~tracing:false
+        ~seed_data:bank_seed ~business:Workload.Bank.update
+        ~scripts:[ script ] ()
     in
-    if not (Etx.Deployment.run_to_quiescence ~deadline:600_000. d) then
+    if not (Cluster.run_to_quiescence ~deadline:600_000. d) then
       failwith "persistence_ablation: run did not quiesce";
-    Stats.Summary.mean (latencies (Etx.Client.records d.client))
+    Stats.Summary.mean (latencies (Cluster.all_records d))
   in
   let tpc_mean ~seed =
     let e, t =
@@ -691,20 +695,12 @@ let throughput_sweep ?(seed = 42) ?(clients = [ 1; 2; 4; 8 ])
       done
     in
     let e, d =
-      Simrun.deployment ~seed ~tracing:false ~seed_data
-        ~business:Workload.Bank.update ~script:(script_for 0) ()
+      Simrun.cluster ~seed ~tracing:false ~seed_data
+        ~business:Workload.Bank.update
+        ~scripts:(List.init n_clients script_for)
+        ()
     in
-    let extra =
-      List.init (n_clients - 1) (fun i ->
-          Etx.Client.spawn d.rt
-            ~name:(Printf.sprintf "client%d" (i + 1))
-            ~period:400. ~servers:d.app_servers
-            ~script:(script_for (i + 1))
-            ())
-    in
-    let all_done () =
-      Etx.Client.script_done d.client && List.for_all Etx.Client.script_done extra
-    in
+    let all_done () = List.for_all Etx.Client.script_done d.clients in
     if not (Dsim.Engine.run_until ~deadline:3_600_000. e all_done) then
       failwith "throughput_sweep: run did not finish";
     let total = float_of_int (n_clients * requests_per_client) in
@@ -760,20 +756,12 @@ let scale_sweep ?(seed = 42) ?(points = scale_points)
     in
     let t0 = Unix.gettimeofday () in
     let e, d =
-      Simrun.deployment ~seed ~tracing:false ~n_app_servers:n_servers
-        ~seed_data ~business:Workload.Bank.update ~script:(script_for 0) ()
+      Simrun.cluster ~seed ~tracing:false ~n_app_servers:n_servers
+        ~seed_data ~business:Workload.Bank.update
+        ~scripts:(List.init n_clients script_for)
+        ()
     in
-    let extra =
-      List.init (n_clients - 1) (fun i ->
-          Etx.Client.spawn d.rt
-            ~name:(Printf.sprintf "client%d" (i + 1))
-            ~period:400. ~servers:d.app_servers
-            ~script:(script_for (i + 1))
-            ())
-    in
-    let all_done () =
-      Etx.Client.script_done d.client && List.for_all Etx.Client.script_done extra
-    in
+    let all_done () = List.for_all Etx.Client.script_done d.clients in
     if not (Dsim.Engine.run_until ~deadline:7_200_000. e all_done) then
       failwith "scale_sweep: run did not finish";
     let wall_s = Unix.gettimeofday () -. t0 in
@@ -1335,20 +1323,23 @@ let fd_quality_sweep ?(seed = 42) ?(requests = 10)
       (* timeout_bump = 0 disables the ◇P adaptation so the sweep shows the
          raw cost of a mis-set timeout; with the default bump the detector
          absorbs this jitter after a couple of mistakes (tested) *)
-      Simrun.deployment ~seed ~net ~client_period:300. ~clean_period:10.
+      Simrun.cluster ~seed ~net ~client_period:300. ~clean_period:10.
         ~fd_spec:
           (Etx.Appserver.Fd_heartbeat
              { period = 10.; initial_timeout = timeout; timeout_bump = 0. })
         ~seed_data:bank_seed ~business:Workload.Bank.update
-        ~script:(fun ~issue ->
-          for _ = 1 to requests do
-            ignore (issue update_body)
-          done)
+        ~scripts:
+          [
+            (fun ~issue ->
+              for _ = 1 to requests do
+                ignore (issue update_body)
+              done);
+          ]
         ()
     in
-    if not (Etx.Deployment.run_to_quiescence ~deadline:600_000. d) then
+    if not (Cluster.run_to_quiescence ~deadline:600_000. d) then
       failwith "fd_quality_sweep: run did not quiesce";
-    (match Etx.Spec.check_all d with
+    (match Cluster.Spec.check_all d with
     | [] -> ()
     | vs ->
         failwith
@@ -1368,9 +1359,9 @@ let fd_quality_sweep ?(seed = 42) ?(requests = 10)
       List.fold_left
         (fun acc (r : Etx.Client.record) -> acc + r.tries - 1)
         0
-        (Etx.Client.records d.client)
+        (Cluster.all_records d)
     in
-    let mean = Stats.Summary.mean (latencies (Etx.Client.records d.client)) in
+    let mean = Stats.Summary.mean (latencies (Cluster.all_records d)) in
     (timeout, cleanings, extra_tries, mean)
   in
   run_trials ?domains
@@ -1437,15 +1428,15 @@ let failover_phases ?(seed = 42) ?(trials = 5) ?domains () =
   let one ~seed =
     let reg = Obs.Registry.create () in
     let e, d =
-      Simrun.deployment ~seed ~client_period:300. ~tracing:false ~obs:reg
+      Simrun.cluster ~seed ~client_period:300. ~tracing:false ~obs:reg
         ~seed_data:bank_seed ~business:Workload.Bank.update
-        ~script:one_request_script ()
+        ~scripts:[ one_request_script ] ()
     in
-    Dsim.Engine.crash_at e 230. (Etx.Deployment.primary d);
-    if not (Etx.Deployment.run_to_quiescence ~deadline:300_000. d) then
+    Dsim.Engine.crash_at e 230. (Cluster.primary d ~shard:0);
+    if not (Cluster.run_to_quiescence ~deadline:300_000. d) then
       failwith "failover_phases: run did not quiesce";
     let r =
-      match Etx.Client.records d.client with
+      match Cluster.all_records d with
       | [ r ] -> r
       | _ -> failwith "failover_phases: expected one record"
     in

@@ -7,33 +7,18 @@ let engine ?(seed = 1) ?(tracing = true) ?obs () =
   let e = Dsim.Engine.create ~seed ~tracing ?obs () in
   (e, Dsim.Runtime_sim.of_engine e)
 
-let deployment ?seed ?tracing ?obs ?net ?n_app_servers ?n_dbs ?fd_spec ?timing
-    ?disk_force_latency ?seed_data ?client_period ?clean_period ?poll
-    ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown ?batch
-    ?cache ?group_commit ?replicas ?replica_bound ?ship_period ~business
-    ~script () =
-  let e, rt = engine ?seed ?tracing ?obs () in
-  let d =
-    Etx.Deployment.build ?net ?n_app_servers ?n_dbs ?fd_spec ?timing
-      ?disk_force_latency ?seed_data ?client_period ?clean_period ?poll
-      ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown ?batch
-      ?cache ?group_commit ?replicas ?replica_bound ?ship_period ~rt
-      ~business ~script ()
-  in
-  (e, d)
-
 let cluster ?seed ?tracing ?obs ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec
     ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period ?poll
-    ?gc_after ?backend ?recoverable ?register_disk_latency ?batch ?cache
-    ?group_commit ?replicas ?replica_bound ?ship_period ?cross ?reconfig
-    ?provision ~business ~scripts () =
+    ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown ?batch
+    ?cache ?group_commit ?replicas ?replica_bound ?ship_period ?cross
+    ?reconfig ?provision ~business ~scripts () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let c =
     Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?timing
       ?disk_force_latency ?seed_data ?client_period ?clean_period ?poll
-      ?gc_after ?backend ?recoverable ?register_disk_latency ?batch ?cache
-      ?group_commit ?replicas ?replica_bound ?ship_period ?cross ?reconfig
-      ?provision ~rt ~business ~scripts ()
+      ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown
+      ?batch ?cache ?group_commit ?replicas ?replica_bound ?ship_period
+      ?cross ?reconfig ?provision ~rt ~business ~scripts ()
   in
   (e, c)
 

@@ -1,7 +1,7 @@
 (** Build deployments on a fresh simulator engine in one call.
 
-    The protocol builders ({!Etx.Deployment.build} and the
-    {!Baselines} equivalents) are backend-agnostic: they take a runtime
+    The protocol builders ({!Cluster.build} and the {!Baselines}
+    equivalents) are backend-agnostic: they take a runtime
     capability and never see the engine. Simulator-based sweeps and tests,
     however, routinely need the engine itself — for [crash_at], the trace,
     sequence diagrams, or virtual-time inspection — so these wrappers create
@@ -17,36 +17,6 @@ val engine :
 (** A fresh engine plus its runtime capability (seed defaults to 1, tracing
     on — the historical deployment defaults). [?obs] opts in observability
     exactly as on {!Dsim.Engine.create}. *)
-
-val deployment :
-  ?seed:int ->
-  ?tracing:bool ->
-  ?obs:Obs.Registry.t ->
-  ?net:Runtime.Etx_runtime.netmodel ->
-  ?n_app_servers:int ->
-  ?n_dbs:int ->
-  ?fd_spec:Etx.Appserver.fd_spec ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
-  ?seed_data:(string * Dbms.Value.t) list ->
-  ?client_period:float ->
-  ?clean_period:float ->
-  ?poll:float ->
-  ?gc_after:float ->
-  ?backend:Etx.Appserver.register_backend ->
-  ?recoverable:bool ->
-  ?register_disk_latency:float ->
-  ?breakdown:Stats.Breakdown.t ->
-  ?batch:int ->
-  ?cache:bool ->
-  ?group_commit:bool ->
-  ?replicas:int ->
-  ?replica_bound:int ->
-  ?ship_period:float ->
-  business:Etx.Business.t ->
-  script:(issue:(string -> Etx.Client.record) -> unit) ->
-  unit ->
-  Dsim.Engine.t * Etx.Deployment.t
 
 val cluster :
   ?seed:int ->
@@ -68,6 +38,7 @@ val cluster :
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
   ?register_disk_latency:float ->
+  ?breakdown:Stats.Breakdown.t ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
@@ -81,7 +52,8 @@ val cluster :
   scripts:(issue:(string -> Etx.Client.record) -> unit) list ->
   unit ->
   Dsim.Engine.t * Cluster.t
-(** A sharded {!Cluster} on a fresh engine — one script per client. *)
+(** A {!Cluster} on a fresh engine — one script per client. The paper's
+    deployment is the default one-shard cluster. *)
 
 val baseline :
   ?seed:int ->

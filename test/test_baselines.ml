@@ -132,16 +132,16 @@ let test_etx_not_blocking_same_crash () =
   (* Contrast: the e-Transaction protocol resolves the same crash without
      the crashed process ever coming back. *)
   let e, d =
-    Harness.Simrun.deployment ~client_period:300. ~seed_data ~business:bank
-      ~script:one_debit ()
+    Harness.Simrun.cluster ~client_period:300. ~seed_data ~business:bank
+      ~scripts:[ one_debit ] ()
   in
   (* crash the primary right after the votes came back *)
-  Dsim.Engine.crash_at e 222. (Etx.Deployment.primary d);
-  let ok = Etx.Deployment.run_to_quiescence ~deadline:120_000. d in
+  Dsim.Engine.crash_at e 222. (Cluster.primary d ~shard:0);
+  let ok = Cluster.run_to_quiescence ~deadline:120_000. d in
   Alcotest.(check bool) "resolved without recovery" true ok;
-  let _, rm = List.hd d.dbs in
+  let _, rm = List.hd (Cluster.group d 0).dbs in
   Alcotest.(check int) "no in-doubt" 0 (List.length (Dbms.Rm.in_doubt rm));
-  Alcotest.(check (list string)) "spec holds" [] (Etx.Spec.check_all d)
+  Alcotest.(check (list string)) "spec holds" [] (Cluster.Spec.check_all d)
 
 let test_tpc_recovery_redrives_logged_commit () =
   (* Crash after the outcome record was forced but before the decides went

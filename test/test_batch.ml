@@ -162,16 +162,16 @@ let test_batch_one_equivalence () =
     done
   in
   let _e, plain =
-    Harness.Simrun.deployment ~seed ~seed_data ~business:Workload.Bank.update
-      ~script ()
+    Harness.Simrun.cluster ~seed ~seed_data ~business:Workload.Bank.update
+      ~scripts:[ script ] ()
   in
-  assert (Deployment.run_to_quiescence ~deadline:60_000. plain);
+  assert (Cluster.run_to_quiescence ~deadline:60_000. plain);
   let _e, b1 =
-    Harness.Simrun.deployment ~seed ~batch:1 ~seed_data
-      ~business:Workload.Bank.update ~script ()
+    Harness.Simrun.cluster ~seed ~batch:1 ~seed_data
+      ~business:Workload.Bank.update ~scripts:[ script ] ()
   in
-  assert (Deployment.run_to_quiescence ~deadline:60_000. b1);
-  let base = Client.records plain.client and got = Client.records b1.client in
+  assert (Cluster.run_to_quiescence ~deadline:60_000. b1);
+  let base = Cluster.all_records plain and got = Cluster.all_records b1 in
   Alcotest.(check int) "same count" (List.length base) (List.length got);
   List.iter2
     (fun (a : Client.record) b ->
@@ -179,14 +179,14 @@ let test_batch_one_equivalence () =
         (Printf.sprintf "record %d identical" a.rid)
         true (a = b))
     base got;
-  Alcotest.(check (list string)) "spec" [] (Spec.check_all b1)
+  Alcotest.(check (list string)) "spec" [] (Cluster.Spec.check_all b1)
 
 let test_batch_config_validation () =
   Alcotest.check_raises "batch must be >= 1"
     (Invalid_argument "Appserver.config: batch must be >= 1") (fun () ->
       ignore
-        (Harness.Simrun.deployment ~batch:0 ~business:Business.trivial
-           ~script:(fun ~issue:_ -> ())
+        (Harness.Simrun.cluster ~batch:0 ~business:Business.trivial
+           ~scripts:[ (fun ~issue:_ -> ()) ]
            ()));
   Alcotest.check_raises "gc is incompatible with batching"
     (Invalid_argument
@@ -194,9 +194,9 @@ let test_batch_config_validation () =
         (a collected lease or batch register would reopen a decided window)")
     (fun () ->
       ignore
-        (Harness.Simrun.deployment ~batch:4 ~gc_after:1000.
+        (Harness.Simrun.cluster ~batch:4 ~gc_after:1000.
            ~business:Business.trivial
-           ~script:(fun ~issue:_ -> ())
+           ~scripts:[ (fun ~issue:_ -> ()) ]
            ()))
 
 (* ------------------------------------------------------------------ *)

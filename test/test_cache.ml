@@ -131,30 +131,33 @@ let test_method_cache_generation_guard () =
 
 let seed_acct = Workload.Bank.seed_accounts [ ("acct0", 1000) ]
 
-let cached_records (d : Deployment.t) =
-  List.filter (fun (r : Client.record) -> r.cached) (Client.records d.client)
+let cached_records d =
+  List.filter (fun (r : Client.record) -> r.cached) (Cluster.all_records d)
 
 let test_cached_reads_hit () =
   let reg = Obs.Registry.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed:11 ~obs:reg ~cache:true
+    Harness.Simrun.cluster ~seed:11 ~obs:reg ~cache:true
       ~seed_data:seed_acct ~business:Workload.Bank.mixed
-      ~script:(fun ~issue ->
-        for _ = 1 to 5 do
-          ignore (issue "acct0")
-        done)
+      ~scripts:
+        [
+          (fun ~issue ->
+            for _ = 1 to 5 do
+              ignore (issue "acct0")
+            done);
+        ]
       ()
   in
   Alcotest.(check bool) "quiesced" true
-    (Deployment.run_to_quiescence ~deadline:300_000. d);
+    (Cluster.run_to_quiescence ~deadline:300_000. d);
   Alcotest.(check int) "all delivered" 5
-    (List.length (Client.records d.client));
+    (List.length (Cluster.all_records d));
   List.iter
     (fun (r : Client.record) ->
       Alcotest.(check string)
         (Printf.sprintf "read %d sees the seed balance" r.rid)
         "balance:acct0:1000" r.result)
-    (Client.records d.client);
+    (Cluster.all_records d);
   (* first read computes (miss + fill), the rest are served from cache *)
   Alcotest.(check bool) "cache-served records" true
     (List.length (cached_records d) >= 3);
@@ -162,26 +165,31 @@ let test_cached_reads_hit () =
     (Obs.Registry.counter_total reg "cache.hit" >= 3);
   Alcotest.(check bool) "a miss filled the cache" true
     (Obs.Registry.counter_total reg "cache.miss" >= 1);
-  Alcotest.(check (list string)) "spec incl. coherence" [] (Spec.check_all d)
+  Alcotest.(check (list string))
+    "spec incl. coherence" [] (Cluster.Spec.check_all d)
 
 let test_commit_invalidates_and_rereads () =
   let reg = Obs.Registry.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed:3 ~obs:reg ~cache:true
+    Harness.Simrun.cluster ~seed:3 ~obs:reg ~cache:true
       ~seed_data:seed_acct ~business:Workload.Bank.mixed
-      ~script:(fun ~issue ->
-        ignore (issue "acct0");
-        (* miss, fills *)
-        ignore (issue "acct0");
-        (* hit *)
-        ignore (issue "acct0:5");
-        (* committed write: piggybacked invalidation *)
-        ignore (issue "acct0") (* must recompute, not serve the stale 1000 *))
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "acct0");
+            (* miss, fills *)
+            ignore (issue "acct0");
+            (* hit *)
+            ignore (issue "acct0:5");
+            (* committed write: piggybacked invalidation *)
+            (* must recompute, not serve the stale 1000 *)
+            ignore (issue "acct0"));
+        ]
       ()
   in
   Alcotest.(check bool) "quiesced" true
-    (Deployment.run_to_quiescence ~deadline:300_000. d);
-  (match Client.records d.client with
+    (Cluster.run_to_quiescence ~deadline:300_000. d);
+  (match Cluster.all_records d with
   | [ r1; r2; r3; r4 ] ->
       Alcotest.(check string) "first read" "balance:acct0:1000" r1.result;
       Alcotest.(check string) "second read" "balance:acct0:1000" r2.result;
@@ -194,23 +202,27 @@ let test_commit_invalidates_and_rereads () =
                            (List.length rs)));
   Alcotest.(check bool) "invalidation observed" true
     (Obs.Registry.counter_total reg "cache.invalidate" >= 1);
-  Alcotest.(check (list string)) "spec incl. coherence" [] (Spec.check_all d)
+  Alcotest.(check (list string))
+    "spec incl. coherence" [] (Cluster.Spec.check_all d)
 
 let test_cache_off_equivalence () =
   (* with the cache disabled the run must be record-for-record and
      event-for-event identical to a build that never heard of caching *)
   let run cache =
     let e, d =
-      Harness.Simrun.deployment ~seed:7 ?cache ~seed_data:seed_acct
+      Harness.Simrun.cluster ~seed:7 ?cache ~seed_data:seed_acct
         ~business:Workload.Bank.mixed
-        ~script:(fun ~issue ->
-          ignore (issue "acct0");
-          ignore (issue "acct0:5");
-          ignore (issue "acct0"))
+        ~scripts:
+          [
+            (fun ~issue ->
+              ignore (issue "acct0");
+              ignore (issue "acct0:5");
+              ignore (issue "acct0"));
+          ]
         ()
     in
-    assert (Deployment.run_to_quiescence ~deadline:300_000. d);
-    (Dsim.Engine.events_of e, Client.records d.client)
+    assert (Cluster.run_to_quiescence ~deadline:300_000. d);
+    (Dsim.Engine.events_of e, Cluster.all_records d)
   in
   let base_events, base = run None in
   let off_events, off = run (Some false) in

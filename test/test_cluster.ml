@@ -1,6 +1,6 @@
-(* Sharded-cluster tests: shard-map placement, single-shard equivalence
-   with the plain deployment, multi-client routing across shards, and the
-   cluster-level specification under random fault schedules. *)
+(* Sharded-cluster tests: shard-map placement, multi-client routing across
+   shards, and the cluster-level specification under random fault
+   schedules. *)
 
 open Etx
 
@@ -45,39 +45,6 @@ let test_routing_key () =
     (Etx_types.routing_key "acct7:25");
   Alcotest.(check string) "whole body when unkeyed" "ping"
     (Etx_types.routing_key "ping")
-
-(* ------------------------------------------------------------------ *)
-(* Single-shard equivalence: a 1-shard cluster is the plain deployment.
-   Same seed, same workload — the client must observe byte-identical
-   records (same rids, results, try counts and timestamps). *)
-
-let test_single_shard_equivalence () =
-  let seed = 7 in
-  let seed_data = Workload.Bank.seed_accounts [ ("acct0", 1000) ] in
-  let script ~issue =
-    for _ = 1 to 3 do
-      ignore (issue "acct0:5")
-    done
-  in
-  let _e, d =
-    Harness.Simrun.deployment ~seed ~seed_data ~business:Workload.Bank.update
-      ~script ()
-  in
-  assert (Deployment.run_to_quiescence ~deadline:60_000. d);
-  let _e, c =
-    Harness.Simrun.cluster ~seed ~shards:1 ~seed_data
-      ~business:Workload.Bank.update ~scripts:[ script ] ()
-  in
-  assert (Cluster.run_to_quiescence ~deadline:60_000. c);
-  let base = Client.records d.client and shard = Cluster.all_records c in
-  Alcotest.(check int) "same count" (List.length base) (List.length shard);
-  List.iter2
-    (fun (a : Client.record) b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "record %d identical" a.rid)
-        true (a = b))
-    base shard;
-  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-shard routing: every request lands on (and only on) its key's
@@ -255,11 +222,6 @@ let () =
           Alcotest.test_case "range policy" `Quick test_shard_map_range_policy;
           Alcotest.test_case "validation" `Quick test_shard_map_validation;
           Alcotest.test_case "routing key" `Quick test_routing_key;
-        ] );
-      ( "equivalence",
-        [
-          Alcotest.test_case "one-shard cluster = plain deployment" `Quick
-            test_single_shard_equivalence;
         ] );
       ( "routing",
         [

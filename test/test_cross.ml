@@ -136,60 +136,77 @@ let test_cross_coordinator_crash_completed () =
   let map = Shard_map.create ~shards:2 () in
   let a, b = cross_pair map in
   let seed_data = Workload.Bank.seed_accounts [ (a, 100); (b, 5) ] in
-  let e, c =
-    Harness.Simrun.cluster ~seed:17 ~map ~seed_data ~cross:true
-      ~client_period:300. ~fd_spec:heartbeat
-      ~business:Workload.Bank.transfer
-      ~scripts:[ (fun ~issue -> ignore (issue (Printf.sprintf "%s:%s:30" a b))) ]
-      ()
-  in
-  let coord = Cluster.primary c ~shard:(Cluster.shard_of_key c a) in
-  Dsim.Engine.crash_at e 30. coord;
-  Alcotest.(check bool) "quiesced" true
-    (Cluster.run_to_quiescence ~deadline:600_000. c);
-  (match Cluster.all_records c with
-  | [ _ ] -> ()
-  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs));
-  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+  List.iter
+    (fun group_commit ->
+      let e, c =
+        Harness.Simrun.cluster ~seed:17 ~map ~seed_data ~cross:true
+          ~client_period:300. ~fd_spec:heartbeat ~group_commit
+          ~business:Workload.Bank.transfer
+          ~scripts:
+            [ (fun ~issue -> ignore (issue (Printf.sprintf "%s:%s:30" a b))) ]
+          ()
+      in
+      let coord = Cluster.primary c ~shard:(Cluster.shard_of_key c a) in
+      Dsim.Engine.crash_at e 30. coord;
+      Alcotest.(check bool) "quiesced" true
+        (Cluster.run_to_quiescence ~deadline:600_000. c);
+      (match Cluster.all_records c with
+      | [ _ ] -> ()
+      | rs -> Alcotest.failf "expected one record, got %d" (List.length rs));
+      Alcotest.(check (list string))
+        (Printf.sprintf "cluster spec (group commit %b)" group_commit)
+        [] (Cluster.Spec.check_all c))
+    [ false; true ]
 
 (* qcheck sweep: 2–3 shards of all-cross transfers, one home-group server
    (the coordinator at index 0, or a would-be takeover peer) crashed at a
    random point mid-commit. Global atomicity, global exactly-once and the
    per-shard obligations must hold in every schedule. *)
+let cross_spec_under_crash ~group_commit (seed, shards, crash_time, victim_i) =
+  let map = Shard_map.create ~shards () in
+  let kind =
+    Workload.Generator.Bank_transfers
+      { accounts = 4 * shards; max_amount = 5 }
+  in
+  let bodies =
+    Workload.Generator.sharded_bodies ~map ~cross_ratio:1.0 ~seed ~n:4 kind
+  in
+  let halves = List.filteri (fun i _ -> i mod 2 = 0) bodies in
+  let rest = List.filteri (fun i _ -> i mod 2 = 1) bodies in
+  let scripts =
+    List.map
+      (fun slice ~issue ->
+        List.iter (fun (_, b) -> ignore (issue b)) slice)
+      [ halves; rest ]
+  in
+  let e, c =
+    Harness.Simrun.cluster ~seed ~map ~client_period:300.
+      ~fd_spec:heartbeat ~group_commit
+      ~seed_data:(Workload.Generator.seed_data_of kind)
+      ~cross:true ~business:Workload.Bank.transfer ~scripts ()
+  in
+  let home = fst (List.hd bodies) in
+  let victim = List.nth (Cluster.group c home).app_servers victim_i in
+  Dsim.Engine.crash_at e crash_time victim;
+  Cluster.run_to_quiescence ~deadline:600_000. c
+  && Cluster.Spec.check_all c = []
+
 let prop_cross_spec_under_coordinator_crash =
   QCheck.Test.make
     ~name:"cross-shard spec under coordinator crash (2-3 shards)" ~count:10
     QCheck.(
-      quad (int_range 0 100_000) (int_range 2 3) (float_range 1. 400.)
-        (int_range 0 2))
-    (fun (seed, shards, crash_time, victim_i) ->
-      let map = Shard_map.create ~shards () in
-      let kind =
-        Workload.Generator.Bank_transfers
-          { accounts = 4 * shards; max_amount = 5 }
-      in
-      let bodies =
-        Workload.Generator.sharded_bodies ~map ~cross_ratio:1.0 ~seed ~n:4 kind
-      in
-      let halves = List.filteri (fun i _ -> i mod 2 = 0) bodies in
-      let rest = List.filteri (fun i _ -> i mod 2 = 1) bodies in
-      let scripts =
-        List.map
-          (fun slice ~issue ->
-            List.iter (fun (_, b) -> ignore (issue b)) slice)
-          [ halves; rest ]
-      in
-      let e, c =
-        Harness.Simrun.cluster ~seed ~map ~client_period:300.
-          ~fd_spec:heartbeat
-          ~seed_data:(Workload.Generator.seed_data_of kind)
-          ~cross:true ~business:Workload.Bank.transfer ~scripts ()
-      in
-      let home = fst (List.hd bodies) in
-      let victim = List.nth (Cluster.group c home).app_servers victim_i in
-      Dsim.Engine.crash_at e crash_time victim;
-      Cluster.run_to_quiescence ~deadline:600_000. c
-      && Cluster.Spec.check_all c = [])
+      pair
+        (quad (int_range 0 100_000) (int_range 2 3) (float_range 1. 400.)
+           (int_range 0 2))
+        bool)
+    (fun (schedule, group_commit) ->
+      cross_spec_under_crash ~group_commit schedule)
+
+(* A schedule that committed one transfer twice at a database while
+   group commit let two Decide sessions for it overlap. *)
+let test_cross_recorded_group_commit_schedule () =
+  Alcotest.(check bool) "cluster spec" true
+    (cross_spec_under_crash ~group_commit:true (46673, 3, 331.998824353, 0))
 
 (* ------------------------------------------------------------------ *)
 (* Observability: the gx counters flow through E_obs when a registry is
@@ -280,6 +297,8 @@ let () =
           Alcotest.test_case "coordinator crash completed by peers" `Quick
             test_cross_coordinator_crash_completed;
           q prop_cross_spec_under_coordinator_crash;
+          Alcotest.test_case "recorded schedule under group commit" `Quick
+            test_cross_recorded_group_commit_schedule;
         ] );
       ( "obs",
         [

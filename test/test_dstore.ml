@@ -272,8 +272,10 @@ let test_log_survives_crash () =
 (* ------------------------------------------------------------------ *)
 (* backend parity: disk work routed through the runtime capability *)
 
-let deployment_forced_writes (d : Etx.Deployment.t) =
-  List.map (fun (_, rm) -> Dstore.Disk.forced_writes (Dbms.Rm.disk rm)) d.dbs
+let forced_writes d =
+  List.map
+    (fun (_, rm) -> Dstore.Disk.forced_writes (Dbms.Rm.disk rm))
+    (Cluster.group d 0).dbs
 
 let test_forced_writes_sim_live_parity () =
   (* The databases' forced IO goes through [Etx_runtime.work], so an
@@ -287,19 +289,19 @@ let test_forced_writes_sim_live_parity () =
     ignore (issue "acct:-10")
   in
   let _e, sim_d =
-    Harness.Simrun.deployment ~n_dbs:2 ~client_period:5_000. ~seed_data
-      ~business ~script ()
+    Harness.Simrun.cluster ~n_dbs:2 ~client_period:5_000. ~seed_data
+      ~business ~scripts:[ script ] ()
   in
   Alcotest.(check bool) "sim quiesced" true
-    (Etx.Deployment.run_to_quiescence ~deadline:60_000. sim_d);
+    (Cluster.run_to_quiescence ~deadline:60_000. sim_d);
   let lt = Runtime_live.create () in
   let live_d =
-    Etx.Deployment.build ~rt:(Runtime_live.runtime lt) ~n_dbs:2
-      ~client_period:5_000. ~seed_data ~business ~script ()
+    Cluster.build ~rt:(Runtime_live.runtime lt) ~n_dbs:2
+      ~client_period:5_000. ~seed_data ~business ~scripts:[ script ] ()
   in
-  let live_ok = Etx.Deployment.run_to_quiescence ~deadline:60_000. live_d in
-  let sim_io = deployment_forced_writes sim_d
-  and live_io = deployment_forced_writes live_d in
+  let live_ok = Cluster.run_to_quiescence ~deadline:60_000. live_d in
+  let sim_io = forced_writes sim_d
+  and live_io = forced_writes live_d in
   Runtime_live.shutdown lt;
   Alcotest.(check bool) "live quiesced" true live_ok;
   Alcotest.(check bool) "forced IO happened" true

@@ -6,9 +6,12 @@
 open Etx
 
 let check_no_violations label d =
-  let violations = Spec.check_all d in
+  let violations = Cluster.Spec.check_all d in
   if violations <> [] then
     Alcotest.failf "%s: %s" label (String.concat "; " violations)
+
+(* The paper's deployment is a one-shard cluster: its single spec view. *)
+let view d = List.hd (Cluster.Spec.shard_views d)
 
 (* A bank-ish business per the paper's footnote 4: attempt 1 fails a guard
    when the seed balance is too low (user-level abort → that try's
@@ -41,11 +44,11 @@ let debit_or_report ~amount =
           | _ -> "report:unavailable")
 
 let one_request ?seed ?net ?n_app_servers ?n_dbs ?fd_spec ?seed_data
-    ?client_period ?business () =
+    ?client_period ?group_commit ?business () =
   let business = Option.value ~default:Business.trivial business in
-  Harness.Simrun.deployment ?seed ?net ?n_app_servers ?n_dbs ?fd_spec ?seed_data
-    ?client_period ~business
-    ~script:(fun ~issue -> ignore (issue "req-1"))
+  Harness.Simrun.cluster ?seed ?net ?n_app_servers ?n_dbs ?fd_spec ?seed_data
+    ?client_period ?group_commit ~business
+    ~scripts:[ (fun ~issue -> ignore (issue "req-1")) ]
     ()
 
 (* ------------------------------------------------------------------ *)
@@ -53,9 +56,9 @@ let one_request ?seed ?net ?n_app_servers ?n_dbs ?fd_spec ?seed_data
 
 let test_nice_run_commits () =
   let _e, d = one_request () in
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
-  (match Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] ->
       Alcotest.(check int) "single try" 1 r.tries;
       Alcotest.(check string) "result" "ok:req-1" r.result
@@ -64,28 +67,31 @@ let test_nice_run_commits () =
 
 let test_three_sequential_requests () =
   let _e, d =
-    Harness.Simrun.deployment ~business:Business.trivial
-      ~script:(fun ~issue ->
-        ignore (issue "alpha");
-        ignore (issue "beta");
-        ignore (issue "gamma"))
+    Harness.Simrun.cluster ~business:Business.trivial
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "alpha");
+            ignore (issue "beta");
+            ignore (issue "gamma"));
+        ]
       ()
   in
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
-  Alcotest.(check int) "three results" 3 (List.length (Client.records d.client));
+  Alcotest.(check int) "three results" 3 (List.length (Cluster.all_records d));
   List.iter
     (fun (r : Client.record) ->
       Alcotest.(check int) "first try each" 1 r.tries)
-    (Client.records d.client);
+    (Cluster.all_records d);
   check_no_violations "sequential requests" d
 
 let test_nice_run_latency_matches_paper_shape () =
   (* With the calibrated model a committed e-Transaction should take around
      250 ms as seen by the client (the paper measured 252.3). *)
   let _e, d = one_request () in
-  ignore (Deployment.run_to_quiescence d);
-  match Client.records d.client with
+  ignore (Cluster.run_to_quiescence d);
+  match Cluster.all_records d with
   | [ r ] ->
       let latency = r.delivered_at -. r.issued_at in
       Alcotest.(check bool)
@@ -98,45 +104,45 @@ let test_user_level_abort_then_commit () =
   (* balance 10 < 100: attempt 1 poisons and aborts; attempt 2 reports and
      commits. Exactly the paper's footnote-4 behaviour. *)
   let _e, d =
-    Harness.Simrun.deployment
+    Harness.Simrun.cluster
       ~seed_data:[ ("balance", Dbms.Value.Int 10) ]
       ~business:(debit_or_report ~amount:100)
-      ~script:(fun ~issue -> ignore (issue "pay"))
+      ~scripts:[ (fun ~issue -> ignore (issue "pay")) ]
       ()
   in
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
-  (match Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] ->
       Alcotest.(check int) "two tries" 2 r.tries;
       Alcotest.(check string) "report delivered" "report:balance=10" r.result
   | _ -> Alcotest.fail "expected one record");
   check_no_violations "user-level abort" d;
   (* the failed debit must not have applied *)
-  let _, rm = List.hd d.dbs in
+  let _, rm = List.hd (Cluster.group d 0).dbs in
   Alcotest.(check bool) "balance untouched" true
     (Dbms.Rm.read_committed rm "balance" = Some (Dbms.Value.Int 10))
 
 let test_successful_debit_applies_once () =
   let _e, d =
-    Harness.Simrun.deployment
+    Harness.Simrun.cluster
       ~seed_data:[ ("balance", Dbms.Value.Int 500) ]
       ~business:(debit_or_report ~amount:100)
-      ~script:(fun ~issue -> ignore (issue "pay"))
+      ~scripts:[ (fun ~issue -> ignore (issue "pay")) ]
       ()
   in
-  ignore (Deployment.run_to_quiescence d);
+  ignore (Cluster.run_to_quiescence d);
   check_no_violations "successful debit" d;
-  let _, rm = List.hd d.dbs in
+  let _, rm = List.hd (Cluster.group d 0).dbs in
   Alcotest.(check bool) "balance debited exactly once" true
     (Dbms.Rm.read_committed rm "balance" = Some (Dbms.Value.Int 400))
 
 let test_multiple_dbs_all_commit () =
   let _e, d = one_request ~n_dbs:3 () in
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
   check_no_violations "multi-db" d;
-  match Client.records d.client with
+  match Cluster.all_records d with
   | [ r ] ->
       let xid = Dbms.Xid.make ~rid:r.rid ~j:r.tries in
       List.iter
@@ -145,7 +151,7 @@ let test_multiple_dbs_all_commit () =
             (Printf.sprintf "committed at %s" (Dbms.Rm.name rm))
             true
             (Dbms.Rm.phase_of rm xid = Some Dbms.Rm.Committed))
-        d.dbs
+        (Cluster.group d 0).dbs
   | _ -> Alcotest.fail "expected one record"
 
 (* ------------------------------------------------------------------ *)
@@ -155,10 +161,10 @@ let test_failover_abort_midcompute () =
   (* Primary crashes mid-SQL (t=100ms): Fig. 1(d). The cleaner aborts try 1,
      the client retries, another server commits try 2. *)
   let e, d = one_request ~client_period:300. () in
-  Dsim.Engine.crash_at e 100. (Deployment.primary d);
-  let ok = Deployment.run_to_quiescence d ~deadline:60_000. in
+  Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+  let ok = Cluster.run_to_quiescence d ~deadline:60_000. in
   Alcotest.(check bool) "quiesced" true ok;
-  (match Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] -> Alcotest.(check bool) "retried" true (r.tries >= 2)
   | _ -> Alcotest.fail "expected one record");
   check_no_violations "fail-over abort" d
@@ -169,8 +175,8 @@ let test_failover_commit_after_regd () =
      must deliver try 1's result. *)
   let e, d = one_request ~client_period:300. () in
   (* regD write completes around t≈225ms with the calibrated model *)
-  Dsim.Engine.crash_at e 230. (Deployment.primary d);
-  let ok = Deployment.run_to_quiescence d ~deadline:60_000. in
+  Dsim.Engine.crash_at e 230. (Cluster.primary d ~shard:0);
+  let ok = Cluster.run_to_quiescence d ~deadline:60_000. in
   Alcotest.(check bool) "quiesced" true ok;
   check_no_violations "fail-over commit" d
 
@@ -178,33 +184,33 @@ let test_client_crash_t2_holds () =
   (* The client crashes mid-request. Nothing is delivered, but no database
      may stay blocked (T.2) — the cleaning thread unblocks them. *)
   let e, d = one_request ~client_period:300. () in
-  Dsim.Engine.crash_at e 100. (Deployment.primary d);
-  Dsim.Engine.crash_at e 150. (Client.pid d.client);
+  Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+  Dsim.Engine.crash_at e 150. (Client.pid (List.hd d.clients));
   ignore (Dsim.Engine.run ~deadline:60_000. e);
-  Alcotest.(check (list string)) "T.2" [] (Spec.termination_t2 d);
-  Alcotest.(check (list string)) "A.3" [] (Spec.agreement_a3 d);
+  Alcotest.(check (list string)) "T.2" [] (Spec.View.termination_t2 (view d));
+  Alcotest.(check (list string)) "A.3" [] (Spec.View.agreement_a3 (view d));
   Alcotest.(check int) "nothing delivered" 0
-    (List.length (Client.records d.client))
+    (List.length (Cluster.all_records d))
 
 let test_db_crash_recovery () =
   (* The (good) database crashes during the run and recovers; the protocol
      must still terminate with a committed result. *)
   let e, d = one_request ~client_period:300. () in
-  let db = fst (List.hd d.dbs) in
+  let db = fst (List.hd (Cluster.group d 0).dbs) in
   Dsim.Engine.crash_at e 120. db;
   Dsim.Engine.recover_at e 400. db;
-  let ok = Deployment.run_to_quiescence d ~deadline:120_000. in
+  let ok = Cluster.run_to_quiescence d ~deadline:120_000. in
   Alcotest.(check bool) "quiesced" true ok;
   check_no_violations "db crash+recovery" d
 
 let test_two_of_five_appservers_crash () =
   let e, d = one_request ~n_app_servers:5 ~client_period:300. () in
-  (match d.app_servers with
+  (match (Cluster.group d 0).app_servers with
   | a1 :: a2 :: _ ->
       Dsim.Engine.crash_at e 50. a1;
       Dsim.Engine.crash_at e 180. a2
   | _ -> Alcotest.fail "expected five servers");
-  let ok = Deployment.run_to_quiescence d ~deadline:120_000. in
+  let ok = Cluster.run_to_quiescence d ~deadline:120_000. in
   Alcotest.(check bool) "quiesced" true ok;
   check_no_violations "minority crash (5 servers)" d
 
@@ -214,22 +220,59 @@ let test_two_of_five_appservers_crash () =
 let test_crash_at_every_point () =
   (* Sweep the primary's crash time across the whole protocol timeline
      (registration, compute, prepare, regD write, terminate, reply): the
-     specification must hold at EVERY cut point. *)
-  let t = ref 5. in
-  while !t < 270. do
-    let e, d = one_request ~client_period:300. () in
-    Dsim.Engine.crash_at e !t (Deployment.primary d);
-    let ok = Deployment.run_to_quiescence ~deadline:120_000. d in
-    if not ok then Alcotest.failf "crash at %.1f: did not quiesce" !t;
-    (match Spec.check_all d with
-    | [] -> ()
-    | vs ->
-        Alcotest.failf "crash at %.1f: %s" !t (String.concat "; " vs));
-    (match Client.records d.client with
-    | [ _ ] -> ()
-    | rs -> Alcotest.failf "crash at %.1f: %d records" !t (List.length rs));
-    t := !t +. 12.
-  done
+     specification must hold at EVERY cut point, whether the database
+     forces each record on its own or coalesces forces (group commit). *)
+  List.iter
+    (fun group_commit ->
+      let t = ref 5. in
+      while !t < 270. do
+        let e, d = one_request ~client_period:300. ~group_commit () in
+        Dsim.Engine.crash_at e !t (Cluster.primary d ~shard:0);
+        let fail fmt =
+          Alcotest.failf ("crash at %.1f (group commit %b): " ^^ fmt) !t
+            group_commit
+        in
+        if not (Cluster.run_to_quiescence ~deadline:120_000. d) then
+          fail "did not quiesce";
+        (match Cluster.Spec.check_all d with
+        | [] -> ()
+        | vs -> fail "%s" (String.concat "; " vs));
+        (match Cluster.all_records d with
+        | [ _ ] -> ()
+        | rs -> fail "%d records" (List.length rs));
+        t := !t +. 12.
+      done)
+    [ false; true ]
+
+(* Regression: under group commit the database runs every Decide in its
+   own session. With the primary crashed at 221 ms, both surviving
+   servers' cleaners decide regD = commit for the first request and each
+   sends Decide for the same transaction; the second must wait for the
+   first instead of committing it again (two W_committed records, two
+   commit-order entries, an A.2 and exactly-once violation). *)
+let test_group_commit_duplicate_decide () =
+  let e, d =
+    Harness.Simrun.cluster ~seed:42 ~client_period:300. ~group_commit:true
+      ~seed_data:(Workload.Bank.seed_accounts [ ("acct0", 1_000_000) ])
+      ~business:Workload.Bank.update
+      ~scripts:
+        [
+          (fun ~issue ->
+            for i = 1 to 3 do
+              ignore (issue (Printf.sprintf "acct0:%d" i))
+            done);
+        ]
+      ()
+  in
+  Dsim.Engine.crash_at e 221. (Cluster.primary d ~shard:0);
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. d);
+  check_no_violations "duplicate decide" d;
+  let _, rm = List.hd (Cluster.group d 0).dbs in
+  Alcotest.(check int) "one commit per request" 3
+    (List.length (Dbms.Rm.committed_xids rm));
+  Alcotest.(check bool) "balance" true
+    (Dbms.Rm.read_committed rm "acct0" = Some (Dbms.Value.Int 1_000_006))
 
 let test_heartbeat_fd_nice_run () =
   (* With a real (imperfect) detector and default parameters, a failure-free
@@ -242,9 +285,9 @@ let test_heartbeat_fd_nice_run () =
            { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
       ()
   in
-  let ok = Deployment.run_to_quiescence ~deadline:60_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
   Alcotest.(check bool) "quiesced" true ok;
-  (match Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] -> Alcotest.(check int) "one try" 1 r.tries
   | _ -> Alcotest.fail "expected one record");
   check_no_violations "heartbeat nice run" d
@@ -256,59 +299,49 @@ let test_partitioned_minority_server () =
     Dnet.Netmodel.partitionable (Dnet.Netmodel.three_tier ~n_dbs:1 ())
   in
   let e, d =
-    Harness.Simrun.deployment ~net ~business:Business.trivial
-      ~script:(fun ~issue ->
-        ignore (issue "during-partition");
-        ignore (issue "after-heal"))
+    Harness.Simrun.cluster ~net ~business:Business.trivial
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "during-partition");
+            ignore (issue "after-heal"));
+        ]
       ()
   in
-  let a3 = List.nth d.app_servers 2 in
+  let a3 = List.nth (Cluster.group d 0).app_servers 2 in
   Dnet.Netmodel.isolate partition a3;
   Dsim.Engine.schedule e ~delay:400. (fun () ->
       Dnet.Netmodel.heal partition);
-  let ok = Deployment.run_to_quiescence ~deadline:120_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:120_000. d in
   Alcotest.(check bool) "quiesced" true ok;
   Alcotest.(check int) "both delivered" 2
-    (List.length (Client.records d.client));
+    (List.length (Cluster.all_records d));
   check_no_violations "partition" d
 
 let test_multiple_clients_contention () =
   (* Three clients hammer the same account concurrently: lock conflicts are
      retried, and the final balance reflects every transfer exactly once. *)
-  let e, d =
-    Harness.Simrun.deployment
+  let updates body ~issue =
+    for _ = 1 to 3 do
+      ignore (issue body)
+    done
+  in
+  let _e, d =
+    Harness.Simrun.cluster
       ~seed_data:(Workload.Bank.seed_accounts [ ("hot", 0) ])
       ~business:Workload.Bank.update
-      ~script:(fun ~issue ->
-        for _ = 1 to 3 do
-          ignore (issue "hot:1")
-        done)
+      ~scripts:[ updates "hot:1"; updates "hot:10"; updates "hot:10" ]
       ()
   in
-  let extra_clients =
-    List.map
-      (fun name ->
-        Client.spawn d.rt ~name ~period:400. ~servers:d.app_servers
-          ~script:(fun ~issue ->
-            for _ = 1 to 3 do
-              ignore (issue "hot:10")
-            done)
-          ())
-      [ "client-b"; "client-c" ]
-  in
-  let all_done () =
-    Client.script_done d.client
-    && List.for_all Client.script_done extra_clients
-  in
-  let ok = Dsim.Engine.run_until ~deadline:600_000. e all_done in
+  let ok = Cluster.run_to_quiescence ~deadline:600_000. d in
   Alcotest.(check bool) "all clients served" true ok;
   check_no_violations "multi-client" d;
   List.iter
     (fun c ->
       Alcotest.(check int) "three results each" 3
         (List.length (Client.records c)))
-    (d.client :: extra_clients);
-  let _, rm = List.hd d.dbs in
+    d.clients;
+  let _, rm = List.hd (Cluster.group d 0).dbs in
   Alcotest.(check bool) "every update applied exactly once" true
     (Dbms.Rm.read_committed rm "hot" = Some (Dbms.Value.Int 63))
 
@@ -320,9 +353,9 @@ let test_impatient_client_active_replication () =
      almost immediately; several servers then race on regA[1], and the
      write-once register keeps execution exactly-once anyway. *)
   let e, d = one_request ~client_period:5. () in
-  let ok = Deployment.run_to_quiescence ~deadline:60_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
   Alcotest.(check bool) "quiesced" true ok;
-  (match Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] -> Alcotest.(check int) "still one try" 1 r.tries
   | _ -> Alcotest.fail "expected one record");
   check_no_violations "impatient client" d;
@@ -333,7 +366,7 @@ let test_impatient_client_active_replication () =
         match e.event with
         | Dsim.Trace.Delivered
             { payload = Etx_types.Request_msg { j = 1; _ }; dst; _ } ->
-            List.mem dst d.app_servers
+            List.mem dst (Cluster.group d 0).app_servers
         | _ -> false)
       (Dsim.Trace.entries (Dsim.Engine.trace e))
   in
@@ -404,13 +437,13 @@ let test_inflight_duplicate_computed_once () =
      already names the head, so a second fiber there would win it again and
      run the SQL twice: the running memo must drop the second intake. *)
   let e, d =
-    Harness.Simrun.deployment ~client_period:100. ~seed_data:(accounts 1)
+    Harness.Simrun.cluster ~client_period:100. ~seed_data:(accounts 1)
       ~business:Workload.Bank.update
-      ~script:(fun ~issue -> ignore (issue "acct0:1"))
+      ~scripts:[ (fun ~issue -> ignore (issue "acct0:1")) ]
       ()
   in
-  Alcotest.(check bool) "quiesced" true (Deployment.run_to_quiescence d);
-  let head = Deployment.primary d in
+  Alcotest.(check bool) "quiesced" true (Cluster.run_to_quiescence d);
+  let head = Cluster.primary d ~shard:0 in
   let at_head, execs, computed =
     List.fold_left
       (fun (at_head, execs, computed) (en : Dsim.Trace.entry) ->
@@ -512,8 +545,8 @@ let test_client_backoff_then_broadcast () =
   (* The primary is dead from the start: the client first times out on it,
      then broadcasts to every server (Fig. 2 lines 5-7). *)
   let e, d = one_request ~client_period:300. () in
-  Dsim.Engine.crash_at e 0.5 (Deployment.primary d);
-  let ok = Deployment.run_to_quiescence ~deadline:60_000. d in
+  Dsim.Engine.crash_at e 0.5 (Cluster.primary d ~shard:0);
+  let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
   Alcotest.(check bool) "quiesced" true ok;
   let counts = request_deliveries e in
   List.iteri
@@ -523,8 +556,8 @@ let test_client_backoff_then_broadcast () =
           (Printf.sprintf "server %d reached by broadcast" i)
           true
           (Hashtbl.find_opt counts server <> None))
-    d.app_servers;
-  (match Client.records d.client with
+    (Cluster.group d 0).app_servers;
+  (match Cluster.all_records d with
   | [ r ] ->
       (* the whole first back-off period was spent on the dead primary *)
       Alcotest.(check bool) "latency includes the back-off" true
@@ -536,7 +569,7 @@ let test_client_no_broadcast_in_nice_run () =
   (* In a failure-free run the optimisation holds: only the primary ever
      sees the request. *)
   let e, d = one_request () in
-  ignore (Deployment.run_to_quiescence d);
+  ignore (Cluster.run_to_quiescence d);
   let counts = request_deliveries e in
   List.iteri
     (fun i server ->
@@ -545,21 +578,24 @@ let test_client_no_broadcast_in_nice_run () =
           (Printf.sprintf "server %d never contacted" i)
           None
           (Hashtbl.find_opt counts server))
-    d.app_servers
+    (Cluster.group d 0).app_servers
 
 let test_client_ignores_stale_result () =
   (* A stray Result for a different (rid, j) must not fool the client. *)
   let e, d =
-    Harness.Simrun.deployment ~business:Business.trivial
-      ~script:(fun ~issue ->
-        let r = issue "real" in
-        Alcotest.(check string) "genuine result" "ok:real" r.result)
+    Harness.Simrun.cluster ~business:Business.trivial
+      ~scripts:
+        [
+          (fun ~issue ->
+            let r = issue "real" in
+            Alcotest.(check string) "genuine result" "ok:real" r.result);
+        ]
       ()
   in
   (* inject a forged result for a nonexistent request before the run *)
   Dsim.Engine.schedule e ~delay:1. (fun () ->
-      Dsim.Engine.post e ~src:(Deployment.primary d)
-        ~dst:(Client.pid d.client)
+      Dsim.Engine.post e ~src:(Cluster.primary d ~shard:0)
+        ~dst:(Client.pid (List.hd d.clients))
         (Etx_types.Result_msg
            {
              rid = 999_999;
@@ -568,7 +604,7 @@ let test_client_ignores_stale_result () =
              decision =
                { result = Some "forged"; outcome = Dbms.Rm.Commit };
            }));
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
   check_no_violations "stale result" d
 
@@ -597,13 +633,16 @@ let computed_try1_notes e rid =
   |> List.length
 
 let test_gc_collects_registers () =
-  let e, d = Harness.Simrun.deployment ~gc_after:500. ~business:Business.trivial
-      ~script:(fun ~issue ->
-        ignore (issue "one");
-        ignore (issue "two"))
+  let e, d = Harness.Simrun.cluster ~gc_after:500. ~business:Business.trivial
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "one");
+            ignore (issue "two"));
+        ]
       ()
   in
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
   (* let the grace period elapse and the GC threads run *)
   ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
@@ -627,14 +666,14 @@ let test_gc_timed_at_most_once_caveat () =
      have genuinely forgotten the request, so a (rule-breaking) late
      retransmission is re-executed as if new. *)
   let e, d =
-    Harness.Simrun.deployment ~gc_after:300. ~business:Business.trivial
-      ~script:(fun ~issue -> ignore (issue "pay"))
+    Harness.Simrun.cluster ~gc_after:300. ~business:Business.trivial
+      ~scripts:[ (fun ~issue -> ignore (issue "pay")) ]
       ()
   in
-  let ok = Deployment.run_to_quiescence d in
+  let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
   let rid =
-    match Client.records d.client with
+    match Cluster.all_records d with
     | [ r ] -> r.rid
     | _ -> Alcotest.fail "expected one record"
   in
@@ -644,8 +683,8 @@ let test_gc_timed_at_most_once_caveat () =
   Alcotest.(check bool) "collected" true (gc_notes e <> []);
   (* a late retransmission of (rid, j=1) straight to the primary *)
   let request = { Etx_types.rid; key = "pay"; body = "pay" } in
-  Dsim.Engine.post e ~src:(Client.pid d.client)
-    ~dst:(Deployment.primary d)
+  Dsim.Engine.post e ~src:(Client.pid (List.hd d.clients))
+    ~dst:(Cluster.primary d ~shard:0)
     (Etx_types.Request_msg { request; j = 1; group = 0; span = 0 });
   ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
   Alcotest.(check int) "re-executed after GC (the timed caveat)" 2
@@ -655,13 +694,14 @@ let test_gc_timed_at_most_once_caveat () =
 
 let test_synod_backend_nice_run () =
   let _e, d =
-    Harness.Simrun.deployment ~backend:Appserver.Reg_synod ~business:Business.trivial
-      ~script:(fun ~issue -> ignore (issue "via-paxos"))
+    Harness.Simrun.cluster ~backend:Appserver.Reg_synod
+      ~business:Business.trivial
+      ~scripts:[ (fun ~issue -> ignore (issue "via-paxos")) ]
       ()
   in
-  let ok = Deployment.run_to_quiescence ~deadline:60_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
   Alcotest.(check bool) "quiesced" true ok;
-  (match Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] ->
       Alcotest.(check int) "one try" 1 r.tries;
       Alcotest.(check string) "result" "ok:via-paxos" r.result;
@@ -679,17 +719,17 @@ let test_synod_backend_failover () =
   List.iter
     (fun (crash_at, expect_tries) ->
       let e, d =
-        Harness.Simrun.deployment ~backend:Appserver.Reg_synod ~client_period:300.
+        Harness.Simrun.cluster ~backend:Appserver.Reg_synod ~client_period:300.
           ~business:Business.trivial
-          ~script:(fun ~issue -> ignore (issue "x"))
+          ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
           ()
       in
-      Dsim.Engine.crash_at e crash_at (Deployment.primary d);
-      let ok = Deployment.run_to_quiescence ~deadline:120_000. d in
+      Dsim.Engine.crash_at e crash_at (Cluster.primary d ~shard:0);
+      let ok = Cluster.run_to_quiescence ~deadline:120_000. d in
       Alcotest.(check bool)
         (Printf.sprintf "quiesced (crash at %.0f)" crash_at)
         true ok;
-      (match Client.records d.client with
+      (match Cluster.all_records d with
       | [ r ] ->
           Alcotest.(check bool)
             (Printf.sprintf "tries at crash %.0f" crash_at)
@@ -704,14 +744,14 @@ let prop_synod_backend_random_faults =
     QCheck.(pair (int_range 0 100_000) (float_range 1. 400.))
     (fun (seed, crash_time) ->
       let e, d =
-        Harness.Simrun.deployment ~seed ~backend:Appserver.Reg_synod
+        Harness.Simrun.cluster ~seed ~backend:Appserver.Reg_synod
           ~client_period:300. ~business:Business.trivial
-          ~script:(fun ~issue -> ignore (issue "x"))
+          ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
           ()
       in
-      Dsim.Engine.crash_at e crash_time (Deployment.primary d);
-      Etx.Deployment.run_to_quiescence ~deadline:300_000. d
-      && Spec.check_all d = [])
+      Dsim.Engine.crash_at e crash_time (Cluster.primary d ~shard:0);
+      Cluster.run_to_quiescence ~deadline:300_000. d
+      && Cluster.Spec.check_all d = [])
 
 (* --- §5 extension: crash-recovery application servers --- *)
 
@@ -722,10 +762,10 @@ let test_recoverable_all_servers_crash () =
      winner cannot reconstruct the original result string, but the
      transaction's effect applies exactly once. *)
   let e, d =
-    Harness.Simrun.deployment ~recoverable:true ~client_period:300.
+    Harness.Simrun.cluster ~recoverable:true ~client_period:300.
       ~seed_data:(Workload.Bank.seed_accounts [ ("acct", 1000) ])
       ~business:Workload.Bank.update
-      ~script:(fun ~issue -> ignore (issue "acct:-100"))
+      ~scripts:[ (fun ~issue -> ignore (issue "acct:-100")) ]
       ()
   in
   List.iteri
@@ -733,30 +773,30 @@ let test_recoverable_all_servers_crash () =
       let at = 60. +. (float_of_int i *. 40.) in
       Dsim.Engine.crash_at e at server;
       Dsim.Engine.recover_at e (at +. 500.) server)
-    d.app_servers;
-  let ok = Deployment.run_to_quiescence ~deadline:300_000. d in
+    (Cluster.group d 0).app_servers;
+  let ok = Cluster.run_to_quiescence ~deadline:300_000. d in
   Alcotest.(check bool) "recovered cluster finished the request" true ok;
-  Alcotest.(check int) "delivered" 1 (List.length (Client.records d.client));
+  Alcotest.(check int) "delivered" 1 (List.length (Cluster.all_records d));
   (* the money moved exactly once, whatever the report said *)
-  let _, rm = List.hd d.dbs in
+  let _, rm = List.hd (Cluster.group d 0).dbs in
   Alcotest.(check bool) "debited exactly once" true
     (Dbms.Rm.read_committed rm "acct" = Some (Dbms.Value.Int 900));
   (* agreement and non-blocking hold *)
-  Alcotest.(check (list string)) "A.2" [] (Spec.agreement_a2 d);
-  Alcotest.(check (list string)) "A.3" [] (Spec.agreement_a3 d);
-  Alcotest.(check (list string)) "T.2" [] (Spec.termination_t2 d)
+  Alcotest.(check (list string)) "A.2" [] (Spec.View.agreement_a2 (view d));
+  Alcotest.(check (list string)) "A.3" [] (Spec.View.agreement_a3 (view d));
+  Alcotest.(check (list string)) "T.2" [] (Spec.View.termination_t2 (view d))
 
 let test_recoverable_majority_down_blocks_then_resumes () =
   (* Two of three servers down: no majority, no progress (consensus needs
      it); once they come back the request completes — "a majority is
      eventually up together" replaces "a majority never crashes". *)
   let e, d =
-    Harness.Simrun.deployment ~recoverable:true ~client_period:300.
+    Harness.Simrun.cluster ~recoverable:true ~client_period:300.
       ~business:Business.trivial
-      ~script:(fun ~issue -> ignore (issue "x"))
+      ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
       ()
   in
-  (match d.app_servers with
+  (match (Cluster.group d 0).app_servers with
   | a1 :: a2 :: _ ->
       Dsim.Engine.crash_at e 20. a1;
       Dsim.Engine.crash_at e 20. a2;
@@ -766,12 +806,12 @@ let test_recoverable_majority_down_blocks_then_resumes () =
   (* blocked while the majority is down *)
   ignore (Dsim.Engine.run ~deadline:7_000. e);
   Alcotest.(check int) "no delivery without a majority" 0
-    (List.length (Client.records d.client));
+    (List.length (Cluster.all_records d));
   (* resumes after recovery *)
-  let ok = Deployment.run_to_quiescence ~deadline:300_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:300_000. d in
   Alcotest.(check bool) "completed after the majority returned" true ok;
-  Alcotest.(check int) "delivered" 1 (List.length (Client.records d.client));
-  Alcotest.(check (list string)) "A.3" [] (Spec.agreement_a3 d)
+  Alcotest.(check int) "delivered" 1 (List.length (Cluster.all_records d));
+  Alcotest.(check (list string)) "A.3" [] (Spec.View.agreement_a3 (view d))
 
 let test_recoverable_register_write_cost () =
   (* The ablation's point in unit-test form: persistent registers put
@@ -780,14 +820,14 @@ let test_recoverable_register_write_cost () =
      keeps the middle tier diskless. *)
   let run ~recoverable =
     let _e, d =
-      Harness.Simrun.deployment ~recoverable
+      Harness.Simrun.cluster ~recoverable
         ~seed_data:(Workload.Bank.seed_accounts [ ("a", 100) ])
         ~business:Workload.Bank.update
-        ~script:(fun ~issue -> ignore (issue "a:1"))
+        ~scripts:[ (fun ~issue -> ignore (issue "a:1")) ]
         ()
     in
-    assert (Deployment.run_to_quiescence ~deadline:60_000. d);
-    match Client.records d.client with
+    assert (Cluster.run_to_quiescence ~deadline:60_000. d);
+    match Cluster.all_records d with
     | [ r ] -> r.delivered_at -. r.issued_at
     | _ -> Alcotest.fail "expected one record"
   in
@@ -800,40 +840,45 @@ let test_recoverable_register_write_cost () =
     (persistent > volatile +. 30.)
 
 (* ------------------------------------------------------------------ *)
-(* Random fault injection *)
+(* Random fault injection. Each property also draws whether the
+   databases run group commit, so both force disciplines meet every kind
+   of fault schedule. *)
 
 let prop_spec_under_random_faults =
   QCheck.Test.make ~name:"e-Transaction spec under random faults" ~count:25
     QCheck.(
-      quad (int_range 0 100_000) (float_range 0. 0.15) (float_range 1. 500.)
-        (int_range 0 2))
-    (fun (seed, loss, crash_time, victim_index) ->
+      pair
+        (quad (int_range 0 100_000) (float_range 0. 0.15)
+           (float_range 1. 500.) (int_range 0 2))
+        bool)
+    (fun ((seed, loss, crash_time, victim_index), group_commit) ->
       let net = Dnet.Netmodel.lossy ~loss (Dnet.Netmodel.lan ()) in
       let e, d =
-        Harness.Simrun.deployment ~seed ~net ~client_period:300.
+        Harness.Simrun.cluster ~seed ~net ~client_period:300. ~group_commit
           ~fd_spec:
             (Appserver.Fd_heartbeat
                { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
           ~business:Business.trivial
-          ~script:(fun ~issue -> ignore (issue "x"))
+          ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
           ()
       in
-      let victim = List.nth d.app_servers victim_index in
+      let victim = List.nth (Cluster.group d 0).app_servers victim_index in
       Dsim.Engine.crash_at e crash_time victim;
-      let ok = Deployment.run_to_quiescence d ~deadline:300_000. in
-      ok && Spec.check_all d = [])
+      let ok = Cluster.run_to_quiescence d ~deadline:300_000. in
+      ok && Cluster.Spec.check_all d = [])
 
 let prop_crash_recovery_servers =
   QCheck.Test.make ~name:"crash-recovery servers under random schedules"
     ~count:15
     QCheck.(
-      triple (int_range 0 100_000) (float_range 10. 400.) (int_range 1 3))
-    (fun (seed, first_crash, n_victims) ->
+      quad (int_range 0 100_000) (float_range 10. 400.) (int_range 1 3) bool)
+    (fun (seed, first_crash, n_victims, group_commit) ->
       let e, d =
-        Harness.Simrun.deployment ~seed ~recoverable:true ~client_period:300.
+        Harness.Simrun.cluster ~seed ~recoverable:true ~client_period:300.
+          ~group_commit
           ~seed_data:(Workload.Bank.seed_accounts [ ("acct", 1000) ])
           ~business:Workload.Bank.update
-          ~script:(fun ~issue -> ignore (issue "acct:-100"))
+          ~scripts:[ (fun ~issue -> ignore (issue "acct:-100")) ]
           ()
       in
       List.iteri
@@ -843,34 +888,38 @@ let prop_crash_recovery_servers =
             Dsim.Engine.crash_at e at server;
             Dsim.Engine.recover_at e (at +. 600.) server
           end)
-        d.app_servers;
-      let ok = Etx.Deployment.run_to_quiescence ~deadline:600_000. d in
+        (Cluster.group d 0).app_servers;
+      let ok = Cluster.run_to_quiescence ~deadline:600_000. d in
       ok
-      && Etx.Spec.agreement_a2 d = []
-      && Etx.Spec.agreement_a3 d = []
-      && Etx.Spec.termination_t2 d = []
+      && Etx.Spec.View.agreement_a2 (view d) = []
+      && Etx.Spec.View.agreement_a3 (view d) = []
+      && Etx.Spec.View.termination_t2 (view d) = []
       &&
-      let _, rm = List.hd d.dbs in
+      let _, rm = List.hd (Cluster.group d 0).dbs in
       Dbms.Rm.read_committed rm "acct" = Some (Dbms.Value.Int 900))
 
 let prop_spec_with_db_restarts =
   QCheck.Test.make ~name:"spec with database crash-recovery cycles" ~count:15
-    QCheck.(pair (int_range 0 100_000) (float_range 10. 300.))
-    (fun (seed, crash_time) ->
+    QCheck.(triple (int_range 0 100_000) (float_range 10. 300.) bool)
+    (fun (seed, crash_time, group_commit) ->
       let e, d =
-        Harness.Simrun.deployment ~seed ~client_period:300. ~business:Business.trivial
-          ~script:(fun ~issue ->
-            ignore (issue "x");
-            ignore (issue "y"))
+        Harness.Simrun.cluster ~seed ~client_period:300. ~group_commit
+          ~business:Business.trivial
+          ~scripts:
+            [
+              (fun ~issue ->
+                ignore (issue "x");
+                ignore (issue "y"));
+            ]
           ()
       in
-      let db = fst (List.hd d.dbs) in
+      let db = fst (List.hd (Cluster.group d 0).dbs) in
       Dsim.Engine.crash_at e crash_time db;
       Dsim.Engine.recover_at e (crash_time +. 150.) db;
       Dsim.Engine.crash_at e (crash_time +. 320.) db;
       Dsim.Engine.recover_at e (crash_time +. 470.) db;
-      let ok = Deployment.run_to_quiescence d ~deadline:300_000. in
-      ok && Spec.check_all d = [])
+      let ok = Cluster.run_to_quiescence d ~deadline:300_000. in
+      ok && Cluster.Spec.check_all d = [])
 
 (* Everything at once: loss, an imperfect detector, an application-server
    crash, a database restart, an impatient client, several requests, and a
@@ -878,38 +927,43 @@ let prop_spec_with_db_restarts =
 let prop_kitchen_sink =
   QCheck.Test.make ~name:"kitchen sink: combined fault schedules" ~count:12
     QCheck.(
-      quad (int_range 0 100_000) (float_range 0. 0.1) (float_range 50. 600.)
-        (int_range 0 1))
-    (fun (seed, loss, crash_time, backend_choice) ->
+      pair
+        (quad (int_range 0 100_000) (float_range 0. 0.1)
+           (float_range 50. 600.) (int_range 0 1))
+        bool)
+    (fun ((seed, loss, crash_time, backend_choice), group_commit) ->
       let backend =
         if backend_choice = 0 then Appserver.Reg_ct else Appserver.Reg_synod
       in
       let net = Dnet.Netmodel.lossy ~loss (Dnet.Netmodel.three_tier ~n_dbs:1 ()) in
       let e, d =
-        Harness.Simrun.deployment ~seed ~net ~backend
+        Harness.Simrun.cluster ~seed ~net ~backend ~group_commit
           ~client_period:(50. +. float_of_int (seed mod 400))
           ~fd_spec:
             (Appserver.Fd_heartbeat
                { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
           ~seed_data:(Workload.Bank.seed_accounts [ ("k", 10_000) ])
           ~business:Workload.Bank.update
-          ~script:(fun ~issue ->
-            for _ = 1 to 3 do
-              ignore (issue "k:7")
-            done)
+          ~scripts:
+            [
+              (fun ~issue ->
+                for _ = 1 to 3 do
+                  ignore (issue "k:7")
+                done);
+            ]
           ()
       in
-      let victim = List.nth d.app_servers (seed mod 3) in
+      let victim = List.nth (Cluster.group d 0).app_servers (seed mod 3) in
       Dsim.Engine.crash_at e crash_time victim;
-      let db = fst (List.hd d.dbs) in
+      let db = fst (List.hd (Cluster.group d 0).dbs) in
       Dsim.Engine.crash_at e (crash_time +. 180.) db;
       Dsim.Engine.recover_at e (crash_time +. 380.) db;
-      let ok = Deployment.run_to_quiescence ~deadline:600_000. d in
+      let ok = Cluster.run_to_quiescence ~deadline:600_000. d in
       ok
-      && Spec.check_all d = []
+      && Cluster.Spec.check_all d = []
       &&
       (* three committed updates of +7 each, exactly once *)
-      let _, rm = List.hd d.dbs in
+      let _, rm = List.hd (Cluster.group d 0).dbs in
       Dbms.Rm.read_committed rm "k" = Some (Dbms.Value.Int 10_021))
 
 let () =
@@ -948,6 +1002,8 @@ let () =
         [
           Alcotest.test_case "crash at every point" `Quick
             test_crash_at_every_point;
+          Alcotest.test_case "group commit decides once" `Quick
+            test_group_commit_duplicate_decide;
           Alcotest.test_case "heartbeat fd nice run" `Quick
             test_heartbeat_fd_nice_run;
           Alcotest.test_case "partitioned minority" `Quick

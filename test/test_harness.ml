@@ -349,11 +349,11 @@ let count_occurrences haystack needle =
 
 let test_seqdiag_nice_run () =
   let e, d =
-    Harness.Simrun.deployment ~business:Etx.Business.trivial
-      ~script:(fun ~issue -> ignore (issue "x"))
+    Harness.Simrun.cluster ~business:Etx.Business.trivial
+      ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
       ()
   in
-  ignore (Etx.Deployment.run_to_quiescence d);
+  ignore (Cluster.run_to_quiescence d);
   let diagram = Seqdiag.of_engine e in
   List.iter
     (fun needle ->
@@ -382,12 +382,12 @@ let test_seqdiag_nice_run () =
 
 let test_seqdiag_failover_markers () =
   let e, d =
-    Harness.Simrun.deployment ~client_period:300. ~business:Etx.Business.trivial
-      ~script:(fun ~issue -> ignore (issue "x"))
+    Harness.Simrun.cluster ~client_period:300. ~business:Etx.Business.trivial
+      ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
       ()
   in
-  Dsim.Engine.crash_at e 100. (Etx.Deployment.primary d);
-  ignore (Etx.Deployment.run_to_quiescence ~deadline:60_000. d);
+  Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+  ignore (Cluster.run_to_quiescence ~deadline:60_000. d);
   let diagram = Seqdiag.of_engine e in
   Alcotest.(check bool) "crash marker" true (contains diagram "CRASH");
   Alcotest.(check bool) "cleaner activity" true (contains diagram "cleaned:");
@@ -395,11 +395,11 @@ let test_seqdiag_failover_markers () =
 
 let test_seqdiag_max_lines () =
   let e, d =
-    Harness.Simrun.deployment ~business:Etx.Business.trivial
-      ~script:(fun ~issue -> ignore (issue "x"))
+    Harness.Simrun.cluster ~business:Etx.Business.trivial
+      ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
       ()
   in
-  ignore (Etx.Deployment.run_to_quiescence d);
+  ignore (Cluster.run_to_quiescence d);
   let diagram = Seqdiag.of_engine ~max_lines:3 e in
   Alcotest.(check bool) "elision marker" true (contains diagram "more events");
   Alcotest.(check int) "four lines total" 4

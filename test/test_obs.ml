@@ -201,23 +201,26 @@ let bank_seed = Workload.Bank.seed_accounts [ ("acct0", 1_000_000) ]
 let failover_run ~seed =
   let reg = R.create () in
   let e, d =
-    Harness.Simrun.deployment ~seed ~client_period:300. ~obs:reg
+    Harness.Simrun.cluster ~seed ~client_period:300. ~obs:reg
       ~seed_data:bank_seed ~business:Workload.Bank.update
-      ~script:(fun ~issue ->
-        ignore (issue "acct0:10");
-        ignore (issue "acct0:5"))
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "acct0:10");
+            ignore (issue "acct0:5"));
+        ]
       ()
   in
-  Dsim.Engine.crash_at e 230. (Etx.Deployment.primary d);
+  Dsim.Engine.crash_at e 230. (Cluster.primary d ~shard:0);
   Alcotest.(check bool) "quiesced" true
-    (Etx.Deployment.run_to_quiescence ~deadline:600_000. d);
-  Alcotest.(check (list string)) "spec holds" [] (Etx.Spec.check_all d);
+    (Cluster.run_to_quiescence ~deadline:600_000. d);
+  Alcotest.(check (list string)) "spec holds" [] (Cluster.Spec.check_all d);
   (reg, d)
 
 let test_span_tree_failover () =
   let reg, d = failover_run ~seed:42 in
   let spans = R.spans reg in
-  let records = Etx.Client.records d.client in
+  let records = Cluster.all_records d in
   Alcotest.(check bool) "some records" true (records <> []);
   List.iter
     (fun (r : Etx.Client.record) ->
@@ -310,17 +313,20 @@ let test_obs_events_and_bridge () =
 let committed_counter_matches_sim ~seed =
   let reg = R.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed ~client_period:300. ~tracing:false
+    Harness.Simrun.cluster ~seed ~client_period:300. ~tracing:false
       ~obs:reg ~seed_data:bank_seed ~business:Workload.Bank.update
-      ~script:(fun ~issue ->
-        ignore (issue "acct0:1");
-        ignore (issue "acct0:2");
-        ignore (issue "acct0:3"))
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "acct0:1");
+            ignore (issue "acct0:2");
+            ignore (issue "acct0:3"));
+        ]
       ()
   in
-  Etx.Deployment.run_to_quiescence ~deadline:600_000. d
+  Cluster.run_to_quiescence ~deadline:600_000. d
   && R.counter_total reg "client.committed"
-     = List.length (Etx.Client.records d.client)
+     = List.length (Cluster.all_records d)
   && R.counter_total reg "client.requests" = 3
 
 let prop_committed_counter_sim =
@@ -333,40 +339,46 @@ let test_committed_counter_live () =
       let reg = R.create () in
       let lt = Runtime_live.create ~seed ~obs:reg () in
       let d =
-        Etx.Deployment.build ~rt:(Runtime_live.runtime lt)
-          ~seed_data:bank_seed ~business:Workload.Bank.update
-          ~script:(fun ~issue ->
-            ignore (issue "acct0:1");
-            ignore (issue "acct0:2"))
+        Cluster.build ~rt:(Runtime_live.runtime lt) ~seed_data:bank_seed
+          ~business:Workload.Bank.update
+          ~scripts:
+            [
+              (fun ~issue ->
+                ignore (issue "acct0:1");
+                ignore (issue "acct0:2"));
+            ]
           ()
       in
-      let ok = Etx.Deployment.run_to_quiescence ~deadline:60_000. d in
+      let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
       Runtime_live.shutdown lt;
       Alcotest.(check bool) "live quiesced" true ok;
       Alcotest.(check int)
         (Printf.sprintf "live committed counter (seed %d)" seed)
-        (List.length (Etx.Client.records d.client))
+        (List.length (Cluster.all_records d))
         (R.counter_total reg "client.committed"))
     [ 1; 42 ]
 
 let test_cache_metrics () =
   let reg = R.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed:11 ~client_period:300. ~obs:reg
+    Harness.Simrun.cluster ~seed:11 ~client_period:300. ~obs:reg
       ~cache:true
       ~seed_data:(Workload.Bank.seed_accounts [ ("acct0", 1000) ])
       ~business:Workload.Bank.mixed
-      ~script:(fun ~issue ->
-        ignore (issue "acct0");
-        ignore (issue "acct0");
-        ignore (issue "acct0:5");
-        ignore (issue "acct0"))
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "acct0");
+            ignore (issue "acct0");
+            ignore (issue "acct0:5");
+            ignore (issue "acct0"));
+        ]
       ()
   in
   Alcotest.(check bool) "quiesced" true
-    (Etx.Deployment.run_to_quiescence ~deadline:600_000. d);
-  Alcotest.(check (list string)) "spec holds" [] (Etx.Spec.check_all d);
-  let records = Etx.Client.records d.client in
+    (Cluster.run_to_quiescence ~deadline:600_000. d);
+  Alcotest.(check (list string)) "spec holds" [] (Cluster.Spec.check_all d);
+  let records = Cluster.all_records d in
   let served =
     List.length (List.filter (fun (r : Etx.Client.record) -> r.cached) records)
   in
@@ -396,16 +408,19 @@ let test_cache_metrics () =
 let test_cache_off_emits_nothing () =
   let reg = R.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed:11 ~client_period:300. ~obs:reg
+    Harness.Simrun.cluster ~seed:11 ~client_period:300. ~obs:reg
       ~seed_data:(Workload.Bank.seed_accounts [ ("acct0", 1000) ])
       ~business:Workload.Bank.mixed
-      ~script:(fun ~issue ->
-        ignore (issue "acct0");
-        ignore (issue "acct0:5"))
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "acct0");
+            ignore (issue "acct0:5"));
+        ]
       ()
   in
   Alcotest.(check bool) "quiesced" true
-    (Etx.Deployment.run_to_quiescence ~deadline:600_000. d);
+    (Cluster.run_to_quiescence ~deadline:600_000. d);
   List.iter
     (fun name ->
       Alcotest.(check int) (name ^ " absent when cache off") 0

@@ -149,26 +149,29 @@ let test_replica_refuses_writes () =
 
 let seed_acct = Workload.Bank.seed_accounts [ ("acct0", 1000) ]
 
-let replica_records (d : Deployment.t) =
+let replica_records d =
   List.filter
     (fun (r : Client.record) -> r.replica <> None)
-    (Client.records d.client)
+    (Cluster.all_records d)
 
 let test_replica_reads_served_end_to_end () =
   let reg = Obs.Registry.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed:11 ~obs:reg ~replicas:2
+    Harness.Simrun.cluster ~seed:11 ~obs:reg ~replicas:2
       ~seed_data:seed_acct ~business:Workload.Bank.mixed
-      ~script:(fun ~issue ->
-        for r = 0 to 11 do
-          ignore (issue (if r mod 4 = 3 then "acct0:1" else "acct0"))
-        done)
+      ~scripts:
+        [
+          (fun ~issue ->
+            for r = 0 to 11 do
+              ignore (issue (if r mod 4 = 3 then "acct0:1" else "acct0"))
+            done);
+        ]
       ()
   in
   Alcotest.(check bool) "quiesced" true
-    (Deployment.run_to_quiescence ~deadline:300_000. d);
+    (Cluster.run_to_quiescence ~deadline:300_000. d);
   Alcotest.(check int) "all delivered" 12
-    (List.length (Client.records d.client));
+    (List.length (Cluster.all_records d));
   Alcotest.(check bool) "replica-served records" true
     (List.length (replica_records d) >= 1);
   List.iter
@@ -180,14 +183,14 @@ let test_replica_reads_served_end_to_end () =
             true
             (lag <= 8 && lsn >= 0)
       | None -> ())
-    (Client.records d.client);
+    (Cluster.all_records d);
   Alcotest.(check (list string)) "spec incl. replica consistency" []
-    (Spec.check_all d);
+    (Cluster.Spec.check_all d);
   (* both sides of the read count: replicas served, servers routed *)
   let served =
     List.fold_left
       (fun acc (_, rep, _) -> acc + Dbms.Replica.served rep)
-      0 d.replicas
+      0 (Cluster.group d 0).replicas
   in
   Alcotest.(check bool) "replicas actually served" true (served >= 1);
   Alcotest.(check int) "obs replica.served matches the handles" served
@@ -211,16 +214,19 @@ let test_replicas_off_equivalence () =
      event-for-event identical to a build that never heard of them *)
   let run replicas =
     let e, d =
-      Harness.Simrun.deployment ~seed:7 ?replicas ~seed_data:seed_acct
+      Harness.Simrun.cluster ~seed:7 ?replicas ~seed_data:seed_acct
         ~business:Workload.Bank.mixed
-        ~script:(fun ~issue ->
-          ignore (issue "acct0");
-          ignore (issue "acct0:5");
-          ignore (issue "acct0"))
+        ~scripts:
+          [
+            (fun ~issue ->
+              ignore (issue "acct0");
+              ignore (issue "acct0:5");
+              ignore (issue "acct0"));
+          ]
         ()
     in
-    assert (Deployment.run_to_quiescence ~deadline:300_000. d);
-    (Dsim.Engine.events_of e, Client.records d.client)
+    assert (Cluster.run_to_quiescence ~deadline:300_000. d);
+    (Dsim.Engine.events_of e, Cluster.all_records d)
   in
   let base_events, base = run None in
   let off_events, off = run (Some 0) in
@@ -237,15 +243,18 @@ let test_replicas_off_equivalence () =
 let test_replica_obs_zero_emission_when_off () =
   let reg = Obs.Registry.create () in
   let _e, d =
-    Harness.Simrun.deployment ~seed:5 ~obs:reg ~seed_data:seed_acct
+    Harness.Simrun.cluster ~seed:5 ~obs:reg ~seed_data:seed_acct
       ~business:Workload.Bank.mixed
-      ~script:(fun ~issue ->
-        ignore (issue "acct0");
-        ignore (issue "acct0:2"))
+      ~scripts:
+        [
+          (fun ~issue ->
+            ignore (issue "acct0");
+            ignore (issue "acct0:2"));
+        ]
       ()
   in
   Alcotest.(check bool) "quiesced" true
-    (Deployment.run_to_quiescence ~deadline:300_000. d);
+    (Cluster.run_to_quiescence ~deadline:300_000. d);
   List.iter
     (fun name ->
       Alcotest.(check int) (name ^ " not emitted") 0

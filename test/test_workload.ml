@@ -3,26 +3,27 @@
 
 let run ?(n_dbs = 1) ?seed_data ~business bodies =
   let _e, d =
-    Harness.Simrun.deployment ~n_dbs ?seed_data ~business
-      ~script:(fun ~issue -> List.iter (fun b -> ignore (issue b)) bodies)
+    Harness.Simrun.cluster ~n_dbs ?seed_data ~business
+      ~scripts:
+        [ (fun ~issue -> List.iter (fun b -> ignore (issue b)) bodies) ]
       ()
   in
-  let ok = Etx.Deployment.run_to_quiescence ~deadline:300_000. d in
+  let ok = Cluster.run_to_quiescence ~deadline:300_000. d in
   Alcotest.(check bool) "quiesced" true ok;
-  Alcotest.(check (list string)) "spec" [] (Etx.Spec.check_all d);
+  Alcotest.(check (list string)) "spec" [] (Cluster.Spec.check_all d);
   d
 
 let read_int d db_index key =
-  let _, rm = List.nth d.Etx.Deployment.dbs db_index in
+  let _, rm = List.nth (Cluster.group d 0).dbs db_index in
   match Dbms.Rm.read_committed rm key with
   | Some (Dbms.Value.Int v) -> v
   | Some (Dbms.Value.Str _) -> Alcotest.fail (key ^ " is not an int")
   | None -> Alcotest.fail (key ^ " missing")
 
-let results (d : Etx.Deployment.t) =
+let results d =
   List.map
     (fun (r : Etx.Client.record) -> r.result)
-    (Etx.Client.records d.client)
+    (Cluster.all_records d)
 
 (* ------------------------------------------------------------------ *)
 (* bank *)
@@ -59,7 +60,7 @@ let test_bank_transfer_insufficient () =
   in
   Alcotest.(check int) "a untouched" 10 (read_int d 0 "a");
   Alcotest.(check int) "b untouched" 0 (read_int d 0 "b");
-  (match Etx.Client.records d.client with
+  (match Cluster.all_records d with
   | [ r ] ->
       Alcotest.(check bool) "aborted once then reported" true (r.tries = 2);
       Alcotest.(check string) "failure report"
@@ -82,11 +83,11 @@ let test_bank_parse_errors () =
   Alcotest.check_raises "update body"
     (Invalid_argument "Bank.update: bad request body nope") (fun () ->
       let _e, d =
-        Harness.Simrun.deployment ~business:Workload.Bank.update
-          ~script:(fun ~issue -> ignore (issue "nope"))
+        Harness.Simrun.cluster ~business:Workload.Bank.update
+          ~scripts:[ (fun ~issue -> ignore (issue "nope")) ]
           ()
       in
-      ignore (Etx.Deployment.run_to_quiescence ~deadline:10_000. d))
+      ignore (Cluster.run_to_quiescence ~deadline:10_000. d))
 
 (* ------------------------------------------------------------------ *)
 (* travel *)
@@ -180,7 +181,7 @@ let test_generator_bodies_parse () =
           bodies
       in
       Alcotest.(check int) "all delivered" 5
-        (List.length (Etx.Client.records d.client)))
+        (List.length (Cluster.all_records d)))
     kinds
 
 let is_write body = String.contains body ':'
@@ -235,7 +236,7 @@ let test_generator_travel_lookups () =
       Alcotest.(check bool) "availability result" true
         (String.length r.result > 10
         && String.sub r.result 0 10 = "available:"))
-    (Etx.Client.records d.client)
+    (Cluster.all_records d)
 
 let test_generator_read_heavy_sharded () =
   let map = Etx.Shard_map.create ~shards:3 () in
@@ -321,26 +322,27 @@ let prop_travel_inventory_conserved =
     (fun (seed, n_requests) ->
       let bodies = List.init n_requests (fun _ -> "ibiza:1") in
       let _e, d =
-        Harness.Simrun.deployment ~seed ~n_dbs:3
+        Harness.Simrun.cluster ~seed ~n_dbs:3
           ~seed_data:
             (Workload.Travel.seed_inventory ~destinations:[ "ibiza" ] ~seats:3
                ~rooms:3 ~cars:3)
           ~business:Workload.Travel.book
-          ~script:(fun ~issue -> List.iter (fun b -> ignore (issue b)) bodies)
+          ~scripts:
+        [ (fun ~issue -> List.iter (fun b -> ignore (issue b)) bodies) ]
           ()
       in
-      let ok = Etx.Deployment.run_to_quiescence ~deadline:300_000. d in
+      let ok = Cluster.run_to_quiescence ~deadline:300_000. d in
       ok
-      && Etx.Spec.check_all d = []
+      && Cluster.Spec.check_all d = []
       &&
       let booked =
         List.length
           (List.filter
              (fun (r : Etx.Client.record) ->
                String.length r.result > 6 && String.sub r.result 0 6 = "booked")
-             (Etx.Client.records d.client))
+             (Cluster.all_records d))
       in
-      let _, rm = List.nth d.dbs 0 in
+      let _, rm = List.nth (Cluster.group d 0).dbs 0 in
       match Dbms.Rm.read_committed rm (Workload.Travel.seats_key "ibiza") with
       | Some (Dbms.Value.Int seats) ->
           seats = 3 - booked && seats >= 0 && booked <= 3
