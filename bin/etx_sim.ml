@@ -1,8 +1,8 @@
 (* etx-sim: command-line driver for the e-Transaction simulator.
 
-   Subcommands either regenerate one of the paper's evaluation artefacts
-   (figure8 / figure7 / figure1 / ablations) or run a demo scenario with a
-   chosen workload, fault schedule and verbosity. *)
+   Subcommands either regenerate one entry of the artefact table
+   (Harness.Artefact: the paper's figures and the ablations) or run a demo
+   scenario with a chosen workload, fault schedule and verbosity. *)
 
 open Cmdliner
 
@@ -21,244 +21,29 @@ let domains_arg =
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D" ~doc)
 
-let set_domains d = Harness.Experiments.default_domains := max 1 d
-
-let emit ~csv table csv_string =
-  print_endline table;
-  match csv with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc csv_string;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "wrote %s\n" file
-
 (* ---------------- experiment subcommands ---------------- *)
 
-let figure8_cmd =
-  let transactions =
-    let doc = "Number of identical transactions per protocol." in
-    Arg.(value & opt int 40 & info [ "n"; "transactions" ] ~docv:"N" ~doc)
-  in
-  let run transactions seed csv domains =
-    set_domains domains;
-    let f = Harness.Experiments.figure8 ~transactions ~seed () in
-    emit ~csv
-      (Harness.Experiments.render_figure8 f)
-      (Harness.Experiments.csv_figure8 f)
-  in
-  Cmd.v
-    (Cmd.info "figure8" ~doc:"Latency components table (paper Figure 8).")
-    Term.(const run $ transactions $ seed_arg $ csv_arg $ domains_arg)
-
-let figure7_cmd =
+(* one subcommand per entry of the artefact table *)
+let artefact_cmd (e : Harness.Artefact.t) =
   let run seed csv domains =
-    set_domains domains;
-    let rows = Harness.Experiments.figure7 ~seed () in
-    emit ~csv
-      (Harness.Experiments.render_figure7 rows)
-      (Harness.Experiments.csv_figure7 rows)
+    let out = e.run ~seed ~domains:(max 1 domains) in
+    print_endline out.text;
+    Option.iter
+      (fun file ->
+        let oc = open_out file in
+        output_string oc (Harness.Artefact.csv out.rows);
+        output_char oc '\n';
+        close_out oc;
+        Printf.eprintf "wrote %s\n" file)
+      csv;
+    match e.check out.rows with
+    | [] -> ()
+    | failures ->
+        List.iter (Printf.eprintf "%s: %s\n" e.name) failures;
+        exit 1
   in
-  Cmd.v
-    (Cmd.info "figure7"
-       ~doc:"Communication steps in failure-free runs (paper Figure 7).")
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
     Term.(const run $ seed_arg $ csv_arg $ domains_arg)
-
-let figure1_cmd =
-  let run seed csv domains =
-    set_domains domains;
-    let scenarios = Harness.Experiments.figure1 ~seed () in
-    emit ~csv
-      (Harness.Experiments.render_figure1 scenarios)
-      (Harness.Experiments.csv_figure1 scenarios)
-  in
-  Cmd.v
-    (Cmd.info "figure1" ~doc:"The four canonical executions (paper Figure 1).")
-    Term.(const run $ seed_arg $ csv_arg $ domains_arg)
-
-let sweep_cmd name doc render to_csv sweep =
-  let run seed csv domains =
-    set_domains domains;
-    let rows = sweep ~seed () in
-    emit ~csv (render rows) (to_csv rows)
-  in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ seed_arg $ csv_arg $ domains_arg)
-
-let failover_cmd =
-  sweep_cmd "failover" "Ablation A1: fail-over latency vs detector timeout."
-    Harness.Experiments.render_failover
-    (Harness.Experiments.csv_sweep2 ~header:"fd_timeout_ms,latency_ms,tries")
-    (fun ~seed () -> Harness.Experiments.failover_sweep ~seed ())
-
-let backoff_cmd =
-  sweep_cmd "backoff" "Ablation A2: client back-off period sensitivity."
-    Harness.Experiments.render_backoff Harness.Experiments.csv_backoff
-    (fun ~seed () -> Harness.Experiments.backoff_sweep ~seed ())
-
-let loss_cmd =
-  sweep_cmd "loss" "Ablation A3: message-loss tolerance."
-    Harness.Experiments.render_loss
-    (Harness.Experiments.csv_sweep2 ~header:"loss_rate,latency_ms,msgs_per_request")
-    (fun ~seed () -> Harness.Experiments.loss_sweep ~seed ())
-
-let dbs_cmd =
-  sweep_cmd "dbs" "Ablation A4: latency vs number of databases."
-    Harness.Experiments.render_dbs Harness.Experiments.csv_dbs
-    (fun ~seed () -> Harness.Experiments.db_sweep ~seed ())
-
-let persistence_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_persistence
-         (Harness.Experiments.persistence_ablation ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "persistence"
-       ~doc:"Ablation A5: the latency cost of recoverable (disk-backed) \
-             application servers.")
-    Term.(const run $ seed_arg $ domains_arg)
-
-let consensus_failover_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_consensus_failover
-         (Harness.Experiments.consensus_failover_sweep ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "consensus-failover"
-       ~doc:"Ablation A6: register-write latency under a crashed coordinator \
-             vs the consensus round timeout.")
-    Term.(const run $ seed_arg $ domains_arg)
-
-let fd_quality_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_fd_quality
-         (Harness.Experiments.fd_quality_sweep ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "fd-quality"
-       ~doc:"Ablation A9: spurious cleanings and retries vs the suspicion \
-             timeout.")
-    Term.(const run $ seed_arg $ domains_arg)
-
-let failover_phases_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_failover_phases
-         (Harness.Experiments.failover_phases ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "failover-phases"
-       ~doc:"Ablation A12: per-phase latency attribution of the fail-over \
-             path, measured from the observability span layer.")
-    Term.(const run $ seed_arg $ domains_arg)
-
-let read_cache_cmd =
-  let run seed csv domains =
-    set_domains domains;
-    let rows = Harness.Experiments.read_sweep ~seed () in
-    emit ~csv
-      (Harness.Experiments.render_read rows)
-      (Harness.Experiments.csv_read rows)
-  in
-  Cmd.v
-    (Cmd.info "read-cache"
-       ~doc:
-         "Ablation A14: the app-server method cache under a read-heavy mix \
-          — read throughput, messages per read and hit rate across server \
-          counts, cache on vs off (spec incl. cache coherence asserted per \
-          row).")
-    Term.(const run $ seed_arg $ csv_arg $ domains_arg)
-
-let batch_cmd =
-  let run seed csv domains =
-    set_domains domains;
-    let rows = Harness.Experiments.batch_sweep ~seed () in
-    emit ~csv
-      (Harness.Experiments.render_batch rows)
-      (Harness.Experiments.csv_batch rows);
-    print_endline
-      (Harness.Experiments.render_batch_phases
-         (Harness.Experiments.batch_phases ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:"Ablation A13: throughput and message amortization of the \
-             batched commit pipeline vs the window cap, plus the amortized \
-             per-phase cost table.")
-    Term.(const run $ seed_arg $ csv_arg $ domains_arg)
-
-let storage_cmd =
-  let run seed csv domains =
-    set_domains domains;
-    let gc = Harness.Experiments.group_commit_sweep ~seed () in
-    emit ~csv:(Option.map (fun f -> f ^ ".gc.csv") csv)
-      (Harness.Experiments.render_gc gc)
-      (Harness.Experiments.csv_gc gc);
-    let recovery = Harness.Experiments.recovery_sweep ~seed () in
-    emit ~csv:(Option.map (fun f -> f ^ ".recovery.csv") csv)
-      (Harness.Experiments.render_recovery recovery)
-      (Harness.Experiments.csv_recovery recovery);
-    let replica = Harness.Experiments.replica_sweep ~seed () in
-    emit ~csv:(Option.map (fun f -> f ^ ".replica.csv") csv)
-      (Harness.Experiments.render_replica replica)
-      (Harness.Experiments.csv_replica replica)
-  in
-  Cmd.v
-    (Cmd.info "storage"
-       ~doc:
-         "Ablation A15: the log-structured storage tier — disk forces per \
-          commit vs the window cap under the group-commit scheduler, \
-          checkpoint-bounded recovery replay, and read throughput served \
-          from change-log replicas (with --csv FILE, writes FILE.gc.csv, \
-          FILE.recovery.csv and FILE.replica.csv).")
-    Term.(const run $ seed_arg $ csv_arg $ domains_arg)
-
-let throughput_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_throughput
-         (Harness.Experiments.throughput_sweep ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "throughput"
-       ~doc:"Ablation A7: aggregate throughput vs concurrent clients.")
-    Term.(const run $ seed_arg $ domains_arg)
-
-let shard_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_shard
-         (Harness.Experiments.shard_sweep ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:"Ablation A11: virtual-time throughput vs shard count (independent \
-             replica groups).")
-    Term.(const run $ seed_arg $ domains_arg)
-
-let cross_cmd =
-  let run seed domains =
-    set_domains domains;
-    print_endline
-      (Harness.Experiments.render_cross
-         (Harness.Experiments.cross_sweep ~seed ()))
-  in
-  Cmd.v
-    (Cmd.info "cross"
-       ~doc:
-         "Ablation A16: cross-shard commit (Paxos Commit over the replica \
-          groups) — throughput and messages per commit vs the cross-shard \
-          fraction of the workload.")
-    Term.(const run $ seed_arg $ domains_arg)
 
 (* ---------------- demo subcommand ---------------- *)
 
@@ -705,25 +490,6 @@ let main_cmd =
   in
   Cmd.group
     (Cmd.info "etx-sim" ~version:"1.0.0" ~doc)
-    [
-      demo_cmd;
-      figure8_cmd;
-      figure7_cmd;
-      figure1_cmd;
-      failover_cmd;
-      backoff_cmd;
-      loss_cmd;
-      dbs_cmd;
-      persistence_cmd;
-      consensus_failover_cmd;
-      throughput_cmd;
-      shard_cmd;
-      cross_cmd;
-      batch_cmd;
-      read_cache_cmd;
-      storage_cmd;
-      fd_quality_cmd;
-      failover_phases_cmd;
-    ]
+    (demo_cmd :: List.map artefact_cmd Harness.Artefact.all)
 
 let () = exit (Cmd.eval main_cmd)

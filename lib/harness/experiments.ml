@@ -15,15 +15,14 @@ let latencies records =
    breakdown, built inside [run], so trials share no mutable state and the
    results are bit-identical whatever the domain count. *)
 
-type 'a trial = { label : string; seed : int; run : seed:int -> 'a }
+type 'a trial = { seed : int; run : seed:int -> 'a }
 
-let default_domains = ref 1
-
-let run_trials ?domains trials =
-  let domains =
-    match domains with Some d -> d | None -> !default_domains
-  in
+let run_trials ?(domains = 1) trials =
   Dsim.Pool.map ~domains (fun tr -> tr.run ~seed:tr.seed) trials
+
+(* one trial per point, each on the sweep's seed *)
+let sweep ?domains ~seed points run =
+  run_trials ?domains (List.map (fun p -> { seed; run = run p }) points)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8 *)
@@ -120,15 +119,9 @@ let run_pb ~transactions ~seed =
 
 let figure8 ?(transactions = 40) ?(seed = 42) ?domains () =
   (* the AR trial keeps tracing on: [Spec.check_all] replays trace notes *)
-  let trial label run = { label; seed; run } in
   let results =
-    run_trials ?domains
-      [
-        trial "baseline" (fun ~seed -> run_baseline ~transactions ~seed);
-        trial "ar" (fun ~seed -> run_ar ~transactions ~seed);
-        trial "tpc" (fun ~seed -> run_tpc ~transactions ~seed);
-        trial "pb" (fun ~seed -> run_pb ~transactions ~seed);
-      ]
+    sweep ?domains ~seed [ run_baseline; run_ar; run_tpc; run_pb ]
+      (fun run -> run ~transactions)
   in
   let baseline, ar, tpc, pb =
     match results with
@@ -198,10 +191,10 @@ let figure7 ?(seed = 42) ?domains () =
       forced_ios;
     }
   in
-  let trial label run = { label; seed; run } in
+  let trial run = { seed; run } in
   run_trials ?domains
     [
-      trial "baseline" (fun ~seed ->
+      trial (fun ~seed ->
           let e, b =
             Simrun.baseline ~seed ~seed_data:bank_seed
               ~business:Workload.Bank.update ~script:one_request_script ()
@@ -210,7 +203,7 @@ let figure7 ?(seed = 42) ?domains () =
             (Dsim.Engine.run_until ~deadline:60_000. e (fun () ->
                  Etx.Client.script_done b.client));
           measure "baseline" e ~forced_ios:0);
-      trial "2PC" (fun ~seed ->
+      trial (fun ~seed ->
           let e, t =
             Simrun.tpc ~seed ~seed_data:bank_seed
               ~business:Workload.Bank.update ~script:one_request_script ()
@@ -220,7 +213,7 @@ let figure7 ?(seed = 42) ?domains () =
                  Etx.Client.script_done t.client));
           measure "2PC" e
             ~forced_ios:(Dstore.Disk.forced_writes t.coordinator_disk));
-      trial "primary-backup" (fun ~seed ->
+      trial (fun ~seed ->
           let e, p =
             Simrun.pbackup ~seed ~seed_data:bank_seed
               ~business:Workload.Bank.update ~script:one_request_script ()
@@ -229,7 +222,7 @@ let figure7 ?(seed = 42) ?domains () =
             (Dsim.Engine.run_until ~deadline:60_000. e (fun () ->
                  Etx.Client.script_done p.client));
           measure "primary-backup" e ~forced_ios:0);
-      trial "AR" (fun ~seed ->
+      trial (fun ~seed ->
           let e, d =
             Simrun.cluster ~seed ~seed_data:bank_seed
               ~business:Workload.Bank.update ~scripts:[ one_request_script ] ()
@@ -306,21 +299,21 @@ let fig1_run ~label ~seed ?(crash_primary_at = None) ?business
   }
 
 let figure1 ?(seed = 42) ?domains () =
-  let trial label run = { label; seed; run } in
+  let trial run = { seed; run } in
   run_trials ?domains
     [
-      trial "(a)" (fun ~seed ->
+      trial (fun ~seed ->
           fig1_run ~label:"(a) failure-free commit" ~seed ());
-      trial "(b)" (fun ~seed ->
+      trial (fun ~seed ->
           fig1_run ~label:"(b) failure-free abort (user-level)" ~seed
             ~business:Workload.Bank.transfer
             ~seed_data:
               (Workload.Bank.seed_accounts [ ("acct0", 5); ("acct1", 0) ])
             ~body:"acct0:acct1:100" ());
-      trial "(c)" (fun ~seed ->
+      trial (fun ~seed ->
           fig1_run ~label:"(c) fail-over with commit" ~seed
             ~crash_primary_at:(Some 230.) ());
-      trial "(d)" (fun ~seed ->
+      trial (fun ~seed ->
           fig1_run ~label:"(d) fail-over with abort" ~seed
             ~crash_primary_at:(Some 100.) ());
     ]
@@ -349,34 +342,25 @@ let render_figure1 scenarios =
 
 let failover_sweep ?(seed = 42) ?(timeouts = [ 20.; 50.; 100.; 200.; 400. ])
     ?domains () =
-  run_trials ?domains
-    (List.map
-       (fun timeout ->
-         {
-           label = Printf.sprintf "fd-timeout-%g" timeout;
-           seed;
-           run =
-             (fun ~seed ->
-               let e, d =
-                 Simrun.cluster ~seed ~client_period:300. ~tracing:false
-                   ~fd_spec:
-                     (Etx.Appserver.Fd_heartbeat
-                        {
-                          period = 10.;
-                          initial_timeout = timeout;
-                          timeout_bump = 25.;
-                        })
-                   ~seed_data:bank_seed ~business:Workload.Bank.update
-                   ~scripts:[ one_request_script ] ()
-               in
-               Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
-               if not (Cluster.run_to_quiescence ~deadline:300_000. d)
-               then failwith "failover_sweep: run did not quiesce";
-               match Cluster.all_records d with
-               | [ r ] -> (timeout, r.delivered_at -. r.issued_at, r.tries)
-               | _ -> failwith "failover_sweep: expected one record");
-         })
-       timeouts)
+  sweep ?domains ~seed timeouts (fun timeout ~seed ->
+      let e, d =
+        Simrun.cluster ~seed ~client_period:300. ~tracing:false
+          ~fd_spec:
+            (Etx.Appserver.Fd_heartbeat
+               {
+                 period = 10.;
+                 initial_timeout = timeout;
+                 timeout_bump = 25.;
+               })
+          ~seed_data:bank_seed ~business:Workload.Bank.update
+          ~scripts:[ one_request_script ] ()
+      in
+      Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+      if not (Cluster.run_to_quiescence ~deadline:300_000. d)
+      then failwith "failover_sweep: run did not quiesce";
+      match Cluster.all_records d with
+      | [ r ] -> (timeout, r.delivered_at -. r.issued_at, r.tries)
+      | _ -> failwith "failover_sweep: expected one record")
 
 let render_failover rows =
   let headers = [ "fd timeout (ms)"; "latency (ms)"; "tries" ] in
@@ -392,44 +376,35 @@ let render_failover rows =
 
 let backoff_sweep ?(seed = 42) ?(periods = [ 100.; 200.; 400.; 800.; 1600. ])
     ?domains () =
-  run_trials ?domains
-    (List.map
-       (fun period ->
-         {
-           label = Printf.sprintf "backoff-%g" period;
-           seed;
-           run =
-             (fun ~seed ->
-               let nice =
-                 let _e, d =
-                   Simrun.cluster ~seed ~client_period:period
-                     ~tracing:false ~seed_data:bank_seed
-                     ~business:Workload.Bank.update
-                     ~scripts:[ one_request_script ] ()
-                 in
-                 if not (Cluster.run_to_quiescence ~deadline:120_000. d)
-                 then failwith "backoff_sweep: nice run did not quiesce";
-                 match Cluster.all_records d with
-                 | [ r ] -> r.delivered_at -. r.issued_at
-                 | _ -> failwith "backoff_sweep: expected one record"
-               in
-               let failover =
-                 let e, d =
-                   Simrun.cluster ~seed ~client_period:period
-                     ~tracing:false ~seed_data:bank_seed
-                     ~business:Workload.Bank.update
-                     ~scripts:[ one_request_script ] ()
-                 in
-                 Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
-                 if not (Cluster.run_to_quiescence ~deadline:300_000. d)
-                 then failwith "backoff_sweep: failover run did not quiesce";
-                 match Cluster.all_records d with
-                 | [ r ] -> r.delivered_at -. r.issued_at
-                 | _ -> failwith "backoff_sweep: expected one record"
-               in
-               (period, nice, failover));
-         })
-       periods)
+  sweep ?domains ~seed periods (fun period ~seed ->
+      let nice =
+        let _e, d =
+          Simrun.cluster ~seed ~client_period:period
+            ~tracing:false ~seed_data:bank_seed
+            ~business:Workload.Bank.update
+            ~scripts:[ one_request_script ] ()
+        in
+        if not (Cluster.run_to_quiescence ~deadline:120_000. d)
+        then failwith "backoff_sweep: nice run did not quiesce";
+        match Cluster.all_records d with
+        | [ r ] -> r.delivered_at -. r.issued_at
+        | _ -> failwith "backoff_sweep: expected one record"
+      in
+      let failover =
+        let e, d =
+          Simrun.cluster ~seed ~client_period:period
+            ~tracing:false ~seed_data:bank_seed
+            ~business:Workload.Bank.update
+            ~scripts:[ one_request_script ] ()
+        in
+        Dsim.Engine.crash_at e 100. (Cluster.primary d ~shard:0);
+        if not (Cluster.run_to_quiescence ~deadline:300_000. d)
+        then failwith "backoff_sweep: failover run did not quiesce";
+        match Cluster.all_records d with
+        | [ r ] -> r.delivered_at -. r.issued_at
+        | _ -> failwith "backoff_sweep: expected one record"
+      in
+      (period, nice, failover))
 
 let render_backoff rows =
   let headers =
@@ -447,41 +422,32 @@ let render_backoff rows =
 let loss_sweep ?(seed = 42) ?(rates = [ 0.; 0.05; 0.1; 0.2; 0.3 ]) ?domains ()
     =
   (* tracing stays on: msgs/request is counted from the trace *)
-  run_trials ?domains
-    (List.map
-       (fun rate ->
-         {
-           label = Printf.sprintf "loss-%g" rate;
-           seed;
-           run =
-             (fun ~seed ->
-               let net =
-                 Dnet.Netmodel.lossy ~loss:rate (Dnet.Netmodel.lan ())
-               in
-               let n = 10 in
-               let e, d =
-                 Simrun.cluster ~seed ~net ~client_period:300.
-                   ~seed_data:bank_seed ~business:Workload.Bank.update
-                   ~scripts:
-                     [
-                       (fun ~issue ->
-                         for _ = 1 to n do
-                           ignore (issue update_body)
-                         done);
-                     ]
-                   ()
-               in
-               if not (Cluster.run_to_quiescence ~deadline:600_000. d)
-               then failwith "loss_sweep: run did not quiesce";
-               let mean =
-                 Stats.Summary.mean (latencies (Cluster.all_records d))
-               in
-               let msgs =
-                 Msgclass.protocol_messages (Dsim.Engine.trace e) / n
-               in
-               (rate, mean, msgs));
-         })
-       rates)
+  sweep ?domains ~seed rates (fun rate ~seed ->
+      let net =
+        Dnet.Netmodel.lossy ~loss:rate (Dnet.Netmodel.lan ())
+      in
+      let n = 10 in
+      let e, d =
+        Simrun.cluster ~seed ~net ~client_period:300.
+          ~seed_data:bank_seed ~business:Workload.Bank.update
+          ~scripts:
+            [
+              (fun ~issue ->
+                for _ = 1 to n do
+                  ignore (issue update_body)
+                done);
+            ]
+          ()
+      in
+      if not (Cluster.run_to_quiescence ~deadline:600_000. d)
+      then failwith "loss_sweep: run did not quiesce";
+      let mean =
+        Stats.Summary.mean (latencies (Cluster.all_records d))
+      in
+      let msgs =
+        Msgclass.protocol_messages (Dsim.Engine.trace e) / n
+      in
+      (rate, mean, msgs))
 
 let render_loss rows =
   let headers = [ "loss rate"; "mean latency (ms)"; "msgs/request" ] in
@@ -499,55 +465,46 @@ let render_loss rows =
   ^ Stats.Table.render ~headers ~rows:body
 
 let db_sweep ?(seed = 42) ?(counts = [ 1; 2; 4; 8 ]) ?domains () =
-  run_trials ?domains
-    (List.map
-       (fun n_dbs ->
-         {
-           label = Printf.sprintf "dbs-%d" n_dbs;
-           seed;
-           run =
-             (fun ~seed ->
-               let baseline =
-                 let e, b =
-                   Simrun.baseline ~seed ~n_dbs ~tracing:false
-                     ~seed_data:bank_seed ~business:Workload.Bank.update
-                     ~script:one_request_script ()
-                 in
-                 ignore
-                   (Dsim.Engine.run_until ~deadline:120_000. e (fun () ->
-                        Etx.Client.script_done b.client));
-                 match Etx.Client.records b.client with
-                 | [ r ] -> r.delivered_at -. r.issued_at
-                 | _ -> failwith "db_sweep: baseline"
-               in
-               let ar =
-                 let _e, d =
-                   Simrun.cluster ~seed ~n_dbs ~tracing:false
-                     ~seed_data:bank_seed ~business:Workload.Bank.update
-                     ~scripts:[ one_request_script ] ()
-                 in
-                 if not (Cluster.run_to_quiescence ~deadline:120_000. d)
-                 then failwith "db_sweep: AR did not quiesce";
-                 match Cluster.all_records d with
-                 | [ r ] -> r.delivered_at -. r.issued_at
-                 | _ -> failwith "db_sweep: AR"
-               in
-               let tpc =
-                 let e, t =
-                   Simrun.tpc ~seed ~n_dbs ~tracing:false
-                     ~seed_data:bank_seed ~business:Workload.Bank.update
-                     ~script:one_request_script ()
-                 in
-                 ignore
-                   (Dsim.Engine.run_until ~deadline:120_000. e (fun () ->
-                        Etx.Client.script_done t.client));
-                 match Etx.Client.records t.client with
-                 | [ r ] -> r.delivered_at -. r.issued_at
-                 | _ -> failwith "db_sweep: 2PC"
-               in
-               (n_dbs, baseline, ar, tpc));
-         })
-       counts)
+  sweep ?domains ~seed counts (fun n_dbs ~seed ->
+      let baseline =
+        let e, b =
+          Simrun.baseline ~seed ~n_dbs ~tracing:false
+            ~seed_data:bank_seed ~business:Workload.Bank.update
+            ~script:one_request_script ()
+        in
+        ignore
+          (Dsim.Engine.run_until ~deadline:120_000. e (fun () ->
+               Etx.Client.script_done b.client));
+        match Etx.Client.records b.client with
+        | [ r ] -> r.delivered_at -. r.issued_at
+        | _ -> failwith "db_sweep: baseline"
+      in
+      let ar =
+        let _e, d =
+          Simrun.cluster ~seed ~n_dbs ~tracing:false
+            ~seed_data:bank_seed ~business:Workload.Bank.update
+            ~scripts:[ one_request_script ] ()
+        in
+        if not (Cluster.run_to_quiescence ~deadline:120_000. d)
+        then failwith "db_sweep: AR did not quiesce";
+        match Cluster.all_records d with
+        | [ r ] -> r.delivered_at -. r.issued_at
+        | _ -> failwith "db_sweep: AR"
+      in
+      let tpc =
+        let e, t =
+          Simrun.tpc ~seed ~n_dbs ~tracing:false
+            ~seed_data:bank_seed ~business:Workload.Bank.update
+            ~script:one_request_script ()
+        in
+        ignore
+          (Dsim.Engine.run_until ~deadline:120_000. e (fun () ->
+               Etx.Client.script_done t.client));
+        match Etx.Client.records t.client with
+        | [ r ] -> r.delivered_at -. r.issued_at
+        | _ -> failwith "db_sweep: 2PC"
+      in
+      (n_dbs, baseline, ar, tpc))
 
 let render_dbs rows =
   let headers = [ "databases"; "baseline (ms)"; "AR (ms)"; "2PC (ms)" ] in
@@ -591,16 +548,16 @@ let persistence_ablation ?(seed = 42) ?(transactions = 15) ?domains () =
            Etx.Client.script_done t.client));
     Stats.Summary.mean (latencies (Etx.Client.records t.client))
   in
-  let trial label run = { label; seed; run } in
+  let trial run = { seed; run } in
   run_trials ?domains
     [
-      trial "AR, diskless (the paper's choice)" (fun ~seed ->
+      trial (fun ~seed ->
           ( "AR, diskless (the paper's choice)",
             ar_mean ~recoverable:false ~seed ));
-      trial "AR, persistent registers (crash-recovery)" (fun ~seed ->
+      trial (fun ~seed ->
           ( "AR, persistent registers (crash-recovery)",
             ar_mean ~recoverable:true ~seed ));
-      trial "2PC (reference)" (fun ~seed -> ("2PC (reference)", tpc_mean ~seed));
+      trial (fun ~seed -> ("2PC (reference)", tpc_mean ~seed));
     ]
 
 let render_persistence rows =
@@ -658,15 +615,7 @@ let consensus_failover_sweep ?(seed = 42)
     then failwith "consensus_failover_sweep: no decision";
     (round_timeout, !latency)
   in
-  run_trials ?domains
-    (List.map
-       (fun rt ->
-         {
-           label = Printf.sprintf "round-timeout-%g" rt;
-           seed;
-           run = (fun ~seed -> one rt ~seed);
-         })
-       round_timeouts)
+  sweep ?domains ~seed round_timeouts one
 
 let render_consensus_failover rows =
   let headers = [ "round timeout (ms)"; "register-write latency (ms)" ] in
@@ -706,19 +655,10 @@ let throughput_sweep ?(seed = 42) ?(clients = [ 1; 2; 4; 8 ])
     let total = float_of_int (n_clients * requests_per_client) in
     total /. (Dsim.Engine.now_of e /. 1_000.)
   in
-  run_trials ?domains
-    (List.map
-       (fun n_clients ->
-         {
-           label = Printf.sprintf "clients-%d" n_clients;
-           seed;
-           run =
-             (fun ~seed ->
-               ( n_clients,
-                 run ~n_clients ~contended:true ~seed,
-                 run ~n_clients ~contended:false ~seed ));
-         })
-       clients)
+  sweep ?domains ~seed clients (fun n_clients ~seed ->
+      ( n_clients,
+        run ~n_clients ~contended:true ~seed,
+        run ~n_clients ~contended:false ~seed ))
 
 let render_throughput rows =
   let headers =
@@ -739,7 +679,7 @@ let render_throughput rows =
 
 let scale_points = [ (3, 1); (3, 8); (5, 32); (10, 128); (25, 512) ]
 
-let scale_sweep ?(seed = 42) ?(points = scale_points)
+let scale_sweep ?(seed = 42) ?obs ?(points = scale_points)
     ?(requests_per_client = 1) () =
   (* disjoint accounts: we are measuring substrate cost per simulated event,
      not lock contention, so the protocol work should scale with the cluster
@@ -756,7 +696,7 @@ let scale_sweep ?(seed = 42) ?(points = scale_points)
     in
     let t0 = Unix.gettimeofday () in
     let e, d =
-      Simrun.cluster ~seed ~tracing:false ~n_app_servers:n_servers
+      Simrun.cluster ~seed ~tracing:false ?obs ~n_app_servers:n_servers
         ~seed_data ~business:Workload.Bank.update
         ~scripts:(List.init n_clients script_for)
         ()
@@ -808,7 +748,6 @@ type shard_row = {
   events : int;  (** simulation events to quiescence *)
   vtime_ms : float;  (** virtual time at quiescence *)
   tx_per_vs : float;  (** delivered per {e virtual} second *)
-  wall_s : float;  (** host wall-clock cost of the trial *)
 }
 
 let shard_points = [ 1; 2; 4 ]
@@ -854,7 +793,6 @@ let shard_sweep ?(seed = 42) ?(points = shard_points) ?(clients_per_shard = 2)
           done)
         keys
     in
-    let t0 = Unix.gettimeofday () in
     let e, c =
       Simrun.cluster ~seed ~map ~seed_data ~business:Workload.Bank.update
         ~scripts ()
@@ -865,7 +803,6 @@ let shard_sweep ?(seed = 42) ?(points = shard_points) ?(clients_per_shard = 2)
     | [] -> ()
     | violations ->
         failwith ("shard_sweep: spec violated: " ^ String.concat "; " violations));
-    let wall_s = Unix.gettimeofday () -. t0 in
     let vtime_ms = Dsim.Engine.now_of e in
     let delivered = List.length (Cluster.all_records c) in
     {
@@ -876,18 +813,9 @@ let shard_sweep ?(seed = 42) ?(points = shard_points) ?(clients_per_shard = 2)
       events = Dsim.Engine.events_of e;
       vtime_ms;
       tx_per_vs = float_of_int delivered /. (vtime_ms /. 1000.);
-      wall_s;
     }
   in
-  run_trials ?domains
-    (List.map
-       (fun s ->
-         {
-           label = Printf.sprintf "shards-%d" s;
-           seed;
-           run = one s;
-         })
-       points)
+  sweep ?domains ~seed points one
 
 let render_shard rows =
   let headers =
@@ -945,7 +873,6 @@ type cross_row = {
   cx_vtime_ms : float;
   cx_tx_per_vs : float;
   cx_msgs_per_commit : float;
-  cx_wall_s : float;
 }
 
 let cross_points =
@@ -994,7 +921,6 @@ let cross_sweep ?(seed = 42) ?(points = cross_points) ?(clients = 3)
              List.iter (fun b -> ignore (issue b)) bodies)
            slices)
     in
-    let t0 = Unix.gettimeofday () in
     let e, c =
       Simrun.cluster ~seed ~map
         ~seed_data:(Workload.Generator.seed_data_of kind) ~cross:true
@@ -1006,7 +932,6 @@ let cross_sweep ?(seed = 42) ?(points = cross_points) ?(clients = 3)
     | [] -> ()
     | violations ->
         failwith ("cross_sweep: spec violated: " ^ String.concat "; " violations));
-    let wall_s = Unix.gettimeofday () -. t0 in
     let vtime_ms = Dsim.Engine.now_of e in
     let records = Cluster.all_records c in
     let delivered = List.length records in
@@ -1031,18 +956,9 @@ let cross_sweep ?(seed = 42) ?(points = cross_points) ?(clients = 3)
       cx_tx_per_vs = float_of_int delivered /. (vtime_ms /. 1000.);
       cx_msgs_per_commit =
         float_of_int msgs /. float_of_int (max 1 delivered);
-      cx_wall_s = wall_s;
     }
   in
-  run_trials ?domains
-    (List.map
-       (fun (s, r) ->
-         {
-           label = Printf.sprintf "cross-%d-%.2f" s r;
-           seed;
-           run = one (s, r);
-         })
-       points)
+  sweep ?domains ~seed points one
 
 let render_cross rows =
   let headers =
@@ -1103,7 +1019,6 @@ type migrate_row = {
   mg_bounced : int;
   mg_map_refresh : int;
   mg_events : int;
-  mg_wall_s : float;
 }
 
 let migrate_sweep ?(seed = 42) ?(issues = 10) ?domains () =
@@ -1121,7 +1036,6 @@ let migrate_sweep ?(seed = 42) ?(issues = 10) ?domains () =
           done)
         keys
     in
-    let t0 = Unix.gettimeofday () in
     let e, c =
       Simrun.cluster ~seed ~obs:reg ~shards:2 ~reconfig:true ~provision:1
         ~client_period:200. ~seed_data ~business:Workload.Bank.update ~scripts
@@ -1141,7 +1055,6 @@ let migrate_sweep ?(seed = 42) ?(issues = 10) ?domains () =
     | violations ->
         failwith
           ("migrate_sweep: spec violated: " ^ String.concat "; " violations));
-    let wall_s = Unix.gettimeofday () -. t0 in
     let records = Cluster.all_records c in
     let delivered = List.length records in
     let requests = 6 * issues in
@@ -1182,10 +1095,9 @@ let migrate_sweep ?(seed = 42) ?(issues = 10) ?domains () =
       mg_bounced = counter "migrate.bounced";
       mg_map_refresh = counter "client.map_refresh";
       mg_events = Dsim.Engine.events_of e;
-      mg_wall_s = wall_s;
     }
   in
-  run_trials ?domains [ { label = "migrate"; seed; run = one } ]
+  run_trials ?domains [ { seed; run = one } ]
 
 let render_migrate rows =
   let headers =
@@ -1278,23 +1190,16 @@ let register_backend_comparison ?(seed = 42) ?domains () =
     Consensus.Synod.start s;
     fun ~key v -> Consensus.Synod.propose s ~key v
   in
-  let measure name make_agent =
-    {
-      label = name;
-      seed;
-      run =
-        (fun ~seed ->
-          ( name,
-            run ~make_agent ~writer:0 ~crash_primary:false ~seed,
-            run ~make_agent ~writer:1 ~crash_primary:true ~seed ));
-    }
-  in
-  run_trials ?domains
+  sweep ?domains ~seed
     [
-      measure "CT agent, perfect detector" ct_oracle;
-      measure "CT agent, useless detector (100ms rounds)" ct_blind;
-      measure "Synod (Paxos), no detector" synod;
+      ("CT agent, perfect detector", ct_oracle);
+      ("CT agent, useless detector (100ms rounds)", ct_blind);
+      ("Synod (Paxos), no detector", synod);
     ]
+    (fun (name, make_agent) ~seed ->
+      ( name,
+        run ~make_agent ~writer:0 ~crash_primary:false ~seed,
+        run ~make_agent ~writer:1 ~crash_primary:true ~seed ))
 
 let render_register_backends rows =
   let headers =
@@ -1364,15 +1269,7 @@ let fd_quality_sweep ?(seed = 42) ?(requests = 10)
     let mean = Stats.Summary.mean (latencies (Cluster.all_records d)) in
     (timeout, cleanings, extra_tries, mean)
   in
-  run_trials ?domains
-    (List.map
-       (fun timeout ->
-         {
-           label = Printf.sprintf "fd-quality-%g" timeout;
-           seed;
-           run = (fun ~seed -> one timeout ~seed);
-         })
-       timeouts)
+  sweep ?domains ~seed timeouts one
 
 let render_fd_quality rows =
   let headers =
@@ -1463,12 +1360,7 @@ let failover_phases ?(seed = 42) ?(trials = 5) ?domains () =
   in
   let results =
     run_trials ?domains
-      (List.init trials (fun i ->
-           {
-             label = Printf.sprintf "failover-phases-%d" i;
-             seed = seed + i;
-             run = one;
-           }))
+      (List.init trials (fun i -> { seed = seed + i; run = one }))
   in
   let n = float_of_int (List.length results) in
   let mean f = List.fold_left (fun acc r -> acc +. f r) 0. results /. n in
@@ -1580,15 +1472,8 @@ let batch_run ~seed ~clients ~requests ~batch =
 
 let batch_sweep ?(seed = 42) ?(clients = 128) ?(requests = 2)
     ?(points = batch_points) ?domains () =
-  run_trials ?domains
-    (List.map
-       (fun batch ->
-         {
-           label = Printf.sprintf "batch-%d" batch;
-           seed;
-           run = (fun ~seed -> batch_run ~seed ~clients ~requests ~batch);
-         })
-       points)
+  sweep ?domains ~seed points
+    (fun batch ~seed -> batch_run ~seed ~clients ~requests ~batch)
 
 let render_batch rows =
   let headers =
@@ -1657,15 +1542,7 @@ let batch_phases ?(seed = 42) ?(clients = 128) ?(requests = 2)
           })
         durs )
   in
-  run_trials ?domains
-    (List.map
-       (fun batch ->
-         {
-           label = Printf.sprintf "batch-phases-%d" batch;
-           seed;
-           run = (fun ~seed -> one ~batch ~seed);
-         })
-       batches)
+  sweep ?domains ~seed batches (fun batch -> one ~batch)
 
 let render_batch_phases reports =
   let headers =
@@ -1772,23 +1649,10 @@ let read_run ~seed ~clients ~requests ~reads_per_write ~servers ~cache =
 
 let read_sweep ?(seed = 42) ?(clients = 8) ?(requests = 8)
     ?(reads_per_write = 7) ?(points = read_points) ?domains () =
-  run_trials ?domains
-    (List.concat_map
-       (fun servers ->
-         List.map
-           (fun cache ->
-             {
-               label =
-                 Printf.sprintf "read-%d-%s" servers
-                   (if cache then "cache" else "plain");
-               seed;
-               run =
-                 (fun ~seed ->
-                   read_run ~seed ~clients ~requests ~reads_per_write ~servers
-                     ~cache);
-             })
-           [ false; true ])
-       points)
+  sweep ?domains ~seed
+    (List.concat_map (fun n -> [ (n, false); (n, true) ]) points)
+    (fun (servers, cache) ~seed ->
+      read_run ~seed ~clients ~requests ~reads_per_write ~servers ~cache)
 
 let render_read rows =
   let headers =
@@ -1898,21 +1762,10 @@ let gc_run ~seed ~clients ~requests ~servers ~batch ~gc =
    commit without concurrent sessions buys exactly nothing. *)
 let group_commit_sweep ?(seed = 42) ?(clients = 128) ?(requests = 2)
     ?(servers = 16) ?(points = gc_points) ?domains () =
-  run_trials ?domains
-    (List.concat_map
-       (fun batch ->
-         List.map
-           (fun gc ->
-             {
-               label =
-                 Printf.sprintf "gc-%d-%s" batch (if gc then "on" else "off");
-               seed;
-               run =
-                 (fun ~seed ->
-                   gc_run ~seed ~clients ~requests ~servers ~batch ~gc);
-             })
-           [ false; true ])
-       points)
+  sweep ?domains ~seed
+    (List.concat_map (fun batch -> [ (batch, false); (batch, true) ]) points)
+    (fun (batch, gc) ~seed ->
+      gc_run ~seed ~clients ~requests ~servers ~batch ~gc)
 
 let render_gc rows =
   let headers =
@@ -2004,21 +1857,12 @@ let recovery_run ~seed ~commits ~checkpoint_every =
 
 let recovery_sweep ?(seed = 42) ?(points = recovery_points)
     ?(checkpoint_every = 48) ?domains () =
-  run_trials ?domains
+  sweep ?domains ~seed
     (List.concat_map
-       (fun commits ->
-         List.map
-           (fun ck ->
-             {
-               label =
-                 Printf.sprintf "recovery-%d-%s" commits
-                   (if ck <> None then "ckpt" else "plain");
-               seed;
-               run =
-                 (fun ~seed -> recovery_run ~seed ~commits ~checkpoint_every:ck);
-             })
-           [ None; Some checkpoint_every ])
+       (fun commits -> [ (commits, None); (commits, Some checkpoint_every) ])
        points)
+    (fun (commits, ck) ~seed ->
+      recovery_run ~seed ~commits ~checkpoint_every:ck)
 
 let render_recovery rows =
   let headers =
@@ -2118,18 +1962,9 @@ let replica_run ~seed ~clients ~requests ~reads_per_write ~servers ~replicas =
 let replica_sweep ?(seed = 42) ?(clients = 8) ?(requests = 8)
     ?(reads_per_write = 7) ?(servers = 3) ?(points = replica_points) ?domains
     () =
-  run_trials ?domains
-    (List.map
-       (fun replicas ->
-         {
-           label = Printf.sprintf "replica-%d" replicas;
-           seed;
-           run =
-             (fun ~seed ->
-               replica_run ~seed ~clients ~requests ~reads_per_write ~servers
-                 ~replicas);
-         })
-       points)
+  sweep ?domains ~seed points (fun replicas ~seed ->
+      replica_run ~seed ~clients ~requests ~reads_per_write ~servers
+        ~replicas)
 
 let render_replica rows =
   let headers =
@@ -2161,220 +1996,3 @@ let render_replica rows =
    staleness, across replica counts (method cache on; spec incl. replica \
    consistency asserted per row)\n"
   ^ Stats.Table.render ~headers ~rows:body
-
-(* ------------------------------------------------------------------ *)
-(* CSV export *)
-
-let csv_lines rows = String.concat "\n" (List.map (String.concat ",") rows)
-
-let csv_figure8 f =
-  let header =
-    "component" :: List.map (fun p -> p.protocol) f.protocols
-  in
-  let component_row name =
-    name
-    :: List.map
-         (fun p -> Printf.sprintf "%.3f" (List.assoc name p.components))
-         f.protocols
-  in
-  csv_lines
-    ((header :: List.map component_row fig8_component_order)
-    @ [
-        "other"
-        :: List.map (fun p -> Printf.sprintf "%.3f" p.other) f.protocols;
-        "total"
-        :: List.map (fun p -> Printf.sprintf "%.3f" p.total) f.protocols;
-        "overhead_pct"
-        :: List.map (fun p -> Printf.sprintf "%.2f" p.overhead_pct) f.protocols;
-      ])
-
-let csv_figure7 rows =
-  csv_lines
-    ([ "protocol"; "app_messages"; "all_messages"; "steps"; "forced_ios" ]
-    :: List.map
-         (fun r ->
-           [
-             r.proto;
-             string_of_int r.app_messages;
-             string_of_int r.all_messages;
-             string_of_int r.steps;
-             string_of_int r.forced_ios;
-           ])
-         rows)
-
-let csv_figure1 scenarios =
-  csv_lines
-    ([ "scenario"; "delivered"; "tries"; "cleaner"; "violations" ]
-    :: List.map
-         (fun s ->
-           [
-             s.label;
-             string_of_bool s.delivered;
-             string_of_int s.tries;
-             Option.value ~default:"" s.cleaner_outcome;
-             string_of_int (List.length s.violations);
-           ])
-         scenarios)
-
-let csv_sweep2 ~header rows =
-  csv_lines
-    (String.split_on_char ',' header
-    :: List.map
-         (fun (x, y, n) ->
-           [ Printf.sprintf "%.3f" x; Printf.sprintf "%.3f" y; string_of_int n ])
-         rows)
-
-let csv_backoff rows =
-  csv_lines
-    ([ "backoff_ms"; "nice_ms"; "failover_ms" ]
-    :: List.map
-         (fun (p, nice, failover) ->
-           [
-             Printf.sprintf "%.3f" p;
-             Printf.sprintf "%.3f" nice;
-             Printf.sprintf "%.3f" failover;
-           ])
-         rows)
-
-let csv_dbs rows =
-  csv_lines
-    ([ "databases"; "baseline_ms"; "ar_ms"; "tpc_ms" ]
-    :: List.map
-         (fun (n, b, a, t) ->
-           [
-             string_of_int n;
-             Printf.sprintf "%.3f" b;
-             Printf.sprintf "%.3f" a;
-             Printf.sprintf "%.3f" t;
-           ])
-         rows)
-
-let csv_batch rows =
-  csv_lines
-    ([ "batch"; "tx_per_vs"; "msgs_per_commit"; "mean_latency_ms"; "mean_fill" ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.batch;
-             Printf.sprintf "%.3f" r.tx_per_vs;
-             Printf.sprintf "%.3f" r.msgs_per_commit;
-             Printf.sprintf "%.3f" r.mean_latency_ms;
-             Printf.sprintf "%.3f" r.mean_fill;
-           ])
-         rows)
-
-let csv_read rows =
-  csv_lines
-    ([
-       "servers";
-       "cache";
-       "reads";
-       "tx_per_vs";
-       "read_tx_per_vs";
-       "msgs_per_read";
-       "hit_rate";
-       "mean_read_latency_ms";
-     ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.servers;
-             string_of_bool r.cache;
-             string_of_int r.reads;
-             Printf.sprintf "%.3f" r.tx_per_vs;
-             Printf.sprintf "%.3f" r.read_tx_per_vs;
-             Printf.sprintf "%.3f" r.msgs_per_read;
-             Printf.sprintf "%.4f" r.hit_rate;
-             Printf.sprintf "%.3f" r.mean_read_latency_ms;
-           ])
-         rows)
-
-let csv_gc rows =
-  csv_lines
-    ([
-       "batch";
-       "group_commit";
-       "forces";
-       "forces_per_commit";
-       "tx_per_vs";
-       "mean_latency_ms";
-     ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.gc_batch;
-             string_of_bool r.gc_on;
-             string_of_int r.forces;
-             Printf.sprintf "%.4f" r.forces_per_commit;
-             Printf.sprintf "%.3f" r.gc_tx_per_vs;
-             Printf.sprintf "%.3f" r.gc_mean_latency_ms;
-           ])
-         rows)
-
-let csv_recovery rows =
-  csv_lines
-    ([ "commits"; "checkpointed"; "log_len"; "replay_steps"; "replay_ms" ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.commits;
-             string_of_bool r.checkpointed;
-             string_of_int r.log_len;
-             string_of_int r.steps;
-             Printf.sprintf "%.4f" r.replay_ms;
-           ])
-         rows)
-
-let csv_cross rows =
-  csv_lines
-    ([
-       "shards";
-       "cross_ratio";
-       "cross";
-       "requests";
-       "delivered";
-       "mean_participants";
-       "events";
-       "vtime_ms";
-       "tx_per_vs";
-       "msgs_per_commit";
-     ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.cx_shards;
-             Printf.sprintf "%.2f" r.cx_ratio;
-             string_of_int r.cx_cross;
-             string_of_int r.cx_requests;
-             string_of_int r.cx_delivered;
-             Printf.sprintf "%.3f" r.cx_mean_participants;
-             string_of_int r.cx_events;
-             Printf.sprintf "%.1f" r.cx_vtime_ms;
-             Printf.sprintf "%.3f" r.cx_tx_per_vs;
-             Printf.sprintf "%.3f" r.cx_msgs_per_commit;
-           ])
-         rows)
-
-let csv_replica rows =
-  csv_lines
-    ([
-       "replicas";
-       "reads";
-       "read_tx_per_vs";
-       "replica_served";
-       "fallbacks";
-       "hit_rate";
-       "mean_read_latency_ms";
-     ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.rep_replicas;
-             string_of_int r.rep_reads;
-             Printf.sprintf "%.3f" r.rep_read_tx_per_vs;
-             string_of_int r.rep_served;
-             string_of_int r.rep_fallbacks;
-             Printf.sprintf "%.4f" r.rep_hit_rate;
-             Printf.sprintf "%.3f" r.rep_mean_read_latency_ms;
-           ])
-         rows)

@@ -13,18 +13,13 @@
 
 (** {1 Trials and the domain pool} *)
 
-type 'a trial = { label : string; seed : int; run : seed:int -> 'a }
+type 'a trial = { seed : int; run : seed:int -> 'a }
 (** A self-contained unit of experimental work: [run ~seed] must build
     everything it touches (engine, processes, statistics) internally. *)
 
-val default_domains : int ref
-(** Domain count used by every sweep whose [?domains] argument is omitted.
-    Defaults to 1 (fully sequential). Mutate once at startup (e.g. from a
-    [--domains] flag); do not mutate concurrently with running sweeps. *)
-
 val run_trials : ?domains:int -> 'a trial list -> 'a list
 (** Map [trial.run] over the list via {!Dsim.Pool.map}, preserving input
-    order. [?domains] defaults to [!default_domains]. *)
+    order. [?domains] defaults to 1 (fully sequential). *)
 
 (** {1 E1/E4 — Figure 8: latency components and the cost of reliability} *)
 
@@ -167,6 +162,7 @@ val scale_points : (int * int) list
 
 val scale_sweep :
   ?seed:int ->
+  ?obs:Obs.Registry.t ->
   ?points:(int * int) list ->
   ?requests_per_client:int ->
   unit ->
@@ -174,9 +170,10 @@ val scale_sweep :
 (** A10: substrate scalability. For each (app servers, clients) point, run a
     full deployment with disjoint accounts until every client script
     finishes, and report (servers, clients, simulated events, wall-clock
-    seconds, events/sec). Unlike the other experiments this measures the
-    simulator itself (wall-clock, host-dependent), so points run
-    sequentially on one domain. *)
+    seconds, events/sec), with [obs] attached to every point's engine.
+    Unlike the other experiments this measures the simulator itself
+    (wall-clock, host-dependent), so points run sequentially on one
+    domain. *)
 
 val render_scale : (int * int * int * float * float) list -> string
 
@@ -188,11 +185,13 @@ type shard_row = {
   events : int;  (** simulation events to quiescence *)
   vtime_ms : float;  (** virtual time at quiescence *)
   tx_per_vs : float;  (** delivered per {e virtual} second *)
-  wall_s : float;  (** host wall-clock cost of the trial *)
 }
 
 val shard_points : int list
 (** Default shard counts for {!shard_sweep}: 1, 2, 4. *)
+
+val shard_accounts : map:Etx.Shard_map.t -> per_shard:int -> string list array
+(** The first [per_shard] of [acct0], [acct1], … owned by each shard. *)
 
 val shard_sweep :
   ?seed:int ->
@@ -226,7 +225,6 @@ type cross_row = {
   cx_vtime_ms : float;
   cx_tx_per_vs : float;
   cx_msgs_per_commit : float;
-  cx_wall_s : float;
 }
 
 val cross_points : (int * float) list
@@ -267,7 +265,6 @@ type migrate_row = {
   mg_bounced : int;
   mg_map_refresh : int;
   mg_events : int;
-  mg_wall_s : float;
 }
 
 val migrate_sweep :
@@ -523,23 +520,3 @@ val replica_sweep :
     is asserted per row. *)
 
 val render_replica : replica_row list -> string
-
-(** {1 CSV export}
-
-    Machine-readable companions to the render functions (header line plus
-    one row per data point), for external plotting. *)
-
-val csv_figure8 : fig8 -> string
-val csv_figure7 : fig7_row list -> string
-val csv_figure1 : fig1_scenario list -> string
-val csv_sweep2 : header:string -> (float * float * int) list -> string
-(** For A1 (timeout, latency, tries) and A3 (rate, latency, messages). *)
-
-val csv_backoff : (float * float * float) list -> string
-val csv_dbs : (int * float * float * float) list -> string
-val csv_batch : batch_row list -> string
-val csv_read : read_row list -> string
-val csv_gc : gc_row list -> string
-val csv_recovery : recovery_row list -> string
-val csv_replica : replica_row list -> string
-val csv_cross : cross_row list -> string

@@ -411,6 +411,101 @@ let test_seqdiag_max_lines () =
 (* ------------------------------------------------------------------ *)
 (* path goldens: see paths.ml *)
 
+(* ------------------------------------------------------------------ *)
+(* The artefact table *)
+
+let artefact name = Option.get (Artefact.find name)
+
+let test_table_names () =
+  let names = List.map (fun (e : Artefact.t) -> e.name) Artefact.all in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun (e : Artefact.t) ->
+      Alcotest.(check bool) (e.name ^ " has a doc") true (e.doc <> ""))
+    Artefact.all
+
+(* the CSV is derived from the rows: a header of row keys, one line each *)
+let test_csv name () =
+  let out = (artefact name).run ~seed:42 ~domains:1 in
+  let lines = String.split_on_char '\n' (Artefact.csv out.rows) in
+  Alcotest.(check int) "one line per row" (1 + List.length out.rows)
+    (List.length lines);
+  List.iter
+    (fun (r : Artefact.row) ->
+      Alcotest.(check string) "header = row keys" (List.hd lines)
+        (String.concat "," (List.map fst r)))
+    out.rows
+
+(* each check holds on rows shaped like the real sweep's and reports a
+   failure on a counterexample *)
+let test_check name ~good ~bad () =
+  Alcotest.(check (list string)) (name ^ " holds") []
+    ((artefact name).check good);
+  List.iter
+    (fun rows ->
+      Alcotest.(check bool) (name ^ " reports a failure") true
+        ((artefact name).check rows <> []))
+    bad
+
+let gc_row batch on forces fpc =
+  Stats.Json.
+    [ ("batch", Int batch); ("group_commit", Bool on); ("forces", Int forces);
+      ("forces_per_commit", Float fpc) ]
+
+let cache_row servers on hit read =
+  Stats.Json.
+    [ ("servers", Int servers); ("cache", Bool on); ("hit_rate", Float hit);
+      ("read_tx_per_vs", Float read) ]
+
+let replica_row replicas served =
+  Stats.Json.[ ("replicas", Int replicas); ("replica_served", Int served) ]
+
+let recovery_row commits ck steps =
+  Stats.Json.
+    [ ("commits", Int commits); ("checkpointed", Bool ck);
+      ("replay_steps", Int steps) ]
+
+let obs_row mode events =
+  Stats.Json.[ ("mode", String mode); ("events", Int events) ]
+
+let check_cases =
+  [
+    ( "group-commit",
+      test_check "group-commit"
+        ~good:
+          [ gc_row 1 false 512 2.0; gc_row 1 true 28 0.11;
+            gc_row 4 false 128 0.5; gc_row 4 true 129 0.5 ]
+        ~bad:
+          [
+            (* forces/commit rises with the cap, group commit off *)
+            [ gc_row 1 false 512 2.0; gc_row 1 true 28 0.11;
+              gc_row 4 false 1024 4.0 ];
+            (* at cap 1 the scheduler saves nothing *)
+            [ gc_row 1 false 512 2.0; gc_row 1 true 512 2.0 ];
+          ] );
+    ( "cache",
+      test_check "cache"
+        ~good:[ cache_row 1 false 0. 23.0; cache_row 1 true 0.71 45.0 ]
+        ~bad:
+          [
+            [ cache_row 1 false 0. 23.0; cache_row 1 true 0. 45.0 ];
+            [ cache_row 1 false 0. 23.0; cache_row 1 true 0.71 20.0 ];
+          ] );
+    ( "replica",
+      test_check "replica"
+        ~good:[ replica_row 0 0; replica_row 1 56 ]
+        ~bad:[ [ replica_row 0 0; replica_row 1 0 ] ] );
+    ( "recovery",
+      test_check "recovery"
+        ~good:[ recovery_row 64 false 128; recovery_row 64 true 33 ]
+        ~bad:[ [ recovery_row 64 false 128; recovery_row 64 true 128 ] ] );
+    ( "obs-overhead",
+      test_check "obs-overhead"
+        ~good:[ obs_row "disabled" 2950; obs_row "traced" 2950 ]
+        ~bad:[ [ obs_row "disabled" 2950; obs_row "traced" 2951 ] ] );
+  ]
+
 let test_path_golden name build () =
   let file = Paths.golden_file "paths" name in
   let ic = open_in_bin file in
@@ -490,6 +585,15 @@ let () =
             test_ablation_register_backends;
           Alcotest.test_case "fd quality" `Quick test_ablation_fd_quality;
         ] );
+      ( "artefacts",
+        [
+          Alcotest.test_case "names and docs" `Quick test_table_names;
+          Alcotest.test_case "figure7 csv" `Quick (test_csv "figure7");
+          Alcotest.test_case "figure1 csv" `Quick (test_csv "figure1");
+        ]
+        @ List.map
+            (fun (name, f) -> Alcotest.test_case (name ^ " check") `Quick f)
+            check_cases );
       ( "msgclass",
         [ Alcotest.test_case "classification" `Quick test_msgclass_kinds ] );
       ( "seqdiag",
