@@ -59,11 +59,12 @@ let write_bench_json () =
     "wrote BENCH_harness.json (%d artefacts, domains=%d, host_cores=%d)\n%!"
     (List.length !ledger) !domains host_cores
 
-let run_entry (e : A.t) =
-  let out, wall = timed (fun () -> e.run ~seed ~domains:!domains) in
+let run_entry ~domains (e : A.t) =
+  let out, wall = timed (fun () -> e.run ~seed ~domains) in
   section e.title out.text;
   record ~obs:e.obs e.name wall out.rows;
-  report e.name (e.check out.rows)
+  report e.name (e.check out.rows);
+  (out, wall)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel artefact: every entry whose text is host-independent, at 1
@@ -76,14 +77,11 @@ let run_parallel () =
     else min 4 (max 2 (Dsim.Pool.default_domains ()))
   in
   let compare (e : A.t) =
-    let seq, t_seq = timed (fun () -> e.run ~seed ~domains:1) in
+    let seq, t_seq = run_entry ~domains:1 e in
     let par, t_par = timed (fun () -> e.run ~seed ~domains:n) in
-    section e.title seq.text;
     if not (String.equal seq.text par.text) then
       report "parallel"
         [ Printf.sprintf "%s differs between 1 and %d domains" e.name n ];
-    record ~obs:e.obs e.name t_seq seq.rows;
-    report e.name (e.check seq.rows);
     (e.name, t_seq, t_par)
   in
   let times =
@@ -294,7 +292,7 @@ let bench_only =
 
 let run name =
   match (A.find name, List.assoc_opt name bench_only) with
-  | Some e, _ -> run_entry e
+  | Some e, _ -> ignore (run_entry ~domains:!domains e)
   | None, Some f -> f ()
   | None, None ->
       Printf.eprintf "unknown artefact %S (expected one of: %s)\n" name
@@ -321,7 +319,10 @@ let () =
   in
   (match parse [] (List.tl (Array.to_list Sys.argv)) with
   | [] ->
-      List.iter run_entry A.all;
+      List.iter
+        (fun (e : A.t) ->
+          if not e.smoke then ignore (run_entry ~domains:!domains e))
+        A.all;
       run_live ();
       run_micro ()
   | args -> List.iter run args);

@@ -13,13 +13,14 @@ type t = {
   doc : string;
   obs : string;
   host_timed : bool;
+  smoke : bool;
   run : seed:int -> domains:int -> output;
   check : row list -> string list;
 }
 
-let entry ?(obs = "off") ?(host_timed = false) ?(check = fun _ -> []) name
-    title doc run =
-  { name; title; doc; obs; host_timed; run; check }
+let entry ?(obs = "off") ?(host_timed = false) ?(smoke = false)
+    ?(check = fun _ -> []) name title doc run =
+  { name; title; doc; obs; host_timed; smoke; run; check }
 
 let out render to_rows data = { text = render data; rows = to_rows data }
 let i n = Stats.Json.Int n
@@ -347,7 +348,8 @@ let all =
        (takes minutes)."
       (fun ~seed ~domains:_ ->
         out E.render_scale (List.map scale_row) (E.scale_sweep ~seed ()));
-    entry ~host_timed:true "scale-smoke" "A10 (cluster-scale sweep)"
+    entry ~host_timed:true ~smoke:true "scale-smoke"
+      "A10 (cluster-scale sweep)"
       "Ablation A10 at its smallest point only."
       (fun ~seed ~domains:_ ->
         out E.render_scale (List.map scale_row)
@@ -369,9 +371,9 @@ let all =
       (fun ~seed ~domains ->
         out E.render_migrate (List.map migrate_row)
           (E.migrate_sweep ~seed ~domains ()));
-    entry ~obs:"traced" "batch" "A13 (batched commit pipeline)"
+    entry ~obs:"metrics" "batch" "A13 (batched commit pipeline)"
       "Ablation A13: batched-pipeline throughput and messages vs the window \
-       cap, with phase costs."
+       cap, with phase costs from a traced run (A13b)."
       (fun ~seed ~domains ->
         let rows = E.batch_sweep ~seed ~domains () in
         {

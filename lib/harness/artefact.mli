@@ -25,6 +25,9 @@ type t = {
       (** the text and rows show host wall-clock figures, so they differ
           between runs; such entries are left out of the 1-vs-N-domain
           comparison *)
+  smoke : bool;
+      (** a cut-down copy of another entry, for CI; a run of every entry
+          leaves it out *)
   run : seed:int -> domains:int -> output;
       (** deterministic per seed and independent of [domains], except for
           the host timings of a [host_timed] entry *)

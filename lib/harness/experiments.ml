@@ -340,9 +340,8 @@ let render_figure1 scenarios =
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
 
-let failover_sweep ?(seed = 42) ?(timeouts = [ 20.; 50.; 100.; 200.; 400. ])
-    ?domains () =
-  sweep ?domains ~seed timeouts (fun timeout ~seed ->
+let failover_sweep ?(seed = 42) ?domains () =
+  sweep ?domains ~seed [ 20.; 50.; 100.; 200.; 400. ] (fun timeout ~seed ->
       let e, d =
         Simrun.cluster ~seed ~client_period:300. ~tracing:false
           ~fd_spec:
@@ -750,8 +749,6 @@ type shard_row = {
   tx_per_vs : float;  (** delivered per {e virtual} second *)
 }
 
-let shard_points = [ 1; 2; 4 ]
-
 (* Deterministically pick [per_shard] account names owned by each shard:
    scan acct0, acct1, ... and keep the first hits per shard. *)
 let shard_accounts ~map ~per_shard =
@@ -773,8 +770,8 @@ let shard_accounts ~map ~per_shard =
   scan 0 (shards * per_shard);
   acc
 
-let shard_sweep ?(seed = 42) ?(points = shard_points) ?(clients_per_shard = 2)
-    ?(requests_per_client = 4) ?domains () =
+let shard_sweep ?(seed = 42) ?domains () =
+  let clients_per_shard = 2 and requests_per_client = 4 in
   let one n_shards ~seed =
     let map = Etx.Shard_map.create ~shards:n_shards () in
     let accounts = shard_accounts ~map ~per_shard:clients_per_shard in
@@ -815,7 +812,7 @@ let shard_sweep ?(seed = 42) ?(points = shard_points) ?(clients_per_shard = 2)
       tx_per_vs = float_of_int delivered /. (vtime_ms /. 1000.);
     }
   in
-  sweep ?domains ~seed points one
+  sweep ?domains ~seed [ 1; 2; 4 ] one
 
 let render_shard rows =
   let headers =
@@ -889,8 +886,8 @@ let body_shards ~map body =
         [ Etx.Shard_map.shard_of map a; Etx.Shard_map.shard_of map b ]
   | _ -> [ Etx.Shard_map.shard_of_body map body ]
 
-let cross_sweep ?(seed = 42) ?(points = cross_points) ?(clients = 3)
-    ?(requests = 12) ?domains () =
+let cross_sweep ?(seed = 42) ?domains () =
+  let clients = 3 and requests = 12 in
   let one (n_shards, ratio) ~seed =
     let map = Etx.Shard_map.create ~shards:n_shards () in
     let kind =
@@ -958,7 +955,7 @@ let cross_sweep ?(seed = 42) ?(points = cross_points) ?(clients = 3)
         float_of_int msgs /. float_of_int (max 1 delivered);
     }
   in
-  sweep ?domains ~seed points one
+  sweep ?domains ~seed cross_points one
 
 let render_cross rows =
   let headers =
@@ -1021,7 +1018,8 @@ type migrate_row = {
   mg_events : int;
 }
 
-let migrate_sweep ?(seed = 42) ?(issues = 10) ?domains () =
+let migrate_sweep ?(seed = 42) ?domains () =
+  let issues = 10 in
   let one ~seed =
     let reg = Obs.Registry.create () in
     let keys = List.init 6 (Printf.sprintf "acct%d") in
@@ -1321,7 +1319,8 @@ type failover_phase_report = {
 let failover_phase_names =
   [ "election"; "compute"; "prepare"; "consensus"; "terminate" ]
 
-let failover_phases ?(seed = 42) ?(trials = 5) ?domains () =
+let failover_phases ?(seed = 42) ?domains () =
+  let trials = 5 in
   let one ~seed =
     let reg = Obs.Registry.create () in
     let e, d =
@@ -1418,7 +1417,10 @@ let render_failover_phases rep =
    2PC, client traffic — retries included) over delivered requests, the
    amortization Figure 7 counts per single commit. *)
 
-let batch_points = [ 1; 4; 16; 64 ]
+(* the A13 workload, shared by A13b and A15a: twice as many clients as
+   the deepest cap, each issuing two updates *)
+let batch_clients = 128
+let batch_requests = 2
 
 type batch_row = {
   batch : int;
@@ -1428,7 +1430,8 @@ type batch_row = {
   mean_fill : float;
 }
 
-let batch_run ~seed ~clients ~requests ~batch =
+let batch_run ~seed ~batch =
+  let clients = batch_clients and requests = batch_requests in
   let reg = Obs.Registry.create ~spans:false () in
   let seed_data =
     Workload.Bank.seed_accounts
@@ -1470,10 +1473,9 @@ let batch_run ~seed ~clients ~requests ~batch =
     mean_fill;
   }
 
-let batch_sweep ?(seed = 42) ?(clients = 128) ?(requests = 2)
-    ?(points = batch_points) ?domains () =
-  sweep ?domains ~seed points
-    (fun batch ~seed -> batch_run ~seed ~clients ~requests ~batch)
+let batch_sweep ?(seed = 42) ?domains () =
+  sweep ?domains ~seed [ 1; 4; 16; 64 ] (fun batch ~seed ->
+      batch_run ~seed ~batch)
 
 let render_batch rows =
   let headers =
@@ -1499,8 +1501,8 @@ let render_batch rows =
    committed request, classic path vs a deep window. The same span names
    as A12, so the two tables line up. *)
 
-let batch_phases ?(seed = 42) ?(clients = 128) ?(requests = 2)
-    ?(batches = [ 1; 16 ]) ?domains () =
+let batch_phases ?(seed = 42) ?domains () =
+  let clients = batch_clients and requests = batch_requests in
   let one ~batch ~seed =
     let reg = Obs.Registry.create () in
     let seed_data =
@@ -1542,7 +1544,7 @@ let batch_phases ?(seed = 42) ?(clients = 128) ?(requests = 2)
           })
         durs )
   in
-  sweep ?domains ~seed batches (fun batch -> one ~batch)
+  sweep ?domains ~seed [ 1; 16 ] (fun batch -> one ~batch)
 
 let render_batch_phases reports =
   let headers =
@@ -1578,8 +1580,6 @@ let render_batch_phases reports =
    read collapse because a hit is one request/response round trip. The
    specification — including cache coherence — is asserted per row. *)
 
-let read_points = [ 1; 2; 3; 4 ]
-
 type read_row = {
   servers : int;
   cache : bool;
@@ -1591,7 +1591,14 @@ type read_row = {
   mean_read_latency_ms : float;
 }
 
-let read_run ~seed ~clients ~requests ~reads_per_write ~servers ~cache =
+(* A14 and A15c: eight clients, eight requests each, seven audits per
+   update *)
+let read_clients = 8
+let read_requests = 8
+let reads_per_write = 7
+
+let read_run ~seed ~servers ~cache =
+  let clients = read_clients and requests = read_requests in
   let reg = Obs.Registry.create ~spans:false () in
   let kind =
     Workload.Generator.Read_heavy
@@ -1647,12 +1654,10 @@ let read_run ~seed ~clients ~requests ~reads_per_write ~servers ~cache =
        else List.fold_left ( +. ) 0. (latencies read_records) /. rn);
   }
 
-let read_sweep ?(seed = 42) ?(clients = 8) ?(requests = 8)
-    ?(reads_per_write = 7) ?(points = read_points) ?domains () =
+let read_sweep ?(seed = 42) ?domains () =
   sweep ?domains ~seed
-    (List.concat_map (fun n -> [ (n, false); (n, true) ]) points)
-    (fun (servers, cache) ~seed ->
-      read_run ~seed ~clients ~requests ~reads_per_write ~servers ~cache)
+    (List.concat_map (fun n -> [ (n, false); (n, true) ]) [ 1; 2; 3; 4 ])
+    (fun (servers, cache) ~seed -> read_run ~seed ~servers ~cache)
 
 let render_read rows =
   let headers =
@@ -1705,8 +1710,6 @@ let render_read rows =
       pipeline, so read throughput keeps scaling after the cache alone
       has saturated. *)
 
-let gc_points = [ 1; 4; 16; 64 ]
-
 type gc_row = {
   gc_batch : int;
   gc_on : bool;
@@ -1716,7 +1719,14 @@ type gc_row = {
   gc_mean_latency_ms : float;
 }
 
-let gc_run ~seed ~clients ~requests ~servers ~batch ~gc =
+(* 16 application servers, not the default 3: each server's compute
+   thread runs one transaction at a time (the paper's architecture), so
+   the db sees at most 16 concurrent commitment steps. With only 3 the
+   ~25 ms of forced IO per ~600 ms transaction essentially never collides
+   and the coalescing scheduler has nothing to merge — group commit
+   without concurrent sessions buys exactly nothing. *)
+let gc_run ~seed ~batch ~gc =
+  let clients = batch_clients and requests = batch_requests in
   let reg = Obs.Registry.create ~spans:false () in
   let seed_data =
     Workload.Bank.seed_accounts
@@ -1729,7 +1739,7 @@ let gc_run ~seed ~clients ~requests ~servers ~batch ~gc =
         done)
   in
   let e, c =
-    Simrun.cluster ~seed ~obs:reg ~shards:1 ~n_app_servers:servers ~batch
+    Simrun.cluster ~seed ~obs:reg ~shards:1 ~n_app_servers:16 ~batch
       ~group_commit:gc ~seed_data ~business:Workload.Bank.update ~scripts ()
   in
   if not (Cluster.run_to_quiescence ~deadline:3_600_000. c) then
@@ -1754,18 +1764,12 @@ let gc_run ~seed ~clients ~requests ~servers ~batch ~gc =
     gc_mean_latency_ms = List.fold_left ( +. ) 0. (latencies records) /. dn;
   }
 
-(* 16 application servers, not the default 3: each server's compute
-   thread runs one transaction at a time (the paper's architecture), so
-   the db sees at most [servers] concurrent commitment steps. With only
-   3 the ~25 ms of forced IO per ~600 ms transaction essentially never
-   collides and the coalescing scheduler has nothing to merge — group
-   commit without concurrent sessions buys exactly nothing. *)
-let group_commit_sweep ?(seed = 42) ?(clients = 128) ?(requests = 2)
-    ?(servers = 16) ?(points = gc_points) ?domains () =
+let group_commit_sweep ?(seed = 42) ?domains () =
   sweep ?domains ~seed
-    (List.concat_map (fun batch -> [ (batch, false); (batch, true) ]) points)
-    (fun (batch, gc) ~seed ->
-      gc_run ~seed ~clients ~requests ~servers ~batch ~gc)
+    (List.concat_map
+       (fun batch -> [ (batch, false); (batch, true) ])
+       [ 1; 4; 16; 64 ])
+    (fun (batch, gc) ~seed -> gc_run ~seed ~batch ~gc)
 
 let render_gc rows =
   let headers =
@@ -1795,8 +1799,6 @@ let render_gc rows =
    cap, coalescing scheduler off vs on (force latency 12.5 ms; spec \
    asserted per row)\n"
   ^ Stats.Table.render ~headers ~rows:body
-
-let recovery_points = [ 64; 256; 1024 ]
 
 type recovery_row = {
   commits : int;
@@ -1855,12 +1857,13 @@ let recovery_run ~seed ~commits ~checkpoint_every =
   | Some r -> r
   | None -> failwith "recovery_sweep: micro-harness did not finish"
 
-let recovery_sweep ?(seed = 42) ?(points = recovery_points)
-    ?(checkpoint_every = 48) ?domains () =
+(* checkpoint every 48 commits: deliberately not a divisor of the history
+   lengths, so a residual suffix survives the last snapshot *)
+let recovery_sweep ?(seed = 42) ?domains () =
   sweep ?domains ~seed
     (List.concat_map
-       (fun commits -> [ (commits, None); (commits, Some checkpoint_every) ])
-       points)
+       (fun commits -> [ (commits, None); (commits, Some 48) ])
+       [ 64; 256; 1024 ])
     (fun (commits, ck) ~seed ->
       recovery_run ~seed ~commits ~checkpoint_every:ck)
 
@@ -1885,8 +1888,6 @@ let render_recovery rows =
    machine-dependent; steps are deterministic)\n"
   ^ Stats.Table.render ~headers ~rows:body
 
-let replica_points = [ 0; 1; 2 ]
-
 type replica_row = {
   rep_replicas : int;
   rep_reads : int;
@@ -1897,7 +1898,8 @@ type replica_row = {
   rep_mean_read_latency_ms : float;
 }
 
-let replica_run ~seed ~clients ~requests ~reads_per_write ~servers ~replicas =
+let replica_run ~seed ~replicas =
+  let clients = read_clients and requests = read_requests in
   let reg = Obs.Registry.create ~spans:false () in
   (* a WIDE key space, deliberately: repeat audits are rare, so the method
      cache — which only pays off on repeats — stays cold and nearly every
@@ -1919,8 +1921,8 @@ let replica_run ~seed ~clients ~requests ~reads_per_write ~servers ~replicas =
      a few SQL rounds (~0.5 s), and every premature retry lands on the
      next server, which then runs its own replica read of the same rid *)
   let e, c =
-    Simrun.cluster ~seed ~obs:reg ~shards:1 ~n_app_servers:servers ~cache:true
-      ~replicas ~client_period:1_500.
+    Simrun.cluster ~seed ~obs:reg ~shards:1 ~cache:true ~replicas
+      ~client_period:1_500.
       ~seed_data:(Workload.Generator.seed_data_of kind)
       ~business:(Workload.Generator.business_of kind)
       ~scripts ()
@@ -1959,12 +1961,9 @@ let replica_run ~seed ~clients ~requests ~reads_per_write ~servers ~replicas =
        else List.fold_left ( +. ) 0. (latencies read_records) /. rn);
   }
 
-let replica_sweep ?(seed = 42) ?(clients = 8) ?(requests = 8)
-    ?(reads_per_write = 7) ?(servers = 3) ?(points = replica_points) ?domains
-    () =
-  sweep ?domains ~seed points (fun replicas ~seed ->
-      replica_run ~seed ~clients ~requests ~reads_per_write ~servers
-        ~replicas)
+let replica_sweep ?(seed = 42) ?domains () =
+  sweep ?domains ~seed [ 0; 1; 2 ] (fun replicas ~seed ->
+      replica_run ~seed ~replicas)
 
 let render_replica rows =
   let headers =

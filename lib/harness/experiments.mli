@@ -74,13 +74,9 @@ val render_figure1 : fig1_scenario list -> string
 (** {1 A1–A4 — ablations} *)
 
 val failover_sweep :
-  ?seed:int ->
-  ?timeouts:float list ->
-  ?domains:int ->
-  unit ->
-  (float * float * int) list
-(** Heartbeat-detector timeout vs client-visible latency (and tries) of a
-    request whose primary crashes mid-compute. *)
+  ?seed:int -> ?domains:int -> unit -> (float * float * int) list
+(** Heartbeat-detector timeout (20 to 400 ms) vs client-visible latency
+    (and tries) of a request whose primary crashes mid-compute. *)
 
 val render_failover : (float * float * int) list -> string
 
@@ -187,28 +183,18 @@ type shard_row = {
   tx_per_vs : float;  (** delivered per {e virtual} second *)
 }
 
-val shard_points : int list
-(** Default shard counts for {!shard_sweep}: 1, 2, 4. *)
-
 val shard_accounts : map:Etx.Shard_map.t -> per_shard:int -> string list array
 (** The first [per_shard] of [acct0], [acct1], … owned by each shard. *)
 
-val shard_sweep :
-  ?seed:int ->
-  ?points:int list ->
-  ?clients_per_shard:int ->
-  ?requests_per_client:int ->
-  ?domains:int ->
-  unit ->
-  shard_row list
-(** A11: shard scaling. For each shard count S, build an S-shard
-    {!Cluster} serving [clients_per_shard] clients per shard (each client
-    owning one account on its shard), run to quiescence, assert
-    {!Cluster.Spec.check_all} is clean, and report virtual-time throughput
-    (delivered transactions per simulated second). Shards run in parallel
-    in virtual time, so throughput scaling with S — at roughly flat
-    quiescence time — is the point of the artefact. Deterministic per seed;
-    trials map over the domain pool. *)
+val shard_sweep : ?seed:int -> ?domains:int -> unit -> shard_row list
+(** A11: shard scaling. For each shard count S of 1, 2 and 4, build an
+    S-shard {!Cluster} serving two clients per shard (each client owning
+    one account on its shard and issuing four updates), run to quiescence,
+    assert {!Cluster.Spec.check_all} is clean, and report virtual-time
+    throughput (delivered transactions per simulated second). Shards run
+    in parallel in virtual time, so throughput scaling with S — at roughly
+    flat quiescence time — is the point of the artefact. Deterministic per
+    seed; trials map over the domain pool. *)
 
 val render_shard : shard_row list -> string
 
@@ -227,21 +213,11 @@ type cross_row = {
   cx_msgs_per_commit : float;
 }
 
-val cross_points : (int * float) list
-(** Default {!cross_sweep} grid: shards 2 and 4 × cross ratio 0, 0.1, 0.5,
-    1. *)
-
-val cross_sweep :
-  ?seed:int ->
-  ?points:(int * float) list ->
-  ?clients:int ->
-  ?requests:int ->
-  ?domains:int ->
-  unit ->
-  cross_row list
-(** A16: cross-shard commit cost. For each (shards, cross ratio) point,
-    build a cluster with [~cross:true], feed it [requests] bank transfers of
-    which the given fraction have a foreign-shard destination
+val cross_sweep : ?seed:int -> ?domains:int -> unit -> cross_row list
+(** A16: cross-shard commit cost. For each point of shards 2 and 4 × cross
+    ratio 0, 0.1, 0.5 and 1, build a cluster with [~cross:true], feed it
+    12 bank transfers from three clients, of which the given fraction have
+    a foreign-shard destination
     ({!Workload.Generator.sharded_bodies} with [cross_ratio]), run to
     quiescence, assert {!Cluster.Spec.check_all} — including global
     atomicity — is clean, and report virtual-time throughput plus protocol
@@ -267,8 +243,7 @@ type migrate_row = {
   mg_events : int;
 }
 
-val migrate_sweep :
-  ?seed:int -> ?issues:int -> ?domains:int -> unit -> migrate_row list
+val migrate_sweep : ?seed:int -> ?domains:int -> unit -> migrate_row list
 (** A17: elastic reconfiguration. Warm a 2-shard cluster (one
     pre-provisioned spare group) with bank-update traffic, split group 0's
     slots toward the spare while the clients keep issuing, and report
@@ -325,10 +300,10 @@ val failover_phase_names : string list
     election, compute, prepare, consensus, terminate. *)
 
 val failover_phases :
-  ?seed:int -> ?trials:int -> ?domains:int -> unit -> failover_phase_report
+  ?seed:int -> ?domains:int -> unit -> failover_phase_report
 (** A12: per-phase latency attribution of the fail-over path, measured from
     the observability span layer rather than the simulator trace. Re-runs
-    the Figure 1(c) scenario (primary crashed mid-request) [trials] times
+    the Figure 1(c) scenario (primary crashed mid-request) five times
     with a registry attached and splits the committed request's mean
     client-visible latency into closed-span time per phase; the crashed
     owner's never-closed spans are reported as abandoned work, and the
@@ -345,39 +320,22 @@ type batch_row = {
   mean_fill : float;  (** mean transactions per assembled window *)
 }
 
-val batch_points : int list
-(** The default sweep caps: 1, 4, 16, 64. *)
-
-val batch_sweep :
-  ?seed:int ->
-  ?clients:int ->
-  ?requests:int ->
-  ?points:int list ->
-  ?domains:int ->
-  unit ->
-  batch_row list
+val batch_sweep : ?seed:int -> ?domains:int -> unit -> batch_row list
 (** A13: single-shard throughput and message amortization against the
-    batch cap. [clients] (default 128 — at least twice the deepest default
+    batch cap (1, 4, 16, 64). 128 concurrent clients (twice the deepest
     cap, so consecutive windows serve disjoint client sets and never
-    contend on the previous window's still-held locks) concurrent clients
-    on disjoint accounts each issue [requests] (default 2) updates, so the
-    leaseholder drains a deep queue; every run must deliver everything and
-    quiesce. *)
+    contend on the previous window's still-held locks) on disjoint
+    accounts each issue two updates, so the leaseholder drains a deep
+    queue; every run must deliver everything and quiesce. *)
 
 val render_batch : batch_row list -> string
 
 val batch_phases :
-  ?seed:int ->
-  ?clients:int ->
-  ?requests:int ->
-  ?batches:int list ->
-  ?domains:int ->
-  unit ->
-  (int * phase_row list) list
+  ?seed:int -> ?domains:int -> unit -> (int * phase_row list) list
 (** A13b: amortized per-commit phase cost (closed-span ms over delivered
-    requests), classic path versus a deep window, using the same phase
-    names as {!failover_phases} so the A12 and A13b tables line up.
-    Default [batches] is [[1; 16]]. *)
+    requests) on the A13 workload, classic path (cap 1) versus a deep
+    window (cap 16), using the same phase names as {!failover_phases} so
+    the A12 and A13b tables line up. *)
 
 val render_batch_phases : (int * phase_row list) list -> string
 
@@ -392,23 +350,12 @@ type read_row = {
   mean_read_latency_ms : float;
 }
 
-val read_points : int list
-(** Default app-server counts for {!read_sweep}: 1, 2, 3, 4. *)
-
-val read_sweep :
-  ?seed:int ->
-  ?clients:int ->
-  ?requests:int ->
-  ?reads_per_write:int ->
-  ?points:int list ->
-  ?domains:int ->
-  unit ->
-  read_row list
+val read_sweep : ?seed:int -> ?domains:int -> unit -> read_row list
 (** A14: the method cache under a read-dominant mix. For each app-server
-    count in [points] × cache off/on, run a single-shard cluster of
-    [clients] clients each issuing [requests] {!Workload.Generator.Read_heavy}
-    bodies (audits with one update every [reads_per_write + 1] requests
-    over a few hot accounts), run to quiescence, and assert
+    count of 1 to 4 × cache off/on, run a single-shard cluster of eight
+    clients each issuing eight {!Workload.Generator.Read_heavy} bodies
+    (audits with one update every eight requests over a few hot
+    accounts), run to quiescence, and assert
     {!Cluster.Spec.check_all} — including per-shard cache coherence — is
     clean. With caching on, clients rotate their first-try server, so
     cached read throughput scales with the server count while the uncached
@@ -432,30 +379,19 @@ type gc_row = {
   gc_mean_latency_ms : float;
 }
 
-val gc_points : int list
-(** The default window caps: 1, 4, 16, 64. *)
-
-val group_commit_sweep :
-  ?seed:int ->
-  ?clients:int ->
-  ?requests:int ->
-  ?servers:int ->
-  ?points:int list ->
-  ?domains:int ->
-  unit ->
-  gc_row list
-(** A15a: disk forces per committed request against the batch cap ×
-    coalescing off/on, at the default 12.5 ms force latency (the A13
-    workload: [clients] concurrent clients on disjoint accounts, spec
+val group_commit_sweep : ?seed:int -> ?domains:int -> unit -> gc_row list
+(** A15a: disk forces per committed request against the batch cap (1, 4,
+    16, 64) × coalescing off/on, at the default 12.5 ms force latency (the
+    A13 workload: 128 concurrent clients on disjoint accounts, spec
     asserted per row). The cap amortizes one window's log writes into one
     force; the scheduler additionally merges forces from concurrent
     sessions, so both columns fall with the cap and the coalesced one
     stays at or below its per-call twin.
 
-    [servers] (default 16, not the cluster default 3) sets the number of
-    application servers and thereby the db-side commitment concurrency:
-    each server's compute thread drives one transaction at a time, and a
-    group-commit window can only merge forces that actually overlap. *)
+    It runs 16 application servers, not the cluster default 3, to raise
+    the db-side commitment concurrency: each server's compute thread
+    drives one transaction at a time, and a group-commit window can only
+    merge forces that actually overlap. *)
 
 val render_gc : gc_row list -> string
 
@@ -469,20 +405,11 @@ type recovery_row = {
           machine-dependent, unlike [steps]) *)
 }
 
-val recovery_points : int list
-(** Default committed-history lengths: 64, 256, 1024. *)
-
-val recovery_sweep :
-  ?seed:int ->
-  ?points:int list ->
-  ?checkpoint_every:int ->
-  ?domains:int ->
-  unit ->
-  recovery_row list
-(** A15b: a direct {!Dbms.Rm} micro-harness — commit each history length
-    with and without a checkpoint every [checkpoint_every] (default 48,
-    deliberately not a divisor of the default points so a residual
-    suffix survives the last snapshot) commits, then measure recovery.
+val recovery_sweep : ?seed:int -> ?domains:int -> unit -> recovery_row list
+(** A15b: a direct {!Dbms.Rm} micro-harness — commit histories of 64, 256
+    and 1024 transactions with and without a checkpoint every 48 commits
+    (deliberately not a divisor of the lengths, so a residual suffix
+    survives the last snapshot), then measure recovery.
     Uncheckpointed replay grows linearly with the history; checkpointed
     replay is bounded by the suffix since the last snapshot. *)
 
@@ -499,24 +426,12 @@ type replica_row = {
   rep_mean_read_latency_ms : float;
 }
 
-val replica_points : int list
-(** Default replica counts: 0, 1, 2. *)
-
-val replica_sweep :
-  ?seed:int ->
-  ?clients:int ->
-  ?requests:int ->
-  ?reads_per_write:int ->
-  ?servers:int ->
-  ?points:int list ->
-  ?domains:int ->
-  unit ->
-  replica_row list
+val replica_sweep : ?seed:int -> ?domains:int -> unit -> replica_row list
 (** A15c: the A14 read-heavy mix with the method cache {e on}, across
-    replica counts. Cache-miss reads are answered by bounded-staleness
-    change-log replicas — no election, no transaction, no primary SQL —
-    so read throughput keeps improving after the cache alone has
-    saturated, and the full specification (including replica consistency)
-    is asserted per row. *)
+    0, 1 and 2 replicas per database. Cache-miss reads are answered by
+    bounded-staleness change-log replicas — no election, no transaction,
+    no primary SQL — so read throughput keeps improving after the cache
+    alone has saturated, and the full specification (including replica
+    consistency) is asserted per row. *)
 
 val render_replica : replica_row list -> string
