@@ -191,14 +191,53 @@ let run_live () =
 
 open Bechamel
 
+type Runtime.Types.payload += Micro_ping of int | Micro_pong of int
+
+let cls_micro =
+  Runtime.Etx_runtime.register_class ~name:"bench-micro" (function
+    | Micro_ping _ | Micro_pong _ -> true
+    | _ -> false)
+
+(* Two processes over reliable channels: one sends 1k pings, the other
+   answers each with a pong; done when every pong is back. *)
+let rchannel_roundtrip () =
+  let n = 1_000 in
+  let e = Dsim.Engine.create ~tracing:false () in
+  let peer main =
+    Dsim.Engine.spawn e ~name:"peer" ~main:(fun ~recovery:_ () ->
+        let ch = Dnet.Rchannel.create () in
+        Dnet.Rchannel.start ch;
+        main ch)
+  in
+  let pinger = 0 and ponger = 1 in
+  ignore
+    (peer (fun ch ->
+         for i = 1 to n do
+           Dnet.Rchannel.send ch ponger (Micro_ping i)
+         done;
+         for _ = 1 to n do
+           ignore (Dsim.Engine.recv_cls cls_micro)
+         done));
+  ignore
+    (peer (fun ch ->
+         for _ = 1 to n do
+           match Dsim.Engine.recv_cls cls_micro with
+           | Some { payload = Micro_ping i; _ } ->
+               Dnet.Rchannel.send ch pinger (Micro_pong i)
+           | _ -> ()
+         done));
+  ignore (Dsim.Engine.run e)
+
 let micro_tests =
-  let heap_bench () =
-    let h = Runtime.Heap.create ~leq:(fun (a : int) b -> a <= b) () in
+  let timeq_bench () =
+    let q = Runtime.Timeq.create ~dummy:0 () in
     for i = 0 to 999 do
-      Runtime.Heap.push h ((i * 7919) mod 1000)
+      let k = (i * 7919) mod 1000 in
+      Runtime.Timeq.push q (float_of_int k) k
     done;
-    let rec drain () = match Runtime.Heap.pop h with None -> () | Some _ -> drain () in
-    drain ()
+    while not (Runtime.Timeq.is_empty q) do
+      ignore (Runtime.Timeq.pop q)
+    done
   in
   let rng_bench () =
     let r = Runtime.Rng.create ~seed:1 in
@@ -244,7 +283,8 @@ let micro_tests =
   in
   Test.make_grouped ~name:"etx"
     [
-      Test.make ~name:"heap-1k-push-pop" (Staged.stage heap_bench);
+      Test.make ~name:"timeq-1k" (Staged.stage timeq_bench);
+      Test.make ~name:"rchannel-1k-roundtrip" (Staged.stage rchannel_roundtrip);
       Test.make ~name:"rng-1k" (Staged.stage rng_bench);
       Test.make ~name:"consensus-write" (Staged.stage one_consensus);
       Test.make ~name:"one-e-transaction" (Staged.stage one_etx);
@@ -261,29 +301,38 @@ let run_micro () =
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
   in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] micro_tests in
+  let clock = Toolkit.Instance.monotonic_clock
+  and words = Toolkit.Instance.minor_allocated in
+  let raw = Benchmark.all cfg [ clock; words ] micro_tests in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== Bechamel micro-benchmarks (wall-clock per run) ==";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> est
-        | Some (est :: _) -> est
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
+  (* per-run estimate of one measure, by test name *)
+  let per_run instance =
+    let est = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun name ols ->
+        Hashtbl.replace est name
+          (match Analyze.OLS.estimates ols with
+          | Some (x :: _) -> x
+          | Some [] | None -> nan))
+      (Analyze.all ols instance raw);
+    est
+  in
+  let ns = per_run clock and minor = per_run words in
+  print_endline
+    "== Bechamel micro-benchmarks (wall-clock and minor words per run) ==";
+  let time ns =
+    if Float.is_nan ns then "(no estimate)"
+    else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
+    else Printf.sprintf "%8.2f us" (ns /. 1e3)
+  in
   List.iter
-    (fun (name, ns) ->
-      if Float.is_nan ns then Printf.printf "  %-28s (no estimate)\n" name
-      else if ns > 1e6 then Printf.printf "  %-28s %8.2f ms\n" name (ns /. 1e6)
-      else Printf.printf "  %-28s %8.2f us\n" name (ns /. 1e3))
-    (List.sort compare !rows);
+    (fun name ->
+      let w = Option.value (Hashtbl.find_opt minor name) ~default:nan in
+      Printf.printf "  %-34s %s %14.0f words\n" name
+        (time (Hashtbl.find ns name)) w)
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys ns)));
   print_newline ()
 
 

@@ -3,15 +3,17 @@ module Rt = Etx_runtime
 
 (* [rc_ep] identifies the sending endpoint incarnation: a process that
    crashes and recovers gets a fresh endpoint whose sequence numbers restart,
-   so deduplication must key on (source, endpoint, seq) — otherwise a
-   recovered database's first messages would be dropped as duplicates.
+   so deduplication must key on (endpoint, seq) — otherwise a recovered
+   database's first messages would be dropped as duplicates. Endpoint ids
+   come from [fresh_uid], unique across processes and incarnations within a
+   run, so the endpoint alone names the sending stream: the receive table
+   is keyed by the bare int.
 
    Sequence numbers are per destination (starting at 1), which lets an ack
    carry [rc_cum], the receiver's highest contiguously-delivered sequence
-   for that (source, endpoint): one ack then retires a whole prefix of the
-   outbox, and the receiver's duplicate-suppression state stays bounded by
-   the out-of-order window instead of growing with every message ever
-   seen. *)
+   for that endpoint: one ack then retires a whole prefix of the outbox,
+   and the receiver's duplicate-suppression state stays bounded by the
+   out-of-order window instead of growing with every message ever seen. *)
 type Types.payload +=
   | Rc_data of { rc_ep : int; rc_seq : int; inner : Types.payload }
   | Rc_ack of { rc_ep : int; rc_seq : int; rc_cum : int }
@@ -27,14 +29,30 @@ let cls_kick =
     | Rc_kick -> true
     | _ -> false)
 
+(* Float-only, so the floats are stored unboxed and updating them
+   allocates nothing. *)
+type times = {
+  mutable next_delay : float;
+  mutable due : float;  (** absolute time of next retransmission *)
+}
+
 type out_entry = {
   dst : Types.proc_id;
   seq : int;
   inner : Types.payload;
-  mutable next_delay : float;
-  mutable due : float;  (** absolute time of next retransmission *)
+  tm : times;
   mutable acked : bool;
 }
+
+(* fills the timer queue's vacated slots *)
+let no_entry =
+  {
+    dst = -1;
+    seq = 0;
+    inner = Rc_kick;
+    tm = { next_delay = 0.; due = 0. };
+    acked = true;
+  }
 
 (* A stream to a silent destination retransmits only its probe; see
    [park]. *)
@@ -52,30 +70,27 @@ type dst_state = {
   mutable silence : silence;
 }
 
-(* receiver-side per-(source, endpoint) stream *)
+(* receiver-side per-endpoint stream *)
 type rx_state = {
   mutable cum : int;  (** highest contiguously delivered sequence *)
   ooo : (int, unit) Hashtbl.t;  (** delivered out of order, above [cum] *)
 }
 
-(* Retransmission timers: a lazy-deletion min-heap of (due, entry)
-   snapshots. Acking or rescheduling an entry leaves its old snapshot in
-   the heap; pops skip snapshots whose entry is retired or whose due time
-   moved on. [hseq] breaks due-time ties deterministically. *)
-type helem = { hdue : float; hseq : int; entry : out_entry }
-
+(* Retransmission timers: a lazy-deletion queue of (due, entry) snapshots.
+   Acking or rescheduling an entry leaves its old snapshot queued; pops skip
+   snapshots whose entry is retired or whose due time moved on. Equal due
+   times pop in push order. *)
 type t = {
   owner : Types.proc_id;
   ep : int;  (** endpoint incarnation, globally unique *)
   streams : (Types.proc_id, dst_state) Hashtbl.t;
-  timers : helem Heap.t;
-  mutable hseq : int;
+  timers : out_entry Timeq.t;
   mutable pending : int;  (** unacked outgoing messages, O(1) *)
   mutable probing : int;  (** streams in [Probing] *)
   mutable wake_at : float;
       (** the due time the retransmitter sleeps toward; [infinity] while it
           waits for a kick *)
-  rx : (Types.proc_id * int, rx_state) Hashtbl.t;
+  rx : (int, rx_state) Hashtbl.t;  (** by sending endpoint *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
 }
 
@@ -93,11 +108,7 @@ let create () =
        trial) so independent trials stay self-contained *)
     ep = Rt.fresh_uid ();
     streams = Hashtbl.create 16;
-    timers =
-      Heap.create
-        ~leq:(fun a b -> a.hdue < b.hdue || (a.hdue = b.hdue && a.hseq <= b.hseq))
-        ();
-    hseq = 0;
+    timers = Timeq.create ~dummy:no_entry ();
     pending = 0;
     probing = 0;
     wake_at = Float.infinity;
@@ -107,10 +118,12 @@ let create () =
 
 let pending t = t.pending
 
+(* Lookups use [find] and [Not_found] rather than [find_opt]: a hit, the
+   common case, then allocates no option. *)
 let stream_to t dst =
-  match Hashtbl.find_opt t.streams dst with
-  | Some ds -> ds
-  | None ->
+  match Hashtbl.find t.streams dst with
+  | ds -> ds
+  | exception Not_found ->
       let ds =
         {
           next_seq = 0;
@@ -123,17 +136,15 @@ let stream_to t dst =
       Hashtbl.add t.streams dst ds;
       ds
 
-let stream_from t src rc_ep =
-  match Hashtbl.find_opt t.rx (src, rc_ep) with
-  | Some rs -> rs
-  | None ->
+let stream_from t rc_ep =
+  match Hashtbl.find t.rx rc_ep with
+  | rs -> rs
+  | exception Not_found ->
       let rs = { cum = 0; ooo = Hashtbl.create 8 } in
-      Hashtbl.add t.rx (src, rc_ep) rs;
+      Hashtbl.add t.rx rc_ep rs;
       rs
 
-let push_timer t e =
-  t.hseq <- t.hseq + 1;
-  Heap.push t.timers { hdue = e.due; hseq = t.hseq; entry = e }
+let push_timer t e = Timeq.push t.timers e.tm.due e
 
 let retire t (e : out_entry) =
   if not e.acked then begin
@@ -141,20 +152,19 @@ let retire t (e : out_entry) =
     t.pending <- t.pending - 1
   end
 
-let handle_ack t ds ~seq ~cum =
-  (match Hashtbl.find_opt ds.live seq with
-  | Some e ->
+let retire_seq t ds seq =
+  match Hashtbl.find ds.live seq with
+  | e ->
       Hashtbl.remove ds.live seq;
       retire t e
-  | None -> ());
+  | exception Not_found -> ()
+
+let handle_ack t ds ~seq ~cum =
+  retire_seq t ds seq;
   (* advance the retired prefix; each sequence number is visited at most
      once over the stream's lifetime, so this is amortised O(1) per ack *)
   while ds.min_live <= cum do
-    (match Hashtbl.find_opt ds.live ds.min_live with
-    | Some e ->
-        Hashtbl.remove ds.live ds.min_live;
-        retire t e
-    | None -> ());
+    retire_seq t ds ds.min_live;
     ds.min_live <- ds.min_live + 1
   done
 
@@ -198,7 +208,7 @@ let heard_from t ds ~sent_at =
           List.iter
             (fun e ->
               if not e.acked then begin
-                e.due <- now;
+                e.tm.due <- now;
                 push_timer t e
               end)
             (List.sort (fun a b -> Int.compare a.seq b.seq) parked);
@@ -207,7 +217,7 @@ let heard_from t ds ~sent_at =
 let handle_incoming t (m : Types.message) =
   match m.payload with
   | Rc_data { rc_ep; rc_seq; inner } ->
-      let rs = stream_from t m.src rc_ep in
+      let rs = stream_from t rc_ep in
       let duplicate = rc_seq <= rs.cum || Hashtbl.mem rs.ooo rc_seq in
       if duplicate then count t "rc.duplicate";
       if not duplicate then begin
@@ -224,12 +234,12 @@ let handle_incoming t (m : Types.message) =
       end
       else Rt.send m.src (Rc_ack { rc_ep; rc_seq; rc_cum = rs.cum })
   | Rc_ack { rc_ep; rc_seq; rc_cum } ->
-      if rc_ep = t.ep then
-        (match Hashtbl.find_opt t.streams m.src with
-        | Some ds ->
+      if rc_ep = t.ep then (
+        match Hashtbl.find t.streams m.src with
+        | ds ->
             handle_ack t ds ~seq:rc_seq ~cum:rc_cum;
             heard_from t ds ~sent_at:m.sent_at
-        | None -> ())
+        | exception Not_found -> ())
   | _ -> ()
 
 let receiver_loop t () =
@@ -246,61 +256,53 @@ let receiver_loop t () =
    it blocks on a kick message, so a finished simulation reaches
    quiescence. *)
 let retransmitter_loop t () =
-  (* earliest live due time, discarding stale heap snapshots *)
-  let rec next_due () =
-    match Heap.peek t.timers with
-    | None -> None
-    | Some h ->
-        if h.entry.acked || h.hdue <> h.entry.due then begin
-          ignore (Heap.pop t.timers);
-          next_due ()
-        end
-        else Some h.hdue
+  (* drops stale snapshots from the front of the queue *)
+  let rec skip_stale () =
+    if not (Timeq.is_empty t.timers) then begin
+      let e = Timeq.min_value t.timers in
+      if e.acked || Timeq.min_time t.timers <> e.tm.due then begin
+        ignore (Timeq.pop t.timers);
+        skip_stale ()
+      end
+    end
   in
   let rec fire now =
-    match Heap.peek t.timers with
-    | None -> ()
-    | Some h ->
-        if h.entry.acked || h.hdue <> h.entry.due then begin
-          ignore (Heap.pop t.timers);
-          fire now
-        end
-        else if h.hdue <= now then begin
-          ignore (Heap.pop t.timers);
-          let e = h.entry in
-          count t "rc.retransmit";
-          Rt.send e.dst
-            (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
-          e.next_delay <-
-            Float.min max_backoff (e.next_delay *. backoff_factor);
-          e.due <- now +. e.next_delay;
-          if e.next_delay < max_backoff || not (park t e now) then
-            push_timer t e;
-          fire now
-        end
+    skip_stale ();
+    if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now then begin
+      let e = Timeq.pop t.timers in
+      count t "rc.retransmit";
+      Rt.send e.dst (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
+      e.tm.next_delay <- Float.min max_backoff (e.tm.next_delay *. backoff_factor);
+      e.tm.due <- now +. e.tm.next_delay;
+      if e.tm.next_delay < max_backoff || not (park t e now) then push_timer t e;
+      fire now
+    end
   in
   let rec loop () =
     if t.pending = 0 then begin
-      Heap.clear t.timers;
+      Timeq.clear t.timers;
       t.wake_at <- Float.infinity;
       ignore (Rt.recv_cls cls_kick);
       loop ()
     end
-    else
-      match next_due () with
-      | None ->
-          (* unreachable while every live entry has a timer or is parked
-             behind a live probe (whose ack kicks us); blocking on a kick
-             keeps quiescence safe regardless *)
-          t.wake_at <- Float.infinity;
-          ignore (Rt.recv_cls cls_kick);
-          loop ()
-      | Some due ->
-          t.wake_at <- due;
-          let delay = Float.max 0.01 (due -. Rt.now ()) in
-          ignore (Rt.recv_cls ~timeout:delay cls_kick);
-          fire (Rt.now ());
-          loop ()
+    else begin
+      skip_stale ();
+      if Timeq.is_empty t.timers then begin
+        (* unreachable while every live entry has a timer or is parked
+           behind a live probe (whose ack kicks us); blocking on a kick
+           keeps quiescence safe regardless *)
+        t.wake_at <- Float.infinity;
+        ignore (Rt.recv_cls cls_kick)
+      end
+      else begin
+        let due = Timeq.min_time t.timers in
+        t.wake_at <- due;
+        let delay = Float.max 0.01 (due -. Rt.now ()) in
+        ignore (Rt.recv_cls ~timeout:delay cls_kick);
+        fire (Rt.now ())
+      end;
+      loop ()
+    end
   in
   loop ()
 
@@ -323,14 +325,13 @@ let send t dst inner =
       dst;
       seq;
       inner;
-      next_delay = retransmit_after;
-      due = now +. retransmit_after;
+      tm = { next_delay = retransmit_after; due = now +. retransmit_after };
       acked = false;
     }
   in
   Hashtbl.add ds.live seq entry;
   count t "rc.send";
-  let kick = t.pending = 0 || (t.probing > 0 && entry.due < t.wake_at) in
+  let kick = t.pending = 0 || (t.probing > 0 && entry.tm.due < t.wake_at) in
   t.pending <- t.pending + 1;
   push_timer t entry;
   Rt.send dst (Rc_data { rc_ep = t.ep; rc_seq = seq; inner });

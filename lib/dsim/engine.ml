@@ -14,8 +14,6 @@ type netmodel = ER.netmodel
 
 let default_net = ER.default_net
 
-type event = { at : time; seq : int; run : unit -> unit }
-
 (* Message classes: global, backend-independent registry (see
    Etx_runtime). *)
 
@@ -40,12 +38,16 @@ type proc = {
   waiters : waiter Cq.t;  (** registration order, bucketed by class *)
   main : recovery:bool -> unit -> unit;
   psink : ER.obs_sink option;  (** per-process obs sink, built at spawn *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (** built once at spawn and shared by every fiber of the process *)
+  mutable recv_eff : message option Effect.t;
+  mutable unit_eff : unit Effect.t;
+      (** the effect being handled, read back by the handler's answer *)
 }
 
 type t = {
-  mutable vnow : time;
-  queue : event Heap.t;
-  mutable seq : int;
+  mutable vnow : time;  (** boxed once per event, so reading it is free *)
+  queue : (unit -> unit) Timeq.t;
   mutable procs : proc array;
   mutable nprocs : int;
   grng : Rng.t;
@@ -55,8 +57,7 @@ type t = {
   trace_on : bool;  (** guards event construction, not just recording *)
   mutable next_msg_id : int;
   mutable next_uid : int;
-  mutable nevents : int;  (** events executed by {!step}, for throughput *)
-  mutable current : proc option;
+  mutable nevents : int;  (** events executed by {!fire}, for throughput *)
   mutable stopping : bool;
   obs : Obs.Registry.t option;
       (** opt-in observability; [None] keeps every instrument site on the
@@ -67,11 +68,7 @@ let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
   let grng = Rng.create ~seed in
   {
     vnow = 0.;
-    queue =
-      Heap.create
-        ~leq:(fun a b -> a.at < b.at || (a.at = b.at && a.seq <= b.seq))
-        ();
-    seq = 0;
+    queue = Timeq.create ~dummy:ignore ();
     procs = [||];
     nprocs = 0;
     grng;
@@ -84,7 +81,6 @@ let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
     (* uids start above any client try counter j so identifiers drawn here
        (transaction ids in the comparison protocols) stay disjoint from j *)
     next_uid = 1000;
-    current = None;
     stopping = false;
     obs;
   }
@@ -114,8 +110,7 @@ let events_of t = t.nevents
 
 let schedule t ~delay run =
   assert (delay >= 0.);
-  t.seq <- t.seq + 1;
-  Heap.push t.queue { at = t.vnow +. delay; seq = t.seq; run }
+  Timeq.push t.queue (t.vnow +. delay) run
 
 let proc_of t pid =
   if pid < 0 || pid >= t.nprocs then
@@ -127,9 +122,52 @@ let is_up t pid = (proc_of t pid).up
 
 (* Running fibers ----------------------------------------------------- *)
 
+(* A waiting fiber takes a message when it waits on the message's class or
+   on any class, and its filter, if any, accepts it. Top-level, so matching
+   one delivery against the waiters builds no closure. *)
+let accepts m w = match w.wfilter with None -> true | Some f -> f m
+
+let self_delay = [ 0.001 ]
+
+(* Placeholders for a process's effect slots between effects. *)
+let no_recv = ER.E_recv (-1, None, Float.infinity)
+let no_unit = ER.E_sleep 0.
+
+(* The handler and its answers are built once per process. An answer that
+   needs the effect's arguments reads them from the process's effect slot:
+   [effc] stores the effect there and the runtime calls the answer at once,
+   before any fiber can perform another effect, so handling an effect
+   allocates no closure over its arguments. *)
 let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
  fun t p ->
   let open Effect.Deep in
+  let now_ans = Some (fun (k : (time, _) continuation) -> continue k t.vnow) in
+  let self_ans = Some (fun (k : (proc_id, _) continuation) -> continue k p.pid) in
+  let obs_ans =
+    Some (fun (k : (ER.obs_sink option, _) continuation) -> continue k p.psink)
+  in
+  let uid_ans =
+    Some
+      (fun (k : (int, _) continuation) ->
+        t.next_uid <- t.next_uid + 1;
+        continue k t.next_uid)
+  in
+  let recv_ans =
+    Some
+      (fun (k : (message option, _) continuation) ->
+        match p.recv_eff with
+        | ER.E_recv (cls, filter, timeout) ->
+            p.recv_eff <- no_recv;
+            receive t p k cls filter timeout
+        | _ -> assert false)
+  in
+  let unit_ans =
+    Some
+      (fun (k : (unit, _) continuation) ->
+        let eff = p.unit_eff in
+        p.unit_eff <- no_unit;
+        perform_unit t p k eff)
+  in
   {
     retc = (fun () -> ());
     exnc =
@@ -140,116 +178,100 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
             (* A protocol bug: abort the whole simulation loudly. *)
             raise e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) continuation -> unit) option ->
         match eff with
-        | ER.E_now -> Some (fun (k : (a, unit) continuation) -> continue k t.vnow)
-        | ER.E_self -> Some (fun k -> continue k p.pid)
+        | ER.E_now -> now_ans
+        | ER.E_self -> self_ans
         | ER.E_random_float bound ->
             Some (fun k -> continue k (Rng.float t.grng bound))
         | ER.E_random_int bound ->
             Some (fun k -> continue k (Rng.int t.grng bound))
-        | ER.E_fresh_uid ->
-            Some
-              (fun k ->
-                t.next_uid <- t.next_uid + 1;
-                continue k t.next_uid)
-        | ER.E_obs -> Some (fun k -> continue k p.psink)
-        | ER.E_note s ->
-            Some
-              (fun k ->
-                if t.trace_on then
-                  Trace.record t.tracer t.vnow (Trace.Note (p.pid, s));
-                (match p.psink with
-                | None -> ()
-                | Some s' -> s'.ER.obs_event ~trace:0 "note" s);
-                continue k ())
-        | ER.E_sleep d ->
-            Some
-              (fun k ->
-                let inc = p.incarnation in
-                schedule t ~delay:d (fun () ->
-                    if p.up && p.incarnation = inc then resume t p k ()))
-        | ER.E_work (label, d) ->
-            Some
-              (fun k ->
-                if t.trace_on then
-                  Trace.record t.tracer t.vnow (Trace.Work (p.pid, label, d));
-                (match p.psink with
-                | None -> ()
-                | Some s -> s.ER.obs_observe ("work." ^ label) d);
-                let inc = p.incarnation in
-                schedule t ~delay:d (fun () ->
-                    if p.up && p.incarnation = inc then resume t p k ()))
-        | ER.E_send (dst, payload) ->
-            Some
-              (fun k ->
-                transmit t ~src:p.pid ~dst payload;
-                continue k ())
-        | ER.E_redeliver (src, payload) ->
-            Some
-              (fun k ->
-                let m =
-                  {
-                    src;
-                    dst = p.pid;
-                    payload;
-                    msg_id = fresh_msg_id t;
-                    sent_at = t.vnow;
-                  }
-                in
-                enqueue_message t p m;
-                continue k ())
-        | ER.E_recv (cls, filter, timeout) ->
-            Some
-              (fun k ->
-                let taken =
-                  match (cls, filter) with
-                  | Some c, None -> Cq.pop_cls p.mailbox c
-                  | Some c, Some f -> Cq.take_first_in_cls p.mailbox c f
-                  | None, Some f -> Cq.take_first p.mailbox f
-                  | None, None -> Cq.pop p.mailbox
-                in
-                match taken with
-                | Some m -> continue k (Some m)
-                | None -> (
-                    let wcls = match cls with Some c -> c | None -> -1 in
-                    let node =
-                      Cq.push p.waiters ~cls:wcls { wfilter = filter; wk = k }
-                    in
-                    match timeout with
-                    | None -> ()
-                    | Some d ->
-                        let inc = p.incarnation in
-                        schedule t ~delay:d (fun () ->
-                            if p.up && p.incarnation = inc then
-                              if Cq.remove p.waiters node then
-                                resume t p (Cq.node_value node).wk None)))
-        | ER.E_fork (fname, f) ->
-            Some
-              (fun k ->
-                let inc = p.incarnation in
-                schedule t ~delay:0. (fun () ->
-                    if p.up && p.incarnation = inc then run_fiber t p f);
-                if t.trace_on then
-                  Trace.record t.tracer t.vnow
-                    (Trace.Note (p.pid, "fork " ^ fname));
-                continue k ())
+        | ER.E_fresh_uid -> uid_ans
+        | ER.E_obs -> obs_ans
+        | ER.E_recv _ ->
+            p.recv_eff <- eff;
+            recv_ans
+        | ER.E_sleep _ -> p.unit_eff <- eff; unit_ans
+        | ER.E_work _ -> p.unit_eff <- eff; unit_ans
+        | ER.E_send _ -> p.unit_eff <- eff; unit_ans
+        | ER.E_redeliver _ -> p.unit_eff <- eff; unit_ans
+        | ER.E_note _ -> p.unit_eff <- eff; unit_ans
+        | ER.E_fork _ -> p.unit_eff <- eff; unit_ans
         | _ -> None);
   }
 
-and resume : 'a. t -> proc -> ('a, unit) Effect.Deep.continuation -> 'a -> unit
+and perform_unit :
+    t -> proc -> (unit, unit) Effect.Deep.continuation -> unit Effect.t -> unit
     =
- fun t p k v ->
-  let saved = t.current in
-  t.current <- Some p;
-  Effect.Deep.continue k v;
-  t.current <- saved
+ fun t p k -> function
+  | ER.E_sleep d -> wake_after t p k d
+  | ER.E_work (label, d) ->
+      if t.trace_on then
+        Trace.record t.tracer t.vnow (Trace.Work (p.pid, label, d));
+      (match p.psink with
+      | None -> ()
+      | Some s -> s.ER.obs_observe ("work." ^ label) d);
+      wake_after t p k d
+  | ER.E_send (dst, payload) ->
+      transmit t ~src:p.pid ~dst payload;
+      Effect.Deep.continue k ()
+  | ER.E_redeliver (src, payload) ->
+      let m =
+        { src; dst = p.pid; payload; msg_id = fresh_msg_id t; sent_at = t.vnow }
+      in
+      enqueue_message t p m;
+      Effect.Deep.continue k ()
+  | ER.E_note s ->
+      if t.trace_on then Trace.record t.tracer t.vnow (Trace.Note (p.pid, s));
+      (match p.psink with
+      | None -> ()
+      | Some s' -> s'.ER.obs_event ~trace:0 "note" s);
+      Effect.Deep.continue k ()
+  | ER.E_fork (fname, f) ->
+      let inc = p.incarnation in
+      schedule t ~delay:0. (fun () ->
+          if p.up && p.incarnation = inc then run_fiber p f);
+      if t.trace_on then
+        Trace.record t.tracer t.vnow (Trace.Note (p.pid, "fork " ^ fname));
+      Effect.Deep.continue k ()
+  | _ -> assert false
 
-and run_fiber t p f =
-  let saved = t.current in
-  t.current <- Some p;
-  Effect.Deep.match_with f () (handler t p);
-  t.current <- saved
+and wake_after : t -> proc -> (unit, unit) Effect.Deep.continuation -> time -> unit =
+ fun t p k d ->
+  let inc = p.incarnation in
+  schedule t ~delay:d (fun () ->
+      if p.up && p.incarnation = inc then Effect.Deep.continue k ())
+
+and receive :
+    t ->
+    proc ->
+    (message option, unit) Effect.Deep.continuation ->
+    cls ->
+    (message -> bool) option ->
+    time ->
+    unit =
+ fun t p k cls filter timeout ->
+  let taken =
+    match filter with
+    | None -> if cls >= 0 then Cq.pop_cls p.mailbox cls else Cq.pop p.mailbox
+    | Some f ->
+        if cls >= 0 then Cq.take_first_in_cls p.mailbox cls f
+        else Cq.take_first p.mailbox f
+  in
+  match taken with
+  | Some _ -> Effect.Deep.continue k taken
+  | None ->
+      let node = Cq.push p.waiters ~cls { wfilter = filter; wk = k } in
+      if timeout < Float.infinity then begin
+        let inc = p.incarnation in
+        schedule t ~delay:timeout (fun () ->
+            if p.up && p.incarnation = inc then
+              if Cq.remove p.waiters node then
+                Effect.Deep.continue (Cq.node_value node).wk None)
+      end
+
+and run_fiber p f = Effect.Deep.match_with f () p.handler
 
 and fresh_msg_id t =
   t.next_msg_id <- t.next_msg_id + 1;
@@ -261,60 +283,48 @@ and enqueue_message t p m =
      legacy predicate (unclassed) waiter; of the acceptors, the one that
      registered first wins — exactly the old single-list scan order. *)
   let c = classify m.payload in
-  let accepts (w : waiter) =
-    match w.wfilter with None -> true | Some f -> f m
-  in
-  let cand_u = Cq.first_matching_in_cls p.waiters (-1) accepts in
-  let cand_c =
-    if c >= 0 then Cq.first_matching_in_cls p.waiters c accepts else None
-  in
-  let best =
-    match (cand_u, cand_c) with
-    | None, x | x, None -> x
-    | Some a, Some b ->
-        if Cq.node_seq a <= Cq.node_seq b then Some a else Some b
-  in
-  match best with
+  match Cq.take_first_in_either p.waiters c accepts m with
   | None -> ignore (Cq.push p.mailbox ~cls:c m)
-  | Some n ->
-      ignore (Cq.remove p.waiters n);
-      resume t p (Cq.node_value n).wk (Some m)
+  | Some w -> Effect.Deep.continue w.wk (Some m)
+
+(* Per-class traffic counters are keyed by the classifier's class name so
+   the sim and live dumps line up metric-for-metric. *)
+and count_net t pid what m =
+  obs_incr t t.procs.(pid).pname (what ^ class_name (classify m.payload))
 
 and transmit t ~src ~dst payload =
   let m = { src; dst; payload; msg_id = fresh_msg_id t; sent_at = t.vnow } in
-  let delays =
-    if src = dst then [ 0.001 ] else t.net t.net_rng ~src ~dst
-  in
-  (* Per-class traffic counters, keyed by the classifier's class name so
-     the sim and live dumps line up metric-for-metric. *)
-  let clsname () = class_name (classify payload) in
-  match delays with
+  match if src = dst then self_delay else t.net t.net_rng ~src ~dst with
   | [] ->
       if t.trace_on then Trace.record t.tracer t.vnow (Trace.Dropped m);
-      if t.obs <> None then
-        obs_incr t t.procs.(src).pname ("net.dropped." ^ clsname ())
-  | delays ->
-      List.iter
-        (fun d ->
-          if t.trace_on then
-            Trace.record t.tracer t.vnow (Trace.Sent (m, t.vnow +. d));
-          if t.obs <> None then
-            obs_incr t t.procs.(src).pname ("net.sent." ^ clsname ());
-          schedule t ~delay:d (fun () ->
-              match t.procs.(dst).up with
-              | true ->
-                  if t.obs <> None then
-                    obs_incr t t.procs.(dst).pname ("net.recv." ^ clsname ());
-                  enqueue_message t t.procs.(dst) m
-              | false ->
-                  if t.trace_on then
-                    Trace.record t.tracer t.vnow (Trace.Dead_letter m);
-                  if t.obs <> None then
-                    obs_incr t t.procs.(dst).pname
-                      ("net.dead_letter." ^ clsname ())))
-        delays
+      if t.obs <> None then count_net t src "net.dropped." m
+  | delays -> send_copies t m (fun () -> deliver t m) delays
+
+(* One event per copy, all sharing the transmit's one delivery closure. *)
+and send_copies t m deliver_m = function
+  | [] -> ()
+  | d :: rest ->
+      if t.trace_on then
+        Trace.record t.tracer t.vnow (Trace.Sent (m, t.vnow +. d));
+      if t.obs <> None then count_net t m.src "net.sent." m;
+      schedule t ~delay:d deliver_m;
+      send_copies t m deliver_m rest
+
+and deliver t m =
+  let p = t.procs.(m.dst) in
+  if p.up then begin
+    if t.obs <> None then count_net t m.dst "net.recv." m;
+    enqueue_message t p m
+  end
+  else begin
+    if t.trace_on then Trace.record t.tracer t.vnow (Trace.Dead_letter m);
+    if t.obs <> None then count_net t m.dst "net.dead_letter." m
+  end
 
 (* Orchestration ------------------------------------------------------ *)
+
+let unset_handler : (unit, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let spawn t ~name ~main =
   let pid = t.nprocs in
@@ -328,8 +338,12 @@ let spawn t ~name ~main =
       waiters = Cq.create ();
       main;
       psink = obs_sink_for t name;
+      handler = unset_handler;
+      recv_eff = no_recv;
+      unit_eff = no_unit;
     }
   in
+  p.handler <- handler t p;
   let capacity = Array.length t.procs in
   if t.nprocs = capacity then begin
     let procs' = Array.make (max 8 (capacity * 2)) p in
@@ -340,7 +354,7 @@ let spawn t ~name ~main =
   t.nprocs <- t.nprocs + 1;
   if t.trace_on then Trace.record t.tracer t.vnow (Trace.Spawned (pid, name));
   schedule t ~delay:0. (fun () ->
-      if p.up && p.incarnation = 0 then run_fiber t p (main ~recovery:false));
+      if p.up && p.incarnation = 0 then run_fiber p (main ~recovery:false));
   pid
 
 let crash t pid =
@@ -366,7 +380,7 @@ let recover t pid =
     let inc = p.incarnation in
     schedule t ~delay:0. (fun () ->
         if p.up && p.incarnation = inc then
-          run_fiber t p (p.main ~recovery:true))
+          run_fiber p (p.main ~recovery:true))
   end
 
 let crash_at t at pid =
@@ -389,48 +403,50 @@ type outcome = Quiescent | Deadline_reached | Stopped
 
 let stop t = t.stopping <- true
 
-let step t =
-  match Heap.pop t.queue with
-  | None -> None
-  | Some ev ->
-      assert (ev.at >= t.vnow);
-      t.vnow <- ev.at;
-      t.nevents <- t.nevents + 1;
-      ev.run ();
-      Some ev.at
+(* Runs the earliest event, due at [at]. *)
+let fire t at =
+  let run = Timeq.pop t.queue in
+  assert (at >= t.vnow);
+  t.vnow <- at;
+  t.nevents <- t.nevents + 1;
+  run ()
 
 let run ?deadline t =
   t.stopping <- false;
-  let over at = match deadline with None -> false | Some d -> at > d in
+  let limit = Option.value deadline ~default:Float.infinity in
   let rec loop () =
     if t.stopping then Stopped
+    else if Timeq.is_empty t.queue then Quiescent
     else
-      match Heap.peek t.queue with
-      | None -> Quiescent
-      | Some ev when over ev.at ->
-          (match deadline with Some d -> t.vnow <- d | None -> ());
-          Deadline_reached
-      | Some _ ->
-          ignore (step t);
-          loop ()
+      let at = Timeq.min_time t.queue in
+      if at > limit then begin
+        t.vnow <- limit;
+        Deadline_reached
+      end
+      else begin
+        fire t at;
+        loop ()
+      end
   in
   loop ()
 
 let run_until ?deadline t pred =
   t.stopping <- false;
-  let over at = match deadline with None -> false | Some d -> at > d in
+  let limit = Option.value deadline ~default:Float.infinity in
   let rec loop () =
     if pred () then true
     else if t.stopping then false
+    else if Timeq.is_empty t.queue then pred ()
     else
-      match Heap.peek t.queue with
-      | None -> pred ()
-      | Some ev when over ev.at ->
-          (match deadline with Some d -> t.vnow <- d | None -> ());
-          pred ()
-      | Some _ ->
-          ignore (step t);
-          loop ()
+      let at = Timeq.min_time t.queue in
+      if at > limit then begin
+        t.vnow <- limit;
+        pred ()
+      end
+      else begin
+        fire t at;
+        loop ()
+      end
   in
   loop ()
 

@@ -48,8 +48,6 @@ type lproc = {
   psink : ER.obs_sink option;  (** per-process obs sink, built at spawn *)
 }
 
-type timer = { due : float;  (** wall clock, seconds *) tseq : int; action : unit -> unit }
-
 type t = {
   lock : Mutex.t;  (** procs array, uids, msg ids, notes, net, rngs *)
   mutable procs : lproc array;
@@ -64,9 +62,8 @@ type t = {
   mutable started : bool;
   started_lock : Mutex.t;
   started_cond : Condition.t;
-  timers : timer Heap.t;
+  timers : (unit -> unit) Timeq.t;  (** due on the wall clock, seconds *)
   tlock : Mutex.t;
-  mutable tseq : int;
   mutable stopped : bool;
   mutable failure : exn option;
   obs : Obs.Registry.t option;
@@ -93,12 +90,8 @@ let create ?(seed = 0xC0FFEE) ?(net = ER.default_net) ?obs () =
     started = false;
     started_lock = Mutex.create ();
     started_cond = Condition.create ();
-    timers =
-      Heap.create
-        ~leq:(fun a b -> a.due < b.due || (a.due = b.due && a.tseq <= b.tseq))
-        ();
+    timers = Timeq.create ~dummy:ignore ();
     tlock = Mutex.create ();
-    tseq = 0;
     stopped = false;
     failure = None;
     obs;
@@ -146,8 +139,7 @@ let record_failure t e =
 
 let push_timer t ~due action =
   Mutex.lock t.tlock;
-  t.tseq <- t.tseq + 1;
-  Heap.push t.timers { due; tseq = t.tseq; action };
+  Timeq.push t.timers due action;
   Mutex.unlock t.tlock
 
 let push_timer_ms t ~after_ms action =
@@ -158,11 +150,9 @@ let rec timer_loop t =
   Mutex.lock t.tlock;
   let stop = t.stopped in
   let rec drain acc =
-    match Heap.peek t.timers with
-    | Some tm when tm.due <= now ->
-        ignore (Heap.pop t.timers);
-        drain (tm.action :: acc)
-    | _ -> acc
+    if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now then
+      drain (Timeq.pop t.timers :: acc)
+    else acc
   in
   let actions = drain [] in
   Mutex.unlock t.tlock;
@@ -266,11 +256,11 @@ let wake p () =
 let rec handler t p inc : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
   let take cls filter () =
-    match (cls, filter) with
-    | Some c, None -> Cq.pop_cls p.mailbox c
-    | Some c, Some f -> Cq.take_first_in_cls p.mailbox c f
-    | None, Some f -> Cq.take_first p.mailbox f
-    | None, None -> Cq.pop p.mailbox
+    match filter with
+    | None -> if cls >= 0 then Cq.pop_cls p.mailbox cls else Cq.pop p.mailbox
+    | Some f ->
+        if cls >= 0 then Cq.take_first_in_cls p.mailbox cls f
+        else Cq.take_first p.mailbox f
   in
   let pause k d =
     (* sleep and work are the same thing on a wall clock *)
@@ -367,9 +357,8 @@ let rec handler t p inc : (unit, unit) Effect.Deep.handler =
                 | Some m -> continue k (Some m)
                 | None -> (
                     let deadline =
-                      Option.map
-                        (fun d -> Unix.gettimeofday () +. (d /. 1000.))
-                        timeout
+                      if timeout = Float.infinity then None
+                      else Some (Unix.gettimeofday () +. (timeout /. 1000.))
                     in
                     (match deadline with
                     | Some dw -> push_timer t ~due:dw (wake p)

@@ -5,7 +5,8 @@
     (arrival order within one message class). That gives O(1) classed pop
     and O(1) cancellation through the {!node} handle returned by {!push},
     while the global list keeps the legacy predicate scan — oldest-first
-    over all classes — exactly as the plain FIFO behaved.
+    over all classes — exactly as the plain FIFO behaved. A push allocates
+    only its node: links end in an immediate, not in an [option] box.
 
     Class [-1] is the "unclassed" bucket; any [cls >= -1] is accepted and
     buckets grow on demand. [clear] is O(number of buckets): it drops both
@@ -39,14 +40,13 @@ val take_first_in_cls : 'a t -> int -> ('a -> bool) -> 'a option
 (** Oldest element of the class satisfying the predicate; scans only that
     bucket. *)
 
-val first_matching_in_cls : 'a t -> int -> ('a -> bool) -> 'a node option
-(** Like {!take_first_in_cls} but leaves the element queued, returning its
-    handle — lets a caller compare candidates from several buckets by
-    {!node_seq} before committing to one. *)
+val take_first_in_either : 'a t -> int -> ('b -> 'a -> bool) -> 'b -> 'a option
+(** [take_first_in_either t cls pred x] takes the oldest element satisfying
+    [pred x] from the unclassed bucket and class [cls]'s bucket together,
+    scanning only those two. Taking the predicate's argument separately
+    lets a caller match against one value without building a closure. *)
 
 val node_value : 'a node -> 'a
-val node_seq : 'a node -> int
-(** Queue-wide arrival number; smaller = older. *)
 
 val remove : 'a t -> 'a node -> bool
 (** Unlink the node. O(1). Returns [false] if it was already removed or the

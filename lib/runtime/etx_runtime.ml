@@ -77,9 +77,8 @@ type _ Effect.t +=
   | E_work : string * time -> unit Effect.t
   | E_send : proc_id * payload -> unit Effect.t
   | E_redeliver : proc_id * payload -> unit Effect.t
-  | E_recv :
-      cls option * (message -> bool) option * time option
-      -> message option Effect.t
+  | E_recv : cls * (message -> bool) option * time -> message option Effect.t
+      (** class, or [-1] for any; filter; timeout, [infinity] for none *)
   | E_fork : string * (unit -> unit) -> unit Effect.t
   | E_random_float : float -> float Effect.t
   | E_random_int : int -> int Effect.t
@@ -162,11 +161,15 @@ let send dst payload = Effect.perform (E_send (dst, payload))
 let send_all dsts payload = List.iter (fun dst -> send dst payload) dsts
 let redeliver ~src payload = Effect.perform (E_redeliver (src, payload))
 
-let recv ?timeout ?cls ~filter () =
-  Effect.perform (E_recv (cls, Some filter, timeout))
+(* [E_recv] carries bare values, so a receive allocates no [Some] for its
+   class or for a missing timeout. *)
+let forever = function None -> Float.infinity | Some d -> d
 
-let recv_cls ?timeout c = Effect.perform (E_recv (Some c, None, timeout))
-let recv_any ?timeout () = Effect.perform (E_recv (None, None, timeout))
+let recv ?timeout ?(cls = -1) ~filter () =
+  Effect.perform (E_recv (cls, Some filter, forever timeout))
+
+let recv_cls ?timeout c = Effect.perform (E_recv (c, None, forever timeout))
+let recv_any ?timeout () = Effect.perform (E_recv (-1, None, forever timeout))
 let fork name f = Effect.perform (E_fork (name, f))
 let random_float bound = Effect.perform (E_random_float bound)
 let random_int bound = Effect.perform (E_random_int bound)

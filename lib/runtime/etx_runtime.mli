@@ -95,9 +95,8 @@ type _ Effect.t +=
   | E_work : string * time -> unit Effect.t
   | E_send : proc_id * payload -> unit Effect.t
   | E_redeliver : proc_id * payload -> unit Effect.t
-  | E_recv :
-      cls option * (message -> bool) option * time option
-      -> message option Effect.t
+  | E_recv : cls * (message -> bool) option * time -> message option Effect.t
+      (** class, or [-1] for any; filter; timeout, [infinity] for none *)
   | E_fork : string * (unit -> unit) -> unit Effect.t
   | E_random_float : float -> float Effect.t
   | E_random_int : int -> int Effect.t

@@ -60,15 +60,21 @@ let sharded_bodies ~map ?(cross_ratio = 0.) ~seed ~n kind =
         (fun body -> (Etx.Shard_map.shard_of_body map body, body))
         (bodies ~seed ~n kind)
   | Bank_transfers { accounts; max_amount } ->
-      let shard_of_acct a = Etx.Shard_map.shard_of map (Printf.sprintf "acct%d" a) in
-      let by_shard = Hashtbl.create 8 in
-      for a = accounts - 1 downto 0 do
-        let s = shard_of_acct a in
-        Hashtbl.replace by_shard s
-          (a :: Option.value ~default:[] (Hashtbl.find_opt by_shard s))
-      done;
-      let all_accts = List.init accounts (fun a -> a) in
+      let shard =
+        Array.init accounts (fun a ->
+            Etx.Shard_map.shard_of map (Printf.sprintf "acct%d" a))
+      in
+      (* each shard's own and foreign accounts, ascending, and each
+         account's index among its shard's own *)
+      let shards = 1 + Array.fold_left max 0 shard in
+      let all = Array.init accounts Fun.id in
+      let where p = Array.of_list (List.filter p (Array.to_list all)) in
+      let own = Array.init shards (fun s -> where (fun a -> shard.(a) = s)) in
+      let foreign = Array.init shards (fun s -> where (fun a -> shard.(a) <> s)) in
+      let pos = Array.make accounts 0 in
+      Array.iter (Array.iteri (fun i a -> pos.(a) <- i)) own;
       let rng = Runtime.Rng.create ~seed in
+      let draw xs = xs.(Runtime.Rng.int rng (Array.length xs)) in
       List.init n (fun i ->
           let cross =
             cross_ratio > 0.
@@ -76,23 +82,17 @@ let sharded_bodies ~map ?(cross_ratio = 0.) ~seed ~n kind =
                > int_of_float (float_of_int i *. cross_ratio)
           in
           let from_acct = Runtime.Rng.int rng accounts in
-          let s = shard_of_acct from_acct in
-          let intra_mates () =
-            List.filter (( <> ) from_acct) (Hashtbl.find by_shard s)
-          in
-          let mates =
-            if cross then
-              match
-                List.filter (fun a -> shard_of_acct a <> s) all_accts
-              with
-              | [] -> intra_mates () (* single-shard map: nowhere to cross *)
-              | foreign -> foreign
-            else intra_mates ()
-          in
+          let s = shard.(from_acct) in
           let to_acct =
-            match mates with
-            | [] -> from_acct
-            | _ -> List.nth mates (Runtime.Rng.int rng (List.length mates))
+            if cross && foreign.(s) <> [||] then draw foreign.(s)
+            else
+              (* the shard's other accounts; a single-shard map has nowhere
+                 to cross, a lone account transfers to itself *)
+              let mates = Array.length own.(s) - 1 in
+              if mates = 0 then from_acct
+              else
+                let r = Runtime.Rng.int rng mates in
+                own.(s).(if r < pos.(from_acct) then r else r + 1)
           in
           ( s,
             Printf.sprintf "acct%d:acct%d:%d" from_acct to_acct

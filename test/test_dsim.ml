@@ -21,59 +21,113 @@ let cls_pong =
 let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
+(* Heap: the (time, push order) timer queue *)
+
+let drain q =
+  let rec go acc = if Timeq.is_empty q then List.rev acc else go (Timeq.pop q :: acc) in
+  go []
 
 let test_heap_ordering () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) () in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
+  let q = Timeq.create ~dummy:0 () in
+  List.iter (fun x -> Timeq.push q (float_of_int x) x) [ 5; 1; 4; 1; 3; 9; 2 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain q)
 
 let test_heap_peek () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) () in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "length" 2 (Heap.length h)
+  let q = Timeq.create ~dummy:"" () in
+  Alcotest.check_raises "empty peek" (Invalid_argument "Timeq: empty")
+    (fun () -> ignore (Timeq.min_time q));
+  Timeq.push q 3. "c";
+  Timeq.push q 1. "a";
+  check_float "peek time" 1. (Timeq.min_time q);
+  Alcotest.(check string) "peek value" "a" (Timeq.min_value q);
+  Alcotest.(check int) "length" 2 (Timeq.length q);
+  Alcotest.(check int) "peek leaves it queued" 2 (Timeq.length q)
+
+let test_heap_equal_times () =
+  let q = Timeq.create ~dummy:"" () in
+  List.iter (fun v -> Timeq.push q 7. v) [ "a"; "b"; "c" ];
+  Timeq.push q 2. "first";
+  Timeq.push q 7. "d";
+  Alcotest.(check (list string)) "push order among equal times"
+    [ "first"; "a"; "b"; "c"; "d" ] (drain q)
+
+let test_heap_clear () =
+  let q = Timeq.create ~dummy:0 () in
+  for i = 1 to 100 do
+    Timeq.push q (float_of_int (i mod 7)) i
+  done;
+  Timeq.clear q;
+  Alcotest.(check bool) "empty" true (Timeq.is_empty q);
+  Alcotest.(check int) "length" 0 (Timeq.length q);
+  Timeq.push q 1. 1;
+  Timeq.push q 0. 0;
+  Alcotest.(check (list int)) "usable after clear" [ 0; 1 ] (drain q)
+
+(* a fresh payload at time 1, watched through [w] *)
+let[@inline never] push_watched q w =
+  let v = ref 42 in
+  Weak.set w 0 (Some v);
+  Timeq.push q 1. v
+
+let test_heap_releases_payload () =
+  (* neither a popped nor a cleared payload is kept alive by the queue's
+     vacated slot, which a queue that empties keeps for reuse *)
+  let q = Timeq.create ~dummy:(ref 0) () in
+  let collected remove =
+    let w = Weak.create 1 in
+    push_watched q w;
+    remove ();
+    Gc.full_major ();
+    not (Weak.check w 0)
+  in
+  Alcotest.(check bool) "popped" true
+    (collected (fun () -> ignore (Sys.opaque_identity (Timeq.pop q))));
+  Alcotest.(check bool) "cleared" true (collected (fun () -> Timeq.clear q));
+  Alcotest.(check bool) "empty" true (Timeq.is_empty q)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Heap.create ~leq:(fun a b -> a <= b) () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
+      let q = Timeq.create ~dummy:0 () in
+      List.iter (fun x -> Timeq.push q (float_of_int x) x) xs;
+      drain q = List.sort compare xs)
 
 let prop_heap_stable_on_ties =
-  (* With (key, seq) ordering, equal keys drain in insertion order — the
-     engine relies on this for determinism. *)
+  (* Equal times drain in push order — the engine relies on this for
+     determinism. *)
   QCheck.Test.make ~name:"heap FIFO among equal keys" ~count:200
     QCheck.(list (int_bound 5))
     (fun keys ->
-      let h =
-        Heap.create
-          ~leq:(fun (k1, s1) (k2, s2) -> k1 < k2 || (k1 = k2 && s1 <= s2))
-          ()
-      in
-      List.iteri (fun i k -> Heap.push h (k, i)) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      let out = drain [] in
-      (* sequence numbers are increasing within each key class *)
-      let by_key = Hashtbl.create 8 in
+      let q = Timeq.create ~dummy:(0, 0) () in
+      List.iteri (fun i k -> Timeq.push q (float_of_int k) (k, i)) keys;
+      drain q = List.stable_sort (fun (a, _) (b, _) -> compare a b)
+                  (List.mapi (fun i k -> (k, i)) keys))
+
+let prop_heap_matches_sorted_keys =
+  (* pushes interleaved with pops, against a list kept sorted by
+     (time, push number) *)
+  QCheck.Test.make ~name:"heap agrees with a sorted key list" ~count:300
+    QCheck.(small_list (option (int_bound 4)))
+    (fun ops ->
+      let q = Timeq.create ~dummy:(-1) () in
+      let model = ref [] and n = ref 0 in
       List.for_all
-        (fun (k, s) ->
-          let prev = Option.value ~default:(-1) (Hashtbl.find_opt by_key k) in
-          Hashtbl.replace by_key k s;
-          s > prev)
-        out)
+        (function
+          | Some k ->
+              let time = float_of_int k /. 2. in
+              incr n;
+              Timeq.push q time !n;
+              model := List.merge compare [ (time, !n) ] !model;
+              Timeq.length q = List.length !model
+          | None -> (
+              match !model with
+              | [] -> Timeq.is_empty q
+              | (time, v) :: rest ->
+                  model := rest;
+                  Timeq.min_time q = time && Timeq.pop q = v))
+        ops
+      && drain q = List.map snd !model)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -869,6 +923,87 @@ let test_cq_remove_and_clear () =
   Alcotest.(check bool) "remove b again" false (Cq.remove q b);
   Alcotest.(check bool) "new node fine" true (Cq.remove q c)
 
+let test_cq_remove_after_clear () =
+  (* a handle from before a clear never unlinks anything, even once the
+     queue holds new nodes *)
+  let q = Cq.create () in
+  let a = Cq.push q ~cls:1 "a" in
+  Cq.clear q;
+  ignore (Cq.push q ~cls:1 "b");
+  Alcotest.(check bool) "stale handle" false (Cq.remove q a);
+  Alcotest.(check int) "length kept" 1 (Cq.length q);
+  Alcotest.(check (list string)) "contents kept" [ "b" ] (Cq.to_list q);
+  Alcotest.(check (option string)) "bucket intact" (Some "b") (Cq.pop_cls q 1)
+
+type cq_op =
+  | Push of int * int  (** class, value *)
+  | Pop_cls of int
+  | Take_even of int  (** take_first_in_cls with an even-value filter *)
+  | Remove of int  (** the handle of the n-th push *)
+  | Clear
+
+let show_cq_op = function
+  | Push (c, v) -> Printf.sprintf "push %d %d" c v
+  | Pop_cls c -> Printf.sprintf "pop_cls %d" c
+  | Take_even c -> Printf.sprintf "take_even %d" c
+  | Remove i -> Printf.sprintf "remove #%d" i
+  | Clear -> "clear"
+
+let prop_cq_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun c v -> Push (c, v)) (int_range (-1) 2) (int_bound 9));
+          (2, map (fun c -> Pop_cls c) (int_range (-1) 3));
+          (2, map (fun c -> Take_even c) (int_range (-1) 3));
+          (2, map (fun i -> Remove i) (int_bound 30));
+          (1, return Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"cq agrees with a list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_cq_op ops))
+       (QCheck.Gen.small_list op))
+    (fun ops ->
+      let q = Cq.create () in
+      (* the model: (push number, class, value), oldest first *)
+      let model = ref [] and handles = ref [||] in
+      let take_model pred =
+        match List.find_opt pred !model with
+        | None -> None
+        | Some (id, _, v) ->
+            model := List.filter (fun (i, _, _) -> i <> id) !model;
+            Some v
+      in
+      let step = function
+        | Push (c, v) ->
+            let id = Array.length !handles in
+            handles := Array.append !handles [| Cq.push q ~cls:c v |];
+            model := !model @ [ (id, c, v) ];
+            true
+        | Pop_cls c ->
+            let want = take_model (fun (_, c', _) -> c' = c) in
+            Cq.pop_cls q c = want
+        | Take_even c ->
+            let want = take_model (fun (_, c', v) -> c' = c && v mod 2 = 0) in
+            Cq.take_first_in_cls q c (fun v -> v mod 2 = 0) = want
+        | Remove i when i >= Array.length !handles -> true
+        | Remove i ->
+            let live = take_model (fun (id, _, _) -> id = i) <> None in
+            Cq.remove q !handles.(i) = live
+        | Clear ->
+            Cq.clear q;
+            model := [];
+            true
+      in
+      List.for_all
+        (fun o ->
+          step o
+          && Cq.length q = List.length !model
+          && Cq.to_list q = List.map (fun (_, _, v) -> v) !model)
+        ops)
+
 let test_demux_interleaved_waiters () =
   let t = Engine.create () in
   let log = ref [] in
@@ -994,8 +1129,14 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "peek/length" `Quick test_heap_peek;
+          Alcotest.test_case "equal times in push order" `Quick
+            test_heap_equal_times;
+          Alcotest.test_case "clear" `Quick test_heap_clear;
+          Alcotest.test_case "popped payload collectable" `Quick
+            test_heap_releases_payload;
           q prop_heap_sorts;
           q prop_heap_stable_on_ties;
+          q prop_heap_matches_sorted_keys;
         ] );
       ( "fifo",
         [
@@ -1010,6 +1151,9 @@ let () =
           Alcotest.test_case "cq order" `Quick test_cq_order;
           Alcotest.test_case "cq take_first" `Quick test_cq_take_first;
           Alcotest.test_case "cq remove/clear" `Quick test_cq_remove_and_clear;
+          Alcotest.test_case "cq remove after clear" `Quick
+            test_cq_remove_after_clear;
+          q prop_cq_model;
           Alcotest.test_case "interleaved waiters" `Quick
             test_demux_interleaved_waiters;
           Alcotest.test_case "classed skips other classes" `Quick

@@ -315,6 +315,68 @@ let test_generator_cross_ratio_zero_byte_identical () =
     (Workload.Generator.sharded_bodies ~map ~seed:8 ~n:25 kind)
     (Workload.Generator.sharded_bodies ~map ~cross_ratio:0. ~seed:8 ~n:25 kind)
 
+(* The transfer generator as first written: filters every account through
+   the shard map for every body. Kept as the reference the precomputed
+   version must reproduce body for body. *)
+let naive_sharded_transfers ~map ~cross_ratio ~seed ~n ~accounts ~max_amount =
+  let shard_of_acct a = Etx.Shard_map.shard_of map (Printf.sprintf "acct%d" a) in
+  let by_shard = Hashtbl.create 8 in
+  for a = accounts - 1 downto 0 do
+    let s = shard_of_acct a in
+    Hashtbl.replace by_shard s
+      (a :: Option.value ~default:[] (Hashtbl.find_opt by_shard s))
+  done;
+  let all_accts = List.init accounts (fun a -> a) in
+  let rng = Runtime.Rng.create ~seed in
+  List.init n (fun i ->
+      let cross =
+        cross_ratio > 0.
+        && int_of_float (float_of_int (i + 1) *. cross_ratio)
+           > int_of_float (float_of_int i *. cross_ratio)
+      in
+      let from_acct = Runtime.Rng.int rng accounts in
+      let s = shard_of_acct from_acct in
+      let intra_mates () =
+        List.filter (( <> ) from_acct) (Hashtbl.find by_shard s)
+      in
+      let mates =
+        if cross then
+          match List.filter (fun a -> shard_of_acct a <> s) all_accts with
+          | [] -> intra_mates ()
+          | foreign -> foreign
+        else intra_mates ()
+      in
+      let to_acct =
+        match mates with
+        | [] -> from_acct
+        | _ -> List.nth mates (Runtime.Rng.int rng (List.length mates))
+      in
+      ( s,
+        Printf.sprintf "acct%d:acct%d:%d" from_acct to_acct
+          (1 + Runtime.Rng.int rng max_amount) ))
+
+let test_generator_transfers_match_reference () =
+  List.iter
+    (fun (shards, ratio, accounts) ->
+      let map = Etx.Shard_map.create ~shards () in
+      let kind = Workload.Generator.Bank_transfers { accounts; max_amount = 50 } in
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "%d shards, ratio %.1f, %d accounts" shards ratio
+           accounts)
+        (naive_sharded_transfers ~map ~cross_ratio:ratio ~seed:11 ~n:300
+           ~accounts ~max_amount:50)
+        (Workload.Generator.sharded_bodies ~map ~cross_ratio:ratio ~seed:11
+           ~n:300 kind))
+    [
+      (2, 0.5, 1024);
+      (2, 1., 1024);
+      (3, 0.3, 1024);
+      (1, 0.5, 1024);
+      (2, 0., 1024);
+      (4, 0.5, 3);
+      (3, 0.5, 1);
+    ]
+
 let prop_travel_inventory_conserved =
   QCheck.Test.make ~name:"travel inventory never negative, exactly booked"
     ~count:15
@@ -391,5 +453,7 @@ let () =
             test_generator_cross_ratio_mix;
           Alcotest.test_case "cross ratio 0 byte-identical" `Quick
             test_generator_cross_ratio_zero_byte_identical;
+          Alcotest.test_case "transfers match the naive reference" `Quick
+            test_generator_transfers_match_reference;
         ] );
     ]
