@@ -57,7 +57,7 @@ type t = {
   trace_on : bool;  (** guards event construction, not just recording *)
   mutable next_msg_id : int;
   mutable next_uid : int;
-  mutable nevents : int;  (** events executed by {!fire}, for throughput *)
+  mutable nevents : int;  (** events executed by {!advance}, for throughput *)
   mutable stopping : bool;
   obs : Obs.Registry.t option;
       (** opt-in observability; [None] keeps every instrument site on the
@@ -168,6 +168,10 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
         p.unit_eff <- no_unit;
         perform_unit t p k eff)
   in
+  let stash eff =
+    p.unit_eff <- eff;
+    unit_ans
+  in
   {
     retc = (fun () -> ());
     exnc =
@@ -192,12 +196,12 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
         | ER.E_recv _ ->
             p.recv_eff <- eff;
             recv_ans
-        | ER.E_sleep _ -> p.unit_eff <- eff; unit_ans
-        | ER.E_work _ -> p.unit_eff <- eff; unit_ans
-        | ER.E_send _ -> p.unit_eff <- eff; unit_ans
-        | ER.E_redeliver _ -> p.unit_eff <- eff; unit_ans
-        | ER.E_note _ -> p.unit_eff <- eff; unit_ans
-        | ER.E_fork _ -> p.unit_eff <- eff; unit_ans
+        | ER.E_sleep _ -> stash eff
+        | ER.E_work _ -> stash eff
+        | ER.E_send _ -> stash eff
+        | ER.E_redeliver _ -> stash eff
+        | ER.E_note _ -> stash eff
+        | ER.E_fork _ -> stash eff
         | _ -> None);
   }
 
@@ -403,30 +407,31 @@ type outcome = Quiescent | Deadline_reached | Stopped
 
 let stop t = t.stopping <- true
 
-(* Runs the earliest event, due at [at]. *)
-let fire t at =
-  let run = Timeq.pop t.queue in
-  assert (at >= t.vnow);
-  t.vnow <- at;
-  t.nevents <- t.nevents + 1;
-  run ()
+(* Runs the earliest event if it is due by [limit]; otherwise says why
+   none ran. *)
+let advance t limit =
+  if Timeq.is_empty t.queue then Some Quiescent
+  else
+    let at = Timeq.min_time t.queue in
+    if at > limit then begin
+      t.vnow <- limit;
+      Some Deadline_reached
+    end
+    else begin
+      let run = Timeq.pop t.queue in
+      assert (at >= t.vnow);
+      t.vnow <- at;
+      t.nevents <- t.nevents + 1;
+      run ();
+      None
+    end
 
 let run ?deadline t =
   t.stopping <- false;
   let limit = Option.value deadline ~default:Float.infinity in
   let rec loop () =
     if t.stopping then Stopped
-    else if Timeq.is_empty t.queue then Quiescent
-    else
-      let at = Timeq.min_time t.queue in
-      if at > limit then begin
-        t.vnow <- limit;
-        Deadline_reached
-      end
-      else begin
-        fire t at;
-        loop ()
-      end
+    else match advance t limit with None -> loop () | Some why -> why
   in
   loop ()
 
@@ -436,17 +441,7 @@ let run_until ?deadline t pred =
   let rec loop () =
     if pred () then true
     else if t.stopping then false
-    else if Timeq.is_empty t.queue then pred ()
-    else
-      let at = Timeq.min_time t.queue in
-      if at > limit then begin
-        t.vnow <- limit;
-        pred ()
-      end
-      else begin
-        fire t at;
-        loop ()
-      end
+    else match advance t limit with None -> loop () | Some _ -> pred ()
   in
   loop ()
 
