@@ -39,7 +39,7 @@ type proc = {
   main : recovery:bool -> unit -> unit;
   psink : ER.obs_sink option;  (** per-process obs sink, built at spawn *)
   mutable handler : (unit, unit) Effect.Deep.handler;
-      (** built once at spawn and shared by every fiber of the process *)
+      (** built when the process's first fiber runs and shared by all *)
   mutable recv_eff : message option Effect.t;
   mutable unit_eff : unit Effect.t;
       (** the effect being handled, read back by the handler's answer *)
@@ -129,7 +129,11 @@ let accepts m w = match w.wfilter with None -> true | Some f -> f m
 
 let self_delay = [ 0.001 ]
 
-(* Placeholders for a process's effect slots between effects. *)
+(* Placeholders: a process's handler until its first fiber runs, and its
+   effect slots between effects. *)
+let unset_handler : (unit, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
 let no_recv = ER.E_recv (-1, None, Float.infinity)
 let no_unit = ER.E_sleep 0.
 
@@ -235,7 +239,7 @@ and perform_unit :
   | ER.E_fork (fname, f) ->
       let inc = p.incarnation in
       schedule t ~delay:0. (fun () ->
-          if p.up && p.incarnation = inc then run_fiber p f);
+          if p.up && p.incarnation = inc then run_fiber t p f);
       if t.trace_on then
         Trace.record t.tracer t.vnow (Trace.Note (p.pid, "fork " ^ fname));
       Effect.Deep.continue k ()
@@ -275,7 +279,9 @@ and receive :
                 Effect.Deep.continue (Cq.node_value node).wk None)
       end
 
-and run_fiber p f = Effect.Deep.match_with f () p.handler
+and run_fiber t p f =
+  if p.handler == unset_handler then p.handler <- handler t p;
+  Effect.Deep.match_with f () p.handler
 
 and fresh_msg_id t =
   t.next_msg_id <- t.next_msg_id + 1;
@@ -327,9 +333,6 @@ and deliver t m =
 
 (* Orchestration ------------------------------------------------------ *)
 
-let unset_handler : (unit, unit) Effect.Deep.handler =
-  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
-
 let spawn t ~name ~main =
   let pid = t.nprocs in
   let p =
@@ -347,7 +350,6 @@ let spawn t ~name ~main =
       unit_eff = no_unit;
     }
   in
-  p.handler <- handler t p;
   let capacity = Array.length t.procs in
   if t.nprocs = capacity then begin
     let procs' = Array.make (max 8 (capacity * 2)) p in
@@ -358,7 +360,7 @@ let spawn t ~name ~main =
   t.nprocs <- t.nprocs + 1;
   if t.trace_on then Trace.record t.tracer t.vnow (Trace.Spawned (pid, name));
   schedule t ~delay:0. (fun () ->
-      if p.up && p.incarnation = 0 then run_fiber p (main ~recovery:false));
+      if p.up && p.incarnation = 0 then run_fiber t p (main ~recovery:false));
   pid
 
 let crash t pid =
@@ -384,7 +386,7 @@ let recover t pid =
     let inc = p.incarnation in
     schedule t ~delay:0. (fun () ->
         if p.up && p.incarnation = inc then
-          run_fiber p (p.main ~recovery:true))
+          run_fiber t p (p.main ~recovery:true))
   end
 
 let crash_at t at pid =
