@@ -209,7 +209,15 @@ let rchannel_roundtrip () =
         Dnet.Rchannel.start ch;
         main ch)
   in
-  let pinger = 0 and ponger = 1 in
+  let ponger =
+    peer (fun ch ->
+        for _ = 1 to n do
+          match Dsim.Engine.recv_cls cls_micro with
+          | Some { src; payload = Micro_ping i; _ } ->
+              Dnet.Rchannel.send ch src (Micro_pong i)
+          | _ -> ()
+        done)
+  in
   ignore
     (peer (fun ch ->
          for i = 1 to n do
@@ -217,14 +225,6 @@ let rchannel_roundtrip () =
          done;
          for _ = 1 to n do
            ignore (Dsim.Engine.recv_cls cls_micro)
-         done));
-  ignore
-    (peer (fun ch ->
-         for _ = 1 to n do
-           match Dsim.Engine.recv_cls cls_micro with
-           | Some { payload = Micro_ping i; _ } ->
-               Dnet.Rchannel.send ch pinger (Micro_pong i)
-           | _ -> ()
          done));
   ignore (Dsim.Engine.run e)
 

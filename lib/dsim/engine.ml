@@ -260,13 +260,7 @@ and receive :
     time ->
     unit =
  fun t p k cls filter timeout ->
-  let taken =
-    match filter with
-    | None -> if cls >= 0 then Cq.pop_cls p.mailbox cls else Cq.pop p.mailbox
-    | Some f ->
-        if cls >= 0 then Cq.take_first_in_cls p.mailbox cls f
-        else Cq.take_first p.mailbox f
-  in
+  let taken = ER.take_message p.mailbox cls filter in
   match taken with
   | Some _ -> Effect.Deep.continue k taken
   | None ->

@@ -255,13 +255,6 @@ let wake p () =
 
 let rec handler t p inc : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
-  let take cls filter () =
-    match filter with
-    | None -> if cls >= 0 then Cq.pop_cls p.mailbox cls else Cq.pop p.mailbox
-    | Some f ->
-        if cls >= 0 then Cq.take_first_in_cls p.mailbox cls f
-        else Cq.take_first p.mailbox f
-  in
   let pause k d =
     (* sleep and work are the same thing on a wall clock *)
     let fired = ref false in
@@ -351,7 +344,7 @@ let rec handler t p inc : (unit, unit) Effect.Deep.handler =
         | ER.E_recv (cls, filter, timeout) ->
             guarded (fun k ->
                 Mutex.lock p.mlock;
-                let first = take cls filter () in
+                let first = ER.take_message p.mailbox cls filter in
                 Mutex.unlock p.mlock;
                 match first with
                 | Some m -> continue k (Some m)
@@ -364,7 +357,9 @@ let rec handler t p inc : (unit, unit) Effect.Deep.handler =
                     | Some dw -> push_timer t ~due:dw (wake p)
                     | None -> ());
                     let ready () =
-                      Option.map (fun m -> Got_msg m) (take cls filter ())
+                      Option.map
+                        (fun m -> Got_msg m)
+                        (ER.take_message p.mailbox cls filter)
                     in
                     match block t p inc ?deadline ~ready () with
                     | Got_msg m -> continue k (Some m)

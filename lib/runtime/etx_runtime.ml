@@ -151,6 +151,15 @@ let of_module (module M : S) =
     obs = M.obs;
   }
 
+(* The message [E_recv (cls, filter, _)] takes from a mailbox, if any; both
+   backends answer the effect through it. *)
+let take_message mailbox cls filter =
+  match filter with
+  | None -> if cls >= 0 then Cq.pop_cls mailbox cls else Cq.pop mailbox
+  | Some f ->
+      if cls >= 0 then Cq.take_first_in_cls mailbox cls f
+      else Cq.take_first mailbox f
+
 (* Fiber-side operations ---------------------------------------------- *)
 
 let now () = Effect.perform E_now

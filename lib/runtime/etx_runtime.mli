@@ -104,6 +104,12 @@ type _ Effect.t +=
   | E_fresh_uid : int Effect.t
   | E_obs : obs_sink option Effect.t
 
+val take_message :
+  message Cq.t -> cls -> (message -> bool) option -> message option
+(** [take_message mailbox cls filter] removes and returns the message that
+    [E_recv (cls, filter, _)] receives from [mailbox] without blocking, if
+    there is one. *)
+
 (** {1 Orchestration capability} *)
 
 (** What a backend provides to host the cluster, as a first-class module. *)

@@ -4,8 +4,8 @@
     timers and the live backend's timers all use it. Elements with equal
     times pop in the order they were pushed, which the simulator's
     determinism relies on. Times live unboxed in a float array and payloads
-    in a plain array, so neither push nor pop allocates once the arrays have
-    grown, and a popped payload is not kept reachable by the queue. *)
+    in a plain array, so the queue keeps no record per element, and a
+    popped payload is not kept reachable by the queue. *)
 
 type 'a t
 

@@ -67,8 +67,7 @@ let sharded_bodies ~map ?(cross_ratio = 0.) ~seed ~n kind =
       (* each shard's own and foreign accounts, ascending, and each
          account's index among its shard's own *)
       let shards = 1 + Array.fold_left max 0 shard in
-      let all = Array.init accounts Fun.id in
-      let where p = Array.of_list (List.filter p (Array.to_list all)) in
+      let where p = Array.of_seq (Seq.filter p (Seq.init accounts Fun.id)) in
       let own = Array.init shards (fun s -> where (fun a -> shard.(a) = s)) in
       let foreign = Array.init shards (fun s -> where (fun a -> shard.(a) <> s)) in
       let pos = Array.make accounts 0 in
