@@ -307,19 +307,13 @@ let run_micro () =
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
   in
-  (* per-run estimate of one measure, by test name *)
-  let per_run instance =
-    let est = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun name ols ->
-        Hashtbl.replace est name
-          (match Analyze.OLS.estimates ols with
-          | Some (x :: _) -> x
-          | Some [] | None -> nan))
-      (Analyze.all ols instance raw);
-    est
+  let ns = Analyze.all ols clock raw and minor = Analyze.all ols words raw in
+  (* per-run estimate of one measure for one test *)
+  let estimate results name =
+    match Analyze.OLS.estimates (Hashtbl.find results name) with
+    | Some (x :: _) -> x
+    | Some [] | None | (exception Not_found) -> nan
   in
-  let ns = per_run clock and minor = per_run words in
   print_endline
     "== Bechamel micro-benchmarks (wall-clock and minor words per run) ==";
   let time ns =
@@ -329,9 +323,9 @@ let run_micro () =
   in
   List.iter
     (fun name ->
-      let w = Option.value (Hashtbl.find_opt minor name) ~default:nan in
       Printf.printf "  %-34s %s %14.0f words\n" name
-        (time (Hashtbl.find ns name)) w)
+        (time (estimate ns name))
+        (estimate minor name))
     (List.sort compare (List.of_seq (Hashtbl.to_seq_keys ns)));
   print_newline ()
 

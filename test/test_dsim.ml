@@ -24,7 +24,9 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Heap: the (time, push order) timer queue *)
 
 let drain q =
-  let rec go acc = if Timeq.is_empty q then List.rev acc else go (Timeq.pop q :: acc) in
+  let rec go acc =
+    if Timeq.is_empty q then List.rev acc else go (Timeq.pop q :: acc)
+  in
   go []
 
 let test_heap_ordering () =
@@ -40,8 +42,7 @@ let test_heap_peek () =
   Timeq.push q 1. "a";
   check_float "peek time" 1. (Timeq.min_time q);
   Alcotest.(check string) "peek value" "a" (Timeq.min_value q);
-  Alcotest.(check int) "length" 2 (Timeq.length q);
-  Alcotest.(check int) "peek leaves it queued" 2 (Timeq.length q)
+  Alcotest.(check int) "length: peeking leaves it queued" 2 (Timeq.length q)
 
 let test_heap_equal_times () =
   let q = Timeq.create ~dummy:"" () in
@@ -101,8 +102,8 @@ let prop_heap_stable_on_ties =
     (fun keys ->
       let q = Timeq.create ~dummy:(0, 0) () in
       List.iteri (fun i k -> Timeq.push q (float_of_int k) (k, i)) keys;
-      drain q = List.stable_sort (fun (a, _) (b, _) -> compare a b)
-                  (List.mapi (fun i k -> (k, i)) keys))
+      let by_key (a, _) (b, _) = compare a b in
+      drain q = List.stable_sort by_key (List.mapi (fun i k -> (k, i)) keys))
 
 let prop_heap_matches_sorted_keys =
   (* pushes interleaved with pops, against a list kept sorted by
