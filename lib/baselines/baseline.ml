@@ -28,12 +28,11 @@ let span breakdown label f =
    [xid] is freshly minted per execution — an unreliable server has no
    exactly-once bookkeeping, so a client retry is a brand-new database
    transaction (the double-charge hazard). *)
-let serve ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j ~xid =
+let serve ?breakdown ~dbs ~business ch rd (request : request) ~j ~xid =
   let collect label req matches =
     let (_ : (Types.proc_id * unit) list) =
       span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ~poll ch rd ~dbs ~request:req
-            ~matches)
+          Dbms.Stub.broadcast_collect ch rd ~dbs ~request:req ~matches)
     in
     ()
   in
@@ -49,7 +48,7 @@ let serve ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j ~xid =
     s
   in
   let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll ~fresh_seq ch rd ~db ~xid ops
+    Dbms.Stub.exec_retry ~fresh_seq ch rd ~db ~xid ops
   in
   let result =
     span breakdown "SQL" (fun () ->
@@ -65,7 +64,7 @@ let serve ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j ~xid =
       | _ -> None);
   let outcomes =
     span breakdown "commit" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
+        Dbms.Stub.broadcast_collect ch rd ~dbs
           ~request:(fun _ -> Dbms.Msg.Commit1 { xid })
           ~matches:(function
             | Dbms.Msg.Commit1_reply { xid = x; outcome }
@@ -80,8 +79,7 @@ let serve ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j ~xid =
   in
   { result = Some result; outcome }
 
-let spawn (rt : Rt.t) ?(name = "baseline") ?(poll = 10.) ?breakdown ~dbs
-    ~business () =
+let spawn (rt : Rt.t) ?(name = "baseline") ?breakdown ~dbs ~business () =
   rt.spawn ~name ~main:(fun ~recovery:_ () ->
       (* stateless: a recovery simply starts serving afresh — which is
          exactly why a retried request can execute twice *)
@@ -107,8 +105,7 @@ let spawn (rt : Rt.t) ?(name = "baseline") ?(poll = 10.) ?breakdown ~dbs
                         Dbms.Xid.make ~rid:request.rid ~j:(Rt.fresh_uid ())
                       in
                       let d =
-                        serve ?breakdown ~poll ~dbs ~business ch rd request ~j
-                          ~xid
+                        serve ?breakdown ~dbs ~business ch rd request ~j ~xid
                       in
                       Hashtbl.replace served (request.rid, j) d;
                       d

@@ -24,7 +24,6 @@ val spawn_dbs :
 val spawn :
   Etx_runtime.t ->
   ?name:string ->
-  ?poll:float ->
   ?breakdown:Stats.Breakdown.t ->
   dbs:Types.proc_id list ->
   business:Etx.Business.t ->

@@ -14,9 +14,9 @@ let span breakdown label f =
   | None -> f ()
   | Some bd -> Stats.Breakdown.span bd label f
 
-let decide_all ~poll ch rd ~dbs ~xid outcome =
+let decide_all ch rd ~dbs ~xid outcome =
   let (_ : (Types.proc_id * unit) list) =
-    Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
+    Dbms.Stub.broadcast_collect ch rd ~dbs
       ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
       ~matches:(function
         | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
@@ -25,12 +25,12 @@ let decide_all ~poll ch rd ~dbs ~xid outcome =
   ()
 
 (* Run business + prepare; shared by the primary and the promoted backup. *)
-let execute ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j =
+let execute ?breakdown ~dbs ~business ch rd (request : request) ~j =
   let xid = Dbms.Xid.make ~rid:request.rid ~j in
   let collect label req matches =
     let (_ : (Types.proc_id * unit) list) =
       span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ~poll ch rd ~dbs ~request:req ~matches)
+          Dbms.Stub.broadcast_collect ch rd ~dbs ~request:req ~matches)
     in
     ()
   in
@@ -46,7 +46,7 @@ let execute ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j =
     s
   in
   let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll ~fresh_seq ch rd ~db ~xid ops
+    Dbms.Stub.exec_retry ~fresh_seq ch rd ~db ~xid ops
   in
   let result =
     span breakdown "SQL" (fun () ->
@@ -62,7 +62,7 @@ let execute ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j =
       | _ -> None);
   let votes =
     span breakdown "prepare" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
+        Dbms.Stub.broadcast_collect ch rd ~dbs
           ~request:(fun _ -> Dbms.Msg.Prepare { xid })
           ~matches:(function
             | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
@@ -81,8 +81,7 @@ let backup_rpc ch ~backup ~request_payload ~matches =
   (* the backup never crashes in this scheme's assumptions; a plain wait *)
   ignore (Rt.recv ~filter ())
 
-let spawn_primary (rt : Rt.t) ?(poll = 10.) ?breakdown ~backup ~dbs
-    ~business () =
+let spawn_primary (rt : Rt.t) ?breakdown ~backup ~dbs ~business () =
   rt.spawn ~name:"pb-primary" ~main:(fun ~recovery:_ () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
@@ -113,8 +112,7 @@ let spawn_primary (rt : Rt.t) ?(poll = 10.) ?breakdown ~backup ~dbs
                                   Dbms.Xid.equal x xid
                               | _ -> false));
                       let _, d =
-                        execute ?breakdown ~poll ~dbs ~business ch rd request
-                          ~j
+                        execute ?breakdown ~dbs ~business ch rd request ~j
                       in
                       (* record the outcome (replaces log-outcome) *)
                       span breakdown "log-outcome" (fun () ->
@@ -125,7 +123,7 @@ let spawn_primary (rt : Rt.t) ?(poll = 10.) ?breakdown ~backup ~dbs
                                   Dbms.Xid.equal x xid
                               | _ -> false));
                       span breakdown "commit" (fun () ->
-                          decide_all ~poll ch rd ~dbs ~xid d.outcome);
+                          decide_all ch rd ~dbs ~xid d.outcome);
                       Hashtbl.replace served (request.rid, j) d;
                       d
                 in
@@ -142,7 +140,7 @@ type record_entry = {
   mutable decision : decision option;
 }
 
-let spawn_backup (rt : Rt.t) ?(poll = 10.) ?breakdown ~fd ~takeover_check
+let spawn_backup (rt : Rt.t) ?breakdown ~fd ~takeover_check
     ~primary ~dbs ~business () =
   rt.spawn ~name:"pb-backup" ~main:(fun ~recovery:_ () ->
       let ch = Rchannel.create () in
@@ -198,10 +196,10 @@ let spawn_backup (rt : Rt.t) ?(poll = 10.) ?breakdown ~fd ~takeover_check
                       | Some d -> d
                       | None ->
                           let xid, d =
-                            execute ?breakdown ~poll ~dbs ~business ch rd
+                            execute ?breakdown ~dbs ~business ch rd
                               request ~j
                           in
-                          decide_all ~poll ch rd ~dbs ~xid d.outcome;
+                          decide_all ch rd ~dbs ~xid d.outcome;
                           Hashtbl.replace served (request.rid, j) d;
                           d
                     in
@@ -223,7 +221,7 @@ let spawn_backup (rt : Rt.t) ?(poll = 10.) ?breakdown ~fd ~takeover_check
                 | Some d -> d (* finish what the primary decided *)
                 | None -> abort_decision
               in
-              decide_all ~poll ch rd ~dbs ~xid decision.outcome;
+              decide_all ch rd ~dbs ~xid decision.outcome;
               Rchannel.send ch entry.client
                 (Result_msg
                    { rid = entry.request.rid; j = xid.Dbms.Xid.j; decision; group = 0 }))

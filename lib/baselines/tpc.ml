@@ -17,9 +17,9 @@ let span breakdown label f =
   | None -> f ()
   | Some bd -> Stats.Breakdown.span bd label f
 
-let decide_all ~poll ch rd ~dbs ~xid outcome =
+let decide_all ch rd ~dbs ~xid outcome =
   let (_ : (Types.proc_id * unit) list) =
-    Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
+    Dbms.Stub.broadcast_collect ch rd ~dbs
       ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
       ~matches:(function
         | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
@@ -30,8 +30,7 @@ let decide_all ~poll ch rd ~dbs ~xid outcome =
 (* [xid] is freshly minted per execution: 2PC gives at-most-once per
    TRANSACTION, but a client retry after a timeout is a new transaction —
    which is exactly the end-user duplication gap the paper motivates with. *)
-let serve ?breakdown ~poll ~log ~dbs ~business ch rd (request : request) ~j
-    ~xid =
+let serve ?breakdown ~log ~dbs ~business ch rd (request : request) ~j ~xid =
   (* eager IO #1: the start record, before any prepare leaves *)
   span breakdown "log-start" (fun () ->
       Dstore.Log.append_list log [ L_start xid ];
@@ -39,7 +38,7 @@ let serve ?breakdown ~poll ~log ~dbs ~business ch rd (request : request) ~j
   let collect label req matches =
     let (_ : (Types.proc_id * unit) list) =
       span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ~poll ch rd ~dbs ~request:req ~matches)
+          Dbms.Stub.broadcast_collect ch rd ~dbs ~request:req ~matches)
     in
     ()
   in
@@ -55,7 +54,7 @@ let serve ?breakdown ~poll ~log ~dbs ~business ch rd (request : request) ~j
     s
   in
   let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll ~fresh_seq ch rd ~db ~xid ops
+    Dbms.Stub.exec_retry ~fresh_seq ch rd ~db ~xid ops
   in
   let result =
     span breakdown "SQL" (fun () ->
@@ -71,7 +70,7 @@ let serve ?breakdown ~poll ~log ~dbs ~business ch rd (request : request) ~j
       | _ -> None);
   let votes =
     span breakdown "prepare" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
+        Dbms.Stub.broadcast_collect ch rd ~dbs
           ~request:(fun _ -> Dbms.Msg.Prepare { xid })
           ~matches:(function
             | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
@@ -87,12 +86,12 @@ let serve ?breakdown ~poll ~log ~dbs ~business ch rd (request : request) ~j
       Dstore.Log.append_list log [ L_outcome (xid, outcome) ];
       Dstore.Log.force ~label:"log-outcome" log);
   span breakdown "commit" (fun () ->
-      decide_all ~poll ch rd ~dbs ~xid outcome);
+      decide_all ch rd ~dbs ~xid outcome);
   { result = Some result; outcome }
 
 (* Presumed-nothing recovery: re-drive logged outcomes, abort logged starts
    without an outcome. *)
-let recover_log ~poll ~log ~dbs ch rd =
+let recover_log ~log ~dbs ch rd =
   Dstore.Log.crash_cut log;
   let outcomes = Hashtbl.create 16 in
   let started = ref [] in
@@ -104,21 +103,20 @@ let recover_log ~poll ~log ~dbs ch rd =
   List.iter
     (fun xid ->
       match Hashtbl.find_opt outcomes xid with
-      | Some o -> decide_all ~poll ch rd ~dbs ~xid o
+      | Some o -> decide_all ch rd ~dbs ~xid o
       | None ->
           Dstore.Log.append_list log [ L_outcome (xid, Dbms.Rm.Abort) ];
           Dstore.Log.force ~label:"log-outcome" log;
-          decide_all ~poll ch rd ~dbs ~xid Dbms.Rm.Abort)
+          decide_all ch rd ~dbs ~xid Dbms.Rm.Abort)
     (List.rev !started)
 
-let spawn (rt : Rt.t) ?(name = "2pc-coord") ?(poll = 10.) ?breakdown ~log
-    ~dbs ~business () =
+let spawn (rt : Rt.t) ?(name = "2pc-coord") ?breakdown ~log ~dbs ~business () =
   rt.spawn ~name ~main:(fun ~recovery () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
       Dbms.Stub.Readiness.start rd;
-      if recovery then recover_log ~poll ~log ~dbs ch rd;
+      if recovery then recover_log ~log ~dbs ch rd;
       let served = Hashtbl.create 32 in
       let wants m =
         match m.Types.payload with Request_msg _ -> true | _ -> false
@@ -137,7 +135,7 @@ let spawn (rt : Rt.t) ?(name = "2pc-coord") ?(poll = 10.) ?breakdown ~log
                         Dbms.Xid.make ~rid:request.rid ~j:(Rt.fresh_uid ())
                       in
                       let d =
-                        serve ?breakdown ~poll ~log ~dbs ~business ch rd
+                        serve ?breakdown ~log ~dbs ~business ch rd
                           request ~j ~xid
                       in
                       Hashtbl.replace served (request.rid, j) d;

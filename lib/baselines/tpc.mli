@@ -24,7 +24,6 @@ type log_record =
 val spawn :
   Etx_runtime.t ->
   ?name:string ->
-  ?poll:float ->
   ?breakdown:Stats.Breakdown.t ->
   log:log_record Dstore.Log.t ->
   dbs:Types.proc_id list ->

@@ -554,8 +554,7 @@ let deliver ctx st ~rid ~j decision =
    acknowledges (the round is idempotent). *)
 let decide_round ctx ~xid ~outcome =
   let (_ : (Types.proc_id * unit) list) =
-    Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-      ~dbs:ctx.cfg.dbs
+    Dbms.Stub.broadcast_collect ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
       ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
       ~matches:(function
         | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
@@ -574,8 +573,7 @@ let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
 
 let prepare ctx ~xid =
   let votes =
-    Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-      ~dbs:ctx.cfg.dbs
+    Dbms.Stub.broadcast_collect ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
       ~request:(fun _ -> Dbms.Msg.Prepare { xid })
       ~matches:(function
         | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
@@ -590,7 +588,7 @@ let prepare ctx ~xid =
 let xa_broadcast ctx ~label ~request ~matches =
   let (_ : (Types.proc_id * unit) list) =
     span ctx label (fun () ->
-        Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
+        Dbms.Stub.broadcast_collect ctx.ch ctx.rd
           ~dbs:ctx.cfg.dbs ~request ~matches)
   in
   ()
@@ -616,7 +614,7 @@ let xa_end ctx ~xid =
 let exec_of ctx ~xid =
   let next_seq = fresh_seq () in
   fun ~db ops ->
-    Dbms.Stub.exec_retry ~poll:ctx.cfg.poll ~backoff:ctx.cfg.exec_backoff
+    Dbms.Stub.exec_retry ~backoff:ctx.cfg.exec_backoff
       ~fresh_seq:next_seq ctx.ch ctx.rd ~db ~xid ops
 
 let run_business ctx ~xid ~attempt ~body =
@@ -1539,7 +1537,7 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
   let terminate () =
     span ctx "commit" (fun () ->
         ospan ctx ~parent ~trace "terminate" (fun () ->
-            Dbms.Stub.decide_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
+            Dbms.Stub.decide_batch ctx.ch ctx.rd
               ~dbs:ctx.cfg.dbs ~items:xitems))
   in
   if not async then terminate ();
@@ -1745,8 +1743,7 @@ let process_batch ctx ls (items : Window.entry list) =
       let running = ref n in
       ospan ctx ~parent:bspan ~trace "compute" (fun () ->
           span ctx "start" (fun () ->
-              Dbms.Stub.xa_start_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                ~dbs:ctx.cfg.dbs ~xids);
+              Dbms.Stub.xa_start_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids);
           List.iteri
             (fun i ({ request = r; j; _ } : Window.entry) ->
               let xid = Dbms.Xid.make ~rid:r.rid ~j in
@@ -1762,14 +1759,12 @@ let process_batch ctx ls (items : Window.entry list) =
             items;
           park ls (fun () -> !running = 0);
           span ctx "end" (fun () ->
-              Dbms.Stub.xa_end_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                ~dbs:ctx.cfg.dbs ~xids));
+              Dbms.Stub.xa_end_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids));
       let tail () =
         let votes =
           span ctx "prepare" (fun () ->
               ospan ctx ~parent:bspan ~trace "prepare" (fun () ->
-                  Dbms.Stub.prepare_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                    ~dbs:ctx.cfg.dbs ~xids))
+                  Dbms.Stub.prepare_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids))
         in
         let outcome_of xid =
           if

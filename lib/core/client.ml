@@ -55,7 +55,8 @@ let wants_result rid j m =
   | Etx_types.Result_msg { rid = r; j = j'; _ }
   | Etx_types.Result_cached_msg { rid = r; j = j'; _ }
   | Etx_types.Result_replica_msg { rid = r; j = j'; _ }
-  | Etx_types.Result_nack_msg { rid = r; j = j'; _ } ->
+  | Etx_types.Result_nack_msg { rid = r; j = j'; _ }
+  | Etx_types.Silent_hint { rid = r; j = j' } ->
       r = rid && j' = j
   | Etx_types.Result_batch_msg { items; _ } ->
       List.exists (fun (r, j', _) -> r = rid && j' = j) items
@@ -109,7 +110,17 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
     rt.spawn ~name ~main:(fun ~recovery () ->
         if recovery then Rt.note "client-recovery:staying-silent"
         else begin
-          let ch = Rchannel.create () in
+          (* (rid, j, server) of the first-try wait in progress. The
+             channel's silence report for exactly that request ends the
+             wait with a hint; any other report is dropped here. *)
+          let first_try = ref (-1, 0, -1) in
+          let on_silent dst = function
+            | Etx_types.Request_msg { request = { rid; _ }; j; _ }
+              when (rid, j, dst) = !first_try ->
+                Rt.redeliver ~src:dst (Etx_types.Silent_hint { rid; j })
+            | _ -> ()
+          in
+          let ch = Rchannel.create ~on_silent () in
           Rchannel.start ch;
           (* fetched once per fiber; None = observability off (common case) *)
           let sink = Rt.obs () in
@@ -195,12 +206,16 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
               let group, servers = current_route key in
               if group <> g0 then try_j (j + 1) group
               else begin
-                Rchannel.send ch (primary_of servers)
+                let primary = primary_of servers in
+                first_try := (rid, j, primary);
+                Rchannel.send ch primary
                   (Etx_types.Request_msg { request; j; group; span });
-                match
+                let reply =
                   Rt.recv ~timeout:period ~cls:Etx_types.cls_result
                     ~filter:(wants_result rid j) ()
-                with
+                in
+                first_try := (-1, 0, -1);
+                match reply with
                 | Some
                     { Types.payload = Etx_types.Result_nack_msg { epoch; _ }; _ }
                   ->
@@ -211,8 +226,9 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
                     | None -> ()
                     | Some s -> s.Rt.obs_count "client.bounced" 1);
                     if stale_map epoch then try_j j g0 else broadcast_phase j g0
+                | None | Some { Types.payload = Etx_types.Silent_hint _; _ } ->
+                    broadcast_phase j g0
                 | Some m -> conclude j m
-                | None -> broadcast_phase j g0
               end
             and broadcast_phase j g0 =
               (match sink with
@@ -241,6 +257,8 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
                      map and re-fan out to the new one *)
                   if stale_map epoch then broadcast_phase j g0
                   else await_broadcast j g0
+              | Some { Types.payload = Etx_types.Silent_hint _; _ } ->
+                  await_broadcast j g0 (* raced the first-try reply *)
               | Some m -> conclude j m
               | None -> broadcast_phase j g0
             and conclude j m =

@@ -3,7 +3,10 @@
     [issue] keeps retransmitting the request until a {e committed} result
     comes back: it first sends to the default primary, falls back to
     broadcasting to every application server after the back-off period, and
-    increments the result identifier [j] whenever a try aborts. Only a
+    increments the result identifier [j] whenever a try aborts. The
+    fall-back comes early when the reliable channel reports the primary
+    silent ({!Dnet.Rchannel.create}'s [on_silent]: no ack 70 ms after the
+    request). Only a
     committed result is delivered to the end-user — that, together with the
     server-side protocol, is the exactly-once guarantee.
 

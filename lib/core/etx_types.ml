@@ -189,6 +189,9 @@ type Runtime.Types.payload +=
           deployment is not reconfigurable): a client holding an older map
           refetches it and re-routes (DESIGN.md §16). Carries no decision
           — it never concludes a try *)
+  | Silent_hint of { rid : int; j : int }
+      (** client → itself, never on the wire: the first-try server of try
+          [j] acked nothing in 70 ms, so the try fans out at once *)
   | Gx_elect of {
       owner : Runtime.Types.proc_id;
       participants : int list;
@@ -236,7 +239,7 @@ let cls_request =
 let cls_result =
   Runtime.Etx_runtime.register_class ~name:"etx-result" (function
     | Result_msg _ | Result_batch_msg _ | Result_cached_msg _
-    | Result_replica_msg _ | Result_nack_msg _ ->
+    | Result_replica_msg _ | Result_nack_msg _ | Silent_hint _ ->
         true
     | _ -> false)
 

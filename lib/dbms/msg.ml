@@ -21,6 +21,9 @@ type Runtime.Types.payload +=
   | Decide of { xid : Xid.t; outcome : Rm.outcome }
   | Ack_decide of { xid : Xid.t }
   | Ready
+  | Ready_wake of { epoch : int }
+      (** application server → its own waiting stub fiber, never on the
+          wire: the database announced recovery epoch [epoch] *)
   | Commit1 of { xid : Xid.t }
   | Commit1_reply of { xid : Xid.t; outcome : Rm.outcome }
   (* batched variants (group commit): one message carries a whole window of
@@ -130,7 +133,7 @@ let cls_reply =
   Runtime.Etx_runtime.register_class ~name:"db-reply" (function
     | Exec_reply _ | Vote_msg _ | Ack_decide _ | Xa_started _ | Xa_ended _
     | Commit1_reply _ | Xa_started_batch _ | Xa_ended_batch _ | Vote_batch _
-    | Ack_decide_batch _ ->
+    | Ack_decide_batch _ | Ready_wake _ ->
         true
     | _ -> false)
 

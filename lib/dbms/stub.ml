@@ -3,61 +3,84 @@ module Rt = Etx_runtime
 open Dnet
 
 module Readiness = struct
-  type t = { epochs : (Types.proc_id, int) Hashtbl.t }
+  type db = { mutable epoch : int; mutable waiting : int }
+  type t = { dbs : (Types.proc_id, db) Hashtbl.t }
 
-  let create ~dbs =
-    let epochs = Hashtbl.create 8 in
-    List.iter (fun db -> Hashtbl.replace epochs db 0) dbs;
-    { epochs }
+  let state t db =
+    match Hashtbl.find t.dbs db with
+    | s -> s
+    | exception Not_found ->
+        let s = { epoch = 0; waiting = 0 } in
+        Hashtbl.add t.dbs db s;
+        s
 
+  let create ~dbs = { dbs = Hashtbl.create (List.length dbs) }
+
+  (* One wake per fiber waiting on the database: each sent under an older
+     epoch and takes one; a waiter that re-sends and waits again under the
+     new epoch takes none. On the threads backend a waiter already holding
+     its reply may still be counted, and its wake is left unread. *)
   let listener t () =
     let rec loop () =
       match Rt.recv_cls Msg.cls_ready with
       | None -> ()
       | Some m ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt t.epochs m.src) in
-          Hashtbl.replace t.epochs m.src (cur + 1);
+          let s = state t m.src in
+          s.epoch <- s.epoch + 1;
+          for _ = 1 to s.waiting do
+            Rt.redeliver ~src:m.src (Msg.Ready_wake { epoch = s.epoch })
+          done;
           loop ()
     in
     loop ()
 
   let start t = Rt.fork "readiness" (listener t)
 
-  let epoch t db = Option.value ~default:0 (Hashtbl.find_opt t.epochs db)
+  let epoch t db = (state t db).epoch
 end
 
-(* Core pattern: send the request, wait for a matching reply; if the
-   database announces a recovery meanwhile, re-send. *)
-let rpc ~poll ch rd ~db ~request ~matches =
-  let rec attempt epoch =
+(* Core pattern: wait for [db]'s reply to [request], sent under recovery
+   epoch [sent]; whenever the database announces a recovery past it,
+   re-send at once. *)
+let rec await ch rd ~db ~request ~matches sent =
+  let s = Readiness.state rd db in
+  if s.epoch > sent then begin
+    let epoch = s.epoch in
     Rchannel.send ch db request;
-    wait epoch
-  and wait epoch =
+    await ch rd ~db ~request ~matches epoch
+  end
+  else
     (* [matches] only ever accepts db reply payloads ([Msg.cls_reply]), so
        the scan can stay inside that bucket *)
-    let filter m = m.Types.src = db && matches m.Types.payload <> None in
-    match Rt.recv ~timeout:poll ~cls:Msg.cls_reply ~filter () with
-    | Some m -> (
-        match matches m.Types.payload with
-        | Some reply -> reply
-        | None -> wait epoch (* unreachable: filter checked *))
-    | None ->
-        let now_epoch = Readiness.epoch rd db in
-        if now_epoch <> epoch then attempt now_epoch else wait epoch
-  in
-  attempt (Readiness.epoch rd db)
+    let filter m =
+      m.Types.src = db
+      &&
+      match m.Types.payload with
+      | Msg.Ready_wake { epoch } -> epoch > sent
+      | p -> matches p <> None
+    in
+    s.waiting <- s.waiting + 1;
+    let got = Rt.recv ~cls:Msg.cls_reply ~filter () in
+    s.waiting <- s.waiting - 1;
+    match got with
+    | Some { Types.payload = Msg.Ready_wake _; _ } | None ->
+        await ch rd ~db ~request ~matches sent
+    | Some m -> Option.get (matches m.Types.payload)
 
-let default_poll = 25.
+let rpc ch rd ~db ~request ~matches =
+  let sent = Readiness.epoch rd db in
+  Rchannel.send ch db request;
+  await ch rd ~db ~request ~matches sent
 
-let xa_start ?(poll = default_poll) ch rd ~db ~xid =
-  rpc ~poll ch rd ~db
+let xa_start ch rd ~db ~xid =
+  rpc ch rd ~db
     ~request:(Msg.Xa_start { xid })
     ~matches:(function
       | Msg.Xa_started { xid = x } when Xid.equal x xid -> Some ()
       | _ -> None)
 
-let xa_end ?(poll = default_poll) ch rd ~db ~xid =
-  rpc ~poll ch rd ~db
+let xa_end ch rd ~db ~xid =
+  rpc ch rd ~db
     ~request:(Msg.Xa_end { xid })
     ~matches:(function
       | Msg.Xa_ended { xid = x } when Xid.equal x xid -> Some ()
@@ -66,8 +89,8 @@ let xa_end ?(poll = default_poll) ch rd ~db ~xid =
 (* The reply is matched on (xid, seq), not xid alone: a late reply to an
    earlier attempt (e.g. a conflict the caller already moved past) must not
    satisfy a newer attempt's wait. *)
-let exec ?(poll = default_poll) ?(seq = 0) ch rd ~db ~xid ops =
-  rpc ~poll ch rd ~db
+let exec ?(seq = 0) ch rd ~db ~xid ops =
+  rpc ch rd ~db
     ~request:(Msg.Exec_req { xid; seq; ops })
     ~matches:(function
       | Msg.Exec_reply { xid = x; seq = s; reply }
@@ -80,7 +103,7 @@ let exec ?(poll = default_poll) ?(seq = 0) ch rd ~db ~xid ops =
    redelivered across a database recovery (Rm.exec_dedup). [fresh_seq]
    must be scoped to the transaction: the application server threads one
    counter through all the exec calls of a business run. *)
-let exec_retry ?(poll = default_poll) ?(backoff = 40.) ?(max_tries = 20)
+let exec_retry ?(backoff = 40.) ?(max_tries = 20)
     ?fresh_seq ch rd ~db ~xid ops =
   let next =
     match fresh_seq with
@@ -93,7 +116,7 @@ let exec_retry ?(poll = default_poll) ?(backoff = 40.) ?(max_tries = 20)
           s
   in
   let rec go tries =
-    match exec ~poll ~seq:(next ()) ch rd ~db ~xid ops with
+    match exec ~seq:(next ()) ch rd ~db ~xid ops with
     | Rm.Exec_conflict _ as conflict ->
         if tries >= max_tries then conflict
         else begin
@@ -104,22 +127,22 @@ let exec_retry ?(poll = default_poll) ?(backoff = 40.) ?(max_tries = 20)
   in
   go 1
 
-let wait_vote ?(poll = default_poll) ch rd ~db ~xid =
-  rpc ~poll ch rd ~db
+let wait_vote ch rd ~db ~xid =
+  rpc ch rd ~db
     ~request:(Msg.Prepare { xid })
     ~matches:(function
       | Msg.Vote_msg { xid = x; vote } when Xid.equal x xid -> Some vote
       | _ -> None)
 
-let wait_ack_decide ?(poll = default_poll) ch rd ~db ~xid outcome =
-  rpc ~poll ch rd ~db
+let wait_ack_decide ch rd ~db ~xid outcome =
+  rpc ch rd ~db
     ~request:(Msg.Decide { xid; outcome })
     ~matches:(function
       | Msg.Ack_decide { xid = x } when Xid.equal x xid -> Some ()
       | _ -> None)
 
-let commit_one_phase ?(poll = default_poll) ch rd ~db ~xid =
-  rpc ~poll ch rd ~db
+let commit_one_phase ch rd ~db ~xid =
+  rpc ch rd ~db
     ~request:(Msg.Commit1 { xid })
     ~matches:(function
       | Msg.Commit1_reply { xid = x; outcome } when Xid.equal x xid ->
@@ -128,61 +151,46 @@ let commit_one_phase ?(poll = default_poll) ch rd ~db ~xid =
 
 let same_xids = List.equal Xid.equal
 
-let broadcast_collect ?(poll = default_poll) ch rd ~dbs ~request ~matches =
+let broadcast_collect ch rd ~dbs ~request ~matches =
+  let sent = List.map (Readiness.epoch rd) dbs in
   List.iter (fun db -> Rchannel.send ch db (request db)) dbs;
-  let collect db =
-    let filter m = m.Types.src = db && matches m.Types.payload <> None in
-    let rec wait epoch =
-      match Rt.recv ~timeout:poll ~cls:Msg.cls_reply ~filter () with
-      | Some m -> (
-          match matches m.Types.payload with
-          | Some reply -> reply
-          | None -> wait epoch)
-      | None ->
-          let now_epoch = Readiness.epoch rd db in
-          if now_epoch <> epoch then begin
-            Rchannel.send ch db (request db);
-            wait now_epoch
-          end
-          else wait epoch
-    in
-    (db, wait (Readiness.epoch rd db))
-  in
-  List.map collect dbs
+  List.map2
+    (fun db sent -> (db, await ch rd ~db ~request:(request db) ~matches sent))
+    dbs sent
 
 (* Batched XA rounds: one message per database carries the whole window of
    transactions, and one reply carries every answer. Replies are matched on
    the full xid list so a batch RPC can never consume another batch's (or a
    single-transaction call's) reply. *)
 
-let xa_start_batch ?poll ch rd ~dbs ~xids =
+let xa_start_batch ch rd ~dbs ~xids =
   ignore
-    (broadcast_collect ?poll ch rd ~dbs
+    (broadcast_collect ch rd ~dbs
        ~request:(fun _ -> Msg.Xa_start_batch { xids })
        ~matches:(function
          | Msg.Xa_started_batch { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
 
-let xa_end_batch ?poll ch rd ~dbs ~xids =
+let xa_end_batch ch rd ~dbs ~xids =
   ignore
-    (broadcast_collect ?poll ch rd ~dbs
+    (broadcast_collect ch rd ~dbs
        ~request:(fun _ -> Msg.Xa_end_batch { xids })
        ~matches:(function
          | Msg.Xa_ended_batch { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
 
-let prepare_batch ?poll ch rd ~dbs ~xids =
-  broadcast_collect ?poll ch rd ~dbs
+let prepare_batch ch rd ~dbs ~xids =
+  broadcast_collect ch rd ~dbs
     ~request:(fun _ -> Msg.Prepare_batch { xids })
     ~matches:(function
       | Msg.Vote_batch { votes } when same_xids (List.map fst votes) xids ->
           Some votes
       | _ -> None)
 
-let decide_batch ?poll ch rd ~dbs ~items =
+let decide_batch ch rd ~dbs ~items =
   let xids = List.map fst items in
   ignore
-    (broadcast_collect ?poll ch rd ~dbs
+    (broadcast_collect ch rd ~dbs
        ~request:(fun _ -> Msg.Decide_batch { items })
        ~matches:(function
          | Msg.Ack_decide_batch { xids = x } when same_xids x xids -> Some ()

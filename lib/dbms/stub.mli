@@ -5,12 +5,13 @@
     every waiting fiber race to consume the single [Ready] a recovering
     database broadcasts (the paper's "receive Vote or Ready" idiom), an
     application server runs one {!Readiness} listener that consumes [Ready]
-    messages and bumps a per-database {e recovery epoch}; every blocked stub
-    polls that epoch and re-sends its request when the database comes back.
-    This is observationally the paper's protocol — a recovery un-blocks
-    every waiter — without the starvation race between concurrent waiters
-    (e.g. a compute thread in [prepare] and a cleaning thread in
-    [terminate]). *)
+    messages, bumps a per-database {e recovery epoch} and wakes every stub
+    blocked on that database, which re-sends its request at once. This is
+    observationally the paper's protocol — a recovery un-blocks every
+    waiter — without the starvation race between concurrent waiters (e.g.
+    a compute thread in [prepare] and a cleaning thread in [terminate]).
+    A stub waits without a timeout: it runs only when its reply or a wake
+    arrives. *)
 
 open Runtime
 
@@ -21,21 +22,21 @@ module Readiness : sig
   (** Call inside the owning fiber. *)
 
   val start : t -> unit
-  (** Fork the [Ready]-consuming listener. *)
+  (** Fork the [Ready]-consuming listener. On each [Ready] it redelivers
+      one {!Msg.Ready_wake} per fiber then waiting on that database. *)
 
   val epoch : t -> Types.proc_id -> int
   (** Bumped every time the database broadcasts [Ready]. *)
 end
 
 val xa_start :
-  ?poll:float -> Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> unit
+  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> unit
 (** Blocking XA start on one database (resent across its recoveries). *)
 
 val xa_end :
-  ?poll:float -> Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> unit
+  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> unit
 
 val exec :
-  ?poll:float ->
   ?seq:int ->
   Dnet.Rchannel.t ->
   Readiness.t ->
@@ -50,7 +51,6 @@ val exec :
     execs per transaction must give each a distinct number. *)
 
 val exec_retry :
-  ?poll:float ->
   ?backoff:float ->
   ?max_tries:int ->
   ?fresh_seq:(unit -> int) ->
@@ -70,13 +70,12 @@ val exec_retry :
     makes more than one exec call on the same [xid]. *)
 
 val wait_vote :
-  ?poll:float -> Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> Rm.vote
+  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> Rm.vote
 (** Send [Prepare] and wait for this database's vote, re-sending across
     recoveries (a recovered database forgets the transaction and votes
     [No], which is the paper's "Ready counts as failure" rule). *)
 
 val wait_ack_decide :
-  ?poll:float ->
   Dnet.Rchannel.t ->
   Readiness.t ->
   db:Types.proc_id ->
@@ -87,11 +86,10 @@ val wait_ack_decide :
     the paper's terminate() retry loop, per database. *)
 
 val commit_one_phase :
-  ?poll:float -> Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> Rm.outcome
+  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> Rm.outcome
 (** Baseline protocol: single-phase commit RPC. *)
 
 val broadcast_collect :
-  ?poll:float ->
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
@@ -114,7 +112,6 @@ val broadcast_collect :
     like their singular counterparts. *)
 
 val xa_start_batch :
-  ?poll:float ->
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
@@ -122,7 +119,6 @@ val xa_start_batch :
   unit
 
 val xa_end_batch :
-  ?poll:float ->
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
@@ -130,7 +126,6 @@ val xa_end_batch :
   unit
 
 val prepare_batch :
-  ?poll:float ->
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
@@ -140,7 +135,6 @@ val prepare_batch :
     order) after a single group-commit log force ({!Rm.vote_many}). *)
 
 val decide_batch :
-  ?poll:float ->
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->

@@ -92,6 +92,7 @@ type t = {
           waits for a kick *)
   rx : (int, rx_state) Hashtbl.t;  (** by sending endpoint *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
+  on_silent : (Types.proc_id -> Types.payload -> unit) option;
 }
 
 let count t name =
@@ -101,7 +102,13 @@ let retransmit_after = 10.
 let backoff_factor = 2.
 let max_backoff = 200.
 
-let create () =
+(* Delays run 10, 20, 40, … ms: an entry's third retransmission is the one
+   made while its [next_delay] is [third_delay], [silent_after] = 70 ms
+   after its send. *)
+let third_delay = retransmit_after *. backoff_factor *. backoff_factor
+let silent_after = (2. *. third_delay) -. retransmit_after
+
+let create ?on_silent () =
   {
     owner = Rt.self ();
     (* endpoint ids are engine-scoped (unique across incarnations within a
@@ -114,6 +121,7 @@ let create () =
     wake_at = Float.infinity;
     rx = Hashtbl.create 16;
     sink = Rt.obs ();
+    on_silent;
   }
 
 let pending t = t.pending
@@ -252,6 +260,16 @@ let receiver_loop t () =
   in
   loop ()
 
+(* At [e]'s third retransmission, before its timer moves on: a destination
+   that has acked nothing since [e] was sent is reported. *)
+let check_silence t e =
+  match t.on_silent with
+  | Some report
+    when (Hashtbl.find t.streams e.dst).last_ack < e.tm.due -. silent_after ->
+      count t "rc.silent";
+      report e.dst e.inner
+  | Some _ | None -> ()
+
 (* The retransmitter sleeps only while work is pending; with nothing unacked
    it blocks on a kick message, so a finished simulation reaches
    quiescence. *)
@@ -272,6 +290,7 @@ let retransmitter_loop t () =
       let e = Timeq.pop t.timers in
       count t "rc.retransmit";
       Rt.send e.dst (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
+      if e.tm.next_delay = third_delay then check_silence t e;
       e.tm.next_delay <- Float.min max_backoff (e.tm.next_delay *. backoff_factor);
       e.tm.due <- now +. e.tm.next_delay;
       if e.tm.next_delay < max_backoff || not (park t e now) then push_timer t e;

@@ -22,7 +22,7 @@ open Runtime
 
 type t
 
-val create : unit -> t
+val create : ?on_silent:(Types.proc_id -> Types.payload -> unit) -> unit -> t
 (** Must be called from inside the owning fiber. Each unacked message is
     first retransmitted after 10 ms, the delay doubling up to a cap of
     200 ms. A destination is {e silent} once one of its messages has
@@ -31,7 +31,12 @@ val create : unit -> t
     the probe, keeps retransmitting every 200 ms; later capped messages are
     parked without a timer. Any ack from the destination re-sends every
     parked message at once, so once a crashed destination is back up its
-    messages are delivered within one probe period plus one round trip. *)
+    messages are delivered within one probe period plus one round trip.
+
+    [on_silent dst p] is called once for a message [p] at its third
+    retransmission, 70 ms after its send, if [dst] has acked nothing since
+    the send (counted as [rc.silent]). It runs in the retransmitter fiber
+    and must not block. *)
 
 val start : t -> unit
 (** Forks the receive-handler and retransmitter fibers. Call once, from the

@@ -659,6 +659,84 @@ let test_server_ready_on_recovery () =
   Alcotest.(check bool) "recovered server votes no for lost txn" true
     (vote = Rm.No)
 
+let test_ready_wakes_each_waiter () =
+  (* Two fibers wait for votes from a database that is down from 10 ms to
+     200 ms. Each re-sends its Prepare at the instant the database's Ready
+     is delivered, exactly once: the listener hands one wake to each
+     waiter and no wake is left over. *)
+  let t = Dsim.Engine.create ~net:(Dnet.Netmodel.lan ()) () in
+  let rt = Dsim.Runtime_sim.of_engine t in
+  let disk = Dstore.Disk.create ~force_latency:1. ~label:"log" () in
+  let rm = Rm.create ~timing:Rm.zero_timing ~seed_data:[] ~disk ~name:"db" () in
+  let app_pid = ref [] in
+  let db = Server.spawn rt ~name:"db" ~rm ~observers:(fun () -> !app_pid) () in
+  let xids = [ xid 1; xid 2 ] in
+  let votes = ref [] in
+  let app =
+    Dsim.Engine.spawn t ~name:"app" ~main:(fun ~recovery:_ () ->
+        let ch = Dnet.Rchannel.create () in
+        Dnet.Rchannel.start ch;
+        let rd = Stub.Readiness.create ~dbs:[ db ] in
+        Stub.Readiness.start rd;
+        Dsim.Engine.sleep 20.;
+        List.iter
+          (fun x ->
+            Dsim.Engine.fork "voter" (fun () ->
+                let vote = Stub.wait_vote ch rd ~db ~xid:x in
+                votes := vote :: !votes))
+          xids)
+  in
+  app_pid := [ app ];
+  Dsim.Engine.crash_at t 10. db;
+  Dsim.Engine.recover_at t 200. db;
+  Alcotest.(check bool) "quiescent" true
+    (Dsim.Engine.run ~deadline:60_000. t = Dsim.Engine.Quiescent);
+  Alcotest.(check bool) "both vote no" true (!votes = [ Rm.No; Rm.No ]);
+  let entries = Dsim.Trace.entries (Dsim.Engine.trace t) in
+  let delivered_to_app pred =
+    List.filter_map
+      (fun { Dsim.Trace.at; event } ->
+        match event with
+        | Dsim.Trace.Delivered m when m.dst = app && pred m.payload -> Some at
+        | _ -> None)
+      entries
+  in
+  let ready_at =
+    match delivered_to_app (( = ) Msg.Ready) with
+    | [ at ] -> at
+    | l -> Alcotest.failf "%d Ready deliveries" (List.length l)
+  in
+  Alcotest.(check bool) "Ready after the recovery" true (ready_at > 200.);
+  let prepares_at x at =
+    List.length
+      (List.filter
+         (fun { Dsim.Trace.at = a; event } ->
+           match event with
+           | Dsim.Trace.Sent (m, _) when a = at && m.src = app -> (
+               match Dnet.Rchannel.inner_payload m.payload with
+               | Some (Msg.Prepare { xid = x' }) -> Xid.equal x x'
+               | _ -> false)
+           | _ -> false)
+         entries)
+  in
+  List.iter
+    (fun x ->
+      Alcotest.(check int) "one re-send at the Ready" 1 (prepares_at x ready_at))
+    xids;
+  let wakes =
+    delivered_to_app (function Msg.Ready_wake _ -> true | _ -> false)
+  in
+  Alcotest.(check (list (float 0.))) "one wake per waiter" [ ready_at; ready_at ]
+    wakes;
+  (* each waiter took one vote and one wake: what is left are duplicate
+     votes to the Prepares sent before the crash, no wake *)
+  let votes_in =
+    List.length
+      (delivered_to_app (function Msg.Vote_msg _ -> true | _ -> false))
+  in
+  Alcotest.(check int) "only duplicate votes left" (votes_in - 2)
+    (Dsim.Engine.mailbox_length t ~cls:Msg.cls_reply app)
+
 let test_server_in_doubt_across_crash () =
   (* Vote yes, crash, recover: the transaction is in doubt and a late
      decide commits it. T.2's database half, at the message level. *)
@@ -1058,6 +1136,8 @@ let () =
             test_server_ready_on_recovery;
           Alcotest.test_case "in-doubt across crash" `Quick
             test_server_in_doubt_across_crash;
+          Alcotest.test_case "Ready wakes each waiter once" `Quick
+            test_ready_wakes_each_waiter;
         ] );
       ( "crash-recovery",
         [

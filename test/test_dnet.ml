@@ -339,6 +339,70 @@ let test_rchannel_probe_does_not_hold_back_fresh () =
     (Printf.sprintf "delivered at %.1f ms, within 1,015 ms" at)
     true (at <= 1_015.)
 
+(* A sender whose channel logs every silence report as (time, dst, n);
+   it sends [App n] to [dst] at each [(at, dst, n)] of [sends]. *)
+let spawn_reporting_sender t sends reports =
+  Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+      let on_silent dst = function
+        | App n -> reports := (Engine.now (), dst, n) :: !reports
+        | _ -> ()
+      in
+      let ch = Rchannel.create ~on_silent () in
+      Rchannel.start ch;
+      List.iter
+        (fun (at, dst, n) ->
+          Engine.sleep (at -. Engine.now ());
+          Rchannel.send ch dst (App n))
+        sends)
+
+let report = Alcotest.(list (triple (float 1e-9) int int))
+
+let test_rchannel_silence_reported_once () =
+  (* A message to a crashed receiver is reported once, at its third
+     retransmission: 10 + 20 + 40 = 70 ms after the send. The probing that
+     follows reports nothing more. *)
+  let obs = Obs.Registry.create () in
+  let t = Engine.create ~net:(Netmodel.lan ()) ~obs () in
+  let dead = spawn_recorder t (ref []) in
+  Engine.crash_at t 0.5 dead;
+  let reports = ref [] in
+  let _ = spawn_reporting_sender t [ (5., dead, 1); (8., dead, 2) ] reports in
+  ignore (Engine.run ~deadline:3_000. t);
+  Alcotest.check report "one report per message, at send + 70 ms"
+    [ (75., dead, 1); (78., dead, 2) ]
+    (List.rev !reports);
+  Alcotest.(check int) "rc.silent" 2 (Obs.Registry.counter_total obs "rc.silent")
+
+let test_rchannel_live_never_reported () =
+  (* A receiver that is up acks every frame of a lossless link, so nothing
+     is reported, however many messages it gets. *)
+  let t = Engine.create ~net:(Netmodel.lan ()) () in
+  let received = ref [] in
+  let live = spawn_recorder t received in
+  let reports = ref [] in
+  let _ =
+    spawn_reporting_sender t (List.init 50 (fun n -> (float n, live, n))) reports
+  in
+  Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
+  Alcotest.(check int) "all delivered" 50 (List.length !received);
+  Alcotest.check report "no report" [] !reports
+
+let test_rchannel_heard_since_send_not_reported () =
+  (* Message 1 (sent at 5 ms) loses its first three frames, but the
+     receiver acks message 2, sent at 6 ms: it is up, so message 1 is not
+     reported at 75 ms. *)
+  let t = Engine.create () in
+  let received = ref [] in
+  let live = spawn_recorder t received in
+  let reports = ref [] in
+  let sender = spawn_reporting_sender t [ (5., live, 1); (6., live, 2) ] reports in
+  Engine.set_net t (fun _ ~src ~dst ->
+      let now = Engine.now_of t in
+      if src = sender && dst = live && now < 70. && now <> 6. then [] else [ 1. ]);
+  ignore (Engine.run ~deadline:1_000. t);
+  Alcotest.check report "no report" [] !reports;
+  Alcotest.(check (list int)) "message 2 first, then 1" [ 2; 1 ] (List.rev !received)
+
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
 
@@ -509,6 +573,12 @@ let () =
             test_rchannel_dead_neighbour;
           Alcotest.test_case "probe does not hold back a fresh message" `Quick
             test_rchannel_probe_does_not_hold_back_fresh;
+          Alcotest.test_case "silence reported once at send + 70 ms" `Quick
+            test_rchannel_silence_reported_once;
+          Alcotest.test_case "live destination never reported" `Quick
+            test_rchannel_live_never_reported;
+          Alcotest.test_case "destination heard since the send not reported"
+            `Quick test_rchannel_heard_since_send_not_reported;
           q prop_rchannel_exactly_once;
         ] );
       ( "fdetect",

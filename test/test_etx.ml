@@ -541,29 +541,101 @@ let request_deliveries e =
     (Dsim.Trace.entries (Dsim.Engine.trace e));
   counts
 
+(* when [server] first received a request, if ever *)
+let first_request_at e server =
+  List.find_map
+    (fun (en : Dsim.Trace.entry) ->
+      match en.event with
+      | Dsim.Trace.Delivered
+          { dst; payload = Etx_types.Request_msg _; _ }
+        when dst = server ->
+          Some en.at
+      | _ -> None)
+    (Dsim.Trace.entries (Dsim.Engine.trace e))
+
 let test_client_backoff_then_broadcast () =
-  (* The primary is dead from the start: the client first times out on it,
-     then broadcasts to every server (Fig. 2 lines 5-7). *)
+  (* The primary acknowledges the request, then crashes before answering.
+     Its channel reports no silence, so the client waits out the whole
+     back-off period on it, then broadcasts to every server (Fig. 2 lines
+     5-7). *)
+  let e, d = one_request ~client_period:300. () in
+  Dsim.Engine.crash_at e 10. (Cluster.primary d ~shard:0);
+  let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
+  Alcotest.(check bool) "quiesced" true ok;
+  let r =
+    match Cluster.all_records d with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "expected one record"
+  in
+  List.iteri
+    (fun i server ->
+      if i > 0 then
+        match first_request_at e server with
+        | Some at ->
+            Alcotest.(check bool)
+              (Printf.sprintf "server %d reached at %.1f ms, after 300 ms" i
+                 (at -. r.issued_at))
+              true
+              (at -. r.issued_at > 300.)
+        | None -> Alcotest.failf "server %d never reached" i)
+    (Cluster.group d 0).app_servers;
+  Alcotest.(check bool) "latency includes the back-off" true
+    (r.delivered_at -. r.issued_at > 300.);
+  check_no_violations "backoff broadcast" d
+
+let test_client_broadcasts_early_to_silent_primary () =
+  (* The primary is dead before the request is sent. Its reliable channel
+     reports the silence 70 ms after the send, and the client broadcasts
+     then instead of waiting out the 300 ms back-off. *)
   let e, d = one_request ~client_period:300. () in
   Dsim.Engine.crash_at e 0.5 (Cluster.primary d ~shard:0);
   let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
   Alcotest.(check bool) "quiesced" true ok;
-  let counts = request_deliveries e in
+  let r =
+    match Cluster.all_records d with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "expected one delivery"
+  in
+  let client = Client.pid (List.hd d.clients) in
   List.iteri
     (fun i server ->
       if i > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "server %d reached by broadcast" i)
-          true
-          (Hashtbl.find_opt counts server <> None))
+        match first_request_at e server with
+        | Some at ->
+            Alcotest.(check bool)
+              (Printf.sprintf "server %d reached at %.1f ms, within 150 ms" i
+                 (at -. r.issued_at))
+              true
+              (at -. r.issued_at < 150.)
+        | None -> Alcotest.failf "server %d never reached" i)
     (Cluster.group d 0).app_servers;
-  (match Cluster.all_records d with
-  | [ r ] ->
-      (* the whole first back-off period was spent on the dead primary *)
-      Alcotest.(check bool) "latency includes the back-off" true
-        (r.delivered_at -. r.issued_at > 300.)
-  | _ -> Alcotest.fail "expected one record");
-  check_no_violations "backoff broadcast" d
+  let delivered pred =
+    List.filter_map
+      (fun (en : Dsim.Trace.entry) ->
+        match en.event with
+        | Dsim.Trace.Delivered m when pred m -> Some en.at
+        | _ -> None)
+      (Dsim.Trace.entries (Dsim.Engine.trace e))
+  in
+  let to_client cls m =
+    m.Runtime.Types.dst = client
+    && Runtime.Etx_runtime.classify m.payload = Etx_types.cls_result
+    && cls m.payload
+  in
+  let hints =
+    delivered
+      (to_client (function Etx_types.Silent_hint _ -> true | _ -> false))
+  in
+  Alcotest.(check int) "one hint" 1 (List.length hints);
+  (* the client took the hint and one result: the rest are the other
+     servers' duplicate results *)
+  let results =
+    delivered
+      (to_client (function Etx_types.Silent_hint _ -> false | _ -> true))
+  in
+  Alcotest.(check int) "no hint left" (List.length results - 1)
+    (Dsim.Engine.mailbox_length e ~cls:Etx_types.cls_result client);
+  check_no_violations "early broadcast" d
 
 let test_client_no_broadcast_in_nice_run () =
   (* In a failure-free run the optimisation holds: only the primary ever
@@ -1026,6 +1098,8 @@ let () =
         [
           Alcotest.test_case "back-off then broadcast" `Quick
             test_client_backoff_then_broadcast;
+          Alcotest.test_case "silent primary: early broadcast" `Quick
+            test_client_broadcasts_early_to_silent_primary;
           Alcotest.test_case "no broadcast in nice run" `Quick
             test_client_no_broadcast_in_nice_run;
           Alcotest.test_case "ignores stale results" `Quick
