@@ -721,13 +721,14 @@ let test_ready_wakes_each_waiter () =
   in
   List.iter
     (fun x ->
-      Alcotest.(check int) "one re-send at the Ready" 1 (prepares_at x ready_at))
+      Alcotest.(check int) "one re-send at the Ready" 1
+        (prepares_at x ready_at))
     xids;
   let wakes =
     delivered_to_app (function Msg.Ready_wake _ -> true | _ -> false)
   in
-  Alcotest.(check (list (float 0.))) "one wake per waiter" [ ready_at; ready_at ]
-    wakes;
+  Alcotest.(check (list (float 0.)))
+    "one wake per waiter" [ ready_at; ready_at ] wakes;
   (* each waiter took one vote and one wake: what is left are duplicate
      votes to the Prepares sent before the crash, no wake *)
   let votes_in =

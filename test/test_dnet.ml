@@ -371,7 +371,8 @@ let test_rchannel_silence_reported_once () =
   Alcotest.check report "one report per message, at send + 70 ms"
     [ (75., dead, 1); (78., dead, 2) ]
     (List.rev !reports);
-  Alcotest.(check int) "rc.silent" 2 (Obs.Registry.counter_total obs "rc.silent")
+  Alcotest.(check int) "rc.silent" 2
+    (Obs.Registry.counter_total obs "rc.silent")
 
 let test_rchannel_live_never_reported () =
   (* A receiver that is up acks every frame of a lossless link, so nothing
@@ -381,7 +382,9 @@ let test_rchannel_live_never_reported () =
   let live = spawn_recorder t received in
   let reports = ref [] in
   let _ =
-    spawn_reporting_sender t (List.init 50 (fun n -> (float n, live, n))) reports
+    spawn_reporting_sender t
+      (List.init 50 (fun n -> (float n, live, n)))
+      reports
   in
   Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
   Alcotest.(check int) "all delivered" 50 (List.length !received);
@@ -395,13 +398,17 @@ let test_rchannel_heard_since_send_not_reported () =
   let received = ref [] in
   let live = spawn_recorder t received in
   let reports = ref [] in
-  let sender = spawn_reporting_sender t [ (5., live, 1); (6., live, 2) ] reports in
+  let sender =
+    spawn_reporting_sender t [ (5., live, 1); (6., live, 2) ] reports
+  in
   Engine.set_net t (fun _ ~src ~dst ->
       let now = Engine.now_of t in
-      if src = sender && dst = live && now < 70. && now <> 6. then [] else [ 1. ]);
+      if src = sender && dst = live && now < 70. && now <> 6. then []
+      else [ 1. ]);
   ignore (Engine.run ~deadline:1_000. t);
   Alcotest.check report "no report" [] !reports;
-  Alcotest.(check (list int)) "message 2 first, then 1" [ 2; 1 ] (List.rev !received)
+  Alcotest.(check (list int))
+    "message 2 first, then 1" [ 2; 1 ] (List.rev !received)
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
