@@ -12,26 +12,24 @@ type Types.payload +=
   | C_propose of { key : string; round : int; value : Types.payload }
   | C_ack of { key : string; round : int; ok : bool }
   | C_decide of { key : string; value : Types.payload }
-  | C_decided_local of { key : string }
   | C_start of { key : string }
       (* a proposer that is not the round-0 coordinator announces the
          instance so that every correct peer participates from round 0 —
          CT liveness needs all correct processes in the round schedule *)
 
-(* demux classes. All CT network traffic shares one bucket: the dispatcher
+(* demux class. All CT network traffic shares one bucket: the dispatcher
    and the per-instance drivers both wait on it (with filters narrowing to
    their share — driver-claimed round messages vs everything else), so
    neither ever scans the process's other backlogs (e.g. the primary's
-   queued client requests). The local decision wakeup is its own bucket. *)
+   queued client requests). *)
 let cls_net =
   Rt.register_class ~name:"ct-net" (function
     | C_estimate _ | C_propose _ | C_ack _ | C_decide _ | C_start _ -> true
     | _ -> false)
 
-let cls_decided =
-  Rt.register_class ~name:"ct-decided" (function
-    | C_decided_local _ -> true
-    | _ -> false)
+(* How often a blocked driver phase re-checks its round deadline and the
+   failure detector. *)
+let recheck = 2.0
 
 type instance = {
   key : string;
@@ -39,7 +37,8 @@ type instance = {
   mutable decided : Types.payload option;
   mutable decided_at : float;  (** local learn time, for garbage collection *)
   mutable driver_running : bool;
-  mutable proposers : int;  (** local fibers blocked in [propose] *)
+  mutable proposers : Rt.Wake.t option;
+      (** local fibers blocked in [propose]; dropped once decided *)
   mutable saved_est : Types.payload option;
       (** recovered adoption (crash-recovery mode) *)
   mutable saved_ts : int;
@@ -67,7 +66,6 @@ type t = {
   majority : int;
   fd : Fdetect.t;
   ch : Rchannel.t;
-  poll : float;
   round_timeout : float;
   instances : (string, instance) Hashtbl.t;
   persist : persistence option;
@@ -92,7 +90,7 @@ let ensure t key =
           decided = None;
           decided_at = nan;
           driver_running = false;
-          proposers = 0;
+          proposers = None;
           saved_est = None;
           saved_ts = -1;
           restart_round = 0;
@@ -135,7 +133,7 @@ let recover_from_log t p =
   Dstore.Log.iter_from p.plog ~lsn:(Dstore.Log.base_lsn p.plog) ~f:(fun _ r ->
       restore r)
 
-let create ?(poll = 2.0) ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
+let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
   let n = List.length peers in
   let t =
     {
@@ -145,7 +143,6 @@ let create ?(poll = 2.0) ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
       majority = (n / 2) + 1;
       fd;
       ch;
-      poll;
       round_timeout;
       instances = Hashtbl.create 32;
       persist;
@@ -170,10 +167,8 @@ let record_decision t inst value =
           s.Rt.obs_count "consensus.decides" 1;
           s.Rt.obs_event ~trace:(trace_of_key inst.key) "consensus-decide"
             inst.key);
-      (* wake a local proposer blocked in [propose]; with none blocked the
-         wake-up would sit unread in the mailbox for good *)
-      if inst.proposers > 0 then
-        Rt.redeliver ~src:t.self (C_decided_local { key = inst.key });
+      Option.iter Rt.Wake.wake inst.proposers;
+      inst.proposers <- None;
       (* reliable broadcast: forward on first learn *)
       List.iter
         (fun p ->
@@ -270,7 +265,7 @@ let driver t inst () =
             | true, Some (v, _) -> propose r v
             | _ -> (
                 match
-                  Rt.recv ~timeout:t.poll ~cls:cls_net ~filter:wants_instance ()
+                  Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance ()
                 with
                 | Some
                     ({ payload = C_estimate { round; est; ts; _ }; src; _ } as
@@ -307,7 +302,7 @@ let driver t inst () =
           else if !yes + !no >= t.majority && !no >= 1 then
             go (r + 1) (Some v) r
           else begin
-            match Rt.recv ~timeout:t.poll ~cls:cls_net ~filter:wants_instance () with
+            match Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance () with
             | Some { payload = C_ack { round; ok; _ }; _ } when round = r ->
                 if ok then incr yes else incr no;
                 collect ()
@@ -330,7 +325,7 @@ let driver t inst () =
       match inst.decided with
       | Some _ -> ()
       | None -> (
-          match Rt.recv ~timeout:t.poll ~cls:cls_net ~filter:wants_instance () with
+          match Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance () with
           | Some { payload = C_propose { round; value; _ }; src; _ }
             when round = r ->
               adopt_and_ack ~round:r value ~coordinator:src;
@@ -426,22 +421,10 @@ let propose t ~key value =
             if p <> t.self then Rchannel.send t.ch p (C_start { key }))
           t.peers;
       start_driver t inst;
-      let wants m =
-        match m.Types.payload with
-        | C_decided_local { key = k } -> k = key
-        | _ -> false
-      in
-      let rec wait () =
-        match inst.decided with
-        | Some v -> v
-        | None ->
-            ignore (Rt.recv ~timeout:(t.poll *. 5.) ~cls:cls_decided ~filter:wants ());
-            wait ()
-      in
-      inst.proposers <- inst.proposers + 1;
-      let v = wait () in
-      inst.proposers <- inst.proposers - 1;
-      v
+      if inst.proposers = None then inst.proposers <- Some (Rt.Wake.create ());
+      Rt.Wake.until (Option.get inst.proposers) (fun () ->
+          inst.decided <> None);
+      Option.get inst.decided
 
 let peek t ~key =
   match Hashtbl.find_opt t.instances key with
@@ -449,8 +432,7 @@ let peek t ~key =
   | Some inst -> inst.decided
 
 let is_consensus_message = function
-  | C_estimate _ | C_propose _ | C_ack _ | C_decide _ | C_decided_local _
-  | C_start _ ->
+  | C_estimate _ | C_propose _ | C_ack _ | C_decide _ | C_start _ ->
       true
   | _ -> false
 

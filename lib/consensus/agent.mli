@@ -49,7 +49,6 @@ val make_persistence : disk:Dstore.Disk.t -> persistence
     it survives crashes. *)
 
 val create :
-  ?poll:float ->
   ?round_timeout:float ->
   ?persist:persistence ->
   peers:Types.proc_id list ->
@@ -59,8 +58,7 @@ val create :
   t
 (** Must be called inside the owning application-server fiber. [peers] must
     list all application servers in the same order everywhere (the rotation
-    schedule); the default primary must come first. [poll] is the local
-    re-check interval for blocking waits (default 2 ms); [round_timeout]
+    schedule); the default primary must come first. [round_timeout]
     (default 100 ms) bounds how long any round is waited on before rotating
     — the ◇S-via-timeouts device that also lets processes desynchronised by
     recoveries converge to a common round. When [persist] is

@@ -15,10 +15,9 @@ type Types.payload +=
   | S_nack of { key : string; ballot : int }
       (** a higher promise exists; the proposer should move on *)
   | S_learn of { key : string; value : Types.payload }
-  | S_decided_local of { key : string }
 
-(* demux classes: acceptor-side requests, proposer-side replies, and the
-   local decision wakeup each get their own mailbox bucket *)
+(* demux classes: acceptor-side requests and proposer-side replies each
+   get their own mailbox bucket *)
 let cls_request =
   Rt.register_class ~name:"synod-request" (function
     | S_prepare _ | S_accept _ | S_learn _ -> true
@@ -29,11 +28,6 @@ let cls_reply =
     | S_promise _ | S_accepted _ | S_nack _ -> true
     | _ -> false)
 
-let cls_decided =
-  Rt.register_class ~name:"synod-decided" (function
-    | S_decided_local _ -> true
-    | _ -> false)
-
 (* acceptor + learner + proposer state for one instance at one process *)
 type instance = {
   key : string;
@@ -41,6 +35,7 @@ type instance = {
   mutable accepted : (int * Types.payload) option;
   mutable decided : Types.payload option;
   mutable proposing : bool;  (** a proposer fiber is active here *)
+  decided_wake : Rt.Wake.t;  (** woken when [decided] is set *)
 }
 
 type t = {
@@ -79,7 +74,14 @@ let ensure t key =
   | Some inst -> inst
   | None ->
       let inst =
-        { key; promised = -1; accepted = None; decided = None; proposing = false }
+        {
+          key;
+          promised = -1;
+          accepted = None;
+          decided = None;
+          proposing = false;
+          decided_wake = Rt.Wake.create ();
+        }
       in
       Hashtbl.replace t.instances key inst;
       inst
@@ -87,7 +89,7 @@ let ensure t key =
 let learn t inst value =
   if inst.decided = None then begin
     inst.decided <- Some value;
-    Rt.redeliver ~src:t.self (S_decided_local { key = inst.key });
+    Rt.Wake.wake inst.decided_wake;
     List.iter
       (fun p ->
         if p <> t.self then Rchannel.send t.ch p (S_learn { key = inst.key; value }))
@@ -241,19 +243,8 @@ let propose t ~key value =
         inst.proposing <- true;
         Rt.fork ("synod:" ^ key) (proposer t inst value)
       end;
-      let wants m =
-        match m.Types.payload with
-        | S_decided_local { key = k } -> k = key
-        | _ -> false
-      in
-      let rec wait () =
-        match inst.decided with
-        | Some v -> v
-        | None ->
-            ignore (Rt.recv ~timeout:10. ~cls:cls_decided ~filter:wants ());
-            wait ()
-      in
-      wait ()
+      Rt.Wake.until inst.decided_wake (fun () -> inst.decided <> None);
+      Option.get inst.decided
 
 let peek t ~key =
   match Hashtbl.find_opt t.instances key with

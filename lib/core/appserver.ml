@@ -14,6 +14,11 @@ type fd_spec =
 
 type register_backend = Reg_ct | Reg_synod
 
+(* How long a wait that ends on a remote reply or on suspicion blocks
+   before it re-checks: the lost branch election's owner and the config
+   group's map replies. *)
+let recheck = 10.
+
 (* Cross-shard commit wiring (DESIGN.md §15). [shard_of_key] is the
    cluster's routing map; [peers] names the application servers of a
    participant group (a function because the full cluster membership is
@@ -45,7 +50,6 @@ type config = {
   business : Business.t;
   fd_spec : fd_spec;
   clean_period : float;
-  poll : float;
   exec_backoff : float;
   gc_after : float option;
   backend : register_backend;
@@ -78,10 +82,10 @@ type config = {
           the static protocol) *)
 }
 
-let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(poll = 10.)
-    ?(exec_backoff = 40.) ?gc_after ?(backend = Reg_ct) ?persist ?breakdown
-    ?(group = 0) ?(batch = 1) ?cache ?replicas ?(replica_bound = 8) ?(replica_patience = 1_000.) ?cross ?reconfig ~rt ~index
-    ~servers ~dbs ~business () =
+let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(exec_backoff = 40.)
+    ?gc_after ?(backend = Reg_ct) ?persist ?breakdown ?(group = 0) ?(batch = 1)
+    ?cache ?replicas ?(replica_bound = 8) ?(replica_patience = 1_000.) ?cross
+    ?reconfig ~rt ~index ~servers ~dbs ~business () =
   (match (backend, persist) with
   | Reg_synod, Some _ ->
       invalid_arg
@@ -101,7 +105,6 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(poll = 10.)
     business;
     fd_spec;
     clean_period;
-    poll;
     exec_backoff;
     gc_after;
     backend;
@@ -391,25 +394,18 @@ let serve_replica ctx ~(request : request) ~j ~client =
                    r = rid && s' = s
                | _ -> false
              in
-             (* wait in poll slices like the primary exec path, but under
-                a finite patience: a crashed replica must stall the
+             (* a finite patience: a crashed replica must stall the
                 request only briefly before it falls back, never blackhole
                 it (replies are filtered by seq, so a late answer to an
                 abandoned attempt is ignored) *)
-             let deadline = Rt.now () +. ctx.cfg.replica_patience in
-             let rec wait () =
-               let left = deadline -. Rt.now () in
-               if left <= 0. then raise Replica_fallback
-               else
-                 match
-                   Rt.recv
-                     ~timeout:(Float.min ctx.cfg.poll left)
-                     ~cls:Dbms.Msg.cls_replica_reply ~filter ()
-                 with
-                 | None -> wait ()
-                 | Some m -> m
+             let m =
+               match
+                 Rt.recv ~timeout:ctx.cfg.replica_patience
+                   ~cls:Dbms.Msg.cls_replica_reply ~filter ()
+               with
+               | None -> raise Replica_fallback
+               | Some m -> m
              in
-             let m = wait () in
              (match m.Types.payload with
              | Dbms.Msg.Replica_values { values; lsn; lag; _ } ->
                  (match !snapshot with
@@ -877,20 +873,25 @@ let local_branch_vote ctx ~rid ~j ~k ~ops =
             match vote_or_contest ctx ~rid ~j ~k ~owner:w with
             | Some v -> vote_of v
             | None ->
-                Rt.sleep ctx.cfg.poll;
+                Rt.sleep recheck;
                 wait ()
           in
           wait ()
       | Unelected -> (false, []))
 
 (* [f x] for every [x], each in its own fiber [name]; returns the results
-   in order once all are in (checked every 1 ms). *)
+   in order once all are in (the last child wakes the caller). *)
 let fork_all name f xs =
   let results = Array.make (List.length xs) None in
-  List.iteri (fun i x -> Rt.fork name (fun () -> results.(i) <- Some (f x))) xs;
-  while Array.exists Option.is_none results do
-    Rt.sleep 1.
-  done;
+  let left = ref (List.length xs) and all_in = Rt.Wake.create () in
+  List.iteri
+    (fun i x ->
+      Rt.fork name (fun () ->
+          results.(i) <- Some (f x);
+          decr left;
+          if !left = 0 then Rt.Wake.wake all_in))
+    xs;
+  Rt.Wake.until all_in (fun () -> !left = 0);
   Array.to_list results |> List.map Option.get
 
 (* Drive a Paxos-Commit instance to its outcome and completion: collect
@@ -1141,7 +1142,6 @@ let rc_caps ctx (rcc : reconfig_cfg) =
     suspected = (fun p -> Fdetect.suspects ctx.fd p);
     servers_of = rcc.rc_servers_of;
     dbs_of = rcc.rc_dbs_of;
-    poll = ctx.cfg.poll;
     sink = ctx.sink;
   }
 
@@ -1241,7 +1241,7 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
     Rchannel.broadcast ctx.ch
       (rcc.rc_servers_of rcc.cfg_group)
       (Reconfig.Rmsg.Cfg_query { have });
-    let deadline = Rt.now () +. ctx.cfg.poll in
+    let deadline = Rt.now () +. recheck in
     let rec drain () =
       if Rt.now () < deadline then begin
         (match
@@ -1487,30 +1487,8 @@ type lease = {
       (** windows past their compute phase but not yet decided: the
           pipeline overlaps the next window's compute with the previous
           window's prepare/consensus, at most one such tail in flight *)
-  mutable parked : bool;  (** the batch thread is blocked in {!park} *)
+  tail_done : Rt.Wake.t;  (** woken as each tail ends *)
 }
-
-type Types.payload += Window_wake
-
-let cls_window_wake =
-  Rt.register_class ~name:"window-wake" (function
-    | Window_wake -> true
-    | _ -> false)
-
-(* The batch thread blocks here until [ready ()]; the fibers that change
-   what [ready] reads call {!unpark}. A wake-up is sent only while the
-   thread is parked, so none is ever left unread in the mailbox. *)
-let park ls ready =
-  while not (ready ()) do
-    ls.parked <- true;
-    ignore (Rt.recv_cls cls_window_wake)
-  done
-
-let unpark ls =
-  if ls.parked then begin
-    ls.parked <- false;
-    Rt.redeliver ~src:(Rt.self ()) Window_wake
-  end
 
 (* Terminate a whole batch: one Decide_batch per database carrying every
    (xid, outcome), then one Result_batch_msg per known client carrying its
@@ -1642,6 +1620,8 @@ let lease_takeover ctx ls =
     Window.clear ls.pending;
     Window.transfer ls.limbo ~into:ls.pending;
     ls.holder <- Some ctx.self;
+    if not (Window.is_empty ls.pending) then
+      Rt.redeliver ~src:ctx.self Lease_wake;
     Rt.note (Printf.sprintf "lease-acquired:g%d:e%d" ctx.cfg.group next);
     match ctx.sink with
     | None -> ()
@@ -1739,27 +1719,26 @@ let process_batch ctx ls (items : Window.entry list) =
                (List.map (fun (rid, j) -> Printf.sprintf "%d.%d" rid j) ids)));
       let gen = cache_generation ctx in
       let xids = List.map (fun (rid, j) -> Dbms.Xid.make ~rid ~j) ids in
-      let results = Array.make n None in
-      let running = ref n in
-      ospan ctx ~parent:bspan ~trace "compute" (fun () ->
-          span ctx "start" (fun () ->
-              Dbms.Stub.xa_start_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids);
-          List.iteri
-            (fun i ({ request = r; j; _ } : Window.entry) ->
-              let xid = Dbms.Xid.make ~rid:r.rid ~j in
-              Rt.fork "batch-exec" (fun () ->
+      let results =
+        ospan ctx ~parent:bspan ~trace "compute" (fun () ->
+            span ctx "start" (fun () ->
+                Dbms.Stub.xa_start_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids);
+            let results =
+              fork_all "batch-exec"
+                (fun ({ request = r; j; _ } : Window.entry) ->
+                  let xid = Dbms.Xid.make ~rid:r.rid ~j in
                   let result =
                     span ctx "SQL" (fun () ->
                         run_business ctx ~xid ~attempt:j ~body:r.body)
                   in
                   note_computed ~rid:r.rid ~j result;
-                  results.(i) <- Some result;
-                  decr running;
-                  if !running = 0 then unpark ls))
-            items;
-          park ls (fun () -> !running = 0);
-          span ctx "end" (fun () ->
-              Dbms.Stub.xa_end_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids));
+                  result)
+                items
+            in
+            span ctx "end" (fun () ->
+                Dbms.Stub.xa_end_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids);
+            results)
+      in
       let tail () =
         let votes =
           span ctx "prepare" (fun () ->
@@ -1780,13 +1759,9 @@ let process_batch ctx ls (items : Window.entry list) =
           else Dbms.Rm.Abort
         in
         let proposal =
-          List.mapi
-            (fun i xid ->
-              {
-                result = Some (Option.get results.(i));
-                outcome = outcome_of xid;
-              })
-            xids
+          List.map2
+            (fun xid result -> { result = Some result; outcome = outcome_of xid })
+            xids results
         in
         let decisions =
           span ctx "log-outcome" (fun () ->
@@ -1811,7 +1786,7 @@ let process_batch ctx ls (items : Window.entry list) =
          windows stay register-ordered (the batchA election above happened
          in the assembly fiber, before the fork); one tail in flight bounds
          the overlap so prepares cannot reorder across windows. *)
-      park ls (fun () -> ls.tails = 0);
+      Rt.Wake.until ls.tail_done (fun () -> ls.tails = 0);
       ls.tails <- ls.tails + 1;
       Rt.fork "batch-tail" (fun () ->
           Fun.protect
@@ -1819,7 +1794,7 @@ let process_batch ctx ls (items : Window.entry list) =
             tail;
           (* not in [finally]: a fiber unwinding out of a dead process
              must not perform effects *)
-          unpark ls)
+          Rt.Wake.wake ls.tail_done)
       end
   | _ ->
       (* lost the slot: a successor sealed our epoch — we are deposed. The
@@ -1881,19 +1856,14 @@ let batch_thread ctx ls () =
         drain ()
   in
   let rec loop () =
-    (* block only when nothing is queued AND we hold the lease: while we do
-       not (bootstrap, deposed), the lease monitor may promote [limbo] into
-       [pending] from its own fiber, so poll instead of blocking forever on
-       a mailbox the clients will only refill at their back-off period *)
+    (* block only when nothing is queued; a takeover that promotes [limbo]
+       into [pending] wakes this wait with a [Lease_wake] *)
     let queued () =
       ls.holder = Some ctx.self && not (Window.is_empty ls.pending)
     in
     (if queued () then drain ()
      else
-       let timeout =
-         if ls.holder = Some ctx.self then None else Some ctx.cfg.poll
-       in
-       match Rt.recv_cls ?timeout cls_request with
+       match Rt.recv_cls cls_request with
        | None -> ()
        | Some m ->
            enqueue m;
@@ -2037,7 +2007,7 @@ let spawn cfg =
               pending = Window.create ();
               limbo = Window.create ();
               tails = 0;
-              parked = false;
+              tail_done = Rt.Wake.create ();
             }
           in
           (* cross-shard tries bypass the lease windows, so their crashed

@@ -122,7 +122,6 @@ type config = {
   business : Business.t;
   fd_spec : fd_spec;
   clean_period : float;  (** cleaning-thread scan interval *)
-  poll : float;  (** local wait re-check interval *)
   exec_backoff : float;  (** lock-conflict retry back-off *)
   gc_after : float option;
       (** when set, a garbage-collection thread discards a request's
@@ -172,8 +171,8 @@ type config = {
   replica_bound : int;
       (** max provable staleness (LSN delta) tolerated on a replica read *)
   replica_patience : float;
-      (** how long a replica read may wait for its reply (poll-sliced)
-          before falling back to the primary — bounds the stall a crashed
+      (** how long a replica read may wait for its reply before falling
+          back to the primary — bounds the stall a crashed
           or overloaded replica can impose on a request *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] (the default) confines every
@@ -189,7 +188,6 @@ type config = {
 val config :
   ?fd_spec:fd_spec ->
   ?clean_period:float ->
-  ?poll:float ->
   ?exec_backoff:float ->
   ?gc_after:float ->
   ?backend:register_backend ->
@@ -210,8 +208,8 @@ val config :
   business:Business.t ->
   unit ->
   config
-(** Defaults: oracle failure detector, 20 ms clean period, 10 ms poll,
-    40 ms exec back-off, no garbage collection, the [Reg_ct] backend, no
+(** Defaults: oracle failure detector, 20 ms clean period, 40 ms exec
+    back-off, no garbage collection, the [Reg_ct] backend, no
     persistence, no breakdown accounting, group 0, batch 1 (classic path),
     no cache, no replicas, replica bound 8, replica patience 1,000 ms, no
     cross-shard wiring, no reconfiguration. Raises [Invalid_argument] if

@@ -230,10 +230,14 @@ type Runtime.Types.payload +=
   | Gx_completed of { rid : int; j : int; k : int }
       (** participant → decision driver: branch [k]'s databases decided *)
 
+(* A batched server's takeover queued requests for its intake, which may
+   be blocked on the request class: this wakes it ({!Appserver}). *)
+type Runtime.Types.payload += Lease_wake
+
 (* demux classes for the two client/server message streams *)
 let cls_request =
   Runtime.Etx_runtime.register_class ~name:"etx-request" (function
-    | Request_msg _ -> true
+    | Request_msg _ | Lease_wake -> true
     | _ -> false)
 
 let cls_result =

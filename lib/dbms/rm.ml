@@ -69,7 +69,8 @@ type txn = {
          and the log force. Under group commit every message runs in its
          own session, so a duplicate Prepare or Decide would pass the
          same check and log the step twice; it waits for the holder
-         instead and re-reads the phase (see [await_step]). *)
+         instead and re-reads the phase (see [await_step]); releasing
+         a claim wakes it. *)
 }
 
 (* Typed redo records. Each occupies one LSN in the redo log; recovery is
@@ -164,6 +165,7 @@ type t = {
   imports : (string, int) Hashtbl.t;
       (* migration destination: highest source LSN imported, per source
          database name; durable via W_import / W_snapshot *)
+  steps : Rt.Wake.t;  (* sessions waiting for a claimed step *)
 }
 
 let create ?(timing = paper_timing) ?(seed_data = []) ?(read_locks = false)
@@ -192,6 +194,7 @@ let create ?(timing = paper_timing) ?(seed_data = []) ?(read_locks = false)
     seal = None;
     commit_lsns = Hashtbl.create 64;
     imports = Hashtbl.create 4;
+    steps = Rt.Wake.create ();
   }
 
 (* Append one redo record and make it durable: the append itself is free
@@ -431,17 +434,20 @@ let violates_seal t txn =
   | Some (_, owns) -> List.exists (fun (k, _) -> not (owns k)) txn.writes
 
 (* A session that finds another holding the same step of a transaction
-   polls until the holder lets go, then re-runs the step from its phase
+   sleeps until the holder lets go, then re-runs the step from its phase
    check. Without group commit each handler runs its steps inline, so two
-   of a kind never overlap and nothing here ever sleeps. A crash kills
+   of a kind never overlap and nothing here ever waits. A crash kills
    holder and waiter alike, and recovery rebuilds every transaction
    unclaimed. *)
-let step_poll = 0.25
+let await_step t held = Rt.Wake.until t.steps (fun () -> not (held ()))
 
-let await_step held =
-  while held () do
-    Rt.sleep step_poll
-  done
+let release_vote t txn =
+  txn.voting <- false;
+  Rt.Wake.wake t.steps
+
+let release_decide t txn =
+  txn.deciding <- false;
+  Rt.Wake.wake t.steps
 
 (* Prepare: classify and charge each transaction, stage the W_prepared
    records and force them all with a single disk write ([vote] is the
@@ -467,13 +473,13 @@ let rec vote_many t ~xids =
             if txn.poisoned || violates_seal t txn then begin
               Rt.work "abort" t.timing.abort_cpu;
               abort_local t txn ~log:false;
-              txn.voting <- false;
+              release_vote t txn;
               (xid, `No)
             end
             else begin
               Rt.work "prepare" t.timing.prepare_cpu;
               if txn.phase <> Active then begin
-                txn.voting <- false;
+                release_vote t txn;
                 match txn.phase with
                 | Committed | Prepared -> (xid, `Yes)
                 | Aborted | Active -> (xid, `No)
@@ -511,7 +517,7 @@ let rec vote_many t ~xids =
                 ignore (log_one t ~label:"abort" (W_aborted xid));
                 No
         in
-        txn.voting <- false;
+        release_vote t txn;
         (xid, Some v)
   in
   List.map settle staged
@@ -524,7 +530,7 @@ let rec vote_many t ~xids =
 and vote t ~xid =
   match find_txn t xid with
   | Some txn when txn.voting ->
-      await_step (fun () -> txn.voting);
+      await_step t (fun () -> txn.voting);
       vote t ~xid
   | Some _ | None -> (
       match vote_many t ~xids:[ xid ] with
@@ -554,7 +560,7 @@ let rec decide t ~xid outcome =
   | Some txn when txn.deciding ->
       (* another session is forcing this transaction's terminal record:
          deciding it again would log, apply and count a second commit *)
-      await_step (fun () -> txn.deciding);
+      await_step t (fun () -> txn.deciding);
       decide t ~xid outcome
   | Some txn -> (
       match (txn.phase, outcome) with
@@ -563,13 +569,13 @@ let rec decide t ~xid outcome =
       | Prepared, Commit ->
           txn.deciding <- true;
           commit_prepared t txn;
-          txn.deciding <- false;
+          release_decide t txn;
           Commit
       | Prepared, Abort ->
           txn.deciding <- true;
           Rt.work "abort" t.timing.abort_cpu;
           abort_local t txn ~log:true;
-          txn.deciding <- false;
+          release_decide t txn;
           Abort
       | Active, (Commit | Abort) ->
           (* commit without prepare violates V.2; abort defensively *)
@@ -638,11 +644,11 @@ let decide_many t ~items =
         t.commit_order <- xid :: t.commit_order;
         Hashtbl.replace t.commit_lsns xid lsn;
         note_commit t ~lsn writes;
-        txn.deciding <- false;
+        release_decide t txn;
         (xid, `Done Commit)
     | `Logged (txn, _, _) ->
         abort_local t txn ~log:false (* terminal record already forced *);
-        txn.deciding <- false;
+        release_decide t txn;
         (xid, `Done Abort)
     | (`Done _ | `Busy _) as s -> (xid, s)
   in
@@ -674,6 +680,7 @@ let recover t =
      incarnation (exactly as if the old force-per-append WAL had crashed
      mid-force, before the record existed) *)
   Dstore.Log.crash_cut t.log;
+  Rt.Wake.reset t.steps;
   Hashtbl.reset t.store;
   Hashtbl.reset t.locks;
   Hashtbl.reset t.txns;

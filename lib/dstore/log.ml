@@ -26,6 +26,7 @@ type 'a t = {
   mutable durable_lsn : int;
   mutable byte_total : int;  (* estimated footprint of retained records *)
   mutable forcing : bool;  (* a coalesced force window is in flight *)
+  flushed : Rt.Wake.t;  (* woken as each coalesced window lands *)
 }
 
 let fresh_segment ~size ~base = { seg_base = base; slots = Array.make size None; hi = base - 1 }
@@ -47,6 +48,7 @@ let create ?(coalesce = false) ?(segment_size = 256) ?(size_of = fun _ -> 1)
     durable_lsn = 0;
     byte_total = 0;
     forcing = false;
+    flushed = Rt.Wake.create ();
   }
 
 let coalescing t = t.coalesce
@@ -124,15 +126,13 @@ let emit_obs t =
 
 (* The group-commit window: the flusher's Disk.force covers every record
    appended before the write started, so the window watermark is read
-   AFTER winning the flusher role and before the force. Waiters poll in
-   small virtual-time slices; whoever wakes to find its target still
+   AFTER winning the flusher role and before the force. Waiters sleep
+   until the window lands; whoever wakes to find its target still
    volatile and no window in flight becomes the next flusher. *)
-let wait_slice = 0.25
-
 let rec coalesced_force ?label t ~target =
   if t.durable_lsn >= target then ()
   else if t.forcing then begin
-    Rt.sleep wait_slice;
+    Rt.Wake.until t.flushed (fun () -> not t.forcing);
     coalesced_force ?label t ~target
   end
   else begin
@@ -145,6 +145,7 @@ let rec coalesced_force ?label t ~target =
     Disk.force ?label t.disk;
     t.durable_lsn <- max t.durable_lsn window;
     t.forcing <- false;
+    Rt.Wake.wake t.flushed;
     emit_obs t
   end
 
@@ -160,6 +161,7 @@ let force ?label t =
 
 let crash_cut t =
   t.forcing <- false;
+  Rt.Wake.reset t.flushed;
   let d = t.durable_lsn in
   if t.appended_lsn > d then begin
     iter_from t ~lsn:(d + 1) ~f:(fun _ r ->

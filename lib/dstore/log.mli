@@ -60,7 +60,9 @@ val force : ?label:string -> 'a t -> unit
     at least the [appended_lsn] observed at call time). See the force
     disciplines above. In per-call mode the {!Disk.force} is issued even
     if nothing new was appended (matching the old WAL's unconditional
-    force, e.g. on truncate). Must run inside a fiber. *)
+    force, e.g. on truncate). Must run inside a fiber; in coalesced mode
+    every caller must be a fiber of the one process that owns the log,
+    because a window wakes its waiters through that process's mailbox. *)
 
 val appended_lsn : 'a t -> int
 (** Highest LSN handed out; 0 when no record was ever appended. O(1). *)
@@ -101,7 +103,7 @@ val crash_cut : 'a t -> unit
 (** Discard the non-durable suffix (records above [durable_lsn]) — what
     a crash does to a real log's unflushed tail. Recovery must call this
     before replaying; also resets the group-commit scheduler (an
-    in-flight window died with its fibers). *)
+    in-flight window and its waiters died with their fibers). *)
 
 val truncate_below : 'a t -> lsn:int -> unit
 (** Raise the retention floor to [lsn]: records below it are gone

@@ -8,14 +8,14 @@ let engine ?(seed = 1) ?(tracing = true) ?obs () =
   (e, Dsim.Runtime_sim.of_engine e)
 
 let cluster ?seed ?tracing ?obs ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec
-    ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period ?poll
+    ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period
     ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown ?batch
     ?cache ?group_commit ?replicas ?replica_bound ?ship_period ?cross
     ?reconfig ?provision ~business ~scripts () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let c =
     Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?timing
-      ?disk_force_latency ?seed_data ?client_period ?clean_period ?poll
+      ?disk_force_latency ?seed_data ?client_period ?clean_period
       ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown
       ?batch ?cache ?group_commit ?replicas ?replica_bound ?ship_period
       ?cross ?reconfig ?provision ~rt ~business ~scripts ()

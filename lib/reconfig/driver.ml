@@ -50,9 +50,12 @@ type caps = {
   dbs_of : int -> (Types.proc_id * string) list;
       (** a group's databases as (process, durable name) — the name is the
           destination's per-source import-watermark namespace *)
-  poll : float;
   sink : Rt.obs_sink option;
 }
+
+(* How long the driver waits for replies before it re-sends a request, and
+   between pulls of a source database that is still draining. *)
+let resend = 10.
 
 let count caps name n =
   if n > 0 then
@@ -62,7 +65,7 @@ let observe caps name v =
   match caps.sink with None -> () | Some s -> s.Rt.obs_observe name v
 
 (* Broadcast [request] to [peers] and await a matching reply from each,
-   re-sending every poll period (handlers are idempotent). Suspected peers
+   re-sending every [resend] ms (handlers are idempotent). Suspected peers
    are given up on by default — crashed application servers stay down in
    this model. [forever:true] instead keeps re-sending through the
    suspicion: databases {e do} recover (with their durable state), and the
@@ -82,7 +85,7 @@ let collect_acks ?(forever = false) caps ~cls ~peers ~request ~matches =
       pending := List.filter (fun p -> not (caps.suspected p)) !pending;
     if !pending <> [] then begin
       List.iter (fun p -> Rchannel.send caps.ch p request) !pending;
-      let deadline = Rt.now () +. caps.poll in
+      let deadline = Rt.now () +. resend in
       let rec drain () =
         if !pending <> [] && Rt.now () < deadline then begin
           (match
@@ -179,8 +182,8 @@ let copy_db caps ~from ~target ~e ~g ~db ~db_name ~dsts =
     | Some (Dbms.Rm.Up_to_date, _, _) ->
         (* sealed but still draining in-doubt moving transactions (each
            will commit into the feed or abort), or the seal ack is still
-           in flight: re-poll *)
-        Rt.sleep caps.poll;
+           in flight: pull again *)
+        Rt.sleep resend;
         loop wm
     | Some (Dbms.Rm.Entries entries, _, _) ->
         let upto = List.fold_left (fun a (l, _) -> max a l) wm entries in

@@ -88,42 +88,8 @@ type _ Effect.t +=
 
 (* Orchestration capability ------------------------------------------- *)
 
-(* What a backend must provide to host the cluster. [module type S] is the
-   first-class-module spelling; [t] is the record spelling threaded through
-   the protocol [config] records. They are interconvertible. *)
-module type S = sig
-  val backend : string
-  (** Short tag ("sim", "live") recorded in artefacts and summaries. *)
-
-  val spawn : name:string -> main:(recovery:bool -> unit -> unit) -> proc_id
-  (** Register a process; its [main] starts once the backend runs. Process
-      ids are assigned sequentially from 0 in spawn order. *)
-
-  val is_up : proc_id -> bool
-  val name_of : proc_id -> string
-
-  val crash : proc_id -> unit
-  (** Crash-stop: volatile state (mailbox, fibers) is discarded. *)
-
-  val recover : proc_id -> unit
-  (** Restart a crashed process; its [main] reruns with [~recovery:true]. *)
-
-  val set_net : netmodel -> unit
-
-  val run_until : ?deadline:time -> (unit -> bool) -> bool
-  (** Drive the backend until the predicate holds or the deadline (in ms on
-      the backend's own clock — virtual for sim, wall for live) passes;
-      returns the predicate's final value. *)
-
-  val notes : unit -> (proc_id * string) list
-  (** All [note] annotations recorded so far, oldest first. *)
-
-  val obs : (string -> obs_sink) option
-  (** When observability was opted in at backend creation: builds the sink
-      for a named node (used by orchestration-side instrumentation; fibers
-      use the [E_obs] effect instead). [None] = observability off. *)
-end
-
+(* What a backend must provide to host the cluster, as a record threaded
+   through the protocol [config] records. *)
 type t = {
   backend : string;
   spawn : name:string -> main:(recovery:bool -> unit -> unit) -> proc_id;
@@ -136,20 +102,6 @@ type t = {
   notes : unit -> (proc_id * string) list;
   obs : (string -> obs_sink) option;
 }
-
-let of_module (module M : S) =
-  {
-    backend = M.backend;
-    spawn = M.spawn;
-    is_up = M.is_up;
-    name_of = M.name_of;
-    crash = M.crash;
-    recover = M.recover;
-    set_net = M.set_net;
-    run_until = M.run_until;
-    notes = M.notes;
-    obs = M.obs;
-  }
 
 (* The message [E_recv (cls, filter, _)] takes from a mailbox, if any; both
    backends answer the effect through it. *)
@@ -192,3 +144,39 @@ let note s = Effect.perform (E_note s)
 let obs () = try Effect.perform E_obs with Effect.Unhandled _ -> None
 
 let exit_fiber () = raise Exit_fiber
+
+(* Process-local wake-ups ---------------------------------------------- *)
+
+module Wake = struct
+  type t = { mutable waiting : int }
+  type payload += Wake of t
+
+  let cls =
+    register_class ~name:"wake" (function Wake _ -> true | _ -> false)
+
+  let create () = { waiting = 0 }
+
+  let until w ready =
+    while not (ready ()) do
+      w.waiting <- w.waiting + 1;
+      ignore
+        (recv ~cls
+           ~filter:(fun m ->
+             match m.payload with Wake w' -> w' == w | _ -> false)
+           ())
+    done
+
+  (* One wake per registered waiter, and the count starts over: a waiter
+     that re-registers while these are delivered is counted for the next
+     wake, so no wake is ever left unread. *)
+  let wake w =
+    if w.waiting > 0 then begin
+      let n = w.waiting and src = self () and p = Wake w in
+      w.waiting <- 0;
+      for _ = 1 to n do
+        redeliver ~src p
+      done
+    end
+
+  let reset w = w.waiting <- 0
+end

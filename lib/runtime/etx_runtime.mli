@@ -112,56 +112,33 @@ val take_message :
 
 (** {1 Orchestration capability} *)
 
-(** What a backend provides to host the cluster, as a first-class module. *)
-module type S = sig
-  val backend : string
-  (** Short tag ("sim", "live") recorded in artefacts and summaries. *)
-
-  val spawn : name:string -> main:(recovery:bool -> unit -> unit) -> proc_id
-  (** Register a process; its [main] starts once the backend runs. Process
-      ids are assigned sequentially from 0 in spawn order. *)
-
-  val is_up : proc_id -> bool
-  val name_of : proc_id -> string
-
-  val crash : proc_id -> unit
-  (** Crash-stop: volatile state (mailbox, fibers) is discarded. *)
-
-  val recover : proc_id -> unit
-  (** Restart a crashed process; its [main] reruns with [~recovery:true]. *)
-
-  val set_net : netmodel -> unit
-
-  val run_until : ?deadline:time -> (unit -> bool) -> bool
-  (** Drive the backend until the predicate holds or the deadline (in ms on
-      the backend's own clock — virtual for sim, wall for live) passes;
-      returns the predicate's final value. *)
-
-  val notes : unit -> (proc_id * string) list
-  (** All [note] annotations recorded so far, oldest first. *)
-
-  val obs : (string -> obs_sink) option
-  (** When observability was opted in at backend creation: builds the sink
-      for a named node (orchestration-side instrumentation; fibers use the
-      {!E_obs} effect instead). [None] = observability off. *)
-end
-
-(** The same capability as a record, for threading through [config]
-    records. *)
+(** What a backend provides to host the cluster, threaded through the
+    protocol [config] records. *)
 type t = {
   backend : string;
+      (** short tag ("sim", "live") recorded in artefacts and summaries *)
   spawn : name:string -> main:(recovery:bool -> unit -> unit) -> proc_id;
+      (** register a process; its [main] starts once the backend runs.
+          Process ids are assigned sequentially from 0 in spawn order *)
   is_up : proc_id -> bool;
   name_of : proc_id -> string;
   crash : proc_id -> unit;
+      (** crash-stop: volatile state (mailbox, fibers) is discarded *)
   recover : proc_id -> unit;
+      (** restart a crashed process; its [main] reruns with
+          [~recovery:true] *)
   set_net : netmodel -> unit;
   run_until : ?deadline:time -> (unit -> bool) -> bool;
+      (** drive the backend until the predicate holds or the deadline (in
+          ms on the backend's own clock — virtual for sim, wall for live)
+          passes; returns the predicate's final value *)
   notes : unit -> (proc_id * string) list;
+      (** all [note] annotations recorded so far, oldest first *)
   obs : (string -> obs_sink) option;
+      (** when observability was opted in at backend creation: builds the
+          sink for a named node (orchestration-side instrumentation; fibers
+          use the {!E_obs} effect instead). [None] = observability off *)
 }
-
-val of_module : (module S) -> t
 
 (** {1 Fiber-side operations} *)
 
@@ -228,3 +205,25 @@ val obs : unit -> obs_sink option
 
 val exit_fiber : unit -> 'a
 (** Terminate the calling fiber silently. *)
+
+(** {1 Process-local wake-ups}
+
+    A fiber blocks until another fiber of the {e same} process changes the
+    state it waits on. A wake is one message of class ["wake"] in the
+    process's own mailbox, one per registered waiter, so none is left
+    unread. *)
+module Wake : sig
+  type t
+
+  val create : unit -> t
+
+  val until : t -> (unit -> bool) -> unit
+  (** [until w ready] returns once [ready ()] holds, blocking on [w] between
+      checks; whoever changes what [ready] reads then calls {!wake}. *)
+
+  val wake : t -> unit
+  (** Wake every fiber blocked in {!until} on [w]. *)
+
+  val reset : t -> unit
+  (** Forget the waiters of a [t] kept in state that outlives a crash. *)
+end

@@ -443,20 +443,35 @@ let prop_batched_stream =
            (fun bodies -> conflict_free (List.map update_keys bodies))
            windows)
 
-(* Wake-ups go only to a blocked fiber: after a batched run has settled,
-   no app server holds an unread consensus decision wake-up or window
-   wake-up. *)
+(* Wake-ups go only to a blocked fiber: after a run has settled, no app
+   server or database holds an unread wake ([Rt.Wake]) and no app server an
+   unread request-class message (a takeover's lease wake included). The
+   runs cover the batch thread's park and lease wake, the cross-shard
+   coordinator's [fork_all], and the group-commit log and step waiters. *)
 let test_no_stale_wakeups () =
   let clients = 8 and requests = 3 in
-  let e, c =
-    Harness.Simrun.cluster ~seed:11 ~shards:1 ~batch:16
+  let bank ~batch ~group_commit () =
+    Harness.Simrun.cluster ~seed:11 ~shards:1 ~batch ~group_commit
       ~seed_data:(bank_seed ~clients) ~business:Workload.Bank.update
       ~scripts:(bank_scripts ~clients ~requests)
       ()
   in
-  Alcotest.(check bool) "quiesced" true
-    (Cluster.run_to_quiescence ~deadline:600_000. c);
-  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
+  let cross () =
+    let map = Shard_map.create ~shards:2 () in
+    let kind =
+      Workload.Generator.Bank_transfers { accounts = 8; max_amount = 5 }
+    in
+    let bodies =
+      Workload.Generator.sharded_bodies ~map ~cross_ratio:0.5 ~seed:6 ~n:8
+        kind
+    in
+    Harness.Simrun.cluster ~seed:9 ~map
+      ~seed_data:(Workload.Generator.seed_data_of kind)
+      ~cross:true ~business:Workload.Bank.transfer
+      ~scripts:
+        [ (fun ~issue -> List.iter (fun (_, b) -> ignore (issue b)) bodies) ]
+      ()
+  in
   let cls_named name =
     fst
       (List.find
@@ -464,15 +479,32 @@ let test_no_stale_wakeups () =
          (Dsim.Engine.registered_classes ()))
   in
   List.iter
-    (fun pid ->
-      List.iter
-        (fun name ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s unread at pid %d" name pid)
-            0
-            (Dsim.Engine.mailbox_length e ~cls:(cls_named name) pid))
-        [ "ct-decided"; "window-wake" ])
-    (Cluster.group c 0).app_servers
+    (fun (run, build) ->
+      let e, c = build () in
+      Alcotest.(check bool) (run ^ " quiesced") true
+        (Cluster.run_to_quiescence ~deadline:600_000. c);
+      ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
+      let unread name pid =
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s unread at pid %d" run name pid)
+          0
+          (Dsim.Engine.mailbox_length e ~cls:(cls_named name) pid)
+      in
+      Array.iter
+        (fun (g : Cluster.group) ->
+          List.iter
+            (fun pid ->
+              unread "wake" pid;
+              unread "etx-request" pid)
+            g.app_servers;
+          List.iter (fun (pid, _) -> unread "wake" pid) g.dbs)
+        c.groups)
+    [
+      ("batched", bank ~batch:16 ~group_commit:false);
+      (* one session per message: concurrent forces share windows *)
+      ("group commit", bank ~batch:1 ~group_commit:true);
+      ("cross-shard", cross);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Request intake: the replay rules hold on the classic and the batched

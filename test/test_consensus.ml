@@ -141,6 +141,30 @@ let test_latency_one_round_trip_for_primary () =
     true
     (!elapsed < 7.0)
 
+let test_every_local_proposer_wakes () =
+  (* Two fibers of one member propose the same key: the decision wakes
+     both, so both return at the decision instant with the same value. *)
+  let returns = ref [] in
+  let t =
+    members_scenario ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then
+          List.iter
+            (fun v ->
+              Engine.fork "proposer" (fun () ->
+                  let d = Consensus.Agent.propose agent ~key:"k" (V v) in
+                  returns := (Engine.now (), int_of_v d) :: !returns))
+            [ 1; 2 ])
+      ()
+  in
+  ignore (Engine.run ~deadline:1_000. t);
+  match !returns with
+  | [ (t_second, v_second); (t_first, v_first) ] ->
+      Alcotest.(check int) "same value" v_first v_second;
+      Alcotest.(check (float 0.)) "second returns at the decision instant"
+        t_first t_second
+  | r -> Alcotest.failf "%d proposers returned, expected 2" (List.length r)
+
 let test_five_members_minority_crash () =
   let decisions = Array.make 5 None in
   let t =
@@ -592,6 +616,8 @@ let () =
             test_latency_one_round_trip_for_primary;
           Alcotest.test_case "five members, minority crash" `Quick
             test_five_members_minority_crash;
+          Alcotest.test_case "every local proposer wakes" `Quick
+            test_every_local_proposer_wakes;
           q prop_agreement_under_faults;
         ] );
       (* Alcotest sizes its name column by the longest group name and cuts

@@ -132,6 +132,16 @@ let test_log_crash_cut () =
       Alcotest.(check (list string)) "resumed" [ "a"; "b"; "c'" ]
         (Dstore.Log.records log))
 
+(* A coalescing log is one database process's state, and its windows wake
+   their waiters through that process's mailbox: the committers below are
+   forked fibers of one process, as the database's sessions are. *)
+let in_one_process t committers =
+  ignore
+    (Engine.spawn t ~name:"db" ~main:(fun ~recovery:_ () ->
+         List.iteri
+           (fun i f -> Engine.fork (Printf.sprintf "w%d" i) f)
+           committers))
+
 let test_log_group_commit_coalesces () =
   (* N concurrent committers, one disk force per window: with a coalescing
      log, concurrent forces pay one latency, not N. *)
@@ -139,15 +149,11 @@ let test_log_group_commit_coalesces () =
   let disk = Dstore.Disk.create ~force_latency:10. ~label:"log" () in
   let log = Dstore.Log.create ~coalesce:true ~disk () in
   let done_at = ref [] in
-  for i = 1 to 4 do
-    ignore
-      (Engine.spawn t
-         ~name:(Printf.sprintf "w%d" i)
-         ~main:(fun ~recovery:_ () ->
-           ignore (Dstore.Log.append log (Printf.sprintf "r%d" i));
-           Dstore.Log.force log;
-           done_at := Engine.now () :: !done_at))
-  done;
+  in_one_process t
+    (List.init 4 (fun i () ->
+         ignore (Dstore.Log.append log (Printf.sprintf "r%d" (i + 1)));
+         Dstore.Log.force log;
+         done_at := Engine.now () :: !done_at));
   ignore (Engine.run t);
   Alcotest.(check int) "all four committed" 4 (List.length !done_at);
   Alcotest.(check int) "durable" 4 (Dstore.Log.durable_lsn log);
@@ -162,20 +168,50 @@ let test_log_group_commit_late_window () =
   let t = Engine.create () in
   let disk = Dstore.Disk.create ~force_latency:10. ~label:"log" () in
   let log = Dstore.Log.create ~coalesce:true ~disk () in
-  ignore
-    (Engine.spawn t ~name:"early" ~main:(fun ~recovery:_ () ->
-         ignore (Dstore.Log.append log "early");
-         Dstore.Log.force log));
-  ignore
-    (Engine.spawn t ~name:"late" ~main:(fun ~recovery:_ () ->
-         Engine.sleep 5.;
-         (* mid-window: the first force's write is in flight *)
-         ignore (Dstore.Log.append log "late");
-         Dstore.Log.force log;
-         Alcotest.(check int) "late record durable on return" 2
-           (Dstore.Log.durable_lsn log)));
+  in_one_process t
+    [
+      (fun () ->
+        ignore (Dstore.Log.append log "early");
+        Dstore.Log.force log);
+      (fun () ->
+        Engine.sleep 5.;
+        (* mid-window: the first force's write is in flight *)
+        ignore (Dstore.Log.append log "late");
+        Dstore.Log.force log;
+        Alcotest.(check int) "late record durable on return" 2
+          (Dstore.Log.durable_lsn log));
+    ];
   ignore (Engine.run t);
   Alcotest.(check int) "two windows" 2 (Dstore.Disk.forced_writes disk)
+
+let test_log_group_commit_next_window_at_landing () =
+  (* A committer that misses the window in flight starts the next one the
+     instant the first lands (10.0 ms), so it returns one force later. *)
+  let t = Engine.create () in
+  let disk = Dstore.Disk.create ~force_latency:10. ~label:"log" () in
+  let log = Dstore.Log.create ~coalesce:true ~disk () in
+  let late_done = ref nan in
+  in_one_process t
+    [
+      (fun () ->
+        ignore (Dstore.Log.append log "early");
+        Dstore.Log.force log);
+      (fun () ->
+        Engine.sleep 5.1;
+        ignore (Dstore.Log.append log "late");
+        Dstore.Log.force log;
+        late_done := Engine.now ());
+    ];
+  ignore (Engine.run t);
+  let force_starts =
+    List.filter_map
+      (fun { Trace.at; event } ->
+        match event with Trace.Work (_, "log", _) -> Some at | _ -> None)
+      (Trace.entries (Engine.trace t))
+  in
+  Alcotest.(check (list (float 1e-9))) "windows start" [ 0.0; 10.0 ]
+    force_starts;
+  Alcotest.(check (float 1e-9)) "late committer returns" 20.0 !late_done
 
 let prop_log_segments_invisible =
   QCheck.Test.make ~name:"segmenting never changes contents" ~count:100
@@ -333,6 +369,8 @@ let () =
             test_log_group_commit_coalesces;
           Alcotest.test_case "group commit late window" `Quick
             test_log_group_commit_late_window;
+          Alcotest.test_case "group commit next window at landing" `Quick
+            test_log_group_commit_next_window_at_landing;
           Alcotest.test_case "survives crash" `Quick test_log_survives_crash;
           q prop_log_segments_invisible;
           q prop_log_crash_cut_keeps_durable_prefix;
