@@ -154,7 +154,9 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
 
 let coordinator t round = List.nth t.peers (round mod t.n)
 
-let record_decision t inst value =
+(* [from] is the peer the value was learned from ([t.self] for a decision
+   reached here). *)
+let record_decision t inst ~from value =
   match inst.decided with
   | Some _ -> ()
   | None ->
@@ -169,10 +171,11 @@ let record_decision t inst value =
             inst.key);
       Option.iter Rt.Wake.wake inst.proposers;
       inst.proposers <- None;
-      (* reliable broadcast: forward on first learn *)
+      (* reliable broadcast: relay on first learn to every peer but the
+         one it came from, which already knows *)
       List.iter
         (fun p ->
-          if p <> t.self then
+          if p <> t.self && p <> from then
             Rchannel.send t.ch p (C_decide { key = inst.key; value }))
         t.peers
 
@@ -192,8 +195,16 @@ let record_decision t inst value =
 
    Safety is unaffected: adoption timestamps carry the locking argument, and
    jumps only ever move rounds forward (never below a previously
-   acknowledged round). *)
-let driver t inst () =
+   acknowledged round).
+
+   A participant that acked round r's proposal stays in r: a failure-free
+   instance then decides in round 0. It leaves r by suspicion of r's
+   coordinator or the round timeout; a decision it missed reaches it by a
+   relay or, once it asks in a later round, from a decided peer's
+   dispatcher. A driver started by a message ([first], the auto-join)
+   reacts to it before anything else, so a proposal is adopted without a
+   round-0 estimate the coordinator would discard. *)
+let driver ?first t inst () =
   let wants_instance m =
     match m.Types.payload with
     | C_estimate { key; _ } | C_propose { key; _ } | C_ack { key; _ } ->
@@ -222,7 +233,9 @@ let driver t inst () =
     match m.payload with
     | C_propose { round = r'; value; _ } when r' >= current ->
         adopt_and_ack ~round:r' value ~coordinator:m.src;
-        go (r' + 1) (Some value) r';
+        if r' > !max_r then max_r := r';
+        let est = Some value in
+        await r' est r' m.src ~give_up:(fun () -> go (r' + 1) est r');
         true
     | C_estimate { round = r'; _ }
       when r' > current && coordinator t r' = t.self ->
@@ -298,7 +311,7 @@ let driver t inst () =
       match inst.decided with
       | Some _ -> ()
       | None ->
-          if !yes >= t.majority then record_decision t inst v
+          if !yes >= t.majority then record_decision t inst ~from:t.self v
           else if !yes + !no >= t.majority && !no >= 1 then
             go (r + 1) (Some v) r
           else begin
@@ -316,20 +329,20 @@ let driver t inst () =
     collect ()
   and run_participant r est ts c =
     Rchannel.send t.ch c (C_estimate { key = inst.key; round = r; est; ts });
+    await r est ts c ~give_up:(fun () ->
+        Rchannel.send t.ch c (C_ack { key = inst.key; round = r; ok = false });
+        go (r + 1) est ts)
+  (* A participant's wait in round r, before its ack (for the proposal,
+     which [jump_on] adopts) and after it (for the decision): it ends on a
+     message of round r or later, or by [give_up] once coordinator [c] is
+     suspected or the round times out. *)
+  and await r est ts c ~give_up =
     let deadline = Rt.now () +. t.round_timeout in
-    let give_up () =
-      Rchannel.send t.ch c (C_ack { key = inst.key; round = r; ok = false });
-      go (r + 1) est ts
-    in
     let rec wait () =
       match inst.decided with
       | Some _ -> ()
       | None -> (
           match Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance () with
-          | Some { payload = C_propose { round; value; _ }; src; _ }
-            when round = r ->
-              adopt_and_ack ~round:r value ~coordinator:src;
-              go (r + 1) (Some value) r
           | Some m -> if not (jump_on m ~current:r est ts) then wait ()
           | None ->
               if Fdetect.suspects t.fd c || Rt.now () > deadline then
@@ -349,7 +362,12 @@ let driver t inst () =
     | Some _ as est -> (est, inst.saved_ts)
     | None -> (inst.my_proposal, -1)
   in
-  go inst.restart_round est0 ts0;
+  (match first with
+  | Some m when jump_on m ~current:inst.restart_round est0 ts0 -> ()
+  | Some m ->
+      Rt.redeliver ~src:m.src m.payload;
+      go inst.restart_round est0 ts0
+  | None -> go inst.restart_round est0 ts0);
   (match t.sink with
   | None -> ()
   | Some s ->
@@ -360,10 +378,10 @@ let driver t inst () =
       s.Rt.obs_observe "consensus.rounds_per_write" (float_of_int rounds));
   inst.driver_running <- false
 
-let start_driver t inst =
+let start_driver ?first t inst =
   if (not inst.driver_running) && inst.decided = None then begin
     inst.driver_running <- true;
-    Rt.fork ("consensus:" ^ inst.key) (driver t inst)
+    Rt.fork ("consensus:" ^ inst.key) (driver ?first t inst)
   end
 
 (* --- dispatcher: auto-join, decisions, and stale-message service --- *)
@@ -386,7 +404,7 @@ let dispatcher t () =
         match m.payload with
         | C_decide { key; value } ->
             let inst = ensure t key in
-            record_decision t inst value
+            record_decision t inst ~from:m.src value
         | C_start { key } ->
             let inst = ensure t key in
             if inst.decided = None then start_driver t inst
@@ -397,9 +415,8 @@ let dispatcher t () =
                 (* instance already over here: tell the sender *)
                 Rchannel.send t.ch m.src (C_decide { key; value })
             | None ->
-                (* auto-join: start a driver and let it find the message *)
-                start_driver t inst;
-                Rt.redeliver ~src:m.src m.payload)
+                (* auto-join: the new driver starts from the message *)
+                start_driver ~first:m t inst)
         | _ -> ()));
     loop ()
   in

@@ -19,9 +19,14 @@
       been adopted before round 0), so when the default primary writes a
       register the write costs one round trip to a majority — the paper's
       Appendix 3 analytic claim;
-    - decisions are {e reliably broadcast}: every process forwards a
-      decision on first receipt, so all correct servers eventually learn it
-      (the register [read] liveness property relies on this).
+    - decisions are {e reliably broadcast}: every process relays a
+      decision on first receipt to all peers but the sender, so all correct
+      servers eventually learn it (the register [read] liveness property
+      relies on this).
+
+    A failure-free instance decides in round 0: a participant that acked
+    a round's proposal stays in that round until the decision, a later
+    round's message, suspicion of the coordinator or [round_timeout].
 
     Correctness assumptions (the paper's): a majority of the [peers] never
     crash, crashed peers do not rejoin (agent state is volatile), channels
@@ -77,6 +82,19 @@ val peek : t -> key:string -> Types.payload option
 
 val decided_keys : t -> string list
 (** All locally known decided instances (tests, introspection). *)
+
+type Types.payload +=
+  | C_estimate of {
+      key : string;
+      round : int;
+      est : Types.payload option;
+      ts : int;
+    }
+  | C_propose of { key : string; round : int; value : Types.payload }
+  | C_ack of { key : string; round : int; ok : bool }
+  | C_decide of { key : string; value : Types.payload }
+  | C_start of { key : string }
+(** The agent's wire messages, for tests that count them in a trace. *)
 
 val is_consensus_message : Types.payload -> bool
 (** Classifier for trace analyses: consensus-protocol traffic (register

@@ -86,13 +86,16 @@ let ensure t key =
       Hashtbl.replace t.instances key inst;
       inst
 
-let learn t inst value =
+(* On first learn, relay to every peer but [from], the one the value came
+   from ([t.self] for a quorum reached here): it already knows. *)
+let learn t inst ~from value =
   if inst.decided = None then begin
     inst.decided <- Some value;
     Rt.Wake.wake inst.decided_wake;
     List.iter
       (fun p ->
-        if p <> t.self then Rchannel.send t.ch p (S_learn { key = inst.key; value }))
+        if p <> t.self && p <> from then
+          Rchannel.send t.ch p (S_learn { key = inst.key; value }))
       t.peers
   end
 
@@ -126,7 +129,7 @@ let dispatcher t () =
                   Rchannel.send t.ch m.src (S_accepted { key; ballot })
                 end
                 else Rchannel.send t.ch m.src (S_nack { key; ballot }))
-        | S_learn { key; value } -> learn t (ensure t key) value
+        | S_learn { key; value } -> learn t (ensure t key) ~from:m.src value
         | _ -> ()));
     loop ()
   in
@@ -227,7 +230,7 @@ let proposer t inst my_value () =
       | _ -> `Other
     in
     match collect_phase t inst ~matches with
-    | Quorum _ -> learn t inst value
+    | Quorum _ -> learn t inst ~from:t.self value
     | Preempted -> if inst.decided = None then next ()
     | Timed_out -> next ()
   in

@@ -12,8 +12,8 @@ let int_of_v = function V n -> n | _ -> Alcotest.fail "expected V payload"
    known). Each runs [behave i agent] after starting its stack. Returns a
    record of observations per member. *)
 let members_scenario ?(seed = 1) ?(net = Netmodel.lan ()) ?(oracle_fd = true)
-    ~n ~behave () =
-  let t = Engine.create ~seed ~net () in
+    ?obs ~n ~behave () =
+  let t = Engine.create ~seed ~net ?obs () in
   let rt = Runtime_sim.of_engine t in
   let peers = List.init n (fun i -> i) in
   let spawn_member i =
@@ -187,6 +187,124 @@ let test_five_members_minority_crash () =
   match values with
   | v :: rest -> List.iter (fun v' -> Alcotest.(check int) "agreement" v v') rest
   | [] -> Alcotest.fail "no decisions"
+
+(* Consensus payloads sent over the channels of [t]'s trace, by kind:
+   (estimates, proposes, acks, decides). *)
+let ct_sends t =
+  let e = ref 0 and p = ref 0 and a = ref 0 and d = ref 0 in
+  List.iter
+    (fun (entry : Trace.entry) ->
+      match entry.event with
+      | Trace.Sent (m, _) -> (
+          match Rchannel.inner_payload m.payload with
+          | Some (Consensus.Agent.C_estimate _) -> incr e
+          | Some (Consensus.Agent.C_propose _) -> incr p
+          | Some (Consensus.Agent.C_ack _) -> incr a
+          | Some (Consensus.Agent.C_decide _) -> incr d
+          | _ -> ())
+      | _ -> ())
+    (Trace.entries (Engine.trace t));
+  (!e, !p, !a, !d)
+
+(* Every driver's [consensus.rounds_per_write] observation, by node. *)
+let rounds_per_write reg =
+  Obs.Registry.histograms reg
+  |> List.filter_map (fun ((k : Obs.Registry.key), h) ->
+         if k.name = "consensus.rounds_per_write" then
+           Some (k.node, Obs.Histogram.count h, Obs.Histogram.max_value h)
+         else None)
+  |> List.sort compare
+
+let test_failure_free_write_one_round () =
+  (* The round-0 coordinator proposes and nothing fails: the participants
+     adopt its proposal without a round-0 estimate, stay in round 0 after
+     acking, and relay the decision to every peer but its sender. *)
+  let obs = Obs.Registry.create () in
+  let t =
+    members_scenario ~obs ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 7)))
+      ()
+  in
+  ignore (Engine.run ~deadline:1_000. t);
+  let estimates, proposes, acks, decides = ct_sends t in
+  Alcotest.(check int) "estimates" 0 estimates;
+  Alcotest.(check int) "proposes" 2 proposes;
+  Alcotest.(check int) "acks" 2 acks;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 5 decides (got %d)" decides)
+    true (decides <= 5);
+  Alcotest.(check (list (triple string int (option (float 0.)))))
+    "every driver decides in round 0"
+    [ ("a1", 1, Some 1.); ("a2", 1, Some 1.); ("a3", 1, Some 1.) ]
+    (rounds_per_write obs)
+
+let test_relay_survives_decider_crash () =
+  (* Every a1 -> a3 frame is lost and a1 crashes soon after deciding: a3,
+     which never proposes, learns the value only from a2's relay. *)
+  let lan = Netmodel.lan () in
+  let net rng ~src ~dst = if src = 0 && dst = 2 then [] else lan rng ~src ~dst in
+  let a3 = ref None in
+  let t =
+    members_scenario ~net ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 5))
+        else if i = 2 then begin
+          Engine.sleep 1_000.;
+          a3 := Consensus.Agent.peek agent ~key:"k"
+        end)
+      ()
+  in
+  Engine.crash_at t 8. 0;
+  ignore (Engine.run ~deadline:2_000. t);
+  match !a3 with
+  | Some v -> Alcotest.(check int) "a3 learned through a2" 5 (int_of_v v)
+  | None -> Alcotest.fail "a3 undecided"
+
+let test_acked_participant_moves_on oracle_fd () =
+  (* Constant 1 ms links: the proposal lands at t = 1, the acks leave then
+     and would land at t = 2, but a1 crashes at t = 1.5, before it can
+     decide. The two acked survivors must leave round 0 (by suspicion or
+     the round timeout) and decide a1's value in round 1. *)
+  let obs = Obs.Registry.create () in
+  let decisions = Array.make 3 None in
+  let t =
+    members_scenario ~net:Engine.default_net ~oracle_fd ~obs ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 3))
+        else begin
+          Engine.sleep 500.;
+          decisions.(i) <- Consensus.Agent.peek agent ~key:"k"
+        end)
+      ()
+  in
+  Engine.crash_at t 1.5 0;
+  ignore (Engine.run ~deadline:1_000. t);
+  let round0_acks =
+    List.filter
+      (fun (entry : Trace.entry) ->
+        match entry.event with
+        | Trace.Sent (m, _) -> (
+            entry.at < 1.5
+            &&
+            match Rchannel.inner_payload m.payload with
+            | Some (Consensus.Agent.C_ack { round = 0; ok = true; _ }) -> true
+            | _ -> false)
+        | _ -> false)
+      (Trace.entries (Engine.trace t))
+  in
+  Alcotest.(check int) "both survivors acked round 0" 2
+    (List.length round0_acks);
+  List.iter
+    (fun i ->
+      match decisions.(i) with
+      | Some v -> Alcotest.(check int) "a1's value" 3 (int_of_v v)
+      | None -> Alcotest.failf "a%d undecided" (i + 1))
+    [ 1; 2 ];
+  Alcotest.(check (list (triple string int (option (float 0.)))))
+    "the survivors decide in round 1"
+    [ ("a2", 1, Some 2.); ("a3", 1, Some 2.) ]
+    (rounds_per_write obs)
 
 (* ------------------------------------------------------------------ *)
 (* The Synod (Paxos) register backend *)
@@ -618,6 +736,14 @@ let () =
             test_five_members_minority_crash;
           Alcotest.test_case "every local proposer wakes" `Quick
             test_every_local_proposer_wakes;
+          Alcotest.test_case "failure-free write is one round" `Quick
+            test_failure_free_write_one_round;
+          Alcotest.test_case "relay survives a decider crash" `Quick
+            test_relay_survives_decider_crash;
+          Alcotest.test_case "acked participant moves on, oracle" `Quick
+            (test_acked_participant_moves_on true);
+          Alcotest.test_case "acked participant moves on, heartbeat" `Quick
+            (test_acked_participant_moves_on false);
           q prop_agreement_under_faults;
         ] );
       (* Alcotest sizes its name column by the longest group name and cuts
