@@ -112,14 +112,14 @@ let run_parallel () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Live artefact: bank-update clients on the wall-clock threads backend —
+(* Live artefact: bank-update clients on the wall-clock backend —
    one shard, two shards, and batch 4. Sleeps, disk forces and network
    delays cost real milliseconds, so the figure of merit is requests per
    wall-clock second. A row fails unless the cluster quiesced, every
    request was delivered and the specification holds. *)
 
 let live_row ?map ?batch keys ~requests =
-  let lt = Runtime_live.create ~seed:1 () in
+  let lt = Dsim.Runtime_live.create ~seed:1 () in
   let scripts =
     List.map
       (fun key ~issue ->
@@ -129,7 +129,7 @@ let live_row ?map ?batch keys ~requests =
       keys
   in
   let c =
-    Cluster.build ?map ?batch ~rt:(Runtime_live.runtime lt)
+    Cluster.build ?map ?batch ~rt:(Dsim.Runtime_live.runtime lt)
       ~seed_data:
         (Workload.Bank.seed_accounts (List.map (fun k -> (k, 1000)) keys))
       ~business:Workload.Bank.update ~scripts ()
@@ -137,7 +137,6 @@ let live_row ?map ?batch keys ~requests =
   let quiesced, wall =
     timed (fun () -> Cluster.run_to_quiescence ~deadline:120_000. c)
   in
-  Runtime_live.shutdown lt;
   let shards = Option.fold ~none:1 ~some:Etx.Shard_map.shards map in
   let batch = Option.value ~default:1 batch in
   let total = List.length keys * requests in

@@ -1,8 +1,9 @@
 (* Live-backend smoke: run the full e-Transaction cluster on the wall-clock
-   runtime (OS threads, real timers), crash the primary application server
-   mid-run, recover it, and assert the paper's exactly-once specification
-   end-to-end. Exits 0 iff every client committed every request with no
-   violation; writes a machine-readable summary (LIVE_smoke.json) for CI.
+   runtime (the simulator's engine, sleeping until each event falls due),
+   crash the primary application server mid-run, recover it, and assert
+   the paper's exactly-once specification end-to-end. Exits 0 iff every
+   client committed every request with no violation; writes a
+   machine-readable summary (LIVE_smoke.json) for CI.
 
    With [-shards S] (S > 1) the same smoke runs on a sharded cluster:
    S independent replica groups behind the shard router. Either way the
@@ -218,8 +219,8 @@ let client_keys map ~n_clients ~n_shards =
 let run_sharded () =
   let n_clients = !clients and n_requests = !requests and n_shards = !shards in
   let reg = obs_registry () in
-  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Runtime_live.runtime lt in
+  let lt = Dsim.Runtime_live.create ~seed:!seed ?obs:reg () in
+  let rt = Dsim.Runtime_live.runtime lt in
   let map = Etx.Shard_map.create ~shards:n_shards () in
   let keys = client_keys map ~n_clients ~n_shards in
   let seed_data = Workload.Bank.seed_accounts (List.map (fun k -> (k, 1000)) keys) in
@@ -249,11 +250,11 @@ let run_sharded () =
      shard 0 fails over, and the recovered primary rejoins from its log *)
   Printf.printf
     "crashing shard-0 primary (p%d %s) at %.0f ms, %d/%d delivered\n%!"
-    primary (rt.name_of primary) (Runtime_live.now_ms lt) (delivered ()) total;
+    primary (rt.name_of primary) (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
   rt.crash primary;
-  ignore (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
+  ignore (rt.run_until ~deadline:(Dsim.Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
   Printf.printf "recovering shard-0 primary at %.0f ms, %d/%d delivered\n%!"
-    (Runtime_live.now_ms lt) (delivered ()) total;
+    (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
   rt.recover primary;
   let settled = Cluster.run_to_quiescence ~deadline:240_000. c in
   let wall_s = Unix.gettimeofday () -. t_start in
@@ -309,7 +310,6 @@ let run_sharded () =
   let ok = violations = [] in
   write_summary ~out:!out ~n_shards ~n_clients ~n_requests ~n_delivered
     ~wall_s ~violations ~ok ();
-  Runtime_live.shutdown lt;
   report ~n_shards ~n_delivered ~total ~wall_s ~violations ~ok
 
 (* ------------------------------------------------------------------ *)
@@ -330,8 +330,8 @@ let shard_accounts map ~shard ~n =
 let run_cross () =
   let n_clients = !clients and n_requests = !requests and n_shards = !shards in
   let reg = obs_registry () in
-  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Runtime_live.runtime lt in
+  let lt = Dsim.Runtime_live.create ~seed:!seed ?obs:reg () in
+  let rt = Dsim.Runtime_live.runtime lt in
   let map = Etx.Shard_map.create ~shards:n_shards () in
   (* client i transfers from its own shard-0 account into its own shard-1
      account, so every request spans two replica groups and shard 0's
@@ -370,12 +370,12 @@ let run_cross () =
   Printf.printf
     "crashing coordinator (shard-0 primary p%d %s) at %.0f ms, %d/%d \
      delivered\n%!"
-    coordinator (rt.name_of coordinator) (Runtime_live.now_ms lt) (delivered ())
+    coordinator (rt.name_of coordinator) (Dsim.Runtime_live.now_ms lt) (delivered ())
     total;
   rt.crash coordinator;
-  ignore (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
+  ignore (rt.run_until ~deadline:(Dsim.Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
   Printf.printf "recovering coordinator at %.0f ms, %d/%d delivered\n%!"
-    (Runtime_live.now_ms lt) (delivered ()) total;
+    (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
   rt.recover coordinator;
   let settled = Cluster.run_to_quiescence ~deadline:240_000. c in
   let wall_s = Unix.gettimeofday () -. t_start in
@@ -442,7 +442,6 @@ let run_cross () =
   let ok = violations = [] in
   write_summary ~out:!out ~n_shards ~n_clients ~n_requests ~n_delivered
     ~wall_s ~violations ~ok ();
-  Runtime_live.shutdown lt;
   report ~n_shards ~n_delivered ~total ~wall_s ~violations ~ok
 
 (* ------------------------------------------------------------------ *)
@@ -453,8 +452,8 @@ let run_cross () =
 let run_migrate () =
   let n_clients = !clients and n_requests = !requests and n_shards = !shards in
   let reg = obs_registry () in
-  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Runtime_live.runtime lt in
+  let lt = Dsim.Runtime_live.create ~seed:!seed ?obs:reg () in
+  let rt = Dsim.Runtime_live.runtime lt in
   let map = Etx.Shard_map.create ~shards:n_shards () in
   let keys = client_keys map ~n_clients ~n_shards in
   let seed_data =
@@ -488,14 +487,14 @@ let run_migrate () =
   Printf.printf
     "splitting group 0 -> group %d (epoch %d), then crashing shard-0 \
      primary (p%d %s) at %.0f ms, %d/%d delivered\n%!"
-    n_shards e1 primary (rt.name_of primary) (Runtime_live.now_ms lt)
+    n_shards e1 primary (rt.name_of primary) (Dsim.Runtime_live.now_ms lt)
     (delivered ()) total;
   rt.crash primary;
   ignore
-    (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () ->
+    (rt.run_until ~deadline:(Dsim.Runtime_live.now_ms lt +. 1_500.) (fun () ->
          false));
   Printf.printf "recovering shard-0 primary at %.0f ms, %d/%d delivered\n%!"
-    (Runtime_live.now_ms lt) (delivered ()) total;
+    (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
   rt.recover primary;
   let flipped = Cluster.await_epoch ~deadline:240_000. c e1 in
   let settled = Cluster.run_to_quiescence ~deadline:240_000. c in
@@ -558,7 +557,6 @@ let run_migrate () =
   let ok = violations = [] in
   write_summary ~epoch:(Cluster.epoch c) ~out:!out ~n_shards ~n_clients
     ~n_requests ~n_delivered ~wall_s ~violations ~ok ();
-  Runtime_live.shutdown lt;
   report ~n_shards ~n_delivered ~total ~wall_s ~violations ~ok
 
 let () =

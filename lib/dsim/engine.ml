@@ -2,11 +2,13 @@ open Runtime
 open Types
 module ER = Runtime.Etx_runtime
 
-(* The engine is one backend of the Etx_runtime substrate: the effect
-   declarations, message-class registry and fiber-side wrappers live in
-   Runtime.Etx_runtime and are re-exported here so existing [Dsim.Engine]
-   call sites keep working. The adapter packaging an engine as a runtime
-   capability is {!Runtime_sim.of_engine}. *)
+(* The engine is the one effect handler of the Etx_runtime substrate, on
+   the virtual clock ([run], [run_until]: the simulator) or on the wall
+   clock ({!Runtime_live}'s loop over [next_due] and [run_next]): the
+   effect declarations, message-class registry and fiber-side wrappers
+   live in Runtime.Etx_runtime and are re-exported here so existing
+   [Dsim.Engine] call sites keep working. The adapters packaging an engine
+   as a runtime capability are {!Runtime_sim} and {!Runtime_live}. *)
 
 exception Exit_fiber = ER.Exit_fiber
 
@@ -430,6 +432,15 @@ let run ?deadline t =
     else match advance t limit with None -> loop () | Some why -> why
   in
   loop ()
+
+let next_due t =
+  if Timeq.is_empty t.queue then Float.infinity else Timeq.min_time t.queue
+
+let run_next t ~at =
+  let run = Timeq.pop t.queue in
+  t.vnow <- Float.max t.vnow at;
+  t.nevents <- t.nevents + 1;
+  run ()
 
 let run_until ?deadline t pred =
   t.stopping <- false;

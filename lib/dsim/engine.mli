@@ -3,6 +3,8 @@
     Processes are cooperative fibers (OCaml effects) owning a shared
     per-process mailbox with selective receive. Virtual time advances only
     through the event queue; identical seeds give identical executions.
+    {!Runtime_live} runs the same engine on the wall clock through
+    {!next_due} and {!run_next}.
 
     Crash/recovery semantics follow the paper's model: a crash kills every
     fiber of the process, clears its mailbox and drops in-flight wakeups
@@ -123,6 +125,15 @@ val run_until : ?deadline:time -> t -> (unit -> bool) -> bool
     passes, or the queue drains; returns whether the predicate holds. *)
 
 val stop : t -> unit
+
+val next_due : t -> time
+(** Due time of the earliest scheduled event; [infinity] when none is. *)
+
+val run_next : t -> at:time -> unit
+(** Runs the earliest scheduled event (there must be one) with the clock
+    at [at], or at the current time if that is later: the step of a run
+    loop that keeps its own clock. [at] must not be earlier than the
+    event's due time. *)
 
 (** {1 Fiber-side operations} *)
 

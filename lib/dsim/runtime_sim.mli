@@ -4,8 +4,9 @@
     protocol stack meets [Dsim.Engine]. Orchestration code builds the
     engine, wraps it here, and threads the capability through the protocol
     [config] records; the engine handle stays available on the side for
-    sim-only facilities (trace analysis, [crash_at] fault scripts,
-    [now_of]). [notes] replays [Trace.Note] entries, so the engine must be
-    created with [~tracing:true] for note-based checks ([Spec]). *)
+    trace analysis, [crash_at] fault scripts and [now_of]. {!Runtime_live}
+    reuses it with its own wall-clock [run_until]. [notes] replays
+    [Trace.Note] entries, so the engine must be created with
+    [~tracing:true] for note-based checks ([Spec]). *)
 
 val of_engine : Engine.t -> Runtime.Etx_runtime.t

@@ -112,9 +112,8 @@ let of_engine ?include_consensus ?max_lines engine =
 
 (* Timeline rendering of an observability registry: span opens/closes plus
    events (notes, crash/recover), merged and time-ordered. Unlike
-   {!of_engine} this needs no simulator trace, so it works identically on
-   the live backend — the span layer's replacement for trace-based
-   diagrams. *)
+   {!of_engine} this needs no engine trace — the span layer's replacement
+   for trace-based diagrams. *)
 let of_obs ?(max_lines = 200) reg =
   let items = ref [] in
   List.iter

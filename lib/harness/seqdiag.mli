@@ -35,4 +35,5 @@ val of_obs : ?max_lines:int -> Obs.Registry.t -> string
 (** Timeline diagram built from an observability registry instead of a
     simulator trace: span opens ([+name]) and closes ([-name]) plus
     registered events (notes, CRASH/RECOVER), merged chronologically.
-    Works identically on the live backend, where no {!Dsim.Trace} exists. *)
+    Needs no {!Dsim.Trace}; both backends keep one anyway, so {!of_engine}
+    works on a live engine too. *)

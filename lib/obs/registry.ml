@@ -7,11 +7,10 @@
    ungrouped names -> group 0), matching the cluster's naming scheme, so
    per-shard aggregation needs no extra plumbing.
 
-   Thread-safety: all mutation goes through one mutex. On the simulator
-   backend the lock is uncontended (single-threaded engine); on the live
-   backend it serialises the OS-thread fibers. The cost only exists when a
-   registry was opted in — disabled observability never reaches this
-   module (see the zero-cost argument in DESIGN.md §10). *)
+   A registry belongs to one engine, and an engine runs on one thread
+   whichever clock it keeps, so nothing here takes a lock. Disabled
+   observability never reaches this module (see the zero-cost argument in
+   DESIGN.md §10). *)
 
 module ER = Runtime.Etx_runtime
 
@@ -30,7 +29,6 @@ let group_of_node node =
 let key ~node ~name = { group = group_of_node node; node; name }
 
 type t = {
-  lock : Mutex.t;
   counters : (key, int ref) Hashtbl.t;
   gauges : (key, float ref) Hashtbl.t;
   hists : (key, Histogram.t) Hashtbl.t;
@@ -43,7 +41,6 @@ type t = {
 
 let create ?(spans = true) () =
   {
-    lock = Mutex.create ();
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 32;
@@ -56,80 +53,73 @@ let create ?(spans = true) () =
 
 let spans_enabled t = t.spans_on
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 (* Metrics ------------------------------------------------------------- *)
 
 let incr t ~node ~name by =
-  locked t (fun () ->
-      let k = key ~node ~name in
-      match Hashtbl.find_opt t.counters k with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.replace t.counters k (ref by))
+  let k = key ~node ~name in
+  match Hashtbl.find_opt t.counters k with
+  | Some r -> r := !r + by
+  | None -> Hashtbl.replace t.counters k (ref by)
 
 let set_gauge t ~node ~name v =
-  locked t (fun () ->
-      let k = key ~node ~name in
-      match Hashtbl.find_opt t.gauges k with
-      | Some r -> r := v
-      | None -> Hashtbl.replace t.gauges k (ref v))
+  let k = key ~node ~name in
+  match Hashtbl.find_opt t.gauges k with
+  | Some r -> r := v
+  | None -> Hashtbl.replace t.gauges k (ref v)
 
 let observe t ~node ~name v =
-  locked t (fun () ->
-      let k = key ~node ~name in
-      let h =
-        match Hashtbl.find_opt t.hists k with
-        | Some h -> h
-        | None ->
-            let h = Histogram.create () in
-            Hashtbl.replace t.hists k h;
-            h
-      in
-      Histogram.observe h v)
+  let k = key ~node ~name in
+  let h =
+    match Hashtbl.find_opt t.hists k with
+    | Some h -> h
+    | None ->
+        let h = Histogram.create () in
+        Hashtbl.replace t.hists k h;
+        h
+  in
+  Histogram.observe h v
 
 (* Spans and events ---------------------------------------------------- *)
 
 let span_open t ~node ~at ?(parent = 0) ~trace name =
   if not t.spans_on then 0
-  else
-    locked t (fun () ->
-        t.next_span <- t.next_span + 1;
-        let s =
-          {
-            Span.id = t.next_span;
-            trace;
-            parent;
-            name;
-            node;
-            start = at;
-            stop = Float.nan;
-            attrs = [];
-          }
-        in
-        t.spans_rev <- s :: t.spans_rev;
-        Hashtbl.replace t.by_id s.id s;
-        s.id)
+  else begin
+    t.next_span <- t.next_span + 1;
+    let s =
+      {
+        Span.id = t.next_span;
+        trace;
+        parent;
+        name;
+        node;
+        start = at;
+        stop = Float.nan;
+        attrs = [];
+      }
+    in
+    t.spans_rev <- s :: t.spans_rev;
+    Hashtbl.replace t.by_id s.id s;
+    s.id
+  end
 
 let span_close t ~at id =
   if t.spans_on && id <> 0 then
-    locked t (fun () ->
-        match Hashtbl.find_opt t.by_id id with
-        | Some s when Float.is_nan s.stop -> s.stop <- at
-        | Some _ | None -> ())
+    match Hashtbl.find_opt t.by_id id with
+    | Some s when Float.is_nan s.stop -> s.stop <- at
+    | Some _ | None -> ()
 
 let span_attr t id k v =
   if t.spans_on && id <> 0 then
-    locked t (fun () ->
-        match Hashtbl.find_opt t.by_id id with
-        | Some s -> if not (List.mem_assoc k s.attrs) then s.attrs <- (k, v) :: s.attrs
-        | None -> ())
+    match Hashtbl.find_opt t.by_id id with
+    | Some s ->
+        if not (List.mem_assoc k s.attrs) then s.attrs <- (k, v) :: s.attrs
+    | None -> ()
 
 let event t ~node ~at ~trace ~name detail =
   if t.spans_on then
-    locked t (fun () ->
-        t.events_rev <- { Span.etrace = trace; enode = node; ename = name; eat = at; detail } :: t.events_rev)
+    t.events_rev <-
+      { Span.etrace = trace; enode = node; ename = name; eat = at; detail }
+      :: t.events_rev
 
 (* Read side ----------------------------------------------------------- *)
 
@@ -145,11 +135,11 @@ let sorted_bindings tbl read =
   Hashtbl.fold (fun k v acc -> (k, read v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> key_order a b)
 
-let counters t = locked t (fun () -> sorted_bindings t.counters (fun r -> !r))
-let gauges t = locked t (fun () -> sorted_bindings t.gauges (fun r -> !r))
-let histograms t = locked t (fun () -> sorted_bindings t.hists Histogram.copy)
-let spans t = locked t (fun () -> List.rev t.spans_rev)
-let events t = locked t (fun () -> List.rev t.events_rev)
+let counters t = sorted_bindings t.counters (fun r -> !r)
+let gauges t = sorted_bindings t.gauges (fun r -> !r)
+let histograms t = sorted_bindings t.hists Histogram.copy
+let spans t = List.rev t.spans_rev
+let events t = List.rev t.events_rev
 
 let counter_total ?group t name =
   List.fold_left
@@ -162,14 +152,12 @@ let counter_total ?group t name =
     0 (counters t)
 
 let counter_value t ~node ~name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.counters (key ~node ~name) with
-      | Some r -> !r
-      | None -> 0)
+  match Hashtbl.find_opt t.counters (key ~node ~name) with
+  | Some r -> !r
+  | None -> 0
 
 let histogram t ~node ~name =
-  locked t (fun () ->
-      Option.map Histogram.copy (Hashtbl.find_opt t.hists (key ~node ~name)))
+  Option.map Histogram.copy (Hashtbl.find_opt t.hists (key ~node ~name))
 
 let merged_histogram ?group t name =
   let hs =

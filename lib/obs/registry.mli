@@ -18,7 +18,7 @@ val create : ?spans:bool -> unit -> t
 val spans_enabled : t -> bool
 val group_of_node : string -> int
 
-(** {2 Mutation} (thread-safe; normally reached via {!sink}) *)
+(** {2 Mutation} (normally reached via {!sink}) *)
 
 val incr : t -> node:string -> name:string -> int -> unit
 val set_gauge : t -> node:string -> name:string -> float -> unit

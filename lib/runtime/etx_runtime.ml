@@ -5,9 +5,9 @@ open Types
    here, handled by whichever backend hosts the fiber), so protocol modules
    need no backend handle at all for the hot path. Orchestration-side
    operations (spawning processes, injecting faults, driving the run) go
-   through the [t] capability record, built by a backend adapter:
-   [Dsim.Runtime_sim.of_engine] for the discrete-event simulator and
-   [Runtime_live.runtime] for the wall-clock threads backend. *)
+   through the [t] capability record, built by a backend adapter over the
+   one effect handler, [Dsim.Engine]: [Dsim.Runtime_sim.of_engine] on the
+   virtual clock and [Dsim.Runtime_live.runtime] on the wall clock. *)
 
 exception Exit_fiber
 
@@ -22,7 +22,7 @@ type cls = int
 (* The registry is global and backend-independent: protocol modules register
    their classes at module-initialisation time (single-domain, before any
    backend runs), and afterwards it is only read — so sharing it across Pool
-   domains and OS threads is safe. Classification order is registration
+   domains is safe. Classification order is registration
    order: the first predicate that accepts a payload names its class. *)
 let class_table : (string * (payload -> bool)) array ref = ref [||]
 

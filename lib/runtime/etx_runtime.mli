@@ -9,11 +9,11 @@
     run) goes through the {!t} capability record threaded through the
     protocol [config] records.
 
-    Two backends exist:
-    - [Dsim.Engine] — deterministic discrete-event simulation (virtual
-      time); adapter: [Dsim.Runtime_sim.of_engine].
-    - [Runtime_live] — wall-clock real time on OS threads; constructor:
-      [Runtime_live.runtime].
+    Two backends exist, one effect handler ([Dsim.Engine]) on two clocks:
+    - sim — deterministic discrete-event simulation (virtual time);
+      adapter: [Dsim.Runtime_sim.of_engine].
+    - live — the same engine sleeping until each event falls due on the
+      wall clock; adapter: [Dsim.Runtime_live.runtime].
 
     Crash/recovery semantics follow the paper's model on both backends: a
     crash kills every fiber of the process, clears its mailbox and drops
@@ -43,7 +43,7 @@ val default_net : netmodel
     and waiter lists. The registry is global and backend-independent:
     protocol modules register their classes once at module-initialisation
     time (before any backend runs; the registry is read-only afterwards, so
-    it is safe to share across [Dsim.Pool] domains and OS threads).
+    it is safe to share across [Dsim.Pool] domains).
     Classification order is registration order: the first predicate
     accepting a payload names its class; payloads no predicate accepts are
     "unclassed" and reachable only through the predicate receive path. *)
@@ -195,8 +195,7 @@ val fresh_uid : unit -> int
 
 val note : string -> unit
 (** Free-form annotation by the calling process; readable through the
-    capability's [notes] (backed by the trace on sim, an in-memory list on
-    live). *)
+    capability's [notes] (backed by the engine's trace on both clocks). *)
 
 val obs : unit -> obs_sink option
 (** The hosting backend's observability sink for the calling process, or

@@ -1,7 +1,7 @@
 (** Timer queue: a binary min-heap keyed by (time, push order).
 
-    The simulator's event queue, the reliable channel's retransmission
-    timers and the live backend's timers all use it. Elements with equal
+    The engine's event queue (on either clock) and the reliable channel's
+    retransmission timers use it. Elements with equal
     times pop in the order they were pushed, which the simulator's
     determinism relies on. Times live unboxed in a float array and payloads
     in a plain array, so the queue keeps no record per element, and a

@@ -338,7 +338,6 @@ let test_forced_writes_sim_live_parity () =
   let live_ok = Cluster.run_to_quiescence ~deadline:60_000. live_d in
   let sim_io = forced_writes sim_d
   and live_io = forced_writes live_d in
-  Runtime_live.shutdown lt;
   Alcotest.(check bool) "live quiesced" true live_ok;
   Alcotest.(check bool) "forced IO happened" true
     (List.for_all (fun c -> c > 0) sim_io);

@@ -337,9 +337,9 @@ let test_committed_counter_live () =
   List.iter
     (fun seed ->
       let reg = R.create () in
-      let lt = Runtime_live.create ~seed ~obs:reg () in
+      let lt = Dsim.Runtime_live.create ~seed ~obs:reg () in
       let d =
-        Cluster.build ~rt:(Runtime_live.runtime lt) ~seed_data:bank_seed
+        Cluster.build ~rt:(Dsim.Runtime_live.runtime lt) ~seed_data:bank_seed
           ~business:Workload.Bank.update
           ~scripts:
             [
@@ -350,7 +350,6 @@ let test_committed_counter_live () =
           ()
       in
       let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
-      Runtime_live.shutdown lt;
       Alcotest.(check bool) "live quiesced" true ok;
       Alcotest.(check int)
         (Printf.sprintf "live committed counter (seed %d)" seed)

@@ -6,6 +6,7 @@
    Wall-clock timings are kept small but the assertion windows generous, so
    the suite stays robust on loaded CI machines. *)
 
+open Dsim
 module ER = Runtime.Etx_runtime
 
 type Runtime.Types.payload += Ping of int | Pong of int
@@ -45,7 +46,6 @@ let test_classed_demux () =
         ER.send !rx (Pong 2))
   in
   let ok = rt.run_until ~deadline:10_000. (fun () -> List.length !got = 2) in
-  Runtime_live.shutdown lt;
   Alcotest.(check bool) "both received" true ok;
   Alcotest.(check (list (pair string int)))
     "class buckets, not arrival order"
@@ -79,7 +79,6 @@ let test_filtered_recv_skips_rejected () =
         ER.send !rx (Ping 2))
   in
   let ok = rt.run_until ~deadline:10_000. (fun () -> List.length !got = 2) in
-  Runtime_live.shutdown lt;
   Alcotest.(check bool) "both received" true ok;
   Alcotest.(check (list int)) "rejected message preserved" [ 2; 1 ]
     (List.rev !got)
@@ -107,7 +106,6 @@ let test_sleep_ordering () =
         order := "fast" :: !order)
   in
   let ok = rt.run_until ~deadline:10_000. (fun () -> List.length !order = 2) in
-  Runtime_live.shutdown lt;
   Alcotest.(check bool) "both woke" true ok;
   Alcotest.(check (list string))
     "shorter sleep wakes first" [ "slow"; "fast" ] !order;
@@ -115,6 +113,30 @@ let test_sleep_ordering () =
     (Printf.sprintf "slept at least the requested 30 ms (%.1f)" !fast_wake)
     true
     (!fast_wake >= 29.)
+
+let test_idle_run_sleeps () =
+  (* With its only fiber asleep for 10 s, a run waits out its 500 ms
+     deadline in one sleep: no timer thread, no polling, almost no CPU. *)
+  let lt = Runtime_live.create () in
+  let rt = Runtime_live.runtime lt in
+  let _sleeper =
+    rt.spawn ~name:"sleeper" ~main:(fun ~recovery:_ () -> ER.sleep 10_000.)
+  in
+  let cpu () =
+    let t = Unix.times () in
+    t.tms_utime +. t.tms_stime
+  in
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  let ok = rt.run_until ~deadline:500. (fun () -> false) in
+  let cpu_ms = (cpu () -. c0) *. 1000.
+  and wall_ms = (Unix.gettimeofday () -. w0) *. 1000. in
+  Alcotest.(check bool) "predicate never held" false ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "waited out the deadline (%.0f ms)" wall_ms)
+    true (wall_ms >= 490.);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 3 ms of CPU while idle (%.2f ms)" cpu_ms)
+    true (cpu_ms < 3.)
 
 (* ------------------------------------------------------------------ *)
 (* crash / recovery *)
@@ -167,7 +189,6 @@ let test_crash_kills_fibers_and_clears_mailbox () =
     (rt.run_until
        ~deadline:(Runtime_live.now_ms lt +. 300.)
        (fun () -> false));
-  Runtime_live.shutdown lt;
   Alcotest.(check bool) "recovery ran with a clean mailbox" true ok;
   Alcotest.(check bool) "recovery flag passed" true (seen "recovered");
   Alcotest.(check bool) "forked helper died with the process" false
@@ -185,7 +206,11 @@ let () =
           Alcotest.test_case "filtered recv preserves rejected" `Quick
             test_filtered_recv_skips_rejected;
         ] );
-      ("timers", [ Alcotest.test_case "sleep ordering" `Quick test_sleep_ordering ]);
+      ( "timers",
+        [
+          Alcotest.test_case "sleep ordering" `Quick test_sleep_ordering;
+          Alcotest.test_case "idle run sleeps" `Quick test_idle_run_sleeps;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "crash kills fibers, clears mailbox" `Quick
