@@ -410,11 +410,16 @@ let dispatcher t () =
             if inst.decided = None then start_driver t inst
         | C_estimate { key; _ } | C_propose { key; _ } | C_ack { key; _ } -> (
             let inst = ensure t key in
-            match inst.decided with
-            | Some value ->
+            match (inst.decided, m.payload) with
+            | Some _, C_ack _ when Option.is_none t.persist ->
+                (* a late ack: [record_decision]'s relay already told its
+                   sender. With persistence the decision may instead have
+                   been restored from the log, which relays nothing. *)
+                ()
+            | Some value, _ ->
                 (* instance already over here: tell the sender *)
                 Rchannel.send t.ch m.src (C_decide { key; value })
-            | None ->
+            | None, _ ->
                 (* auto-join: the new driver starts from the message *)
                 start_driver ~first:m t inst)
         | _ -> ()));
