@@ -22,7 +22,9 @@
     - decisions are {e reliably broadcast}: every process relays a
       decision on first receipt to all peers but the sender, so all correct
       servers eventually learn it (the register [read] liveness property
-      relies on this).
+      relies on this). A crash-stop agent therefore answers no late ack of
+      a decided instance; with persistence it does, because a decision
+      restored from the log was never relayed.
 
     A failure-free instance decides in round 0: a participant that acked
     a round's proposal stays in that round until the decision, a later
