@@ -40,6 +40,8 @@
    asserts the epoch flip happened, every request committed exactly once
    and every key's balance is continuous at its new home group. *)
 
+module Runtime_live = Dsim.Runtime_live
+
 let clients = ref 3
 let requests = ref 4
 let shards = ref 1
@@ -219,8 +221,8 @@ let client_keys map ~n_clients ~n_shards =
 let run_sharded () =
   let n_clients = !clients and n_requests = !requests and n_shards = !shards in
   let reg = obs_registry () in
-  let lt = Dsim.Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Dsim.Runtime_live.runtime lt in
+  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
+  let rt = Runtime_live.runtime lt in
   let map = Etx.Shard_map.create ~shards:n_shards () in
   let keys = client_keys map ~n_clients ~n_shards in
   let seed_data = Workload.Bank.seed_accounts (List.map (fun k -> (k, 1000)) keys) in
@@ -250,11 +252,11 @@ let run_sharded () =
      shard 0 fails over, and the recovered primary rejoins from its log *)
   Printf.printf
     "crashing shard-0 primary (p%d %s) at %.0f ms, %d/%d delivered\n%!"
-    primary (rt.name_of primary) (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
+    primary (rt.name_of primary) (Runtime_live.now_ms lt) (delivered ()) total;
   rt.crash primary;
-  ignore (rt.run_until ~deadline:(Dsim.Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
+  ignore (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
   Printf.printf "recovering shard-0 primary at %.0f ms, %d/%d delivered\n%!"
-    (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
+    (Runtime_live.now_ms lt) (delivered ()) total;
   rt.recover primary;
   let settled = Cluster.run_to_quiescence ~deadline:240_000. c in
   let wall_s = Unix.gettimeofday () -. t_start in
@@ -330,8 +332,8 @@ let shard_accounts map ~shard ~n =
 let run_cross () =
   let n_clients = !clients and n_requests = !requests and n_shards = !shards in
   let reg = obs_registry () in
-  let lt = Dsim.Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Dsim.Runtime_live.runtime lt in
+  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
+  let rt = Runtime_live.runtime lt in
   let map = Etx.Shard_map.create ~shards:n_shards () in
   (* client i transfers from its own shard-0 account into its own shard-1
      account, so every request spans two replica groups and shard 0's
@@ -370,12 +372,12 @@ let run_cross () =
   Printf.printf
     "crashing coordinator (shard-0 primary p%d %s) at %.0f ms, %d/%d \
      delivered\n%!"
-    coordinator (rt.name_of coordinator) (Dsim.Runtime_live.now_ms lt) (delivered ())
+    coordinator (rt.name_of coordinator) (Runtime_live.now_ms lt) (delivered ())
     total;
   rt.crash coordinator;
-  ignore (rt.run_until ~deadline:(Dsim.Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
+  ignore (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () -> false));
   Printf.printf "recovering coordinator at %.0f ms, %d/%d delivered\n%!"
-    (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
+    (Runtime_live.now_ms lt) (delivered ()) total;
   rt.recover coordinator;
   let settled = Cluster.run_to_quiescence ~deadline:240_000. c in
   let wall_s = Unix.gettimeofday () -. t_start in
@@ -452,8 +454,8 @@ let run_cross () =
 let run_migrate () =
   let n_clients = !clients and n_requests = !requests and n_shards = !shards in
   let reg = obs_registry () in
-  let lt = Dsim.Runtime_live.create ~seed:!seed ?obs:reg () in
-  let rt = Dsim.Runtime_live.runtime lt in
+  let lt = Runtime_live.create ~seed:!seed ?obs:reg () in
+  let rt = Runtime_live.runtime lt in
   let map = Etx.Shard_map.create ~shards:n_shards () in
   let keys = client_keys map ~n_clients ~n_shards in
   let seed_data =
@@ -487,14 +489,14 @@ let run_migrate () =
   Printf.printf
     "splitting group 0 -> group %d (epoch %d), then crashing shard-0 \
      primary (p%d %s) at %.0f ms, %d/%d delivered\n%!"
-    n_shards e1 primary (rt.name_of primary) (Dsim.Runtime_live.now_ms lt)
+    n_shards e1 primary (rt.name_of primary) (Runtime_live.now_ms lt)
     (delivered ()) total;
   rt.crash primary;
   ignore
-    (rt.run_until ~deadline:(Dsim.Runtime_live.now_ms lt +. 1_500.) (fun () ->
+    (rt.run_until ~deadline:(Runtime_live.now_ms lt +. 1_500.) (fun () ->
          false));
   Printf.printf "recovering shard-0 primary at %.0f ms, %d/%d delivered\n%!"
-    (Dsim.Runtime_live.now_ms lt) (delivered ()) total;
+    (Runtime_live.now_ms lt) (delivered ()) total;
   rt.recover primary;
   let flipped = Cluster.await_epoch ~deadline:240_000. c e1 in
   let settled = Cluster.run_to_quiescence ~deadline:240_000. c in
