@@ -14,71 +14,57 @@ let spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data ~observers =
       let pid = Dbms.Server.spawn rt ~name ~rm ~observers () in
       (pid, rm))
 
-(* Fresh transaction identifiers come from the runtime's uid counter: unique
-   across server incarnations (a recovered server must never collide with a
-   transaction it ran before the crash) and ≥ 1000, disjoint from the
-   client's try numbers. *)
-
 let span breakdown label f =
   match breakdown with
   | None -> f ()
   | Some bd -> Stats.Breakdown.span bd label f
 
-(* One client try: business logic then single-phase commit everywhere.
-   [xid] is freshly minted per execution — an unreliable server has no
-   exactly-once bookkeeping, so a client retry is a brand-new database
-   transaction (the double-charge hazard). *)
-let serve ?breakdown ~dbs ~business ch rd (request : request) ~j ~xid =
-  let collect label req matches =
-    let (_ : (Types.proc_id * unit) list) =
-      span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ch rd ~dbs ~request:req ~matches)
-    in
-    ()
-  in
-  collect "start"
-    (fun _ -> Dbms.Msg.Xa_start { xid })
-    (function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let exec ~db ops =
-    Dbms.Stub.exec_retry ~fresh_seq ch rd ~db ~xid ops
-  in
+let run_xa ~breakdown ch rd ~dbs ~business (request : request) ~j ~xid =
+  span breakdown "start" (fun () -> Dbms.Stub.xa_start ch rd ~dbs ~xid);
+  let exec = Dbms.Stub.exec_of ch rd ~xid in
   let result =
     span breakdown "SQL" (fun () ->
         business.Etx.Business.run
           { Etx.Business.xid; dbs; exec; attempt = j }
           ~body:request.body)
   in
-  Rt.note (Printf.sprintf "computed:%d:%d:%s" request.rid j result);
-  collect "end"
-    (fun _ -> Dbms.Msg.Xa_end { xid })
-    (function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let outcomes =
-    span breakdown "commit" (fun () ->
-        Dbms.Stub.broadcast_collect ch rd ~dbs
-          ~request:(fun _ -> Dbms.Msg.Commit1 { xid })
-          ~matches:(function
-            | Dbms.Msg.Commit1_reply { xid = x; outcome }
-              when Dbms.Xid.equal x xid ->
-                Some outcome
-            | _ -> None))
-  in
-  let outcome =
-    if List.for_all (fun (_, o) -> o = Dbms.Rm.Commit) outcomes then
-      Dbms.Rm.Commit
-    else Dbms.Rm.Abort
-  in
-  { result = Some result; outcome }
+  Rt.note (Etx.Spec.computed_note ~rid:request.rid ~j result);
+  span breakdown "end" (fun () -> Dbms.Stub.xa_end ch rd ~dbs ~xid);
+  result
 
+let serve_requests ?(active = fun () -> true) ch serve =
+  let served = Hashtbl.create 32 in
+  let wants m =
+    match m.Types.payload with Request_msg _ -> active () | _ -> false
+  in
+  let rec loop () =
+    (match Rt.recv ~filter:wants () with
+    | None -> ()
+    | Some m -> (
+        match m.payload with
+        | Request_msg { request; j; _ } ->
+            let decision =
+              match Hashtbl.find_opt served (request.rid, j) with
+              | Some d -> d (* volatile duplicate suppression *)
+              | None ->
+                  let d = serve ~client:m.src request ~j in
+                  Hashtbl.replace served (request.rid, j) d;
+                  d
+            in
+            Rchannel.send ch m.src
+              (Result_msg { rid = request.rid; j; decision; group = 0 })
+        | _ -> ()));
+    loop ()
+  in
+  loop ()
+
+(* Fresh transaction identifiers come from the runtime's uid counter: unique
+   across server incarnations (a recovered server must never collide with a
+   transaction it ran before the crash) and ≥ 1000, disjoint from the
+   client's try numbers. A client try is business logic then single-phase
+   commit everywhere, under a fresh [xid] per execution — an unreliable
+   server has no exactly-once bookkeeping, so a client retry is a
+   brand-new database transaction (the double-charge hazard). *)
 let spawn (rt : Rt.t) ?(name = "baseline") ?breakdown ~dbs ~business () =
   rt.spawn ~name ~main:(fun ~recovery:_ () ->
       (* stateless: a recovery simply starts serving afresh — which is
@@ -87,35 +73,16 @@ let spawn (rt : Rt.t) ?(name = "baseline") ?breakdown ~dbs ~business () =
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
       Dbms.Stub.Readiness.start rd;
-      let served = Hashtbl.create 32 in
-      let wants m =
-        match m.Types.payload with Request_msg _ -> true | _ -> false
-      in
-      let rec loop () =
-        (match Rt.recv ~filter:wants () with
-        | None -> ()
-        | Some m -> (
-            match m.payload with
-            | Request_msg { request; j; _ } ->
-                let decision =
-                  match Hashtbl.find_opt served (request.rid, j) with
-                  | Some d -> d (* volatile duplicate suppression *)
-                  | None ->
-                      let xid =
-                        Dbms.Xid.make ~rid:request.rid ~j:(Rt.fresh_uid ())
-                      in
-                      let d =
-                        serve ?breakdown ~dbs ~business ch rd request ~j ~xid
-                      in
-                      Hashtbl.replace served (request.rid, j) d;
-                      d
-                in
-                Rchannel.send ch m.src
-                  (Result_msg { rid = request.rid; j; decision; group = 0 })
-            | _ -> ()));
-        loop ()
-      in
-      loop ())
+      serve_requests ch (fun ~client:_ (request : request) ~j ->
+          let xid = Dbms.Xid.make ~rid:request.rid ~j:(Rt.fresh_uid ()) in
+          let result =
+            run_xa ~breakdown ch rd ~dbs ~business request ~j ~xid
+          in
+          let outcome =
+            span breakdown "commit" (fun () ->
+                Dbms.Stub.commit_one_phase ch rd ~dbs ~xid)
+          in
+          { result = Some result; outcome }))
 
 type t = {
   rt : Rt.t;

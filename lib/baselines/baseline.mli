@@ -21,6 +21,38 @@ val spawn_dbs :
   (Types.proc_id * Dbms.Rm.t) list
 (** Spawn the database tier (shared by the comparison-protocol builders). *)
 
+(** {1 Shared by the comparison protocols} *)
+
+val span : Stats.Breakdown.t option -> string -> (unit -> 'a) -> 'a
+(** [span breakdown label f] runs [f] under the Figure 8 row [label]. *)
+
+val run_xa :
+  breakdown:Stats.Breakdown.t option ->
+  Dnet.Rchannel.t ->
+  Dbms.Stub.Readiness.t ->
+  dbs:Types.proc_id list ->
+  business:Etx.Business.t ->
+  Etx.Etx_types.request ->
+  j:int ->
+  xid:Dbms.Xid.t ->
+  string
+(** One try's work up to its commit protocol: the XA start round, the
+    business run under ["SQL"], the V.1 computed note, the XA end round.
+    Returns the business result. *)
+
+val serve_requests :
+  ?active:(unit -> bool) ->
+  Dnet.Rchannel.t ->
+  (client:Types.proc_id ->
+  Etx.Etx_types.request ->
+  j:int ->
+  Etx.Etx_types.decision) ->
+  unit
+(** The request-serving loop: receive each client request while [active ()]
+    (default: always), run the given function once per [(rid, j)] (a
+    volatile memo answers duplicates) and reply [Result_msg]. Never
+    returns. *)
+
 val spawn :
   Etx_runtime.t ->
   ?name:string ->

@@ -35,12 +35,11 @@ val build :
   ?client_period:float ->
   ?breakdown:Stats.Breakdown.t ->
   ?backup_fd:(Etx_runtime.t -> Dnet.Fdetect.t) ->
-  ?takeover_check:float ->
   rt:Etx_runtime.t ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->
   unit ->
   t
 (** [backup_fd] builds the backup's detector watching the primary (default:
-    the perfect oracle, as the scheme requires); [takeover_check] is how
-    often the backup polls it (default 20 ms). *)
+    the perfect oracle, as the scheme requires); the backup polls it every
+    20 ms. *)

@@ -35,14 +35,21 @@ let primary t ~shard = List.hd t.groups.(shard).app_servers
 let all_records t =
   List.concat_map (fun c -> Etx.Client.records c) t.clients
 
+(* Forced-write cost of a recoverable application server's register
+   storage (virtual ms). *)
+let register_disk_latency = 12.5
+
+(* How often a primary database ships committed write-sets to its read
+   replicas (virtual ms). *)
+let ship_period = 5.
+
 let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     ?(fd_spec = Etx.Appserver.Fd_oracle) ?(timing = Dbms.Rm.paper_timing)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?(clean_period = 20.) ?gc_after
-    ?(backend = Etx.Appserver.Reg_ct) ?(recoverable = false)
-    ?(register_disk_latency = 12.5) ?breakdown ?batch ?(cache = false)
+    ?(clean_period = 20.) ?gc_after ?(backend = Etx.Appserver.Reg_ct)
+    ?(recoverable = false) ?breakdown ?batch ?(cache = false)
     ?(group_commit = false) ?(replicas = 0) ?(replica_bound = 8)
-    ?(ship_period = 5.) ?(cross = false) ?(reconfig = false) ?(provision = 0)
+    ?(cross = false) ?(reconfig = false) ?(provision = 0)
     ~rt ~business ~scripts () =
   if replicas < 0 then invalid_arg "Cluster.build: replicas must be >= 0";
   if provision < 0 then invalid_arg "Cluster.build: provision must be >= 0";

@@ -73,14 +73,12 @@ val build :
   ?gc_after:float ->
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
-  ?register_disk_latency:float ->
   ?breakdown:Stats.Breakdown.t ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
   ?replicas:int ->
   ?replica_bound:int ->
-  ?ship_period:float ->
   ?cross:bool ->
   ?reconfig:bool ->
   ?provision:int ->
@@ -104,9 +102,9 @@ val build :
     400 ms client back-off.
 
     [recoverable:true] equips each application server with stable
-    register storage (forced write cost [register_disk_latency], default
-    12.5 ms), enabling crash-recovery of application servers — see
-    {!Etx.Appserver.config} for semantics and cost. [breakdown] collects
+    register storage (12.5 ms per forced write), enabling crash-recovery
+    of application servers — see {!Etx.Appserver.config} for semantics
+    and cost. [breakdown] collects
     the winner path's per-phase latency (Figure 8). [batch] (default 1)
     selects the leased, batched commit pipeline on every application
     server.
@@ -125,12 +123,11 @@ val build :
     per-call force discipline. [replicas] (default 0) spawns that many
     asynchronous change-log read replicas per database (DESIGN.md §14,
     names [db<i>-r<j>], prefixed [g<s>:] beyond group 0): each primary
-    ships committed write-sets every [ship_period] ms (default 5) and
-    every application server routes cache-miss read-only requests to a
-    replica, falling back to the primary when the replica's provable
-    staleness exceeds [replica_bound] (LSN delta, default 8). Replicas
-    spawn after the clients, so [replicas:0] clusters keep their exact
-    pid layout.
+    ships committed write-sets every 5 ms and every application server
+    routes cache-miss read-only requests to a replica, falling back to
+    the primary when the replica's provable staleness exceeds
+    [replica_bound] (LSN delta, default 8). Replicas spawn after the
+    clients, so [replicas:0] clusters keep their exact pid layout.
 
     [cross:true] supplies every application server the cross-shard commit
     wiring ({!Etx.Appserver.cross_cfg}): requests whose declared keysets

@@ -50,7 +50,6 @@ type config = {
   business : Business.t;
   fd_spec : fd_spec;
   clean_period : float;
-  exec_backoff : float;
   gc_after : float option;
   backend : register_backend;
   persist : Consensus.Agent.persistence option;
@@ -69,9 +68,6 @@ type config = {
       (** max provable staleness (LSN delta) tolerated on a replica read;
           a replica whose lag exceeds it answers stale and the request
           falls back to the primary pipeline *)
-  replica_patience : float;
-      (** how long a replica read may block before falling back to the
-          primary pipeline (virtual ms) *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] = cross-shard requests cannot
           arise (the request path is then byte-identical to the
@@ -82,10 +78,10 @@ type config = {
           the static protocol) *)
 }
 
-let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(exec_backoff = 40.)
-    ?gc_after ?(backend = Reg_ct) ?persist ?breakdown ?(group = 0) ?(batch = 1)
-    ?cache ?replicas ?(replica_bound = 8) ?(replica_patience = 1_000.) ?cross
-    ?reconfig ~rt ~index ~servers ~dbs ~business () =
+let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?gc_after
+    ?(backend = Reg_ct) ?persist ?breakdown ?(group = 0) ?(batch = 1) ?cache
+    ?replicas ?(replica_bound = 8) ?cross ?reconfig ~rt ~index ~servers ~dbs
+    ~business () =
   (match (backend, persist) with
   | Reg_synod, Some _ ->
       invalid_arg
@@ -105,7 +101,6 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(exec_backoff = 40.)
     business;
     fd_spec;
     clean_period;
-    exec_backoff;
     gc_after;
     backend;
     persist;
@@ -114,7 +109,6 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(exec_backoff = 40.)
     cache;
     replicas;
     replica_bound;
-    replica_patience;
     cross;
     reconfig;
   }
@@ -283,16 +277,8 @@ let close_span ctx ?attr id =
       Option.iter (fun (k, v) -> s.Rt.obs_span_attr id k v) attr;
       s.Rt.obs_span_close id
 
-let fresh_seq () =
-  let seq = ref 0 in
-  fun () ->
-    let s = !seq in
-    incr seq;
-    s
-
 (* The V.1 obligation's evidence: the result a try computed. *)
-let note_computed ~rid ~j result =
-  Rt.note (Printf.sprintf "computed:%d:%d:%s" rid j result)
+let note_computed ~rid ~j result = Rt.note (Spec.computed_note ~rid ~j result)
 
 (* ---------------- Method cache (DESIGN.md §13) ---------------- *)
 
@@ -333,6 +319,10 @@ let serve_cached ctx ~(request : request) ~j ~client =
 
 exception Replica_fallback
 
+(* How long a replica read may block before it falls back to the primary
+   pipeline (virtual ms). *)
+let replica_patience = 1_000.
+
 (* Serve a cache-miss read-only request on an asynchronous read replica;
    [true] iff a reply went out. The business logic runs against replica
    state: the exec closure sends [Replica_exec] instead of the primary's
@@ -364,7 +354,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
            let rid = request.rid in
            let bound = ctx.cfg.replica_bound in
            let t0 = Rt.now () in
-           let next_seq = fresh_seq () in
+           let seq = ref 0 in
            let snapshot = ref None in
            (* (lsn, lag) all replies must agree on *)
            let chosen_db = ref None in
@@ -381,7 +371,8 @@ let serve_replica ctx ~(request : request) ~j ~client =
                | None | Some [] -> raise Replica_fallback
                | Some rs -> List.nth rs (rid mod List.length rs)
              in
-             let s = next_seq () in
+             let s = !seq in
+             incr seq;
              Rchannel.send ctx.ch replica
                (Dbms.Msg.Replica_exec { rid; seq = s; ops; bound });
              let filter m =
@@ -400,7 +391,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
                 abandoned attempt is ignored) *)
              let m =
                match
-                 Rt.recv ~timeout:ctx.cfg.replica_patience
+                 Rt.recv ~timeout:replica_patience
                    ~cls:Dbms.Msg.cls_replica_reply ~filter ()
                with
                | None -> raise Replica_fallback
@@ -546,76 +537,35 @@ let deliver ctx st ~rid ~j decision =
   send_result ctx st ~rid ~j decision;
   record_termination ctx st ~j decision
 
-(* Decide [xid] at every database of the group, resending until each
-   acknowledges (the round is idempotent). *)
-let decide_round ctx ~xid ~outcome =
-  let (_ : (Types.proc_id * unit) list) =
-    Dbms.Stub.broadcast_collect ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
-      ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
-      ~matches:(function
-        | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
-        | _ -> None)
-  in
-  ()
-
+(* Fig. 4's terminate(): decide the try at every database of the group,
+   resending until each acknowledges. *)
 let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
   let tspan = open_span ctx ~parent ~rid ~j "terminate" in
   span ctx "commit" (fun () ->
-      decide_round ctx ~xid:(Dbms.Xid.make ~rid ~j) ~outcome:decision.outcome);
+      Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
+        ~xid:(Dbms.Xid.make ~rid ~j) decision.outcome);
   deliver ctx st ~rid ~j decision;
   close_span ctx tspan
 
-(* ---------------- Fig. 4: prepare() ---------------- *)
-
-let prepare ctx ~xid =
-  let votes =
-    Dbms.Stub.broadcast_collect ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
-      ~request:(fun _ -> Dbms.Msg.Prepare { xid })
-      ~matches:(function
-        | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
-            Some vote
-        | _ -> None)
-  in
-  if List.for_all (fun (_, v) -> v = Dbms.Rm.Yes) votes then Dbms.Rm.Commit
-  else Dbms.Rm.Abort
-
 (* ---------------- Fig. 5: the computation thread ---------------- *)
 
-let xa_broadcast ctx ~label ~request ~matches =
-  let (_ : (Types.proc_id * unit) list) =
-    span ctx label (fun () ->
-        Dbms.Stub.broadcast_collect ctx.ch ctx.rd
-          ~dbs:ctx.cfg.dbs ~request ~matches)
-  in
-  ()
-
+(* The XA start and end rounds, under Figure 8's "start" and "end" rows. *)
 let xa_start ctx ~xid =
-  xa_broadcast ctx ~label:"start"
-    ~request:(fun _ -> Dbms.Msg.Xa_start { xid })
-    ~matches:(function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None)
+  span ctx "start" (fun () ->
+      Dbms.Stub.xa_start ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid)
 
 let xa_end ctx ~xid =
-  xa_broadcast ctx ~label:"end"
-    ~request:(fun _ -> Dbms.Msg.Xa_end { xid })
-    ~matches:(function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None)
-
-(* The exec capability of one business run (or cross-shard branch): every
-   physical exec it issues — across databases and conflict retries — gets
-   a distinct sequence number, so a redelivered batch can never execute
-   twice at the resource manager (Rm.exec_dedup). *)
-let exec_of ctx ~xid =
-  let next_seq = fresh_seq () in
-  fun ~db ops ->
-    Dbms.Stub.exec_retry ~backoff:ctx.cfg.exec_backoff
-      ~fresh_seq:next_seq ctx.ch ctx.rd ~db ~xid ops
+  span ctx "end" (fun () ->
+      Dbms.Stub.xa_end ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid)
 
 let run_business ctx ~xid ~attempt ~body =
   let context =
-    { Business.xid; dbs = ctx.cfg.dbs; exec = exec_of ctx ~xid; attempt }
+    {
+      Business.xid;
+      dbs = ctx.cfg.dbs;
+      exec = Dbms.Stub.exec_of ctx.ch ctx.rd ~xid;
+      attempt;
+    }
   in
   ctx.cfg.business.Business.run context ~body
 
@@ -668,7 +618,7 @@ let compute_try ctx st ~(request : request) ~j =
       let outcome =
         span ctx "prepare" (fun () ->
             ospan ctx ~parent:tspan ~trace:rid "prepare" (fun () ->
-                prepare ctx ~xid))
+                Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid))
       in
       let final =
         span ctx "log-outcome" (fun () ->
@@ -757,7 +707,8 @@ let run_branch ctx ~rid ~j ~ops =
   let xid = Dbms.Xid.make ~rid ~j in
   xa_start ctx ~xid;
   let reply =
-    span ctx "SQL" (fun () -> exec_of ctx ~xid ~db:(List.hd ctx.cfg.dbs) ops)
+    span ctx "SQL" (fun () ->
+        Dbms.Stub.exec_of ctx.ch ctx.rd ~xid ~db:(List.hd ctx.cfg.dbs) ops)
   in
   let ok, values =
     match reply with
@@ -767,7 +718,9 @@ let run_branch ctx ~rid ~j ~ops =
   xa_end ctx ~xid;
   (* a failed branch skips prepare: its vote is No either way, and the
      global Decide(Abort) round releases whatever the exec locked *)
-  let ok = ok && prepare ctx ~xid = Dbms.Rm.Commit in
+  let ok =
+    ok && Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid = Dbms.Rm.Commit
+  in
   (ok, values)
 
 (* Send [make ()] to the servers of shard [k] — round-robin, resending
@@ -1048,7 +1001,8 @@ let gx_thread ctx () =
                   (Some (contest_vote ctx ~rid ~j ~k)))
         | Gx_complete { rid; j; k; outcome } when k = ctx.cfg.group ->
             Rt.fork "gx-complete" (fun () ->
-                decide_round ctx ~xid:(Dbms.Xid.make ~rid ~j) ~outcome;
+                Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
+                  ~xid:(Dbms.Xid.make ~rid ~j) outcome;
                 count ctx "gx.complete";
                 Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
         | _ -> () (* stamped for another shard: the driver's rotation moves on *)));
@@ -1748,7 +1702,7 @@ let process_batch ctx ls (items : Window.entry list) =
         let outcome_of xid =
           if
             List.for_all
-              (fun (_, vs) ->
+              (fun vs ->
                 match
                   List.find_opt (fun (x, _) -> Dbms.Xid.equal x xid) vs
                 with

@@ -122,7 +122,6 @@ type config = {
   business : Business.t;
   fd_spec : fd_spec;
   clean_period : float;  (** cleaning-thread scan interval *)
-  exec_backoff : float;  (** lock-conflict retry back-off *)
   gc_after : float option;
       (** when set, a garbage-collection thread discards a request's
           register instances and protocol state this long after its last
@@ -163,17 +162,14 @@ type config = {
           against a replica ([Replica_exec]/[Replica_values]) and replies
           [Result_replica_msg], tagged with the LSN snapshot the reads saw
           and its provable staleness — no election, no transaction, no
-          primary SQL. A stale/refusing replica (or any loss of a single
-          provable snapshot) falls back to the normal pipeline. A thunk
+          primary SQL. A stale/refusing replica, one silent for 1,000 ms,
+          or any loss of a single provable snapshot falls back to the
+          normal pipeline. A thunk
           because replicas are spawned after the application servers;
           [None] (the default) leaves the request path byte-identical to
           the replica-less protocol. *)
   replica_bound : int;
       (** max provable staleness (LSN delta) tolerated on a replica read *)
-  replica_patience : float;
-      (** how long a replica read may wait for its reply before falling
-          back to the primary — bounds the stall a crashed
-          or overloaded replica can impose on a request *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] (the default) confines every
           request to this server's own group — no gx fiber is forked and
@@ -188,7 +184,6 @@ type config = {
 val config :
   ?fd_spec:fd_spec ->
   ?clean_period:float ->
-  ?exec_backoff:float ->
   ?gc_after:float ->
   ?backend:register_backend ->
   ?persist:Consensus.Agent.persistence ->
@@ -198,7 +193,6 @@ val config :
   ?cache:Method_cache.t ->
   ?replicas:(unit -> (Types.proc_id * Types.proc_id list) list) ->
   ?replica_bound:int ->
-  ?replica_patience:float ->
   ?cross:cross_cfg ->
   ?reconfig:reconfig_cfg ->
   rt:Etx_runtime.t ->
@@ -208,13 +202,12 @@ val config :
   business:Business.t ->
   unit ->
   config
-(** Defaults: oracle failure detector, 20 ms clean period, 40 ms exec
-    back-off, no garbage collection, the [Reg_ct] backend, no
-    persistence, no breakdown accounting, group 0, batch 1 (classic path),
-    no cache, no replicas, replica bound 8, replica patience 1,000 ms, no
-    cross-shard wiring, no reconfiguration. Raises [Invalid_argument] if
-    [batch < 1], if [batch > 1] is combined with [gc_after], or if
-    [Reg_synod] is combined with [persist]. *)
+(** Defaults: oracle failure detector, 20 ms clean period, no garbage
+    collection, the [Reg_ct] backend, no persistence, no breakdown
+    accounting, group 0, batch 1 (classic path), no cache, no replicas,
+    replica bound 8, no cross-shard wiring, no reconfiguration. Raises
+    [Invalid_argument] if [batch < 1], if [batch > 1] is combined with
+    [gc_after], or if [Reg_synod] is combined with [persist]. *)
 
 val spawn : config -> Types.proc_id
 (** Spawns on the backend in [cfg.rt]. *)

@@ -1,3 +1,8 @@
+let computed_prefix = "computed:"
+
+let computed_note ~rid ~j result =
+  Printf.sprintf "%s%d:%d:%s" computed_prefix rid j result
+
 module View = struct
   type t = {
     label : string;
@@ -114,8 +119,7 @@ module View = struct
   let computed_notes v =
     List.filter_map
       (fun (_, s) ->
-        if String.length s > 9 && String.sub s 0 9 = "computed:" then Some s
-        else None)
+        if String.starts_with ~prefix:computed_prefix s then Some s else None)
       (v.notes ())
 
   (* Parse "computed:<rid>:<j>:<result>" structurally; the result field may
@@ -156,8 +160,7 @@ module View = struct
           None
         else
           let expected =
-            Printf.sprintf "computed:%d:%d:%s" record.rid record.tries
-              record.result
+            computed_note ~rid:record.rid ~j:record.tries record.result
           in
           if List.mem expected notes then None
           else

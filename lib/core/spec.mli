@@ -13,6 +13,12 @@
     Whole-run checks, which add the cross-group obligations, are
     [Cluster.Spec.check_all]. *)
 
+val computed_note : rid:int -> j:int -> string -> string
+(** The V.1 evidence a try leaves in the trace once its business run
+    computed [result]: ["computed:<rid>:<j>:<result>"]. Every writer (the
+    application server and the comparison protocols) builds it here, and
+    {!View.validity_v1} parses it back. *)
+
 module View : sig
   type t = {
     label : string;  (** prefixed to every violation message (e.g. shard) *)

@@ -94,7 +94,7 @@ let decide_handler rm ch sink ~invalidate ~observers () =
   (* Invalidation piggybacks on the decide path: when a decide commits, the
      transaction's actual write keyset (its retained workspace) is
      broadcast to every application server BEFORE the ack. Ordering
-     matters: the decider's broadcast_collect keeps re-driving Decide until
+     matters: the decider's Stub.decide round keeps re-driving Decide until
      the ack arrives, so a crash between commit and broadcast is re-driven
      and the invalidation is re-sent — the ack is the protocol's evidence
      that invalidation went out. Re-delivered decides re-broadcast

@@ -67,96 +67,95 @@ let rec await ch rd ~db ~request ~matches sent =
         await ch rd ~db ~request ~matches sent
     | Some m -> Option.get (matches m.Types.payload)
 
-let rpc ch rd ~db ~request ~matches =
-  let sent = Readiness.epoch rd db in
-  Rchannel.send ch db request;
-  await ch rd ~db ~request ~matches sent
+(* The paper's multicast-then-wait-for-all round: one matching reply per
+   database, in [dbs] order. *)
+let broadcast_collect ch rd ~dbs ~request ~matches =
+  let sent = List.map (Readiness.epoch rd) dbs in
+  List.iter (fun db -> Rchannel.send ch db request) dbs;
+  List.map2 (fun db sent -> await ch rd ~db ~request ~matches sent) dbs sent
 
-let xa_start ch rd ~db ~xid =
-  rpc ch rd ~db
-    ~request:(Msg.Xa_start { xid })
-    ~matches:(function
-      | Msg.Xa_started { xid = x } when Xid.equal x xid -> Some ()
-      | _ -> None)
+let xa_start ch rd ~dbs ~xid =
+  ignore
+    (broadcast_collect ch rd ~dbs
+       ~request:(Msg.Xa_start { xid })
+       ~matches:(function
+         | Msg.Xa_started { xid = x } when Xid.equal x xid -> Some ()
+         | _ -> None))
 
-let xa_end ch rd ~db ~xid =
-  rpc ch rd ~db
-    ~request:(Msg.Xa_end { xid })
-    ~matches:(function
-      | Msg.Xa_ended { xid = x } when Xid.equal x xid -> Some ()
-      | _ -> None)
+let xa_end ch rd ~dbs ~xid =
+  ignore
+    (broadcast_collect ch rd ~dbs
+       ~request:(Msg.Xa_end { xid })
+       ~matches:(function
+         | Msg.Xa_ended { xid = x } when Xid.equal x xid -> Some ()
+         | _ -> None))
 
 (* The reply is matched on (xid, seq), not xid alone: a late reply to an
    earlier attempt (e.g. a conflict the caller already moved past) must not
    satisfy a newer attempt's wait. *)
-let exec ?(seq = 0) ch rd ~db ~xid ops =
-  rpc ch rd ~db
-    ~request:(Msg.Exec_req { xid; seq; ops })
-    ~matches:(function
-      | Msg.Exec_reply { xid = x; seq = s; reply }
-        when Xid.equal x xid && s = seq ->
-          Some reply
-      | _ -> None)
+let exec ch rd ~db ~xid ~seq ops =
+  let request = Msg.Exec_req { xid; seq; ops } in
+  let sent = Readiness.epoch rd db in
+  Rchannel.send ch db request;
+  await ch rd ~db ~request sent ~matches:(function
+    | Msg.Exec_reply { xid = x; seq = s; reply }
+      when Xid.equal x xid && s = seq ->
+        Some reply
+    | _ -> None)
+
+(* Lock-conflict retries of one exec: the back-off (virtual ms) and the
+   number of tries before the conflict is handed to the caller. *)
+let exec_backoff = 40.
+let exec_max_tries = 20
 
 (* Every physical attempt — including each conflict retry — draws a fresh
    [seq] so the server executes it exactly once even if the message is
-   redelivered across a database recovery (Rm.exec_dedup). [fresh_seq]
-   must be scoped to the transaction: the application server threads one
-   counter through all the exec calls of a business run. *)
-let exec_retry ?(backoff = 40.) ?(max_tries = 20)
-    ?fresh_seq ch rd ~db ~xid ops =
-  let next =
-    match fresh_seq with
-    | Some f -> f
-    | None ->
-        let c = ref 0 in
-        fun () ->
-          let s = !c in
-          incr c;
-          s
-  in
-  let rec go tries =
-    match exec ~seq:(next ()) ch rd ~db ~xid ops with
-    | Rm.Exec_conflict _ as conflict ->
-        if tries >= max_tries then conflict
-        else begin
-          Rt.sleep backoff;
+   redelivered across a database recovery (Rm.exec_dedup). *)
+let exec_of ch rd ~xid =
+  let seq = ref 0 in
+  fun ~db ops ->
+    let rec go tries =
+      let s = !seq in
+      incr seq;
+      match exec ch rd ~db ~xid ~seq:s ops with
+      | Rm.Exec_conflict _ when tries < exec_max_tries ->
+          Rt.sleep exec_backoff;
           go (tries + 1)
-        end
-    | reply -> reply
+      | reply -> reply
+    in
+    go 1
+
+let prepare ch rd ~dbs ~xid =
+  let votes =
+    broadcast_collect ch rd ~dbs
+      ~request:(Msg.Prepare { xid })
+      ~matches:(function
+        | Msg.Vote_msg { xid = x; vote } when Xid.equal x xid -> Some vote
+        | _ -> None)
   in
-  go 1
+  if List.for_all (fun v -> v = Rm.Yes) votes then Rm.Commit else Rm.Abort
 
-let wait_vote ch rd ~db ~xid =
-  rpc ch rd ~db
-    ~request:(Msg.Prepare { xid })
-    ~matches:(function
-      | Msg.Vote_msg { xid = x; vote } when Xid.equal x xid -> Some vote
-      | _ -> None)
+let decide ch rd ~dbs ~xid outcome =
+  ignore
+    (broadcast_collect ch rd ~dbs
+       ~request:(Msg.Decide { xid; outcome })
+       ~matches:(function
+         | Msg.Ack_decide { xid = x } when Xid.equal x xid -> Some ()
+         | _ -> None))
 
-let wait_ack_decide ch rd ~db ~xid outcome =
-  rpc ch rd ~db
-    ~request:(Msg.Decide { xid; outcome })
-    ~matches:(function
-      | Msg.Ack_decide { xid = x } when Xid.equal x xid -> Some ()
-      | _ -> None)
-
-let commit_one_phase ch rd ~db ~xid =
-  rpc ch rd ~db
-    ~request:(Msg.Commit1 { xid })
-    ~matches:(function
-      | Msg.Commit1_reply { xid = x; outcome } when Xid.equal x xid ->
-          Some outcome
-      | _ -> None)
+let commit_one_phase ch rd ~dbs ~xid =
+  let outcomes =
+    broadcast_collect ch rd ~dbs
+      ~request:(Msg.Commit1 { xid })
+      ~matches:(function
+        | Msg.Commit1_reply { xid = x; outcome } when Xid.equal x xid ->
+            Some outcome
+        | _ -> None)
+  in
+  if List.for_all (fun o -> o = Rm.Commit) outcomes then Rm.Commit
+  else Rm.Abort
 
 let same_xids = List.equal Xid.equal
-
-let broadcast_collect ch rd ~dbs ~request ~matches =
-  let sent = List.map (Readiness.epoch rd) dbs in
-  List.iter (fun db -> Rchannel.send ch db (request db)) dbs;
-  List.map2
-    (fun db sent -> (db, await ch rd ~db ~request:(request db) ~matches sent))
-    dbs sent
 
 (* Batched XA rounds: one message per database carries the whole window of
    transactions, and one reply carries every answer. Replies are matched on
@@ -166,7 +165,7 @@ let broadcast_collect ch rd ~dbs ~request ~matches =
 let xa_start_batch ch rd ~dbs ~xids =
   ignore
     (broadcast_collect ch rd ~dbs
-       ~request:(fun _ -> Msg.Xa_start_batch { xids })
+       ~request:(Msg.Xa_start_batch { xids })
        ~matches:(function
          | Msg.Xa_started_batch { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
@@ -174,14 +173,14 @@ let xa_start_batch ch rd ~dbs ~xids =
 let xa_end_batch ch rd ~dbs ~xids =
   ignore
     (broadcast_collect ch rd ~dbs
-       ~request:(fun _ -> Msg.Xa_end_batch { xids })
+       ~request:(Msg.Xa_end_batch { xids })
        ~matches:(function
          | Msg.Xa_ended_batch { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
 
 let prepare_batch ch rd ~dbs ~xids =
   broadcast_collect ch rd ~dbs
-    ~request:(fun _ -> Msg.Prepare_batch { xids })
+    ~request:(Msg.Prepare_batch { xids })
     ~matches:(function
       | Msg.Vote_batch { votes } when same_xids (List.map fst votes) xids ->
           Some votes
@@ -191,7 +190,7 @@ let decide_batch ch rd ~dbs ~items =
   let xids = List.map fst items in
   ignore
     (broadcast_collect ch rd ~dbs
-       ~request:(fun _ -> Msg.Decide_batch { items })
+       ~request:(Msg.Decide_batch { items })
        ~matches:(function
          | Msg.Ack_decide_batch { xids = x } when same_xids x xids -> Some ()
          | _ -> None))

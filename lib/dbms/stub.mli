@@ -1,7 +1,12 @@
 (** Application-server-side stubs for talking to database servers.
 
-    These are the client halves of the XA surface: blocking RPCs over a
-    reliable channel, resilient to database crashes. Instead of letting
+    This is the one XA client: the application server and the comparison
+    protocols (unreliable baseline, 2PC, primary-backup) reach the
+    databases only through it. Every round is group-wide — a request to
+    each database of [~dbs], then a wait for all replies — and the only
+    single-database call is a business run's exec capability
+    ({!exec_of}). The rounds are blocking RPCs over a reliable channel,
+    resilient to database crashes. Instead of letting
     every waiting fiber race to consume the single [Ready] a recovering
     database broadcasts (the paper's "receive Vote or Ready" idiom), an
     application server runs one {!Readiness} listener that consumes [Ready]
@@ -29,78 +34,67 @@ module Readiness : sig
   (** Bumped every time the database broadcasts [Ready]. *)
 end
 
+(** {1 Single-transaction XA rounds}
+
+    Each round is the paper's multicast-then-wait-for-all idiom ([prepare()]
+    and [terminate()] of Figure 4): send the request to every database of
+    [dbs] at once, then collect one matching reply from each, re-sending to
+    any database that recovers meanwhile. One sequential communication step
+    regardless of the number of databases. *)
+
 val xa_start :
-  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> unit
-(** Blocking XA start on one database (resent across its recoveries). *)
+  Dnet.Rchannel.t -> Readiness.t -> dbs:Types.proc_id list -> xid:Xid.t -> unit
 
 val xa_end :
-  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> unit
+  Dnet.Rchannel.t -> Readiness.t -> dbs:Types.proc_id list -> xid:Xid.t -> unit
 
-val exec :
-  ?seq:int ->
+val exec_of :
   Dnet.Rchannel.t ->
   Readiness.t ->
-  db:Types.proc_id ->
   xid:Xid.t ->
+  db:Types.proc_id ->
   Rm.op list ->
   Rm.exec_reply
-(** One blocking exec RPC; no conflict retry (see {!exec_retry}). [seq]
-    (default 0) identifies this physical attempt within [xid]; the server
-    executes each (xid, seq) at most once and replays the recorded reply to
-    redelivered duplicates ({!Rm.exec_dedup}), so callers issuing several
-    execs per transaction must give each a distinct number. *)
+(** [exec_of ch rd ~xid] is the exec capability of one business run on
+    [xid]: a blocking exec RPC to one database that backs off 40 ms and
+    retries on [Exec_conflict] (a lock held by another — possibly dead —
+    transaction that the cleaning thread will eventually release). After
+    20 tries the conflict is returned to the caller, which should poison
+    the transaction rather than commit a partial workspace. Every physical
+    attempt, across databases and conflict retries, draws the next number
+    of a sequence private to this capability, so the server executes each
+    exactly once even if it is redelivered across a recovery
+    ({!Rm.exec_dedup}); make one capability per transaction. *)
 
-val exec_retry :
-  ?backoff:float ->
-  ?max_tries:int ->
-  ?fresh_seq:(unit -> int) ->
-  Dnet.Rchannel.t ->
-  Readiness.t ->
-  db:Types.proc_id ->
-  xid:Xid.t ->
-  Rm.op list ->
-  Rm.exec_reply
-(** Like {!exec} but backs off and retries on [Exec_conflict] (a lock held
-    by another — possibly dead — transaction that the cleaning thread will
-    eventually release). After [max_tries] (default 20, backoff default
-    40 ms) the conflict is returned to the caller, which should poison the
-    transaction rather than commit a partial workspace. Each attempt draws
-    its sequence number from [fresh_seq] (default: a counter private to
-    this call); pass the transaction-scoped counter when a business run
-    makes more than one exec call on the same [xid]. *)
-
-val wait_vote :
-  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> Rm.vote
-(** Send [Prepare] and wait for this database's vote, re-sending across
-    recoveries (a recovered database forgets the transaction and votes
-    [No], which is the paper's "Ready counts as failure" rule). *)
-
-val wait_ack_decide :
-  Dnet.Rchannel.t ->
-  Readiness.t ->
-  db:Types.proc_id ->
-  xid:Xid.t ->
-  Rm.outcome ->
-  unit
-(** Send [Decide] and wait for [AckDecide], re-sending across recoveries —
-    the paper's terminate() retry loop, per database. *)
-
-val commit_one_phase :
-  Dnet.Rchannel.t -> Readiness.t -> db:Types.proc_id -> xid:Xid.t -> Rm.outcome
-(** Baseline protocol: single-phase commit RPC. *)
-
-val broadcast_collect :
+val prepare :
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
-  request:(Types.proc_id -> Types.payload) ->
-  matches:(Types.payload -> 'a option) ->
-  (Types.proc_id * 'a) list
-(** The paper's multicast-then-wait-for-all idiom ([prepare()] and
-    [terminate()] of Figure 4): send [request db] to every database at once,
-    then collect one matching reply from each, re-sending to any database
-    that recovers meanwhile. One sequential communication step regardless of
-    the number of databases. *)
+  xid:Xid.t ->
+  Rm.outcome
+(** Send [Prepare] everywhere and collect the votes: [Commit] iff every
+    database votes [Yes]. A recovered database forgets an unprepared
+    transaction and votes [No], which is the paper's "Ready counts as
+    failure" rule. *)
+
+val decide :
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xid:Xid.t ->
+  Rm.outcome ->
+  unit
+(** Send [Decide] everywhere and wait for every [AckDecide] — the paper's
+    terminate() retry loop. The round is idempotent. *)
+
+val commit_one_phase :
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xid:Xid.t ->
+  Rm.outcome
+(** Baseline protocol: single-phase commit everywhere; [Commit] iff every
+    database committed. *)
 
 (** {1 Batched XA rounds (group commit)}
 
@@ -108,7 +102,7 @@ val broadcast_collect :
     reply carries every answer, so a window of N transactions costs the same
     number of protocol messages as a single transaction. Replies are matched
     on the full xid list: a batch RPC can never consume another batch's (or
-    a single-transaction call's) reply. All four re-send across recoveries
+    a single-transaction round's) reply. All four re-send across recoveries
     like their singular counterparts. *)
 
 val xa_start_batch :
@@ -130,9 +124,10 @@ val prepare_batch :
   Readiness.t ->
   dbs:Types.proc_id list ->
   xids:Xid.t list ->
-  (Types.proc_id * (Xid.t * Rm.vote) list) list
+  (Xid.t * Rm.vote) list list
 (** Batched prepare: every database answers its whole vote vector (input
-    order) after a single group-commit log force ({!Rm.vote_many}). *)
+    order) after a single group-commit log force ({!Rm.vote_many}); one
+    vector per database, in [dbs] order. *)
 
 val decide_batch :
   Dnet.Rchannel.t ->

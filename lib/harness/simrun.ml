@@ -9,16 +9,16 @@ let engine ?(seed = 1) ?(tracing = true) ?obs () =
 
 let cluster ?seed ?tracing ?obs ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec
     ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period
-    ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown ?batch
-    ?cache ?group_commit ?replicas ?replica_bound ?ship_period ?cross
-    ?reconfig ?provision ~business ~scripts () =
+    ?gc_after ?backend ?recoverable ?breakdown ?batch ?cache ?group_commit
+    ?replicas ?replica_bound ?cross ?reconfig ?provision ~business ~scripts
+    () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let c =
     Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?timing
       ?disk_force_latency ?seed_data ?client_period ?clean_period
-      ?gc_after ?backend ?recoverable ?register_disk_latency ?breakdown
-      ?batch ?cache ?group_commit ?replicas ?replica_bound ?ship_period
-      ?cross ?reconfig ?provision ~rt ~business ~scripts ()
+      ?gc_after ?backend ?recoverable ?breakdown ?batch ?cache ?group_commit
+      ?replicas ?replica_bound ?cross ?reconfig ?provision ~rt ~business
+      ~scripts ()
   in
   (e, c)
 
@@ -41,12 +41,10 @@ let tpc ?seed ?tracing ?obs ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
   (e, t)
 
 let pbackup ?seed ?tracing ?obs ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-    ?client_period ?breakdown ?backup_fd ?takeover_check ~business ~script ()
-    =
+    ?client_period ?breakdown ?backup_fd ~business ~script () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let p =
     Baselines.Pbackup.build ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-      ?client_period ?breakdown ?backup_fd ?takeover_check ~rt ~business
-      ~script ()
+      ?client_period ?breakdown ?backup_fd ~rt ~business ~script ()
   in
   (e, p)

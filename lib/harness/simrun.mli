@@ -36,14 +36,12 @@ val cluster :
   ?gc_after:float ->
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
-  ?register_disk_latency:float ->
   ?breakdown:Stats.Breakdown.t ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
   ?replicas:int ->
   ?replica_bound:int ->
-  ?ship_period:float ->
   ?cross:bool ->
   ?reconfig:bool ->
   ?provision:int ->
@@ -98,7 +96,6 @@ val pbackup :
   ?client_period:float ->
   ?breakdown:Stats.Breakdown.t ->
   ?backup_fd:(Runtime.Etx_runtime.t -> Dnet.Fdetect.t) ->
-  ?takeover_check:float ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->
   unit ->

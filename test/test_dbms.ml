@@ -599,21 +599,22 @@ let server_scenario ?(crash_db_at = None) ?(recover_db_at = None) ~script () =
   | None -> Alcotest.fail "script did not finish"
 
 let test_server_full_commit_round () =
-  let vote, rm =
+  let outcome, rm =
     server_scenario
       ~script:(fun ~db ~ch ~rd ->
         let x = xid 1 in
-        Stub.xa_start ch rd ~db ~xid:x;
-        (match Stub.exec ch rd ~db ~xid:x [ Rm.Put ("k", Value.Int 1) ] with
+        let dbs = [ db ] in
+        Stub.xa_start ch rd ~dbs ~xid:x;
+        (match Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 1) ] with
         | Rm.Exec_ok _ -> ()
         | _ -> Alcotest.fail "exec failed");
-        Stub.xa_end ch rd ~db ~xid:x;
-        let vote = Stub.wait_vote ch rd ~db ~xid:x in
-        Stub.wait_ack_decide ch rd ~db ~xid:x Rm.Commit;
-        vote)
+        Stub.xa_end ch rd ~dbs ~xid:x;
+        let outcome = Stub.prepare ch rd ~dbs ~xid:x in
+        Stub.decide ch rd ~dbs ~xid:x Rm.Commit;
+        outcome)
       ()
   in
-  Alcotest.(check bool) "voted yes" true (vote = Rm.Yes);
+  Alcotest.(check bool) "prepared to commit" true (outcome = Rm.Commit);
   Alcotest.(check bool) "committed" true
     (Rm.read_committed rm "k" = Some (Value.Int 1))
 
@@ -625,15 +626,16 @@ let test_server_concurrent_decide_during_prepare_queue () =
     server_scenario
       ~script:(fun ~db ~ch ~rd ->
         let x1 = xid 1 and x2 = xid 2 in
-        Stub.xa_start ch rd ~db ~xid:x1;
-        ignore (Stub.exec ch rd ~db ~xid:x1 [ Rm.Put ("a", Value.Int 1) ]);
-        ignore (Stub.wait_vote ch rd ~db ~xid:x1);
-        Stub.xa_start ch rd ~db ~xid:x2;
-        ignore (Stub.exec ch rd ~db ~xid:x2 [ Rm.Put ("b", Value.Int 2) ]);
-        ignore (Stub.wait_vote ch rd ~db ~xid:x2);
+        let dbs = [ db ] in
+        Stub.xa_start ch rd ~dbs ~xid:x1;
+        ignore (Stub.exec_of ch rd ~xid:x1 ~db [ Rm.Put ("a", Value.Int 1) ]);
+        ignore (Stub.prepare ch rd ~dbs ~xid:x1);
+        Stub.xa_start ch rd ~dbs ~xid:x2;
+        ignore (Stub.exec_of ch rd ~xid:x2 ~db [ Rm.Put ("b", Value.Int 2) ]);
+        ignore (Stub.prepare ch rd ~dbs ~xid:x2);
         (* decide both; order of arrival is not order of xid *)
-        Stub.wait_ack_decide ch rd ~db ~xid:x2 Rm.Commit;
-        Stub.wait_ack_decide ch rd ~db ~xid:x1 Rm.Abort)
+        Stub.decide ch rd ~dbs ~xid:x2 Rm.Commit;
+        Stub.decide ch rd ~dbs ~xid:x1 Rm.Abort)
       ()
   in
   Alcotest.(check (option bool)) "x1 aborted" None
@@ -645,19 +647,19 @@ let test_server_ready_on_recovery () =
   (* Crash the server while the app waits for a vote: the vote resolution
      must come from the recovery path (Ready bumps the epoch, the stub
      re-sends, the recovered server answers No for the lost transaction). *)
-  let vote, _rm =
+  let outcome, _rm =
     server_scenario ~crash_db_at:(Some 50.) ~recover_db_at:(Some 200.)
       ~script:(fun ~db ~ch ~rd ->
         let x = xid 1 in
-        Stub.xa_start ch rd ~db ~xid:x;
-        ignore (Stub.exec ch rd ~db ~xid:x [ Rm.Put ("k", Value.Int 1) ]);
+        Stub.xa_start ch rd ~dbs:[ db ] ~xid:x;
+        ignore (Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 1) ]);
         Dsim.Engine.sleep 60.;
         (* db is down now; this blocks until recovery *)
-        Stub.wait_vote ch rd ~db ~xid:x)
+        Stub.prepare ch rd ~dbs:[ db ] ~xid:x)
       ()
   in
   Alcotest.(check bool) "recovered server votes no for lost txn" true
-    (vote = Rm.No)
+    (outcome = Rm.Abort)
 
 let test_ready_wakes_each_waiter () =
   (* Two fibers wait for votes from a database that is down from 10 ms to
@@ -682,8 +684,8 @@ let test_ready_wakes_each_waiter () =
         List.iter
           (fun x ->
             Dsim.Engine.fork "voter" (fun () ->
-                let vote = Stub.wait_vote ch rd ~db ~xid:x in
-                votes := vote :: !votes))
+                let outcome = Stub.prepare ch rd ~dbs:[ db ] ~xid:x in
+                votes := outcome :: !votes))
           xids)
   in
   app_pid := [ app ];
@@ -691,7 +693,7 @@ let test_ready_wakes_each_waiter () =
   Dsim.Engine.recover_at t 200. db;
   Alcotest.(check bool) "quiescent" true
     (Dsim.Engine.run ~deadline:60_000. t = Dsim.Engine.Quiescent);
-  Alcotest.(check bool) "both vote no" true (!votes = [ Rm.No; Rm.No ]);
+  Alcotest.(check bool) "both vote no" true (!votes = [ Rm.Abort; Rm.Abort ]);
   let entries = Dsim.Trace.entries (Dsim.Engine.trace t) in
   let delivered_to_app pred =
     List.filter_map
@@ -745,17 +747,107 @@ let test_server_in_doubt_across_crash () =
     server_scenario ~crash_db_at:(Some 100.) ~recover_db_at:(Some 200.)
       ~script:(fun ~db ~ch ~rd ->
         let x = xid 1 in
-        Stub.xa_start ch rd ~db ~xid:x;
-        ignore (Stub.exec ch rd ~db ~xid:x [ Rm.Put ("k", Value.Int 5) ]);
-        let vote = Stub.wait_vote ch rd ~db ~xid:x in
-        Alcotest.(check bool) "voted yes before crash" true (vote = Rm.Yes);
+        let dbs = [ db ] in
+        Stub.xa_start ch rd ~dbs ~xid:x;
+        ignore (Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 5) ]);
+        let outcome = Stub.prepare ch rd ~dbs ~xid:x in
+        Alcotest.(check bool) "voted yes before crash" true
+          (outcome = Rm.Commit);
         Dsim.Engine.sleep 150.;
         (* db crashed and came back; the prepared txn must still decide *)
-        Stub.wait_ack_decide ch rd ~db ~xid:x Rm.Commit)
+        Stub.decide ch rd ~dbs ~xid:x Rm.Commit)
       ()
   in
   Alcotest.(check bool) "in-doubt txn committed after recovery" true
     (Rm.read_committed rm "k" = Some (Value.Int 5))
+
+let test_prepare_round_across_recovery () =
+  (* One transaction on two databases; db2 crashes after the exec, losing
+     the active transaction, and the prepare round goes out while it is
+     down. The round must wait for db2's recovery, re-send to db2 alone at
+     its Ready, and come back Abort (the recovered db2 votes No). *)
+  let t = Dsim.Engine.create ~net:(Dnet.Netmodel.lan ()) () in
+  let rt = Dsim.Runtime_sim.of_engine t in
+  let app_pid = ref [] in
+  let spawn_db name =
+    let disk = Dstore.Disk.create ~force_latency:1. ~label:"log" () in
+    let rm = Rm.create ~timing:Rm.zero_timing ~seed_data:[] ~disk ~name () in
+    Server.spawn rt ~name ~rm ~observers:(fun () -> !app_pid) ()
+  in
+  let db1 = spawn_db "db1" and db2 = spawn_db "db2" in
+  let x = xid 1 in
+  let outcome = ref None in
+  let app =
+    Dsim.Engine.spawn t ~name:"app" ~main:(fun ~recovery:_ () ->
+        let ch = Dnet.Rchannel.create () in
+        Dnet.Rchannel.start ch;
+        let dbs = [ db1; db2 ] in
+        let rd = Stub.Readiness.create ~dbs in
+        Stub.Readiness.start rd;
+        Stub.xa_start ch rd ~dbs ~xid:x;
+        let exec = Stub.exec_of ch rd ~xid:x in
+        List.iter
+          (fun db -> ignore (exec ~db [ Rm.Put ("k", Value.Int 1) ]))
+          dbs;
+        Dsim.Engine.sleep 60.;
+        (* db2 is down now; the round blocks until it recovers *)
+        let o = Stub.prepare ch rd ~dbs ~xid:x in
+        outcome := Some o;
+        Stub.decide ch rd ~dbs ~xid:x o)
+  in
+  app_pid := [ app ];
+  Dsim.Engine.crash_at t 50. db2;
+  Dsim.Engine.recover_at t 200. db2;
+  Alcotest.(check bool) "quiescent" true
+    (Dsim.Engine.run ~deadline:60_000. t = Dsim.Engine.Quiescent);
+  Alcotest.(check bool) "outcome Abort" true (!outcome = Some Rm.Abort);
+  let entries = Dsim.Trace.entries (Dsim.Engine.trace t) in
+  let is_prepare p =
+    match Dnet.Rchannel.inner_payload p with
+    | Some (Msg.Prepare { xid = x' }) -> Xid.equal x x'
+    | _ -> false
+  in
+  let prepares_delivered db =
+    List.filter_map
+      (fun { Dsim.Trace.at; event } ->
+        match event with
+        | Dsim.Trace.Delivered m when m.dst = db && is_prepare m.payload ->
+            Some at
+        | _ -> None)
+      entries
+  in
+  Alcotest.(check int) "db1 receives one Prepare" 1
+    (List.length (prepares_delivered db1));
+  let ready_at =
+    match
+      List.filter_map
+        (fun { Dsim.Trace.at; event } ->
+          match event with
+          | Dsim.Trace.Delivered m
+            when m.dst = app && m.src = db2 && m.payload = Msg.Ready ->
+              Some at
+          | _ -> None)
+        entries
+    with
+    | [ at ] -> at
+    | l -> Alcotest.failf "%d Ready deliveries from db2" (List.length l)
+  in
+  Alcotest.(check bool) "Ready after the recovery" true (ready_at > 200.);
+  let resends =
+    List.filter
+      (fun { Dsim.Trace.at; event } ->
+        match event with
+        | Dsim.Trace.Sent (m, _) when at = ready_at && m.src = app ->
+            is_prepare m.payload
+        | _ -> false)
+      entries
+  in
+  (match resends with
+  | [ { Dsim.Trace.event = Dsim.Trace.Sent (m, _); _ } ] ->
+      Alcotest.(check int) "the resend goes to db2" db2 m.dst
+  | l -> Alcotest.failf "%d Prepares sent at the Ready" (List.length l));
+  Alcotest.(check bool) "db2 receives the resend" true
+    (List.exists (fun at -> at > ready_at) (prepares_delivered db2))
 
 (* ------------------------------------------------------------------ *)
 (* checkpointing (log compaction) *)
@@ -1139,6 +1231,8 @@ let () =
             test_server_in_doubt_across_crash;
           Alcotest.test_case "Ready wakes each waiter once" `Quick
             test_ready_wakes_each_waiter;
+          Alcotest.test_case "prepare round across a recovery" `Quick
+            test_prepare_round_across_recovery;
         ] );
       ( "crash-recovery",
         [
