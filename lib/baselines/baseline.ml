@@ -20,7 +20,8 @@ let span breakdown label f =
   | Some bd -> Stats.Breakdown.span bd label f
 
 let run_xa ~breakdown ch rd ~dbs ~business (request : request) ~j ~xid =
-  span breakdown "start" (fun () -> Dbms.Stub.xa_start ch rd ~dbs ~xid);
+  let xids = [ xid ] in
+  span breakdown "start" (fun () -> Dbms.Stub.xa_start ch rd ~dbs ~xids);
   let exec = Dbms.Stub.exec_of ch rd ~xid in
   let result =
     span breakdown "SQL" (fun () ->
@@ -29,7 +30,7 @@ let run_xa ~breakdown ch rd ~dbs ~business (request : request) ~j ~xid =
           ~body:request.body)
   in
   Rt.note (Etx.Spec.computed_note ~rid:request.rid ~j result);
-  span breakdown "end" (fun () -> Dbms.Stub.xa_end ch rd ~dbs ~xid);
+  span breakdown "end" (fun () -> Dbms.Stub.xa_end ch rd ~dbs ~xids);
   result
 
 let serve_requests ?(active = fun () -> true) ch serve =
@@ -52,7 +53,7 @@ let serve_requests ?(active = fun () -> true) ch serve =
                   d
             in
             Rchannel.send ch m.src
-              (Result_msg { rid = request.rid; j; decision; group = 0 })
+              (Result_msg { group = 0; items = [ (request.rid, j, decision) ] })
         | _ -> ()));
     loop ()
   in

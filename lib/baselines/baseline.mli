@@ -50,8 +50,8 @@ val serve_requests :
   unit
 (** The request-serving loop: receive each client request while [active ()]
     (default: always), run the given function once per [(rid, j)] (a
-    volatile memo answers duplicates) and reply [Result_msg]. Never
-    returns. *)
+    volatile memo answers duplicates) and reply with a one-item
+    [Result_msg]. Never returns. *)
 
 val spawn :
   Etx_runtime.t ->

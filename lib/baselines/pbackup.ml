@@ -17,7 +17,7 @@ let execute ~breakdown ~dbs ~business ch rd (request : request) ~j ~xid =
   in
   let outcome =
     Baseline.span breakdown "prepare" (fun () ->
-        Dbms.Stub.prepare ch rd ~dbs ~xid)
+        List.hd (Dbms.Stub.prepare ch rd ~dbs ~xids:[ xid ]))
   in
   { result = Some result; outcome }
 
@@ -51,7 +51,7 @@ let spawn_primary (rt : Rt.t) ?breakdown ~backup ~dbs ~business () =
                   | Pb_outcome_ack { xid = x } -> Dbms.Xid.equal x xid
                   | _ -> false));
           Baseline.span breakdown "commit" (fun () ->
-              Dbms.Stub.decide ch rd ~dbs ~xid d.outcome);
+              Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, d.outcome) ]);
           d))
 
 type record_entry = {
@@ -105,7 +105,7 @@ let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
             (fun ~client:_ (request : request) ~j ->
               let xid = Dbms.Xid.make ~rid:request.rid ~j in
               let d = execute ~breakdown ~dbs ~business ch rd request ~j ~xid in
-              Dbms.Stub.decide ch rd ~dbs ~xid d.outcome;
+              Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, d.outcome) ];
               d));
       (* take-over monitor *)
       let rec watch () =
@@ -119,10 +119,13 @@ let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
                 | Some d -> d (* finish what the primary decided *)
                 | None -> abort_decision
               in
-              Dbms.Stub.decide ch rd ~dbs ~xid decision.outcome;
+              Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, decision.outcome) ];
               Rchannel.send ch entry.client
                 (Result_msg
-                   { rid = entry.request.rid; j = xid.Dbms.Xid.j; decision; group = 0 }))
+                   {
+                     group = 0;
+                     items = [ (entry.request.rid, xid.Dbms.Xid.j, decision) ];
+                   }))
             table;
           Hashtbl.reset table
         end

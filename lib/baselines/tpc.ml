@@ -23,14 +23,14 @@ let serve ~breakdown ~log ~dbs ~business ch rd (request : request) ~j =
   in
   let outcome =
     Baseline.span breakdown "prepare" (fun () ->
-        Dbms.Stub.prepare ch rd ~dbs ~xid)
+        List.hd (Dbms.Stub.prepare ch rd ~dbs ~xids:[ xid ]))
   in
   (* eager IO #2: the outcome record, before any decide leaves *)
   Baseline.span breakdown "log-outcome" (fun () ->
       Dstore.Log.append_list log [ L_outcome (xid, outcome) ];
       Dstore.Log.force ~label:"log-outcome" log);
   Baseline.span breakdown "commit" (fun () ->
-      Dbms.Stub.decide ch rd ~dbs ~xid outcome);
+      Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, outcome) ]);
   { result = Some result; outcome }
 
 (* Presumed-nothing recovery: re-drive logged outcomes, abort logged starts
@@ -47,11 +47,11 @@ let recover_log ~log ~dbs ch rd =
   List.iter
     (fun xid ->
       match Hashtbl.find_opt outcomes xid with
-      | Some o -> Dbms.Stub.decide ch rd ~dbs ~xid o
+      | Some o -> Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, o) ]
       | None ->
           Dstore.Log.append_list log [ L_outcome (xid, Dbms.Rm.Abort) ];
           Dstore.Log.force ~label:"log-outcome" log;
-          Dbms.Stub.decide ch rd ~dbs ~xid Dbms.Rm.Abort)
+          Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, Dbms.Rm.Abort) ])
     (List.rev !started)
 
 let spawn (rt : Rt.t) ?(name = "2pc-coord") ?breakdown ~log ~dbs ~business () =

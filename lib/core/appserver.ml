@@ -516,7 +516,7 @@ let send_result ctx st ~rid ~j decision =
   | None -> () (* client unknown here (it crashed before broadcasting) *)
   | Some c ->
       Rchannel.send ctx.ch c
-        (Result_msg { rid; j; decision; group = ctx.cfg.group })
+        (Result_msg { group = ctx.cfg.group; items = [ (rid, j, decision) ] })
 
 (* The termination record of try [j], whichever path terminated it:
    [st.last] never regresses to an older try (a late cleaner or a batch
@@ -543,20 +543,21 @@ let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
   let tspan = open_span ctx ~parent ~rid ~j "terminate" in
   span ctx "commit" (fun () ->
       Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
-        ~xid:(Dbms.Xid.make ~rid ~j) decision.outcome);
+        ~items:[ (Dbms.Xid.make ~rid ~j, decision.outcome) ]);
   deliver ctx st ~rid ~j decision;
   close_span ctx tspan
 
 (* ---------------- Fig. 5: the computation thread ---------------- *)
 
-(* The XA start and end rounds, under Figure 8's "start" and "end" rows. *)
-let xa_start ctx ~xid =
+(* The XA start and end rounds of a window, under Figure 8's "start" and
+   "end" rows. *)
+let xa_start ctx ~xids =
   span ctx "start" (fun () ->
-      Dbms.Stub.xa_start ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid)
+      Dbms.Stub.xa_start ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)
 
-let xa_end ctx ~xid =
+let xa_end ctx ~xids =
   span ctx "end" (fun () ->
-      Dbms.Stub.xa_end ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid)
+      Dbms.Stub.xa_end ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)
 
 let run_business ctx ~xid ~attempt ~body =
   let context =
@@ -598,6 +599,7 @@ let decide_try ctx ~rid ~j proposal =
 let compute_try ctx st ~(request : request) ~j =
   let rid = request.rid in
   let xid = Dbms.Xid.make ~rid ~j in
+  let xids = [ xid ] in
   let tspan, winner = elect_try ctx st ~rid ~j (Reg_a_value ctx.self) in
   match winner with
   | Reg_a_value w when w = ctx.self ->
@@ -606,19 +608,20 @@ let compute_try ctx st ~(request : request) ~j =
       let gen = cache_generation ctx in
       let result =
         ospan ctx ~parent:tspan ~trace:rid "compute" (fun () ->
-            xa_start ctx ~xid;
+            xa_start ctx ~xids;
             let result =
               span ctx "SQL" (fun () ->
                   run_business ctx ~xid ~attempt:j ~body:request.body)
             in
             note_computed ~rid ~j result;
-            xa_end ctx ~xid;
+            xa_end ctx ~xids;
             result)
       in
       let outcome =
         span ctx "prepare" (fun () ->
             ospan ctx ~parent:tspan ~trace:rid "prepare" (fun () ->
-                Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid))
+                List.hd
+                  (Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)))
       in
       let final =
         span ctx "log-outcome" (fun () ->
@@ -705,7 +708,8 @@ let entry_replies ~ok entries values =
    itself: callers own the decisive write (and must handle losing it). *)
 let run_branch ctx ~rid ~j ~ops =
   let xid = Dbms.Xid.make ~rid ~j in
-  xa_start ctx ~xid;
+  let xids = [ xid ] in
+  xa_start ctx ~xids;
   let reply =
     span ctx "SQL" (fun () ->
         Dbms.Stub.exec_of ctx.ch ctx.rd ~xid ~db:(List.hd ctx.cfg.dbs) ops)
@@ -715,11 +719,13 @@ let run_branch ctx ~rid ~j ~ops =
     | Dbms.Rm.Exec_ok { values; business_ok } -> (business_ok, values)
     | Dbms.Rm.Exec_conflict _ | Dbms.Rm.Exec_rejected -> (false, [])
   in
-  xa_end ctx ~xid;
+  xa_end ctx ~xids;
   (* a failed branch skips prepare: its vote is No either way, and the
      global Decide(Abort) round releases whatever the exec locked *)
   let ok =
-    ok && Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid = Dbms.Rm.Commit
+    ok
+    && Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids
+       = [ Dbms.Rm.Commit ]
   in
   (ok, values)
 
@@ -1002,7 +1008,7 @@ let gx_thread ctx () =
         | Gx_complete { rid; j; k; outcome } when k = ctx.cfg.group ->
             Rt.fork "gx-complete" (fun () ->
                 Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
-                  ~xid:(Dbms.Xid.make ~rid ~j) outcome;
+                  ~items:[ (Dbms.Xid.make ~rid ~j, outcome) ];
                 count ctx "gx.complete";
                 Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
         | _ -> () (* stamped for another shard: the driver's rotation moves on *)));
@@ -1444,8 +1450,8 @@ type lease = {
   tail_done : Rt.Wake.t;  (** woken as each tail ends *)
 }
 
-(* Terminate a whole batch: one Decide_batch per database carrying every
-   (xid, outcome), then one Result_batch_msg per known client carrying its
+(* Terminate a whole batch: one Decide per database carrying every
+   (xid, outcome), then one Result_msg per known client carrying its
    share of the decisions. [items] and [decisions] match positionally (the
    winning Reg_batch_elect order). Idempotent — re-delivery after a
    takeover re-sends results the clients deduplicate and re-decides
@@ -1469,8 +1475,7 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
   let terminate () =
     span ctx "commit" (fun () ->
         ospan ctx ~parent ~trace "terminate" (fun () ->
-            Dbms.Stub.decide_batch ctx.ch ctx.rd
-              ~dbs:ctx.cfg.dbs ~items:xitems))
+            Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~items:xitems))
   in
   if not async then terminate ();
   let by_client : (Types.proc_id, (int * int * decision) list) Hashtbl.t =
@@ -1489,7 +1494,7 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
   Hashtbl.iter
     (fun c items ->
       Rchannel.send ctx.ch c
-        (Result_batch_msg { group = ctx.cfg.group; items = List.rev items }))
+        (Result_msg { group = ctx.cfg.group; items = List.rev items }))
     by_client;
   if async then Rt.fork "batch-terminate" terminate
 
@@ -1675,8 +1680,7 @@ let process_batch ctx ls (items : Window.entry list) =
       let xids = List.map (fun (rid, j) -> Dbms.Xid.make ~rid ~j) ids in
       let results =
         ospan ctx ~parent:bspan ~trace "compute" (fun () ->
-            span ctx "start" (fun () ->
-                Dbms.Stub.xa_start_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids);
+            xa_start ctx ~xids;
             let results =
               fork_all "batch-exec"
                 (fun ({ request = r; j; _ } : Window.entry) ->
@@ -1689,33 +1693,19 @@ let process_batch ctx ls (items : Window.entry list) =
                   result)
                 items
             in
-            span ctx "end" (fun () ->
-                Dbms.Stub.xa_end_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids);
+            xa_end ctx ~xids;
             results)
       in
       let tail () =
-        let votes =
+        let outcomes =
           span ctx "prepare" (fun () ->
               ospan ctx ~parent:bspan ~trace "prepare" (fun () ->
-                  Dbms.Stub.prepare_batch ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids))
-        in
-        let outcome_of xid =
-          if
-            List.for_all
-              (fun vs ->
-                match
-                  List.find_opt (fun (x, _) -> Dbms.Xid.equal x xid) vs
-                with
-                | Some (_, Dbms.Rm.Yes) -> true
-                | Some (_, Dbms.Rm.No) | None -> false)
-              votes
-          then Dbms.Rm.Commit
-          else Dbms.Rm.Abort
+                  Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids))
         in
         let proposal =
           List.map2
-            (fun xid result -> { result = Some result; outcome = outcome_of xid })
-            xids results
+            (fun outcome result -> { result = Some result; outcome })
+            outcomes results
         in
         let decisions =
           span ctx "log-outcome" (fun () ->

@@ -50,16 +50,20 @@ type handle = {
    (possibly running in parallel domains) never share state. *)
 let fresh_rid () = Rt.fresh_uid ()
 
+(* the decision a result list carries for (rid, j), if it lists that try *)
+let rec decision_in rid j = function
+  | [] -> None
+  | (r, j', d) :: items ->
+      if r = rid && j' = j then Some d else decision_in rid j items
+
 let wants_result rid j m =
   match m.Types.payload with
-  | Etx_types.Result_msg { rid = r; j = j'; _ }
   | Etx_types.Result_cached_msg { rid = r; j = j'; _ }
   | Etx_types.Result_replica_msg { rid = r; j = j'; _ }
   | Etx_types.Result_nack_msg { rid = r; j = j'; _ }
   | Etx_types.Silent_hint { rid = r; j = j' } ->
       r = rid && j' = j
-  | Etx_types.Result_batch_msg { items; _ } ->
-      List.exists (fun (r, j', _) -> r = rid && j' = j) items
+  | Etx_types.Result_msg { items; _ } -> decision_in rid j items <> None
   | _ -> false
 
 (* this client's decision for (rid, j), from any framing; the [bool] marks
@@ -67,7 +71,6 @@ let wants_result rid j m =
    committed-with-result shape), and the [int] the serving group *)
 let decision_for rid j m =
   match m.Types.payload with
-  | Etx_types.Result_msg { decision; group; _ } -> (decision, false, None, group)
   | Etx_types.Result_cached_msg { result; group; _ } ->
       ( { Etx_types.result = Some result; outcome = Dbms.Rm.Commit },
         true,
@@ -78,9 +81,9 @@ let decision_for rid j m =
         false,
         Some (lsn, lag),
         group )
-  | Etx_types.Result_batch_msg { items; group } -> (
-      match List.find_opt (fun (r, j', _) -> r = rid && j' = j) items with
-      | Some (_, _, d) -> (d, false, None, group)
+  | Etx_types.Result_msg { items; group } -> (
+      match decision_in rid j items with
+      | Some d -> (d, false, None, group)
       | None -> assert false)
   | _ -> assert false
 

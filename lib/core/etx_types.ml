@@ -126,17 +126,16 @@ end
 type Runtime.Types.payload +=
   | Request_msg of { request : request; j : int; group : int; span : int }
       (** client → application server: [\[Request, request, j\]] *)
-  | Result_msg of { rid : int; j : int; decision : decision; group : int }
-      (** application server → client: [\[Result, j, decision\]] *)
-  | Reg_a_value of Runtime.Types.proc_id
-      (** content of [regA\[j\]]: which server computes result [j] *)
-  | Reg_d_value of decision  (** content of [regD\[j\]] *)
-  | Result_batch_msg of {
+  | Result_msg of {
       group : int;
       items : (int * int * decision) list;  (** (rid, j, decision) *)
     }
-      (** application server → client: one message delivering every result
-          of a batch that belongs to this client *)
+      (** application server → client: [\[Result, j, decision\]] for every
+          listed try, all of them this client's — one per try on the
+          classic path, one per window on the batched path *)
+  | Reg_a_value of Runtime.Types.proc_id
+      (** content of [regA\[j\]]: which server computes result [j] *)
+  | Reg_d_value of decision  (** content of [regD\[j\]] *)
   | Reg_lease_value of Runtime.Types.proc_id
       (** content of the lease register, instance [e]: holder of epoch [e] *)
   | Reg_batch_elect of {
@@ -158,7 +157,8 @@ type Runtime.Types.payload +=
   | Result_cached_msg of { rid : int; j : int; result : result_value; group : int }
       (** application server → client: a read-only result served from the
           method cache, bypassing the registers and the commit pipeline.
-          Distinct from {!Result_msg} so the client can mark the delivered
+          Distinct from {!Result_msg}, whose items each stand for a
+          decided transaction, so the client can mark the delivered
           record: cached records have no committed transaction behind them,
           and the spec checker holds them to the cache-coherence obligation
           instead of A.1/exactly-once *)
@@ -242,7 +242,7 @@ let cls_request =
 
 let cls_result =
   Runtime.Etx_runtime.register_class ~name:"etx-result" (function
-    | Result_msg _ | Result_batch_msg _ | Result_cached_msg _
+    | Result_msg _ | Result_cached_msg _
     | Result_replica_msg _ | Result_nack_msg _ | Silent_hint _ ->
         true
     | _ -> false)

@@ -1,42 +1,34 @@
 (** Wire messages understood by a database server.
 
-    [Prepare]/[Vote_msg]/[Decide]/[Ack_decide]/[Ready] are the paper's
+    [Prepare]/[Vote]/[Decide]/[Ack_decide]/[Ready] are the paper's
     Figure 3 message types; [Exec_req]/[Exec_reply] carry the business-logic
     manipulation the paper abstracts as "transactional manipulation";
     [Commit1]/[Commit1_reply] support the unreliable baseline protocol's
-    single-phase commit (Fig. 7a). *)
+    single-phase commit (Fig. 7a). Every XA step carries a window of
+    transactions: one message per database covers the whole window, so
+    its prepare/decide round and forced log writes are paid once per
+    window, and a single transaction is a window of one. *)
 
 type Runtime.Types.payload +=
-  | Xa_start of { xid : Xid.t }
-  | Xa_started of { xid : Xid.t }
-  | Xa_end of { xid : Xid.t }
-  | Xa_ended of { xid : Xid.t }
+  | Xa_start of { xids : Xid.t list }
+  | Xa_started of { xids : Xid.t list }
+  | Xa_end of { xids : Xid.t list }
+  | Xa_ended of { xids : Xid.t list }
   | Exec_req of { xid : Xid.t; seq : int; ops : Rm.op list }
       (** [seq] numbers the physical exec attempts within [xid] so the
           server can recognize a redelivered batch (see
           {!Rm.exec_dedup}) *)
   | Exec_reply of { xid : Xid.t; seq : int; reply : Rm.exec_reply }
-  | Prepare of { xid : Xid.t }
-  | Vote_msg of { xid : Xid.t; vote : Rm.vote }
-  | Decide of { xid : Xid.t; outcome : Rm.outcome }
-  | Ack_decide of { xid : Xid.t }
+  | Prepare of { xids : Xid.t list }
+  | Vote of { votes : (Xid.t * Rm.vote) list }  (** in [Prepare.xids] order *)
+  | Decide of { items : (Xid.t * Rm.outcome) list }
+  | Ack_decide of { xids : Xid.t list }
   | Ready
   | Ready_wake of { epoch : int }
       (** application server → its own waiting stub fiber, never on the
           wire: the database announced recovery epoch [epoch] *)
   | Commit1 of { xid : Xid.t }
   | Commit1_reply of { xid : Xid.t; outcome : Rm.outcome }
-  (* batched variants (group commit): one message carries a whole window of
-     transactions, so the prepare/decide round and its forced log writes are
-     paid once per batch instead of once per transaction *)
-  | Xa_start_batch of { xids : Xid.t list }
-  | Xa_started_batch of { xids : Xid.t list }
-  | Xa_end_batch of { xids : Xid.t list }
-  | Xa_ended_batch of { xids : Xid.t list }
-  | Prepare_batch of { xids : Xid.t list }
-  | Vote_batch of { votes : (Xid.t * Rm.vote) list }
-  | Decide_batch of { items : (Xid.t * Rm.outcome) list }
-  | Ack_decide_batch of { xids : Xid.t list }
   (* change-log shipping (primary database -> its read replicas) and the
      bounded-staleness replica read protocol (application server -> replica) *)
   | Ship of {
@@ -114,26 +106,23 @@ type Runtime.Types.payload +=
    reply and readiness streams *)
 let cls_exec =
   Runtime.Etx_runtime.register_class ~name:"db-exec" (function
-    | Exec_req _ | Commit1 _ | Xa_start _ | Xa_end _ | Xa_start_batch _
-    | Xa_end_batch _ ->
-        true
+    | Exec_req _ | Commit1 _ | Xa_start _ | Xa_end _ -> true
     | _ -> false)
 
 let cls_prepare =
   Runtime.Etx_runtime.register_class ~name:"db-prepare" (function
-    | Prepare _ | Prepare_batch _ -> true
+    | Prepare _ -> true
     | _ -> false)
 
 let cls_decide =
   Runtime.Etx_runtime.register_class ~name:"db-decide" (function
-    | Decide _ | Decide_batch _ -> true
+    | Decide _ -> true
     | _ -> false)
 
 let cls_reply =
   Runtime.Etx_runtime.register_class ~name:"db-reply" (function
-    | Exec_reply _ | Vote_msg _ | Ack_decide _ | Xa_started _ | Xa_ended _
-    | Commit1_reply _ | Xa_started_batch _ | Xa_ended_batch _ | Vote_batch _
-    | Ack_decide_batch _ | Ready_wake _ ->
+    | Exec_reply _ | Vote _ | Ack_decide _ | Xa_started _ | Xa_ended _
+    | Commit1_reply _ | Ready_wake _ ->
         true
     | _ -> false)
 

@@ -450,20 +450,21 @@ let release_decide t txn =
   Rt.Wake.wake t.steps
 
 (* Prepare: classify and charge each transaction, stage the W_prepared
-   records and force them all with a single disk write ([vote] is the
-   one-transaction case, so its forced IO is the per-call discipline's).
-   Both the CPU charge and the force suspend this fiber; a concurrent
-   decide (e.g. a cleaning thread's abort) may have terminated a
-   transaction meanwhile, so re-validate after every suspension instead
+   records and force them all with a single disk write (a single
+   transaction is a window of one, so its forced IO is the per-call
+   discipline's). Both the CPU charge and the force suspend this fiber; a
+   concurrent decide (e.g. a cleaning thread's abort) may have terminated
+   a transaction meanwhile, so re-validate after every suspension instead
    of blindly promoting — one aborted while the force was in flight gets
    a W_aborted record so recovery cannot resurrect it. A transaction
-   another session is preparing is left to [vote] once this session
-   holds no claim, so two batches never wait on each other. *)
+   another session is preparing waits until this session holds no claim,
+   then votes as a window of one, so two windows never wait on each
+   other. *)
 let rec vote_many t ~xids =
   let classify xid =
     match find_txn t xid with
     | None -> (xid, `No)
-    | Some txn when txn.voting -> (xid, `Busy)
+    | Some txn when txn.voting -> (xid, `Busy txn)
     | Some txn -> (
         match txn.phase with
         | Prepared | Committed -> (xid, `Yes)
@@ -501,9 +502,9 @@ let rec vote_many t ~xids =
   end;
   let settle (xid, cls) =
     match cls with
-    | `Yes -> (xid, Some Yes)
-    | `No -> (xid, Some No)
-    | `Busy -> (xid, None)
+    | `Yes -> (xid, `Vote Yes)
+    | `No -> (xid, `Vote No)
+    | `Busy _ as b -> (xid, b)
     | `Stage txn ->
         let v =
           if txn.phase = Active then begin
@@ -518,31 +519,24 @@ let rec vote_many t ~xids =
                 No
         in
         release_vote t txn;
-        (xid, Some v)
+        (xid, `Vote v)
   in
   List.map settle staged
   |> List.map (function
-       | xid, Some v ->
+       | xid, `Vote v ->
            t.vote_log <- (xid, v) :: t.vote_log;
            (xid, v)
-       | xid, None -> (xid, vote t ~xid))
+       | xid, `Busy txn ->
+           await_step t (fun () -> txn.voting);
+           (xid, vote t ~xid))
 
-and vote t ~xid =
-  match find_txn t xid with
-  | Some txn when txn.voting ->
-      await_step t (fun () -> txn.voting);
-      vote t ~xid
-  | Some _ | None -> (
-      match vote_many t ~xids:[ xid ] with
-      | [ (_, v) ] -> v
-      | _ -> assert false)
+and vote t ~xid = snd (List.hd (vote_many t ~xids:[ xid ]))
 
 let apply_writes t writes =
   List.iter (fun (k, v) -> Hashtbl.replace t.store k v) writes
 
-let commit_prepared t txn =
-  Rt.work "commit" t.timing.commit_cpu;
-  let lsn = log_one t ~label:"commit" (W_committed (txn.xid, txn.writes)) in
+(* Apply a transaction whose W_committed record is durable at [lsn]. *)
+let apply_commit t txn ~lsn =
   apply_writes t txn.writes;
   release_locks t txn.xid;
   txn.phase <- Committed;
@@ -550,113 +544,90 @@ let commit_prepared t txn =
   Hashtbl.replace t.commit_lsns txn.xid lsn;
   note_commit t ~lsn txn.writes
 
-let rec decide t ~xid outcome =
-  match find_txn t xid with
-  | None ->
-      (* never heard of it: record the abort so later decides agree *)
-      let txn = get_txn t xid in
-      txn.phase <- Aborted;
-      Abort
-  | Some txn when txn.deciding ->
-      (* another session is forcing this transaction's terminal record:
-         deciding it again would log, apply and count a second commit *)
-      await_step t (fun () -> txn.deciding);
-      decide t ~xid outcome
-  | Some txn -> (
-      match (txn.phase, outcome) with
-      | Committed, (Commit | Abort) -> Commit
-      | Aborted, (Commit | Abort) -> Abort
-      | Prepared, Commit ->
-          txn.deciding <- true;
-          commit_prepared t txn;
-          release_decide t txn;
-          Commit
-      | Prepared, Abort ->
-          txn.deciding <- true;
-          Rt.work "abort" t.timing.abort_cpu;
-          abort_local t txn ~log:true;
-          release_decide t txn;
-          Abort
-      | Active, (Commit | Abort) ->
-          (* commit without prepare violates V.2; abort defensively *)
-          Rt.work "abort" t.timing.abort_cpu;
-          abort_local t txn ~log:false;
-          Abort)
+(* One transaction of a decide window after its phase check. *)
+type decide_step =
+  | Decided of outcome  (* nothing to log *)
+  | Held of txn * outcome  (* another session is deciding it *)
+  | Staged of { txn : txn; outcome : outcome; mutable lsn : int }
+      (* claimed by this session; [lsn] is its terminal record's *)
 
-(* Group-commit decide: stage every transaction's terminal log record (the
-   per-transaction CPU still charges), force them together with one disk
-   write, then apply. Case analysis mirrors [decide], and so do the
-   claims: a staged transaction is this session's until it is applied,
-   and one another session is deciding goes through [decide] once this
-   session holds no claim. *)
-let decide_many t ~items =
+(* Decide: charge each transaction, stage every terminal log record, force
+   them together with one disk write, then apply. A commit keeps its locks
+   until its record is durable; an abort releases them before its record
+   is forced: the log is durable in LSN order, so a transaction that takes
+   a released lock logs its own prepare after the abort record and can
+   never be in doubt after a crash that lost it. A staged transaction is
+   this session's until it is applied; one another session is deciding
+   waits until this session holds no claim, then is decided as a window of
+   one, so a transaction is logged, applied and counted committed at most
+   once. *)
+let rec decide_many t ~items =
   let stage (xid, outcome) =
     match find_txn t xid with
     | None ->
+        (* never heard of it: record the abort so later decides agree *)
         let txn = get_txn t xid in
         txn.phase <- Aborted;
-        (xid, `Done Abort)
-    | Some txn when txn.deciding -> (xid, `Busy outcome)
+        Decided Abort
+    | Some txn when txn.deciding -> Held (txn, outcome)
     | Some txn -> (
         match (txn.phase, outcome) with
-        | Committed, (Commit | Abort) -> (xid, `Done Commit)
-        | Aborted, (Commit | Abort) -> (xid, `Done Abort)
+        | Committed, (Commit | Abort) -> Decided Commit
+        | Aborted, (Commit | Abort) -> Decided Abort
         | Prepared, Commit ->
             txn.deciding <- true;
             Rt.work "commit" t.timing.commit_cpu;
-            (xid, `Log (txn, W_committed (xid, txn.writes)))
+            Staged { txn; outcome; lsn = 0 }
         | Prepared, Abort ->
             txn.deciding <- true;
             Rt.work "abort" t.timing.abort_cpu;
-            (xid, `Log (txn, W_aborted xid))
+            abort_local t txn ~log:false;
+            Staged { txn; outcome; lsn = 0 }
         | Active, (Commit | Abort) ->
             (* commit without prepare violates V.2; abort defensively *)
             Rt.work "abort" t.timing.abort_cpu;
             abort_local t txn ~log:false;
-            (xid, `Done Abort))
+            Decided Abort)
   in
-  let staged = List.map stage items in
-  (* stage every terminal record in the volatile tail (each draws its own
+  let steps = List.map stage items in
+  (* append every terminal record to the volatile tail (each draws its own
      LSN), then force the window with a single disk write *)
-  let staged =
-    List.map
-      (function
-        | xid, `Log (txn, r) -> (xid, `Logged (txn, r, Dstore.Log.append t.log r))
-        | (_, (`Done _ | `Busy _)) as s -> s)
-      staged
-  in
-  let records =
-    List.filter_map (function _, `Logged (_, r, _) -> Some r | _ -> None)
-      staged
-  in
-  let label =
-    if List.exists (function W_committed _ -> true | _ -> false) records then
-      "commit"
-    else "abort"
-  in
-  if records <> [] then Dstore.Log.force ~label t.log;
-  let apply (xid, s) =
-    match s with
-    | `Logged (txn, W_committed (_, writes), lsn) ->
-        apply_writes t writes;
-        release_locks t xid;
-        txn.phase <- Committed;
-        t.commit_order <- xid :: t.commit_order;
-        Hashtbl.replace t.commit_lsns xid lsn;
-        note_commit t ~lsn writes;
-        release_decide t txn;
-        (xid, `Done Commit)
-    | `Logged (txn, _, _) ->
-        abort_local t txn ~log:false (* terminal record already forced *);
-        release_decide t txn;
-        (xid, `Done Abort)
-    | (`Done _ | `Busy _) as s -> (xid, s)
-  in
-  List.map apply staged
-  |> List.map (fun (xid, s) ->
-         match s with
-         | `Done out -> (xid, out)
-         | `Busy outcome -> (xid, decide t ~xid outcome))
+  List.iter
+    (function
+      | Staged ({ txn; outcome; _ } as s) ->
+          s.lsn <-
+            Dstore.Log.append t.log
+              (if outcome = Commit then W_committed (txn.xid, txn.writes)
+               else W_aborted txn.xid)
+      | Decided _ | Held _ -> ())
+    steps;
+  if List.exists (function Staged _ -> true | _ -> false) steps then
+    Dstore.Log.force t.log
+      ~label:
+        (if
+           List.exists
+             (function Staged { outcome = Commit; _ } -> true | _ -> false)
+             steps
+         then "commit"
+         else "abort");
+  List.iter
+    (function
+      | Staged { txn; outcome = Commit; lsn } ->
+          apply_commit t txn ~lsn;
+          release_decide t txn
+      | Staged { txn; outcome = Abort; _ } -> release_decide t txn
+      | Decided _ | Held _ -> ())
+    steps;
+  List.map2
+    (fun (xid, _) -> function
+      | Decided outcome | Staged { outcome; _ } -> (xid, outcome)
+      | Held (txn, outcome) ->
+          await_step t (fun () -> txn.deciding);
+          (xid, decide t ~xid outcome))
+    items steps
+
+and decide t ~xid outcome =
+  snd (List.hd (decide_many t ~items:[ (xid, outcome) ]))
 
 let commit_one_phase t ~xid =
   match find_txn t xid with
@@ -671,7 +642,9 @@ let commit_one_phase t ~xid =
             Abort
           end
           else begin
-            commit_prepared t txn;
+            Rt.work "commit" t.timing.commit_cpu;
+            apply_commit t txn
+              ~lsn:(log_one t ~label:"commit" (W_committed (xid, txn.writes)));
             Commit
           end)
 

@@ -121,34 +121,33 @@ val exec_dedup :
     workspace, silently corrupting the committed value. Transactions
     unknown to this incarnation answer [Some Exec_rejected]. *)
 
-val vote : t -> xid:Xid.t -> vote
-(** XA prepare. [Yes] makes the workspace durable (forced log write) and
-    keeps locks; [No] aborts locally. Unknown transactions vote [No] —
-    which is what a database that crashed and lost an active transaction
-    answers. Idempotent. *)
-
 val vote_many : t -> xids:Xid.t list -> (Xid.t * vote) list
-(** Group-commit prepare: votes for a whole batch with a {e single} forced
-    log write covering every [Yes] workspace (per-transaction CPU still
-    charges). Equivalent to [List.map (vote t ~xid)] except for the forced
-    IO count; same idempotence and unknown-transaction semantics. Answers
-    in input order. *)
+(** XA prepare of a window of transactions, answered in input order. [Yes]
+    makes the workspace durable and keeps locks; [No] aborts locally.
+    Every [Yes] workspace of the window shares a {e single} forced log
+    write (per-transaction CPU still charges). Unknown transactions vote
+    [No] — which is what a database that crashed and lost an active
+    transaction answers. Idempotent; a transaction another session is
+    preparing waits for that session and answers its vote. *)
 
-val decide : t -> xid:Xid.t -> outcome -> outcome
-(** XA commit/rollback, following the paper's contract: (a) an [Abort] input
-    returns [Abort]; (b) a [Commit] input on a transaction that voted [Yes]
-    commits and returns [Commit]. Defensively, [Commit] on a transaction
-    that never prepared aborts it. Idempotent: a decided transaction
-    returns its decided outcome, and a decide that arrives while another
-    session is deciding the same transaction waits for it and returns its
-    outcome, so a transaction is logged, applied and counted committed at
-    most once. [vote] claims a transaction the same way. *)
+val vote : t -> xid:Xid.t -> vote
+(** [vote_many] on a window of one. *)
 
 val decide_many : t -> items:(Xid.t * outcome) list -> (Xid.t * outcome) list
-(** Group-commit decide: terminates a whole batch with a {e single} forced
-    log write covering every commit/abort record. Equivalent to
-    [List.map (fun (xid, o) -> decide t ~xid o)] except for the forced IO
-    count. Answers in input order. *)
+(** XA commit/rollback of a window of transactions, answered in input
+    order, following the paper's contract: (a) an [Abort] input returns
+    [Abort]; (b) a [Commit] input on a transaction that voted [Yes] commits
+    and returns [Commit]. Defensively, [Commit] on a transaction that
+    never prepared aborts it. Every terminal record of the window shares a
+    {e single} forced log write; a commit keeps its locks until that write
+    lands, an abort releases them before it. Idempotent: a decided transaction
+    returns its decided outcome, and one that another session is deciding
+    waits for it and returns its outcome, so a transaction is logged,
+    applied and counted committed at most once. [vote_many] claims a
+    transaction the same way. *)
+
+val decide : t -> xid:Xid.t -> outcome -> outcome
+(** [decide_many] on a window of one. *)
 
 val commit_one_phase : t -> xid:Xid.t -> outcome
 (** Single-phase commit used by the unreliable baseline protocol: no

@@ -8,12 +8,12 @@ let exec_handler rm ch () =
     | None -> ()
     | Some m ->
         (match m.payload with
-        | Msg.Xa_start { xid } ->
-            Rm.xa_start rm ~xid;
-            Rchannel.send ch m.src (Msg.Xa_started { xid })
-        | Msg.Xa_end { xid } ->
-            Rm.xa_end rm ~xid;
-            Rchannel.send ch m.src (Msg.Xa_ended { xid })
+        | Msg.Xa_start { xids } ->
+            List.iter (fun xid -> Rm.xa_start rm ~xid) xids;
+            Rchannel.send ch m.src (Msg.Xa_started { xids })
+        | Msg.Xa_end { xids } ->
+            List.iter (fun xid -> Rm.xa_end rm ~xid) xids;
+            Rchannel.send ch m.src (Msg.Xa_ended { xids })
         | Msg.Exec_req { xid; seq; ops } ->
             (* each batch runs in its own session fiber: the long simulated
                SQL of one transaction must not serialize other clients'
@@ -30,12 +30,6 @@ let exec_handler rm ch () =
         | Msg.Commit1 { xid } ->
             let outcome = Rm.commit_one_phase rm ~xid in
             Rchannel.send ch m.src (Msg.Commit1_reply { xid; outcome })
-        | Msg.Xa_start_batch { xids } ->
-            List.iter (fun xid -> Rm.xa_start rm ~xid) xids;
-            Rchannel.send ch m.src (Msg.Xa_started_batch { xids })
-        | Msg.Xa_end_batch { xids } ->
-            List.iter (fun xid -> Rm.xa_end rm ~xid) xids;
-            Rchannel.send ch m.src (Msg.Xa_ended_batch { xids })
         | _ -> ());
         loop ()
   in
@@ -73,18 +67,12 @@ let prepare_handler rm ch sink () =
     | None -> ()
     | Some m ->
         (match m.payload with
-        | Msg.Prepare { xid } ->
-            session rm "db-prepare-session" (fun () ->
-                let vote =
-                  timed sink "db.vote_ms" (fun () -> Rm.vote rm ~xid)
-                in
-                Rchannel.send ch m.src (Msg.Vote_msg { xid; vote }))
-        | Msg.Prepare_batch { xids } ->
+        | Msg.Prepare { xids } ->
             session rm "db-prepare-session" (fun () ->
                 let votes =
                   timed sink "db.vote_ms" (fun () -> Rm.vote_many rm ~xids)
                 in
-                Rchannel.send ch m.src (Msg.Vote_batch { votes }))
+                Rchannel.send ch m.src (Msg.Vote { votes }))
         | _ -> ());
         loop ()
   in
@@ -101,10 +89,12 @@ let decide_handler rm ch sink ~invalidate ~observers () =
      harmlessly (dropping an absent entry is a no-op). A commit whose
      workspace is empty broadcasts nothing: [keys = []] is reserved as the
      flush-all sentinel. *)
-  let invalidate_commits xids =
+  let invalidate_commits applied =
     if invalidate then begin
       let keys =
-        List.concat_map (fun xid -> Rm.writes_of rm xid) xids
+        List.concat_map
+          (fun (xid, o) -> if o = Rm.Commit then Rm.writes_of rm xid else [])
+          applied
         |> List.sort_uniq String.compare
       in
       if keys <> [] then
@@ -116,26 +106,15 @@ let decide_handler rm ch sink ~invalidate ~observers () =
     | None -> ()
     | Some m ->
         (match m.payload with
-        | Msg.Decide { xid; outcome } ->
-            session rm "db-decide-session" (fun () ->
-                let applied =
-                  timed sink "db.decide_ms" (fun () ->
-                      Rm.decide rm ~xid outcome)
-                in
-                if applied = Rm.Commit then invalidate_commits [ xid ];
-                Rchannel.send ch m.src (Msg.Ack_decide { xid }))
-        | Msg.Decide_batch { items } ->
+        | Msg.Decide { items } ->
             session rm "db-decide-session" (fun () ->
                 let applied =
                   timed sink "db.decide_ms" (fun () ->
                       Rm.decide_many rm ~items)
                 in
-                invalidate_commits
-                  (List.filter_map
-                     (fun (xid, o) -> if o = Rm.Commit then Some xid else None)
-                     applied);
+                invalidate_commits applied;
                 Rchannel.send ch m.src
-                  (Msg.Ack_decide_batch { xids = List.map fst items }))
+                  (Msg.Ack_decide { xids = List.map fst items }))
         | _ -> ());
         loop ()
   in

@@ -18,8 +18,7 @@ module Readiness = struct
 
   (* One wake per fiber waiting on the database: each sent under an older
      epoch and takes one; a waiter that re-sends and waits again under the
-     new epoch takes none. On the threads backend a waiter already holding
-     its reply may still be counted, and its wake is left unread. *)
+     new epoch takes none. *)
   let listener t () =
     let rec loop () =
       match Rt.recv_cls Msg.cls_ready with
@@ -74,20 +73,25 @@ let broadcast_collect ch rd ~dbs ~request ~matches =
   List.iter (fun db -> Rchannel.send ch db request) dbs;
   List.map2 (fun db sent -> await ch rd ~db ~request ~matches sent) dbs sent
 
-let xa_start ch rd ~dbs ~xid =
+(* Every XA round carries a window of transactions, and a reply is
+   matched on the window's full xid list: a round can never consume
+   another window's reply. *)
+let same_xids = List.equal Xid.equal
+
+let xa_start ch rd ~dbs ~xids =
   ignore
     (broadcast_collect ch rd ~dbs
-       ~request:(Msg.Xa_start { xid })
+       ~request:(Msg.Xa_start { xids })
        ~matches:(function
-         | Msg.Xa_started { xid = x } when Xid.equal x xid -> Some ()
+         | Msg.Xa_started { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
 
-let xa_end ch rd ~dbs ~xid =
+let xa_end ch rd ~dbs ~xids =
   ignore
     (broadcast_collect ch rd ~dbs
-       ~request:(Msg.Xa_end { xid })
+       ~request:(Msg.Xa_end { xids })
        ~matches:(function
-         | Msg.Xa_ended { xid = x } when Xid.equal x xid -> Some ()
+         | Msg.Xa_ended { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
 
 (* The reply is matched on (xid, seq), not xid alone: a late reply to an
@@ -125,22 +129,32 @@ let exec_of ch rd ~xid =
     in
     go 1
 
-let prepare ch rd ~dbs ~xid =
-  let votes =
-    broadcast_collect ch rd ~dbs
-      ~request:(Msg.Prepare { xid })
-      ~matches:(function
-        | Msg.Vote_msg { xid = x; vote } when Xid.equal x xid -> Some vote
-        | _ -> None)
-  in
-  if List.for_all (fun v -> v = Rm.Yes) votes then Rm.Commit else Rm.Abort
+(* [same_xids (List.map fst l) xids], without building the list *)
+let rec keyed_by xids l =
+  match (l, xids) with
+  | [], [] -> true
+  | (x, _) :: l, y :: xids -> Xid.equal x y && keyed_by xids l
+  | _ -> false
 
-let decide ch rd ~dbs ~xid outcome =
+let prepare ch rd ~dbs ~xids =
+  broadcast_collect ch rd ~dbs
+    ~request:(Msg.Prepare { xids })
+    ~matches:(function
+      | Msg.Vote { votes } when keyed_by xids votes -> Some votes
+      | _ -> None)
+  |> List.fold_left
+       (fun outcomes votes ->
+         List.map2
+           (fun o (_, v) -> if v = Rm.Yes then o else Rm.Abort)
+           outcomes votes)
+       (List.map (fun _ -> Rm.Commit) xids)
+
+let decide ch rd ~dbs ~items =
   ignore
     (broadcast_collect ch rd ~dbs
-       ~request:(Msg.Decide { xid; outcome })
+       ~request:(Msg.Decide { items })
        ~matches:(function
-         | Msg.Ack_decide { xid = x } when Xid.equal x xid -> Some ()
+         | Msg.Ack_decide { xids } when keyed_by xids items -> Some ()
          | _ -> None))
 
 let commit_one_phase ch rd ~dbs ~xid =
@@ -154,43 +168,3 @@ let commit_one_phase ch rd ~dbs ~xid =
   in
   if List.for_all (fun o -> o = Rm.Commit) outcomes then Rm.Commit
   else Rm.Abort
-
-let same_xids = List.equal Xid.equal
-
-(* Batched XA rounds: one message per database carries the whole window of
-   transactions, and one reply carries every answer. Replies are matched on
-   the full xid list so a batch RPC can never consume another batch's (or a
-   single-transaction call's) reply. *)
-
-let xa_start_batch ch rd ~dbs ~xids =
-  ignore
-    (broadcast_collect ch rd ~dbs
-       ~request:(Msg.Xa_start_batch { xids })
-       ~matches:(function
-         | Msg.Xa_started_batch { xids = x } when same_xids x xids -> Some ()
-         | _ -> None))
-
-let xa_end_batch ch rd ~dbs ~xids =
-  ignore
-    (broadcast_collect ch rd ~dbs
-       ~request:(Msg.Xa_end_batch { xids })
-       ~matches:(function
-         | Msg.Xa_ended_batch { xids = x } when same_xids x xids -> Some ()
-         | _ -> None))
-
-let prepare_batch ch rd ~dbs ~xids =
-  broadcast_collect ch rd ~dbs
-    ~request:(Msg.Prepare_batch { xids })
-    ~matches:(function
-      | Msg.Vote_batch { votes } when same_xids (List.map fst votes) xids ->
-          Some votes
-      | _ -> None)
-
-let decide_batch ch rd ~dbs ~items =
-  let xids = List.map fst items in
-  ignore
-    (broadcast_collect ch rd ~dbs
-       ~request:(Msg.Decide_batch { items })
-       ~matches:(function
-         | Msg.Ack_decide_batch { xids = x } when same_xids x xids -> Some ()
-         | _ -> None))

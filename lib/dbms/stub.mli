@@ -3,8 +3,9 @@
     This is the one XA client: the application server and the comparison
     protocols (unreliable baseline, 2PC, primary-backup) reach the
     databases only through it. Every round is group-wide — a request to
-    each database of [~dbs], then a wait for all replies — and the only
-    single-database call is a business run's exec capability
+    each database of [~dbs], then a wait for all replies — and carries a
+    window of transactions, a single transaction being a window of one;
+    the only single-database call is a business run's exec capability
     ({!exec_of}). The rounds are blocking RPCs over a reliable channel,
     resilient to database crashes. Instead of letting
     every waiting fiber race to consume the single [Ready] a recovering
@@ -34,19 +35,31 @@ module Readiness : sig
   (** Bumped every time the database broadcasts [Ready]. *)
 end
 
-(** {1 Single-transaction XA rounds}
+(** {1 XA rounds}
 
     Each round is the paper's multicast-then-wait-for-all idiom ([prepare()]
     and [terminate()] of Figure 4): send the request to every database of
     [dbs] at once, then collect one matching reply from each, re-sending to
     any database that recovers meanwhile. One sequential communication step
-    regardless of the number of databases. *)
+    regardless of the number of databases. One message per database carries
+    the whole window of transactions and one reply carries every answer, so
+    a window of N costs the same number of protocol messages as a single
+    transaction. Replies are matched on the window's full xid list: a round
+    can never consume another window's reply. *)
 
 val xa_start :
-  Dnet.Rchannel.t -> Readiness.t -> dbs:Types.proc_id list -> xid:Xid.t -> unit
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xids:Xid.t list ->
+  unit
 
 val xa_end :
-  Dnet.Rchannel.t -> Readiness.t -> dbs:Types.proc_id list -> xid:Xid.t -> unit
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xids:Xid.t list ->
+  unit
 
 val exec_of :
   Dnet.Rchannel.t ->
@@ -70,22 +83,23 @@ val prepare :
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
-  xid:Xid.t ->
-  Rm.outcome
-(** Send [Prepare] everywhere and collect the votes: [Commit] iff every
-    database votes [Yes]. A recovered database forgets an unprepared
-    transaction and votes [No], which is the paper's "Ready counts as
-    failure" rule. *)
+  xids:Xid.t list ->
+  Rm.outcome list
+(** Send [Prepare] everywhere and collect the votes: each database answers
+    its whole vote vector after a single log force ({!Rm.vote_many}). One
+    outcome per xid, in [xids] order: [Commit] iff every database votes
+    [Yes]. A recovered database forgets an unprepared transaction and
+    votes [No], which is the paper's "Ready counts as failure" rule. *)
 
 val decide :
   Dnet.Rchannel.t ->
   Readiness.t ->
   dbs:Types.proc_id list ->
-  xid:Xid.t ->
-  Rm.outcome ->
+  items:(Xid.t * Rm.outcome) list ->
   unit
 (** Send [Decide] everywhere and wait for every [AckDecide] — the paper's
-    terminate() retry loop. The round is idempotent. *)
+    terminate() retry loop; each database applies the window after a
+    single log force ({!Rm.decide_many}). The round is idempotent. *)
 
 val commit_one_phase :
   Dnet.Rchannel.t ->
@@ -95,45 +109,3 @@ val commit_one_phase :
   Rm.outcome
 (** Baseline protocol: single-phase commit everywhere; [Commit] iff every
     database committed. *)
-
-(** {1 Batched XA rounds (group commit)}
-
-    One message per database carries a whole window of transactions and one
-    reply carries every answer, so a window of N transactions costs the same
-    number of protocol messages as a single transaction. Replies are matched
-    on the full xid list: a batch RPC can never consume another batch's (or
-    a single-transaction round's) reply. All four re-send across recoveries
-    like their singular counterparts. *)
-
-val xa_start_batch :
-  Dnet.Rchannel.t ->
-  Readiness.t ->
-  dbs:Types.proc_id list ->
-  xids:Xid.t list ->
-  unit
-
-val xa_end_batch :
-  Dnet.Rchannel.t ->
-  Readiness.t ->
-  dbs:Types.proc_id list ->
-  xids:Xid.t list ->
-  unit
-
-val prepare_batch :
-  Dnet.Rchannel.t ->
-  Readiness.t ->
-  dbs:Types.proc_id list ->
-  xids:Xid.t list ->
-  (Xid.t * Rm.vote) list list
-(** Batched prepare: every database answers its whole vote vector (input
-    order) after a single group-commit log force ({!Rm.vote_many}); one
-    vector per database, in [dbs] order. *)
-
-val decide_batch :
-  Dnet.Rchannel.t ->
-  Readiness.t ->
-  dbs:Types.proc_id list ->
-  items:(Xid.t * Rm.outcome) list ->
-  unit
-(** Batched terminate: one [Decide_batch] per database carrying all N
-    outcomes, acknowledged once applied ({!Rm.decide_many}). *)

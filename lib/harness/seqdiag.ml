@@ -9,18 +9,24 @@ let vote_label = function Dbms.Rm.Yes -> "yes" | Dbms.Rm.No -> "no"
 
 let xid_label x = Dbms.Xid.to_string x
 
+(* A window's items, space-separated: a window of one renders exactly as a
+   single transaction always has. *)
+let window label f items =
+  Some (label ^ "(" ^ String.concat " " (List.map f items) ^ ")")
+
 let payload_label payload =
   match payload with
   | Etx.Etx_types.Request_msg { request; j; _ } ->
       Some (Printf.sprintf "Request(r%d,j=%d)" request.rid j)
-  | Etx.Etx_types.Result_msg { rid; j; decision; _ } ->
-      Some
-        (Printf.sprintf "Result(r%d,j=%d,%s)" rid j
-           (outcome_label decision.outcome))
-  | Dbms.Msg.Xa_start { xid } -> Some ("XaStart(" ^ xid_label xid ^ ")")
-  | Dbms.Msg.Xa_started { xid } -> Some ("XaStarted(" ^ xid_label xid ^ ")")
-  | Dbms.Msg.Xa_end { xid } -> Some ("XaEnd(" ^ xid_label xid ^ ")")
-  | Dbms.Msg.Xa_ended { xid } -> Some ("XaEnded(" ^ xid_label xid ^ ")")
+  | Etx.Etx_types.Result_msg { items; _ } ->
+      window "Result"
+        (fun (rid, j, (d : Etx.Etx_types.decision)) ->
+          Printf.sprintf "r%d,j=%d,%s" rid j (outcome_label d.outcome))
+        items
+  | Dbms.Msg.Xa_start { xids } -> window "XaStart" xid_label xids
+  | Dbms.Msg.Xa_started { xids } -> window "XaStarted" xid_label xids
+  | Dbms.Msg.Xa_end { xids } -> window "XaEnd" xid_label xids
+  | Dbms.Msg.Xa_ended { xids } -> window "XaEnded" xid_label xids
   | Dbms.Msg.Exec_req { xid; ops; _ } ->
       Some (Printf.sprintf "Exec(%s,%d ops)" (xid_label xid) (List.length ops))
   | Dbms.Msg.Exec_reply { xid; reply; _ } ->
@@ -32,14 +38,14 @@ let payload_label payload =
         | Dbms.Rm.Exec_rejected -> "rejected"
       in
       Some (Printf.sprintf "ExecReply(%s,%s)" (xid_label xid) r)
-  | Dbms.Msg.Prepare { xid } -> Some ("Prepare(" ^ xid_label xid ^ ")")
-  | Dbms.Msg.Vote_msg { xid; vote } ->
-      Some (Printf.sprintf "Vote(%s,%s)" (xid_label xid) (vote_label vote))
-  | Dbms.Msg.Decide { xid; outcome } ->
-      Some
-        (Printf.sprintf "Decide(%s,%s)" (xid_label xid)
-           (outcome_label outcome))
-  | Dbms.Msg.Ack_decide { xid } -> Some ("AckDecide(" ^ xid_label xid ^ ")")
+  | Dbms.Msg.Prepare { xids } -> window "Prepare" xid_label xids
+  | Dbms.Msg.Vote { votes } ->
+      window "Vote" (fun (x, v) -> xid_label x ^ "," ^ vote_label v) votes
+  | Dbms.Msg.Decide { items } ->
+      window "Decide"
+        (fun (x, o) -> xid_label x ^ "," ^ outcome_label o)
+        items
+  | Dbms.Msg.Ack_decide { xids } -> window "AckDecide" xid_label xids
   | Dbms.Msg.Ready -> Some "Ready"
   | Dbms.Msg.Commit1 { xid } -> Some ("Commit1(" ^ xid_label xid ^ ")")
   | Dbms.Msg.Commit1_reply { xid; outcome } ->

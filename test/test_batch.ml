@@ -549,10 +549,7 @@ let test_intake_replay ~batch () =
   Alcotest.(check bool) "replayer finished" true
     (c.rt.run_until ~deadline:600_000. (fun () -> !finished));
   let committed = function
-    | Etx_types.Result_msg { rid = r; j = 1; decision; _ } when r = rid ->
-        Some decision
-    | Etx_types.Result_batch_msg { items = [ (r, 1, decision) ]; _ }
-      when r = rid ->
+    | Etx_types.Result_msg { items = [ (r, 1, decision) ]; _ } when r = rid ->
         Some decision
     | _ -> None
   in

@@ -393,6 +393,40 @@ let test_recovery_idempotent () =
       Alcotest.(check (list bool)) "commit order preserved" [ true ]
         (List.map (fun x' -> Xid.equal x' x) (Rm.committed_xids rm)))
 
+(* A decide window's terminal records share one 10 ms force: a member
+   decided Abort releases its write locks before the force (an exec on its
+   key goes through meanwhile), one decided Commit keeps them until the
+   force lands (an exec on its key conflicts). *)
+let test_decide_window_lock_release () =
+  let t = Dsim.Engine.create () in
+  let rm = fresh_rm ~force_latency:10. () in
+  let xa = xid 1 and xc = xid 2 and y = xid 3 and z = xid 4 in
+  let on_aborted = ref None and on_committed = ref None in
+  let _ =
+    Dsim.Engine.spawn t ~name:"db" ~main:(fun ~recovery:_ () ->
+        List.iter
+          (fun (x, k) ->
+            Rm.xa_start rm ~xid:x;
+            ignore (Rm.exec rm ~xid:x [ Rm.Put (k, Value.Int 1) ]))
+          [ (xa, "a"); (xc, "c") ];
+        ignore (Rm.vote_many rm ~xids:[ xa; xc ]);
+        Dsim.Engine.fork "decider" (fun () ->
+            ignore
+              (Rm.decide_many rm ~items:[ (xa, Rm.Abort); (xc, Rm.Commit) ]));
+        Rm.xa_start rm ~xid:y;
+        Rm.xa_start rm ~xid:z;
+        Dsim.Engine.sleep 5.;
+        on_aborted := Some (Rm.exec rm ~xid:y [ Rm.Put ("a", Value.Int 2) ]);
+        on_committed := Some (Rm.exec rm ~xid:z [ Rm.Put ("c", Value.Int 2) ]))
+  in
+  ignore (Dsim.Engine.run t);
+  Alcotest.(check bool) "exec on the aborted key goes through" true
+    (match !on_aborted with Some r -> exec_ok r | None -> false);
+  Alcotest.(check bool) "exec on the committing key conflicts" true
+    (!on_committed = Some (Rm.Exec_conflict "c"));
+  Alcotest.(check string) "aborted" "aborted" (phase_str rm xa);
+  Alcotest.(check string) "committed" "committed" (phase_str rm xc)
+
 (* Regression: a decide(abort) racing a vote's log-force suspension must not
    leave the transaction prepared (the fail-over in-doubt bug). *)
 let test_vote_decide_race () =
@@ -604,13 +638,13 @@ let test_server_full_commit_round () =
       ~script:(fun ~db ~ch ~rd ->
         let x = xid 1 in
         let dbs = [ db ] in
-        Stub.xa_start ch rd ~dbs ~xid:x;
+        Stub.xa_start ch rd ~dbs ~xids:[ x ];
         (match Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 1) ] with
         | Rm.Exec_ok _ -> ()
         | _ -> Alcotest.fail "exec failed");
-        Stub.xa_end ch rd ~dbs ~xid:x;
-        let outcome = Stub.prepare ch rd ~dbs ~xid:x in
-        Stub.decide ch rd ~dbs ~xid:x Rm.Commit;
+        Stub.xa_end ch rd ~dbs ~xids:[ x ];
+        let outcome = List.hd (Stub.prepare ch rd ~dbs ~xids:[ x ]) in
+        Stub.decide ch rd ~dbs ~items:[ (x, Rm.Commit) ];
         outcome)
       ()
   in
@@ -627,15 +661,15 @@ let test_server_concurrent_decide_during_prepare_queue () =
       ~script:(fun ~db ~ch ~rd ->
         let x1 = xid 1 and x2 = xid 2 in
         let dbs = [ db ] in
-        Stub.xa_start ch rd ~dbs ~xid:x1;
+        Stub.xa_start ch rd ~dbs ~xids:[ x1 ];
         ignore (Stub.exec_of ch rd ~xid:x1 ~db [ Rm.Put ("a", Value.Int 1) ]);
-        ignore (Stub.prepare ch rd ~dbs ~xid:x1);
-        Stub.xa_start ch rd ~dbs ~xid:x2;
+        ignore (Stub.prepare ch rd ~dbs ~xids:[ x1 ]);
+        Stub.xa_start ch rd ~dbs ~xids:[ x2 ];
         ignore (Stub.exec_of ch rd ~xid:x2 ~db [ Rm.Put ("b", Value.Int 2) ]);
-        ignore (Stub.prepare ch rd ~dbs ~xid:x2);
+        ignore (Stub.prepare ch rd ~dbs ~xids:[ x2 ]);
         (* decide both; order of arrival is not order of xid *)
-        Stub.decide ch rd ~dbs ~xid:x2 Rm.Commit;
-        Stub.decide ch rd ~dbs ~xid:x1 Rm.Abort)
+        Stub.decide ch rd ~dbs ~items:[ (x2, Rm.Commit) ];
+        Stub.decide ch rd ~dbs ~items:[ (x1, Rm.Abort) ])
       ()
   in
   Alcotest.(check (option bool)) "x1 aborted" None
@@ -651,11 +685,11 @@ let test_server_ready_on_recovery () =
     server_scenario ~crash_db_at:(Some 50.) ~recover_db_at:(Some 200.)
       ~script:(fun ~db ~ch ~rd ->
         let x = xid 1 in
-        Stub.xa_start ch rd ~dbs:[ db ] ~xid:x;
+        Stub.xa_start ch rd ~dbs:[ db ] ~xids:[ x ];
         ignore (Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 1) ]);
         Dsim.Engine.sleep 60.;
         (* db is down now; this blocks until recovery *)
-        Stub.prepare ch rd ~dbs:[ db ] ~xid:x)
+        List.hd (Stub.prepare ch rd ~dbs:[ db ] ~xids:[ x ]))
       ()
   in
   Alcotest.(check bool) "recovered server votes no for lost txn" true
@@ -684,7 +718,9 @@ let test_ready_wakes_each_waiter () =
         List.iter
           (fun x ->
             Dsim.Engine.fork "voter" (fun () ->
-                let outcome = Stub.prepare ch rd ~dbs:[ db ] ~xid:x in
+                let outcome =
+                  List.hd (Stub.prepare ch rd ~dbs:[ db ] ~xids:[ x ])
+                in
                 votes := outcome :: !votes))
           xids)
   in
@@ -716,7 +752,7 @@ let test_ready_wakes_each_waiter () =
            match event with
            | Dsim.Trace.Sent (m, _) when a = at && m.src = app -> (
                match Dnet.Rchannel.inner_payload m.payload with
-               | Some (Msg.Prepare { xid = x' }) -> Xid.equal x x'
+               | Some (Msg.Prepare { xids = [ x' ] }) -> Xid.equal x x'
                | _ -> false)
            | _ -> false)
          entries)
@@ -735,7 +771,7 @@ let test_ready_wakes_each_waiter () =
      votes to the Prepares sent before the crash, no wake *)
   let votes_in =
     List.length
-      (delivered_to_app (function Msg.Vote_msg _ -> true | _ -> false))
+      (delivered_to_app (function Msg.Vote _ -> true | _ -> false))
   in
   Alcotest.(check int) "only duplicate votes left" (votes_in - 2)
     (Dsim.Engine.mailbox_length t ~cls:Msg.cls_reply app)
@@ -748,14 +784,14 @@ let test_server_in_doubt_across_crash () =
       ~script:(fun ~db ~ch ~rd ->
         let x = xid 1 in
         let dbs = [ db ] in
-        Stub.xa_start ch rd ~dbs ~xid:x;
+        Stub.xa_start ch rd ~dbs ~xids:[ x ];
         ignore (Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 5) ]);
-        let outcome = Stub.prepare ch rd ~dbs ~xid:x in
+        let outcome = List.hd (Stub.prepare ch rd ~dbs ~xids:[ x ]) in
         Alcotest.(check bool) "voted yes before crash" true
           (outcome = Rm.Commit);
         Dsim.Engine.sleep 150.;
         (* db crashed and came back; the prepared txn must still decide *)
-        Stub.decide ch rd ~dbs ~xid:x Rm.Commit)
+        Stub.decide ch rd ~dbs ~items:[ (x, Rm.Commit) ])
       ()
   in
   Alcotest.(check bool) "in-doubt txn committed after recovery" true
@@ -784,16 +820,16 @@ let test_prepare_round_across_recovery () =
         let dbs = [ db1; db2 ] in
         let rd = Stub.Readiness.create ~dbs in
         Stub.Readiness.start rd;
-        Stub.xa_start ch rd ~dbs ~xid:x;
+        Stub.xa_start ch rd ~dbs ~xids:[ x ];
         let exec = Stub.exec_of ch rd ~xid:x in
         List.iter
           (fun db -> ignore (exec ~db [ Rm.Put ("k", Value.Int 1) ]))
           dbs;
         Dsim.Engine.sleep 60.;
         (* db2 is down now; the round blocks until it recovers *)
-        let o = Stub.prepare ch rd ~dbs ~xid:x in
+        let o = List.hd (Stub.prepare ch rd ~dbs ~xids:[ x ]) in
         outcome := Some o;
-        Stub.decide ch rd ~dbs ~xid:x o)
+        Stub.decide ch rd ~dbs ~items:[ (x, o) ])
   in
   app_pid := [ app ];
   Dsim.Engine.crash_at t 50. db2;
@@ -804,7 +840,7 @@ let test_prepare_round_across_recovery () =
   let entries = Dsim.Trace.entries (Dsim.Engine.trace t) in
   let is_prepare p =
     match Dnet.Rchannel.inner_payload p with
-    | Some (Msg.Prepare { xid = x' }) -> Xid.equal x x'
+    | Some (Msg.Prepare { xids = [ x' ] }) -> Xid.equal x x'
     | _ -> false
   in
   let prepares_delivered db =
@@ -1190,6 +1226,8 @@ let () =
             test_decide_idempotent_and_sticky;
           Alcotest.test_case "unknown abort recorded" `Quick
             test_decide_unknown_abort_recorded;
+          Alcotest.test_case "window abort frees locks first" `Quick
+            test_decide_window_lock_release;
           Alcotest.test_case "one-phase commit" `Quick test_commit_one_phase;
           Alcotest.test_case "vote/decide race (regression)" `Quick
             test_vote_decide_race;

@@ -670,11 +670,13 @@ let test_client_ignores_stale_result () =
         ~dst:(Client.pid (List.hd d.clients))
         (Etx_types.Result_msg
            {
-             rid = 999_999;
              group = 0;
-             j = 1;
-             decision =
-               { result = Some "forged"; outcome = Dbms.Rm.Commit };
+             items =
+               [
+                 ( 999_999,
+                   1,
+                   { result = Some "forged"; outcome = Dbms.Rm.Commit } );
+               ];
            }));
   let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;

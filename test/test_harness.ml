@@ -393,6 +393,21 @@ let test_seqdiag_failover_markers () =
   Alcotest.(check bool) "cleaner activity" true (contains diagram "cleaned:");
   Alcotest.(check bool) "second try visible" true (contains diagram "j=2")
 
+let test_seqdiag_batched_window () =
+  let e, d =
+    Harness.Simrun.cluster ~shards:1 ~batch:4 ~business:Etx.Business.trivial
+      ~scripts:
+        (List.init 4 (fun i ~issue -> ignore (issue (string_of_int i))))
+      ()
+  in
+  ignore (Cluster.run_to_quiescence d);
+  let diagram = Seqdiag.of_engine e in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("diagram shows " ^ needle) true
+        (contains diagram needle))
+    [ "XaStart("; "Prepare("; "Vote("; "Decide("; "Result(" ]
+
 let test_seqdiag_max_lines () =
   let e, d =
     Harness.Simrun.cluster ~business:Etx.Business.trivial
@@ -602,5 +617,7 @@ let () =
           Alcotest.test_case "failover markers" `Quick
             test_seqdiag_failover_markers;
           Alcotest.test_case "line cap" `Quick test_seqdiag_max_lines;
+          Alcotest.test_case "batched window" `Quick
+            test_seqdiag_batched_window;
         ] );
     ]
