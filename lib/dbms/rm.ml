@@ -548,19 +548,20 @@ let apply_commit t txn ~lsn =
 type decide_step =
   | Decided of outcome  (* nothing to log *)
   | Held of txn * outcome  (* another session is deciding it *)
-  | Staged of { txn : txn; outcome : outcome; mutable lsn : int }
+  | Staged of { txn : txn; outcome : outcome; lsn : int }
       (* claimed by this session; [lsn] is its terminal record's *)
 
-(* Decide: charge each transaction, stage every terminal log record, force
-   them together with one disk write, then apply. A commit keeps its locks
-   until its record is durable; an abort releases them before its record
-   is forced: the log is durable in LSN order, so a transaction that takes
-   a released lock logs its own prepare after the abort record and can
-   never be in doubt after a crash that lost it. A staged transaction is
-   this session's until it is applied; one another session is deciding
-   waits until this session holds no claim, then is decided as a window of
-   one, so a transaction is logged, applied and counted committed at most
-   once. *)
+(* Decide: charge each transaction and append its terminal log record,
+   force the window's records together with one disk write, then apply. A
+   commit keeps its locks until its record is durable. An abort releases
+   them in the same step that appends its W_aborted record, with no
+   suspension in between: the log is durable in LSN order, so a
+   transaction that takes a released lock appends its own prepare after
+   the abort record, and any force that makes that prepare durable makes
+   the abort durable too. A staged transaction is this session's until it
+   is applied; one another session is deciding waits until this session
+   holds no claim, then is decided as a window of one, so a transaction is
+   logged, applied and counted committed at most once. *)
 let rec decide_many t ~items =
   let stage (xid, outcome) =
     match find_txn t xid with
@@ -577,12 +578,14 @@ let rec decide_many t ~items =
         | Prepared, Commit ->
             txn.deciding <- true;
             Rt.work "commit" t.timing.commit_cpu;
-            Staged { txn; outcome; lsn = 0 }
+            let lsn = Dstore.Log.append t.log (W_committed (xid, txn.writes)) in
+            Staged { txn; outcome; lsn }
         | Prepared, Abort ->
             txn.deciding <- true;
             Rt.work "abort" t.timing.abort_cpu;
             abort_local t txn ~log:false;
-            Staged { txn; outcome; lsn = 0 }
+            let lsn = Dstore.Log.append t.log (W_aborted xid) in
+            Staged { txn; outcome; lsn }
         | Active, (Commit | Abort) ->
             (* commit without prepare violates V.2; abort defensively *)
             Rt.work "abort" t.timing.abort_cpu;
@@ -590,17 +593,6 @@ let rec decide_many t ~items =
             Decided Abort)
   in
   let steps = List.map stage items in
-  (* append every terminal record to the volatile tail (each draws its own
-     LSN), then force the window with a single disk write *)
-  List.iter
-    (function
-      | Staged ({ txn; outcome; _ } as s) ->
-          s.lsn <-
-            Dstore.Log.append t.log
-              (if outcome = Commit then W_committed (txn.xid, txn.writes)
-               else W_aborted txn.xid)
-      | Decided _ | Held _ -> ())
-    steps;
   if List.exists (function Staged _ -> true | _ -> false) steps then
     Dstore.Log.force t.log
       ~label:

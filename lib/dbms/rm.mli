@@ -140,8 +140,10 @@ val decide_many : t -> items:(Xid.t * outcome) list -> (Xid.t * outcome) list
     and returns [Commit]. Defensively, [Commit] on a transaction that
     never prepared aborts it. Every terminal record of the window shares a
     {e single} forced log write; a commit keeps its locks until that write
-    lands, an abort releases them before it. Idempotent: a decided transaction
-    returns its decided outcome, and one that another session is deciding
+    lands, an abort releases them before it, in the same step that appends
+    its record, so any later transaction that takes the key logs its
+    prepare after that record. Idempotent: a decided transaction returns
+    its decided outcome, and one that another session is deciding
     waits for it and returns its outcome, so a transaction is logged,
     applied and counted committed at most once. [vote_many] claims a
     transaction the same way. *)

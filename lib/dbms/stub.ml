@@ -150,11 +150,12 @@ let prepare ch rd ~dbs ~xids =
        (List.map (fun _ -> Rm.Commit) xids)
 
 let decide ch rd ~dbs ~items =
+  let xids = List.map fst items in
   ignore
     (broadcast_collect ch rd ~dbs
        ~request:(Msg.Decide { items })
        ~matches:(function
-         | Msg.Ack_decide { xids } when keyed_by xids items -> Some ()
+         | Msg.Ack_decide { xids = x } when same_xids x xids -> Some ()
          | _ -> None))
 
 let commit_one_phase ch rd ~dbs ~xid =

@@ -962,10 +962,11 @@ let test_checkpoint_keeps_in_doubt () =
    latency, crash the process at [crash_at], recover it at [recover_at]
    (the recovery run calls [Rm.recover]), and return whether recovery ran
    plus the recovered [rm]. *)
-let crash_recovery_scenario ~crash_at ~recover_at ~script () =
+let crash_recovery_scenario ?(timing = Rm.zero_timing) ~crash_at ~recover_at
+    ~script () =
   let t = Dsim.Engine.create () in
   let disk = Dstore.Disk.create ~force_latency:10. ~label:"log" () in
-  let rm = Rm.create ~timing:Rm.zero_timing ~seed_data:[] ~disk ~name:"db" () in
+  let rm = Rm.create ~timing ~seed_data:[] ~disk ~name:"db" () in
   let recovered = ref false in
   let pid =
     Dsim.Engine.spawn t ~name:"db" ~main:(fun ~recovery () ->
@@ -1039,6 +1040,45 @@ let test_checkpoint_bounds_replay () =
   (* snapshot + the two post-checkpoint transactions (2 records each) *)
   Alcotest.(check int) "replay bounded by the checkpoint" 5
     (Rm.recovery_steps rm)
+
+(* A decide window's aborted member releases its locks before the
+   window's force, so its W_aborted record must already sit in the log
+   when another transaction takes the key: that transaction's prepare
+   force then makes the abort durable too. Window [(xa, Abort);
+   (xb, Commit)] under a 20 ms commit charge: during xb's charge y takes
+   xa's key and prepares (force ends at 21), and the crash at 25 lands
+   before the window's own force. Recovery must not find both xa and y
+   prepared on the same key. *)
+let test_crash_after_window_abort_release () =
+  let xa = xid 1 and xb = xid 2 and y = xid 3 in
+  let put rm x k =
+    Rm.xa_start rm ~xid:x;
+    ignore (Rm.exec rm ~xid:x [ Rm.Put (k, Value.Int 1) ])
+  in
+  let recovered, rm =
+    crash_recovery_scenario
+      ~timing:{ Rm.zero_timing with commit_cpu = 20. }
+      ~crash_at:25. ~recover_at:50.
+      ~script:(fun rm ->
+        put rm xa "a";
+        put rm xb "b";
+        ignore (Rm.vote_many rm ~xids:[ xa; xb ]);
+        Dsim.Engine.fork "decider" (fun () ->
+            ignore
+              (Rm.decide_many rm ~items:[ (xa, Rm.Abort); (xb, Rm.Commit) ]));
+        Dsim.Engine.sleep 1.;
+        put rm y "a";
+        Alcotest.(check bool) "y votes yes" true (Rm.vote rm ~xid:y = Rm.Yes))
+      ()
+  in
+  Alcotest.(check bool) "recovered" true recovered;
+  Alcotest.(check string) "xa stays aborted" "aborted" (phase_str rm xa);
+  Alcotest.(check string) "xb in doubt" "prepared" (phase_str rm xb);
+  Alcotest.(check string) "y in doubt" "prepared" (phase_str rm y);
+  Alcotest.(check bool) "y holds its key" true
+    (List.exists
+       (fun (k, x) -> k = "a" && Xid.equal x y)
+       (Rm.locks_held rm))
 
 (* The property: for ANY interleaving of commits, aborts, in-flight
    prepares and checkpoints, and ANY crash instant, recovery reproduces
@@ -1278,6 +1318,8 @@ let () =
             test_crash_during_checkpoint;
           Alcotest.test_case "checkpoint bounds replay" `Quick
             test_checkpoint_bounds_replay;
+          Alcotest.test_case "crash after a window abort frees locks" `Quick
+            test_crash_after_window_abort_release;
           QCheck_alcotest.to_alcotest prop_crash_point_recovery;
         ] );
       ( "checkpoint",
