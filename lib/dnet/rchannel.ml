@@ -13,9 +13,18 @@ module Rt = Etx_runtime
    carry [rc_cum], the receiver's highest contiguously-delivered sequence
    for that endpoint: one ack then retires a whole prefix of the outbox,
    and the receiver's duplicate-suppression state stays bounded by the
-   out-of-order window instead of growing with every message ever seen. *)
+   out-of-order window instead of growing with every message ever seen.
+   A data frame carries [rc_low], the stream's low-water mark: the sender
+   holds no sequence below it, so the receiver counts everything below as
+   delivered. That keeps the window bounded when the receiver cannot have
+   seen a prefix: a recovered receiver meets a stream already far past 1. *)
 type Types.payload +=
-  | Rc_data of { rc_ep : int; rc_seq : int; inner : Types.payload }
+  | Rc_data of {
+      rc_ep : int;
+      rc_seq : int;
+      rc_low : int;
+      inner : Types.payload;
+    }
   | Rc_ack of { rc_ep : int; rc_seq : int; rc_cum : int }
   | Rc_kick
 
@@ -65,7 +74,8 @@ type dst_state = {
   mutable next_seq : int;
   live : (int, out_entry) Hashtbl.t;  (** seq -> unacked entry *)
   mutable min_live : int;
-      (** every seq below this is retired; cumulative acks advance it *)
+      (** the low-water mark: every seq below this is retired, and this one
+          is live unless the stream is empty *)
   mutable last_ack : float;  (** send time of the latest ack *)
   mutable silence : silence;
 }
@@ -126,6 +136,9 @@ let create ?on_silent () =
 
 let pending t = t.pending
 
+let out_of_order t =
+  Hashtbl.fold (fun _ rs n -> n + Hashtbl.length rs.ooo) t.rx 0
+
 (* Lookups use [find] and [Not_found] rather than [find_opt]: a hit, the
    common case, then allocates no option. *)
 let stream_to t dst =
@@ -167,14 +180,21 @@ let retire_seq t ds seq =
       retire t e
   | exception Not_found -> ()
 
+(* Raises the low-water mark past retired entries; each sequence number is
+   passed at most once over the stream's lifetime, so this is amortised
+   O(1) per retirement. *)
+let advance_low ds =
+  while ds.min_live <= ds.next_seq && not (Hashtbl.mem ds.live ds.min_live) do
+    ds.min_live <- ds.min_live + 1
+  done
+
 let handle_ack t ds ~seq ~cum =
   retire_seq t ds seq;
-  (* advance the retired prefix; each sequence number is visited at most
-     once over the stream's lifetime, so this is amortised O(1) per ack *)
   while ds.min_live <= cum do
     retire_seq t ds ds.min_live;
     ds.min_live <- ds.min_live + 1
-  done
+  done;
+  advance_low ds
 
 (* Silent destinations. An entry that reaches [max_backoff] while its
    destination has sent no ack for [max_backoff] stops retransmitting on
@@ -222,19 +242,34 @@ let heard_from t ds ~sent_at =
             (List.sort (fun a b -> Int.compare a.seq b.seq) parked);
           Rt.redeliver ~src:t.owner Rc_kick)
 
+(* Extends the delivered prefix through the out-of-order entries that now
+   join it. *)
+let extend_cum rs =
+  while Hashtbl.mem rs.ooo (rs.cum + 1) do
+    Hashtbl.remove rs.ooo (rs.cum + 1);
+    rs.cum <- rs.cum + 1
+  done
+
+(* The sender holds nothing below [low]: count it all as delivered. *)
+let raise_low rs low =
+  if Hashtbl.length rs.ooo > 0 then
+    Hashtbl.filter_map_inplace
+      (fun seq () -> if seq < low then None else Some ())
+      rs.ooo;
+  rs.cum <- low - 1;
+  extend_cum rs
+
 let handle_incoming t (m : Types.message) =
   match m.payload with
-  | Rc_data { rc_ep; rc_seq; inner } ->
+  | Rc_data { rc_ep; rc_seq; rc_low; inner } ->
       let rs = stream_from t rc_ep in
+      if rc_low > rs.cum + 1 then raise_low rs rc_low;
       let duplicate = rc_seq <= rs.cum || Hashtbl.mem rs.ooo rc_seq in
       if duplicate then count t "rc.duplicate";
       if not duplicate then begin
         if rc_seq = rs.cum + 1 then begin
-          rs.cum <- rs.cum + 1;
-          while Hashtbl.mem rs.ooo (rs.cum + 1) do
-            Hashtbl.remove rs.ooo (rs.cum + 1);
-            rs.cum <- rs.cum + 1
-          done
+          rs.cum <- rc_seq;
+          extend_cum rs
         end
         else Hashtbl.add rs.ooo rc_seq ();
         Rt.send m.src (Rc_ack { rc_ep; rc_seq; rc_cum = rs.cum });
@@ -289,7 +324,9 @@ let retransmitter_loop t () =
     if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now then begin
       let e = Timeq.pop t.timers in
       count t "rc.retransmit";
-      Rt.send e.dst (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
+      let rc_low = (Hashtbl.find t.streams e.dst).min_live in
+      Rt.send e.dst
+        (Rc_data { rc_ep = t.ep; rc_seq = e.seq; rc_low; inner = e.inner });
       if e.tm.next_delay = third_delay then check_silence t e;
       e.tm.next_delay <- Float.min max_backoff (e.tm.next_delay *. backoff_factor);
       e.tm.due <- now +. e.tm.next_delay;
@@ -353,7 +390,7 @@ let send t dst inner =
   let kick = t.pending = 0 || (t.probing > 0 && entry.tm.due < t.wake_at) in
   t.pending <- t.pending + 1;
   push_timer t entry;
-  Rt.send dst (Rc_data { rc_ep = t.ep; rc_seq = seq; inner });
+  Rt.send dst (Rc_data { rc_ep = t.ep; rc_seq = seq; rc_low = ds.min_live; inner });
   if kick then begin
     t.wake_at <- now;
     Rt.redeliver ~src:t.owner Rc_kick

@@ -51,6 +51,12 @@ val broadcast : t -> Types.proc_id list -> Types.payload -> unit
 val pending : t -> int
 (** Number of not-yet-acknowledged outgoing messages (for tests). *)
 
+val out_of_order : t -> int
+(** Number of incoming sequence numbers held for duplicate suppression
+    above a stream's delivered prefix, over all streams (for tests). Each
+    data frame carries its stream's low-water mark, so this stays bounded
+    by the frames in flight, also at a receiver that recovered mid-stream. *)
+
 val inner_payload : Types.payload -> Types.payload option
 (** [Some p] when the payload is a reliable-channel data frame carrying [p];
     [None] otherwise. Trace analyses use this to count protocol messages

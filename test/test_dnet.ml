@@ -215,6 +215,56 @@ let test_rchannel_delivery_after_recovery () =
   ignore (Engine.run ~deadline:5_000. t);
   Alcotest.(check (list int)) "delivered after recovery" [ 7 ] !received
 
+let test_rchannel_recovered_receiver_bounded () =
+  (* The receiver restarts after 100 delivered messages; the sender's
+     stream goes on at sequence 101. The recovered endpoint starts from an
+     empty receive table, and the low-water mark in each frame tells it
+     that nothing below 101 is still to come, so the 100 later messages
+     extend its delivered prefix instead of waiting above a gap. *)
+  let t = Engine.create ~net:(Netmodel.lan ()) () in
+  let received = ref [] in
+  let rx_ch = ref None in
+  let recorder =
+    Engine.spawn t ~name:"recorder" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        rx_ch := Some ch;
+        Rchannel.start ch;
+        let rec loop () =
+          match
+            Engine.recv
+              ~filter:(fun m ->
+                match m.Types.payload with App _ -> true | _ -> false)
+              ()
+          with
+          | Some { payload = App n; _ } ->
+              received := n :: !received;
+              loop ()
+          | Some _ | None -> ()
+        in
+        loop ())
+  in
+  Engine.crash_at t 200. recorder;
+  Engine.recover_at t 300. recorder;
+  let _ =
+    Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        Rchannel.start ch;
+        for n = 0 to 199 do
+          if n = 100 then Engine.sleep (400. -. Engine.now ());
+          Rchannel.send ch recorder (App n);
+          Engine.sleep 1.
+        done)
+  in
+  Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
+  Alcotest.(check (list int)) "every message delivered once"
+    (List.init 200 Fun.id)
+    (List.sort compare !received);
+  match !rx_ch with
+  | Some ch ->
+      Alcotest.(check int) "out-of-order table empty" 0
+        (Rchannel.out_of_order ch)
+  | None -> Alcotest.fail "receiver never ran"
+
 (* The App payloads of the data frames [src] put on the wire to [dst]
    (delivered or lost) in [lo, hi]. *)
 let frames_to t ~src ~dst ~lo ~hi =
@@ -570,6 +620,8 @@ let () =
           Alcotest.test_case "quiesces" `Quick test_rchannel_quiesces;
           Alcotest.test_case "crashed receiver" `Quick
             test_rchannel_crashed_receiver_no_delivery;
+          Alcotest.test_case "recovered receiver stays bounded" `Quick
+            test_rchannel_recovered_receiver_bounded;
           Alcotest.test_case "delivery after recovery" `Quick
             test_rchannel_delivery_after_recovery;
           Alcotest.test_case "silent destination is probed" `Quick
