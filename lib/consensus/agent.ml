@@ -150,6 +150,19 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
     }
   in
   (match persist with None -> () | Some p -> recover_from_log t p);
+  (* What no peer waits for stops retransmitting: the round messages of an
+     instance decided here (or already collected, which only a decided one
+     is), and a decision relayed to a suspected peer. A peer suspected
+     wrongly learns the decision once its own driver asks: the dispatcher
+     answers every message about a decided instance with [C_decide]. *)
+  Rchannel.retire_when ch (fun dst -> function
+    | C_start { key } | C_estimate { key; _ } | C_propose { key; _ }
+    | C_ack { key; _ } -> (
+        match Hashtbl.find t.instances key with
+        | inst -> inst.decided <> None
+        | exception Not_found -> true)
+    | C_decide _ -> Fdetect.suspects fd dst
+    | _ -> false);
   t
 
 let coordinator t round = List.nth t.peers (round mod t.n)

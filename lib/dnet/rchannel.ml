@@ -67,7 +67,7 @@ let no_entry =
    [park]. *)
 type silence =
   | Heard
-  | Probing of { probe : out_entry; mutable parked : out_entry list }
+  | Probing of { mutable probe : out_entry; mutable parked : out_entry list }
 
 (* sender-side per-destination stream *)
 type dst_state = {
@@ -103,6 +103,8 @@ type t = {
   rx : (int, rx_state) Hashtbl.t;  (** by sending endpoint *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
   on_silent : (Types.proc_id -> Types.payload -> unit) option;
+  mutable unneeded : Types.proc_id -> Types.payload -> bool;
+      (** the owner's retirement rules, asked when an entry falls due *)
 }
 
 let count t name =
@@ -132,7 +134,12 @@ let create ?on_silent () =
     rx = Hashtbl.create 16;
     sink = Rt.obs ();
     on_silent;
+    unneeded = (fun _ _ -> false);
   }
+
+let retire_when t rule =
+  let earlier = t.unneeded in
+  t.unneeded <- (fun dst p -> earlier dst p || rule dst p)
 
 let pending t = t.pending
 
@@ -259,6 +266,31 @@ let raise_low rs low =
   rs.cum <- low - 1;
   extend_cum rs
 
+(* The owner no longer needs [e], which just fell due: it leaves the
+   stream as if acked. A retired probe hands its role to the oldest live
+   parked entry, due now; without one the stream is back to [Heard]. *)
+let drop_unneeded t (e : out_entry) now =
+  let ds = Hashtbl.find t.streams e.dst in
+  Hashtbl.remove ds.live e.seq;
+  retire t e;
+  advance_low ds;
+  count t "rc.retire";
+  match ds.silence with
+  | Probing p when p.probe == e -> (
+      match List.filter (fun e -> not e.acked) p.parked with
+      | [] ->
+          ds.silence <- Heard;
+          t.probing <- t.probing - 1
+      | first :: rest ->
+          let oldest =
+            List.fold_left (fun a e -> if e.seq < a.seq then e else a) first rest
+          in
+          p.probe <- oldest;
+          p.parked <- List.filter (fun e -> e != oldest) (first :: rest);
+          oldest.tm.due <- now;
+          push_timer t oldest)
+  | Heard | Probing _ -> ()
+
 let handle_incoming t (m : Types.message) =
   match m.payload with
   | Rc_data { rc_ep; rc_seq; rc_low; inner } ->
@@ -323,14 +355,19 @@ let retransmitter_loop t () =
     skip_stale ();
     if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now then begin
       let e = Timeq.pop t.timers in
-      count t "rc.retransmit";
-      let rc_low = (Hashtbl.find t.streams e.dst).min_live in
-      Rt.send e.dst
-        (Rc_data { rc_ep = t.ep; rc_seq = e.seq; rc_low; inner = e.inner });
-      if e.tm.next_delay = third_delay then check_silence t e;
-      e.tm.next_delay <- Float.min max_backoff (e.tm.next_delay *. backoff_factor);
-      e.tm.due <- now +. e.tm.next_delay;
-      if e.tm.next_delay < max_backoff || not (park t e now) then push_timer t e;
+      if t.unneeded e.dst e.inner then drop_unneeded t e now
+      else begin
+        count t "rc.retransmit";
+        let rc_low = (Hashtbl.find t.streams e.dst).min_live in
+        Rt.send e.dst
+          (Rc_data { rc_ep = t.ep; rc_seq = e.seq; rc_low; inner = e.inner });
+        if e.tm.next_delay = third_delay then check_silence t e;
+        e.tm.next_delay <-
+          Float.min max_backoff (e.tm.next_delay *. backoff_factor);
+        e.tm.due <- now +. e.tm.next_delay;
+        if e.tm.next_delay < max_backoff || not (park t e now) then
+          push_timer t e
+      end;
       fire now
     end
   in

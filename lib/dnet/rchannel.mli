@@ -9,7 +9,10 @@
 
     An endpoint lives inside one simulated process. Outgoing payloads get a
     per-destination sequence number and are retransmitted (with exponential
-    back-off) until acknowledged; incoming data messages are acknowledged,
+    back-off) until acknowledged or no longer needed: the protocol above
+    may register rules ({!retire_when}) that retire a message nobody waits
+    for any more, such as a request whose result the client already holds.
+    Incoming data messages are acknowledged,
     deduplicated by [(source, sequence)] and handed to the owning process's
     mailbox via [Etx_runtime.redeliver], so protocol code above receives
     ordinary messages and stays oblivious to this layer.
@@ -43,8 +46,19 @@ val start : t -> unit
     owning process, after [create]. *)
 
 val send : t -> Types.proc_id -> Types.payload -> unit
-(** Reliable send: at-least-once transmission, exactly-once delivery at a
-    receiver endpoint while both processes stay up. Non-blocking. *)
+(** Reliable send: at-least-once transmission; exactly-once delivery at a
+    receiver endpoint while both processes stay up, unless the owner
+    retires the message first ({!retire_when}). Non-blocking. *)
+
+val retire_when : t -> (Types.proc_id -> Types.payload -> bool) -> unit
+(** [retire_when t rule] adds a retirement rule. When an unacked message
+    [p] to [dst] falls due for retransmission and some rule holds for
+    [dst] and [p], the message is retired instead of resent (counted as
+    [rc.retire]): it leaves the outbox as if acknowledged, so it may never
+    be delivered. A retired probe hands its role to the oldest parked
+    message to the same destination, which is retransmitted at once. Rules
+    run in the retransmitter fiber, never for a message acked within its
+    first 10 ms, and must not block. *)
 
 val broadcast : t -> Types.proc_id list -> Types.payload -> unit
 

@@ -211,6 +211,54 @@ let prop_cluster_spec_under_random_faults =
       let ok = Cluster.run_to_quiescence ~deadline:600_000. c in
       ok && Cluster.Spec.check_all c = [])
 
+(* No server crashes, but heartbeats cross a lossy link and a suspicion
+   times out after 15 ms, so the application servers suspect each other
+   now and then while every one of them is up. A decision relayed to a
+   suspected server stops being retransmitted; a server that lost such a
+   relay learns the decision when its own driver asks. Every try a server
+   drives still finishes, and the spec holds. *)
+let test_false_suspicion_liveness () =
+  let obs = Obs.Registry.create () in
+  let keys = List.init 8 (Printf.sprintf "acct%d") in
+  let seed_data =
+    Workload.Bank.seed_accounts (List.map (fun k -> (k, 1000)) keys)
+  in
+  let requests = 4 in
+  let scripts =
+    List.map
+      (fun k ~issue ->
+        for _ = 1 to requests do
+          ignore (issue (k ^ ":1"))
+        done)
+      keys
+  in
+  let net =
+    Dnet.Netmodel.lossy ~loss:0.3 (Dnet.Netmodel.three_tier ~n_dbs:1 ())
+  in
+  let _, c =
+    Harness.Simrun.cluster ~seed:7 ~obs ~net ~client_period:300.
+      ~fd_spec:
+        (Appserver.Fd_heartbeat
+           { period = 10.; initial_timeout = 15.; timeout_bump = 1. })
+      ~seed_data ~business:Workload.Bank.update ~scripts ()
+  in
+  Alcotest.(check bool) "every client finished" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  Alcotest.(check bool) "live servers were suspected" true
+    (Obs.Registry.counter_total obs "fd.suspicions" > 0);
+  let tries =
+    List.filter
+      (fun (s : Obs.Span.t) -> s.name = "try")
+      (Obs.Registry.spans obs)
+  in
+  Alcotest.(check bool) "servers drove tries" true (tries <> []);
+  Alcotest.(check int) "every try finished" 0
+    (List.length (List.filter (fun s -> not (Obs.Span.closed s)) tries));
+  Alcotest.(check int) "every request delivered"
+    (requests * List.length keys)
+    (List.length (Cluster.all_records c));
+  Alcotest.(check (list string)) "spec" [] (Cluster.Spec.check_all c)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "cluster"
@@ -234,5 +282,10 @@ let () =
           Alcotest.test_case "misrouted request bounced (batch 4)" `Quick
             (test_misrouted_request_bounced ~batch:4);
         ] );
-      ("random-faults", [ q prop_cluster_spec_under_random_faults ]);
+      ( "random-faults",
+        [
+          Alcotest.test_case "false suspicion stays live" `Quick
+            test_false_suspicion_liveness;
+          q prop_cluster_spec_under_random_faults;
+        ] );
     ]

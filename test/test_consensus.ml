@@ -9,10 +9,10 @@ type Types.payload += V of int
 let int_of_v = function V n -> n | _ -> Alcotest.fail "expected V payload"
 
 (* Build [n] member processes (pids 0..n-1, spawned first so pids are
-   known). Each runs [behave i agent] after starting its stack. Returns a
-   record of observations per member. *)
+   known). Each runs [behave i agent] after starting its stack; [chans],
+   when given, receives each member's channel. Returns the engine. *)
 let members_scenario ?(seed = 1) ?(net = Netmodel.lan ()) ?(oracle_fd = true)
-    ?obs ~n ~behave () =
+    ?obs ?chans ~n ~behave () =
   let t = Engine.create ~seed ~net ?obs () in
   let rt = Runtime_sim.of_engine t in
   let peers = List.init n (fun i -> i) in
@@ -21,6 +21,7 @@ let members_scenario ?(seed = 1) ?(net = Netmodel.lan ()) ?(oracle_fd = true)
       Engine.spawn t ~name:(Printf.sprintf "a%d" (i + 1))
         ~main:(fun ~recovery:_ () ->
           let ch = Rchannel.create () in
+          Option.iter (fun a -> a.(i) <- Some ch) chans;
           Rchannel.start ch;
           let fd =
             if oracle_fd then Fdetect.oracle rt
@@ -688,9 +689,10 @@ let prop_agreement_under_faults =
     (fun (seed, loss, crash_member) ->
       let n = 3 in
       let decisions = Array.make n None in
+      let chans = Array.make n None in
       let net = Netmodel.lossy ~loss (Netmodel.lan ()) in
       let t =
-        members_scenario ~seed ~net ~oracle_fd:false ~n
+        members_scenario ~seed ~net ~oracle_fd:false ~chans ~n
           ~behave:(fun i agent ->
             decisions.(i) <-
               Some (Consensus.Agent.propose agent ~key:"k" (V (100 + i))))
@@ -710,10 +712,22 @@ let prop_agreement_under_faults =
       let values =
         List.filter_map (fun i -> decisions.(i)) correct |> List.map int_of_v
       in
-      match values with
+      (match values with
       | [] -> false
       | v :: rest ->
           List.for_all (( = ) v) rest && List.mem v [ 100; 101; 102 ])
+      &&
+      (* nothing is still needed once every correct member decided: round
+         messages of the decided instance and decisions relayed to the
+         crashed (so eventually suspected) member are retired, so every
+         correct member's outbox drains *)
+      (ignore (Engine.run ~deadline:(Engine.now_of t +. 2_000.) t);
+       List.for_all
+         (fun i ->
+           match chans.(i) with
+           | Some ch -> Rchannel.pending ch = 0
+           | None -> false)
+         correct))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

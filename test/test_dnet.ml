@@ -389,6 +389,90 @@ let test_rchannel_probe_does_not_hold_back_fresh () =
     (Printf.sprintf "delivered at %.1f ms, within 1,015 ms" at)
     true (at <= 1_015.)
 
+let test_rchannel_retire_due_entry () =
+  (* Rule: App 1 is no longer needed. To a crashed receiver, App 1 goes on
+     the wire once, at its send, and is retired when it first falls due,
+     10 ms later; App 2 keeps retransmitting. A live receiver acks App 1
+     before it falls due, so the rule never retires it there. *)
+  let obs = Obs.Registry.create () in
+  let t = Engine.create ~net:(Netmodel.lan ()) ~obs () in
+  let live_received = ref [] in
+  let live = spawn_recorder t live_received in
+  let dead = spawn_recorder t (ref []) in
+  Engine.crash_at t 0.5 dead;
+  let observed = ref [] in
+  let sender =
+    Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        Rchannel.retire_when ch (fun _ -> function
+          | App n -> n = 1 | _ -> false);
+        Rchannel.start ch;
+        let snap tag = observed := (tag, Rchannel.pending ch) :: !observed in
+        Engine.sleep 1.;
+        Rchannel.send ch dead (App 1);
+        Rchannel.send ch dead (App 2);
+        Rchannel.send ch live (App 1);
+        snap "sent";
+        Engine.sleep 9.5;
+        snap "before due";
+        Engine.sleep 1.;
+        snap "after due")
+  in
+  ignore (Engine.run ~deadline:1_000. t);
+  Alcotest.(check (list (pair string int)))
+    "pending falls when App 1 is retired"
+    [ ("sent", 3); ("before due", 2); ("after due", 1) ]
+    (List.rev !observed);
+  let frames n =
+    List.length
+      (List.filter (( = ) n) (frames_to t ~src:sender ~dst:dead ~lo:0. ~hi:1_000.))
+  in
+  Alcotest.(check int) "App 1: the send only" 1 (frames 1);
+  Alcotest.(check bool) "App 2 retransmitted" true (frames 2 > 1);
+  Alcotest.(check (list int)) "live receiver got App 1" [ 1 ] !live_received;
+  Alcotest.(check int) "rc.retire" 1 (Obs.Registry.counter_total obs "rc.retire")
+
+let test_rchannel_retired_probe_promotes () =
+  (* Messages 0-4 wait for a receiver that is down until 3 s: message 0
+     probes, 1-4 are parked. At 1 s message 0 stops being needed, so at its
+     next due time it is retired, and message 1, the oldest parked one,
+     becomes the probe. Its ack after the recovery re-sends 2-4. Without
+     the hand-over nothing would probe and 1-4 would wait forever. *)
+  let obs = Obs.Registry.create () in
+  let t = Engine.create ~net:(Netmodel.lan ()) ~obs () in
+  let received = ref [] in
+  let recorder = spawn_recorder t received in
+  Engine.crash_at t 0.5 recorder;
+  Engine.recover_at t 3_000. recorder;
+  let unneeded = ref (-1) in
+  let pending_at_end = ref (-1) in
+  let sender =
+    Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        Rchannel.retire_when ch (fun _ -> function
+          | App n -> n = !unneeded | _ -> false);
+        Rchannel.start ch;
+        Engine.sleep 1.;
+        for n = 0 to 4 do
+          Rchannel.send ch recorder (App n)
+        done;
+        Engine.sleep 999.;
+        unneeded := 0;
+        Engine.sleep 4_000.;
+        pending_at_end := Rchannel.pending ch)
+  in
+  ignore (Engine.run ~deadline:6_000. t);
+  Alcotest.(check int) "parked before the hand-over" 4
+    (Obs.Registry.counter_total obs "rc.park");
+  Alcotest.(check int) "message 0 retired" 1
+    (Obs.Registry.counter_total obs "rc.retire");
+  let probes = frames_to t ~src:sender ~dst:recorder ~lo:1_000. ~hi:2_999. in
+  Alcotest.(check bool) "message 1 probes after the hand-over" true
+    (probes <> [] && List.for_all (( = ) 1) probes);
+  Alcotest.(check (list int)) "1-4 delivered once" [ 1; 2; 3; 4 ]
+    (List.sort compare !received);
+  Alcotest.(check int) "outbox drained" 0 !pending_at_end
+
 (* A sender whose channel logs every silence report as (time, dst, n);
    it sends [App n] to [dst] at each [(at, dst, n)] of [sends]. *)
 let spawn_reporting_sender t sends reports =
@@ -632,6 +716,10 @@ let () =
             test_rchannel_dead_neighbour;
           Alcotest.test_case "probe does not hold back a fresh message" `Quick
             test_rchannel_probe_does_not_hold_back_fresh;
+          Alcotest.test_case "due entry no longer needed is retired" `Quick
+            test_rchannel_retire_due_entry;
+          Alcotest.test_case "retired probe hands over to oldest parked"
+            `Quick test_rchannel_retired_probe_promotes;
           Alcotest.test_case "silence reported once at send + 70 ms" `Quick
             test_rchannel_silence_reported_once;
           Alcotest.test_case "live destination never reported" `Quick
