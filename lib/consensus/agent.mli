@@ -24,7 +24,12 @@
       servers eventually learn it (the register [read] liveness property
       relies on this). A crash-stop agent therefore answers no late ack of
       a decided instance; with persistence it does, because a decision
-      restored from the log was never relayed.
+      restored from the log was never relayed. The channel stops
+      retransmitting a relay while its destination is suspected, and the
+      round messages of an instance decided here
+      ({!Dnet.Rchannel.retire_when}); a peer that was wrongly suspected
+      learns the decision when its own driver asks, because the dispatcher
+      answers any message about a decided instance with the decision.
 
     A failure-free instance decides in round 0: a participant that acked
     a round's proposal stays in that round until the decision, a later

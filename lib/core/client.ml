@@ -39,6 +39,8 @@ type reconfig = {
       (** the config group's application servers, queried for newer maps *)
 }
 
+type flight = { mutable rid : int; mutable j : int }
+
 type handle = {
   pid : Types.proc_id;
   records : record list ref;  (** newest first *)
@@ -124,13 +126,13 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
             | _ -> ()
           in
           let ch = Rchannel.create ~on_silent () in
-          (* (rid, j) of the try in flight, (-1, 0) between requests: the
-             channel stops resending every other request (Fig. 2 resends
-             a request only until its result arrives) *)
-          let flight_rid = ref (-1) and flight_j = ref 0 in
+          (* the try in flight, rid -1 between requests: the channel
+             stops resending every other request (Fig. 2 resends a request
+             only until its result arrives) *)
+          let flight = { rid = -1; j = 0 } in
           Rchannel.retire_when ch (fun _ -> function
             | Etx_types.Request_msg { request = { rid; _ }; j; _ } ->
-                rid <> !flight_rid || j <> !flight_j
+                rid <> flight.rid || j <> flight.j
             | _ -> false);
           Rchannel.start ch;
           (* fetched once per fiber; None = observability off (common case) *)
@@ -214,8 +216,8 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
                transfer installed it at the destination, whose servers
                replay a terminated commit for every later try. *)
             let rec try_j j g0 =
-              flight_rid := rid;
-              flight_j := j;
+              flight.rid <- rid;
+              flight.j <- j;
               let group, servers = current_route key in
               if group <> g0 then try_j (j + 1) group
               else begin
@@ -278,7 +280,7 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
               let decision, cached, replica, group = decision_for rid j m in
               match (decision.outcome, decision.result) with
               | Dbms.Rm.Commit, Some result ->
-                  flight_rid := -1;
+                  flight.rid <- -1;
                   let record =
                     {
                       rid;

@@ -6,7 +6,9 @@
     increments the result identifier [j] whenever a try aborts. The
     fall-back comes early when the reliable channel reports the primary
     silent ({!Dnet.Rchannel.create}'s [on_silent]: no ack 70 ms after the
-    request). Only a
+    request). The client's channel resends only the try in flight: a
+    request of an earlier try or an earlier request is retired
+    ({!Dnet.Rchannel.retire_when}) when it next falls due. Only a
     committed result is delivered to the end-user — that, together with the
     server-side protocol, is the exactly-once guarantee.
 

@@ -104,7 +104,7 @@ type t = {
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
   on_silent : (Types.proc_id -> Types.payload -> unit) option;
   mutable unneeded : Types.proc_id -> Types.payload -> bool;
-      (** the owner's retirement rules, asked when an entry falls due *)
+      (** the owner's retirement rule, asked when an entry falls due *)
 }
 
 let count t name =
@@ -137,9 +137,7 @@ let create ?on_silent () =
     unneeded = (fun _ _ -> false);
   }
 
-let retire_when t rule =
-  let earlier = t.unneeded in
-  t.unneeded <- (fun dst p -> earlier dst p || rule dst p)
+let retire_when t rule = t.unneeded <- rule
 
 let pending t = t.pending
 
@@ -277,16 +275,17 @@ let drop_unneeded t (e : out_entry) now =
   count t "rc.retire";
   match ds.silence with
   | Probing p when p.probe == e -> (
-      match List.filter (fun e -> not e.acked) p.parked with
+      match
+        List.sort
+          (fun a b -> Int.compare a.seq b.seq)
+          (List.filter (fun e -> not e.acked) p.parked)
+      with
       | [] ->
           ds.silence <- Heard;
           t.probing <- t.probing - 1
-      | first :: rest ->
-          let oldest =
-            List.fold_left (fun a e -> if e.seq < a.seq then e else a) first rest
-          in
+      | oldest :: rest ->
           p.probe <- oldest;
-          p.parked <- List.filter (fun e -> e != oldest) (first :: rest);
+          p.parked <- rest;
           oldest.tm.due <- now;
           push_timer t oldest)
   | Heard | Probing _ -> ()

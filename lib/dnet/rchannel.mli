@@ -10,7 +10,7 @@
     An endpoint lives inside one simulated process. Outgoing payloads get a
     per-destination sequence number and are retransmitted (with exponential
     back-off) until acknowledged or no longer needed: the protocol above
-    may register rules ({!retire_when}) that retire a message nobody waits
+    may set a rule ({!retire_when}) that retires a message nobody waits
     for any more, such as a request whose result the client already holds.
     Incoming data messages are acknowledged,
     deduplicated by [(source, sequence)] and handed to the owning process's
@@ -51,14 +51,15 @@ val send : t -> Types.proc_id -> Types.payload -> unit
     retires the message first ({!retire_when}). Non-blocking. *)
 
 val retire_when : t -> (Types.proc_id -> Types.payload -> bool) -> unit
-(** [retire_when t rule] adds a retirement rule. When an unacked message
-    [p] to [dst] falls due for retransmission and some rule holds for
-    [dst] and [p], the message is retired instead of resent (counted as
+(** [retire_when t rule] sets the channel's retirement rule, replacing any
+    earlier one (the layer that owns the channel sets it). When an unacked
+    message [p] to [dst] falls due for retransmission and [rule dst p]
+    holds, the message is retired instead of resent (counted as
     [rc.retire]): it leaves the outbox as if acknowledged, so it may never
     be delivered. A retired probe hands its role to the oldest parked
-    message to the same destination, which is retransmitted at once. Rules
-    run in the retransmitter fiber, never for a message acked within its
-    first 10 ms, and must not block. *)
+    message to the same destination, which is retransmitted at once. The
+    rule runs in the retransmitter fiber, never for a message acked within
+    its first 10 ms, and must not block. *)
 
 val broadcast : t -> Types.proc_id list -> Types.payload -> unit
 

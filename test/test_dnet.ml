@@ -430,7 +430,10 @@ let test_rchannel_retire_due_entry () =
   Alcotest.(check int) "App 1: the send only" 1 (frames 1);
   Alcotest.(check bool) "App 2 retransmitted" true (frames 2 > 1);
   Alcotest.(check (list int)) "live receiver got App 1" [ 1 ] !live_received;
-  Alcotest.(check int) "rc.retire" 1 (Obs.Registry.counter_total obs "rc.retire")
+  Alcotest.(check int) "rc.retire" 1 (Obs.Registry.counter_total obs "rc.retire");
+  Alcotest.(check (list (float 0.))) "rc.retire in the Prometheus dump" [ 1. ]
+    (Obs.Export_prom.counter_values (Obs.Export_prom.to_string obs)
+       ~metric:"etx_rc_retire")
 
 let test_rchannel_retired_probe_promotes () =
   (* Messages 0-4 wait for a receiver that is down until 3 s: message 0
