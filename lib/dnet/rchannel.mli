@@ -12,10 +12,10 @@
     back-off) until acknowledged or no longer needed: the protocol above
     may set a rule ({!retire_when}) that retires a message nobody waits
     for any more, such as a request whose result the client already holds.
-    Incoming data messages are acknowledged,
-    deduplicated by [(source, sequence)] and handed to the owning process's
-    mailbox via [Etx_runtime.redeliver], so protocol code above receives
-    ordinary messages and stays oblivious to this layer.
+    Incoming data messages are acknowledged, deduplicated by
+    [(source, sequence)] and handed to the owning process's mailbox via
+    [Etx_runtime.redeliver], so protocol code above receives ordinary
+    messages and stays oblivious to this layer.
 
     Endpoint state is volatile: it dies with the process, which is the
     correct semantics — a crashed process forgets what it sent, and the

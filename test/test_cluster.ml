@@ -284,8 +284,8 @@ let () =
         ] );
       ( "random-faults",
         [
+          q prop_cluster_spec_under_random_faults;
           Alcotest.test_case "false suspicion stays live" `Quick
             test_false_suspicion_liveness;
-          q prop_cluster_spec_under_random_faults;
         ] );
     ]

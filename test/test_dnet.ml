@@ -707,8 +707,6 @@ let () =
           Alcotest.test_case "quiesces" `Quick test_rchannel_quiesces;
           Alcotest.test_case "crashed receiver" `Quick
             test_rchannel_crashed_receiver_no_delivery;
-          Alcotest.test_case "recovered receiver stays bounded" `Quick
-            test_rchannel_recovered_receiver_bounded;
           Alcotest.test_case "delivery after recovery" `Quick
             test_rchannel_delivery_after_recovery;
           Alcotest.test_case "silent destination is probed" `Quick
@@ -719,10 +717,6 @@ let () =
             test_rchannel_dead_neighbour;
           Alcotest.test_case "probe does not hold back a fresh message" `Quick
             test_rchannel_probe_does_not_hold_back_fresh;
-          Alcotest.test_case "due entry no longer needed is retired" `Quick
-            test_rchannel_retire_due_entry;
-          Alcotest.test_case "retired probe hands over to oldest parked"
-            `Quick test_rchannel_retired_probe_promotes;
           Alcotest.test_case "silence reported once at send + 70 ms" `Quick
             test_rchannel_silence_reported_once;
           Alcotest.test_case "live destination never reported" `Quick
@@ -730,6 +724,12 @@ let () =
           Alcotest.test_case "destination heard since the send not reported"
             `Quick test_rchannel_heard_since_send_not_reported;
           q prop_rchannel_exactly_once;
+          Alcotest.test_case "recovered receiver stays bounded" `Quick
+            test_rchannel_recovered_receiver_bounded;
+          Alcotest.test_case "due entry no longer needed is retired" `Quick
+            test_rchannel_retire_due_entry;
+          Alcotest.test_case "retired probe hands over to oldest parked"
+            `Quick test_rchannel_retired_probe_promotes;
         ] );
       ( "fdetect",
         [
