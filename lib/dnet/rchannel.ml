@@ -208,8 +208,7 @@ let handle_ack t ds ~seq ~cum =
    up keeps acking some frames, so its entries are normally not parked;
    with no crash and little loss no entry even reaches the cap. [park]
    answers whether [e] was parked. *)
-let park t e now =
-  let ds = Hashtbl.find t.streams e.dst in
+let park t ds e now =
   if ds.last_ack >= now -. max_backoff then false
   else
     match ds.silence with
@@ -267,8 +266,7 @@ let raise_low rs low =
 (* The owner no longer needs [e], which just fell due: it leaves the
    stream as if acked. A retired probe hands its role to the oldest live
    parked entry, due now; without one the stream is back to [Heard]. *)
-let drop_unneeded t (e : out_entry) now =
-  let ds = Hashtbl.find t.streams e.dst in
+let drop_unneeded t ds (e : out_entry) now =
   Hashtbl.remove ds.live e.seq;
   retire t e;
   advance_low ds;
@@ -328,10 +326,9 @@ let receiver_loop t () =
 
 (* At [e]'s third retransmission, before its timer moves on: a destination
    that has acked nothing since [e] was sent is reported. *)
-let check_silence t e =
+let check_silence t ds e =
   match t.on_silent with
-  | Some report
-    when (Hashtbl.find t.streams e.dst).last_ack < e.tm.due -. silent_after ->
+  | Some report when ds.last_ack < e.tm.due -. silent_after ->
       count t "rc.silent";
       report e.dst e.inner
   | Some _ | None -> ()
@@ -354,17 +351,23 @@ let retransmitter_loop t () =
     skip_stale ();
     if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now then begin
       let e = Timeq.pop t.timers in
-      if t.unneeded e.dst e.inner then drop_unneeded t e now
+      let ds = Hashtbl.find t.streams e.dst in
+      if t.unneeded e.dst e.inner then drop_unneeded t ds e now
       else begin
         count t "rc.retransmit";
-        let rc_low = (Hashtbl.find t.streams e.dst).min_live in
         Rt.send e.dst
-          (Rc_data { rc_ep = t.ep; rc_seq = e.seq; rc_low; inner = e.inner });
-        if e.tm.next_delay = third_delay then check_silence t e;
+          (Rc_data
+             {
+               rc_ep = t.ep;
+               rc_seq = e.seq;
+               rc_low = ds.min_live;
+               inner = e.inner;
+             });
+        if e.tm.next_delay = third_delay then check_silence t ds e;
         e.tm.next_delay <-
           Float.min max_backoff (e.tm.next_delay *. backoff_factor);
         e.tm.due <- now +. e.tm.next_delay;
-        if e.tm.next_delay < max_backoff || not (park t e now) then
+        if e.tm.next_delay < max_backoff || not (park t ds e now) then
           push_timer t e
       end;
       fire now
@@ -426,7 +429,8 @@ let send t dst inner =
   let kick = t.pending = 0 || (t.probing > 0 && entry.tm.due < t.wake_at) in
   t.pending <- t.pending + 1;
   push_timer t entry;
-  Rt.send dst (Rc_data { rc_ep = t.ep; rc_seq = seq; rc_low = ds.min_live; inner });
+  Rt.send dst
+    (Rc_data { rc_ep = t.ep; rc_seq = seq; rc_low = ds.min_live; inner });
   if kick then begin
     t.wake_at <- now;
     Rt.redeliver ~src:t.owner Rc_kick
