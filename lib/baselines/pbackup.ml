@@ -60,9 +60,6 @@ type record_entry = {
   mutable decision : decision option;
 }
 
-(* How often the backup polls its detector for the primary's crash. *)
-let takeover_check = 20.
-
 let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
   rt.spawn ~name:"pb-backup" ~main:(fun ~recovery:_ () ->
       let ch = Rchannel.create () in
@@ -107,9 +104,9 @@ let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
               let d = execute ~breakdown ~dbs ~business ch rd request ~j ~xid in
               Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, d.outcome) ];
               d));
-      (* take-over monitor *)
+      (* take-over monitor: promoted at the suspicion of the primary *)
+      let suspicion = Fdetect.changed fd in
       let rec watch () =
-        Rt.sleep takeover_check;
         if Fdetect.suspects fd primary then begin
           promoted := true;
           Hashtbl.iter
@@ -129,7 +126,10 @@ let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
             table;
           Hashtbl.reset table
         end
-        else watch ()
+        else begin
+          Rt.Wake.sleep suspicion suspicion Float.infinity;
+          watch ()
+        end
       in
       watch ())
 

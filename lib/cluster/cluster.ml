@@ -178,7 +178,10 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
                     {
                       Etx.Appserver.shard_of_key =
                         (fun key -> Etx.Shard_map.shard_of map key);
-                      peers = (fun k -> app_pids.(k));
+                      peers =
+                        (fun k ->
+                          if k < Array.length app_pids then app_pids.(k)
+                          else []);
                     }
                 else None
               in

@@ -27,18 +27,15 @@ let cls_net =
     | C_estimate _ | C_propose _ | C_ack _ | C_decide _ | C_start _ -> true
     | _ -> false)
 
-(* How often a blocked driver phase re-checks its round deadline and the
-   failure detector. *)
-let recheck = 2.0
-
 type instance = {
   key : string;
   mutable my_proposal : Types.payload option;
   mutable decided : Types.payload option;
   mutable decided_at : float;  (** local learn time, for garbage collection *)
   mutable driver_running : bool;
-  mutable proposers : Rt.Wake.t option;
-      (** local fibers blocked in [propose]; dropped once decided *)
+  mutable waiters : Rt.Wake.t option;
+      (** local fibers blocked on the decision (proposers, the driver,
+          register waits), woken by it; dropped once decided *)
   mutable saved_est : Types.payload option;
       (** recovered adoption (crash-recovery mode) *)
   mutable saved_ts : int;
@@ -90,7 +87,7 @@ let ensure t key =
           decided = None;
           decided_at = nan;
           driver_running = false;
-          proposers = None;
+          waiters = None;
           saved_est = None;
           saved_ts = -1;
           restart_round = 0;
@@ -167,6 +164,16 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
 
 let coordinator t round = List.nth t.peers (round mod t.n)
 
+(* The wake [record_decision] fires for [inst]; one that never fires once
+   the instance is decided. *)
+let waiters inst =
+  match inst.waiters with
+  | Some w -> w
+  | None ->
+      let w = Rt.Wake.create () in
+      if inst.decided = None then inst.waiters <- Some w;
+      w
+
 (* [from] is the peer the value was learned from ([t.self] for a decision
    reached here). *)
 let record_decision t inst ~from value =
@@ -182,8 +189,8 @@ let record_decision t inst ~from value =
           s.Rt.obs_count "consensus.decides" 1;
           s.Rt.obs_event ~trace:(trace_of_key inst.key) "consensus-decide"
             inst.key);
-      Option.iter Rt.Wake.wake inst.proposers;
-      inst.proposers <- None;
+      Option.iter Rt.Wake.wake inst.waiters;
+      inst.waiters <- None;
       (* reliable broadcast: relay on first learn to every peer but the
          one it came from, which already knows *)
       List.iter
@@ -232,6 +239,13 @@ let driver ?first t inst () =
   in
   (* highest round this driver entered, for the rounds-per-write metric *)
   let max_r = ref 0 in
+  (* every wait below ends on a message of this instance, its decision, its
+     round deadline or (a participant's) suspicion of the coordinator *)
+  let decided = waiters inst and suspicion = Fdetect.changed t.fd in
+  let recv ~deadline w' =
+    Rt.Wake.recv decided w' ~timeout:(deadline -. Rt.now ()) cls_net
+      ~filter:wants_instance
+  in
   let rec go r est ts =
     if r > !max_r then max_r := r;
     match inst.decided with
@@ -289,10 +303,9 @@ let driver ?first t inst () =
         | None -> (
             match (Hashtbl.length seen >= t.majority, best ()) with
             | true, Some (v, _) -> propose r v
+            | _ when Rt.now () >= deadline -> go (r + 1) est ts
             | _ -> (
-                match
-                  Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance ()
-                with
+                match recv ~deadline decided with
                 | Some
                     ({ payload = C_estimate { round; est; ts; _ }; src; _ } as
                      m) ->
@@ -303,9 +316,7 @@ let driver ?first t inst () =
                     else if not (jump_on m ~current:r est ts) then gather ()
                 | Some m ->
                     if not (jump_on m ~current:r est ts) then gather ()
-                | None ->
-                    if Rt.now () > deadline then go (r + 1) est ts
-                    else gather ()))
+                | None -> gather ()))
       in
       gather ()
     end
@@ -325,18 +336,17 @@ let driver ?first t inst () =
       | Some _ -> ()
       | None ->
           if !yes >= t.majority then record_decision t inst ~from:t.self v
-          else if !yes + !no >= t.majority && !no >= 1 then
-            go (r + 1) (Some v) r
+          else if
+            (!yes + !no >= t.majority && !no >= 1) || Rt.now () >= deadline
+          then go (r + 1) (Some v) r
           else begin
-            match Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance () with
+            match recv ~deadline decided with
             | Some { payload = C_ack { round; ok; _ }; _ } when round = r ->
                 if ok then incr yes else incr no;
                 collect ()
             | Some m ->
                 if not (jump_on m ~current:r (Some v) r) then collect ()
-            | None ->
-                if Rt.now () > deadline then go (r + 1) (Some v) r
-                else collect ()
+            | None -> collect ()
           end
     in
     collect ()
@@ -348,19 +358,18 @@ let driver ?first t inst () =
   (* A participant's wait in round r, before its ack (for the proposal,
      which [jump_on] adopts) and after it (for the decision): it ends on a
      message of round r or later, or by [give_up] once coordinator [c] is
-     suspected or the round times out. *)
+     suspected (at the detector's wake) or the round times out. *)
   and await r est ts c ~give_up =
     let deadline = Rt.now () +. t.round_timeout in
     let rec wait () =
       match inst.decided with
       | Some _ -> ()
+      | None when Fdetect.suspects t.fd c || Rt.now () >= deadline ->
+          give_up ()
       | None -> (
-          match Rt.recv ~timeout:recheck ~cls:cls_net ~filter:wants_instance () with
+          match recv ~deadline suspicion with
           | Some m -> if not (jump_on m ~current:r est ts) then wait ()
-          | None ->
-              if Fdetect.suspects t.fd c || Rt.now () > deadline then
-                give_up ()
-              else wait ())
+          | None -> wait ())
     in
     wait ()
   in
@@ -456,15 +465,15 @@ let propose t ~key value =
             if p <> t.self then Rchannel.send t.ch p (C_start { key }))
           t.peers;
       start_driver t inst;
-      if inst.proposers = None then inst.proposers <- Some (Rt.Wake.create ());
-      Rt.Wake.until (Option.get inst.proposers) (fun () ->
-          inst.decided <> None);
+      Rt.Wake.until (waiters inst) (fun () -> inst.decided <> None);
       Option.get inst.decided
 
 let peek t ~key =
   match Hashtbl.find_opt t.instances key with
   | None -> None
   | Some inst -> inst.decided
+
+let decision_wake t ~key = waiters (ensure t key)
 
 let is_consensus_message = function
   | C_estimate _ | C_propose _ | C_ack _ | C_decide _ | C_start _ ->

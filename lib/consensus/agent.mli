@@ -34,6 +34,9 @@
     A failure-free instance decides in round 0: a participant that acked
     a round's proposal stays in that round until the decision, a later
     round's message, suspicion of the coordinator or [round_timeout].
+    Every wait of the driver blocks on exactly these: the decision and the
+    detector's suspicion changes wake it ({!Dnet.Fdetect.changed}), and
+    the round deadline is its one timeout; nothing re-checks on a period.
 
     Correctness assumptions (the paper's): a majority of the [peers] never
     crash, crashed peers do not rejoin (agent state is volatile), channels
@@ -86,6 +89,10 @@ val propose : t -> key:string -> Types.payload -> Types.payload
 
 val peek : t -> key:string -> Types.payload option
 (** This process's current knowledge of the decision (non-blocking). *)
+
+val decision_wake : t -> key:string -> Etx_runtime.Wake.t
+(** Woken when instance [key] decides here. Take it while the instance is
+    undecided ({!peek} is [None]): a decided instance's wake never fires. *)
 
 val decided_keys : t -> string list
 (** All locally known decided instances (tests, introspection). *)

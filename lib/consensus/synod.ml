@@ -35,7 +35,9 @@ type instance = {
   mutable accepted : (int * Types.payload) option;
   mutable decided : Types.payload option;
   mutable proposing : bool;  (** a proposer fiber is active here *)
-  decided_wake : Rt.Wake.t;  (** woken when [decided] is set *)
+  mutable waiters : Rt.Wake.t option;
+      (** local fibers blocked on the decision (proposers, the proposer
+          fiber, register waits), woken by it; dropped once decided *)
 }
 
 type t = {
@@ -80,7 +82,7 @@ let ensure t key =
           accepted = None;
           decided = None;
           proposing = false;
-          decided_wake = Rt.Wake.create ();
+          waiters = None;
         }
       in
       Hashtbl.replace t.instances key inst;
@@ -91,13 +93,24 @@ let ensure t key =
 let learn t inst ~from value =
   if inst.decided = None then begin
     inst.decided <- Some value;
-    Rt.Wake.wake inst.decided_wake;
+    Option.iter Rt.Wake.wake inst.waiters;
+    inst.waiters <- None;
     List.iter
       (fun p ->
         if p <> t.self && p <> from then
           Rchannel.send t.ch p (S_learn { key = inst.key; value }))
       t.peers
   end
+
+(* The wake [learn] fires for [inst]; one that never fires once the
+   instance is decided. *)
+let waiters inst =
+  match inst.waiters with
+  | Some w -> w
+  | None ->
+      let w = Rt.Wake.create () in
+      if inst.decided = None then inst.waiters <- Some w;
+      w
 
 (* ---------------- acceptor / learner ---------------- *)
 
@@ -139,12 +152,14 @@ let start t = Rt.fork "synod-dispatcher" (dispatcher t)
 
 (* ---------------- proposer ---------------- *)
 
-(* Collect replies for one phase until a majority, a nack, or the attempt
-   timeout; [matches] classifies a reply payload. *)
+(* Collect replies for one phase until a majority, a nack, the decision
+   (which wakes the wait) or the attempt timeout; [matches] classifies a
+   reply payload. *)
 type 'a phase_result = Quorum of 'a list | Preempted | Timed_out
 
 let collect_phase t inst ~matches =
   let deadline = Rt.now () +. t.attempt_timeout in
+  let decided = waiters inst in
   (* [n_replies] rides along so reaching a quorum is O(1) per reply rather
      than re-counting the accumulated list each time *)
   let rec wait n_replies replies =
@@ -160,7 +175,7 @@ let collect_phase t inst ~matches =
           | `Other -> false
         in
         match
-          Rt.recv ~timeout:(Float.min remaining 5.) ~cls:cls_reply ~filter ()
+          Rt.Wake.recv decided decided ~timeout:remaining cls_reply ~filter
         with
         | Some m -> (
             match matches m.Types.payload with
@@ -246,13 +261,15 @@ let propose t ~key value =
         inst.proposing <- true;
         Rt.fork ("synod:" ^ key) (proposer t inst value)
       end;
-      Rt.Wake.until inst.decided_wake (fun () -> inst.decided <> None);
+      Rt.Wake.until (waiters inst) (fun () -> inst.decided <> None);
       Option.get inst.decided
 
 let peek t ~key =
   match Hashtbl.find_opt t.instances key with
   | None -> None
   | Some inst -> inst.decided
+
+let decision_wake t ~key = waiters (ensure t key)
 
 let decided_keys t =
   Hashtbl.fold

@@ -34,8 +34,8 @@ val create :
   t
 (** Must be called inside the owning fiber. [peers] ordered identically
     everywhere; the head owns ballot 0. [attempt_timeout] (default 50 ms)
-    bounds each phase's quorum wait; [backoff] (default 20 ms) spaces
-    retries, with per-proposer jitter. *)
+    bounds each phase's quorum wait, which the decision also ends;
+    [backoff] (default 20 ms) spaces retries, with per-proposer jitter. *)
 
 val start : t -> unit
 (** Forks the acceptor/learner dispatcher. *)
@@ -44,5 +44,9 @@ val propose : t -> key:string -> Types.payload -> Types.payload
 (** Blocks until the instance decides; returns the decided value. *)
 
 val peek : t -> key:string -> Types.payload option
+
+val decision_wake : t -> key:string -> Etx_runtime.Wake.t
+(** Woken when instance [key] is learned here. Take it while the instance
+    is undecided: a decided instance's wake never fires. *)
 
 val decided_keys : t -> string list

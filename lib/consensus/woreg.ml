@@ -25,6 +25,12 @@ let read t ~name ~j =
   let key = key ~name ~j in
   match t with Ct a -> Agent.peek a ~key | Paxos s -> Synod.peek s ~key
 
+let wake t ~name ~j =
+  let key = key ~name ~j in
+  match t with
+  | Ct a -> Agent.decision_wake a ~key
+  | Paxos s -> Synod.decision_wake s ~key
+
 let decided_keys t =
   List.filter_map split
     (match t with

@@ -37,6 +37,12 @@ val write : t -> name:string -> j:int -> Types.payload -> Types.payload
 val read : t -> name:string -> j:int -> Types.payload option
 (** Non-blocking read: the written value, or [None] for [⊥]. *)
 
+val wake : t -> name:string -> j:int -> Etx_runtime.Wake.t
+(** Woken when register [j] of [name] is decided here, on either backend:
+    a fiber blocks on it ({!Etx_runtime.Wake.sleep}) until the register is
+    written. Take it while {!read} answers [None]: the wake of a decided
+    register never fires. *)
+
 val decided_keys : t -> (string * int) list
 (** Every register this process knows decided, as [(name, j)], sorted by
     instance key. *)

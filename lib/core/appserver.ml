@@ -14,15 +14,10 @@ type fd_spec =
 
 type register_backend = Reg_ct | Reg_synod
 
-(* How long a wait that ends on a remote reply or on suspicion blocks
-   before it re-checks: the lost branch election's owner and the config
-   group's map replies. *)
-let recheck = 10.
-
 (* Cross-shard commit wiring (DESIGN.md §15). [shard_of_key] is the
    cluster's routing map; [peers] names the application servers of a
-   participant group (a function because the full cluster membership is
-   only known after every group spawned). *)
+   participant group, [[]] past the last group (a function because the
+   full cluster membership is only known after every group spawned). *)
 type cross_cfg = {
   shard_of_key : string -> int;
   peers : int -> Types.proc_id list;
@@ -170,6 +165,9 @@ type ctx = {
           the safety argument *)
   rc : rc_state option;  (** reconfiguration state; None = map fixed *)
   sink : Rt.obs_sink option;  (** fetched once at spawn; None = obs off *)
+  silent : (Types.proc_id, float) Hashtbl.t;
+      (** latest time the channel reported each destination silent *)
+  silent_wake : Rt.Wake.t;  (** woken at each such report *)
 }
 
 let rid_state ctx rid =
@@ -729,23 +727,45 @@ let run_branch ctx ~rid ~j ~ops =
   in
   (ok, values)
 
-(* Send [make ()] to the servers of shard [k] — round-robin, resending
-   every clean period (the handler side is idempotent) — until a reply
-   that [reply] accepts arrives; [reply]'s value. [None] when the shard
-   has no servers. *)
+(* Send [make ()] to one server of shard [k] and wait for a reply that
+   [reply] accepts; [reply]'s value. Each target gets the request once:
+   the wait moves to the next server (round-robin; the handler side is
+   idempotent) only when the target is suspected or the channel reports
+   it silent since the send, and sleeps while every server of the shard is
+   suspected. [None] when the shard has no servers. *)
 let gx_rpc ctx (cc : cross_cfg) ~k ~make ~reply =
-  let peers = cc.peers k in
-  let rec loop i =
-    Rchannel.send ctx.ch (List.nth peers (i mod List.length peers)) (make ());
+  let peers = Array.of_list (cc.peers k) in
+  let n = Array.length peers in
+  let suspicion = Fdetect.changed ctx.fd in
+  let filter m = reply m.Types.payload <> None in
+  let gone target ~since =
+    Fdetect.suspects ctx.fd target
+    ||
+    match Hashtbl.find_opt ctx.silent target with
+    | Some at -> at >= since
+    | None -> false
+  in
+  let rec send i skipped =
+    let target = peers.(i mod n) in
+    if skipped = n then begin
+      Rt.Wake.sleep suspicion suspicion Float.infinity;
+      send i 0
+    end
+    else if Fdetect.suspects ctx.fd target then send (i + 1) (skipped + 1)
+    else begin
+      let since = Rt.now () in
+      Rchannel.send ctx.ch target (make ());
+      wait i target ~since
+    end
+  and wait i target ~since =
     match
-      Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply
-        ~filter:(fun m -> reply m.Types.payload <> None)
-        ()
+      Rt.Wake.recv suspicion ctx.silent_wake ~timeout:Float.infinity
+        cls_gx_reply ~filter
     with
     | Some m -> reply m.Types.payload
-    | None -> loop (i + 1)
+    | None -> if gone target ~since then send (i + 1) 0 else wait i target ~since
   in
-  if peers = [] then None else loop 0
+  if n = 0 then None else send 0 0
 
 (* Branch [k]'s decided vote, fetched from its own group. *)
 let gx_vote_rpc ctx cc ~rid ~j ~k ~make =
@@ -807,15 +827,22 @@ let elect_branch ctx ~rid ~j ~k ~ops =
   | Reg_a_value w -> Lost_to w
   | _ -> Unelected
 
-(* After losing the branch election to [owner]: the vote if decided, else
-   an abort contest when [owner] is suspected; [None] = the elected
-   executor is alive and will decide the register. *)
-let vote_or_contest ctx ~rid ~j ~k ~owner =
-  match Woreg.read ctx.regs ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0 with
-  | Some v -> Some v
-  | None ->
-      if Fdetect.suspects ctx.fd owner then Some (contest_vote ctx ~rid ~j ~k)
-      else None
+(* After losing the branch election to [owner]: block until the vote
+   register decides, or contest it with an abort vote once [owner] is
+   suspected; the decided vote. *)
+let await_vote ctx ~rid ~j ~k ~owner =
+  let name = Reg_name.gx_vote ~rid ~j ~k in
+  let rec wait () =
+    match Woreg.read ctx.regs ~name ~j:0 with
+    | Some v -> v
+    | None when Fdetect.suspects ctx.fd owner -> contest_vote ctx ~rid ~j ~k
+    | None ->
+        Rt.Wake.sleep
+          (Woreg.wake ctx.regs ~name ~j:0)
+          (Fdetect.changed ctx.fd) Float.infinity;
+        wait ()
+  in
+  wait ()
 
 (* The coordinator's own branch: elect the executor like any participant
    would, run it on a win, and read the vote register out. Losing the
@@ -827,15 +854,7 @@ let local_branch_vote ctx ~rid ~j ~k ~ops =
   | None -> (
       match elect_branch ctx ~rid ~j ~k ~ops with
       | Voted v -> vote_of v
-      | Lost_to w ->
-          let rec wait () =
-            match vote_or_contest ctx ~rid ~j ~k ~owner:w with
-            | Some v -> vote_of v
-            | None ->
-                Rt.sleep recheck;
-                wait ()
-          in
-          wait ()
+      | Lost_to w -> vote_of (await_vote ctx ~rid ~j ~k ~owner:w)
       | Unelected -> (false, []))
 
 (* [f x] for every [x], each in its own fiber [name]; returns the results
@@ -971,11 +990,11 @@ let start_try ctx st ~(request : request) ~j shards =
       | Some shards -> compute_try_cross ctx st ~request ~j ~shards
       | None -> compute_try ctx st ~request ~j)
 
-(* Participant-side branch execution, triggered by a (re)sent [Gx_branch].
-   The quick checks run synchronously and the blocking work in its own
-   fiber, so one slow branch never heads-of-line-blocks the gx mailbox. A
-   server that loses the election to a live executor stays silent: the
-   driver's resend retries. *)
+(* Participant-side branch execution, triggered by a [Gx_branch]. The
+   quick checks run synchronously and the blocking work in its own fiber,
+   so one slow branch never heads-of-line-blocks the gx mailbox. A server
+   that loses the election replies once the vote register decides (or
+   with its abort contest, once the executor is suspected). *)
 let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
   match Woreg.read ctx.regs ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0 with
   | Some _ as v -> reply_vote ctx ~src ~rid ~j ~k v
@@ -985,7 +1004,7 @@ let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
           | Voted v -> reply_vote ctx ~src ~rid ~j ~k (Some v)
           | Lost_to w ->
               reply_vote ctx ~src ~rid ~j ~k
-                (vote_or_contest ctx ~rid ~j ~k ~owner:w)
+                (Some (await_vote ctx ~rid ~j ~k ~owner:w))
           | Unelected -> ())
 
 (* Serve the cross-shard RPC surface of this group: branch execution,
@@ -1011,7 +1030,7 @@ let gx_thread ctx () =
                   ~items:[ (Dbms.Xid.make ~rid ~j, outcome) ];
                 count ctx "gx.complete";
                 Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
-        | _ -> () (* stamped for another shard: the driver's rotation moves on *)));
+        | _ -> () (* stamped for another shard *)));
     loop ()
   in
   loop ()
@@ -1100,6 +1119,7 @@ let rc_caps ctx (rcc : reconfig_cfg) =
     propose = (fun ~key v -> Woreg.write ctx.regs ~name:key ~j:0 v);
     peek = (fun ~key -> Woreg.read ctx.regs ~name:key ~j:0);
     suspected = (fun p -> Fdetect.suspects ctx.fd p);
+    suspicion = Fdetect.changed ctx.fd;
     servers_of = rcc.rc_servers_of;
     dbs_of = rcc.rc_dbs_of;
     sink = ctx.sink;
@@ -1156,15 +1176,49 @@ let cfg_thread ctx rc (rcc : reconfig_cfg) () =
   in
   loop ()
 
+(* A periodic check that has work only at some moments ([due ()]) runs
+   [check] on its [clean_period] grid: [clean_period] after each check
+   ends, as a plain sleep-and-check loop would. While nothing is due it
+   blocks in [idle_wait ()] instead of ticking; once a wake makes a check
+   due, it resumes at the first point of the grid it left, the wake's own
+   instant included. So it checks at the instants the plain loop would
+   have found work, and a fleeting suspicion that ends between two grid
+   points starts none. *)
+let on_grid ctx ~idle_wait ~due ~check =
+  let period = ctx.cfg.clean_period in
+  let rec after_check () =
+    let t = Rt.now () in
+    if due () then begin
+      Rt.sleep period;
+      check ();
+      after_check ()
+    end
+    else idle t
+  and idle t =
+    idle_wait ();
+    if due () then begin
+      let now = Rt.now () in
+      let rec next g = if g >= now then g else next (g +. period) in
+      Rt.sleep (next t -. now);
+      check ();
+      after_check ()
+    end
+    else idle t
+  in
+  after_check ()
+
 (* Config-group takeover monitor: a migration must complete even if every
    server that was driving it crashed. The decided [mig:e<n+1>] intent is
    the whole recovery plan — when its owner is suspected and the flip is
    still undecided, any config-group server re-drives the identical,
-   idempotent pipeline. Also adopts (and re-announces) a flip this server
-   somehow missed. *)
+   idempotent pipeline; the detector's wake starts that at the suspicion.
+   Every [clean_period] it also adopts (and re-announces) a decided flip
+   this server has not adopted yet: anti-entropy that a failure-free
+   migration's announce races, so it stays on its period. *)
 let rc_monitor ctx rc rcc () =
+  let suspicion = Fdetect.changed ctx.fd in
   let rec loop () =
-    Rt.sleep ctx.cfg.clean_period;
+    Rt.Wake.sleep suspicion suspicion ctx.cfg.clean_period;
     let caps = rc_caps ctx rcc in
     let e = Shard_map.epoch rc.rc_map + 1 in
     (match caps.Reconfig.Driver.peek ~key:(Reconfig.Rmsg.cfg_key ~epoch:e) with
@@ -1193,7 +1247,10 @@ let rc_monitor ctx rc rcc () =
    cfg-reply class, so the recv cannot steal a driver's acks. Pure
    anti-entropy repairing a rare loss, so the period is deliberately
    lazy — bounces keep answering meanwhile and the serving path never
-   waits on this fiber. *)
+   waits on this fiber. Each round collects replies for [refresh_window]
+   ms. *)
+let refresh_window = 10.
+
 let rc_refresh ctx rc (rcc : reconfig_cfg) () =
   let rec loop () =
     Rt.sleep (25. *. ctx.cfg.clean_period);
@@ -1201,7 +1258,7 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
     Rchannel.broadcast ctx.ch
       (rcc.rc_servers_of rcc.cfg_group)
       (Reconfig.Rmsg.Cfg_query { have });
-    let deadline = Rt.now () +. recheck in
+    let deadline = Rt.now () +. refresh_window in
     let rec drain () =
       if Rt.now () < deadline then begin
         (match
@@ -1377,18 +1434,23 @@ let clean_request ctx ~suspect ~rid =
   in
   scan 1
 
+(* The cleaner scans every [clean_period] while the detector suspects a
+   server of the group (a crashed owner's tries keep surfacing as its
+   register decisions reach this server) and sleeps until the next
+   suspicion otherwise ({!on_grid}). *)
 let clean_thread ctx () =
-  let rec loop () =
-    Rt.sleep ctx.cfg.clean_period;
-    List.iter
-      (fun ai ->
-        if ai <> ctx.self && Fdetect.suspects ctx.fd ai then
-          List.iter (fun rid -> clean_request ctx ~suspect:ai ~rid)
-            (known_rids ctx))
-      ctx.cfg.servers;
-    loop ()
-  in
-  loop ()
+  let suspected ai = ai <> ctx.self && Fdetect.suspects ctx.fd ai in
+  let suspicion = Fdetect.changed ctx.fd in
+  on_grid ctx
+    ~idle_wait:(fun () -> Rt.Wake.sleep suspicion suspicion Float.infinity)
+    ~due:(fun () -> List.exists suspected ctx.cfg.servers)
+    ~check:(fun () ->
+      List.iter
+        (fun ai ->
+          if suspected ai then
+            List.iter (fun rid -> clean_request ctx ~suspect:ai ~rid)
+              (known_rids ctx))
+        ctx.cfg.servers)
 
 (* ---------------- §5 extension: register garbage collection ----------- *)
 
@@ -1593,7 +1655,11 @@ let lease_takeover ctx ls =
    tracks the lease register, and contests the next epoch only when the
    failure detector suspects the current holder (or none exists yet — the
    first server bootstraps epoch 1 immediately). The register write stays
-   the safety argument; suspicion only gates WHEN a takeover is tried. *)
+   the safety argument; suspicion only gates WHEN a takeover is tried.
+   It follows the register at once: the next epoch's decision wakes it.
+   Takeovers run on its [clean_period] grid ({!on_grid}), the first at
+   start-up (the bootstrap), so a suspicion that clears before the next
+   grid point causes none. *)
 let lease_monitor ctx ls () =
   let rec advance () =
     match
@@ -1612,18 +1678,23 @@ let lease_monitor ctx ls () =
     | Some _ | None -> ()
   in
   let head = match ctx.cfg.servers with a :: _ -> a | [] -> ctx.self in
-  let rec loop first =
-    if not first then Rt.sleep ctx.cfg.clean_period;
+  let due () =
     advance ();
-    (match ls.holder with
-    | Some h when h = ctx.self -> ()
-    | Some h when Fdetect.suspects ctx.fd h -> lease_takeover ctx ls
-    | None when ctx.self = head || Fdetect.suspects ctx.fd head ->
-        lease_takeover ctx ls
-    | Some _ | None -> ());
-    loop false
+    match ls.holder with
+    | Some h -> h <> ctx.self && Fdetect.suspects ctx.fd h
+    | None -> ctx.self = head || Fdetect.suspects ctx.fd head
   in
-  loop true
+  let check () = if due () then lease_takeover ctx ls in
+  (* [due] has just advanced to the first undecided epoch *)
+  let idle_wait () =
+    Rt.Wake.sleep
+      (Woreg.wake ctx.regs
+         ~name:(Reg_name.lease ~group:ctx.cfg.group)
+         ~j:(ls.epoch + 1))
+      (Fdetect.changed ctx.fd) Float.infinity
+  in
+  check ();
+  on_grid ctx ~idle_wait ~due ~check
 
 (* One batch through the amortized pipeline: a single batchA election, one
    XA start/end round, concurrently-executing business logic (the simulated
@@ -1849,22 +1920,36 @@ let spawn cfg =
       end
       else begin
         if recovery then Rt.note "appserver-recovered";
-        let ch = Rchannel.create () in
+        (* the channel's silence reports move a cross-shard request on
+           to the next server of its shard ({!gx_rpc}) *)
+        let silent = Hashtbl.create 4 and silent_wake = Rt.Wake.create () in
+        let on_silent dst _ =
+          Hashtbl.replace silent dst (Rt.now ());
+          Rt.Wake.wake silent_wake
+        in
+        let ch = Rchannel.create ~on_silent () in
         Rchannel.start ch;
         let fd =
-          (* With reconfiguration on, the detector spans every
-             provisioned group's servers, not just this group's:
+          (* With reconfiguration or cross-shard commit on, the detector
+             spans every group's servers, not just this group's:
              migration drivers collect seal/install acks from {e other}
-             groups' servers and must be able to give up on crashed
-             ones — an unmonitored process is never suspected, so a
-             group-local detector would leave the driver waiting on a
-             dead destination server forever. *)
+             groups' servers, and a cross-shard coordinator waits on a
+             branch at another group's server; both must be able to give
+             up on crashed ones — an unmonitored process is never
+             suspected, so a group-local detector would leave them waiting
+             on a dead server forever. *)
+          let rec cross_peers (cc : cross_cfg) k =
+            match cc.peers k with
+            | [] -> []
+            | ps -> ps @ cross_peers cc (k + 1)
+          in
           let fd_peers =
-            match cfg.reconfig with
-            | Some rcc ->
+            match (cfg.reconfig, cfg.cross) with
+            | Some rcc, _ ->
                 List.init rcc.rc_groups rcc.rc_servers_of
                 |> List.concat |> List.sort_uniq compare
-            | None -> cfg.servers
+            | None, Some cc -> List.sort_uniq compare (cross_peers cc 0)
+            | None, None -> cfg.servers
           in
           match cfg.fd_spec with
           | Fd_oracle -> Fdetect.oracle cfg.rt
@@ -1912,6 +1997,8 @@ let spawn cfg =
             running = Hashtbl.create 16;
             rc;
             sink = Rt.obs ();
+            silent;
+            silent_wake;
           }
         in
         (* reconfiguration fibers exist only on elastic deployments: a

@@ -64,9 +64,9 @@ type cross_cfg = {
   shard_of_key : string -> int;
       (** the cluster's routing map: which replica group owns a key *)
   peers : int -> Types.proc_id list;
-      (** application servers of a participant group; a function because
-          the full cluster membership is only known after every group
-          spawned *)
+      (** application servers of a participant group, [[]] past the last
+          group; a function because the full cluster membership is only
+          known after every group spawned *)
 }
 (** Cross-shard commit wiring (DESIGN.md §15). When supplied, a request
     whose declared keyset spans several replica groups commits atomically
@@ -121,7 +121,9 @@ type config = {
   dbs : Types.proc_id list;
   business : Business.t;
   fd_spec : fd_spec;
-  clean_period : float;  (** cleaning-thread scan interval *)
+  clean_period : float;
+      (** cleaning-thread scan interval while a server is suspected (the
+          lease takeover and reconfiguration monitor use it too) *)
   gc_after : float option;
       (** when set, a garbage-collection thread discards a request's
           register instances and protocol state this long after its last

@@ -166,6 +166,7 @@ type t = {
       (* migration destination: highest source LSN imported, per source
          database name; durable via W_import / W_snapshot *)
   steps : Rt.Wake.t;  (* sessions waiting for a claimed step *)
+  committed : Rt.Wake.t;  (* woken at each commit noted for shipping *)
 }
 
 let create ?(timing = paper_timing) ?(seed_data = []) ?(read_locks = false)
@@ -195,6 +196,7 @@ let create ?(timing = paper_timing) ?(seed_data = []) ?(read_locks = false)
     commit_lsns = Hashtbl.create 64;
     imports = Hashtbl.create 4;
     steps = Rt.Wake.create ();
+    committed = Rt.Wake.create ();
   }
 
 (* Append one redo record and make it durable: the append itself is free
@@ -218,7 +220,10 @@ let note_commit t ~lsn writes =
     | rest -> (lsn, writes) :: rest
   in
   t.changes <- insert t.changes;
-  if lsn > t.last_commit_lsn then t.last_commit_lsn <- lsn
+  if lsn > t.last_commit_lsn then t.last_commit_lsn <- lsn;
+  Rt.Wake.wake t.committed
+
+let commit_wake t = t.committed
 
 let name t = t.rm_name
 let group_commit t = Dstore.Log.coalescing t.log
@@ -646,6 +651,7 @@ let recover t =
      mid-force, before the record existed) *)
   Dstore.Log.crash_cut t.log;
   Rt.Wake.reset t.steps;
+  Rt.Wake.reset t.committed;
   Hashtbl.reset t.store;
   Hashtbl.reset t.locks;
   Hashtbl.reset t.txns;
@@ -800,10 +806,13 @@ let changes_since ?(max_entries = 64) t ~lsn =
   if lsn < t.snapshot_lsn then
     Snapshot { state = t.snapshot_state; as_of = t.snapshot_lsn }
   else
-    let fresh =
-      List.filter (fun (l, _) -> l > lsn) t.changes |> List.rev
+    (* [changes] is newest first, so the entries above [lsn] are its
+       prefix, collected here oldest first *)
+    let rec above acc = function
+      | ((l, _) as entry) :: older when l > lsn -> above (entry :: acc) older
+      | _ -> acc
     in
-    match fresh with
+    match above [] t.changes with
     | [] -> Up_to_date
     | fresh ->
         let rec take n = function

@@ -208,7 +208,12 @@ type change_feed =
 
 val changes_since : ?max_entries:int -> t -> lsn:int -> change_feed
 (** The committed changes a replica at [lsn] is missing. At most
-    [max_entries] (default 64) entries per call — the shipper paginates. *)
+    [max_entries] (default 64) entries per call — the shipper paginates.
+    Walks the history only down to the first entry at or below [lsn]. *)
+
+val commit_wake : t -> Runtime.Etx_runtime.Wake.t
+(** Woken at each committed change noted for shipping: the shipper's
+    wake-up. *)
 
 val state_at :
   t -> lsn:int -> (string, Value.t) Hashtbl.t option

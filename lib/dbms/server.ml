@@ -125,32 +125,44 @@ let decide_handler rm ch sink ~invalidate ~observers () =
    never waits for a replica (asynchronous replication: replicas cost no
    commit-path latency). The per-replica watermark below is volatile by
    design: a recovered primary reships from scratch and the replicas drop
-   the duplicates (their apply is idempotent on LSNs). *)
+   the duplicates (their apply is idempotent on LSNs). Shipping runs on a
+   [period] grid from the thread's start while anything is unshipped; a
+   tick that finds nothing to ship sleeps until the next commit, then
+   ships at the first grid point after it. *)
 let ship_thread rm ch ~period ~replicas () =
   let sent = Hashtbl.create 8 in
-  let rec loop () =
-    Rt.sleep period;
-    List.iter
-      (fun pid ->
-        let from = try Hashtbl.find sent pid with Not_found -> 0 in
-        match Rm.changes_since rm ~lsn:from with
-        | Rm.Up_to_date -> ()
-        | Rm.Entries entries ->
-            let upto = Rm.last_commit_lsn rm in
-            let top =
-              List.fold_left (fun acc (l, _) -> max acc l) from entries
-            in
-            Hashtbl.replace sent pid top;
-            Rchannel.send ch pid (Msg.Ship { entries; upto })
-        | Rm.Snapshot { state; as_of } ->
-            Hashtbl.replace sent pid as_of;
-            Rchannel.send ch pid
-              (Msg.Ship_snapshot
-                 { state; as_of; upto = Rm.last_commit_lsn rm }))
-      (replicas ());
-    loop ()
+  let ship_to shipped pid =
+    let from = try Hashtbl.find sent pid with Not_found -> 0 in
+    match Rm.changes_since rm ~lsn:from with
+    | Rm.Up_to_date -> shipped
+    | Rm.Entries entries ->
+        let upto = Rm.last_commit_lsn rm in
+        let top = List.fold_left (fun acc (l, _) -> max acc l) from entries in
+        Hashtbl.replace sent pid top;
+        Rchannel.send ch pid (Msg.Ship { entries; upto });
+        true
+    | Rm.Snapshot { state; as_of } ->
+        Hashtbl.replace sent pid as_of;
+        Rchannel.send ch pid
+          (Msg.Ship_snapshot { state; as_of; upto = Rm.last_commit_lsn rm });
+        true
   in
-  loop ()
+  let ship () = List.fold_left ship_to false (replicas ()) in
+  let committed = Rm.commit_wake rm in
+  (* at grid point [tick] *)
+  let rec on_grid tick = if ship () then next_tick tick else idle tick
+  and next_tick tick =
+    Rt.sleep period;
+    on_grid (tick +. period)
+  and idle tick =
+    Rt.Wake.sleep committed committed Float.infinity;
+    let now = Rt.now () in
+    let rec after g = if g > now then g else after (g +. period) in
+    let g = after tick in
+    Rt.sleep (g -. now);
+    on_grid g
+  in
+  next_tick (Rt.now ())
 
 (* Online shard migration endpoint (DESIGN.md §16), forked only on
    migratable databases so non-elastic deployments keep their exact fiber

@@ -28,12 +28,23 @@ type hb = {
   peer_ids : Types.proc_id list;  (** broadcaster fan-out order *)
   states : peer_state option array;  (** indexed by pid; O(1) per lookup *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
+  hchanged : Rt.Wake.t;
 }
 
 let count hb name =
   match hb.sink with None -> () | Some s -> s.Rt.obs_count name 1
 
-type t = Heartbeat of hb | Oracle of Rt.t | Scripted of (Types.proc_id -> bool)
+type t =
+  | Heartbeat of hb
+  | Oracle of { rt : Rt.t; ochanged : Rt.Wake.t }
+  | Scripted of {
+      f : Types.proc_id -> bool;
+      speers : Types.proc_id list;
+      schanged : Rt.Wake.t;
+    }
+
+(* How often the scripted detector re-evaluates its function. *)
+let scripted_poll = 10.
 
 let heartbeat ?(period = 10.) ?(initial_timeout = 50.) ?(timeout_bump = 25.)
     ~peers () =
@@ -53,11 +64,17 @@ let heartbeat ?(period = 10.) ?(initial_timeout = 50.) ?(timeout_bump = 25.)
       peer_ids = peers;
       states;
       sink = Rt.obs ();
+      hchanged = Rt.Wake.create ();
     }
 
-let oracle engine = Oracle engine
+let oracle rt = Oracle { rt; ochanged = Rt.Wake.create () }
 
-let of_fun f = Scripted f
+let of_fun ~peers f = Scripted { f; speers = peers; schanged = Rt.Wake.create () }
+
+let changed = function
+  | Heartbeat hb -> hb.hchanged
+  | Oracle { ochanged; _ } -> ochanged
+  | Scripted { schanged; _ } -> schanged
 
 let state_of hb pid =
   if pid < 0 || pid >= Array.length hb.states then None else hb.states.(pid)
@@ -89,7 +106,8 @@ let listener hb () =
               st.suspected <- false;
               st.timeout <- st.timeout +. hb.bump;
               count hb "fd.clears";
-              Rt.redeliver ~src:hb.owner Fd_wake
+              Rt.redeliver ~src:hb.owner Fd_wake;
+              Rt.Wake.wake hb.hchanged
             end);
         loop ()
   in
@@ -136,6 +154,7 @@ let monitor hb () =
       if delay > 0. then ignore (Rt.recv_cls ~timeout:delay cls_wake);
       let now = Rt.now () in
       if now >= !target then begin
+        let fresh = ref false in
         Array.iteri
           (fun pid st_opt ->
             match st_opt with
@@ -144,10 +163,12 @@ let monitor hb () =
                    && (not st.suspected)
                    && now -. st.last_heard > st.timeout ->
                 st.suspected <- true;
+                fresh := true;
                 count hb "fd.suspicions"
             | _ -> ())
           hb.states;
-        tick := !target
+        tick := !target;
+        if !fresh then Rt.Wake.wake hb.hchanged
       end;
       (* else: woken by a poke — re-plan from the unchanged cursor *)
       loop ()
@@ -155,8 +176,31 @@ let monitor hb () =
   in
   loop ()
 
+(* The scripted detector's poller: the one place suspicion is polled. *)
+let poller f peers w () =
+  let last = Hashtbl.create 8 in
+  let rec loop () =
+    let moved =
+      List.fold_left
+        (fun moved pid ->
+          let s = f pid in
+          if Hashtbl.find_opt last pid = Some s then moved
+          else begin
+            Hashtbl.replace last pid s;
+            true
+          end)
+        false peers
+    in
+    if moved then Rt.Wake.wake w;
+    Rt.sleep scripted_poll;
+    loop ()
+  in
+  loop ()
+
 let start = function
-  | Oracle _ | Scripted _ -> ()
+  | Oracle { ochanged; _ } -> Rt.watch (fun _ -> Rt.Wake.wake ochanged)
+  | Scripted { f; speers; schanged } ->
+      Rt.fork "fd-poll" (poller f speers schanged)
   | Heartbeat hb ->
       Rt.fork "fd-broadcast" (broadcaster hb);
       Rt.fork "fd-listen" (listener hb);
@@ -164,8 +208,8 @@ let start = function
 
 let suspects t pid =
   match t with
-  | Oracle engine -> not (engine.Rt.is_up pid)
-  | Scripted f -> f pid
+  | Oracle { rt; _ } -> not (rt.Rt.is_up pid)
+  | Scripted { f; _ } -> f pid
   | Heartbeat hb -> (
       match state_of hb pid with None -> false | Some st -> st.suspected)
 

@@ -12,7 +12,11 @@
     {!oracle} consults the engine's ground truth and is perfect by
     construction; the primary-backup comparison protocol requires it (the
     paper points out a false suspicion there leads to inconsistency), and
-    tests use it to isolate protocol logic from detector quality. *)
+    tests use it to isolate protocol logic from detector quality.
+
+    Suspicion is also an event: every detector wakes {!changed} when it
+    starts or stops suspecting a process, so a fiber waits on that instead
+    of re-checking {!suspects} on a period. *)
 
 open Runtime
 
@@ -32,13 +36,23 @@ val heartbeat :
 val oracle : Etx_runtime.t -> t
 (** Perfect detector reading the engine's process states. *)
 
-val of_fun : (Types.proc_id -> bool) -> t
+val of_fun : peers:Types.proc_id list -> (Types.proc_id -> bool) -> t
 (** Scripted detector for tests: [suspects] delegates to the function. Used
     e.g. to inject a false suspicion deterministically and demonstrate why
-    primary-backup needs perfect failure detection. *)
+    primary-backup needs perfect failure detection. It re-evaluates the
+    function on [peers] every 10 ms to wake {!changed}: the only detector
+    that polls. *)
 
 val start : t -> unit
-(** Forks the broadcaster and monitor fibers (no-op for an oracle). *)
+(** Heartbeat: forks the broadcaster, listener and monitor fibers. Oracle:
+    subscribes to the runtime's crash and recovery notices
+    ({!Etx_runtime.watch}, one per process). Scripted: forks its poller. *)
+
+val changed : t -> Etx_runtime.Wake.t
+(** Woken when the detector starts or stops suspecting a process: the
+    heartbeat detector at the monitor tick that suspects and on the
+    heartbeat that clears, the oracle at the crash or recovery instant
+    (after {!start}). *)
 
 val suspects : t -> Types.proc_id -> bool
 (** The paper's [suspect(a)] predicate, evaluated now. *)

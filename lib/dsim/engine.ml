@@ -45,6 +45,9 @@ type proc = {
   mutable recv_eff : message option Effect.t;
   mutable unit_eff : unit Effect.t;
       (** the effect being handled, read back by the handler's answer *)
+  mutable watcher : (proc_id -> unit) option;
+      (** [Etx_runtime.watch]: runs at each other process's crash or
+          recovery, until this process crashes *)
 }
 
 type t = {
@@ -165,6 +168,9 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
         | ER.E_recv (cls, filter, timeout) ->
             p.recv_eff <- no_recv;
             receive t p k cls filter timeout
+        | ER.E_await (w, w', cls, filter, timeout) ->
+            p.recv_eff <- no_recv;
+            await t p k w w' cls filter timeout
         | _ -> assert false)
   in
   let unit_ans =
@@ -202,12 +208,16 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
         | ER.E_recv _ ->
             p.recv_eff <- eff;
             recv_ans
+        | ER.E_await _ ->
+            p.recv_eff <- eff;
+            recv_ans
         | ER.E_sleep _ -> stash eff
         | ER.E_work _ -> stash eff
         | ER.E_send _ -> stash eff
         | ER.E_redeliver _ -> stash eff
         | ER.E_note _ -> stash eff
         | ER.E_fork _ -> stash eff
+        | ER.E_watch _ -> stash eff
         | _ -> None);
   }
 
@@ -245,6 +255,9 @@ and perform_unit :
       if t.trace_on then
         Trace.record t.tracer t.vnow (Trace.Note (p.pid, "fork " ^ fname));
       Effect.Deep.continue k ()
+  | ER.E_watch f ->
+      p.watcher <- Some f;
+      Effect.Deep.continue k ()
   | _ -> assert false
 
 and wake_after : t -> proc -> (unit, unit) Effect.Deep.continuation -> time -> unit =
@@ -265,15 +278,40 @@ and receive :
   let taken = ER.take_message p.mailbox cls filter in
   match taken with
   | Some _ -> Effect.Deep.continue k taken
+  | None -> ignore (block t p k cls filter timeout)
+
+(* Queue a waiter whose receive found nothing, with its timeout. *)
+and block t p k cls filter timeout =
+  let node = Cq.push p.waiters ~cls { wfilter = filter; wk = k } in
+  if timeout < Float.infinity then begin
+    let inc = p.incarnation in
+    schedule t ~delay:timeout (fun () ->
+        if p.up && p.incarnation = inc then
+          if Cq.remove p.waiters node then
+            Effect.Deep.continue (Cq.node_value node).wk None)
+  end;
+  node
+
+(* A receive that a wake of [w] or [w'] also ends: the ticket left with
+   each ends the wait the way its timeout would. *)
+and await t p k w w' cls filter timeout =
+  let taken = ER.take_message p.mailbox cls filter in
+  match taken with
+  | Some _ -> Effect.Deep.continue k taken
   | None ->
-      let node = Cq.push p.waiters ~cls { wfilter = filter; wk = k } in
-      if timeout < Float.infinity then begin
-        let inc = p.incarnation in
-        schedule t ~delay:timeout (fun () ->
-            if p.up && p.incarnation = inc then
-              if Cq.remove p.waiters node then
-                Effect.Deep.continue (Cq.node_value node).wk None)
-      end
+      let node = block t p k cls filter timeout in
+      let ticket fire =
+        Cq.mem p.waiters node
+        && begin
+             if fire then begin
+               ignore (Cq.remove p.waiters node);
+               Effect.Deep.continue k None
+             end;
+             true
+           end
+      in
+      ER.Wake.register w ticket;
+      if w' != w then ER.Wake.register w' ticket
 
 and run_fiber t p f =
   if p.handler == unset_handler then p.handler <- handler t p;
@@ -344,6 +382,7 @@ let spawn t ~name ~main =
       handler = unset_handler;
       recv_eff = no_recv;
       unit_eff = no_unit;
+      watcher = None;
     }
   in
   let capacity = Array.length t.procs in
@@ -359,15 +398,27 @@ let spawn t ~name ~main =
       if p.up && p.incarnation = 0 then run_fiber t p (main ~recovery:false));
   pid
 
+(* The crash or recovery notice: every other live process's watcher runs
+   now, as a fiber of that process. *)
+let notify t p =
+  for i = 0 to t.nprocs - 1 do
+    let q = t.procs.(i) in
+    match q.watcher with
+    | Some f when q.up && q != p -> run_fiber t q (fun () -> f p.pid)
+    | Some _ | None -> ()
+  done
+
 let crash t pid =
   let p = proc_of t pid in
   if p.up then begin
     p.up <- false;
     p.incarnation <- p.incarnation + 1;
+    p.watcher <- None;
     Cq.clear p.mailbox;
     Cq.clear p.waiters;
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Crashed pid);
-    obs_event t p.pname "crash" ""
+    obs_event t p.pname "crash" "";
+    notify t p
   end
 
 let recover t pid =
@@ -379,6 +430,7 @@ let recover t pid =
     Cq.clear p.waiters;
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Recovered pid);
     obs_event t p.pname "recover" "";
+    notify t p;
     let inc = p.incarnation in
     schedule t ~delay:0. (fun () ->
         if p.up && p.incarnation = inc then

@@ -88,10 +88,13 @@ val name_of : t -> proc_id -> string
 val is_up : t -> proc_id -> bool
 
 val crash : t -> proc_id -> unit
-(** Immediate crash (idempotent while down). *)
+(** Immediate crash (idempotent while down). Every other live process's
+    watcher ([Etx_runtime.watch]) runs at once, as a fiber of its
+    process. *)
 
 val recover : t -> proc_id -> unit
-(** Immediate recovery: re-runs main with [~recovery:true]. No-op if up. *)
+(** Immediate recovery: re-runs main with [~recovery:true]. No-op if up.
+    Notifies the watchers as {!crash} does. *)
 
 val crash_at : t -> time -> proc_id -> unit
 val recover_at : t -> time -> proc_id -> unit

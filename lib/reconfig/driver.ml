@@ -46,6 +46,7 @@ type caps = {
       (** config-group consensus: blocks until the register is decided *)
   peek : key:string -> Types.payload option;
   suspected : Types.proc_id -> bool;
+  suspicion : Rt.Wake.t;  (** woken when [suspected] changes *)
   servers_of : int -> Types.proc_id list;
   dbs_of : int -> (Types.proc_id * string) list;
       (** a group's databases as (process, durable name) — the name is the
@@ -65,14 +66,15 @@ let observe caps name v =
   match caps.sink with None -> () | Some s -> s.Rt.obs_observe name v
 
 (* Broadcast [request] to [peers] and await a matching reply from each,
-   re-sending every [resend] ms (handlers are idempotent). Suspected peers
-   are given up on by default — crashed application servers stay down in
-   this model. [forever:true] instead keeps re-sending through the
-   suspicion: databases {e do} recover (with their durable state), and the
-   safety of the seal and copy phases needs every database's ack, not
-   every currently-up database's. [matches] inspects a reply and names the
-   peer it settles (side effects welcome — the decision collector
-   accumulates through it). *)
+   re-sending every [resend] ms (handlers are idempotent; a recovered
+   database lost the request with its volatile state). Suspected peers
+   are given up on by default, at the detector's wake — crashed
+   application servers stay down in this model. [forever:true] instead
+   keeps re-sending through the suspicion: databases {e do} recover (with
+   their durable state), and the safety of the seal and copy phases needs
+   every database's ack, not every currently-up database's. [matches]
+   inspects a reply and names the peer it settles (side effects welcome —
+   the decision collector accumulates through it). *)
 let collect_acks ?(forever = false) caps ~cls ~peers ~request ~matches =
   let pending = ref (List.sort_uniq compare peers) in
   let settle m =
@@ -80,21 +82,24 @@ let collect_acks ?(forever = false) caps ~cls ~peers ~request ~matches =
     | Some p -> pending := List.filter (fun q -> q <> p) !pending
     | None -> ()
   in
-  let rec epoch () =
+  let give_up () =
     if not forever then
-      pending := List.filter (fun p -> not (caps.suspected p)) !pending;
+      pending := List.filter (fun p -> not (caps.suspected p)) !pending
+  in
+  let rec epoch () =
+    give_up ();
     if !pending <> [] then begin
       List.iter (fun p -> Rchannel.send caps.ch p request) !pending;
       let deadline = Rt.now () +. resend in
       let rec drain () =
         if !pending <> [] && Rt.now () < deadline then begin
           (match
-             Rt.recv ~timeout:(deadline -. Rt.now ()) ~cls
+             Rt.Wake.recv caps.suspicion caps.suspicion
+               ~timeout:(deadline -. Rt.now ()) cls
                ~filter:(fun m -> matches m <> None)
-               ()
            with
           | Some m -> settle m
-          | None -> ());
+          | None -> give_up ());
           drain ()
         end
       in

@@ -96,6 +96,8 @@ let remove t = function
       true
   | _ -> false
 
+let mem t = function Node r -> r.gen = t.gen | Nil -> false
+
 let take t = function
   | Nil -> None
   | Node r as n ->

@@ -52,6 +52,9 @@ val remove : 'a t -> 'a node -> bool
 (** Unlink the node. O(1). Returns [false] if it was already removed or the
     queue was cleared since it was pushed. *)
 
+val mem : 'a t -> 'a node -> bool
+(** Whether the node is still queued: not removed, not cleared. O(1). *)
+
 val cls_length : 'a t -> int -> int
 (** Bucket size, O(bucket). Test/diagnostic use. *)
 

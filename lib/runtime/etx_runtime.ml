@@ -67,6 +67,18 @@ type obs_sink = {
   obs_event : trace:int -> string -> string -> unit;
 }
 
+(* A wake-up source (see [Wake] below): fibers in [Wake.until] are counted
+   and woken by a message each; fibers blocked in [E_await] leave a ticket.
+   A ticket called with [false] says whether its fiber still waits; called
+   with [true] it also ends the wait. Tickets of waits that ended otherwise
+   are pruned once the list doubles. *)
+type wake = {
+  mutable waiting : int;
+  mutable tickets : (bool -> bool) list;
+  mutable ntickets : int;
+  mutable prune_at : int;
+}
+
 (* Effects performed by fibers. The handler (installed per fiber by the
    hosting backend) closes over the backend state, so the declarations carry
    no backend reference. *)
@@ -79,6 +91,11 @@ type _ Effect.t +=
   | E_redeliver : proc_id * payload -> unit Effect.t
   | E_recv : cls * (message -> bool) option * time -> message option Effect.t
       (** class, or [-1] for any; filter; timeout, [infinity] for none *)
+  | E_await :
+      wake * wake * cls * (message -> bool) option * time
+      -> message option Effect.t
+      (** [E_recv] that a wake of either source also ends, with [None] *)
+  | E_watch : (proc_id -> unit) -> unit Effect.t
   | E_fork : string * (unit -> unit) -> unit Effect.t
   | E_random_float : float -> float Effect.t
   | E_random_int : int -> int Effect.t
@@ -143,18 +160,24 @@ let note s = Effect.perform (E_note s)
    init, not per event. *)
 let obs () = try Effect.perform E_obs with Effect.Unhandled _ -> None
 
+let watch f = Effect.perform (E_watch f)
+
 let exit_fiber () = raise Exit_fiber
 
 (* Process-local wake-ups ---------------------------------------------- *)
 
 module Wake = struct
-  type t = { mutable waiting : int }
+  type t = wake
   type payload += Wake of t
 
   let cls =
     register_class ~name:"wake" (function Wake _ -> true | _ -> false)
 
-  let create () = { waiting = 0 }
+  (* no payload is of this class: a fiber blocked in it waits for a wake or
+     its timeout only *)
+  let idle = register_class ~name:"idle" (fun _ -> false)
+
+  let create () = { waiting = 0; tickets = []; ntickets = 0; prune_at = 8 }
 
   let until w ready =
     while not (ready ()) do
@@ -166,9 +189,19 @@ module Wake = struct
            ())
     done
 
+  let register w ticket =
+    if w.ntickets >= w.prune_at then begin
+      w.tickets <- List.filter (fun tk -> tk false) w.tickets;
+      w.ntickets <- List.length w.tickets;
+      w.prune_at <- max 8 (2 * w.ntickets)
+    end;
+    w.tickets <- ticket :: w.tickets;
+    w.ntickets <- w.ntickets + 1
+
   (* One wake per registered waiter, and the count starts over: a waiter
      that re-registers while these are delivered is counted for the next
-     wake, so no wake is ever left unread. *)
+     wake, so no wake is ever left unread. Blocked waits end in the order
+     they began; one that blocks again meanwhile waits for the next wake. *)
   let wake w =
     if w.waiting > 0 then begin
       let n = w.waiting and src = self () and p = Wake w in
@@ -176,7 +209,22 @@ module Wake = struct
       for _ = 1 to n do
         redeliver ~src p
       done
-    end
+    end;
+    match w.tickets with
+    | [] -> ()
+    | tickets ->
+        w.tickets <- [];
+        w.ntickets <- 0;
+        List.iter (fun tk -> ignore (tk true)) (List.rev tickets)
 
-  let reset w = w.waiting <- 0
+  let reset w =
+    w.waiting <- 0;
+    w.tickets <- [];
+    w.ntickets <- 0
+
+  let recv w w' ~timeout cls ~filter =
+    Effect.perform (E_await (w, w', cls, Some filter, timeout))
+
+  let sleep w w' timeout =
+    ignore (Effect.perform (E_await (w, w', idle, None, timeout)))
 end

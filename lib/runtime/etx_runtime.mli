@@ -88,6 +88,9 @@ type obs_sink = {
     Exposed so backends can install handlers; protocol code should use the
     fiber-side wrappers below instead of performing these directly. *)
 
+type wake
+(** A wake-up source; see {!Wake}. *)
+
 type _ Effect.t +=
   | E_now : time Effect.t
   | E_self : proc_id Effect.t
@@ -97,6 +100,12 @@ type _ Effect.t +=
   | E_redeliver : proc_id * payload -> unit Effect.t
   | E_recv : cls * (message -> bool) option * time -> message option Effect.t
       (** class, or [-1] for any; filter; timeout, [infinity] for none *)
+  | E_await :
+      wake * wake * cls * (message -> bool) option * time
+      -> message option Effect.t
+      (** [E_recv] that a wake of either source also ends, with [None]; the
+          backend registers the blocked fiber with {!Wake.register} *)
+  | E_watch : (proc_id -> unit) -> unit Effect.t
   | E_fork : string * (unit -> unit) -> unit Effect.t
   | E_random_float : float -> float Effect.t
   | E_random_int : int -> int Effect.t
@@ -205,14 +214,22 @@ val obs : unit -> obs_sink option
 val exit_fiber : unit -> 'a
 (** Terminate the calling fiber silently. *)
 
+val watch : (proc_id -> unit) -> unit
+(** [watch f]: from now until the calling process crashes, every crash or
+    recovery of another process runs [f pid] at that instant, as a new
+    fiber of the calling process. The notice bypasses the network: no
+    delay, no loss, no random draw. A later call replaces [f]. *)
+
 (** {1 Process-local wake-ups}
 
     A fiber blocks until another fiber of the {e same} process changes the
-    state it waits on. A wake is one message of class ["wake"] in the
-    process's own mailbox, one per registered waiter, so none is left
-    unread. *)
+    state it waits on. A fiber in {!Wake.until} is woken by one message of
+    class ["wake"] in the process's own mailbox, one per registered waiter,
+    so none is left unread. A fiber in {!Wake.recv} or {!Wake.sleep} waits
+    on two sources at once (pass one twice for a single source) and is
+    woken without a message: the wait just ends, as if it timed out. *)
 module Wake : sig
-  type t
+  type t = wake
 
   val create : unit -> t
 
@@ -220,9 +237,23 @@ module Wake : sig
   (** [until w ready] returns once [ready ()] holds, blocking on [w] between
       checks; whoever changes what [ready] reads then calls {!wake}. *)
 
+  val recv :
+    t -> t -> timeout:time -> cls -> filter:(message -> bool) -> message option
+  (** [recv w w' ~timeout cls ~filter] is [Etx_runtime.recv ~cls ~filter]
+      that also returns [None] when [w] or [w'] is woken. *)
+
+  val sleep : t -> t -> time -> unit
+  (** [sleep w w' d] blocks until [w] or [w'] is woken or [d] ms pass. *)
+
   val wake : t -> unit
-  (** Wake every fiber blocked in {!until} on [w]. *)
+  (** Wake every fiber blocked on [w]. Callable outside a fiber when no
+      fiber waits in {!until}. *)
 
   val reset : t -> unit
   (** Forget the waiters of a [t] kept in state that outlives a crash. *)
+
+  val register : t -> (bool -> bool) -> unit
+  (** Backend side of {!recv}: [register w ticket] records a blocked
+      fiber. [ticket false] says whether it still waits; [ticket true]
+      also ends its wait. *)
 end

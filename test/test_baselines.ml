@@ -242,7 +242,7 @@ let test_pb_false_suspicion_inconsistency () =
      predicate runs inside the backup's fiber, so it can read virtual time
      through the runtime it was built on *)
   let backup_fd _rt =
-    Dnet.Fdetect.of_fun (fun pid ->
+    Dnet.Fdetect.of_fun ~peers:[ 2 ] (fun pid ->
         pid = 2 && Runtime.Etx_runtime.now () > 600.)
   in
   let e, p =

@@ -259,6 +259,75 @@ let test_false_suspicion_liveness () =
     (List.length (Cluster.all_records c));
   Alcotest.(check (list string)) "spec" [] (Cluster.Spec.check_all c)
 
+(* ------------------------------------------------------------------ *)
+(* Idle means no events: once every client script is done, a crash-free
+   cluster on the oracle detector has nothing left to wake for — no
+   detector, cleaner, lease monitor, shipper or register wait re-checks on
+   a period — so its event queue drains within a virtual second. *)
+
+let updates n = List.init n (fun i -> Printf.sprintf "acct%d:1" (i mod 3))
+
+let drains_when_idle (name, build) () =
+  let e, c = build () in
+  Alcotest.(check bool) (name ^ ": scripts done") true
+    (Cluster.run_to_quiescence ~deadline:300_000. c);
+  let deadline = Dsim.Engine.now_of e +. 1_000. in
+  Alcotest.(check bool) (name ^ ": event queue drains") true
+    (Dsim.Engine.run ~deadline e = Dsim.Engine.Quiescent);
+  Alcotest.(check (list string)) (name ^ ": cluster spec") []
+    (Cluster.Spec.check_all c)
+
+let idle_clusters =
+  let bank = Workload.Bank.seed_accounts (List.init 8 (fun i -> (Printf.sprintf "acct%d" i, 1000))) in
+  let scripts bodies =
+    List.map (fun b ~issue -> List.iter (fun b -> ignore (issue b)) b) bodies
+  in
+  let two_clients = scripts [ updates 3; updates 3 ] in
+  [
+    ( "classic",
+      fun () ->
+        Harness.Simrun.cluster ~seed:3 ~seed_data:bank
+          ~business:Workload.Bank.update ~scripts:two_clients () );
+    ( "batch 4",
+      fun () ->
+        Harness.Simrun.cluster ~seed:3 ~batch:4 ~seed_data:bank
+          ~business:Workload.Bank.update ~scripts:two_clients () );
+    ( "2-shard cross",
+      fun () ->
+        let map = Shard_map.create ~shards:2 () in
+        let kind =
+          Workload.Generator.Bank_transfers { accounts = 8; max_amount = 5 }
+        in
+        let bodies =
+          Workload.Generator.sharded_bodies ~map ~cross_ratio:0.5 ~seed:3 ~n:6
+            kind
+        in
+        Harness.Simrun.cluster ~seed:3 ~map ~cross:true
+          ~seed_data:(Workload.Generator.seed_data_of kind)
+          ~business:Workload.Bank.transfer
+          ~scripts:
+            (scripts
+               [
+                 List.filteri (fun i _ -> i mod 2 = 0) (List.map snd bodies);
+                 List.filteri (fun i _ -> i mod 2 = 1) (List.map snd bodies);
+               ])
+          () );
+    ( "replicas 1",
+      fun () ->
+        let kind =
+          Workload.Generator.Read_heavy
+            { accounts = 3; max_delta = 9; reads_per_write = 3 }
+        in
+        Harness.Simrun.cluster ~seed:3 ~cache:true ~replicas:1
+          ~seed_data:(Workload.Generator.seed_data_of kind)
+          ~business:(Workload.Generator.business_of kind)
+          ~scripts:
+            (scripts
+               (List.init 2 (fun i ->
+                    Workload.Generator.bodies ~seed:(1 + i) ~n:6 kind)))
+          () );
+  ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "cluster"
@@ -282,6 +351,12 @@ let () =
           Alcotest.test_case "misrouted request bounced (batch 4)" `Quick
             (test_misrouted_request_bounced ~batch:4);
         ] );
+      ( "idle",
+        List.map
+          (fun ((name, _) as cfg) ->
+            Alcotest.test_case ("drains when idle: " ^ name) `Quick
+              (drains_when_idle cfg))
+          idle_clusters );
       ( "random-faults",
         [
           q prop_cluster_spec_under_random_faults;

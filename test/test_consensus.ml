@@ -306,6 +306,36 @@ let test_acked_participant_moves_on oracle_fd () =
     [ ("a2", 1, Some 2.); ("a3", 1, Some 2.) ]
     (rounds_per_write obs)
 
+(* The same crash, seen by the oracle: the survivors wait in round 0
+   after their acks, and the crash notice wakes them, so they leave round
+   0 at the crash instant — not at a later re-check. a3 then sends its
+   round-1 estimate to a2, round 1's coordinator. *)
+let test_participant_gives_up_at_suspicion () =
+  let crash_at = 1.5 in
+  let t =
+    members_scenario ~net:Engine.default_net ~oracle_fd:true ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 3))
+        else Engine.sleep 500.)
+      ()
+  in
+  Engine.crash_at t crash_at 0;
+  ignore (Engine.run ~deadline:1_000. t);
+  let round1_estimates =
+    List.filter_map
+      (fun (entry : Trace.entry) ->
+        match entry.event with
+        | Trace.Sent (m, _) -> (
+            match Rchannel.inner_payload m.payload with
+            | Some (Consensus.Agent.C_estimate { round = 1; _ }) ->
+                Some (m.src, m.dst, entry.at)
+            | _ -> None)
+        | _ -> None)
+      (Trace.entries (Engine.trace t))
+  in
+  Alcotest.(check (list (triple int int (float 0.))))
+    "a3 enters round 1 at the crash" [ (2, 1, crash_at) ] round1_estimates
+
 (* ------------------------------------------------------------------ *)
 (* The Synod (Paxos) register backend *)
 
@@ -757,6 +787,8 @@ let () =
             (test_acked_participant_moves_on true);
           Alcotest.test_case "acked participant moves on, heartbeat" `Quick
             (test_acked_participant_moves_on false);
+          Alcotest.test_case "participant gives up at the suspicion" `Quick
+            test_participant_gives_up_at_suspicion;
           q prop_agreement_under_faults;
         ] );
       (* Alcotest sizes its name column by the longest group name and cuts

@@ -158,6 +158,135 @@ let test_cross_coordinator_crash_completed () =
         [] (Cluster.Spec.check_all c))
     [ false; true ]
 
+(* ------------------------------------------------------------------ *)
+(* The gx RPC sends each request once and moves on only at suspicion or
+   silence. [gx_sends e] lists the gx messages the servers sent, as
+   (payload, source, destination, time) — the channel's retransmissions of
+   a message (the same payload) left out. *)
+
+let gx_sends e =
+  List.fold_left
+    (fun acc (entry : Dsim.Trace.entry) ->
+      match entry.event with
+      | Dsim.Trace.Sent (m, _) -> (
+          match Dnet.Rchannel.inner_payload m.payload with
+          | Some
+              ((Etx_types.Gx_branch _ | Etx_types.Gx_complete _
+               | Etx_types.Gx_voted _) as p)
+            when not (List.exists (fun (p', _, _, _) -> p' == p) acc) ->
+              (p, m.src, m.dst, entry.at) :: acc
+          | _ -> acc)
+      | _ -> acc)
+    []
+    (Dsim.Trace.entries (Dsim.Engine.trace e))
+  |> List.rev
+
+let branches_of_try e j =
+  List.filter
+    (function Etx_types.Gx_branch { j = j'; _ }, _, _, _ -> j' = j | _ -> false)
+    (gx_sends e)
+
+let transfer_cluster ?net ?fd_spec ~seed () =
+  let map = Shard_map.create ~shards:2 () in
+  let a, b = cross_pair map in
+  let seed_data = Workload.Bank.seed_accounts [ (a, 100); (b, 5) ] in
+  let e, c =
+    Harness.Simrun.cluster ~seed ?net ?fd_spec ~map ~seed_data ~cross:true
+      ~client_period:300. ~business:Workload.Bank.transfer
+      ~scripts:[ (fun ~issue -> ignore (issue (Printf.sprintf "%s:%s:30" a b))) ]
+      ()
+  in
+  let home = Cluster.shard_of_key c a in
+  (e, c, Cluster.primary c ~shard:home, (Cluster.group c (1 - home)).app_servers)
+
+let test_gx_one_request_each () =
+  let e, c, _, _ = transfer_cluster ~seed:13 () in
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:300_000. c);
+  let count f = List.length (List.filter f (gx_sends e)) in
+  Alcotest.(check int) "one Gx_branch" 1
+    (count (function Etx_types.Gx_branch _, _, _, _ -> true | _ -> false));
+  Alcotest.(check int) "one Gx_complete" 1
+    (count (function Etx_types.Gx_complete _, _, _, _ -> true | _ -> false));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
+(* The branch's target crashes mid-branch (the branch runs ~190 ms from
+   ~6 ms). The coordinator sends the branch to the next server of the
+   shard at the suspicion — the crash instant under the oracle, the
+   monitor tick that suspects under heartbeats — and to no one else; that
+   server lost the executor election to the dead target, so it contests
+   the vote and replies, and the client's retry commits. *)
+let test_gx_moves_on_at_suspicion fd () =
+  let crash = 100.25 in
+  let fd_spec, latest =
+    match fd with
+    | `Oracle -> (Appserver.Fd_oracle, crash)
+    | `Heartbeat -> (heartbeat, crash +. 60. +. 10.)
+  in
+  let e, c, coord, targets = transfer_cluster ~fd_spec ~seed:13 () in
+  let t0 = List.hd targets in
+  Dsim.Engine.crash_at e crash t0;
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  (match branches_of_try e 1 with
+  | [ (_, s0, d0, _); (_, s1, d1, at) ] ->
+      Alcotest.(check (pair int int)) "first to the target" (coord, t0) (s0, d0);
+      Alcotest.(check int) "then from the coordinator" coord s1;
+      Alcotest.(check bool) "to another server of the shard" true
+        (d1 <> t0 && List.mem d1 targets);
+      Alcotest.(check bool)
+        (Printf.sprintf "moved on at the suspicion (%.3f)" at)
+        true
+        (at >= crash && at <= latest)
+  | l -> Alcotest.failf "%d Gx_branch sends for try 1" (List.length l));
+  (match Cluster.all_records c with
+  | [ r ] -> Alcotest.(check bool) "committed on a retry" true (r.tries > 1)
+  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
+(* The link from the coordinator to the branch's first target is slow
+   (150 ms), so the channel reports the target silent at 70 ms and the
+   coordinator moves on. The next server wins the executor election; the
+   first target gets its single request late, loses the election to that
+   live executor, and answers once the vote register decides. *)
+let test_gx_loser_replies_on_decision () =
+  let slow = ref (-1, -1) in
+  let base = Dnet.Netmodel.three_tier ~n_dbs:2 () in
+  let net rng ~src ~dst =
+    if (src, dst) = !slow then [ 150. ] else base rng ~src ~dst
+  in
+  let e, c, coord, targets = transfer_cluster ~net ~seed:13 () in
+  let t0 = List.hd targets in
+  slow := (coord, t0);
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  let sends = gx_sends e in
+  let to_t0 =
+    List.filter
+      (function Etx_types.Gx_branch _, _, d, _ -> d = t0 | _ -> false)
+      sends
+  in
+  let t0_votes =
+    List.filter
+      (function Etx_types.Gx_voted _, s, d, _ -> s = t0 && d = coord | _ -> false)
+      sends
+  in
+  (match (to_t0, t0_votes) with
+  | [ (_, _, _, sent) ], [ (Etx_types.Gx_voted { ok; _ }, _, _, at) ] ->
+      Alcotest.(check bool) "the vote is yes" true ok;
+      (* delivered at sent + 150; the live executor's branch takes ~190 ms *)
+      Alcotest.(check bool)
+        (Printf.sprintf "answered after waiting for the vote (%.1f)" at)
+        true
+        (at > sent +. 150. +. 50.)
+  | l, v ->
+      Alcotest.failf "%d Gx_branch frames to the first target, %d votes back"
+        (List.length l) (List.length v));
+  (match Cluster.all_records c with
+  | [ r ] -> Alcotest.(check int) "committed on the first try" 1 r.tries
+  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
 (* qcheck sweep: 2–3 shards of all-cross transfers, one home-group server
    (the coordinator at index 0, or a would-be takeover peer) crashed at a
    random point mid-commit. Global atomicity, global exactly-once and the
@@ -286,6 +415,8 @@ let () =
             test_cross_transfer_commits;
           Alcotest.test_case "lone abort vote aborts every shard" `Quick
             test_cross_lone_abort_aborts_all_shards;
+          Alcotest.test_case "one Gx_branch and one Gx_complete" `Quick
+            test_gx_one_request_each;
         ] );
       ( "equivalence",
         [
@@ -299,6 +430,12 @@ let () =
           q prop_cross_spec_under_coordinator_crash;
           Alcotest.test_case "recorded schedule under group commit" `Quick
             test_cross_recorded_group_commit_schedule;
+          Alcotest.test_case "branch target crash, oracle" `Quick
+            (test_gx_moves_on_at_suspicion `Oracle);
+          Alcotest.test_case "branch target crash, heartbeat" `Quick
+            (test_gx_moves_on_at_suspicion `Heartbeat);
+          Alcotest.test_case "election loser replies on the decision" `Quick
+            test_gx_loser_replies_on_decision;
         ] );
       ( "obs",
         [

@@ -1222,6 +1222,71 @@ let prop_recovery_preserves_committed_state =
           in
           before = after))
 
+(* The change feed walks the newest-first history only down to the
+   consumer's LSN. Against the full filter it replaced, on a random history
+   of commits and aborts with a checkpoint in the middle, for every
+   consumer LSN below, at and above the snapshot floor and for two page
+   sizes. *)
+let prop_changes_since_matches_filter =
+  QCheck.Test.make ~name:"changes_since equals the full-history filter"
+    ~count:60
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_bound 12) (pair bool (int_bound 9)))
+        (list_of_size (Gen.int_bound 12) (pair bool (int_bound 9))))
+    (fun (before, after) ->
+      in_sim (fun _ ->
+          let rm = fresh_rm () in
+          let n = ref 0 in
+          (* commits, newest first, as (lsn, writes) *)
+          let run txns =
+            List.fold_left
+              (fun acc (commit, v) ->
+                incr n;
+                let x = xid !n in
+                let writes = [ (Printf.sprintf "k%d" (v mod 3), Value.Int v) ] in
+                Rm.xa_start rm ~xid:x;
+                ignore
+                  (Rm.exec rm ~xid:x
+                     (List.map (fun (k, v) -> Rm.Put (k, v)) writes));
+                ignore (Rm.vote rm ~xid:x);
+                if commit then begin
+                  ignore (Rm.decide rm ~xid:x Rm.Commit);
+                  (Option.get (Rm.commit_lsn_of rm x), writes) :: acc
+                end
+                else begin
+                  ignore (Rm.decide rm ~xid:x Rm.Abort);
+                  acc
+                end)
+              [] txns
+          in
+          ignore (run before);
+          Rm.checkpoint rm;
+          let floor =
+            match Rm.changes_since rm ~lsn:(-1) with
+            | Rm.Snapshot { as_of; _ } -> as_of
+            | _ -> Alcotest.fail "no snapshot below the floor"
+          in
+          let history = run after in
+          let filter ~max_entries lsn =
+            let fresh =
+              List.filter (fun (l, _) -> l > lsn) history |> List.rev
+            in
+            if fresh = [] then None
+            else Some (List.filteri (fun i _ -> i < max_entries) fresh)
+          in
+          List.for_all
+            (fun lsn ->
+              List.for_all
+                (fun max_entries ->
+                  match (Rm.changes_since ~max_entries rm ~lsn, filter ~max_entries lsn) with
+                  | Rm.Snapshot { as_of; _ }, _ -> lsn < floor && as_of = floor
+                  | Rm.Up_to_date, None -> lsn >= floor
+                  | Rm.Entries es, Some expect -> lsn >= floor && es = expect
+                  | Rm.Up_to_date, Some _ | Rm.Entries _, None -> false)
+                [ 2; 64 ])
+            (List.init (Rm.last_commit_lsn rm + 3) (fun i -> i - 1))))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "dbms"
@@ -1328,6 +1393,7 @@ let () =
             test_checkpoint_compacts_log;
           Alcotest.test_case "preserves decided answers" `Quick
             test_checkpoint_preserves_decided_answers;
+          q prop_changes_since_matches_filter;
           Alcotest.test_case "keeps in-doubt recoverable" `Quick
             test_checkpoint_keeps_in_doubt;
         ] );
