@@ -14,23 +14,20 @@ let spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data ~observers =
       let pid = Dbms.Server.spawn rt ~name ~rm ~observers () in
       (pid, rm))
 
-let span breakdown label f =
-  match breakdown with
-  | None -> f ()
-  | Some bd -> Stats.Breakdown.span bd label f
+let span sink (request : request) row f =
+  Rt.span sink ~parent:0 ~trace:request.rid row f
 
-let run_xa ~breakdown ch rd ~dbs ~business (request : request) ~j ~xid =
+let run_xa ch rd ~dbs ~business (request : request) ~j ~xid =
   let xids = [ xid ] in
-  span breakdown "start" (fun () -> Dbms.Stub.xa_start ch rd ~dbs ~xids);
+  Dbms.Stub.xa_start ch rd ~dbs ~xids;
   let exec = Dbms.Stub.exec_of ch rd ~xid in
   let result =
-    span breakdown "SQL" (fun () ->
-        business.Etx.Business.run
-          { Etx.Business.xid; dbs; exec; attempt = j }
-          ~body:request.body)
+    business.Etx.Business.run
+      { Etx.Business.xid; dbs; exec; attempt = j }
+      ~body:request.body
   in
   Rt.note (Etx.Spec.computed_note ~rid:request.rid ~j result);
-  span breakdown "end" (fun () -> Dbms.Stub.xa_end ch rd ~dbs ~xids);
+  Dbms.Stub.xa_end ch rd ~dbs ~xids;
   result
 
 let serve_requests ?(active = fun () -> true) ch serve =
@@ -66,7 +63,7 @@ let serve_requests ?(active = fun () -> true) ch serve =
    commit everywhere, under a fresh [xid] per execution — an unreliable
    server has no exactly-once bookkeeping, so a client retry is a
    brand-new database transaction (the double-charge hazard). *)
-let spawn (rt : Rt.t) ?(name = "baseline") ?breakdown ~dbs ~business () =
+let spawn (rt : Rt.t) ?(name = "baseline") ~dbs ~business () =
   rt.spawn ~name ~main:(fun ~recovery:_ () ->
       (* stateless: a recovery simply starts serving afresh — which is
          exactly why a retried request can execute twice *)
@@ -74,13 +71,12 @@ let spawn (rt : Rt.t) ?(name = "baseline") ?breakdown ~dbs ~business () =
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
       Dbms.Stub.Readiness.start rd;
+      let sink = Rt.obs () in
       serve_requests ch (fun ~client:_ (request : request) ~j ->
           let xid = Dbms.Xid.make ~rid:request.rid ~j:(Rt.fresh_uid ()) in
-          let result =
-            run_xa ~breakdown ch rd ~dbs ~business request ~j ~xid
-          in
+          let result = run_xa ch rd ~dbs ~business request ~j ~xid in
           let outcome =
-            span breakdown "commit" (fun () ->
+            span sink request "commit" (fun () ->
                 Dbms.Stub.commit_one_phase ch rd ~dbs ~xid)
           in
           { result = Some result; outcome }))
@@ -94,7 +90,7 @@ type t = {
 
 let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?breakdown ~rt ~business ~script () =
+    ~rt ~business ~script () =
   let net =
     match net with Some n -> n | None -> Netmodel.three_tier ~n_dbs ()
   in
@@ -104,7 +100,7 @@ let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
     spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data
       ~observers:(fun () -> !server_pid)
   in
-  let server = spawn rt ?breakdown ~dbs:(List.map fst dbs) ~business () in
+  let server = spawn rt ~dbs:(List.map fst dbs) ~business () in
   server_pid := [ server ];
   let client =
     Etx.Client.spawn rt ~period:client_period ~servers:[ server ] ~script ()

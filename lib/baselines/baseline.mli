@@ -23,11 +23,16 @@ val spawn_dbs :
 
 (** {1 Shared by the comparison protocols} *)
 
-val span : Stats.Breakdown.t option -> string -> (unit -> 'a) -> 'a
-(** [span breakdown label f] runs [f] under the Figure 8 row [label]. *)
+val span :
+  Etx_runtime.obs_sink option ->
+  Etx.Etx_types.request ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** [span sink request row f] runs [f] inside an obs span named after the
+    Figure 8 row [row], traced under the request's id. *)
 
 val run_xa :
-  breakdown:Stats.Breakdown.t option ->
   Dnet.Rchannel.t ->
   Dbms.Stub.Readiness.t ->
   dbs:Types.proc_id list ->
@@ -37,8 +42,8 @@ val run_xa :
   xid:Dbms.Xid.t ->
   string
 (** One try's work up to its commit protocol: the XA start round, the
-    business run under ["SQL"], the V.1 computed note, the XA end round.
-    Returns the business result. *)
+    business run, the V.1 computed note, the XA end round. Returns the
+    business result. *)
 
 val serve_requests :
   ?active:(unit -> bool) ->
@@ -56,7 +61,6 @@ val serve_requests :
 val spawn :
   Etx_runtime.t ->
   ?name:string ->
-  ?breakdown:Stats.Breakdown.t ->
   dbs:Types.proc_id list ->
   business:Etx.Business.t ->
   unit ->
@@ -76,7 +80,6 @@ val build :
   ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
-  ?breakdown:Stats.Breakdown.t ->
   rt:Etx_runtime.t ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->

@@ -11,12 +11,10 @@ type Types.payload +=
 
 (* Business + prepare under the try's own xid; shared by the primary and
    the promoted backup. *)
-let execute ~breakdown ~dbs ~business ch rd (request : request) ~j ~xid =
-  let result =
-    Baseline.run_xa ~breakdown ch rd ~dbs ~business request ~j ~xid
-  in
+let execute ~sink ~dbs ~business ch rd (request : request) ~j ~xid =
+  let result = Baseline.run_xa ch rd ~dbs ~business request ~j ~xid in
   let outcome =
-    Baseline.span breakdown "prepare" (fun () ->
+    Baseline.span sink request "prepare" (fun () ->
         List.hd (Dbms.Stub.prepare ch rd ~dbs ~xids:[ xid ]))
   in
   { result = Some result; outcome }
@@ -27,30 +25,32 @@ let backup_rpc ch ~backup ~request_payload ~matches =
   (* the backup never crashes in this scheme's assumptions; a plain wait *)
   ignore (Rt.recv ~filter ())
 
-let spawn_primary (rt : Rt.t) ?breakdown ~backup ~dbs ~business () =
+let spawn_primary (rt : Rt.t) ~backup ~dbs ~business () =
   rt.spawn ~name:"pb-primary" ~main:(fun ~recovery:_ () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
       Dbms.Stub.Readiness.start rd;
+      let sink = Rt.obs () in
       Baseline.serve_requests ch (fun ~client (request : request) ~j ->
+          let span row f = Baseline.span sink request row f in
           let xid = Dbms.Xid.make ~rid:request.rid ~j in
           (* record the start at the backup (replaces log-start) *)
-          Baseline.span breakdown "log-start" (fun () ->
+          span "log-start" (fun () ->
               backup_rpc ch ~backup
                 ~request_payload:(Pb_start { xid; request; client })
                 ~matches:(function
                   | Pb_start_ack { xid = x } -> Dbms.Xid.equal x xid
                   | _ -> false));
-          let d = execute ~breakdown ~dbs ~business ch rd request ~j ~xid in
+          let d = execute ~sink ~dbs ~business ch rd request ~j ~xid in
           (* record the outcome (replaces log-outcome) *)
-          Baseline.span breakdown "log-outcome" (fun () ->
+          span "log-outcome" (fun () ->
               backup_rpc ch ~backup
                 ~request_payload:(Pb_outcome { xid; decision = d })
                 ~matches:(function
                   | Pb_outcome_ack { xid = x } -> Dbms.Xid.equal x xid
                   | _ -> false));
-          Baseline.span breakdown "commit" (fun () ->
+          span "commit" (fun () ->
               Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, d.outcome) ]);
           d))
 
@@ -60,12 +60,13 @@ type record_entry = {
   mutable decision : decision option;
 }
 
-let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
+let spawn_backup (rt : Rt.t) ~fd ~primary ~dbs ~business () =
   rt.spawn ~name:"pb-backup" ~main:(fun ~recovery:_ () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
       Dbms.Stub.Readiness.start rd;
+      let sink = Rt.obs () in
       let fd = fd rt in
       Fdetect.start fd;
       let table : (Dbms.Xid.t, record_entry) Hashtbl.t = Hashtbl.create 32 in
@@ -101,7 +102,7 @@ let spawn_backup (rt : Rt.t) ?breakdown ~fd ~primary ~dbs ~business () =
           Baseline.serve_requests ~active:(fun () -> !promoted) ch
             (fun ~client:_ (request : request) ~j ->
               let xid = Dbms.Xid.make ~rid:request.rid ~j in
-              let d = execute ~breakdown ~dbs ~business ch rd request ~j ~xid in
+              let d = execute ~sink ~dbs ~business ch rd request ~j ~xid in
               Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, d.outcome) ];
               d));
       (* take-over monitor: promoted at the suspicion of the primary *)
@@ -143,7 +144,7 @@ type t = {
 
 let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?breakdown ?(backup_fd = Fdetect.oracle) ~rt ~business ~script () =
+    ?(backup_fd = Fdetect.oracle) ~rt ~business ~script () =
   let net =
     match net with Some n -> n | None -> Netmodel.three_tier ~n_dbs ()
   in
@@ -157,11 +158,10 @@ let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
   let n_db = List.length dbs in
   (* pids are sequential: primary = n_db, backup = n_db + 1 *)
   let primary =
-    spawn_primary rt ?breakdown ~backup:(n_db + 1) ~dbs:db_pids ~business ()
+    spawn_primary rt ~backup:(n_db + 1) ~dbs:db_pids ~business ()
   in
   let backup =
-    spawn_backup rt ?breakdown ~fd:backup_fd ~primary
-      ~dbs:db_pids ~business ()
+    spawn_backup rt ~fd:backup_fd ~primary ~dbs:db_pids ~business ()
   in
   assert (primary = n_db && backup = n_db + 1);
   server_pids := [ primary; backup ];

@@ -33,7 +33,6 @@ val build :
   ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
-  ?breakdown:Stats.Breakdown.t ->
   ?backup_fd:(Etx_runtime.t -> Dnet.Fdetect.t) ->
   rt:Etx_runtime.t ->
   business:Etx.Business.t ->

@@ -12,24 +12,23 @@ type log_record =
    try numbers): 2PC gives at-most-once per TRANSACTION, but a client retry
    after a timeout is a new transaction — which is exactly the end-user
    duplication gap the paper motivates with. *)
-let serve ~breakdown ~log ~dbs ~business ch rd (request : request) ~j =
+let serve ~sink ~log ~dbs ~business ch rd (request : request) ~j =
+  let span row f = Baseline.span sink request row f in
   let xid = Dbms.Xid.make ~rid:request.rid ~j:(Rt.fresh_uid ()) in
   (* eager IO #1: the start record, before any prepare leaves *)
-  Baseline.span breakdown "log-start" (fun () ->
+  span "log-start" (fun () ->
       Dstore.Log.append_list log [ L_start xid ];
       Dstore.Log.force ~label:"log-start" log);
-  let result =
-    Baseline.run_xa ~breakdown ch rd ~dbs ~business request ~j ~xid
-  in
+  let result = Baseline.run_xa ch rd ~dbs ~business request ~j ~xid in
   let outcome =
-    Baseline.span breakdown "prepare" (fun () ->
+    span "prepare" (fun () ->
         List.hd (Dbms.Stub.prepare ch rd ~dbs ~xids:[ xid ]))
   in
   (* eager IO #2: the outcome record, before any decide leaves *)
-  Baseline.span breakdown "log-outcome" (fun () ->
+  span "log-outcome" (fun () ->
       Dstore.Log.append_list log [ L_outcome (xid, outcome) ];
       Dstore.Log.force ~label:"log-outcome" log);
-  Baseline.span breakdown "commit" (fun () ->
+  span "commit" (fun () ->
       Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, outcome) ]);
   { result = Some result; outcome }
 
@@ -54,15 +53,16 @@ let recover_log ~log ~dbs ch rd =
           Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, Dbms.Rm.Abort) ])
     (List.rev !started)
 
-let spawn (rt : Rt.t) ?(name = "2pc-coord") ?breakdown ~log ~dbs ~business () =
+let spawn (rt : Rt.t) ?(name = "2pc-coord") ~log ~dbs ~business () =
   rt.spawn ~name ~main:(fun ~recovery () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
       Dbms.Stub.Readiness.start rd;
       if recovery then recover_log ~log ~dbs ch rd;
+      let sink = Rt.obs () in
       Baseline.serve_requests ch (fun ~client:_ ->
-          serve ~breakdown ~log ~dbs ~business ch rd))
+          serve ~sink ~log ~dbs ~business ch rd))
 
 type t = {
   rt : Rt.t;
@@ -75,7 +75,7 @@ type t = {
 
 let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?breakdown ~rt ~business ~script () =
+    ~rt ~business ~script () =
   let net =
     match net with Some n -> n | None -> Netmodel.three_tier ~n_dbs ()
   in
@@ -90,7 +90,7 @@ let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
   in
   let log = Dstore.Log.create ~disk:coordinator_disk () in
   let coordinator =
-    spawn rt ?breakdown ~log ~dbs:(List.map fst dbs) ~business ()
+    spawn rt ~log ~dbs:(List.map fst dbs) ~business ()
   in
   coord_pid := [ coordinator ];
   let client =

@@ -24,7 +24,6 @@ type log_record =
 val spawn :
   Etx_runtime.t ->
   ?name:string ->
-  ?breakdown:Stats.Breakdown.t ->
   log:log_record Dstore.Log.t ->
   dbs:Types.proc_id list ->
   business:Etx.Business.t ->
@@ -49,7 +48,6 @@ val build :
   ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
-  ?breakdown:Stats.Breakdown.t ->
   rt:Etx_runtime.t ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->

@@ -73,7 +73,6 @@ val build :
   ?gc_after:float ->
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
-  ?breakdown:Stats.Breakdown.t ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
@@ -104,10 +103,8 @@ val build :
     [recoverable:true] equips each application server with stable
     register storage (12.5 ms per forced write), enabling crash-recovery
     of application servers — see {!Etx.Appserver.config} for semantics
-    and cost. [breakdown] collects
-    the winner path's per-phase latency (Figure 8). [batch] (default 1)
-    selects the leased, batched commit pipeline on every application
-    server.
+    and cost. [batch] (default 1) selects the leased, batched commit
+    pipeline on every application server.
 
     [cache:true] equips every application server with a method cache for
     read-only business calls and every database with commit-piggybacked

@@ -48,7 +48,6 @@ type config = {
   gc_after : float option;
   backend : register_backend;
   persist : Consensus.Agent.persistence option;
-  breakdown : Stats.Breakdown.t option;
   batch : int;
       (** max results per leased batch; 1 = the classic per-result path *)
   cache : Method_cache.t option;
@@ -74,7 +73,7 @@ type config = {
 }
 
 let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?gc_after
-    ?(backend = Reg_ct) ?persist ?breakdown ?(group = 0) ?(batch = 1) ?cache
+    ?(backend = Reg_ct) ?persist ?(group = 0) ?(batch = 1) ?cache
     ?replicas ?(replica_bound = 8) ?cross ?reconfig ~rt ~index ~servers ~dbs
     ~business () =
   (match (backend, persist) with
@@ -99,7 +98,6 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?gc_after
     gc_after;
     backend;
     persist;
-    breakdown;
     batch;
     cache;
     replicas;
@@ -168,6 +166,9 @@ type ctx = {
   silent : (Types.proc_id, float) Hashtbl.t;
       (** latest time the channel reported each destination silent *)
   silent_wake : Rt.Wake.t;  (** woken at each such report *)
+  mutable gx_awaited : (Types.payload -> bool) list;
+      (** reply matchers of the gx RPCs waiting here; the gx fiber drops
+          every other gx reply *)
 }
 
 let rid_state ctx rid =
@@ -240,22 +241,10 @@ let rc_bounced ctx ~(request : request) ~j ~client =
       end
       else false
 
-let span ctx label f =
-  match ctx.cfg.breakdown with
-  | None -> f ()
-  | Some bd -> Stats.Breakdown.span bd label f
-
-(* Obs phase span around [f]. Deliberately NOT exception-safe: if the
-   process crashes mid-phase the span must stay open — that is the signal a
-   fail-over post-mortem looks for. *)
+(* Obs phase span around [f]; left open if the process crashes mid-phase
+   ({!Rt.span}). *)
 let ospan ctx ?(parent = 0) ~trace name f =
-  match ctx.sink with
-  | None -> f ()
-  | Some s ->
-      let id = s.Rt.obs_span_open ~parent ~trace name in
-      let r = f () in
-      s.Rt.obs_span_close id;
-      r
+  Rt.span ctx.sink ~parent ~trace name f
 
 (* Open the obs span of one try-scoped step (a try, its terminate round, a
    cleaner take-over): attribute "j" first, then [attrs] in order. *)
@@ -539,23 +528,18 @@ let deliver ctx st ~rid ~j decision =
    resending until each acknowledges. *)
 let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
   let tspan = open_span ctx ~parent ~rid ~j "terminate" in
-  span ctx "commit" (fun () ->
-      Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
-        ~items:[ (Dbms.Xid.make ~rid ~j, decision.outcome) ]);
+  Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs
+    ~items:[ (Dbms.Xid.make ~rid ~j, decision.outcome) ];
   deliver ctx st ~rid ~j decision;
   close_span ctx tspan
 
 (* ---------------- Fig. 5: the computation thread ---------------- *)
 
-(* The XA start and end rounds of a window, under Figure 8's "start" and
-   "end" rows. *)
+(* The XA start and end rounds of a window at this group's databases. *)
 let xa_start ctx ~xids =
-  span ctx "start" (fun () ->
-      Dbms.Stub.xa_start ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)
+  Dbms.Stub.xa_start ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids
 
-let xa_end ctx ~xids =
-  span ctx "end" (fun () ->
-      Dbms.Stub.xa_end ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)
+let xa_end ctx ~xids = Dbms.Stub.xa_end ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids
 
 let run_business ctx ~xid ~attempt ~body =
   let context =
@@ -570,15 +554,15 @@ let run_business ctx ~xid ~attempt ~body =
 
 (* Fig. 5 l. 5–6: open the "try" span of (rid, j) — parented under the
    client's propagated root span; phases hang off it — and contest regA[j]
-   with [claim] ("log-start"). Returns the span and the winning claim. *)
+   with [claim] (the "election" span). Returns the span and the winning
+   claim. *)
 let elect_try ctx st ~rid ~j ?attrs claim =
   let tspan = open_span ctx ~parent:st.rspan ~rid ~j ?attrs "try" in
   let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
-            Woreg.write ctx.regs
-              ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid)
-              ~j claim))
+    ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
+        Woreg.write ctx.regs
+          ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid)
+          ~j claim)
   in
   (tspan, winner)
 
@@ -608,23 +592,19 @@ let compute_try ctx st ~(request : request) ~j =
         ospan ctx ~parent:tspan ~trace:rid "compute" (fun () ->
             xa_start ctx ~xids;
             let result =
-              span ctx "SQL" (fun () ->
-                  run_business ctx ~xid ~attempt:j ~body:request.body)
+              run_business ctx ~xid ~attempt:j ~body:request.body
             in
             note_computed ~rid ~j result;
             xa_end ctx ~xids;
             result)
       in
       let outcome =
-        span ctx "prepare" (fun () ->
-            ospan ctx ~parent:tspan ~trace:rid "prepare" (fun () ->
-                List.hd
-                  (Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)))
+        ospan ctx ~parent:tspan ~trace:rid "prepare" (fun () ->
+            List.hd (Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids))
       in
       let final =
-        span ctx "log-outcome" (fun () ->
-            ospan ctx ~parent:tspan ~trace:rid "consensus" (fun () ->
-                decide_try ctx ~rid ~j { result = Some result; outcome }))
+        ospan ctx ~parent:tspan ~trace:rid "consensus" (fun () ->
+            decide_try ctx ~rid ~j { result = Some result; outcome })
       in
       terminate ctx st ~parent:tspan ~rid ~j final;
       cache_after_decide ctx ~body:request.body ~gen final;
@@ -709,8 +689,7 @@ let run_branch ctx ~rid ~j ~ops =
   let xids = [ xid ] in
   xa_start ctx ~xids;
   let reply =
-    span ctx "SQL" (fun () ->
-        Dbms.Stub.exec_of ctx.ch ctx.rd ~xid ~db:(List.hd ctx.cfg.dbs) ops)
+    Dbms.Stub.exec_of ctx.ch ctx.rd ~xid ~db:(List.hd ctx.cfg.dbs) ops
   in
   let ok, values =
     match reply with
@@ -732,12 +711,15 @@ let run_branch ctx ~rid ~j ~ops =
    the wait moves to the next server (round-robin; the handler side is
    idempotent) only when the target is suspected or the channel reports
    it silent since the send, and sleeps while every server of the shard is
-   suspected. [None] when the shard has no servers. *)
+   suspected. [None] when the shard has no servers. While it waits, its
+   matcher sits in [ctx.gx_awaited]; a reply that comes after (a moved-on
+   target answering too) is dropped by the gx fiber. *)
 let gx_rpc ctx (cc : cross_cfg) ~k ~make ~reply =
   let peers = Array.of_list (cc.peers k) in
   let n = Array.length peers in
   let suspicion = Fdetect.changed ctx.fd in
-  let filter m = reply m.Types.payload <> None in
+  let matches p = reply p <> None in
+  let filter m = matches m.Types.payload in
   let gone target ~since =
     Fdetect.suspects ctx.fd target
     ||
@@ -765,7 +747,13 @@ let gx_rpc ctx (cc : cross_cfg) ~k ~make ~reply =
     | Some m -> reply m.Types.payload
     | None -> if gone target ~since then send (i + 1) 0 else wait i target ~since
   in
-  if n = 0 then None else send 0 0
+  if n = 0 then None
+  else begin
+    ctx.gx_awaited <- matches :: ctx.gx_awaited;
+    let r = send 0 0 in
+    ctx.gx_awaited <- List.filter (fun f -> f != matches) ctx.gx_awaited;
+    r
+  end
 
 (* Branch [k]'s decided vote, fetched from its own group. *)
 let gx_vote_rpc ctx cc ~rid ~j ~k ~make =
@@ -1008,12 +996,20 @@ let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
           | Unelected -> ())
 
 (* Serve the cross-shard RPC surface of this group: branch execution,
-   takeover contests, and completion. Forked only on cross-enabled
-   deployments — without it the gx classes go unread (and cross-less
-   deployments never receive these messages at all). *)
+   takeover contests, and completion; and drop every gx reply no RPC here
+   waits for. Forked only on cross-enabled deployments — without it the gx
+   classes go unread (and cross-less deployments never receive these
+   messages at all). *)
 let gx_thread ctx () =
+  let wanted m =
+    match m.Types.payload with
+    | Gx_branch _ | Gx_resolve _ | Gx_complete _ -> true
+    | (Gx_voted _ | Gx_completed _) as p ->
+        not (List.exists (fun f -> f p) ctx.gx_awaited)
+    | _ -> false
+  in
   let rec loop () =
-    (match Rt.recv_cls cls_gx with
+    (match Rt.recv ~filter:wanted () with
     | None -> ()
     | Some m -> (
         let src = m.src in
@@ -1030,7 +1026,7 @@ let gx_thread ctx () =
                   ~items:[ (Dbms.Xid.make ~rid ~j, outcome) ];
                 count ctx "gx.complete";
                 Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
-        | _ -> () (* stamped for another shard *)));
+        | _ -> () (* stamped for another shard, or a stale reply *)));
     loop ()
   in
   loop ()
@@ -1535,9 +1531,8 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
       pairs
   in
   let terminate () =
-    span ctx "commit" (fun () ->
-        ospan ctx ~parent ~trace "terminate" (fun () ->
-            Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~items:xitems))
+    ospan ctx ~parent ~trace "terminate" (fun () ->
+        Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~items:xitems)
   in
   if not async then terminate ();
   let by_client : (Types.proc_id, (int * int * decision) list) Hashtbl.t =
@@ -1717,12 +1712,11 @@ let process_batch ctx ls (items : Window.entry list) =
         id
   in
   let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:bspan ~trace "election" (fun () ->
-            Woreg.write ctx.regs
-              ~name:(Reg_name.batch_a ~group:ctx.cfg.group ~epoch ~seq)
-              ~j:0
-              (Reg_batch_elect { owner = ctx.self; items = ids })))
+    ospan ctx ~parent:bspan ~trace "election" (fun () ->
+        Woreg.write ctx.regs
+          ~name:(Reg_name.batch_a ~group:ctx.cfg.group ~epoch ~seq)
+          ~j:0
+          (Reg_batch_elect { owner = ctx.self; items = ids }))
   in
   match winner with
   | Reg_batch_elect { owner; items = elected } when owner = ctx.self ->
@@ -1756,10 +1750,7 @@ let process_batch ctx ls (items : Window.entry list) =
               fork_all "batch-exec"
                 (fun ({ request = r; j; _ } : Window.entry) ->
                   let xid = Dbms.Xid.make ~rid:r.rid ~j in
-                  let result =
-                    span ctx "SQL" (fun () ->
-                        run_business ctx ~xid ~attempt:j ~body:r.body)
-                  in
+                  let result = run_business ctx ~xid ~attempt:j ~body:r.body in
                   note_computed ~rid:r.rid ~j result;
                   result)
                 items
@@ -1769,9 +1760,8 @@ let process_batch ctx ls (items : Window.entry list) =
       in
       let tail () =
         let outcomes =
-          span ctx "prepare" (fun () ->
-              ospan ctx ~parent:bspan ~trace "prepare" (fun () ->
-                  Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids))
+          ospan ctx ~parent:bspan ~trace "prepare" (fun () ->
+              Dbms.Stub.prepare ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xids)
         in
         let proposal =
           List.map2
@@ -1779,10 +1769,9 @@ let process_batch ctx ls (items : Window.entry list) =
             outcomes results
         in
         let decisions =
-          span ctx "log-outcome" (fun () ->
-              ospan ctx ~parent:bspan ~trace "consensus" (fun () ->
-                  decide_slot ctx ~epoch ~seq ~items:ids
-                    (Reg_batch_decide proposal)))
+          ospan ctx ~parent:bspan ~trace "consensus" (fun () ->
+              decide_slot ctx ~epoch ~seq ~items:ids
+                (Reg_batch_decide proposal))
         in
         deliver_batch ctx ~parent:bspan ~trace ~async:true ~items:ids
           ~decisions ();
@@ -1999,6 +1988,7 @@ let spawn cfg =
             sink = Rt.obs ();
             silent;
             silent_wake;
+            gx_awaited = [];
           }
         in
         (* reconfiguration fibers exist only on elastic deployments: a

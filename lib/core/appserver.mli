@@ -26,10 +26,10 @@
     the registers and the databases) and do not support recovery: per the
     paper's model a crashed server stays down, and a majority must stay up.
 
-    When a [breakdown] accumulator is supplied, the winner path wraps each
-    stage in {!Stats.Breakdown.span} with the paper's Figure 8 category
-    names: "start", "SQL", "end", "prepare", "commit", "log-start" (the
-    [regA] write) and "log-outcome" (the [regD] write).
+    With observability on, each try opens obs spans for its phases:
+    "election" (the [regA] write), "compute", "prepare", "consensus" (the
+    [regD] write) and "terminate". With the XA stub's round-trip histograms
+    ({!Dbms.Stub}) they give the paper's Figure 8 rows.
 
     With [batch > 1] the server runs the {e leased, batched} fast path
     instead (DESIGN.md §12): a stable leaseholder elected once per lease
@@ -142,7 +142,6 @@ type config = {
           prepared before crashing cannot reconstruct the original result
           string, so the delivered result may degrade to an error report
           even though the transaction's effect applies exactly once. *)
-  breakdown : Stats.Breakdown.t option;
   batch : int;
       (** maximum results per leased batch; 1 (the default) selects the
           classic per-result path, byte-identical to earlier revisions.
@@ -189,7 +188,6 @@ val config :
   ?gc_after:float ->
   ?backend:register_backend ->
   ?persist:Consensus.Agent.persistence ->
-  ?breakdown:Stats.Breakdown.t ->
   ?group:int ->
   ?batch:int ->
   ?cache:Method_cache.t ->
@@ -205,9 +203,9 @@ val config :
   unit ->
   config
 (** Defaults: oracle failure detector, 20 ms clean period, no garbage
-    collection, the [Reg_ct] backend, no persistence, no breakdown
-    accounting, group 0, batch 1 (classic path), no cache, no replicas,
-    replica bound 8, no cross-shard wiring, no reconfiguration. Raises
+    collection, the [Reg_ct] backend, no persistence, group 0, batch 1
+    (classic path), no cache, no replicas, replica bound 8, no
+    cross-shard wiring, no reconfiguration. Raises
     [Invalid_argument] if [batch < 1], if [batch > 1] is combined with
     [gc_after], or if [Reg_synod] is combined with [persist]. *)
 

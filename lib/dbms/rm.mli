@@ -14,9 +14,11 @@
       their locks are re-acquired and they wait for a [decide].
 
     Timing model: each operation charges virtual time with
-    [Etx_runtime.work] using the category labels of the paper's Figure 8
-    ("start", "SQL", "end", "prepare", "commit"), so latency-breakdown
-    accounting falls out of the trace. Calls must therefore run inside a
+    [Etx_runtime.work] under a label named after its Figure 8 row ("start",
+    "SQL", "end", "prepare", "commit"); with observability on, the engine
+    records each charge into the histogram [work.<label>]. Figure 8 itself
+    is read one tier up, from the round trips the XA stub times
+    ({!Stub}) and the protocols' phase spans. Calls must run inside a
     fiber. *)
 
 type outcome = Commit | Abort

@@ -4,7 +4,10 @@ open Dnet
 
 module Readiness = struct
   type db = { mutable epoch : int; mutable waiting : int }
-  type t = { dbs : (Types.proc_id, db) Hashtbl.t }
+  type t = {
+    dbs : (Types.proc_id, db) Hashtbl.t;
+    sink : Rt.obs_sink option;  (** times the XA rounds and execs *)
+  }
 
   let state t db =
     match Hashtbl.find t.dbs db with
@@ -14,7 +17,8 @@ module Readiness = struct
         Hashtbl.add t.dbs db s;
         s
 
-  let create ~dbs = { dbs = Hashtbl.create (List.length dbs) }
+  let create ~dbs =
+    { dbs = Hashtbl.create (List.length dbs); sink = Rt.obs () }
 
   (* One wake per fiber waiting on the database: each sent under an older
      epoch and takes one; a waiter that re-sends and waits again under the
@@ -78,7 +82,20 @@ let broadcast_collect ch rd ~dbs ~request ~matches =
    another window's reply. *)
 let same_xids = List.equal Xid.equal
 
+(* Figure 8's start, SQL and end rows are the histograms [xa.start_ms],
+   [xa.exec_ms] and [xa.end_ms]: every round trip is timed here, whoever
+   drives it. *)
+let timed rd name f =
+  match rd.Readiness.sink with
+  | None -> f ()
+  | Some s ->
+      let t0 = Rt.now () in
+      let r = f () in
+      s.Rt.obs_observe name (Rt.now () -. t0);
+      r
+
 let xa_start ch rd ~dbs ~xids =
+  timed rd "xa.start_ms" @@ fun () ->
   ignore
     (broadcast_collect ch rd ~dbs
        ~request:(Msg.Xa_start { xids })
@@ -87,6 +104,7 @@ let xa_start ch rd ~dbs ~xids =
          | _ -> None))
 
 let xa_end ch rd ~dbs ~xids =
+  timed rd "xa.end_ms" @@ fun () ->
   ignore
     (broadcast_collect ch rd ~dbs
        ~request:(Msg.Xa_end { xids })
@@ -118,6 +136,7 @@ let exec_max_tries = 20
 let exec_of ch rd ~xid =
   let seq = ref 0 in
   fun ~db ops ->
+    timed rd "xa.exec_ms" @@ fun () ->
     let rec go tries =
       let s = !seq in
       incr seq;

@@ -25,7 +25,8 @@ module Readiness : sig
   type t
 
   val create : dbs:Types.proc_id list -> t
-  (** Call inside the owning fiber. *)
+  (** Call inside the owning fiber: it also fetches that process's obs
+      sink, which times the XA rounds below. *)
 
   val start : t -> unit
   (** Fork the [Ready]-consuming listener. On each [Ready] it redelivers
@@ -45,7 +46,12 @@ end
     the whole window of transactions and one reply carries every answer, so
     a window of N costs the same number of protocol messages as a single
     transaction. Replies are matched on the window's full xid list: a round
-    can never consume another window's reply. *)
+    can never consume another window's reply.
+
+    With observability on, every XA start round, exec call (its conflict
+    retries included) and XA end round records its duration into the
+    histogram [xa.start_ms], [xa.exec_ms] or [xa.end_ms]: Figure 8's start,
+    SQL and end rows, timed at the one site every protocol shares. *)
 
 val xa_start :
   Dnet.Rchannel.t ->

@@ -12,7 +12,7 @@ let latencies records =
 
    Every sweep below is a list of self-contained trials mapped over a
    domain pool: each trial owns its private engine, RNG, trace and
-   breakdown, built inside [run], so trials share no mutable state and the
+   obs registry, built inside [run], so trials share no mutable state and the
    results are bit-identical whatever the domain count. *)
 
 type 'a trial = { seed : int; run : seed:int -> 'a }
@@ -38,37 +38,56 @@ type fig8_protocol = {
 
 type fig8 = { transactions : int; protocols : fig8_protocol list }
 
-let fig8_component_order =
-  [ "start"; "end"; "commit"; "prepare"; "SQL"; "log-start"; "log-outcome" ]
+(* Figure 8's rows in table order, each with the obs instrument that times
+   it: a histogram of the XA stub's round trips, or a phase span. The AR's
+   spans carry its protocol's phase names; the comparison protocols name
+   theirs after the row. *)
+type fig8_source = Xa of string | Phase of string
 
-let summarize ~protocol ~bd records =
-  let samples = latencies records in
-  let summary = Stats.Summary.of_samples samples in
-  let components =
-    List.map (fun c -> (c, Stats.Breakdown.row bd c)) fig8_component_order
+let fig8_rows =
+  [
+    ("start", Xa "xa.start_ms");
+    ("end", Xa "xa.end_ms");
+    ("commit", Phase "terminate");
+    ("prepare", Phase "prepare");
+    ("SQL", Xa "xa.exec_ms");
+    ("log-start", Phase "election");
+    ("log-outcome", Phase "consensus");
+  ]
+
+let fig8_column ~protocol ~ar ~transactions reg ~latencies =
+  let spans = Obs.Registry.spans reg in
+  let total (row, source) =
+    match source with
+    | Xa name ->
+        Option.fold ~none:0. ~some:Obs.Histogram.sum
+          (Obs.Registry.merged_histogram reg name)
+    | Phase name -> Obs.Span.total spans (if ar then name else row)
   in
-  let total = summary.Stats.Summary.mean in
+  let totals = List.map (fun r -> (fst r, total r)) fig8_rows in
+  let n = float_of_int (max 1 transactions) in
+  let summary = Stats.Summary.of_samples latencies in
+  let mean = summary.Stats.Summary.mean in
   {
     protocol;
-    components;
-    other = Stats.Breakdown.other bd ~total;
-    total;
+    components = List.map (fun (row, t) -> (row, t /. n)) totals;
+    other = mean -. (List.fold_left (fun a (_, t) -> a +. t) 0. totals /. n);
+    total = mean;
     overhead_pct = 0.;
     ci90_ratio = Stats.Summary.ci90_width_ratio summary;
   }
 
-let identical_updates ~transactions ~bd ~issue =
+let identical_updates ~transactions ~issue =
   for _ = 1 to transactions do
-    ignore (issue update_body);
-    Stats.Breakdown.tick bd
+    ignore (issue update_body)
   done
 
-let run_ar ~transactions ~seed =
-  let bd = Stats.Breakdown.create () in
+(* the AR trial keeps tracing on: [Spec.check_all] replays trace notes *)
+let fig8_ar_records ~obs ~transactions ~seed =
   let _e, d =
-    Simrun.cluster ~seed ~breakdown:bd ~seed_data:bank_seed
+    Simrun.cluster ~seed ?obs ~seed_data:bank_seed
       ~business:Workload.Bank.update
-      ~scripts:[ (fun ~issue -> identical_updates ~transactions ~bd ~issue) ]
+      ~scripts:[ identical_updates ~transactions ]
       ()
   in
   if not (Cluster.run_to_quiescence d) then
@@ -76,49 +95,50 @@ let run_ar ~transactions ~seed =
   (match Cluster.Spec.check_all d with
   | [] -> ()
   | vs -> failwith ("figure8: AR violations: " ^ String.concat "; " vs));
-  summarize ~protocol:"AR (e-Transactions)" ~bd (Cluster.all_records d)
+  Cluster.all_records d
 
-let run_baseline ~transactions ~seed =
-  let bd = Stats.Breakdown.create () in
-  let e, b =
-    Simrun.baseline ~seed ~breakdown:bd ~tracing:false ~seed_data:bank_seed
-      ~business:Workload.Bank.update
-      ~script:(fun ~issue -> identical_updates ~transactions ~bd ~issue)
-      ()
-  in
-  let done_ () = Etx.Client.script_done b.client in
-  if not (Dsim.Engine.run_until ~deadline:600_000. e done_) then
-    failwith "figure8: baseline run did not finish";
-  summarize ~protocol:"baseline (unreliable)" ~bd (Etx.Client.records b.client)
+let run_ar ~transactions ~seed =
+  let reg = Obs.Registry.create () in
+  let records = fig8_ar_records ~obs:(Some reg) ~transactions ~seed in
+  fig8_column ~protocol:"AR (e-Transactions)" ~ar:true ~transactions reg
+    ~latencies:(latencies records)
 
-let run_tpc ~transactions ~seed =
-  let bd = Stats.Breakdown.create () in
-  let e, t =
-    Simrun.tpc ~seed ~breakdown:bd ~tracing:false ~seed_data:bank_seed
-      ~business:Workload.Bank.update
-      ~script:(fun ~issue -> identical_updates ~transactions ~bd ~issue)
-      ()
-  in
-  let done_ () = Etx.Client.script_done t.client in
+(* A comparison protocol's trial: [build] runs it on a fresh engine with
+   [reg] attached and returns the engine and its client. *)
+let run_comparison ~protocol build ~transactions ~seed =
+  let reg = Obs.Registry.create () in
+  let e, client = build ~seed ~reg ~script:(identical_updates ~transactions) in
+  let done_ () = Etx.Client.script_done client in
   if not (Dsim.Engine.run_until ~deadline:600_000. e done_) then
-    failwith "figure8: 2PC run did not finish";
-  summarize ~protocol:"2PC (at-most-once)" ~bd (Etx.Client.records t.client)
+    failwith ("figure8: " ^ protocol ^ " run did not finish");
+  fig8_column ~protocol ~ar:false ~transactions reg
+    ~latencies:(latencies (Etx.Client.records client))
 
-let run_pb ~transactions ~seed =
-  let bd = Stats.Breakdown.create () in
-  let e, p =
-    Simrun.pbackup ~seed ~breakdown:bd ~tracing:false ~seed_data:bank_seed
-      ~business:Workload.Bank.update
-      ~script:(fun ~issue -> identical_updates ~transactions ~bd ~issue)
-      ()
-  in
-  let done_ () = Etx.Client.script_done p.client in
-  if not (Dsim.Engine.run_until ~deadline:600_000. e done_) then
-    failwith "figure8: primary-backup run did not finish";
-  summarize ~protocol:"primary-backup" ~bd (Etx.Client.records p.client)
+let run_baseline =
+  run_comparison ~protocol:"baseline (unreliable)" (fun ~seed ~reg ~script ->
+      let e, b =
+        Simrun.baseline ~seed ~obs:reg ~tracing:false ~seed_data:bank_seed
+          ~business:Workload.Bank.update ~script ()
+      in
+      (e, b.client))
+
+let run_tpc =
+  run_comparison ~protocol:"2PC (at-most-once)" (fun ~seed ~reg ~script ->
+      let e, t =
+        Simrun.tpc ~seed ~obs:reg ~tracing:false ~seed_data:bank_seed
+          ~business:Workload.Bank.update ~script ()
+      in
+      (e, t.client))
+
+let run_pb =
+  run_comparison ~protocol:"primary-backup" (fun ~seed ~reg ~script ->
+      let e, p =
+        Simrun.pbackup ~seed ~obs:reg ~tracing:false ~seed_data:bank_seed
+          ~business:Workload.Bank.update ~script ()
+      in
+      (e, p.client))
 
 let figure8 ?(transactions = 40) ?(seed = 42) ?domains () =
-  (* the AR trial keeps tracing on: [Spec.check_all] replays trace notes *)
   let results =
     sweep ?domains ~seed [ run_baseline; run_ar; run_tpc; run_pb ]
       (fun run -> run ~transactions)
@@ -149,7 +169,7 @@ let render_figure8 f =
          f.protocols
   in
   let rows =
-    List.map component_row fig8_component_order
+    List.map (fun (row, _) -> component_row row) fig8_rows
     @ [
         "other" :: List.map (fun p -> Stats.Table.fmt_ms p.other) f.protocols;
         "total" :: List.map (fun p -> Stats.Table.fmt_ms p.total) f.protocols;
@@ -1341,21 +1361,13 @@ let failover_phases ?(seed = 42) ?domains () =
         (fun (s : Obs.Span.t) -> s.trace = r.rid)
         (Obs.Registry.spans reg)
     in
-    let closed_dur name =
-      List.fold_left
-        (fun acc (s : Obs.Span.t) ->
-          if s.name = name then
-            acc +. Option.value ~default:0. (Obs.Span.duration s)
-          else acc)
-        0. spans
-    in
     let abandoned =
       List.length (List.filter (fun s -> not (Obs.Span.closed s)) spans)
     in
     ( r.delivered_at -. r.issued_at,
       r.tries,
       abandoned,
-      List.map (fun n -> (n, closed_dur n)) failover_phase_names )
+      List.map (fun n -> (n, Obs.Span.total spans n)) failover_phase_names )
   in
   let results =
     run_trials ?domains
@@ -1523,15 +1535,7 @@ let batch_phases ?(seed = 42) ?domains () =
       failwith "batch_phases: run did not quiesce";
     let dn = float_of_int (List.length (Cluster.all_records c)) in
     let spans = Obs.Registry.spans reg in
-    let per_commit name =
-      List.fold_left
-        (fun acc (s : Obs.Span.t) ->
-          if s.name = name then
-            acc +. Option.value ~default:0. (Obs.Span.duration s)
-          else acc)
-        0. spans
-      /. dn
-    in
+    let per_commit name = Obs.Span.total spans name /. dn in
     let durs = List.map (fun n -> (n, per_commit n)) failover_phase_names in
     let attributed = List.fold_left (fun a (_, d) -> a +. d) 0. durs in
     ( batch,

@@ -38,7 +38,31 @@ type fig8 = { transactions : int; protocols : fig8_protocol list }
 val figure8 : ?transactions:int -> ?seed:int -> ?domains:int -> unit -> fig8
 (** Runs baseline, asynchronous replication (this paper), 2PC, and — as a
     validation the paper argued analytically — primary-backup, each over
-    [transactions] identical bank-account updates (default 40). *)
+    [transactions] identical bank-account updates (default 40), with an
+    obs registry attached to every trial. *)
+
+val fig8_column :
+  protocol:string ->
+  ar:bool ->
+  transactions:int ->
+  Obs.Registry.t ->
+  latencies:float list ->
+  fig8_protocol
+(** One protocol's Figure 8 column read from its trial's registry: each
+    row is its instrument's total divided by [transactions] — the XA
+    stub's [xa.start_ms], [xa.exec_ms] (SQL) and [xa.end_ms] histograms,
+    and the phase spans. With [ar] the spans are the AR's ("election" for
+    log-start, "prepare", "consensus" for log-outcome, "terminate" for
+    commit); otherwise they are named after the row. [other] is the mean
+    of [latencies] less every row, [overhead_pct] is 0. *)
+
+val fig8_ar_records :
+  obs:Obs.Registry.t option ->
+  transactions:int ->
+  seed:int ->
+  Etx.Client.record list
+(** The client records of Figure 8's AR trial, with [obs] attached or not;
+    fails unless the run quiesces and the cluster spec holds. *)
 
 val render_figure8 : fig8 -> string
 

@@ -9,42 +9,42 @@ let engine ?(seed = 1) ?(tracing = true) ?obs () =
 
 let cluster ?seed ?tracing ?obs ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec
     ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period
-    ?gc_after ?backend ?recoverable ?breakdown ?batch ?cache ?group_commit
+    ?gc_after ?backend ?recoverable ?batch ?cache ?group_commit
     ?replicas ?replica_bound ?cross ?reconfig ?provision ~business ~scripts
     () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let c =
     Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?timing
       ?disk_force_latency ?seed_data ?client_period ?clean_period
-      ?gc_after ?backend ?recoverable ?breakdown ?batch ?cache ?group_commit
+      ?gc_after ?backend ?recoverable ?batch ?cache ?group_commit
       ?replicas ?replica_bound ?cross ?reconfig ?provision ~rt ~business
       ~scripts ()
   in
   (e, c)
 
 let baseline ?seed ?tracing ?obs ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-    ?client_period ?breakdown ~business ~script () =
+    ?client_period ~business ~script () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let b =
     Baselines.Baseline.build ?net ?n_dbs ?timing ?disk_force_latency
-      ?seed_data ?client_period ?breakdown ~rt ~business ~script ()
+      ?seed_data ?client_period ~rt ~business ~script ()
   in
   (e, b)
 
 let tpc ?seed ?tracing ?obs ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-    ?client_period ?breakdown ~business ~script () =
+    ?client_period ~business ~script () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let t =
     Baselines.Tpc.build ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-      ?client_period ?breakdown ~rt ~business ~script ()
+      ?client_period ~rt ~business ~script ()
   in
   (e, t)
 
 let pbackup ?seed ?tracing ?obs ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-    ?client_period ?breakdown ?backup_fd ~business ~script () =
+    ?client_period ?backup_fd ~business ~script () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let p =
     Baselines.Pbackup.build ?net ?n_dbs ?timing ?disk_force_latency ?seed_data
-      ?client_period ?breakdown ?backup_fd ~rt ~business ~script ()
+      ?client_period ?backup_fd ~rt ~business ~script ()
   in
   (e, p)

@@ -36,7 +36,6 @@ val cluster :
   ?gc_after:float ->
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
-  ?breakdown:Stats.Breakdown.t ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
@@ -62,7 +61,6 @@ val baseline :
   ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
-  ?breakdown:Stats.Breakdown.t ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->
   unit ->
@@ -78,7 +76,6 @@ val tpc :
   ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
-  ?breakdown:Stats.Breakdown.t ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->
   unit ->
@@ -94,7 +91,6 @@ val pbackup :
   ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
-  ?breakdown:Stats.Breakdown.t ->
   ?backup_fd:(Runtime.Etx_runtime.t -> Dnet.Fdetect.t) ->
   business:Etx.Business.t ->
   script:(issue:(string -> Etx.Client.record) -> unit) ->

@@ -31,6 +31,12 @@ let closed s = not (Float.is_nan s.stop)
 let duration s = if closed s then Some (s.stop -. s.start) else None
 let attr s k = List.assoc_opt k s.attrs
 
+let total spans name =
+  List.fold_left
+    (fun acc s ->
+      if s.name = name && closed s then acc +. (s.stop -. s.start) else acc)
+    0. spans
+
 type tree = { span : t; children : tree list }
 
 (* Spans of one trace as a forest: children attach to their parent when it

@@ -32,6 +32,11 @@ val duration : t -> float option
 
 val attr : t -> string -> string option
 
+val total : t list -> string -> float
+(** Summed durations of the closed spans named [name], in list order; open
+    spans (a crashed owner's) add nothing. Figure 8 and the A12/A13b phase
+    tables divide it by their transaction count. *)
+
 type tree = { span : t; children : tree list }
 
 val forest : t list -> trace:int -> tree list

@@ -67,13 +67,11 @@ type obs_sink = {
   obs_event : trace:int -> string -> string -> unit;
 }
 
-(* A wake-up source (see [Wake] below): fibers in [Wake.until] are counted
-   and woken by a message each; fibers blocked in [E_await] leave a ticket.
-   A ticket called with [false] says whether its fiber still waits; called
-   with [true] it also ends the wait. Tickets of waits that ended otherwise
-   are pruned once the list doubles. *)
+(* A wake-up source (see [Wake] below): every fiber blocked on it in
+   [E_await] leaves a ticket. A ticket called with [false] says whether its
+   fiber still waits; called with [true] it also ends the wait. Tickets of
+   waits that ended otherwise are pruned once the list doubles. *)
 type wake = {
-  mutable waiting : int;
   mutable tickets : (bool -> bool) list;
   mutable ntickets : int;
   mutable prune_at : int;
@@ -160,6 +158,15 @@ let note s = Effect.perform (E_note s)
    init, not per event. *)
 let obs () = try Effect.perform E_obs with Effect.Unhandled _ -> None
 
+let span sink ~parent ~trace name f =
+  match sink with
+  | None -> f ()
+  | Some s ->
+      let id = s.obs_span_open ~parent ~trace name in
+      let r = f () in
+      s.obs_span_close id;
+      r
+
 let watch f = Effect.perform (E_watch f)
 
 let exit_fiber () = raise Exit_fiber
@@ -168,26 +175,12 @@ let exit_fiber () = raise Exit_fiber
 
 module Wake = struct
   type t = wake
-  type payload += Wake of t
-
-  let cls =
-    register_class ~name:"wake" (function Wake _ -> true | _ -> false)
 
   (* no payload is of this class: a fiber blocked in it waits for a wake or
      its timeout only *)
   let idle = register_class ~name:"idle" (fun _ -> false)
 
-  let create () = { waiting = 0; tickets = []; ntickets = 0; prune_at = 8 }
-
-  let until w ready =
-    while not (ready ()) do
-      w.waiting <- w.waiting + 1;
-      ignore
-        (recv ~cls
-           ~filter:(fun m ->
-             match m.payload with Wake w' -> w' == w | _ -> false)
-           ())
-    done
+  let create () = { tickets = []; ntickets = 0; prune_at = 8 }
 
   let register w ticket =
     if w.ntickets >= w.prune_at then begin
@@ -198,18 +191,9 @@ module Wake = struct
     w.tickets <- ticket :: w.tickets;
     w.ntickets <- w.ntickets + 1
 
-  (* One wake per registered waiter, and the count starts over: a waiter
-     that re-registers while these are delivered is counted for the next
-     wake, so no wake is ever left unread. Blocked waits end in the order
-     they began; one that blocks again meanwhile waits for the next wake. *)
+  (* Blocked waits end in the order they began; one that blocks again
+     meanwhile waits for the next wake. *)
   let wake w =
-    if w.waiting > 0 then begin
-      let n = w.waiting and src = self () and p = Wake w in
-      w.waiting <- 0;
-      for _ = 1 to n do
-        redeliver ~src p
-      done
-    end;
     match w.tickets with
     | [] -> ()
     | tickets ->
@@ -218,7 +202,6 @@ module Wake = struct
         List.iter (fun tk -> ignore (tk true)) (List.rev tickets)
 
   let reset w =
-    w.waiting <- 0;
     w.tickets <- [];
     w.ntickets <- 0
 
@@ -227,4 +210,9 @@ module Wake = struct
 
   let sleep w w' timeout =
     ignore (Effect.perform (E_await (w, w', idle, None, timeout)))
+
+  let until w ready =
+    while not (ready ()) do
+      sleep w w Float.infinity
+    done
 end

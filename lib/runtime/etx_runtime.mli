@@ -211,6 +211,13 @@ val obs : unit -> obs_sink option
     [None] when observability is off (also when the hosting handler predates
     [E_obs]). Fetch once at fiber/module init — not per event. *)
 
+val span :
+  obs_sink option -> parent:int -> trace:int -> string -> (unit -> 'a) -> 'a
+(** [span sink ~parent ~trace name f] runs [f] inside an obs span of [name]
+    (just [f] when [sink] is [None]). Not exception-safe on purpose: a
+    process that crashes mid-phase leaves its span open, the signal a
+    fail-over post-mortem looks for. *)
+
 val exit_fiber : unit -> 'a
 (** Terminate the calling fiber silently. *)
 
@@ -223,11 +230,10 @@ val watch : (proc_id -> unit) -> unit
 (** {1 Process-local wake-ups}
 
     A fiber blocks until another fiber of the {e same} process changes the
-    state it waits on. A fiber in {!Wake.until} is woken by one message of
-    class ["wake"] in the process's own mailbox, one per registered waiter,
-    so none is left unread. A fiber in {!Wake.recv} or {!Wake.sleep} waits
-    on two sources at once (pass one twice for a single source) and is
-    woken without a message: the wait just ends, as if it timed out. *)
+    state it waits on. Every wait leaves a ticket with its source and is
+    woken without a message: the wait just ends, as if it timed out. A
+    fiber in {!Wake.recv} or {!Wake.sleep} waits on two sources at once
+    (pass one twice for a single source). *)
 module Wake : sig
   type t = wake
 
@@ -246,8 +252,8 @@ module Wake : sig
   (** [sleep w w' d] blocks until [w] or [w'] is woken or [d] ms pass. *)
 
   val wake : t -> unit
-  (** Wake every fiber blocked on [w]. Callable outside a fiber when no
-      fiber waits in {!until}. *)
+  (** Wake every fiber blocked on [w], in the order their waits began.
+      Callable outside a fiber. *)
 
   val reset : t -> unit
   (** Forget the waiters of a [t] kept in state that outlives a crash. *)

@@ -285,6 +285,10 @@ let test_gx_loser_replies_on_decision () =
   (match Cluster.all_records c with
   | [ r ] -> Alcotest.(check int) "committed on the first try" 1 r.tries
   | rs -> Alcotest.failf "expected one record, got %d" (List.length rs));
+  (* a vote that reaches the coordinator after its RPC returned is
+     dropped, not left queued *)
+  Alcotest.(check int) "no unread gx reply at the coordinator" 0
+    (Dsim.Engine.mailbox_length e ~cls:Etx_types.cls_gx_reply coord);
   Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
 
 (* qcheck sweep: 2–3 shards of all-cross transfers, one home-group server

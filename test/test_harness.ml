@@ -97,6 +97,94 @@ let test_fig8_rendering () =
         (contains s needle))
     [ "SQL"; "prepare"; "log-start"; "cost of reliability"; "total" ]
 
+(* The Figure 8 column read off a hand-built registry: two transactions,
+   each phase span and XA histogram with known durations, plus a span a
+   crash left open (it must add nothing). *)
+let fig8_test_registry () =
+  let reg = Obs.Registry.create () in
+  let span ?(node = "a1") name at d =
+    let id = Obs.Registry.span_open reg ~node ~at ~trace:1 name in
+    Obs.Registry.span_close reg ~at:(at +. d) id
+  in
+  List.iter
+    (fun (name, ds) -> List.iter (fun d -> span name 0. d) ds)
+    [
+      ("election", [ 3.; 5. ]);
+      ("prepare", [ 10.; 20. ]);
+      ("consensus", [ 4. ]);
+      ("terminate", [ 8.; 8. ]);
+      ("log-start", [ 12.; 14. ]);
+      ("commit", [ 1. ]);
+    ];
+  span ~node:"a2" "terminate" 0. 2.;
+  ignore (Obs.Registry.span_open reg ~node:"a1" ~at:5. ~trace:2 "prepare");
+  List.iter
+    (fun (name, vs) ->
+      List.iter (fun v -> Obs.Registry.observe reg ~node:"a1" ~name v) vs)
+    [
+      ("xa.start_ms", [ 1.; 3. ]);
+      ("xa.exec_ms", [ 100.; 200. ]);
+      ("xa.end_ms", [ 2.; 2. ]);
+    ];
+  Obs.Registry.observe reg ~node:"a2" ~name:"xa.exec_ms" 6.;
+  reg
+
+let test_fig8_column_from_registry () =
+  let reg = fig8_test_registry () in
+  let latencies = [ 190.; 200.; 210. ] in
+  let ar =
+    Experiments.fig8_column ~protocol:"AR" ~ar:true ~transactions:2 reg
+      ~latencies
+  in
+  let expect =
+    [
+      ("start", 2.); ("end", 2.); ("commit", 9.); ("prepare", 15.);
+      ("SQL", 153.); ("log-start", 4.); ("log-outcome", 2.);
+    ]
+  in
+  Alcotest.(check (list (pair string (float 1e-9)))) "AR rows" expect
+    ar.components;
+  Alcotest.(check (float 1e-9)) "AR other" 13. ar.other;
+  Alcotest.(check (float 1e-9)) "AR total" 200. ar.total;
+  let cmp =
+    Experiments.fig8_column ~protocol:"2PC" ~ar:false ~transactions:2 reg
+      ~latencies
+  in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "rows named after themselves"
+    [
+      ("start", 2.); ("end", 2.); ("commit", 0.5); ("prepare", 15.);
+      ("SQL", 153.); ("log-start", 13.); ("log-outcome", 0.);
+    ]
+    cmp.components;
+  Alcotest.(check string) "rendered"
+    "Figure 8 — latency components over 2 identical transactions (ms)\n\
+    \                        AR    2PC\n\
+     -------------------  -----  -----\n\
+     start                  2.0    2.0\n\
+     end                    2.0    2.0\n\
+     commit                 9.0    0.5\n\
+     prepare               15.0   15.0\n\
+     SQL                  153.0  153.0\n\
+     log-start              4.0   13.0\n\
+     log-outcome            2.0    0.0\n\
+     other                 13.0   14.5\n\
+     total                200.0  200.0\n\
+     cost of reliability    +0%    +0%\n\
+     ci90/mean             9.5%   9.5%"
+    (Experiments.render_figure8
+       { transactions = 2; protocols = [ ar; cmp ] })
+
+(* Attaching the registry must not move the AR trial's schedule. *)
+let test_fig8_ar_obs_invisible () =
+  let records obs =
+    Experiments.fig8_ar_records ~obs ~transactions:5 ~seed:42
+  in
+  let plain = records None in
+  Alcotest.(check int) "five records" 5 (List.length plain);
+  Alcotest.(check bool) "identical client records" true
+    (plain = records (Some (Obs.Registry.create ())))
+
 (* ------------------------------------------------------------------ *)
 
 let fig7 = lazy (Experiments.figure7 ())
@@ -566,6 +654,10 @@ let () =
           Alcotest.test_case "rendering" `Quick test_fig8_rendering;
           Alcotest.test_case "golden byte-identity" `Quick
             test_fig8_golden_identity;
+          Alcotest.test_case "column from a hand-built registry" `Quick
+            test_fig8_column_from_registry;
+          Alcotest.test_case "AR records identical with obs" `Quick
+            test_fig8_ar_obs_invisible;
         ] );
       ( "figure7",
         [

@@ -1,5 +1,5 @@
 (* Tests for the statistics library: summaries, confidence intervals,
-   latency-component breakdowns, table rendering. *)
+   table rendering, JSON. *)
 
 let close = Alcotest.(check (float 1e-6))
 
@@ -52,36 +52,6 @@ let prop_mean_bounded =
       let lo = List.fold_left Float.min infinity xs in
       let hi = List.fold_left Float.max neg_infinity xs in
       lo -. 1e-9 <= m && m <= hi +. 1e-9)
-
-(* breakdown: span needs an engine *)
-let test_breakdown_span_and_rows () =
-  let t = Dsim.Engine.create () in
-  let bd = Stats.Breakdown.create () in
-  let _ =
-    Dsim.Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Stats.Breakdown.span bd "sql" (fun () -> Dsim.Engine.sleep 100.);
-        Stats.Breakdown.tick bd;
-        Stats.Breakdown.span bd "sql" (fun () -> Dsim.Engine.sleep 200.);
-        Stats.Breakdown.span bd "commit" (fun () -> Dsim.Engine.sleep 10.);
-        Stats.Breakdown.tick bd)
-  in
-  ignore (Dsim.Engine.run t);
-  Alcotest.(check int) "txns" 2 (Stats.Breakdown.transactions bd);
-  close "sql mean" 150. (Stats.Breakdown.row bd "sql");
-  close "commit mean" 5. (Stats.Breakdown.row bd "commit");
-  close "unknown row" 0. (Stats.Breakdown.row bd "nope");
-  Alcotest.(check (list string)) "categories" [ "commit"; "sql" ]
-    (Stats.Breakdown.categories bd);
-  close "other" 45. (Stats.Breakdown.other bd ~total:200.);
-  Stats.Breakdown.reset bd;
-  Alcotest.(check int) "reset" 0 (Stats.Breakdown.transactions bd)
-
-let test_breakdown_add () =
-  let bd = Stats.Breakdown.create () in
-  Stats.Breakdown.add bd "x" 3.;
-  Stats.Breakdown.add bd "x" 5.;
-  Stats.Breakdown.tick bd;
-  close "direct add" 8. (Stats.Breakdown.row bd "x")
 
 let test_table_render () =
   let s =
@@ -166,12 +136,6 @@ let () =
           Alcotest.test_case "empty raises" `Quick test_of_samples_empty_raises;
           q prop_percentile_bounded;
           q prop_mean_bounded;
-        ] );
-      ( "breakdown",
-        [
-          Alcotest.test_case "span/rows/other" `Quick
-            test_breakdown_span_and_rows;
-          Alcotest.test_case "add" `Quick test_breakdown_add;
         ] );
       ( "table",
         [
