@@ -46,7 +46,7 @@ let ship_period = 5.
 let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     ?(fd_spec = Etx.Appserver.Fd_oracle) ?(timing = Dbms.Rm.paper_timing)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?(clean_period = 20.) ?gc_after ?(backend = Etx.Appserver.Reg_ct)
+    ?(clean_period = 20.) ?(backend = Etx.Appserver.Reg_ct)
     ?(recoverable = false) ?batch ?(cache = false)
     ?(group_commit = false) ?(replicas = 0) ?(replica_bound = 8)
     ?(cross = false) ?(reconfig = false) ?(provision = 0)
@@ -186,7 +186,7 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
                 else None
               in
               let cfg =
-                Etx.Appserver.config ~fd_spec ~clean_period ?gc_after
+                Etx.Appserver.config ~fd_spec ~clean_period
                   ~backend ?persist ?batch ?cache:mcache
                   ?replicas:reps ~replica_bound ?cross:cross_cfg
                   ?reconfig:reconfig_cfg ~group:s ~rt ~index ~servers

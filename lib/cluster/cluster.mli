@@ -70,7 +70,6 @@ val build :
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   ?clean_period:float ->
-  ?gc_after:float ->
   ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
   ?batch:int ->

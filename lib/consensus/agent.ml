@@ -31,7 +31,10 @@ type instance = {
   key : string;
   mutable my_proposal : Types.payload option;
   mutable decided : Types.payload option;
-  mutable decided_at : float;  (** local learn time, for garbage collection *)
+  mutable informed : int;
+      (** peers known to hold the decision, one bit per index in [peers]:
+          this process, the peer it was learned from, and every peer that
+          acked a [C_decide] from here *)
   mutable driver_running : bool;
   mutable waiters : Rt.Wake.t option;
       (** local fibers blocked on the decision (proposers, the driver,
@@ -65,16 +68,46 @@ type t = {
   ch : Rchannel.t;
   round_timeout : float;
   instances : (string, instance) Hashtbl.t;
+  everyone : int;  (** [informed] once every peer holds the decision *)
+  mutable retired : string -> bool;  (** the owner's rule; see [collect] *)
+  mutable on_decide : string -> unit;
   persist : persistence option;
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
 }
 
-(* Register keys embed the request id ("g0:regD:r1003[1]"), which is the
+(* Register keys embed the request id ("g0:regD:c7:r1003[1]"), which is the
    trace id of all observability for that request — parsing it here lets
    consensus events join the request's span tree without any API change. *)
-let trace_of_key key =
-  try Scanf.sscanf key "g%d:reg%c:r%d[" (fun _ _ rid -> rid) with
-  | Scanf.Scan_failure _ | Failure _ | End_of_file -> 0
+let trace_of_key key = Int.max 0 (Reg_name.rid_of key)
+
+(* [informed]'s bit for peer [p]; 0 for a process outside [peers] *)
+let rec bit_in p i = function
+  | [] -> 0
+  | q :: rest -> if q = p then 1 lsl i else bit_in p (i + 1) rest
+
+let bit t p = bit_in p 0 t.peers
+
+let gauge_instances t =
+  match t.sink with
+  | None -> ()
+  | Some s ->
+      s.Rt.obs_gauge "consensus.instances"
+        (float_of_int (Hashtbl.length t.instances))
+
+(* Removes [inst] once nothing can need it here again: the owner's rule
+   retires its key, it is decided, no driver runs it, and every peer
+   holds the decision (so no peer will ask about it). Called at each of
+   those events; each check is O(1). *)
+let collect t inst =
+  if
+    inst.informed = t.everyone
+    && (not inst.driver_running)
+    && inst.decided <> None
+    && t.retired inst.key
+  then begin
+    Hashtbl.remove t.instances inst.key;
+    gauge_instances t
+  end
 
 let ensure t key =
   match Hashtbl.find_opt t.instances key with
@@ -85,7 +118,7 @@ let ensure t key =
           key;
           my_proposal = None;
           decided = None;
-          decided_at = nan;
+          informed = 0;
           driver_running = false;
           waiters = None;
           saved_est = None;
@@ -94,6 +127,7 @@ let ensure t key =
         }
       in
       Hashtbl.replace t.instances key inst;
+      gauge_instances t;
       inst
 
 let log_adoption t inst ~round value =
@@ -123,7 +157,7 @@ let recover_from_log t p =
         let inst = ensure t key in
         if inst.decided = None then begin
           inst.decided <- Some value;
-          inst.decided_at <- Rt.now ()
+          inst.informed <- bit t t.self
         end
   in
   Dstore.Log.crash_cut p.plog;
@@ -142,6 +176,9 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
       ch;
       round_timeout;
       instances = Hashtbl.create 32;
+      everyone = (1 lsl n) - 1;
+      retired = (fun _ -> false);
+      on_decide = ignore;
       persist;
       sink = Rt.obs ();
     }
@@ -151,7 +188,8 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
      instance decided here (or already collected, which only a decided one
      is), and a decision relayed to a suspected peer. A peer suspected
      wrongly learns the decision once its own driver asks: the dispatcher
-     answers every message about a decided instance with [C_decide]. *)
+     answers every message about a decided instance with [C_decide]. That
+     peer's ack is what lets [collect] remove the instance. *)
   Rchannel.retire_when ch (fun dst -> function
     | C_start { key } | C_estimate { key; _ } | C_propose { key; _ }
     | C_ack { key; _ } -> (
@@ -160,6 +198,14 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
         | exception Not_found -> true)
     | C_decide _ -> Fdetect.suspects fd dst
     | _ -> false);
+  Rchannel.on_ack ch (fun dst -> function
+    | C_decide { key; _ } -> (
+        match Hashtbl.find t.instances key with
+        | inst ->
+            inst.informed <- inst.informed lor bit t dst;
+            collect t inst
+        | exception Not_found -> ())
+    | _ -> ());
   t
 
 let coordinator t round = List.nth t.peers (round mod t.n)
@@ -182,7 +228,7 @@ let record_decision t inst ~from value =
   | None ->
       log_decision t inst value;
       inst.decided <- Some value;
-      inst.decided_at <- Rt.now ();
+      inst.informed <- bit t t.self lor bit t from;
       (match t.sink with
       | None -> ()
       | Some s ->
@@ -197,7 +243,9 @@ let record_decision t inst ~from value =
         (fun p ->
           if p <> t.self && p <> from then
             Rchannel.send t.ch p (C_decide { key = inst.key; value }))
-        t.peers
+        t.peers;
+      t.on_decide inst.key;
+      collect t inst
 
 (* --- the per-instance driver: one fiber running the CT state machine --- *)
 
@@ -398,7 +446,8 @@ let driver ?first t inst () =
       let rounds = !max_r + 1 in
       s.Rt.obs_count "consensus.rounds" rounds;
       s.Rt.obs_observe "consensus.rounds_per_write" (float_of_int rounds));
-  inst.driver_running <- false
+  inst.driver_running <- false;
+  collect t inst
 
 let start_driver ?first t inst =
   if (not inst.driver_running) && inst.decided = None then begin
@@ -407,6 +456,15 @@ let start_driver ?first t inst =
   end
 
 (* --- dispatcher: auto-join, decisions, and stale-message service --- *)
+
+(* A message about an instance absent here creates it, unless the owner's
+   rule retires its key: such an instance was collected, or its request
+   was delivered before any peer told this one about it, and either way
+   no client waits on it: [known] raises [Not_found] for it. *)
+let known t key =
+  match Hashtbl.find t.instances key with
+  | inst -> inst
+  | exception Not_found -> if t.retired key then raise Not_found else ensure t key
 
 let dispatcher t () =
   let wants m =
@@ -424,14 +482,18 @@ let dispatcher t () =
     | None -> ()
     | Some m -> (
         match m.payload with
-        | C_decide { key; value } ->
-            let inst = ensure t key in
-            record_decision t inst ~from:m.src value
-        | C_start { key } ->
-            let inst = ensure t key in
-            if inst.decided = None then start_driver t inst
+        | C_decide { key; value } -> (
+            match known t key with
+            | inst -> record_decision t inst ~from:m.src value
+            | exception Not_found -> ())
+        | C_start { key } -> (
+            match known t key with
+            | inst -> if inst.decided = None then start_driver t inst
+            | exception Not_found -> ())
         | C_estimate { key; _ } | C_propose { key; _ } | C_ack { key; _ } -> (
-            let inst = ensure t key in
+            match known t key with
+            | exception Not_found -> ()
+            | inst -> (
             match (inst.decided, m.payload) with
             | Some _, C_ack _ when Option.is_none t.persist ->
                 (* a late ack: [record_decision]'s relay already told its
@@ -443,7 +505,7 @@ let dispatcher t () =
                 Rchannel.send t.ch m.src (C_decide { key; value })
             | None, _ ->
                 (* auto-join: the new driver starts from the message *)
-                start_driver ~first:m t inst)
+                start_driver ~first:m t inst))
         | _ -> ()));
     loop ()
   in
@@ -480,25 +542,13 @@ let is_consensus_message = function
       true
   | _ -> false
 
-let forget t ~key =
-  match Hashtbl.find_opt t.instances key with
-  | None -> ()
-  | Some inst -> if not inst.driver_running then Hashtbl.remove t.instances key
+let retire_when t rule = t.retired <- rule
+let on_decide t f = t.on_decide <- f
 
-let collect t ~older_than =
-  let victims =
-    Hashtbl.fold
-      (fun key inst acc ->
-        if
-          (not inst.driver_running)
-          && inst.decided <> None
-          && inst.decided_at <= older_than
-        then key :: acc
-        else acc)
-      t.instances []
-  in
-  List.iter (Hashtbl.remove t.instances) victims;
-  List.length victims
+let release t ~key =
+  match Hashtbl.find t.instances key with
+  | inst -> collect t inst
+  | exception Not_found -> ()
 
 let instance_count t = Hashtbl.length t.instances
 

@@ -2,7 +2,7 @@
 
     One [Agent.t] lives in each application-server process and multiplexes
     any number of consensus {e instances}, identified by string keys (the
-    write-once register arrays use keys like ["regA\[r0.1\]"]). The
+    write-once register arrays use keys like ["g0:regA:c7:r1003\[1\]"]). The
     algorithm is the rotating-coordinator protocol of Chandra & Toueg
     (◇S-class), which the paper cites as its register substrate:
 
@@ -114,18 +114,32 @@ val is_consensus_message : Types.payload -> bool
 (** Classifier for trace analyses: consensus-protocol traffic (register
     writes) as opposed to application messages. *)
 
-val forget : t -> key:string -> unit
-(** Garbage-collect instance [key] locally (the paper's §5 register-array
-    clean-up). Only safe for decided instances whose decision no process
-    will ask about again; a later [propose] for the same key starts a {e
-    fresh} instance, so the write-once guarantee no longer spans the
-    collection point — the paper's "at-most-once only until a known period"
-    caveat. No-op while a driver is still running. *)
+val retire_when : t -> (string -> bool) -> unit
+(** [retire_when t rule] sets the owner's retirement rule for instance
+    keys, replacing any earlier one (default: nothing is retired). An
+    instance is removed once three things hold: [rule] retires its key, it
+    is decided here, and every peer is known to hold the decision — the
+    peer this agent learned it from, or one that acked a [C_decide] from
+    here ({!Dnet.Rchannel.on_ack}). The agent checks at each of those
+    events, at a driver's exit and at {!release}; nothing polls. A message
+    about an absent instance whose key [rule] retires is dropped: it never
+    re-creates the instance or forks a driver. The rule must be monotone (a
+    retired key stays retired) and must not block.
+
+    A peer that never acks — crashed, or suspected so that the channel
+    stopped resending the relay — keeps the instance here until it acks an
+    answer to its own question. A decision restored from the log counts
+    no peer but this one. *)
+
+val on_decide : t -> (string -> unit) -> unit
+(** [on_decide t f]: [f key] runs each time an instance decides here, from
+    the fiber that learned it, after the relays went out and before
+    {!retire_when}'s rule is asked about [key]. Must not block. *)
+
+val release : t -> key:string -> unit
+(** The owner's rule now retires [key]: remove its instance if the other
+    two conditions of {!retire_when} hold too (else the event that
+    completes them does). No-op for an absent key. *)
 
 val instance_count : t -> int
-(** Number of locally known instances (memory accounting for GC tests). *)
-
-val collect : t -> older_than:float -> int
-(** Forget every decided instance whose decision was learned at or before
-    [older_than]; returns how many were collected. Same safety caveat as
-    {!forget}. *)
+(** Number of locally known instances (memory accounting). *)

@@ -11,7 +11,7 @@
     [regA\[j\]], [regD\[j\]], a lease epoch, a batch slot, ...) is one
     consensus instance. Arrays with the same name on different processes
     denote the same shared registers, so the name must encode the scope.
-    This module is the one place that maps [(name, j)] to an instance key;
+    This module maps [(name, j)] to an instance key ({!Reg_name.key});
     the backend behind it is chosen once, at construction ("along the lines
     of [4]" — the paper leaves the consensus pluggable). *)
 
@@ -23,11 +23,11 @@ type t
 
 val of_agent : Agent.t -> t
 (** Registers over the Chandra–Toueg {!Agent} (the default backend; the
-    only one with persistence and register GC). *)
+    only one with persistence and register collection). *)
 
 val of_synod : Synod.t -> t
 (** Registers over single-decree Paxos ({!Synod}). It keeps every instance
-    forever: {!collect} and {!instances} answer [0]. *)
+    forever: the retirement calls below do nothing. *)
 
 val write : t -> name:string -> j:int -> Types.payload -> Types.payload
 (** [write t ~name ~j v] writes register [j] of [name]: blocks until the
@@ -47,10 +47,13 @@ val decided_keys : t -> (string * int) list
 (** Every register this process knows decided, as [(name, j)], sorted by
     instance key. *)
 
-val collect : t -> older_than:float -> int
-(** Forget every register decided at or before [older_than] (the paper's §5
-    clean-up; see {!Agent.collect} for the at-most-once caveat); returns how
-    many were collected. *)
+val retire_when : t -> (string -> bool) -> unit
+(** The owner's retirement rule over instance keys ({!Reg_name.key});
+    see {!Agent.retire_when}. *)
 
-val instances : t -> int
-(** Locally known instances (memory accounting for GC). *)
+val on_decide : t -> (string -> unit) -> unit
+(** [f key] runs as each register is decided here; see {!Agent.on_decide}. *)
+
+val release : t -> name:string -> j:int -> unit
+(** The owner's rule now retires register [j] of [name]: collect it as
+    soon as it is decided and every peer holds it ({!Agent.release}). *)

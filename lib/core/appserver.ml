@@ -45,7 +45,6 @@ type config = {
   business : Business.t;
   fd_spec : fd_spec;
   clean_period : float;
-  gc_after : float option;
   backend : register_backend;
   persist : Consensus.Agent.persistence option;
   batch : int;
@@ -72,20 +71,15 @@ type config = {
           the static protocol) *)
 }
 
-let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?gc_after
-    ?(backend = Reg_ct) ?persist ?(group = 0) ?(batch = 1) ?cache
-    ?replicas ?(replica_bound = 8) ?cross ?reconfig ~rt ~index ~servers ~dbs
-    ~business () =
+let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(backend = Reg_ct)
+    ?persist ?(group = 0) ?(batch = 1) ?cache ?replicas ?(replica_bound = 8)
+    ?cross ?reconfig ~rt ~index ~servers ~dbs ~business () =
   (match (backend, persist) with
   | Reg_synod, Some _ ->
       invalid_arg
         "Appserver.config: the Synod backend does not support persistence"
   | (Reg_ct | Reg_synod), _ -> ());
   if batch < 1 then invalid_arg "Appserver.config: batch must be >= 1";
-  if batch > 1 && gc_after <> None then
-    invalid_arg
-      "Appserver.config: register GC is not supported on the batched path \
-       (a collected lease or batch register would reopen a decided window)";
   {
     rt;
     group;
@@ -95,7 +89,6 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?gc_after
     business;
     fd_spec;
     clean_period;
-    gc_after;
     backend;
     persist;
     batch;
@@ -119,7 +112,8 @@ type rc_state = {
 
 (* Per-request protocol state on one server. Everything here is volatile
    (servers are stateless): it only caches what the registers and client
-   messages already determine. *)
+   messages already determine. On the classic path a server holds it only
+   for a client's newest request ([floor]). *)
 type rid_state = {
   mutable client : Types.proc_id option;
   mutable last : (int * decision) option;  (** last terminated try here *)
@@ -128,7 +122,6 @@ type rid_state = {
           the cleaning scan's floor when the group's own regA array has
           holes — a re-routed request starts above 1 at its new group *)
   mutable cleaned : int list;  (** the paper's [clist], per request *)
-  mutable terminated_at : float option;  (** for the GC grace period *)
   mutable rspan : int;
       (** the client's root span id, from the request message (0 = none);
           per-try and cleaner spans parent under it *)
@@ -145,6 +138,17 @@ type replica_memo =
   | Replica_answered of string * int * int  (** result, lsn, lag *)
   | Replica_declined
 
+(* A client issues one request at a time and its rids only grow (they
+   come from the engine-wide [fresh_uid]), so a request of the client, or
+   a decided register of one of its requests, shows that it holds the
+   result of every earlier request. [newest] is the highest rid of the
+   client seen here; every lower rid is {e retired}: its regA/regD
+   registers are collected once every server holds their decisions, and
+   on the classic path its state is dropped and a late copy of it is
+   dropped at intake. [tries] is the highest try of [newest] seen here:
+   the registers to release when it retires. *)
+type floor = { mutable newest : int; mutable tries : int }
+
 type ctx = {
   cfg : config;
   self : Types.proc_id;
@@ -155,6 +159,8 @@ type ctx = {
           group, see {!Etx_types.Reg_name}) *)
   rd : Dbms.Stub.Readiness.t;
   rids : (int, rid_state) Hashtbl.t;
+      (** by rid; on the classic path, live requests only *)
+  floors : (Types.proc_id, floor) Hashtbl.t;  (** by client *)
   replica_memo : (int, replica_memo) Hashtbl.t;  (** by rid; replicas only *)
   running : (int * int * int, unit) Hashtbl.t;
       (** tries and branches in flight here, keyed (rid, j, k): fresh tries
@@ -171,22 +177,81 @@ type ctx = {
           every other gx reply *)
 }
 
+let gauge_rids ctx =
+  match ctx.sink with
+  | None -> ()
+  | Some s ->
+      s.Rt.obs_gauge "server.rid_states" (float_of_int (Hashtbl.length ctx.rids))
+
+(* On the classic path callers create state only for a live rid
+   ({!admit}). *)
 let rid_state ctx rid =
   match Hashtbl.find_opt ctx.rids rid with
   | Some st -> st
   | None ->
       let st =
-        {
-          client = None;
-          last = None;
-          seen = 0;
-          cleaned = [];
-          terminated_at = None;
-          rspan = 0;
-        }
+        { client = None; last = None; seen = 0; cleaned = []; rspan = 0 }
       in
       Hashtbl.replace ctx.rids rid st;
+      gauge_rids ctx;
       st
+
+(* What is held here for retired request [rid] of [client] goes: through
+   the agent, registers [1..tries] of both of its arrays, and on the
+   classic path its state, replica memo and in-flight marks. The batched
+   path keeps its request states: a late copy of a request, and the
+   takeover's re-delivery of every sealed window, replay a result from
+   them. *)
+let forget_request ctx ~client ~rid ~tries =
+  let classic = ctx.cfg.batch = 1 in
+  if classic then begin
+    Hashtbl.remove ctx.rids rid;
+    Hashtbl.remove ctx.replica_memo rid
+  end;
+  let group = ctx.cfg.group in
+  let reg_a = Reg_name.reg_a ~group ~client ~rid
+  and reg_d = Reg_name.reg_d ~group ~client ~rid in
+  for j = 1 to tries do
+    if classic && Hashtbl.length ctx.running > 0 then
+      Hashtbl.remove ctx.running (rid, j, -1);
+    Woreg.release ctx.regs ~name:reg_a ~j;
+    Woreg.release ctx.regs ~name:reg_d ~j
+  done;
+  gauge_rids ctx
+
+(* Records that [client] issued try [j] of [rid]; [false] iff [rid] is
+   retired here. A newer rid retires the previous newest. *)
+let admit ctx ~client ~rid ~j =
+  match Hashtbl.find ctx.floors client with
+  | f when rid < f.newest -> false
+  | f when rid = f.newest ->
+      if j > f.tries then f.tries <- j;
+      true
+  | f ->
+      let old = f.newest and tries = f.tries in
+      f.newest <- rid;
+      f.tries <- j;
+      forget_request ctx ~client ~rid:old ~tries;
+      true
+  | exception Not_found ->
+      Hashtbl.add ctx.floors client { newest = rid; tries = j };
+      true
+
+(* The agent's view of the floors: a decided classic register admits its
+   request, and a classic register key is retired with its request. *)
+let admit_register ctx key =
+  let client = Reg_name.client_of key in
+  if client >= 0 then
+    ignore
+      (admit ctx ~client ~rid:(Reg_name.rid_of key) ~j:(Reg_name.try_of key))
+
+let retired_register ctx key =
+  let client = Reg_name.client_of key in
+  client >= 0
+  &&
+  match Hashtbl.find ctx.floors client with
+  | f -> Reg_name.rid_of key < f.newest
+  | exception Not_found -> false
 
 (* Bump obs counter [name] by [n] (nothing when obs is off or [n] = 0). *)
 let count ?(n = 1) ctx name =
@@ -507,13 +572,11 @@ let send_result ctx st ~rid ~j decision =
 
 (* The termination record of try [j], whichever path terminated it:
    [st.last] never regresses to an older try (a late cleaner or a batch
-   re-delivery must not shadow a newer decision), and [terminated_at]
-   starts the GC grace period. *)
+   re-delivery must not shadow a newer decision). *)
 let record_termination ctx st ~j (d : decision) =
   (match st.last with
   | Some (j', _) when j' >= j -> ()
   | Some _ | None -> st.last <- Some (j, d));
-  st.terminated_at <- Some (Rt.now ());
   match ctx.sink with
   | None -> ()
   | Some s ->
@@ -556,12 +619,12 @@ let run_business ctx ~xid ~attempt ~body =
    client's propagated root span; phases hang off it — and contest regA[j]
    with [claim] (the "election" span). Returns the span and the winning
    claim. *)
-let elect_try ctx st ~rid ~j ?attrs claim =
+let elect_try ctx st ~client ~rid ~j ?attrs claim =
   let tspan = open_span ctx ~parent:st.rspan ~rid ~j ?attrs "try" in
   let winner =
     ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
         Woreg.write ctx.regs
-          ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid)
+          ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~client ~rid)
           ~j claim)
   in
   (tspan, winner)
@@ -569,20 +632,22 @@ let elect_try ctx st ~rid ~j ?attrs claim =
 (* Fig. 5 l. 10 and Fig. 6 l. 7: write regD[j]. The returned decision — the
    proposal, or whatever another server wrote first — is the one to
    terminate, exactly as the paper's assignment semantics. *)
-let decide_try ctx ~rid ~j proposal =
+let decide_try ctx ~client ~rid ~j proposal =
   match
     Woreg.write ctx.regs
-      ~name:(Reg_name.reg_d ~group:ctx.cfg.group ~rid)
+      ~name:(Reg_name.reg_d ~group:ctx.cfg.group ~client ~rid)
       ~j (Reg_d_value proposal)
   with
   | Reg_d_value d -> d
   | _ -> proposal
 
-let compute_try ctx st ~(request : request) ~j =
+let compute_try ctx st ~client ~(request : request) ~j =
   let rid = request.rid in
   let xid = Dbms.Xid.make ~rid ~j in
   let xids = [ xid ] in
-  let tspan, winner = elect_try ctx st ~rid ~j (Reg_a_value ctx.self) in
+  let tspan, winner =
+    elect_try ctx st ~client ~rid ~j (Reg_a_value ctx.self)
+  in
   match winner with
   | Reg_a_value w when w = ctx.self ->
       (* snapshot before the business logic reads anything: a fill is only
@@ -604,7 +669,7 @@ let compute_try ctx st ~(request : request) ~j =
       in
       let final =
         ospan ctx ~parent:tspan ~trace:rid "consensus" (fun () ->
-            decide_try ctx ~rid ~j { result = Some result; outcome })
+            decide_try ctx ~client ~rid ~j { result = Some result; outcome })
       in
       terminate ctx st ~parent:tspan ~rid ~j final;
       cache_after_decide ctx ~body:request.body ~gen final;
@@ -929,10 +994,10 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
    as the classic path, but the register's content is a [Gx_elect] carrying
    the participant set and the request body — everything a cleaner needs to
    recompute the plan and finish the instance without the crashed owner. *)
-let compute_try_cross ctx st ~(request : request) ~j ~shards =
+let compute_try_cross ctx st ~client ~(request : request) ~j ~shards =
   let rid = request.rid in
   let tspan, winner =
-    elect_try ctx st ~rid ~j
+    elect_try ctx st ~client ~rid ~j
       ~attrs:[ ("cross", "true") ]
       (Gx_elect { owner = ctx.self; participants = shards; body = request.body })
   in
@@ -972,11 +1037,11 @@ let fork_once ctx key name f =
    different requests never queue behind one another's SQL — the
    databases' locks are the concurrency control — and a resend of a try
    still in flight here is dropped instead of elected and run again. *)
-let start_try ctx st ~(request : request) ~j shards =
+let start_try ctx st ~client ~(request : request) ~j shards =
   fork_once ctx (request.rid, j, -1) "try" (fun () ->
       match shards with
-      | Some shards -> compute_try_cross ctx st ~request ~j ~shards
-      | None -> compute_try ctx st ~request ~j)
+      | Some shards -> compute_try_cross ctx st ~client ~request ~j ~shards
+      | None -> compute_try ctx st ~client ~request ~j)
 
 (* Participant-side branch execution, triggered by a [Gx_branch]. The
    quick checks run synchronously and the blocking work in its own fiber,
@@ -1083,7 +1148,7 @@ let rc_decisions ctx =
   List.iter
     (fun (name, j) ->
       match Reg_name.parse_reg_d name with
-      | Some (g, rid) when g = ctx.cfg.group -> (
+      | Some (g, _, rid) when g = ctx.cfg.group -> (
           match Woreg.read ctx.regs ~name ~j with
           | Some (Reg_d_value d) -> add rid j d
           | _ -> ())
@@ -1103,9 +1168,7 @@ let rc_install ctx items =
       let st = rid_state ctx rid in
       match st.last with
       | Some (j', _) when j' >= j -> ()
-      | _ ->
-          st.last <- Some (j, { result; outcome });
-          st.terminated_at <- Some (Rt.now ()))
+      | _ -> st.last <- Some (j, { result; outcome }))
     items
 
 let rc_caps ctx (rcc : reconfig_cfg) =
@@ -1282,6 +1345,8 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
 
 (* Every client request enters here, on the classic and the batched path
    alike, and meets the same rules in order:
+   - retired (the client already holds its result, {!floor}) on the
+     classic path: drop it, with no try and no reply;
    - stamped for another group: bounce it (executing it here would commit
      it on the wrong shard; the explicit nack makes the client fan out
      again at once instead of waiting out its resend timer);
@@ -1299,6 +1364,10 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
    continuation with its participant shards ({!cross_shards}). *)
 let intake ctx ~fresh (m : Types.message) =
   match m.payload with
+  | Request_msg { request; j; _ }
+    when (not (admit ctx ~client:m.src ~rid:request.rid ~j))
+         && ctx.cfg.batch = 1 ->
+      ()
   | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
       count ctx "server.misrouted";
       Rt.note (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
@@ -1321,7 +1390,8 @@ let intake ctx ~fresh (m : Types.message) =
         | Some (_, d) when d.outcome = Dbms.Rm.Commit ->
             send_result ctx st ~rid:request.rid ~j d
         | Some _ | None ->
-            fresh st ~request ~j (cross_shards ctx ~body:request.body)
+            fresh st ~client:m.src ~request ~j
+              (cross_shards ctx ~body:request.body)
       end
   | _ -> ()
 
@@ -1336,14 +1406,13 @@ let compute_thread ctx () =
 
 (* ---------------- Fig. 6: the cleaning thread ---------------- *)
 
-let known_rids ctx =
-  let from_requests = Hashtbl.fold (fun rid _ acc -> rid :: acc) ctx.rids [] in
-  let from_registers =
-    List.filter_map
-      (fun (name, _) -> Option.map snd (Reg_name.parse_reg_a name))
-      (Woreg.decided_keys ctx.regs)
-  in
-  List.sort_uniq compare (from_requests @ from_registers)
+(* The live requests, as (client, rid) in rid order: each client's
+   newest. Every request seen here and every decided register raised a
+   floor, so this covers both; O(clients), not O(history). *)
+let live_requests ctx =
+  List.sort
+    (fun (_, a) (_, b) -> Int.compare a b)
+    (Hashtbl.fold (fun client f acc -> (client, f.newest) :: acc) ctx.floors [])
 
 (* The cleaner's record of one contested try, shared by every take-over
    path (a try, a cross-shard instance, a sealed batch slot): the
@@ -1393,12 +1462,11 @@ let clean_cross ctx st ~suspect ~rid ~j ~body =
   close_span ctx cspan;
   st.cleaned <- j :: st.cleaned
 
-let clean_request ctx ~suspect ~rid =
+let clean_request ctx ~suspect ~client ~rid =
   let st = rid_state ctx rid in
+  let reg_a = Reg_name.reg_a ~group:ctx.cfg.group ~client ~rid in
   let rec scan j =
-    match
-      Woreg.read ctx.regs ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid) ~j
-    with
+    match Woreg.read ctx.regs ~name:reg_a ~j with
     | None ->
         (* ⊥ normally means no further tries exist (they start in order)
            — but after a migration the group's regA array can have holes:
@@ -1415,7 +1483,7 @@ let clean_request ctx ~suspect ~rid =
     | Some (Reg_a_value winner) ->
         if winner = suspect && not (List.mem j st.cleaned) then begin
           let cspan = clean_span ctx st ~suspect ~rid ~j [] in
-          let final = decide_try ctx ~rid ~j abort_decision in
+          let final = decide_try ctx ~client ~rid ~j abort_decision in
           note_cleaned ctx ~rid ~j final;
           terminate ctx st ~parent:cspan ~rid ~j final;
           close_span ctx cspan;
@@ -1444,43 +1512,10 @@ let clean_thread ctx () =
       List.iter
         (fun ai ->
           if suspected ai then
-            List.iter (fun rid -> clean_request ctx ~suspect:ai ~rid)
-              (known_rids ctx))
+            List.iter
+              (fun (client, rid) -> clean_request ctx ~suspect:ai ~client ~rid)
+              (live_requests ctx))
         ctx.cfg.servers)
-
-(* ---------------- §5 extension: register garbage collection ----------- *)
-
-(* Discard everything long-terminated requests left behind: protocol state
-   for requests served here (by the termination timestamp) and register
-   instances decided long ago (covers servers that only participated in the
-   consensus). After this point a retransmission of the request is
-   indistinguishable from a new one, so at-most-once only holds for clients
-   that respect the grace period — the paper's timed caveat, demonstrated in
-   the test suite. [gc_after] must comfortably exceed the fail-over
-   (cleaning) latency so no live protocol activity references a collected
-   register. *)
-let gc_thread ctx ~after () =
-  let rec loop () =
-    Rt.sleep (Float.max 1. (after /. 2.));
-    let now = Rt.now () in
-    let expired =
-      Hashtbl.fold
-        (fun rid st acc ->
-          match st.terminated_at with
-          | Some t when now -. t > after -> rid :: acc
-          | Some _ | None -> acc)
-        ctx.rids []
-    in
-    List.iter (fun rid -> Hashtbl.remove ctx.rids rid) expired;
-    let swept = Woreg.collect ctx.regs ~older_than:(now -. after) in
-    if expired <> [] || swept > 0 then
-      Rt.note
-        (Printf.sprintf "gc:rids=%d:swept=%d:instances=%d"
-           (List.length expired) swept
-           (Woreg.instances ctx.regs));
-    loop ()
-  in
-  loop ()
 
 (* ---------------- Leases and batching (DESIGN.md §12) ---------------- *)
 
@@ -1821,8 +1856,8 @@ let process_batch ctx ls (items : Window.entry list) =
    cost every client a full back-off period; limbo is promoted only
    through a won takeover (which seals predecessors first). *)
 let batch_enqueue ctx ls =
-  intake ctx ~fresh:(fun st ~(request : request) ~j -> function
-    | Some _ as shards -> start_try ctx st ~request ~j shards
+  intake ctx ~fresh:(fun st ~client ~(request : request) ~j -> function
+    | Some _ as shards -> start_try ctx st ~client ~request ~j shards
     | None ->
         let enqueue q =
           if not (Window.mem q ~rid:request.rid ~j) then
@@ -1982,6 +2017,7 @@ let spawn cfg =
             regs;
             rd;
             rids = Hashtbl.create 16;
+            floors = Hashtbl.create 16;
             replica_memo = Hashtbl.create 16;
             running = Hashtbl.create 16;
             rc;
@@ -1991,6 +2027,14 @@ let spawn cfg =
             gx_awaited = [];
           }
         in
+        Woreg.on_decide regs (admit_register ctx);
+        Woreg.retire_when regs (retired_register ctx);
+        (* a recovered agent restored its decisions from the log: they
+           raise the floors too, so the cleaner scans their requests *)
+        if recovery then
+          List.iter
+            (fun (name, j) -> admit_register ctx (Reg_name.key ~name ~j))
+            (Woreg.decided_keys regs);
         (* reconfiguration fibers exist only on elastic deployments: a
            static server forks nothing new and its schedule stays
            byte-identical to the fixed-map protocol *)
@@ -2041,9 +2085,6 @@ let spawn cfg =
         end
         else begin
           Rt.fork "clean" (clean_thread ctx);
-          (match cfg.gc_after with
-          | Some after -> Rt.fork "gc" (gc_thread ctx ~after)
-          | None -> ());
           compute_thread ctx ()
         end
       end)

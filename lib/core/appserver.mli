@@ -58,7 +58,7 @@ type register_backend =
   | Reg_ct  (** rotating-coordinator agent ({!Consensus.Agent}) *)
   | Reg_synod
       (** Paxos ({!Consensus.Synod}); detector-free, but without the
-          persistence and garbage-collection extensions *)
+          persistence and register-collection extensions *)
 
 type cross_cfg = {
   shard_of_key : string -> int;
@@ -124,12 +124,6 @@ type config = {
   clean_period : float;
       (** cleaning-thread scan interval while a server is suspected (the
           lease takeover and reconfiguration monitor use it too) *)
-  gc_after : float option;
-      (** when set, a garbage-collection thread discards a request's
-          register instances and protocol state this long after its last
-          try terminated — the paper's §5 register-array clean-up. The
-          at-most-once guarantee then only covers clients that do not
-          retransmit after this period (the paper's timed caveat). *)
   backend : register_backend;
   persist : Consensus.Agent.persistence option;
       (** when set, the server's registers live on this stable storage and
@@ -144,9 +138,7 @@ type config = {
           even though the transaction's effect applies exactly once. *)
   batch : int;
       (** maximum results per leased batch; 1 (the default) selects the
-          classic per-result path, byte-identical to earlier revisions.
-          Incompatible with [gc_after] (a collected lease or batch register
-          would reopen a decided window). *)
+          classic per-result path, byte-identical to earlier revisions. *)
   cache : Method_cache.t option;
       (** method cache for read-only business calls (DESIGN.md §13). On a
           hit the server replies [Result_cached_msg] without touching the
@@ -185,7 +177,6 @@ type config = {
 val config :
   ?fd_spec:fd_spec ->
   ?clean_period:float ->
-  ?gc_after:float ->
   ?backend:register_backend ->
   ?persist:Consensus.Agent.persistence ->
   ?group:int ->
@@ -202,12 +193,11 @@ val config :
   business:Business.t ->
   unit ->
   config
-(** Defaults: oracle failure detector, 20 ms clean period, no garbage
-    collection, the [Reg_ct] backend, no persistence, group 0, batch 1
-    (classic path), no cache, no replicas, replica bound 8, no
-    cross-shard wiring, no reconfiguration. Raises
-    [Invalid_argument] if [batch < 1], if [batch > 1] is combined with
-    [gc_after], or if [Reg_synod] is combined with [persist]. *)
+(** Defaults: oracle failure detector, 20 ms clean period, the [Reg_ct]
+    backend, no persistence, group 0, batch 1 (classic path), no cache, no
+    replicas, replica bound 8, no cross-shard wiring, no reconfiguration.
+    Raises [Invalid_argument] if [batch < 1], or if [Reg_synod] is
+    combined with [persist]. *)
 
 val spawn : config -> Types.proc_id
 (** Spawns on the backend in [cfg.rt]. *)

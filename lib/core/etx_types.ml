@@ -26,60 +26,8 @@ type decision = { result : result_value option; outcome : Dbms.Rm.outcome }
 
 let abort_decision = { result = None; outcome = Dbms.Rm.Abort }
 
-(** Canonical names of the protocol's stable registers. One encode/decode
-    pair — the application server's writer path and the cleaning thread's
-    scanner must agree byte-for-byte on the naming scheme, so neither spells
-    the format string on its own. *)
-module Reg_name = struct
-  (* per-result registers of the classic (unbatched) path *)
-  let reg_a ~group ~rid = Printf.sprintf "g%d:regA:r%d" group rid
-  let reg_d ~group ~rid = Printf.sprintf "g%d:regD:r%d" group rid
-
-  (* [parse_reg_a name] recovers (group, rid) from a [reg_a] name; [None]
-     for every other register family — the ":regA:r" literal rejects regD,
-     lease and batch names, so a scanner over decided registers sees
-     exactly the classic elections. *)
-  let parse_reg_a name =
-    try Scanf.sscanf name "g%d:regA:r%d" (fun g rid -> Some (g, rid))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
-  (* [parse_reg_d name] recovers (group, rid) from a [reg_d] name — the
-     migration driver's decision-transfer scan reads decided regD
-     registers to find tries terminated by servers that have since
-     crashed (their rid states are gone; the registers are not). *)
-  let parse_reg_d name =
-    try Scanf.sscanf name "g%d:regD:r%d%!" (fun g rid -> Some (g, rid))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
-  (* lease-epoch register: instance [e] of the consensus object elects the
-     holder of lease epoch [e] *)
-  let lease ~group = Printf.sprintf "g%d:lease" group
-
-  (* per-batch registers of the leased path: epoch [e], sequence number [k]
-     within the epoch. Deliberately unparseable by [parse_reg_a]. *)
-  let batch_a ~group ~epoch ~seq =
-    Printf.sprintf "g%d:batchA:e%d:k%d" group epoch seq
-
-  let batch_d ~group ~epoch ~seq =
-    Printf.sprintf "g%d:batchD:e%d:k%d" group epoch seq
-
-  (* Paxos-Commit registers of the cross-shard path. The transaction is
-     globally identified by (rid, j) — the try that planned it — and each
-     participant shard [k] owns two registers {e in its own group's
-     consensus namespace}:
-
-     - [gx_vote]: the participant's vote. [Gx_vote_value {ok = true}] may
-       only be written after every database of shard [k] voted Yes on the
-       branch (prepared), so a Commit outcome never meets an unprepared
-       database; [ok = false] is the abort vote any suspicious party may
-       contest with.
-     - [gx_exec]: which server of shard [k] executes the branch (the
-       branch-local analogue of [regA]).
-
-     The "gx:" prefix is deliberately unparseable by [parse_reg_a]. *)
-  let gx_vote ~rid ~j ~k = Printf.sprintf "gx:r%d.%d:p%d" rid j k
-  let gx_exec ~rid ~j ~k = Printf.sprintf "gx:r%d.%d:p%d:a" rid j k
-end
+(** Canonical names of the protocol's registers ({!Consensus.Reg_name}). *)
+module Reg_name = Consensus.Reg_name
 
 (** Canonical names of method-cache entries. An entry caches the committed
     result of one read-only business-method invocation, so its identity is

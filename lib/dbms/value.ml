@@ -10,4 +10,8 @@ let pp ppf = function
   | Int n -> Format.fprintf ppf "%d" n
   | Str s -> Format.fprintf ppf "%S" s
 
-let to_string v = Format.asprintf "%a" pp v
+(* [pp]'s text without a formatter: [%S] is the escaped string between
+   double quotes *)
+let to_string = function
+  | Int n -> string_of_int n
+  | Str s -> "\"" ^ String.escaped s ^ "\""

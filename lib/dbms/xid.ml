@@ -9,4 +9,5 @@ let compare a b =
 
 let pp ppf t = Format.fprintf ppf "r%d.%d" t.rid t.j
 
-let to_string t = Format.asprintf "%a" pp t
+(* [pp]'s text without a formatter *)
+let to_string t = "r" ^ string_of_int t.rid ^ "." ^ string_of_int t.j

@@ -105,6 +105,8 @@ type t = {
   on_silent : (Types.proc_id -> Types.payload -> unit) option;
   mutable unneeded : Types.proc_id -> Types.payload -> bool;
       (** the owner's retirement rule, asked when an entry falls due *)
+  mutable on_ack : Types.proc_id -> Types.payload -> unit;
+      (** the owner's ack hook, called as each entry is acknowledged *)
 }
 
 let count t name =
@@ -135,9 +137,11 @@ let create ?on_silent () =
     sink = Rt.obs ();
     on_silent;
     unneeded = (fun _ _ -> false);
+    on_ack = (fun _ _ -> ());
   }
 
 let retire_when t rule = t.unneeded <- rule
+let on_ack t hook = t.on_ack <- hook
 
 let pending t = t.pending
 
@@ -182,7 +186,8 @@ let retire_seq t ds seq =
   match Hashtbl.find ds.live seq with
   | e ->
       Hashtbl.remove ds.live seq;
-      retire t e
+      retire t e;
+      t.on_ack e.dst e.inner
   | exception Not_found -> ()
 
 (* Raises the low-water mark past retired entries; each sequence number is

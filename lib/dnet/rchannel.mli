@@ -61,6 +61,14 @@ val retire_when : t -> (Types.proc_id -> Types.payload -> bool) -> unit
     rule runs in the retransmitter fiber, never for a message acked within
     its first 10 ms, and must not block. *)
 
+val on_ack : t -> (Types.proc_id -> Types.payload -> unit) -> unit
+(** [on_ack t hook] sets the channel's ack hook, replacing any earlier one
+    (the layer that owns the channel sets it): [hook dst p] runs when the
+    destination acknowledges message [p], once per message; a message the
+    rule of {!retire_when} retired is never reported. It runs in the
+    receive-handler fiber and must not block. Sends carry nothing extra
+    for it. *)
+
 val broadcast : t -> Types.proc_id list -> Types.payload -> unit
 
 val pending : t -> int

@@ -8,40 +8,72 @@ open Etx
 (* ------------------------------------------------------------------ *)
 (* Register-name encode/decode (the one shared helper, Etx_types.Reg_name) *)
 
+module Reg_name = Etx_types.Reg_name
+
+let parsed = Alcotest.(option (triple int int int))
+
 let test_reg_name_round_trip () =
   List.iter
-    (fun (g, r) ->
-      Alcotest.(check (option (pair int int)))
-        (Printf.sprintf "round-trip g%d r%d" g r)
-        (Some (g, r))
-        (Etx_types.Reg_name.parse_reg_a (Etx_types.Reg_name.reg_a ~group:g ~rid:r)))
-    [ (0, 0); (0, 1); (3, 1007); (17, 123456789) ];
-  (* consensus instance keys carry a "[j]" suffix; the parse ignores it *)
-  Alcotest.(check (option (pair int int)))
-    "instance-key suffix tolerated" (Some (2, 41))
-    (Etx_types.Reg_name.parse_reg_a
-       (Etx_types.Reg_name.reg_a ~group:2 ~rid:41 ^ "[5]"))
+    (fun (g, c, r) ->
+      Alcotest.check parsed
+        (Printf.sprintf "round-trip g%d c%d r%d" g c r)
+        (Some (g, c, r))
+        (Reg_name.parse_reg_a (Reg_name.reg_a ~group:g ~client:c ~rid:r));
+      Alcotest.check parsed
+        (Printf.sprintf "regD round-trip g%d c%d r%d" g c r)
+        (Some (g, c, r))
+        (Reg_name.parse_reg_d (Reg_name.reg_d ~group:g ~client:c ~rid:r)))
+    [ (0, 0, 0); (0, 4, 1); (3, 12, 1007); (17, 250, 123456789) ];
+  Alcotest.(check string) "the format" "g2:regA:c7:r41"
+    (Reg_name.reg_a ~group:2 ~client:7 ~rid:41);
+  (* a consensus instance key carries a "[j]" suffix: the readers take
+     it, the name parsers do not *)
+  let key = Reg_name.key ~name:(Reg_name.reg_a ~group:2 ~client:7 ~rid:41) ~j:5 in
+  Alcotest.(check string) "instance key" "g2:regA:c7:r41[5]" key;
+  Alcotest.(check (list int)) "client, rid, try of a key" [ 7; 41; 5 ]
+    [ Reg_name.client_of key; Reg_name.rid_of key; Reg_name.try_of key ];
+  Alcotest.check parsed "name parse refuses a key" None
+    (Reg_name.parse_reg_a key);
+  Alcotest.(check (option (pair string int)))
+    "split" (Some ("g2:regA:c7:r41", 5)) (Reg_name.split key);
+  Alcotest.(check string) "negative numbers" "x[-3]"
+    (Reg_name.key ~name:"x" ~j:(-3));
+  Alcotest.(check string) "min_int" ("gx:r1.2:p" ^ string_of_int min_int)
+    (Reg_name.gx_vote ~rid:1 ~j:2 ~k:min_int)
 
 let test_reg_name_rejects_others () =
   let none name =
-    Alcotest.(check (option (pair int int)))
-      (name ^ " is not a regA") None
-      (Etx_types.Reg_name.parse_reg_a name)
+    Alcotest.check parsed (name ^ " is not a regA") None
+      (Reg_name.parse_reg_a name);
+    if Reg_name.client_of name >= 0 && not (String.contains name 'D') then
+      Alcotest.failf "%s read as a classic register" name
   in
-  none (Etx_types.Reg_name.reg_d ~group:1 ~rid:2);
+  none (Etx_types.Reg_name.reg_d ~group:1 ~client:3 ~rid:2);
   none (Etx_types.Reg_name.lease ~group:1);
   none (Etx_types.Reg_name.batch_a ~group:1 ~epoch:2 ~seq:3);
   none (Etx_types.Reg_name.batch_d ~group:1 ~epoch:2 ~seq:3);
+  none (Etx_types.Reg_name.gx_vote ~rid:1 ~j:2 ~k:3);
+  none "g0:regA:r1";
   none "regA:r1";
-  none "garbage"
+  none "garbage";
+  Alcotest.(check int) "no trace id outside the classic arrays" (-1)
+    (Reg_name.rid_of (Reg_name.key ~name:(Reg_name.lease ~group:1) ~j:2))
 
 let prop_reg_name_round_trip =
   QCheck.Test.make ~name:"Reg_name.reg_a round-trips through parse_reg_a"
     ~count:200
-    QCheck.(pair (int_range 0 64) (int_range 0 1_000_000))
-    (fun (group, rid) ->
-      Etx_types.Reg_name.parse_reg_a (Etx_types.Reg_name.reg_a ~group ~rid)
-      = Some (group, rid))
+    QCheck.(
+      quad (int_range 0 64) (int_range 0 100_000) (int_range 0 1_000_000)
+        (int_range 0 1_000))
+    (fun (group, client, rid, j) ->
+      let name = Reg_name.reg_a ~group ~client ~rid in
+      let key = Reg_name.key ~name ~j in
+      Reg_name.parse_reg_a name = Some (group, client, rid)
+      && name = Printf.sprintf "g%d:regA:c%d:r%d" group client rid
+      && key = Printf.sprintf "%s[%d]" name j
+      && Reg_name.split key = Some (name, j)
+      && (Reg_name.client_of key, Reg_name.rid_of key, Reg_name.try_of key)
+         = (client, rid, j))
 
 (* ------------------------------------------------------------------ *)
 (* Group commit at the storage / resource-manager layer: one forced write
@@ -186,16 +218,6 @@ let test_batch_config_validation () =
     (Invalid_argument "Appserver.config: batch must be >= 1") (fun () ->
       ignore
         (Harness.Simrun.cluster ~batch:0 ~business:Business.trivial
-           ~scripts:[ (fun ~issue:_ -> ()) ]
-           ()));
-  Alcotest.check_raises "gc is incompatible with batching"
-    (Invalid_argument
-       "Appserver.config: register GC is not supported on the batched path \
-        (a collected lease or batch register would reopen a decided window)")
-    (fun () ->
-      ignore
-        (Harness.Simrun.cluster ~batch:4 ~gc_after:1000.
-           ~business:Business.trivial
            ~scripts:[ (fun ~issue:_ -> ()) ]
            ()))
 

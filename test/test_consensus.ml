@@ -634,74 +634,125 @@ let woreg_cases backend =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* garbage collection *)
+(* collection of retired instances *)
 
-let test_forget_and_collect () =
-  let counts = ref (-1, -1, -1) in
+let fork_notes t ~pid name =
+  List.length
+    (List.filter
+       (fun (e : Trace.entry) ->
+         match e.event with
+         | Trace.Note (p, s) -> p = pid && s = "fork " ^ name
+         | _ -> false)
+       (Trace.entries (Engine.trace t)))
+
+let test_collects_retired_instances () =
+  let counts = ref [] in
   let t =
     members_scenario ~n:3
       ~behave:(fun i agent ->
         if i = 0 then begin
+          let count () = Consensus.Agent.instance_count agent in
           ignore (Consensus.Agent.propose agent ~key:"a" (V 1));
           ignore (Consensus.Agent.propose agent ~key:"b" (V 2));
           Engine.sleep 100.;
-          let before = Consensus.Agent.instance_count agent in
-          Consensus.Agent.forget agent ~key:"a";
-          let mid = Consensus.Agent.instance_count agent in
-          let swept =
-            Consensus.Agent.collect agent ~older_than:(Engine.now ())
-          in
-          ignore swept;
-          counts := (before, mid, Consensus.Agent.instance_count agent)
+          let before = count () in
+          Consensus.Agent.retire_when agent (fun key -> key <> "b");
+          (* the rule alone removes nothing: its owner says when *)
+          let ruled = count () in
+          Consensus.Agent.release agent ~key:"a";
+          let released = count () in
+          (* decided under the rule: collected once both peers acked the
+             relays, with no release *)
+          ignore (Consensus.Agent.propose agent ~key:"c" (V 3));
+          let deciding = count () in
+          Engine.sleep 100.;
+          counts := [ before; ruled; released; deciding; count () ]
         end)
       ()
   in
   ignore (Engine.run ~deadline:2_000. t);
-  let before, mid, after = !counts in
-  Alcotest.(check int) "two instances" 2 before;
-  Alcotest.(check int) "one after forget" 1 mid;
-  Alcotest.(check int) "none after collect" 0 after
+  Alcotest.(check (list int)) "instances" [ 2; 2; 1; 2; 1 ] !counts
 
-let test_collect_respects_age () =
-  let result = ref (-1) in
+let test_stale_messages_leave_collected_key () =
+  let counts = ref (-1, -1) in
   let t =
     members_scenario ~n:3
       ~behave:(fun i agent ->
         if i = 0 then begin
-          ignore (Consensus.Agent.propose agent ~key:"old" (V 1));
-          Engine.sleep 500.;
-          ignore (Consensus.Agent.propose agent ~key:"young" (V 2));
-          (* collect only what was decided more than 100 ms ago *)
-          let _ =
-            Consensus.Agent.collect agent
-              ~older_than:(Engine.now () -. 100.)
-          in
-          result := Consensus.Agent.instance_count agent
+          Consensus.Agent.retire_when agent (fun _ -> true);
+          ignore (Consensus.Agent.propose agent ~key:"k" (V 1));
+          Engine.sleep 100.;
+          let collected = Consensus.Agent.instance_count agent in
+          Engine.sleep 400.;
+          counts := (collected, Consensus.Agent.instance_count agent)
         end)
       ()
   in
-  ignore (Engine.run ~deadline:5_000. t);
-  Alcotest.(check int) "young instance kept" 1 !result
+  (* a late round message and a late decision from peer 1, long after the
+     instance was collected at peer 0 *)
+  Engine.schedule t ~delay:200. (fun () ->
+      Engine.post t ~src:1 ~dst:0
+        (Consensus.Agent.C_estimate { key = "k"; round = 3; est = None; ts = -1 });
+      Engine.post t ~src:1 ~dst:0
+        (Consensus.Agent.C_propose { key = "k"; round = 4; value = V 9 });
+      Engine.post t ~src:1 ~dst:0
+        (Consensus.Agent.C_decide { key = "k"; value = V 1 }));
+  ignore (Engine.run ~deadline:2_000. t);
+  Alcotest.(check (pair int int)) "no instance, before and after" (0, 0) !counts;
+  Alcotest.(check int) "no driver forked for the stale messages" 1
+    (fork_notes t ~pid:0 "consensus:k")
+
+let test_suspected_peer_pins_until_ack () =
+  let counts = ref [] and late = ref None in
+  let t =
+    members_scenario ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then begin
+          Consensus.Agent.retire_when agent (fun _ -> true);
+          Engine.sleep 1.;
+          ignore (Consensus.Agent.propose agent ~key:"k" (V 3));
+          Engine.sleep 300.;
+          (* peer 2 is down: the relay to it was never acked *)
+          let pinned = Consensus.Agent.instance_count agent in
+          Engine.sleep 700.;
+          counts := [ pinned; Consensus.Agent.instance_count agent ]
+        end
+        else if i = 2 && Engine.now () > 100. then
+          (* recovered: asks, and acks the answer *)
+          late := Some (Consensus.Agent.propose agent ~key:"k" (V 4)))
+      ()
+  in
+  Engine.crash_at t 0.5 2;
+  Engine.recover_at t 400. 2;
+  ignore (Engine.run ~deadline:3_000. t);
+  Alcotest.(check (list int)) "pinned, then collected" [ 1; 0 ] !counts;
+  match !late with
+  | Some v -> Alcotest.(check int) "the decision" 3 (int_of_v v)
+  | None -> Alcotest.fail "recovered peer got nothing"
 
 let test_latecomer_gets_decide_after_driver_exit () =
   (* A server that asks about an instance long after it was decided (and
      its driver exited) must still learn the decision — the dispatcher's
      decided-instance service. *)
-  let late = ref None in
+  let late = ref None and collected = ref (-1) in
   let t =
     members_scenario ~n:3
       ~behave:(fun i agent ->
         if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 9))
         else if i = 1 then begin
-          (* forget locally, then re-propose: the fresh driver's messages
+          (* collect locally, then re-propose: the fresh driver's messages
              hit peers whose drivers are long gone *)
           Engine.sleep 300.;
-          Consensus.Agent.collect agent ~older_than:(Engine.now ()) |> ignore;
+          Consensus.Agent.retire_when agent (fun _ -> true);
+          Consensus.Agent.release agent ~key:"k";
+          collected := Consensus.Agent.instance_count agent;
+          Consensus.Agent.retire_when agent (fun _ -> false);
           late := Some (Consensus.Agent.propose agent ~key:"k" (V 42))
         end)
       ()
   in
   ignore (Engine.run ~deadline:10_000. t);
+  Alcotest.(check int) "collected locally" 0 !collected;
   match !late with
   | Some v ->
       (* the old decision wins: peers answer C_decide from their memory *)
@@ -811,10 +862,12 @@ let () =
         ] );
       ( "gc",
         [
-          Alcotest.test_case "forget and collect" `Quick
-            test_forget_and_collect;
-          Alcotest.test_case "collect respects age" `Quick
-            test_collect_respects_age;
+          Alcotest.test_case "collects retired decided instances" `Quick
+            test_collects_retired_instances;
+          Alcotest.test_case "stale messages leave a collected key" `Quick
+            test_stale_messages_leave_collected_key;
+          Alcotest.test_case "suspected peer pins until its ack" `Quick
+            test_suspected_peer_pins_until_ack;
           Alcotest.test_case "latecomer after local GC" `Quick
             test_latecomer_gets_decide_after_driver_exit;
         ] );

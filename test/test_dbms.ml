@@ -1287,6 +1287,24 @@ let prop_changes_since_matches_filter =
                 [ 2; 64 ])
             (List.init (Rm.last_commit_lsn rm + 3) (fun i -> i - 1))))
 
+(* [to_string] is [pp]'s text, built without a formatter *)
+let prop_value_to_string =
+  QCheck.Test.make ~name:"Value.to_string prints what pp prints" ~count:300
+    QCheck.(
+      pair (oneof [ int; small_signed_int ])
+        (string_gen_of_size Gen.small_nat Gen.char))
+    (fun (n, s) ->
+      let pp v = Format.asprintf "%a" Value.pp v in
+      Value.to_string (Value.Int n) = pp (Value.Int n)
+      && Value.to_string (Value.Str s) = pp (Value.Str s))
+
+let prop_xid_to_string =
+  QCheck.Test.make ~name:"Xid.to_string prints what pp prints" ~count:100
+    QCheck.(pair int small_nat)
+    (fun (rid, j) ->
+      let x = Xid.make ~rid ~j in
+      Xid.to_string x = Format.asprintf "%a" Xid.pp x)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "dbms"
@@ -1402,5 +1420,7 @@ let () =
           q prop_commit_applies_all_writes;
           q prop_abort_applies_nothing;
           q prop_recovery_preserves_committed_state;
+          q prop_value_to_string;
+          q prop_xid_to_string;
         ] );
     ]

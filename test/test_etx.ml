@@ -682,17 +682,7 @@ let test_client_ignores_stale_result () =
   Alcotest.(check bool) "quiesced" true ok;
   check_no_violations "stale result" d
 
-(* --- §5 extension: register garbage collection --- *)
-
-let gc_notes e =
-  List.filter_map
-    (fun (e : Dsim.Trace.entry) ->
-      match e.event with
-      | Dsim.Trace.Note (_, s)
-        when String.length s > 3 && String.sub s 0 3 = "gc:" ->
-          Some s
-      | _ -> None)
-    (Dsim.Trace.entries (Dsim.Engine.trace e))
+(* --- §5 extension: retiring what clients have acknowledged --- *)
 
 let computed_try1_notes e rid =
   let prefix = Printf.sprintf "computed:%d:1:" rid in
@@ -706,63 +696,73 @@ let computed_try1_notes e rid =
     (Dsim.Trace.entries (Dsim.Engine.trace e))
   |> List.length
 
-let test_gc_collects_registers () =
-  let e, d = Harness.Simrun.cluster ~gc_after:500. ~business:Business.trivial
-      ~scripts:
-        [
-          (fun ~issue ->
-            ignore (issue "one");
-            ignore (issue "two"));
-        ]
-      ()
-  in
-  let ok = Cluster.run_to_quiescence d in
-  Alcotest.(check bool) "quiesced" true ok;
-  (* let the grace period elapse and the GC threads run *)
-  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
-  let notes = gc_notes e in
-  (* every server sweeps at least once *)
-  Alcotest.(check bool)
-    (Printf.sprintf "at least 3 sweeps (got %d)" (List.length notes))
-    true
-    (List.length notes >= 3);
-  let ends_with_zero s =
-    String.length s > 12
-    && String.sub s (String.length s - 11) 11 = "instances=0"
-  in
-  (* the LAST sweep of every server frees everything: there are exactly as
-     many zero-instance sweeps as servers *)
-  Alcotest.(check int) "all three servers end empty" 3
-    (List.length (List.filter ends_with_zero notes))
+(* The app servers' register instances and request states at quiescence,
+   per server, from their gauges. *)
+let held reg name =
+  List.filter_map
+    (fun ((k : Obs.Registry.key), v) ->
+      if k.name = name then Some (k.node, int_of_float v) else None)
+    (Obs.Registry.gauges reg)
 
-let test_gc_timed_at_most_once_caveat () =
-  (* The paper's caveat, demonstrated: after the grace period the servers
-     have genuinely forgotten the request, so a (rule-breaking) late
-     retransmission is re-executed as if new. *)
+let test_gc_collects_registers () =
+  (* 3 sequential clients issue n requests each: what the servers hold at
+     the end must not grow with n *)
+  let run n =
+    let reg = Obs.Registry.create () in
+    let _e, d =
+      Harness.Simrun.cluster ~obs:reg ~business:Business.trivial
+        ~scripts:
+          (List.init 3 (fun c ~issue ->
+               for i = 1 to n do
+                 ignore (issue (Printf.sprintf "c%d:%d" c i))
+               done))
+        ()
+    in
+    Alcotest.(check bool) "quiesced" true (Cluster.run_to_quiescence d);
+    Alcotest.(check int) "delivered" (3 * n) (List.length (Cluster.all_records d));
+    Alcotest.(check (list string)) "spec" [] (Cluster.Spec.check_all d);
+    (held reg "consensus.instances", held reg "server.rid_states")
+  in
+  let ((instances, rids) as small) = run 4 in
+  Alcotest.(check (list (pair string int)))
+    "two registers per client at each server"
+    [ ("a1", 6); ("a2", 6); ("a3", 6) ]
+    instances;
+  Alcotest.(check (list (pair string int)))
+    "one request per client at the primary" [ ("a1", 3) ]
+    (List.filter (fun (_, n) -> n > 0) rids);
+  Alcotest.(check bool) "n and 2n hold the same" true (small = run 8)
+
+let test_late_retired_request_dropped () =
+  (* once the client moved on, a late copy of its old request is neither
+     run again nor answered *)
+  let reg = Obs.Registry.create () in
   let e, d =
-    Harness.Simrun.cluster ~gc_after:300. ~business:Business.trivial
-      ~scripts:[ (fun ~issue -> ignore (issue "pay")) ]
+    Harness.Simrun.cluster ~obs:reg ~business:Business.trivial
+      ~scripts:[ (fun ~issue -> ignore (issue "pay"); ignore (issue "next")) ]
       ()
   in
   let ok = Cluster.run_to_quiescence d in
   Alcotest.(check bool) "quiesced" true ok;
   let rid =
     match Cluster.all_records d with
-    | [ r ] -> r.rid
-    | _ -> Alcotest.fail "expected one record"
+    | r :: _ -> r.rid
+    | [] -> Alcotest.fail "expected records"
   in
   Alcotest.(check int) "computed once" 1 (computed_try1_notes e rid);
-  (* grace period passes; GC runs *)
-  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 1_000.) e);
-  Alcotest.(check bool) "collected" true (gc_notes e <> []);
-  (* a late retransmission of (rid, j=1) straight to the primary *)
+  let client = Client.pid (List.hd d.clients) in
+  let mailbox () = Dsim.Engine.mailbox_length e client in
+  let before = mailbox () in
   let request = { Etx_types.rid; key = "pay"; body = "pay" } in
-  Dsim.Engine.post e ~src:(Client.pid (List.hd d.clients))
-    ~dst:(Cluster.primary d ~shard:0)
+  Dsim.Engine.post e ~src:client ~dst:(Cluster.primary d ~shard:0)
     (Etx_types.Request_msg { request; j = 1; group = 0; span = 0 });
   ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
-  Alcotest.(check int) "re-executed after GC (the timed caveat)" 2
-    (computed_try1_notes e rid)
+  Alcotest.(check int) "still computed once" 1 (computed_try1_notes e rid);
+  Alcotest.(check int) "no reply" before (mailbox ());
+  Alcotest.(check (list (pair string int)))
+    "no state for it" [ ("a1", 1) ]
+    (List.filter (fun (_, n) -> n > 0) (held reg "server.rid_states"));
+  check_no_violations "late retransmission" d
 
 (* --- the Synod (Paxos) register backend at the protocol level --- *)
 
@@ -1111,8 +1111,8 @@ let () =
         [
           Alcotest.test_case "collects registers" `Quick
             test_gc_collects_registers;
-          Alcotest.test_case "timed at-most-once caveat" `Quick
-            test_gc_timed_at_most_once_caveat;
+          Alcotest.test_case "late retired request dropped" `Quick
+            test_late_retired_request_dropped;
         ] );
       ( "synod-backend",
         [
