@@ -90,28 +90,22 @@ let broadcaster hb () =
   in
   loop ()
 
-let listener hb () =
-  let rec loop () =
-    match Rt.recv_cls cls_hb with
-    | None -> ()
-    | Some m ->
-        (match state_of hb m.src with
-        | None -> ()
-        | Some st ->
-            st.last_heard <- Rt.now ();
-            if st.suspected then begin
-              (* false suspicion: the ◇P adaptation rule. The cleared peer
-                 re-enters the monitor's deadline computation, possibly
-                 earlier than its current timer — poke it to re-plan. *)
-              st.suspected <- false;
-              st.timeout <- st.timeout +. hb.bump;
-              count hb "fd.clears";
-              Rt.redeliver ~src:hb.owner Fd_wake;
-              Rt.Wake.wake hb.hchanged
-            end);
-        loop ()
-  in
-  loop ()
+(* Runs inside each heartbeat's delivery event. *)
+let on_heartbeat hb (m : Types.message) =
+  match state_of hb m.src with
+  | None -> ()
+  | Some st ->
+      st.last_heard <- Rt.now ();
+      if st.suspected then begin
+        (* false suspicion: the ◇P adaptation rule. The cleared peer
+           re-enters the monitor's deadline computation, possibly
+           earlier than its current timer — poke it to re-plan. *)
+        st.suspected <- false;
+        st.timeout <- st.timeout +. hb.bump;
+        count hb "fd.clears";
+        Rt.redeliver ~src:hb.owner Fd_wake;
+        Rt.Wake.wake hb.hchanged
+      end
 
 (* One coalesced timer instead of scanning every peer each half-period.
    Suspicions still happen on the same half-period tick grid (the [tick]
@@ -203,7 +197,7 @@ let start = function
       Rt.fork "fd-poll" (poller f speers schanged)
   | Heartbeat hb ->
       Rt.fork "fd-broadcast" (broadcaster hb);
-      Rt.fork "fd-listen" (listener hb);
+      Rt.on_message cls_hb (on_heartbeat hb);
       Rt.fork "fd-monitor" (monitor hb)
 
 let suspects t pid =

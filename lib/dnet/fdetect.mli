@@ -44,7 +44,10 @@ val of_fun : peers:Types.proc_id list -> (Types.proc_id -> bool) -> t
     that polls. *)
 
 val start : t -> unit
-(** Heartbeat: forks the broadcaster, listener and monitor fibers. Oracle:
+(** Heartbeat: forks the broadcaster and monitor fibers and registers the
+    heartbeat handler ({!Etx_runtime.on_message}), which notes each
+    heartbeat and clears a false suspicion inside its delivery event.
+    Oracle:
     subscribes to the runtime's crash and recovery notices
     ({!Etx_runtime.watch}, one per process). Scripted: forks its poller. *)
 

@@ -319,16 +319,6 @@ let handle_incoming t (m : Types.message) =
         | exception Not_found -> ())
   | _ -> ()
 
-let receiver_loop t () =
-  let rec loop () =
-    match Rt.recv_cls cls_frame with
-    | None -> ()
-    | Some m ->
-        handle_incoming t m;
-        loop ()
-  in
-  loop ()
-
 (* At [e]'s third retransmission, before its timer moves on: a destination
    that has acked nothing since [e] was sent is reported. *)
 let check_silence t ds e =
@@ -406,8 +396,9 @@ let retransmitter_loop t () =
   in
   loop ()
 
+(* Frames are handled inside their delivery event: no receive fiber. *)
 let start t =
-  Rt.fork "rchannel-rx" (receiver_loop t);
+  Rt.on_message cls_frame (handle_incoming t);
   Rt.fork "rchannel-retransmit" (retransmitter_loop t)
 
 (* The retransmitter learns of a new entry only through a kick. An idle one

@@ -42,8 +42,10 @@ val create : ?on_silent:(Types.proc_id -> Types.payload -> unit) -> unit -> t
     and must not block. *)
 
 val start : t -> unit
-(** Forks the receive-handler and retransmitter fibers. Call once, from the
-    owning process, after [create]. *)
+(** Registers the frame handler ({!Etx_runtime.on_message}), which acks,
+    deduplicates and hands on each data frame and applies each ack inside
+    its delivery event, and forks the retransmitter fiber. Call once, from
+    the owning process, after [create]. *)
 
 val send : t -> Types.proc_id -> Types.payload -> unit
 (** Reliable send: at-least-once transmission; exactly-once delivery at a
@@ -66,7 +68,7 @@ val on_ack : t -> (Types.proc_id -> Types.payload -> unit) -> unit
     (the layer that owns the channel sets it): [hook dst p] runs when the
     destination acknowledges message [p], once per message; a message the
     rule of {!retire_when} retired is never reported. It runs in the
-    receive-handler fiber and must not block. Sends carry nothing extra
+    frame handler, inside the ack's delivery event, and must not block. Sends carry nothing extra
     for it. *)
 
 val broadcast : t -> Types.proc_id list -> Types.payload -> unit

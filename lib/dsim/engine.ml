@@ -2,7 +2,7 @@ open Runtime
 open Types
 module ER = Runtime.Etx_runtime
 
-(* The engine is the one effect handler of the Etx_runtime substrate, on
+(* The engine is the one backend of the Etx_runtime substrate, on
    the virtual clock ([run], [run_until]: the simulator) or on the wall
    clock ({!Runtime_live}'s loop over [next_due] and [run_next]): the
    effect declarations, message-class registry and fiber-side wrappers
@@ -42,12 +42,11 @@ type proc = {
   psink : ER.obs_sink option;  (** per-process obs sink, built at spawn *)
   mutable handler : (unit, unit) Effect.Deep.handler;
       (** built when the process's first fiber runs and shared by all *)
-  mutable recv_eff : message option Effect.t;
-  mutable unit_eff : unit Effect.t;
-      (** the effect being handled, read back by the handler's answer *)
   mutable watcher : (proc_id -> unit) option;
       (** [Etx_runtime.watch]: runs at each other process's crash or
           recovery, until this process crashes *)
+  mutable on_msg : (cls * (message -> unit)) list;
+      (** [Etx_runtime.on_message] handlers, until a crash or recovery *)
 }
 
 type t = {
@@ -67,7 +66,38 @@ type t = {
   obs : Obs.Registry.t option;
       (** opt-in observability; [None] keeps every instrument site on the
           single-branch disabled path *)
+  mutable recv_eff : message option Effect.t;
+  mutable unit_eff : unit Effect.t;
+      (** the effect being handled, read back by the handler's answer *)
+  mutable ctx : ER.ctx;  (** installed while a fiber or handler runs *)
+  mutable running : proc;  (** whose fiber or handler runs now *)
+  mutable in_handler : bool;  (** a message handler, which must not suspend *)
 }
+
+(* Placeholders: a process's handler until its first fiber runs, and the
+   engine's effect slots between effects. *)
+let unset_handler : (unit, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
+let no_recv = ER.E_recv (-1, None, Float.infinity)
+let no_unit = ER.E_sleep 0.
+
+(* [running] while nothing runs; never read then, as [ctx] is not
+   installed. *)
+let no_proc =
+  {
+    pid = -1;
+    pname = "";
+    up = false;
+    incarnation = 0;
+    mailbox = Cq.create ();
+    waiters = Cq.create ();
+    main = (fun ~recovery:_ () -> ());
+    psink = None;
+    handler = unset_handler;
+    watcher = None;
+    on_msg = [];
+  }
 
 let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
   let grng = Rng.create ~seed in
@@ -88,6 +118,11 @@ let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
     next_uid = 1000;
     stopping = false;
     obs;
+    recv_eff = no_recv;
+    unit_eff = no_unit;
+    ctx = ER.no_ctx;
+    running = no_proc;
+    in_handler = false;
   }
 
 let trace t = t.tracer
@@ -134,55 +169,61 @@ let accepts m w = match w.wfilter with None -> true | Some f -> f m
 
 let self_delay = [ 0.001 ]
 
-(* Placeholders: a process's handler until its first fiber runs, and its
-   effect slots between effects. *)
-let unset_handler : (unit, unit) Effect.Deep.handler =
-  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
-let no_recv = ER.E_recv (-1, None, Float.infinity)
-let no_unit = ER.E_sleep 0.
+let handler_suspended () =
+  invalid_arg "Etx_runtime.on_message: a message handler must not suspend"
+
+let no_handler (_ : message) = ()
+
+let rec handler_for c = function
+  | [] -> no_handler
+  | (c', f) :: rest -> if c' = c then f else handler_for c rest
+
+(* Puts back what ran before [p]'s fiber or handler: a fiber resumed from
+   inside another's call (a redelivery, a wake-up, a crash notice) hands
+   the context back when it suspends. *)
+let leave t prev_ctx prev_p prev_h =
+  t.running <- prev_p;
+  t.in_handler <- prev_h;
+  ignore (ER.install prev_ctx)
 
 (* The handler and its answers are built once per process. An answer that
-   needs the effect's arguments reads them from the process's effect slot:
+   needs the effect's arguments reads them from the engine's effect slot:
    [effc] stores the effect there and the runtime calls the answer at once,
    before any fiber can perform another effect, so handling an effect
-   allocates no closure over its arguments. *)
+   allocates no closure over its arguments. Every effect suspends the
+   fiber, so a message handler may perform none. *)
 let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
  fun t p ->
   let open Effect.Deep in
-  let now_ans = Some (fun (k : (time, _) continuation) -> continue k t.vnow) in
-  let self_ans = Some (fun (k : (proc_id, _) continuation) -> continue k p.pid) in
-  let obs_ans =
-    Some (fun (k : (ER.obs_sink option, _) continuation) -> continue k p.psink)
-  in
-  let uid_ans =
-    Some
-      (fun (k : (int, _) continuation) ->
-        t.next_uid <- t.next_uid + 1;
-        continue k t.next_uid)
-  in
   let recv_ans =
     Some
       (fun (k : (message option, _) continuation) ->
-        match p.recv_eff with
+        match t.recv_eff with
         | ER.E_recv (cls, filter, timeout) ->
-            p.recv_eff <- no_recv;
+            t.recv_eff <- no_recv;
             receive t p k cls filter timeout
         | ER.E_await (w, w', cls, filter, timeout) ->
-            p.recv_eff <- no_recv;
+            t.recv_eff <- no_recv;
             await t p k w w' cls filter timeout
         | _ -> assert false)
   in
   let unit_ans =
     Some
       (fun (k : (unit, _) continuation) ->
-        let eff = p.unit_eff in
-        p.unit_eff <- no_unit;
+        let eff = t.unit_eff in
+        t.unit_eff <- no_unit;
         perform_unit t p k eff)
   in
   let stash eff =
-    p.unit_eff <- eff;
+    if t.in_handler then handler_suspended ();
+    t.unit_eff <- eff;
     unit_ans
+  in
+  let stash_recv eff =
+    if t.in_handler then handler_suspended ();
+    t.recv_eff <- eff;
+    recv_ans
   in
   {
     retc = (fun () -> ());
@@ -197,27 +238,10 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) continuation -> unit) option ->
         match eff with
-        | ER.E_now -> now_ans
-        | ER.E_self -> self_ans
-        | ER.E_random_float bound ->
-            Some (fun k -> continue k (Rng.float t.grng bound))
-        | ER.E_random_int bound ->
-            Some (fun k -> continue k (Rng.int t.grng bound))
-        | ER.E_fresh_uid -> uid_ans
-        | ER.E_obs -> obs_ans
-        | ER.E_recv _ ->
-            p.recv_eff <- eff;
-            recv_ans
-        | ER.E_await _ ->
-            p.recv_eff <- eff;
-            recv_ans
+        | ER.E_recv _ -> stash_recv eff
+        | ER.E_await _ -> stash_recv eff
         | ER.E_sleep _ -> stash eff
         | ER.E_work _ -> stash eff
-        | ER.E_send _ -> stash eff
-        | ER.E_redeliver _ -> stash eff
-        | ER.E_note _ -> stash eff
-        | ER.E_fork _ -> stash eff
-        | ER.E_watch _ -> stash eff
         | _ -> None);
   }
 
@@ -233,39 +257,28 @@ and perform_unit :
       | None -> ()
       | Some s -> s.ER.obs_observe ("work." ^ label) d);
       wake_after t p k d
-  | ER.E_send (dst, payload) ->
-      transmit t ~src:p.pid ~dst payload;
-      Effect.Deep.continue k ()
-  | ER.E_redeliver (src, payload) ->
-      let m =
-        { src; dst = p.pid; payload; msg_id = fresh_msg_id t; sent_at = t.vnow }
-      in
-      enqueue_message t p m;
-      Effect.Deep.continue k ()
-  | ER.E_note s ->
-      if t.trace_on then Trace.record t.tracer t.vnow (Trace.Note (p.pid, s));
-      (match p.psink with
-      | None -> ()
-      | Some s' -> s'.ER.obs_event ~trace:0 "note" s);
-      Effect.Deep.continue k ()
-  | ER.E_fork (fname, f) ->
-      let inc = p.incarnation in
-      schedule t ~delay:0. (fun () ->
-          if p.up && p.incarnation = inc then run_fiber t p f);
-      if t.trace_on then
-        Trace.record t.tracer t.vnow (Trace.Note (p.pid, "fork " ^ fname));
-      Effect.Deep.continue k ()
-  | ER.E_watch f ->
-      p.watcher <- Some f;
-      Effect.Deep.continue k ()
   | _ -> assert false
 
 and wake_after : t -> proc -> (unit, unit) Effect.Deep.continuation -> time -> unit =
  fun t p k d ->
   let inc = p.incarnation in
   schedule t ~delay:d (fun () ->
-      if p.up && p.incarnation = inc then Effect.Deep.continue k ())
+      if p.up && p.incarnation = inc then resume t p k ())
 
+(* Resumes a fiber of [p] with [p]'s context installed. *)
+and resume : 'a. t -> proc -> ('a, unit) Effect.Deep.continuation -> 'a -> unit =
+ fun t p k v ->
+  let prev_ctx = ER.install t.ctx in
+  let prev_p = t.running and prev_h = t.in_handler in
+  t.running <- p;
+  t.in_handler <- false;
+  match Effect.Deep.continue k v with
+  | () -> leave t prev_ctx prev_p prev_h
+  | exception e ->
+      leave t prev_ctx prev_p prev_h;
+      raise e
+
+(* The caller is [p]'s fiber, so its context is the installed one. *)
 and receive :
     t ->
     proc ->
@@ -288,7 +301,7 @@ and block t p k cls filter timeout =
     schedule t ~delay:timeout (fun () ->
         if p.up && p.incarnation = inc then
           if Cq.remove p.waiters node then
-            Effect.Deep.continue (Cq.node_value node).wk None)
+            resume t p (Cq.node_value node).wk None)
   end;
   node
 
@@ -305,7 +318,7 @@ and await t p k w w' cls filter timeout =
         && begin
              if fire then begin
                ignore (Cq.remove p.waiters node);
-               Effect.Deep.continue k None
+               resume t p k None
              end;
              true
            end
@@ -315,7 +328,32 @@ and await t p k w w' cls filter timeout =
 
 and run_fiber t p f =
   if p.handler == unset_handler then p.handler <- handler t p;
-  Effect.Deep.match_with f () p.handler
+  let prev_ctx = ER.install t.ctx in
+  let prev_p = t.running and prev_h = t.in_handler in
+  t.running <- p;
+  t.in_handler <- false;
+  match Effect.Deep.match_with f () p.handler with
+  | () -> leave t prev_ctx prev_p prev_h
+  | exception e ->
+      leave t prev_ctx prev_p prev_h;
+      raise e
+
+(* Runs [p]'s message handler [f] on [m], with [p]'s context installed.
+   Outside every fiber a suspension is unhandled; inside one, [effc]
+   refuses it. *)
+and handle t p f m =
+  let prev_ctx = ER.install t.ctx in
+  let prev_p = t.running and prev_h = t.in_handler in
+  t.running <- p;
+  t.in_handler <- true;
+  match f m with
+  | () -> leave t prev_ctx prev_p prev_h
+  | exception Effect.Unhandled _ ->
+      leave t prev_ctx prev_p prev_h;
+      handler_suspended ()
+  | exception e ->
+      leave t prev_ctx prev_p prev_h;
+      raise e
 
 and fresh_msg_id t =
   t.next_msg_id <- t.next_msg_id + 1;
@@ -323,13 +361,17 @@ and fresh_msg_id t =
 
 and enqueue_message t p m =
   if t.trace_on then Trace.record t.tracer t.vnow (Trace.Delivered m);
-  (* A message of class [c] can be claimed by a class-[c] waiter or by a
-     legacy predicate (unclassed) waiter; of the acceptors, the one that
+  (* A message of class [c] goes to [p]'s handler of the class if it has
+     one. Otherwise it can be claimed by a class-[c] waiter or by a legacy
+     predicate (unclassed) waiter; of the acceptors, the one that
      registered first wins — exactly the old single-list scan order. *)
   let c = classify m.payload in
-  match Cq.take_first_in_either p.waiters c accepts m with
-  | None -> ignore (Cq.push p.mailbox ~cls:c m)
-  | Some w -> Effect.Deep.continue w.wk (Some m)
+  let f = handler_for c p.on_msg in
+  if f != no_handler then handle t p f m
+  else
+    match Cq.take_first_in_either p.waiters c accepts m with
+    | None -> ignore (Cq.push p.mailbox ~cls:c m)
+    | Some w -> resume t p w.wk (Some m)
 
 (* Per-class traffic counters are keyed by the classifier's class name so
    the sim and live dumps line up metric-for-metric. *)
@@ -365,6 +407,66 @@ and deliver t m =
     if t.obs <> None then count_net t m.dst "net.dead_letter." m
   end
 
+(* Registers [p]'s handler of class [cls] and hands it what the mailbox
+   already holds of the class. *)
+let on_message t p cls f =
+  if cls < 0 || List.mem_assoc cls p.on_msg then
+    invalid_arg
+      (Printf.sprintf "Etx_runtime.on_message: %s already handles class %s"
+         p.pname (class_name cls));
+  p.on_msg <- (cls, f) :: p.on_msg;
+  let rec drain () =
+    match Cq.pop_cls p.mailbox cls with
+    | None -> ()
+    | Some m ->
+        handle t p f m;
+        drain ()
+  in
+  drain ()
+
+(* The engine's answers to the fiber-side operations that never suspend,
+   for whichever process [running] names. *)
+let context t =
+  {
+    ER.cx_now = (fun () -> t.vnow);
+    cx_self = (fun () -> t.running.pid);
+    cx_send = (fun dst payload -> transmit t ~src:t.running.pid ~dst payload);
+    cx_redeliver =
+      (fun src payload ->
+        let p = t.running in
+        enqueue_message t p
+          { src; dst = p.pid; payload; msg_id = fresh_msg_id t; sent_at = t.vnow });
+    cx_fork =
+      (fun fname f ->
+        let p = t.running in
+        let inc = p.incarnation in
+        schedule t ~delay:0. (fun () ->
+            if p.up && p.incarnation = inc then run_fiber t p f);
+        if t.trace_on then
+          Trace.record t.tracer t.vnow (Trace.Note (p.pid, "fork " ^ fname)));
+    cx_watch = (fun f -> t.running.watcher <- Some f);
+    cx_on_message = (fun cls f -> on_message t t.running cls f);
+    cx_random_float = (fun bound -> Rng.float t.grng bound);
+    cx_random_int = (fun bound -> Rng.int t.grng bound);
+    cx_fresh_uid =
+      (fun () ->
+        t.next_uid <- t.next_uid + 1;
+        t.next_uid);
+    cx_note =
+      (fun s ->
+        let p = t.running in
+        if t.trace_on then Trace.record t.tracer t.vnow (Trace.Note (p.pid, s));
+        match p.psink with
+        | None -> ()
+        | Some s' -> s'.ER.obs_event ~trace:0 "note" s);
+    cx_obs = (fun () -> t.running.psink);
+  }
+
+let create ?seed ?net ?tracing ?obs () =
+  let t = create ?seed ?net ?tracing ?obs () in
+  t.ctx <- context t;
+  t
+
 (* Orchestration ------------------------------------------------------ *)
 
 let spawn t ~name ~main =
@@ -380,9 +482,8 @@ let spawn t ~name ~main =
       main;
       psink = obs_sink_for t name;
       handler = unset_handler;
-      recv_eff = no_recv;
-      unit_eff = no_unit;
       watcher = None;
+      on_msg = [];
     }
   in
   let capacity = Array.length t.procs in
@@ -414,6 +515,7 @@ let crash t pid =
     p.up <- false;
     p.incarnation <- p.incarnation + 1;
     p.watcher <- None;
+    p.on_msg <- [];
     Cq.clear p.mailbox;
     Cq.clear p.waiters;
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Crashed pid);
@@ -426,6 +528,7 @@ let recover t pid =
   if not p.up then begin
     p.up <- true;
     p.incarnation <- p.incarnation + 1;
+    p.on_msg <- [];
     Cq.clear p.mailbox;
     Cq.clear p.waiters;
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Recovered pid);
@@ -518,6 +621,7 @@ let recv = ER.recv
 let recv_cls = ER.recv_cls
 let recv_any = ER.recv_any
 let fork = ER.fork
+let on_message = ER.on_message
 let random_float = ER.random_float
 let random_int = ER.random_int
 let fresh_uid = ER.fresh_uid

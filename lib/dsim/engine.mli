@@ -1,8 +1,12 @@
 (** Deterministic discrete-event simulation engine.
 
-    Processes are cooperative fibers (OCaml effects) owning a shared
-    per-process mailbox with selective receive. Virtual time advances only
-    through the event queue; identical seeds give identical executions.
+    Processes are cooperative fibers owning a shared per-process mailbox
+    with selective receive. A fiber performs an OCaml effect only where it
+    suspends (receive, sleep, work); the other fiber-side operations are
+    direct calls through the engine's [Etx_runtime.ctx], which the engine
+    installs in the domain while it runs a process's fiber or message
+    handler. Virtual time advances only through the event queue; identical
+    seeds give identical executions.
     {!Runtime_live} runs the same engine on the wall clock through
     {!next_due} and {!run_next}.
 
@@ -14,9 +18,10 @@
     [~recovery:true].
 
     Fiber-side operations ([now], [send], [recv], ...) must be called from
-    inside a fiber; calling them outside raises
-    [Effect.Unhandled]. Orchestration operations ([spawn], [run], [crash_at],
-    ...) must be called outside the event loop or from scheduled closures. *)
+    inside a fiber or a message handler; outside, the suspending ones raise
+    [Effect.Unhandled] and the others [Failure]. Orchestration operations
+    ([spawn], [run], [crash_at], ...) must be called outside the event loop
+    or from scheduled closures. *)
 
 open Runtime
 open Types
@@ -39,8 +44,8 @@ val create :
     [Spec.check_all] (which replays [computed:] notes) need the default
     [~tracing:true].
 
-    [?obs] opts in observability: fibers get a sink through the [E_obs]
-    effect, the engine itself counts per-class network traffic
+    [?obs] opts in observability: fibers get a sink through
+    [Etx_runtime.obs], the engine itself counts per-class network traffic
     ([net.sent.*] / [net.recv.*] / [net.dropped.*] / [net.dead_letter.*]),
     observes [work.<label>] durations and tees notes, crashes and
     recoveries into the registry's event store. Omitted (the default), no
@@ -88,7 +93,8 @@ val name_of : t -> proc_id -> string
 val is_up : t -> proc_id -> bool
 
 val crash : t -> proc_id -> unit
-(** Immediate crash (idempotent while down). Every other live process's
+(** Immediate crash (idempotent while down); the process's message
+    handlers are dropped. Every other live process's
     watcher ([Etx_runtime.watch]) runs at once, as a fiber of its
     process. *)
 
@@ -177,6 +183,10 @@ val recv_any : ?timeout:time -> unit -> message option
 val fork : string -> (unit -> unit) -> unit
 (** Start a sibling fiber in the calling process. It dies with the process
     and is not restarted on recovery (the main must re-fork its helpers). *)
+
+val on_message : cls -> (message -> unit) -> unit
+(** A handler run inside the delivery event; see
+    [Etx_runtime.on_message]. *)
 
 val random_float : float -> float
 val random_int : int -> int

@@ -18,7 +18,7 @@ type 'a t = {
   obs_prefix : string option;
   mutable sink : Rt.obs_sink option option;
       (* obs sink, fetched lazily on the first force (creation happens
-         outside fibers, where the E_obs effect has no handler) *)
+         outside fibers, where [Rt.obs] answers [None]) *)
   mutable sealed : 'a segment list;  (* full slabs, oldest first *)
   mutable tail : 'a segment;
   mutable base_lsn : int;  (* retention floor: lowest retained LSN *)

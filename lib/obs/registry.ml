@@ -177,7 +177,7 @@ let merged_histogram ?group t name =
 (* Fiber-side sink ----------------------------------------------------- *)
 
 (* Package the registry as the neutral closure record fibers obtain once
-   through the [E_obs] effect. [node] is bound by the backend (the process
+   through [Etx_runtime.obs]. [node] is bound by the backend (the process
    the fiber belongs to), [now] is the backend's clock, so instrument sites
    never name a backend. *)
 let sink t ~node ~now : ER.obs_sink =

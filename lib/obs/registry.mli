@@ -57,4 +57,4 @@ val merged_histogram : ?group:int -> t -> string -> Histogram.t option
 val sink :
   t -> node:string -> now:(unit -> float) -> Runtime.Etx_runtime.obs_sink
 (** Bind the registry to one node and a backend clock; backends answer the
-    [E_obs] effect with this. *)
+    [Etx_runtime.obs] with this. *)

@@ -1,13 +1,15 @@
 open Types
 
-(* The execution substrate the protocol stack is written against. Protocol
-   fibers interact with their backend exclusively through effects (declared
-   here, handled by whichever backend hosts the fiber), so protocol modules
-   need no backend handle at all for the hot path. Orchestration-side
-   operations (spawning processes, injecting faults, driving the run) go
-   through the [t] capability record, built by a backend adapter over the
-   one effect handler, [Dsim.Engine]: [Dsim.Runtime_sim.of_engine] on the
-   virtual clock and [Dsim.Runtime_live.runtime] on the wall clock. *)
+(* The execution substrate the protocol stack is written against. A fiber
+   performs an effect only where it can suspend ([sleep], [work], the
+   receives); every other operation is a direct call through the context
+   that the hosting backend installs in the running domain while one of its
+   processes runs. Protocol modules therefore need no backend handle on the
+   hot path. Orchestration-side operations (spawning processes, injecting
+   faults, driving the run) go through the [t] capability record, built by
+   a backend adapter over the one backend, [Dsim.Engine]:
+   [Dsim.Runtime_sim.of_engine] on the virtual clock and
+   [Dsim.Runtime_live.runtime] on the wall clock. *)
 
 exception Exit_fiber
 
@@ -51,8 +53,8 @@ let registered_classes () =
 
 (* A neutral record of closures through which fibers emit metrics, spans
    and events. The runtime layer only declares the shape; Obs.Registry
-   implements it and backends answer [E_obs] with one bound to the
-   performing process (or [None] when observability is off — the common
+   implements it and backends answer [obs ()] with one bound to the
+   calling process (or [None] when observability is off — the common
    case). Protocol modules fetch the sink ONCE at init via [obs ()] and
    branch on the option at each instrument site, so the disabled cost is a
    single predictable branch per event and zero allocation. *)
@@ -77,29 +79,66 @@ type wake = {
   mutable prune_at : int;
 }
 
-(* Effects performed by fibers. The handler (installed per fiber by the
-   hosting backend) closes over the backend state, so the declarations carry
-   no backend reference. *)
+(* The effects a fiber performs where it suspends. The handler (installed
+   per fiber by the hosting backend) closes over the backend state, so the
+   declarations carry no backend reference. *)
 type _ Effect.t +=
-  | E_now : time Effect.t
-  | E_self : proc_id Effect.t
   | E_sleep : time -> unit Effect.t
   | E_work : string * time -> unit Effect.t
-  | E_send : proc_id * payload -> unit Effect.t
-  | E_redeliver : proc_id * payload -> unit Effect.t
   | E_recv : cls * (message -> bool) option * time -> message option Effect.t
       (** class, or [-1] for any; filter; timeout, [infinity] for none *)
   | E_await :
       wake * wake * cls * (message -> bool) option * time
       -> message option Effect.t
       (** [E_recv] that a wake of either source also ends, with [None] *)
-  | E_watch : (proc_id -> unit) -> unit Effect.t
-  | E_fork : string * (unit -> unit) -> unit Effect.t
-  | E_random_float : float -> float Effect.t
-  | E_random_int : int -> int Effect.t
-  | E_note : string -> unit Effect.t
-  | E_fresh_uid : int Effect.t
-  | E_obs : obs_sink option Effect.t
+
+(* The operations that never suspend, as one record per backend instance.
+   The backend installs its record in the domain while it runs a fiber or
+   a message handler of one of its processes, and answers each call for
+   that process. *)
+type ctx = {
+  cx_now : unit -> time;
+  cx_self : unit -> proc_id;
+  cx_send : proc_id -> payload -> unit;
+  cx_redeliver : proc_id -> payload -> unit;
+  cx_fork : string -> (unit -> unit) -> unit;
+  cx_watch : (proc_id -> unit) -> unit;
+  cx_on_message : cls -> (message -> unit) -> unit;
+  cx_random_float : float -> float;
+  cx_random_int : int -> int;
+  cx_fresh_uid : unit -> int;
+  cx_note : string -> unit;
+  cx_obs : unit -> obs_sink option;
+}
+
+let outside name = failwith ("Etx_runtime." ^ name ^ ": called outside a fiber")
+
+(* Installed while no backend runs a fiber: every call raises, except
+   [obs], which answers that observability is off. *)
+let no_ctx =
+  {
+    cx_now = (fun () -> outside "now");
+    cx_self = (fun () -> outside "self");
+    cx_send = (fun _ _ -> outside "send");
+    cx_redeliver = (fun _ _ -> outside "redeliver");
+    cx_fork = (fun _ _ -> outside "fork");
+    cx_watch = (fun _ -> outside "watch");
+    cx_on_message = (fun _ _ -> outside "on_message");
+    cx_random_float = (fun _ -> outside "random_float");
+    cx_random_int = (fun _ -> outside "random_int");
+    cx_fresh_uid = (fun () -> outside "fresh_uid");
+    cx_note = (fun _ -> outside "note");
+    cx_obs = (fun () -> None);
+  }
+
+(* Domain-local, so engines on different [Dsim.Pool] domains never see
+   each other's context. *)
+let ctx_key = Domain.DLS.new_key (fun () -> no_ctx)
+
+let install c =
+  let prev = Domain.DLS.get ctx_key in
+  Domain.DLS.set ctx_key c;
+  prev
 
 (* Orchestration capability ------------------------------------------- *)
 
@@ -118,8 +157,7 @@ type t = {
   obs : (string -> obs_sink) option;
 }
 
-(* The message [E_recv (cls, filter, _)] takes from a mailbox, if any; both
-   backends answer the effect through it. *)
+(* The message [E_recv (cls, filter, _)] takes from a mailbox, if any. *)
 let take_message mailbox cls filter =
   match filter with
   | None -> if cls >= 0 then Cq.pop_cls mailbox cls else Cq.pop mailbox
@@ -129,13 +167,13 @@ let take_message mailbox cls filter =
 
 (* Fiber-side operations ---------------------------------------------- *)
 
-let now () = Effect.perform E_now
-let self () = Effect.perform E_self
+let now () = (Domain.DLS.get ctx_key).cx_now ()
+let self () = (Domain.DLS.get ctx_key).cx_self ()
 let sleep d = Effect.perform (E_sleep d)
 let work label d = Effect.perform (E_work (label, d))
-let send dst payload = Effect.perform (E_send (dst, payload))
+let send dst payload = (Domain.DLS.get ctx_key).cx_send dst payload
 let send_all dsts payload = List.iter (fun dst -> send dst payload) dsts
-let redeliver ~src payload = Effect.perform (E_redeliver (src, payload))
+let redeliver ~src payload = (Domain.DLS.get ctx_key).cx_redeliver src payload
 
 (* [E_recv] carries bare values, so a receive allocates no [Some] for its
    class or for a missing timeout. *)
@@ -146,17 +184,17 @@ let recv ?timeout ?(cls = -1) ~filter () =
 
 let recv_cls ?timeout c = Effect.perform (E_recv (c, None, forever timeout))
 let recv_any ?timeout () = Effect.perform (E_recv (-1, None, forever timeout))
-let fork name f = Effect.perform (E_fork (name, f))
-let random_float bound = Effect.perform (E_random_float bound)
-let random_int bound = Effect.perform (E_random_int bound)
-let fresh_uid () = Effect.perform E_fresh_uid
-let note s = Effect.perform (E_note s)
+let fork name f = (Domain.DLS.get ctx_key).cx_fork name f
+let on_message cls f = (Domain.DLS.get ctx_key).cx_on_message cls f
+let random_float bound = (Domain.DLS.get ctx_key).cx_random_float bound
+let random_int bound = (Domain.DLS.get ctx_key).cx_random_int bound
+let fresh_uid () = (Domain.DLS.get ctx_key).cx_fresh_uid ()
+let note s = (Domain.DLS.get ctx_key).cx_note s
 
-(* Fetch the hosting backend's sink for the calling process, or [None] when
-   observability is off — including under a handler stack (or test driver)
-   that predates [E_obs], hence the Unhandled catch. Call once at module
-   init, not per event. *)
-let obs () = try Effect.perform E_obs with Effect.Unhandled _ -> None
+(* The hosting backend's sink for the calling process, or [None] when
+   observability is off or no fiber runs. Call once at module init, not
+   per event. *)
+let obs () = (Domain.DLS.get ctx_key).cx_obs ()
 
 let span sink ~parent ~trace name f =
   match sink with
@@ -167,7 +205,7 @@ let span sink ~parent ~trace name f =
       s.obs_span_close id;
       r
 
-let watch f = Effect.perform (E_watch f)
+let watch f = (Domain.DLS.get ctx_key).cx_watch f
 
 let exit_fiber () = raise Exit_fiber
 

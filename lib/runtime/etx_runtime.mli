@@ -3,27 +3,34 @@
     The paper specifies the protocol independently of any execution engine;
     this module is the contract that makes that separation real in code.
     Protocol fibers interact with their backend exclusively through the
-    fiber-side operations below — OCaml effects handled by whichever backend
-    hosts the fiber — so protocol modules carry no backend handle on the hot
-    path. Orchestration (spawning processes, fault injection, driving the
-    run) goes through the {!t} capability record threaded through the
-    protocol [config] records.
+    fiber-side operations below, so protocol modules carry no backend
+    handle on the hot path. A fiber performs an OCaml effect only where it
+    can suspend ({!sleep}, {!work}, the receives and the {!Wake} waits);
+    every other operation ({!now}, {!send}, {!fork}, ...) is a direct call
+    through the {!ctx} record that the hosting backend installs in the
+    running domain while it runs one of its processes. A process may also
+    register {!on_message} handlers, which the backend runs inside the
+    delivery event instead of waking a fiber. Orchestration (spawning
+    processes, fault injection, driving the run) goes through the {!t}
+    capability record threaded through the protocol [config] records.
 
-    Two backends exist, one effect handler ([Dsim.Engine]) on two clocks:
+    Two backends exist, one engine ([Dsim.Engine]) on two clocks:
     - sim — deterministic discrete-event simulation (virtual time);
       adapter: [Dsim.Runtime_sim.of_engine].
     - live — the same engine sleeping until each event falls due on the
       wall clock; adapter: [Dsim.Runtime_live.runtime].
 
     Crash/recovery semantics follow the paper's model on both backends: a
-    crash kills every fiber of the process, clears its mailbox and drops
-    in-flight wakeups (incarnation fencing); volatile state — anything held
-    in fiber-local bindings — is lost, while state kept outside the fibers
-    (e.g. [Dstore] stable storage) survives. Recovery re-runs the process
-    main with [~recovery:true].
+    crash kills every fiber of the process, clears its mailbox and message
+    handlers and drops in-flight wakeups (incarnation fencing); volatile
+    state — anything held in fiber-local bindings — is lost, while state
+    kept outside the fibers (e.g. [Dstore] stable storage) survives.
+    Recovery re-runs the process main with [~recovery:true].
 
     Fiber-side operations ([now], [send], [recv], ...) must be called from
-    inside a fiber; calling them outside raises [Effect.Unhandled]. *)
+    inside a fiber or a message handler; outside, {!obs} returns [None],
+    the suspending ones raise [Effect.Unhandled] and the others raise
+    [Failure]. *)
 
 open Types
 
@@ -66,8 +73,8 @@ val registered_classes : unit -> (cls * string) list
 
     The neutral surface through which fibers emit metrics, spans and trace
     events. The runtime layer only declares the record; [Obs.Registry]
-    implements it and backends answer {!E_obs} with a sink bound to the
-    performing process — or [None] when observability was not opted in, the
+    implements it and backends answer {!val-obs} with a sink bound to the
+    calling process — or [None] when observability was not opted in, the
     common case. Protocol modules fetch the sink once at init via {!obs}
     and branch on the option per instrument site, so disabled observability
     costs one predictable branch and no allocation (DESIGN.md §10). *)
@@ -83,21 +90,18 @@ type obs_sink = {
   obs_event : trace:int -> string -> string -> unit;
 }
 
-(** {1 Effects}
+(** {1 Effects and context}
 
     Exposed so backends can install handlers; protocol code should use the
-    fiber-side wrappers below instead of performing these directly. *)
+    fiber-side wrappers below instead. *)
 
 type wake
 (** A wake-up source; see {!Wake}. *)
 
+(** The operations where a fiber suspends. *)
 type _ Effect.t +=
-  | E_now : time Effect.t
-  | E_self : proc_id Effect.t
   | E_sleep : time -> unit Effect.t
   | E_work : string * time -> unit Effect.t
-  | E_send : proc_id * payload -> unit Effect.t
-  | E_redeliver : proc_id * payload -> unit Effect.t
   | E_recv : cls * (message -> bool) option * time -> message option Effect.t
       (** class, or [-1] for any; filter; timeout, [infinity] for none *)
   | E_await :
@@ -105,13 +109,34 @@ type _ Effect.t +=
       -> message option Effect.t
       (** [E_recv] that a wake of either source also ends, with [None]; the
           backend registers the blocked fiber with {!Wake.register} *)
-  | E_watch : (proc_id -> unit) -> unit Effect.t
-  | E_fork : string * (unit -> unit) -> unit Effect.t
-  | E_random_float : float -> float Effect.t
-  | E_random_int : int -> int Effect.t
-  | E_note : string -> unit Effect.t
-  | E_fresh_uid : int Effect.t
-  | E_obs : obs_sink option Effect.t
+
+(** The operations that never suspend, answered by the backend for the
+    process it is running; one field per fiber-side operation of the same
+    name. A backend builds one record per instance and keeps the running
+    process itself. *)
+type ctx = {
+  cx_now : unit -> time;
+  cx_self : unit -> proc_id;
+  cx_send : proc_id -> payload -> unit;
+  cx_redeliver : proc_id -> payload -> unit;
+  cx_fork : string -> (unit -> unit) -> unit;
+  cx_watch : (proc_id -> unit) -> unit;
+  cx_on_message : cls -> (message -> unit) -> unit;
+  cx_random_float : float -> float;
+  cx_random_int : int -> int;
+  cx_fresh_uid : unit -> int;
+  cx_note : string -> unit;
+  cx_obs : unit -> obs_sink option;
+}
+
+val no_ctx : ctx
+(** The context outside any fiber: {!obs} answers [None], every other
+    operation raises [Failure]. *)
+
+val install : ctx -> ctx
+(** [install c] makes [c] the calling domain's context and returns the one
+    it replaces, which the backend reinstalls once the fiber or handler it
+    runs returns or suspends. *)
 
 val take_message :
   message Cq.t -> cls -> (message -> bool) option -> message option
@@ -146,7 +171,7 @@ type t = {
   obs : (string -> obs_sink) option;
       (** when observability was opted in at backend creation: builds the
           sink for a named node (orchestration-side instrumentation; fibers
-          use the {!E_obs} effect instead). [None] = observability off *)
+          call {!val-obs} instead). [None] = observability off *)
 }
 
 (** {1 Fiber-side operations} *)
@@ -191,6 +216,16 @@ val fork : string -> (unit -> unit) -> unit
 (** Start a sibling fiber in the calling process. It dies with the process
     and is not restarted on recovery (the main must re-fork its helpers). *)
 
+val on_message : cls -> (message -> unit) -> unit
+(** [on_message cls f]: from now until the calling process crashes or
+    recovers, every message of class [cls] delivered to it runs [f m]
+    inside the delivery event, with the calling process's context, instead
+    of entering the mailbox or waking a waiting fiber. Messages of the
+    class already queued are handed to [f] at once, oldest first. [f] must
+    not suspend: a receive, sleep or wait in it raises [Invalid_argument].
+    A second handler for the same class of one process raises
+    [Invalid_argument]. *)
+
 val random_float : float -> float
 val random_int : int -> int
 
@@ -208,8 +243,8 @@ val note : string -> unit
 
 val obs : unit -> obs_sink option
 (** The hosting backend's observability sink for the calling process, or
-    [None] when observability is off (also when the hosting handler predates
-    [E_obs]). Fetch once at fiber/module init — not per event. *)
+    [None] when observability is off or no fiber runs. Fetch once at
+    fiber/module init — not per event. *)
 
 val span :
   obs_sink option -> parent:int -> trace:int -> string -> (unit -> 'a) -> 'a

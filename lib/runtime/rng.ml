@@ -1,21 +1,29 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: reading and
+   writing it with [get_int64_ne]/[set_int64_ne] keeps every draw free of
+   [int64] boxes, where a [mutable state : int64] field boxed each new
+   state. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let mix z =
+let create ~seed = of_state (Int64.of_int seed)
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let int t bound =
   assert (bound > 0);
@@ -31,13 +39,13 @@ let int t bound =
   in
   draw ()
 
-let float t bound =
+let[@inline] float t bound =
   assert (bound > 0.);
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   (* 53 significant bits, as in the stdlib implementation *)
   v /. 9007199254740992.0 *. bound
 
-let bool t p = float t 1.0 < p
+let[@inline] bool t p = float t 1.0 < p
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -342,9 +342,9 @@ let test_cross_recorded_group_commit_schedule () =
     (cross_spec_under_crash ~group_commit:true (46673, 3, 331.998824353, 0))
 
 (* ------------------------------------------------------------------ *)
-(* Observability: the gx counters flow through E_obs when a registry is
-   attached, and are never emitted — not even as zero series — when the
-   wiring is off. *)
+(* Observability: the gx counters flow through the obs sink when a
+   registry is attached, and are never emitted — not even as zero
+   series — when the wiring is off. *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in

@@ -211,6 +211,52 @@ let test_rng_exponential_mean () =
   let mean = !sum /. 20_000. in
   Alcotest.(check bool) "mean near 5" true (mean > 4.7 && mean < 5.3)
 
+
+(* The SplitMix64 stream, pinned: every seeded run depends on it. *)
+let test_rng_stream_pinned () =
+  let a = Rng.create ~seed:1 and b = Rng.create ~seed:0xC0FFEE in
+  List.iter
+    (fun v -> Alcotest.(check int64) "seed 1" v (Rng.int64 a))
+    [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L ];
+  List.iter
+    (fun v -> Alcotest.(check int64) "seed 0xC0FFEE" v (Rng.int64 b))
+    [ -3854493065656348422L; -1376874792606038919L; -8665326297722227765L ];
+  let c = Rng.split b in
+  List.iter
+    (fun v -> Alcotest.(check int64) "split" v (Rng.int64 c))
+    [ -3419193272631046601L; 3706606359376221735L; 1558460143916937189L ];
+  Alcotest.(check int64) "parent after split" (-4375855199308403592L)
+    (Rng.int64 b);
+  let d = Rng.create ~seed:5 in
+  Alcotest.(check (float 0.)) "float" 0x1.8c0cec328e27p-2 (Rng.float d 1.0);
+  Alcotest.(check int) "int" 446 (Rng.int d 1000);
+  Alcotest.(check bool) "bool" true (Rng.bool d 0.5)
+
+(* The state is unboxed: a draw allocates nothing of its own. A float
+   returned across a module boundary is boxed by the caller's convention
+   (two words) unless the call is inlined, which the development build's
+   [-opaque] rules out, so [Rng.float] is held to that box. *)
+let test_rng_draws_do_not_allocate () =
+  let r = Rng.create ~seed:9 in
+  let n = 10_000 in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Rng.bool r 0.5 then incr hits
+  done;
+  let w1 = Gc.minor_words () in
+  let sum = ref 0. in
+  for _ = 1 to n do
+    sum := !sum +. Rng.float r 1.0
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check bool) "draws happened" true (!hits > 0 && !sum > 0.);
+  Alcotest.(check (float 0.)) "Rng.bool: 0 words" 0. (w1 -. w0);
+  Alcotest.(check bool)
+    (Printf.sprintf "Rng.float: at most its result box (%.0f words)" (w2 -. w1))
+    true
+    (w2 -. w1 <= float_of_int (2 * n))
+
 (* ------------------------------------------------------------------ *)
 (* Engine basics *)
 
@@ -820,6 +866,122 @@ let test_fifo_clear () =
   Fifo.push f 7;
   Alcotest.(check (list int)) "usable after clear" [ 7 ] (Fifo.to_list f)
 
+
+(* ------------------------------------------------------------------ *)
+(* Message handlers *)
+
+(* A reliable-channel frame is handled inside its delivery event: the ack
+   leaves at the delivery instant and no receive fiber is forked. *)
+let test_frame_handler_acks_at_delivery () =
+  let t = Engine.create ~net:(Dnet.Netmodel.constant 1.0) () in
+  let got = ref [] in
+  let rx =
+    Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
+        let ch = Dnet.Rchannel.create () in
+        Dnet.Rchannel.start ch;
+        match Engine.recv_cls cls_ping with
+        | Some { Types.payload = Ping n; _ } -> got := [ (n, Engine.now ()) ]
+        | _ -> ())
+  in
+  let _ =
+    Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
+        let ch = Dnet.Rchannel.create () in
+        Dnet.Rchannel.start ch;
+        Dnet.Rchannel.send ch rx (Ping 4))
+  in
+  ignore (Engine.run t);
+  Alcotest.(check (list (pair int (float 1e-9)))) "delivered at 1.0"
+    [ (4, 1.0) ] !got;
+  let entries = Trace.entries (Engine.trace t) in
+  let acks =
+    List.filter_map
+      (fun (en : Trace.entry) ->
+        match en.event with
+        | Trace.Sent (m, _) when m.src = rx && Dnet.Rchannel.is_overhead m.payload
+          ->
+            Some en.at
+        | _ -> None)
+      entries
+  in
+  Alcotest.(check (list (float 1e-9))) "ack sent at the delivery" [ 1.0 ] acks;
+  let forks =
+    List.filter_map
+      (fun (en : Trace.entry) ->
+        match en.event with
+        | Trace.Note (pid, s) when pid = rx -> Some s
+        | _ -> None)
+      entries
+  in
+  Alcotest.(check (list string)) "only the retransmitter is forked"
+    [ "fork rchannel-retransmit" ] forks
+
+let suspended =
+  Invalid_argument "Etx_runtime.on_message: a message handler must not suspend"
+
+let test_handler_that_receives_raises () =
+  (* at a delivery event, outside every fiber *)
+  let t = Engine.create () in
+  let p =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
+        Engine.on_message cls_ping (fun _ -> ignore (Engine.recv_any ())))
+  in
+  let _ =
+    Engine.spawn t ~name:"q" ~main:(fun ~recovery:_ () -> Engine.send p (Ping 1))
+  in
+  Alcotest.check_raises "delivery" suspended (fun () -> ignore (Engine.run t));
+  (* inside the registering fiber, through a redelivery *)
+  let t = Engine.create () in
+  let _ =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
+        Engine.on_message cls_ping (fun _ -> Engine.sleep 1.);
+        Engine.redeliver ~src:0 (Ping 2))
+  in
+  Alcotest.check_raises "redelivery" suspended (fun () -> ignore (Engine.run t));
+  (* one handler per class *)
+  let t = Engine.create () in
+  let _ =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
+        Engine.on_message cls_ping ignore;
+        Engine.on_message cls_ping ignore)
+  in
+  Alcotest.check_raises "second handler"
+    (Invalid_argument "Etx_runtime.on_message: p already handles class test-ping")
+    (fun () -> ignore (Engine.run t));
+  (* outside any fiber the direct calls raise, and obs answers None *)
+  Alcotest.(check bool) "obs outside" true (Etx_runtime.obs () = None);
+  Alcotest.check_raises "now outside"
+    (Failure "Etx_runtime.now: called outside a fiber") (fun () ->
+      ignore (Engine.now ()))
+
+let test_handlers_cleared_by_crash_and_recovery () =
+  let t = Engine.create ~net:(Dnet.Netmodel.constant 1.0) () in
+  let handled = ref [] in
+  let register () =
+    Engine.on_message cls_ping (function
+      | { Types.payload = Ping n; _ } -> handled := (n, Engine.now ()) :: !handled
+      | _ -> ())
+  in
+  let p =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery () ->
+        if recovery then Engine.sleep 50.;
+        register ())
+  in
+  let q = Engine.spawn t ~name:"q" ~main:(fun ~recovery:_ () -> ()) in
+  List.iter
+    (fun (at, n) ->
+      Engine.schedule t ~delay:at (fun () -> Engine.post t ~src:q ~dst:p (Ping n)))
+    [ (0., 1); (19., 2) ];
+  Engine.crash_at t 5. p;
+  Engine.recover_at t 10. p;
+  ignore (Engine.run ~deadline:30. t);
+  Alcotest.(check (list (pair int (float 1e-9)))) "only the first handled"
+    [ (1, 1.0) ] !handled;
+  Alcotest.(check int) "second queued" 1 (Engine.mailbox_length t ~cls:cls_ping p);
+  ignore (Engine.run t);
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "re-registration takes the queued one" [ (2, 60.); (1, 1.0) ] !handled;
+  Alcotest.(check int) "mailbox empty" 0 (Engine.mailbox_length t ~cls:cls_ping p)
+
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
@@ -833,6 +995,52 @@ let test_pool_matches_sequential () =
   let f x = Printf.sprintf "%d:%d" x (x mod 7) in
   Alcotest.(check (list string)) "parity" (Pool.map ~domains:1 f items)
     (Pool.map ~domains:4 f items)
+
+(* A small cluster trial with a heartbeat detector and a primary crash:
+   each domain installs its own engine's context, so 2 domains render what
+   1 does. *)
+let cluster_trial seed =
+  let e, c =
+    Harness.Simrun.cluster ~seed ~shards:1
+      ~fd_spec:
+        (Etx.Appserver.Fd_heartbeat
+           { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
+      ~seed_data:(Workload.Bank.seed_accounts [ ("a0", 100); ("a1", 100) ])
+      ~business:Workload.Bank.update
+      ~scripts:
+        [
+          (fun ~issue -> List.iter (fun b -> ignore (issue b)) [ "a0:1"; "a0:2" ]);
+          (fun ~issue -> ignore (issue "a1:5"));
+        ]
+      ()
+  in
+  Engine.crash_at e 150. (Cluster.primary c ~shard:0);
+  let quiesced = Cluster.run_to_quiescence ~deadline:60_000. c in
+  let records =
+    List.sort compare
+      (List.map
+         (fun (r : Etx.Client.record) ->
+           Printf.sprintf "r%d tries=%d at=%.17g" r.rid r.tries r.delivered_at)
+         (Cluster.all_records c))
+  in
+  String.concat "\n"
+    (Printf.sprintf "seed %d quiesced %b events %d" seed quiesced
+       (Engine.events_of e)
+    :: records)
+
+let test_pool_cluster_parity () =
+  let seeds = [ 1; 2; 3; 4 ] in
+  let one = Pool.map ~domains:1 cluster_trial seeds in
+  List.iter
+    (fun s ->
+      match String.split_on_char '\n' s with
+      | head :: records ->
+          Alcotest.(check int) (head ^ ": every request delivered") 3
+            (List.length records)
+      | [] -> assert false)
+    one;
+  Alcotest.(check (list string)) "2 domains = 1" one
+    (Pool.map ~domains:2 cluster_trial seeds)
 
 exception Pool_boom of int
 
@@ -1169,6 +1377,8 @@ let () =
           Alcotest.test_case "preserves order" `Quick test_pool_preserves_order;
           Alcotest.test_case "parallel = sequential" `Quick
             test_pool_matches_sequential;
+          Alcotest.test_case "cluster trial on 2 domains" `Quick
+            test_pool_cluster_parity;
           Alcotest.test_case "propagates exception" `Quick
             test_pool_propagates_exception;
           Alcotest.test_case "empty/clamped" `Quick
@@ -1185,6 +1395,9 @@ let () =
             test_rng_int_large_bound;
           Alcotest.test_case "exponential mean" `Quick
             test_rng_exponential_mean;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_do_not_allocate;
           q prop_rng_float_range;
           q prop_rng_int_range;
         ] );
@@ -1242,6 +1455,15 @@ let () =
           Alcotest.test_case "send_all/random_int" `Quick
             test_send_all_and_random_int;
           Alcotest.test_case "accessors" `Quick test_name_and_is_up_accessors;
+        ] );
+      ( "handlers",
+        [
+          Alcotest.test_case "frame acked at delivery" `Quick
+            test_frame_handler_acks_at_delivery;
+          Alcotest.test_case "suspending handler raises" `Quick
+            test_handler_that_receives_raises;
+          Alcotest.test_case "cleared by crash and recovery" `Quick
+            test_handlers_cleared_by_crash_and_recovery;
         ] );
       ( "trace",
         [
