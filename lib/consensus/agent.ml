@@ -68,6 +68,9 @@ type t = {
   ch : Rchannel.t;
   round_timeout : float;
   instances : (string, instance) Hashtbl.t;
+  gone : (int, int) Hashtbl.t;
+      (** by client: one past the highest {!Reg_name.position} of a
+          classic register collected here *)
   everyone : int;  (** [informed] once every peer holds the decision *)
   mutable retired : string -> bool;  (** the owner's rule; see [collect] *)
   mutable on_decide : string -> unit;
@@ -106,6 +109,13 @@ let collect t inst =
     && t.retired inst.key
   then begin
     Hashtbl.remove t.instances inst.key;
+    let client = Reg_name.client_of inst.key in
+    if client >= 0 then begin
+      let above = Reg_name.position inst.key + 1 in
+      match Hashtbl.find t.gone client with
+      | mark -> if above > mark then Hashtbl.replace t.gone client above
+      | exception Not_found -> Hashtbl.add t.gone client above
+    end;
     gauge_instances t
   end
 
@@ -176,6 +186,7 @@ let create ?(round_timeout = 100.) ?persist ~peers ~fd ~ch () =
       ch;
       round_timeout;
       instances = Hashtbl.create 32;
+      gone = Hashtbl.create 16;
       everyone = (1 lsl n) - 1;
       retired = (fun _ -> false);
       on_decide = ignore;
@@ -457,14 +468,28 @@ let start_driver ?first t inst =
 
 (* --- dispatcher: auto-join, decisions, and stale-message service --- *)
 
+let never_held t key =
+  let client = Reg_name.client_of key in
+  client >= 0
+  &&
+  match Hashtbl.find t.gone client with
+  | mark -> Reg_name.position key >= mark
+  | exception Not_found -> true
+
 (* A message about an instance absent here creates it, unless the owner's
-   rule retires its key: such an instance was collected, or its request
-   was delivered before any peer told this one about it, and either way
-   no client waits on it: [known] raises [Not_found] for it. *)
+   rule retires its key and the instance may have been collected here:
+   [known] raises [Not_found] for it. Every classic register collected
+   here sits below its client's [gone] mark, so a retired one at or above
+   the mark was never held here. Then no peer has collected it either, as
+   a collection needs every peer to hold the decision, and a server that
+   has not learned the retirement may still drive it, with a database
+   waiting on its outcome: this one takes part. *)
 let known t key =
   match Hashtbl.find t.instances key with
   | inst -> inst
-  | exception Not_found -> if t.retired key then raise Not_found else ensure t key
+  | exception Not_found ->
+      if t.retired key && not (never_held t key) then raise Not_found
+      else ensure t key
 
 let dispatcher t () =
   let wants m =

@@ -122,9 +122,15 @@ val retire_when : t -> (string -> bool) -> unit
     peer this agent learned it from, or one that acked a [C_decide] from
     here ({!Dnet.Rchannel.on_ack}). The agent checks at each of those
     events, at a driver's exit and at {!release}; nothing polls. A message
-    about an absent instance whose key [rule] retires is dropped: it never
-    re-creates the instance or forks a driver. The rule must be monotone (a
-    retired key stays retired) and must not block.
+    about an absent instance whose key [rule] retires is dropped if the
+    instance may have been collected here: it never re-creates such an
+    instance or forks a driver for it. A classic register key
+    ({!Reg_name.client_of} [>= 0]) ordered at or past every register of
+    its client collected here ({!Reg_name.position}) was never held here,
+    so no peer has collected it: a message about it creates and joins the
+    instance, so that a register a live server still drives decides. The
+    rule must be monotone (a retired key stays retired) and must not
+    block.
 
     A peer that never acks — crashed, or suspected so that the channel
     stopped resending the relay — keeps the instance here until it acks an

@@ -140,6 +140,12 @@ let try_of s =
     then number s (e + 1) je 0
     else -1
 
+let position s =
+  let c = classic s in
+  let j = try_of s in
+  if c < 0 || j < 0 then -1
+  else (rid_of_at s c lsl 20) lor (j lsl 1) lor if family s c = 'D' then 1 else 0
+
 let parse fam name =
   let c = classic name in
   if c >= 0 && family name c = fam && rid_end name c = String.length name then

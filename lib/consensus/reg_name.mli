@@ -62,3 +62,8 @@ val rid_of : string -> int
 
 val try_of : string -> int
 (** [j] of a classic instance key; [-1] for a name without it. *)
+
+val position : string -> int
+(** The order of a classic instance key among its client's: by request,
+    then try, [regA\[j\]] before [regD\[j\]]; [-1] for any other
+    string. *)

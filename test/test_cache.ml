@@ -242,6 +242,32 @@ let test_cache_off_equivalence () =
    interleave per client; each client's stream stays on its own account
    (single-key bodies route intra-shard by construction). *)
 
+let cached_cluster_under_crash ~seed ~batch ~crash_time =
+  let clients = 4 and requests = 4 in
+  let map = Shard_map.create ~shards:2 () in
+  let kind =
+    Workload.Generator.Read_heavy
+      { accounts = clients; max_delta = 9; reads_per_write = 3 }
+  in
+  let scripts =
+    List.init clients (fun i ->
+        let bodies =
+          Workload.Generator.bodies ~seed:(seed + (17 * i)) ~n:requests kind
+        in
+        fun ~issue -> List.iter (fun b -> ignore (issue b)) bodies)
+  in
+  let e, c =
+    Harness.Simrun.cluster ~seed ~map ~batch ~cache:true ~client_period:300.
+      ~seed_data:(Workload.Generator.seed_data_of kind)
+      ~business:(Workload.Generator.business_of kind)
+      ~scripts ()
+  in
+  (* kill shard 0's head server (bootstrap leaseholder on the batched
+     path, default primary on the classic one) *)
+  Dsim.Engine.crash_at e crash_time (Cluster.primary c ~shard:0);
+  let quiesced = Cluster.run_to_quiescence ~deadline:600_000. c in
+  (e, c, quiesced, clients * requests)
+
 let prop_cached_cluster_under_crashes =
   QCheck.Test.make
     ~name:
@@ -253,33 +279,24 @@ let prop_cached_cluster_under_crashes =
         (QCheck.oneofl [ 1; 4 ])
         (float_range 1. 3000.))
     (fun (seed, batch, crash_time) ->
-      let clients = 4 and requests = 4 in
-      let map = Shard_map.create ~shards:2 () in
-      let kind =
-        Workload.Generator.Read_heavy
-          { accounts = clients; max_delta = 9; reads_per_write = 3 }
-      in
-      let scripts =
-        List.init clients (fun i ->
-            let bodies =
-              Workload.Generator.bodies ~seed:(seed + (17 * i)) ~n:requests
-                kind
-            in
-            fun ~issue -> List.iter (fun b -> ignore (issue b)) bodies)
-      in
-      let e, c =
-        Harness.Simrun.cluster ~seed ~map ~batch ~cache:true
-          ~client_period:300.
-          ~seed_data:(Workload.Generator.seed_data_of kind)
-          ~business:(Workload.Generator.business_of kind)
-          ~scripts ()
-      in
-      (* kill shard 0's head server (bootstrap leaseholder on the batched
-         path, default primary on the classic one) at a random point *)
-      Dsim.Engine.crash_at e crash_time (Cluster.primary c ~shard:0);
-      Cluster.run_to_quiescence ~deadline:600_000. c
-      && List.length (Cluster.all_records c) = clients * requests
+      let _, c, quiesced, n = cached_cluster_under_crash ~seed ~batch ~crash_time in
+      quiesced
+      && List.length (Cluster.all_records c) = n
       && Cluster.Spec.check_all c = [])
+
+(* A server that has not learned a retirement drives a try of a request
+   answered elsewhere from the method cache: p4 starts try 1 of r1017
+   while p3 answers it from its cache, so p3 retires r1017 before p4's
+   regD messages arrive, with the primary p2 crashed. The register must
+   still decide, or db1 keeps r1017.1 prepared for good (T.2). *)
+let test_retired_register_still_decides () =
+  let _, c, quiesced, n =
+    cached_cluster_under_crash ~seed:58760 ~batch:1
+      ~crash_time:49.145217256214359
+  in
+  Alcotest.(check bool) "quiesced" true quiesced;
+  Alcotest.(check int) "all delivered" n (List.length (Cluster.all_records c));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -309,5 +326,10 @@ let () =
           Alcotest.test_case "cache=off is the pre-cache path" `Quick
             test_cache_off_equivalence;
         ] );
-      ("fault-sweep", [ q prop_cached_cluster_under_crashes ]);
+      ( "fault-sweep",
+        [
+          q prop_cached_cluster_under_crashes;
+          Alcotest.test_case "retired register still decides" `Quick
+            test_retired_register_still_decides;
+        ] );
     ]

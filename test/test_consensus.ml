@@ -702,6 +702,74 @@ let test_stale_messages_leave_collected_key () =
   Alcotest.(check int) "no driver forked for the stale messages" 1
     (fork_notes t ~pid:0 "consensus:k")
 
+(* Register [j] of client 9's request [rid]: a classic key, which the
+   agent orders among the client's keys. *)
+let classic_key ~rid ~j =
+  Consensus.Reg_name.key
+    ~name:(Consensus.Reg_name.reg_d ~group:0 ~client:9 ~rid)
+    ~j
+
+(* A server that has not learned a retirement drives a register its
+   peers already retired without ever holding it (a try of a request
+   answered elsewhere from a cache), with the round-0 coordinator down:
+   the retired peer takes part, so the register decides. *)
+let test_retired_never_held_register_decides () =
+  let key = classic_key ~rid:1017 ~j:1 in
+  let got = ref None and peer1 = ref None in
+  let t =
+    members_scenario ~n:3
+      ~behave:(fun i agent ->
+        if i = 1 then begin
+          Consensus.Agent.retire_when agent (fun _ -> true);
+          Engine.sleep 1_000.;
+          peer1 := Consensus.Agent.peek agent ~key
+        end
+        else if i = 2 then begin
+          Engine.sleep 10.;
+          got := Some (Consensus.Agent.propose agent ~key (V 5))
+        end)
+      ()
+  in
+  Engine.crash_at t 0.5 0;
+  ignore (Engine.run ~deadline:2_000. t);
+  (match !got with
+  | Some v -> Alcotest.(check int) "the driver's register decides" 5 (int_of_v v)
+  | None -> Alcotest.fail "the register never decided");
+  match !peer1 with
+  | Some v -> Alcotest.(check int) "the retired peer holds it" 5 (int_of_v v)
+  | None -> Alcotest.fail "the retired peer never took part"
+
+(* Once a classic key is collected, a late proposal for it, or for an
+   earlier key of the same client, never re-creates the instance; a later
+   key this agent never held does. *)
+let test_collected_classic_keys_stay_gone () =
+  let collected = classic_key ~rid:1017 ~j:1
+  and earlier = classic_key ~rid:1016 ~j:3
+  and later = classic_key ~rid:1018 ~j:1 in
+  let late = ref (Some (V 0)) in
+  let t =
+    members_scenario ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then begin
+          Consensus.Agent.retire_when agent (fun _ -> true);
+          ignore (Consensus.Agent.propose agent ~key:collected (V 1));
+          Engine.sleep 500.;
+          late := Consensus.Agent.peek agent ~key:collected
+        end)
+      ()
+  in
+  Engine.schedule t ~delay:200. (fun () ->
+      List.iter
+        (fun key ->
+          Engine.post t ~src:1 ~dst:0
+            (Consensus.Agent.C_propose { key; round = 4; value = V 9 }))
+        [ collected; earlier; later ]);
+  ignore (Engine.run ~deadline:2_000. t);
+  Alcotest.(check (list int)) "drivers forked at peer 0" [ 1; 0; 1 ]
+    (List.map (fun key -> fork_notes t ~pid:0 ("consensus:" ^ key))
+       [ collected; earlier; later ]);
+  Alcotest.(check bool) "the collected key stays absent" true (!late = None)
+
 let test_suspected_peer_pins_until_ack () =
   let counts = ref [] and late = ref None in
   let t =
@@ -866,6 +934,10 @@ let () =
             test_collects_retired_instances;
           Alcotest.test_case "stale messages leave a collected key" `Quick
             test_stale_messages_leave_collected_key;
+          Alcotest.test_case "retired never-held register decides" `Quick
+            test_retired_never_held_register_decides;
+          Alcotest.test_case "collected classic keys stay gone" `Quick
+            test_collected_classic_keys_stay_gone;
           Alcotest.test_case "suspected peer pins until its ack" `Quick
             test_suspected_peer_pins_until_ack;
           Alcotest.test_case "latecomer after local GC" `Quick
