@@ -1606,29 +1606,28 @@ let decide_slot ctx ~epoch ~seq ~items claim =
    windows): walk the slots in order, writing Seal into the first unused one
    — the deposed holder's next elect loses against it, ending the epoch —
    and abort-or-finish every slot a batch did win, by contesting its
-   decision register with abort-all. A slot whose decision was already
-   written re-delivers the decided outcomes (idempotent). *)
+   decision register with abort-all. The decided outcomes of every slot
+   are then re-delivered as one window (idempotent): a Decide of any size
+   is one round to the databases, and each client gets one result. *)
 let seal_epoch ctx ~epoch =
-  let rec scan seq =
+  let rec scan seq items decisions =
     match
       Woreg.write ctx.regs
         ~name:(Reg_name.batch_a ~group:ctx.cfg.group ~epoch ~seq)
         ~j:0 Reg_batch_seal
     with
-    | Reg_batch_seal -> () (* sealed: the epoch ends at this slot *)
-    | Reg_batch_elect { items; _ } ->
-        let decisions =
-          decide_slot ctx ~epoch ~seq ~items Reg_batch_abort_all
-        in
-        List.iter2
-          (fun (rid, j) d -> note_cleaned ctx ~rid ~j d)
-          items decisions;
-        let trace = match items with (rid, _) :: _ -> rid | [] -> 0 in
-        deliver_batch ctx ~trace ~items ~decisions ();
-        scan (seq + 1)
-    | _ -> scan (seq + 1)
+    | Reg_batch_seal -> (* sealed: the epoch ends at this slot *)
+        (List.concat (List.rev items), List.concat (List.rev decisions))
+    | Reg_batch_elect { items = slot; _ } ->
+        let ds = decide_slot ctx ~epoch ~seq ~items:slot Reg_batch_abort_all in
+        List.iter2 (fun (rid, j) d -> note_cleaned ctx ~rid ~j d) slot ds;
+        scan (seq + 1) (slot :: items) (ds :: decisions)
+    | _ -> scan (seq + 1) items decisions
   in
-  scan 0
+  match scan 0 [] [] with
+  | [], _ -> ()
+  | ((trace, _) :: _ as items), decisions ->
+      deliver_batch ctx ~trace ~items ~decisions ()
 
 (* Contest the next lease epoch. Whoever wins must seal every predecessor
    epoch BEFORE serving: sealing sets [st.last] for every (rid, j) that
