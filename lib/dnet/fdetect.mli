@@ -47,8 +47,7 @@ val start : t -> unit
 (** Heartbeat: forks the broadcaster and monitor fibers and registers the
     heartbeat handler ({!Etx_runtime.on_message}), which notes each
     heartbeat and clears a false suspicion inside its delivery event.
-    Oracle:
-    subscribes to the runtime's crash and recovery notices
+    Oracle: subscribes to the runtime's crash and recovery notices
     ({!Etx_runtime.watch}, one per process). Scripted: forks its poller. *)
 
 val changed : t -> Etx_runtime.Wake.t

@@ -68,8 +68,8 @@ val on_ack : t -> (Types.proc_id -> Types.payload -> unit) -> unit
     (the layer that owns the channel sets it): [hook dst p] runs when the
     destination acknowledges message [p], once per message; a message the
     rule of {!retire_when} retired is never reported. It runs in the
-    frame handler, inside the ack's delivery event, and must not block. Sends carry nothing extra
-    for it. *)
+    frame handler, inside the ack's delivery event, and must not block.
+    Sends carry nothing extra for it. *)
 
 val broadcast : t -> Types.proc_id list -> Types.payload -> unit
 

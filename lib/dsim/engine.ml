@@ -99,7 +99,7 @@ let no_proc =
     on_msg = [];
   }
 
-let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
+let make ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
   let grng = Rng.create ~seed in
   {
     vnow = 0.;
@@ -169,7 +169,6 @@ let accepts m w = match w.wfilter with None -> true | Some f -> f m
 
 let self_delay = [ 0.001 ]
 
-
 let handler_suspended () =
   invalid_arg "Etx_runtime.on_message: a message handler must not suspend"
 
@@ -179,13 +178,33 @@ let rec handler_for c = function
   | [] -> no_handler
   | (c', f) :: rest -> if c' = c then f else handler_for c rest
 
-(* Puts back what ran before [p]'s fiber or handler: a fiber resumed from
-   inside another's call (a redelivery, a wake-up, a crash notice) hands
-   the context back when it suspends. *)
 let leave t prev_ctx prev_p prev_h =
   t.running <- prev_p;
   t.in_handler <- prev_h;
   ignore (ER.install prev_ctx)
+
+(* Runs [run x y] as [p]'s code ([handling]: its message handler): [t]'s
+   context is installed with [p] running until [run] returns, suspends or
+   raises, and then what ran before is back. A fiber resumed from inside
+   another's call (a redelivery, a wake-up, a crash notice) thus hands the
+   context back when it suspends. *)
+let within t p ~handling run x y =
+  let prev_ctx = ER.install t.ctx in
+  let prev_p = t.running and prev_h = t.in_handler in
+  t.running <- p;
+  t.in_handler <- handling;
+  match run x y with
+  | () -> leave t prev_ctx prev_p prev_h
+  | exception e ->
+      leave t prev_ctx prev_p prev_h;
+      raise e
+
+let run_main f h = Effect.Deep.match_with f () h
+
+(* Outside every fiber a handler's suspension is unhandled; inside one,
+   [effc] refuses it. *)
+let apply_handler f m =
+  match f m with () -> () | exception Effect.Unhandled _ -> handler_suspended ()
 
 (* The handler and its answers are built once per process. An answer that
    needs the effect's arguments reads them from the engine's effect slot:
@@ -267,16 +286,7 @@ and wake_after : t -> proc -> (unit, unit) Effect.Deep.continuation -> time -> u
 
 (* Resumes a fiber of [p] with [p]'s context installed. *)
 and resume : 'a. t -> proc -> ('a, unit) Effect.Deep.continuation -> 'a -> unit =
- fun t p k v ->
-  let prev_ctx = ER.install t.ctx in
-  let prev_p = t.running and prev_h = t.in_handler in
-  t.running <- p;
-  t.in_handler <- false;
-  match Effect.Deep.continue k v with
-  | () -> leave t prev_ctx prev_p prev_h
-  | exception e ->
-      leave t prev_ctx prev_p prev_h;
-      raise e
+ fun t p k v -> within t p ~handling:false Effect.Deep.continue k v
 
 (* The caller is [p]'s fiber, so its context is the installed one. *)
 and receive :
@@ -328,32 +338,10 @@ and await t p k w w' cls filter timeout =
 
 and run_fiber t p f =
   if p.handler == unset_handler then p.handler <- handler t p;
-  let prev_ctx = ER.install t.ctx in
-  let prev_p = t.running and prev_h = t.in_handler in
-  t.running <- p;
-  t.in_handler <- false;
-  match Effect.Deep.match_with f () p.handler with
-  | () -> leave t prev_ctx prev_p prev_h
-  | exception e ->
-      leave t prev_ctx prev_p prev_h;
-      raise e
+  within t p ~handling:false run_main f p.handler
 
-(* Runs [p]'s message handler [f] on [m], with [p]'s context installed.
-   Outside every fiber a suspension is unhandled; inside one, [effc]
-   refuses it. *)
-and handle t p f m =
-  let prev_ctx = ER.install t.ctx in
-  let prev_p = t.running and prev_h = t.in_handler in
-  t.running <- p;
-  t.in_handler <- true;
-  match f m with
-  | () -> leave t prev_ctx prev_p prev_h
-  | exception Effect.Unhandled _ ->
-      leave t prev_ctx prev_p prev_h;
-      handler_suspended ()
-  | exception e ->
-      leave t prev_ctx prev_p prev_h;
-      raise e
+(* Runs [p]'s message handler [f] on [m], with [p]'s context installed. *)
+and handle t p f m = within t p ~handling:true apply_handler f m
 
 and fresh_msg_id t =
   t.next_msg_id <- t.next_msg_id + 1;
@@ -410,7 +398,7 @@ and deliver t m =
 (* Registers [p]'s handler of class [cls] and hands it what the mailbox
    already holds of the class. *)
 let on_message t p cls f =
-  if cls < 0 || List.mem_assoc cls p.on_msg then
+  if List.mem_assoc cls p.on_msg then
     invalid_arg
       (Printf.sprintf "Etx_runtime.on_message: %s already handles class %s"
          p.pname (class_name cls));
@@ -463,7 +451,7 @@ let context t =
   }
 
 let create ?seed ?net ?tracing ?obs () =
-  let t = create ?seed ?net ?tracing ?obs () in
+  let t = make ?seed ?net ?tracing ?obs () in
   t.ctx <- context t;
   t
 

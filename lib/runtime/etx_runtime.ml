@@ -135,8 +135,10 @@ let no_ctx =
    each other's context. *)
 let ctx_key = Domain.DLS.new_key (fun () -> no_ctx)
 
+let[@inline] current () = Domain.DLS.get ctx_key
+
 let install c =
-  let prev = Domain.DLS.get ctx_key in
+  let prev = current () in
   Domain.DLS.set ctx_key c;
   prev
 
@@ -167,13 +169,13 @@ let take_message mailbox cls filter =
 
 (* Fiber-side operations ---------------------------------------------- *)
 
-let now () = (Domain.DLS.get ctx_key).cx_now ()
-let self () = (Domain.DLS.get ctx_key).cx_self ()
+let now () = (current ()).cx_now ()
+let self () = (current ()).cx_self ()
 let sleep d = Effect.perform (E_sleep d)
 let work label d = Effect.perform (E_work (label, d))
-let send dst payload = (Domain.DLS.get ctx_key).cx_send dst payload
+let send dst payload = (current ()).cx_send dst payload
 let send_all dsts payload = List.iter (fun dst -> send dst payload) dsts
-let redeliver ~src payload = (Domain.DLS.get ctx_key).cx_redeliver src payload
+let redeliver ~src payload = (current ()).cx_redeliver src payload
 
 (* [E_recv] carries bare values, so a receive allocates no [Some] for its
    class or for a missing timeout. *)
@@ -184,17 +186,17 @@ let recv ?timeout ?(cls = -1) ~filter () =
 
 let recv_cls ?timeout c = Effect.perform (E_recv (c, None, forever timeout))
 let recv_any ?timeout () = Effect.perform (E_recv (-1, None, forever timeout))
-let fork name f = (Domain.DLS.get ctx_key).cx_fork name f
-let on_message cls f = (Domain.DLS.get ctx_key).cx_on_message cls f
-let random_float bound = (Domain.DLS.get ctx_key).cx_random_float bound
-let random_int bound = (Domain.DLS.get ctx_key).cx_random_int bound
-let fresh_uid () = (Domain.DLS.get ctx_key).cx_fresh_uid ()
-let note s = (Domain.DLS.get ctx_key).cx_note s
+let fork name f = (current ()).cx_fork name f
+let on_message cls f = (current ()).cx_on_message cls f
+let random_float bound = (current ()).cx_random_float bound
+let random_int bound = (current ()).cx_random_int bound
+let fresh_uid () = (current ()).cx_fresh_uid ()
+let note s = (current ()).cx_note s
 
 (* The hosting backend's sink for the calling process, or [None] when
    observability is off or no fiber runs. Call once at module init, not
    per event. *)
-let obs () = (Domain.DLS.get ctx_key).cx_obs ()
+let obs () = (current ()).cx_obs ()
 
 let span sink ~parent ~trace name f =
   match sink with
@@ -205,7 +207,7 @@ let span sink ~parent ~trace name f =
       s.obs_span_close id;
       r
 
-let watch f = (Domain.DLS.get ctx_key).cx_watch f
+let watch f = (current ()).cx_watch f
 
 let exit_fiber () = raise Exit_fiber
 
