@@ -1,7 +1,7 @@
 (* The 64-bit state lives unboxed in an 8-byte buffer: reading and
    writing it with [get_int64_ne]/[set_int64_ne] keeps every draw free of
-   [int64] boxes, where a [mutable state : int64] field boxed each new
-   state. *)
+   [int64] boxes, which a mutable [int64] field would allocate for each
+   new state. *)
 type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
