@@ -140,11 +140,59 @@ let try_of s =
     then number s (e + 1) je 0
     else -1
 
+(* A batch name is "g<group>:batch<A|D>:e<epoch>:k<seq>". [batch s]
+   answers the index of the epoch's first digit when [s] starts with
+   such a name, else -1. *)
+let batch s =
+  let g = digits_end s 1 in
+  if
+    String.length s > 0
+    && s.[0] = 'g'
+    && g > 1
+    && has s g ":batch"
+    && g + 6 < String.length s
+    && (s.[g + 6] = 'A' || s.[g + 6] = 'D')
+    && has s (g + 7) ":e"
+  then
+    let e = g + 9 in
+    let ee = digits_end s e in
+    if ee > e && has s ee ":k" && digits_end s (ee + 2) > ee + 2 then e
+    else -1
+  else -1
+
+let epoch_of s =
+  let e = batch s in
+  if e < 0 then -1 else number s e (digits_end s e) 0
+
+let seq_of s =
+  let e = batch s in
+  if e < 0 then -1
+  else
+    let k = digits_end s e + 2 in
+    number s k (digits_end s k) 0
+
+let batch_a_family = -2
+let batch_d_family = -3
+
+let family_of s =
+  let c = classic s in
+  if c >= 0 then client_of_at s c
+  else
+    let e = batch s in
+    if e < 0 then -1
+    else if s.[e - 3] = 'A' then batch_a_family
+    else batch_d_family
+
 let position s =
   let c = classic s in
-  let j = try_of s in
-  if c < 0 || j < 0 then -1
-  else (rid_of_at s c lsl 20) lor (j lsl 1) lor if family s c = 'D' then 1 else 0
+  if c >= 0 then
+    let j = try_of s in
+    if j < 0 then -1
+    else
+      (rid_of_at s c lsl 20) lor (j lsl 1) lor if family s c = 'D' then 1 else 0
+  else
+    let e = batch s in
+    if e < 0 then -1 else (epoch_of s lsl 31) lor seq_of s
 
 let parse fam name =
   let c = classic name in

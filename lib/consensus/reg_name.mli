@@ -63,7 +63,27 @@ val rid_of : string -> int
 val try_of : string -> int
 (** [j] of a classic instance key; [-1] for a name without it. *)
 
+(** For a batch name or instance key ({!batch_a} or {!batch_d}); [-1] for
+    any other string. *)
+
+val epoch_of : string -> int
+val seq_of : string -> int
+
+(** {1 Collection families}
+
+    The consensus agent keeps one collection mark per family
+    ({!Agent.retire_when}): a classic register's family is its client, and
+    each batch array is one family. *)
+
+val batch_a_family : int
+val batch_d_family : int
+
+val family_of : string -> int
+(** {!client_of} of a classic name or key, {!batch_a_family} or
+    {!batch_d_family} of a batch one, [-1] for any other string. *)
+
 val position : string -> int
-(** The order of a classic instance key among its client's: by request,
-    then try, [regA\[j\]] before [regD\[j\]]; [-1] for any other
-    string. *)
+(** The order of an instance key within its family. A classic key: by
+    request, then try, [regA\[j\]] before [regD\[j\]]. A batch key: by
+    epoch, then slot. [-1] for any other string and for a classic name
+    without its try. *)

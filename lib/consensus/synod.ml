@@ -50,6 +50,7 @@ type t = {
   attempt_timeout : float;
   backoff : float;
   instances : (string, instance) Hashtbl.t;
+  mutable on_decide : string -> unit;
 }
 
 let create ?(attempt_timeout = 50.) ?(backoff = 20.) ~peers ~ch () =
@@ -69,6 +70,7 @@ let create ?(attempt_timeout = 50.) ?(backoff = 20.) ~peers ~ch () =
     attempt_timeout;
     backoff;
     instances = Hashtbl.create 32;
+    on_decide = ignore;
   }
 
 let ensure t key =
@@ -99,7 +101,8 @@ let learn t inst ~from value =
       (fun p ->
         if p <> t.self && p <> from then
           Rchannel.send t.ch p (S_learn { key = inst.key; value }))
-      t.peers
+      t.peers;
+    t.on_decide inst.key
   end
 
 (* The wake [learn] fires for [inst]; one that never fires once the
@@ -276,3 +279,5 @@ let decided_keys t =
     (fun key inst acc -> if inst.decided <> None then key :: acc else acc)
     t.instances []
   |> List.sort String.compare
+
+let on_decide t f = t.on_decide <- f

@@ -50,3 +50,8 @@ val decision_wake : t -> key:string -> Etx_runtime.Wake.t
     is undecided: a decided instance's wake never fires. *)
 
 val decided_keys : t -> string list
+
+val on_decide : t -> (string -> unit) -> unit
+(** [on_decide t f]: [f key] runs each time an instance decides here, from
+    the fiber that learned it, after the relays went out. Must not
+    block. *)

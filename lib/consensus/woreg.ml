@@ -31,7 +31,8 @@ let decided_keys t =
 let retire_when t rule =
   match t with Ct a -> Agent.retire_when a rule | Paxos _ -> ()
 
-let on_decide t f = match t with Ct a -> Agent.on_decide a f | Paxos _ -> ()
+let on_decide t f =
+  match t with Ct a -> Agent.on_decide a f | Paxos s -> Synod.on_decide s f
 
 let release t ~name ~j =
   match t with Ct a -> Agent.release a ~key:(key ~name ~j) | Paxos _ -> ()

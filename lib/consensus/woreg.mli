@@ -52,7 +52,8 @@ val retire_when : t -> (string -> bool) -> unit
     see {!Agent.retire_when}. *)
 
 val on_decide : t -> (string -> unit) -> unit
-(** [f key] runs as each register is decided here; see {!Agent.on_decide}. *)
+(** [f key] runs as each register is decided here, on either backend; see
+    {!Agent.on_decide}. *)
 
 val release : t -> name:string -> j:int -> unit
 (** The owner's rule now retires register [j] of [name]: collect it as

@@ -140,14 +140,40 @@ type replica_memo =
 
 (* A client issues one request at a time and its rids only grow (they
    come from the engine-wide [fresh_uid]), so a request of the client, or
-   a decided register of one of its requests, shows that it holds the
-   result of every earlier request. [newest] is the highest rid of the
-   client seen here; every lower rid is {e retired}: its regA/regD
-   registers are collected once every server holds their decisions, and
-   on the classic path its state is dropped and a late copy of it is
-   dropped at intake. [tries] is the highest try of [newest] seen here:
-   the registers to release when it retires. *)
-type floor = { mutable newest : int; mutable tries : int }
+   a decided register or batch slot naming one of its requests, shows
+   that it holds the result of every earlier request. [newest] is the
+   highest rid of the client seen here; every lower rid is {e retired}:
+   its regA/regD registers are collected once every server holds their
+   decisions, its state is dropped and a late copy of it is dropped at
+   intake. [tries] is the highest try of [newest] seen here: the
+   registers to release when it retires. On the leased path [learned] is
+   the try of [newest] whose outcome ([outcome]) a decided batch slot
+   showed here (0 = none): evidence for a takeover, which makes it this
+   server's termination record; until then the server answers nothing
+   from it. *)
+type floor = {
+  mutable newest : int;
+  mutable tries : int;
+  mutable learned : int;
+  mutable outcome : decision;
+}
+
+(* What this server knows of the batch slots of one lease epoch
+   (DESIGN.md §12). [floor] is the highest delivered floor a decided
+   election of the epoch carried: every slot below it is decided,
+   acknowledged by every database and answered. [known] is the first
+   slot whose election and decision are not both decided here, and
+   [ahead] the slots above it that are; a known slot's requests have
+   raised their clients' floors. Below both ({!settled}) a slot is finished
+   everywhere and known here: a takeover seals the epoch from there, and
+   the slot's two registers retire. [fetching]: a fiber is learning the
+   slots below [floor] that are not known here ({!fetch_missed}). *)
+type slots = {
+  mutable floor : int;
+  mutable known : int;
+  mutable ahead : int list;
+  mutable fetching : bool;
+}
 
 type ctx = {
   cfg : config;
@@ -158,9 +184,9 @@ type ctx = {
       (** every register of this server's group (names namespaced by
           group, see {!Etx_types.Reg_name}) *)
   rd : Dbms.Stub.Readiness.t;
-  rids : (int, rid_state) Hashtbl.t;
-      (** by rid; on the classic path, live requests only *)
+  rids : (int, rid_state) Hashtbl.t;  (** by rid; live requests only *)
   floors : (Types.proc_id, floor) Hashtbl.t;  (** by client *)
+  epochs : (int, slots) Hashtbl.t;  (** by lease epoch; leased path only *)
   replica_memo : (int, replica_memo) Hashtbl.t;  (** by rid; replicas only *)
   running : (int * int * int, unit) Hashtbl.t;
       (** tries and branches in flight here, keyed (rid, j, k): fresh tries
@@ -183,8 +209,7 @@ let gauge_rids ctx =
   | Some s ->
       s.Rt.obs_gauge "server.rid_states" (float_of_int (Hashtbl.length ctx.rids))
 
-(* On the classic path callers create state only for a live rid
-   ({!admit}). *)
+(* Callers create state only for a live rid ({!admit}). *)
 let rid_state ctx rid =
   match Hashtbl.find_opt ctx.rids rid with
   | Some st -> st
@@ -196,27 +221,24 @@ let rid_state ctx rid =
       gauge_rids ctx;
       st
 
-(* What is held here for retired request [rid] of [client] goes: through
-   the agent, registers [1..tries] of both of its arrays, and on the
-   classic path its state, replica memo and in-flight marks. The batched
-   path keeps its request states: a late copy of a request, and the
-   takeover's re-delivery of every sealed window, replay a result from
-   them. *)
+(* What is held here for retired request [rid] of [client] goes: its
+   state, replica memo and in-flight marks, and through the agent
+   registers [1..tries] of both of its arrays — which only the classic
+   path and cross-shard tries write. *)
 let forget_request ctx ~client ~rid ~tries =
-  let classic = ctx.cfg.batch = 1 in
-  if classic then begin
-    Hashtbl.remove ctx.rids rid;
-    Hashtbl.remove ctx.replica_memo rid
+  Hashtbl.remove ctx.rids rid;
+  Hashtbl.remove ctx.replica_memo rid;
+  if ctx.cfg.batch = 1 || ctx.cfg.cross <> None then begin
+    let group = ctx.cfg.group in
+    let reg_a = Reg_name.reg_a ~group ~client ~rid
+    and reg_d = Reg_name.reg_d ~group ~client ~rid in
+    for j = 1 to tries do
+      if Hashtbl.length ctx.running > 0 then
+        Hashtbl.remove ctx.running (rid, j, -1);
+      Woreg.release ctx.regs ~name:reg_a ~j;
+      Woreg.release ctx.regs ~name:reg_d ~j
+    done
   end;
-  let group = ctx.cfg.group in
-  let reg_a = Reg_name.reg_a ~group ~client ~rid
-  and reg_d = Reg_name.reg_d ~group ~client ~rid in
-  for j = 1 to tries do
-    if classic && Hashtbl.length ctx.running > 0 then
-      Hashtbl.remove ctx.running (rid, j, -1);
-    Woreg.release ctx.regs ~name:reg_a ~j;
-    Woreg.release ctx.regs ~name:reg_d ~j
-  done;
   gauge_rids ctx
 
 (* Records that [client] issued try [j] of [rid]; [false] iff [rid] is
@@ -231,27 +253,157 @@ let admit ctx ~client ~rid ~j =
       let old = f.newest and tries = f.tries in
       f.newest <- rid;
       f.tries <- j;
+      f.learned <- 0;
       forget_request ctx ~client ~rid:old ~tries;
       true
   | exception Not_found ->
-      Hashtbl.add ctx.floors client { newest = rid; tries = j };
+      Hashtbl.add ctx.floors client
+        { newest = rid; tries = j; learned = 0; outcome = abort_decision };
       true
 
+let retired ctx ~client ~rid =
+  match Hashtbl.find ctx.floors client with
+  | f -> rid < f.newest
+  | exception Not_found -> false
+
+(* The termination record of try [j]: [st.last] never regresses to an
+   older try (a late cleaner or a batch re-delivery must not shadow a
+   newer decision). *)
+let set_last st ~j (d : decision) =
+  match st.last with
+  | Some (j', _) when j' >= j -> ()
+  | Some _ | None -> st.last <- Some (j, d)
+
+(* The slots of [epoch] below which everything is finished and known
+   here; 0 for an epoch nothing is known of. *)
+let settled ctx epoch =
+  match Hashtbl.find ctx.epochs epoch with
+  | s -> Int.min s.floor s.known
+  | exception Not_found -> 0
+
+let slots ctx epoch =
+  match Hashtbl.find ctx.epochs epoch with
+  | s -> s
+  | exception Not_found ->
+      let s = { floor = 0; known = 0; ahead = []; fetching = false } in
+      Hashtbl.add ctx.epochs epoch s;
+      s
+
+(* Slots that finish out of order: once [seq] finishes too, the first
+   slot not finished, counting up from [next], and the finished slots past
+   it. *)
+let finish_slot ~next ~ahead seq =
+  let rec go next ahead =
+    if List.mem next ahead then
+      go (next + 1) (List.filter (fun k -> k <> next) ahead)
+    else (next, ahead)
+  in
+  go next (seq :: ahead)
+
+(* [s] was raised from [before] settled slots: the slots it settled
+   retire their two registers. *)
+let settle ctx ~epoch s ~before =
+  let group = ctx.cfg.group in
+  for seq = before to Int.min s.floor s.known - 1 do
+    Woreg.release ctx.regs ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0;
+    Woreg.release ctx.regs ~name:(Reg_name.batch_d ~group ~epoch ~seq) ~j:0
+  done
+
+(* Slot [seq] of [epoch] is decided here: each of its requests admits
+   its rid (which retires the client's previous request) and, if it is
+   still the client's newest, leaves its outcome in the client's floor,
+   so the server that takes the next lease knows the outcome of every
+   client's newest request without a takeover of its slot. *)
+let learn_slot ctx ~epoch ~seq ~items decision =
+  let record (client, rid, j) d =
+    if admit ctx ~client ~rid ~j then begin
+      let f = Hashtbl.find ctx.floors client in
+      if j > f.learned then begin
+        f.learned <- j;
+        f.outcome <- d
+      end
+    end
+  in
+  (match decision with
+  | Reg_batch_decide ds -> List.iter2 record items ds
+  | _ -> List.iter (fun item -> record item abort_decision) items);
+  let s = slots ctx epoch in
+  if seq >= s.known && not (List.mem seq s.ahead) then begin
+    let before = Int.min s.floor s.known in
+    let known, ahead = finish_slot ~next:s.known ~ahead:s.ahead seq in
+    s.known <- known;
+    s.ahead <- ahead;
+    settle ctx ~epoch s ~before
+  end
+
+(* Every slot below the floor is decided everywhere, so one not known
+   here was missed: its decision relays were lost to a server wrongly
+   suspected, which the channel does not resend to. A fiber learns each
+   such slot by writing its two registers, which only returns the values
+   already decided; the hook then learns the slot. *)
+let fetch_missed ctx ~epoch s =
+  s.fetching <- true;
+  Rt.fork "batch-fetch" (fun () ->
+      let group = ctx.cfg.group in
+      let rec fetch () =
+        let seq = s.known in
+        if seq < s.floor then begin
+          ignore
+            (Woreg.write ctx.regs
+               ~name:(Reg_name.batch_a ~group ~epoch ~seq)
+               ~j:0 Reg_batch_seal);
+          ignore
+            (Woreg.write ctx.regs
+               ~name:(Reg_name.batch_d ~group ~epoch ~seq)
+               ~j:0 Reg_batch_abort_all);
+          if s.known > seq then fetch ()
+        end
+      in
+      fetch ();
+      s.fetching <- false)
+
+(* A batch register decided here: an election raises its epoch's floor,
+   and the second of a slot's two registers to decide here learns the
+   slot. Only local reads: no message, unless the floor passed a slot
+   not known here. *)
+let learn_batch ctx key =
+  let epoch = Reg_name.epoch_of key and seq = Reg_name.seq_of key in
+  let group = ctx.cfg.group in
+  match
+    Woreg.read ctx.regs ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0
+  with
+  | Some (Reg_batch_elect { floor; items; _ }) -> (
+      let s = slots ctx epoch in
+      if floor > s.floor then begin
+        let before = Int.min s.floor s.known in
+        s.floor <- floor;
+        settle ctx ~epoch s ~before;
+        if s.known < floor && not s.fetching then fetch_missed ctx ~epoch s
+      end;
+      match
+        Woreg.read ctx.regs ~name:(Reg_name.batch_d ~group ~epoch ~seq) ~j:0
+      with
+      | Some decision -> learn_slot ctx ~epoch ~seq ~items decision
+      | None -> ())
+  | Some _ | None -> ()
+
 (* The agent's view of the floors: a decided classic register admits its
-   request, and a classic register key is retired with its request. *)
-let admit_register ctx key =
+   request, and a decided batch register is learned. A classic register
+   key is retired with its request, a batch register key below the
+   settled slots of its epoch. *)
+let learn_register ctx key =
   let client = Reg_name.client_of key in
   if client >= 0 then
     ignore
       (admit ctx ~client ~rid:(Reg_name.rid_of key) ~j:(Reg_name.try_of key))
+  else if Reg_name.epoch_of key >= 0 then learn_batch ctx key
 
 let retired_register ctx key =
   let client = Reg_name.client_of key in
-  client >= 0
-  &&
-  match Hashtbl.find ctx.floors client with
-  | f -> Reg_name.rid_of key < f.newest
-  | exception Not_found -> false
+  if client >= 0 then retired ctx ~client ~rid:(Reg_name.rid_of key)
+  else
+    let epoch = Reg_name.epoch_of key in
+    epoch >= 0 && Reg_name.seq_of key < settled ctx epoch
 
 (* Bump obs counter [name] by [n] (nothing when obs is off or [n] = 0). *)
 let count ?(n = 1) ctx name =
@@ -570,13 +722,9 @@ let send_result ctx st ~rid ~j decision =
       Rchannel.send ctx.ch c
         (Result_msg { group = ctx.cfg.group; items = [ (rid, j, decision) ] })
 
-(* The termination record of try [j], whichever path terminated it:
-   [st.last] never regresses to an older try (a late cleaner or a batch
-   re-delivery must not shadow a newer decision). *)
+(* The termination record of try [j], whichever path terminated it. *)
 let record_termination ctx st ~j (d : decision) =
-  (match st.last with
-  | Some (j', _) when j' >= j -> ()
-  | Some _ | None -> st.last <- Some (j, d));
+  set_last st ~j d;
   match ctx.sink with
   | None -> ()
   | Some s ->
@@ -1345,8 +1493,8 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
 
 (* Every client request enters here, on the classic and the batched path
    alike, and meets the same rules in order:
-   - retired (the client already holds its result, {!floor}) on the
-     classic path: drop it, with no try and no reply;
+   - retired (the client already holds its result, {!floor}): drop it,
+     with no try and no reply;
    - stamped for another group: bounce it (executing it here would commit
      it on the wrong shard; the explicit nack makes the client fan out
      again at once instead of waiting out its resend timer);
@@ -1365,8 +1513,7 @@ let rc_refresh ctx rc (rcc : reconfig_cfg) () =
 let intake ctx ~fresh (m : Types.message) =
   match m.payload with
   | Request_msg { request; j; _ }
-    when (not (admit ctx ~client:m.src ~rid:request.rid ~j))
-         && ctx.cfg.batch = 1 ->
+    when not (admit ctx ~client:m.src ~rid:request.rid ~j) ->
       ()
   | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
       count ctx "server.misrouted";
@@ -1527,13 +1674,19 @@ let clean_thread ctx () =
    request). [limbo] holds requests that arrived while no lease was known
    decided yet (bootstrap, or between a deposition and the next takeover):
    they are promoted into [pending] only if this server wins the next
-   epoch — which seals every predecessor first — and are discarded the
+   epoch — which seals its predecessors first — and are discarded the
    moment another holder is observed, so the follower-queue hazard cannot
    arise. *)
 type lease = {
   mutable epoch : int;  (** highest lease epoch known decided; 0 = none *)
   mutable holder : Types.proc_id option;  (** winner of [epoch] *)
   mutable seq : int;  (** next batch slot in our epoch (holder only) *)
+  mutable floor : int;
+      (** our delivered floor in our epoch (holder only): every slot below
+          it is decided, its Decide round acknowledged by every database
+          and its results sent. Each election carries it *)
+  mutable delivered : int list;
+      (** slots above [floor] delivered out of order (holder only) *)
   pending : Window.t;  (** queued tries, arrival order *)
   limbo : Window.t;  (** arrivals while [holder = None]; see above *)
   mutable tails : int;
@@ -1544,51 +1697,59 @@ type lease = {
 }
 
 (* Terminate a whole batch: one Decide per database carrying every
-   (xid, outcome), then one Result_msg per known client carrying its
-   share of the decisions. [items] and [decisions] match positionally (the
-   winning Reg_batch_elect order). Idempotent — re-delivery after a
-   takeover re-sends results the clients deduplicate and re-decides
-   transactions the databases already terminated.
+   (xid, outcome), then one Result_msg per client carrying its share of
+   the decisions. [items] and [decisions] match positionally (the winning
+   Reg_batch_elect order). A retired request's client already holds its
+   result: it gets none, and no state comes back for it. Idempotent —
+   re-delivery after a takeover re-sends results the clients deduplicate
+   and re-decides transactions the databases already terminated.
 
-   With [~async:true] (the failure-free hot path) the results go out as
+   With [~async:k] (the failure-free hot path) the results go out as
    soon as the decision register is written — the register, not the
    databases, is the commit point (Fig. 4: the paper's server also replies
    right after deciding and leaves terminate() to be retried) — and the
-   Decide round runs in a forked fiber off the window's critical path. A
-   holder crash between the two is exactly the window the sealing
-   abort-or-finish pass already closes. *)
-let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
-    () =
+   Decide round runs in a forked fiber off the window's critical path,
+   which calls [k] once every database acknowledged it. A holder crash
+   between the two is exactly the window the sealing abort-or-finish pass
+   already closes. *)
+let deliver_batch ctx ?(parent = 0) ?async ~trace ~items ~decisions () =
   let pairs = List.combine items decisions in
   let xitems =
     List.map
-      (fun ((rid, j), (d : decision)) -> (Dbms.Xid.make ~rid ~j, d.outcome))
+      (fun ((_, rid, j), (d : decision)) -> (Dbms.Xid.make ~rid ~j, d.outcome))
       pairs
   in
   let terminate () =
     ospan ctx ~parent ~trace "terminate" (fun () ->
         Dbms.Stub.decide ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~items:xitems)
   in
-  if not async then terminate ();
+  if async = None then terminate ();
   let by_client : (Types.proc_id, (int * int * decision) list) Hashtbl.t =
     Hashtbl.create 8
   in
   List.iter
-    (fun ((rid, j), (d : decision)) ->
-      let st = rid_state ctx rid in
-      record_termination ctx st ~j d;
-      match st.client with
-      | None -> () (* client unknown here (crashed before broadcasting) *)
-      | Some c ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt by_client c) in
-          Hashtbl.replace by_client c ((rid, j, d) :: cur))
+    (fun ((client, rid, j), (d : decision)) ->
+      if not (retired ctx ~client ~rid) then begin
+        let st = rid_state ctx rid in
+        if st.client = None then st.client <- Some client;
+        record_termination ctx st ~j d;
+        let cur =
+          Option.value ~default:[] (Hashtbl.find_opt by_client client)
+        in
+        Hashtbl.replace by_client client ((rid, j, d) :: cur)
+      end)
     pairs;
   Hashtbl.iter
     (fun c items ->
       Rchannel.send ctx.ch c
         (Result_msg { group = ctx.cfg.group; items = List.rev items }))
     by_client;
-  if async then Rt.fork "batch-terminate" terminate
+  match async with
+  | None -> ()
+  | Some k ->
+      Rt.fork "batch-terminate" (fun () ->
+          terminate ();
+          k ())
 
 (* The batched analogue of {!decide_try}: write batchD[e,k] and return the
    decided per-item decisions — the proposal's, or all-abort when a
@@ -1602,14 +1763,19 @@ let decide_slot ctx ~epoch ~seq ~items claim =
   | Reg_batch_decide ds -> ds
   | _ -> List.map (fun _ -> abort_decision) items
 
-(* Close every batch slot of a predecessor epoch (Fig. 6 transposed to
-   windows): walk the slots in order, writing Seal into the first unused one
-   — the deposed holder's next elect loses against it, ending the epoch —
-   and abort-or-finish every slot a batch did win, by contesting its
-   decision register with abort-all. The decided outcomes of every slot
-   are then re-delivered as one window (idempotent): a Decide of any size
-   is one round to the databases, and each client gets one result. *)
+(* Close the unsettled batch slots of a predecessor epoch (Fig. 6
+   transposed to windows): walk the slots in order from the first one not
+   settled here ({!settled}), writing Seal into the first unused one — the
+   deposed holder's next elect loses against it, ending the epoch — and
+   abort-or-finish every slot a batch did win, by contesting its decision
+   register with abort-all. The decided outcomes of those slots are then
+   re-delivered as one window (idempotent): a Decide of any size is one
+   round to the databases, and each client gets one result. Below the
+   settled slots there is nothing to do: each was delivered everywhere,
+   and its outcomes are recorded here. Answers whether slot 0 holds a
+   window, i.e. whether the epoch's holder served. *)
 let seal_epoch ctx ~epoch =
+  let from = settled ctx epoch in
   let rec scan seq items decisions =
     match
       Woreg.write ctx.regs
@@ -1617,22 +1783,26 @@ let seal_epoch ctx ~epoch =
         ~j:0 Reg_batch_seal
     with
     | Reg_batch_seal -> (* sealed: the epoch ends at this slot *)
-        (List.concat (List.rev items), List.concat (List.rev decisions))
+        (seq, List.concat (List.rev items), List.concat (List.rev decisions))
     | Reg_batch_elect { items = slot; _ } ->
         let ds = decide_slot ctx ~epoch ~seq ~items:slot Reg_batch_abort_all in
-        List.iter2 (fun (rid, j) d -> note_cleaned ctx ~rid ~j d) slot ds;
+        List.iter2 (fun (_, rid, j) d -> note_cleaned ctx ~rid ~j d) slot ds;
         scan (seq + 1) (slot :: items) (ds :: decisions)
     | _ -> scan (seq + 1) items decisions
   in
-  match scan 0 [] [] with
-  | [], _ -> ()
-  | ((trace, _) :: _ as items), decisions ->
-      deliver_batch ctx ~trace ~items ~decisions ()
+  let sealed_at, items, decisions = scan from [] [] in
+  count ctx ~n:(sealed_at - from) "server.sealed_slots";
+  (match items with
+  | [] -> ()
+  | (_, trace, _) :: _ -> deliver_batch ctx ~trace ~items ~decisions ());
+  sealed_at > 0
 
-(* Contest the next lease epoch. Whoever wins must seal every predecessor
-   epoch BEFORE serving: sealing sets [st.last] for every (rid, j) that
-   entered a prior batch register, so the new window can never re-commit an
-   already-decided try. *)
+(* Contest the next lease epoch. Whoever wins must seal its predecessor
+   epochs BEFORE serving: sealing sets [st.last] for every (rid, j) that
+   entered an unsettled batch slot, so the new window can never re-commit
+   an already-decided try. It seals downwards and stops at the first
+   epoch whose holder served: that holder sealed every epoch below before
+   serving. *)
 let lease_takeover ctx ls =
   let next = ls.epoch + 1 in
   let winner =
@@ -1660,11 +1830,24 @@ let lease_takeover ctx ls =
        server also "wins" (it owns the old register value), misdelivering
        the previous window's results under the new window's rids. *)
     ls.holder <- None;
-    for e = next - 1 downto 1 do
-      seal_epoch ctx ~epoch:e
-    done;
+    let rec seal epoch =
+      if epoch >= 1 && not (seal_epoch ctx ~epoch) then seal (epoch - 1)
+    in
+    if next > 1 then ospan ctx ~trace:0 "seal" (fun () -> seal (next - 1));
+    (* the outcomes learned from settled slots become termination records
+       here: this server answers and assembles windows from them now *)
+    Hashtbl.iter
+      (fun client f ->
+        if f.learned > 0 then begin
+          let st = rid_state ctx f.newest in
+          if st.client = None then st.client <- Some client;
+          set_last st ~j:f.learned f.outcome
+        end)
+      ctx.floors;
     ls.seq <- 0;
-    (* promote bootstrap arrivals now that every predecessor is sealed:
+    ls.floor <- 0;
+    ls.delivered <- [];
+    (* promote bootstrap arrivals now that the predecessors are sealed:
        window assembly re-filters against [st.last], so anything sealing
        already decided cannot re-enter a batch *)
     Window.clear ls.pending;
@@ -1725,6 +1908,16 @@ let lease_monitor ctx ls () =
   check ();
   on_grid ctx ~idle_wait ~due ~check
 
+(* Slot [seq] of [epoch] is delivered: raise our floor over every slot
+   delivered in a row. A slot of an epoch we no longer hold counts for
+   nothing. *)
+let slot_delivered ls ~epoch ~seq =
+  if epoch = ls.epoch then begin
+    let floor, delivered = finish_slot ~next:ls.floor ~ahead:ls.delivered seq in
+    ls.floor <- floor;
+    ls.delivered <- delivered
+  end
+
 (* One batch through the amortized pipeline: a single batchA election, one
    XA start/end round, concurrently-executing business logic (the simulated
    SQL of the N transactions overlaps), one group-commit prepare, a single
@@ -1732,9 +1925,11 @@ let lease_monitor ctx ls () =
    terminate round. *)
 let process_batch ctx ls (items : Window.entry list) =
   let epoch = ls.epoch and seq = ls.seq in
-  let ids = List.map (fun (e : Window.entry) -> (e.request.rid, e.j)) items in
+  let ids =
+    List.map (fun (e : Window.entry) -> (e.client, e.request.rid, e.j)) items
+  in
   let n = List.length items in
-  let trace = match ids with (rid, _) :: _ -> rid | [] -> 0 in
+  let trace = match ids with (_, rid, _) :: _ -> rid | [] -> 0 in
   let bspan =
     match ctx.sink with
     | None -> 0
@@ -1750,10 +1945,10 @@ let process_batch ctx ls (items : Window.entry list) =
         Woreg.write ctx.regs
           ~name:(Reg_name.batch_a ~group:ctx.cfg.group ~epoch ~seq)
           ~j:0
-          (Reg_batch_elect { owner = ctx.self; items = ids }))
+          (Reg_batch_elect { owner = ctx.self; floor = ls.floor; items = ids }))
   in
   match winner with
-  | Reg_batch_elect { owner; items = elected } when owner = ctx.self ->
+  | Reg_batch_elect { owner; items = elected; _ } when owner = ctx.self ->
       (* The slot is ours only if the register holds OUR proposal. An
          owner-only check is not enough: if the slot counter ever revisits
          a slot this server already decided (defense in depth — the
@@ -1774,9 +1969,11 @@ let process_batch ctx ls (items : Window.entry list) =
       | Some s ->
           s.Rt.obs_span_attr bspan "tries"
             (String.concat " "
-               (List.map (fun (rid, j) -> Printf.sprintf "%d.%d" rid j) ids)));
+               (List.map
+                  (fun (_, rid, j) -> Printf.sprintf "%d.%d" rid j)
+                  ids)));
       let gen = cache_generation ctx in
-      let xids = List.map (fun (rid, j) -> Dbms.Xid.make ~rid ~j) ids in
+      let xids = List.map (fun (_, rid, j) -> Dbms.Xid.make ~rid ~j) ids in
       let results =
         ospan ctx ~parent:bspan ~trace "compute" (fun () ->
             xa_start ctx ~xids;
@@ -1807,8 +2004,9 @@ let process_batch ctx ls (items : Window.entry list) =
               decide_slot ctx ~epoch ~seq ~items:ids
                 (Reg_batch_decide proposal))
         in
-        deliver_batch ctx ~parent:bspan ~trace ~async:true ~items:ids
-          ~decisions ();
+        deliver_batch ctx ~parent:bspan ~trace
+          ~async:(fun () -> slot_delivered ls ~epoch ~seq)
+          ~items:ids ~decisions ();
         List.iter2
           (fun (e : Window.entry) d ->
             cache_after_decide ctx ~body:e.request.body ~gen d)
@@ -1861,7 +2059,12 @@ let batch_enqueue ctx ls =
         let enqueue q =
           if not (Window.mem q ~rid:request.rid ~j) then
             Window.push q
-              { request; j; keys = ctx.cfg.business.Business.keys request.body }
+              {
+                client;
+                request;
+                j;
+                keys = ctx.cfg.business.Business.keys request.body;
+              }
         in
         if ls.holder = Some ctx.self then enqueue ls.pending
         else if ls.holder = None then enqueue ls.limbo)
@@ -1908,12 +2111,14 @@ let batch_thread ctx ls () =
            drain ());
     if queued () then linger ();
     if queued () then begin
-      (* the registers decide; skip anything terminated meanwhile *)
+      (* the registers decide; skip anything terminated meanwhile, and a
+         request retired meanwhile, whose state is gone *)
       let batch =
         Window.take ls.pending ~cap:ctx.cfg.batch ~skip:(fun e ->
-            match (rid_state ctx e.request.rid).last with
-            | Some (j', _) -> j' >= e.j
-            | None -> false)
+            match Hashtbl.find ctx.rids e.request.rid with
+            | { last = Some (j', _); _ } -> j' >= e.j
+            | { last = None; _ } -> false
+            | exception Not_found -> true)
       in
       if batch <> [] then process_batch ctx ls batch
     end;
@@ -2017,6 +2222,7 @@ let spawn cfg =
             rd;
             rids = Hashtbl.create 16;
             floors = Hashtbl.create 16;
+            epochs = Hashtbl.create 4;
             replica_memo = Hashtbl.create 16;
             running = Hashtbl.create 16;
             rc;
@@ -2026,13 +2232,14 @@ let spawn cfg =
             gx_awaited = [];
           }
         in
-        Woreg.on_decide regs (admit_register ctx);
+        Woreg.on_decide regs (learn_register ctx);
         Woreg.retire_when regs (retired_register ctx);
         (* a recovered agent restored its decisions from the log: they
-           raise the floors too, so the cleaner scans their requests *)
+           raise the floors too, so the cleaner scans their requests, and
+           they settle batch slots *)
         if recovery then
           List.iter
-            (fun (name, j) -> admit_register ctx (Reg_name.key ~name ~j))
+            (fun (name, j) -> learn_register ctx (Reg_name.key ~name ~j))
             (Woreg.decided_keys regs);
         (* reconfiguration fibers exist only on elastic deployments: a
            static server forks nothing new and its schedule stays
@@ -2068,6 +2275,8 @@ let spawn cfg =
               epoch = 0;
               holder = None;
               seq = 0;
+              floor = 0;
+              delivered = [];
               pending = Window.create ();
               limbo = Window.create ();
               tails = 0;

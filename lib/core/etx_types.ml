@@ -88,7 +88,11 @@ type Runtime.Types.payload +=
       (** content of the lease register, instance [e]: holder of epoch [e] *)
   | Reg_batch_elect of {
       owner : Runtime.Types.proc_id;
-      items : (int * int) list;  (** (rid, j) of every request in the batch *)
+      floor : int;
+          (** the owner's delivered floor in epoch [e]: every slot below
+              it is decided, acknowledged by every database and answered *)
+      items : (Runtime.Types.proc_id * int * int) list;
+          (** (client, rid, j) of every request in the batch *)
     }
       (** content of [batchA\[e,k\]]: the leaseholder's claim over a window
           of results — the batched analogue of N [Reg_a_value] writes *)

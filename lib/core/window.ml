@@ -1,4 +1,5 @@
 type entry = {
+  client : Runtime.Types.proc_id;
   request : Etx_types.request;
   j : int;
   keys : Business.keyset;

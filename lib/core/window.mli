@@ -15,6 +15,7 @@
     [(rid, j)], so a retransmitted try is queued once. *)
 
 type entry = {
+  client : Runtime.Types.proc_id;  (** the client that issued the try *)
   request : Etx_types.request;
   j : int;  (** the try's result identifier *)
   keys : Business.keyset;  (** declared keyset of [request.body] *)

@@ -59,6 +59,33 @@ let test_reg_name_rejects_others () =
   Alcotest.(check int) "no trace id outside the classic arrays" (-1)
     (Reg_name.rid_of (Reg_name.key ~name:(Reg_name.lease ~group:1) ~j:2))
 
+(* Batch names and keys read back their epoch and slot, and order by
+   epoch, then slot, within one family per array. *)
+let test_reg_name_batch_readers () =
+  let a = Reg_name.key ~name:(Reg_name.batch_a ~group:3 ~epoch:12 ~seq:407) ~j:0
+  and d = Reg_name.batch_d ~group:3 ~epoch:12 ~seq:407 in
+  Alcotest.(check (list int)) "epoch and slot of a key and a name"
+    [ 12; 407; 12; 407 ]
+    [ Reg_name.epoch_of a; Reg_name.seq_of a; Reg_name.epoch_of d;
+      Reg_name.seq_of d ];
+  Alcotest.(check (list int)) "families"
+    [ Reg_name.batch_a_family; Reg_name.batch_d_family; 7; -1 ]
+    (List.map Reg_name.family_of
+       [ a; d; Reg_name.reg_d ~group:3 ~client:7 ~rid:2;
+         Reg_name.key ~name:(Reg_name.lease ~group:3) ~j:12 ]);
+  let pos epoch seq =
+    Reg_name.position
+      (Reg_name.key ~name:(Reg_name.batch_a ~group:0 ~epoch ~seq) ~j:0)
+  in
+  Alcotest.(check bool) "by epoch, then slot" true
+    (pos 1 5 < pos 1 6 && pos 1 1_000_000 < pos 2 0);
+  List.iter
+    (fun s ->
+      Alcotest.(check (list int)) (s ^ " is not a batch name") [ -1; -1 ]
+        [ Reg_name.epoch_of s; Reg_name.seq_of s ])
+    [ Reg_name.reg_a ~group:1 ~client:2 ~rid:3; "g0:batchA:e:k1";
+      "g0:batchA:e1:k"; "g0:batchX:e1:k1"; "g0:batch" ]
+
 let prop_reg_name_round_trip =
   QCheck.Test.make ~name:"Reg_name.reg_a round-trips through parse_reg_a"
     ~count:200
@@ -318,6 +345,279 @@ let prop_batched_spec_under_leaseholder_crashes =
       && List.length (Cluster.all_records c) = 8
       && Cluster.Spec.check_all c = [])
 
+(* The same sweep over longer runs: 12 requests per client, so a crash
+   can land after slots were settled and their registers and request
+   states collected. *)
+let prop_batched_spec_under_late_leaseholder_crashes =
+  QCheck.Test.make
+    ~name:"12 requests per client: batched spec under leaseholder crashes"
+    ~count:20
+    QCheck.(
+      triple (int_range 0 100_000)
+        (QCheck.oneofl [ 2; 4; 16 ])
+        (float_range 1. 7000.))
+    (fun (seed, batch, crash_time) ->
+      let map = Shard_map.create ~shards:2 () in
+      let keys = [ "acct0"; "acct1"; "acct2"; "acct3" ] in
+      let seed_data =
+        Workload.Bank.seed_accounts (List.map (fun k -> (k, 1000)) keys)
+      in
+      let scripts =
+        List.map
+          (fun k ~issue ->
+            for _ = 1 to 12 do
+              ignore (issue (k ^ ":1"))
+            done)
+          keys
+      in
+      let e, c =
+        Harness.Simrun.cluster ~seed ~map ~batch ~client_period:300.
+          ~seed_data ~business:Workload.Bank.update ~scripts ()
+      in
+      Dsim.Engine.crash_at e crash_time (Cluster.primary c ~shard:0);
+      let ok = Cluster.run_to_quiescence ~deadline:600_000. c in
+      ok
+      && List.length (Cluster.all_records c) = 48
+      && Cluster.Spec.check_all c = [])
+
+(* ------------------------------------------------------------------ *)
+(* The delivered floor: what the leased path holds and what a takeover
+   re-seals follow the work in flight, not the length of the run. *)
+
+(* the value of gauge [name] at each server, at the end of the run *)
+let gauges reg name =
+  List.filter_map
+    (fun ((k : Obs.Registry.key), v) ->
+      if k.name = name then Some (int_of_float v) else None)
+    (Obs.Registry.gauges reg)
+
+let windows reg =
+  match Obs.Registry.merged_histogram reg "server.batch_size" with
+  | Some h -> Obs.Histogram.count h
+  | None -> 0
+
+let test_bounded_leased_state () =
+  let clients = 8 in
+  let run requests =
+    let reg = Obs.Registry.create () in
+    let _e, c =
+      Harness.Simrun.cluster ~seed:21 ~obs:reg ~shards:1 ~batch:16
+        ~seed_data:(bank_seed ~clients) ~business:Workload.Bank.update
+        ~scripts:(bank_scripts ~clients ~requests)
+        ()
+    in
+    Alcotest.(check bool) "quiesced" true
+      (Cluster.run_to_quiescence ~deadline:600_000. c);
+    Alcotest.(check int) "all delivered" (clients * requests)
+      (List.length (Cluster.all_records c));
+    Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+    let peak name = List.fold_left Int.max 0 (gauges reg name) in
+    (peak "consensus.instances", peak "server.rid_states", windows reg)
+  in
+  let instances, states, _ = run 6 in
+  let instances', states', windows' = run 12 in
+  let within name n n' =
+    if float_of_int n' > 1.1 *. float_of_int n then
+      Alcotest.failf "%s: %d at 2N against %d at N" name n' n
+  in
+  within "consensus.instances" instances instances';
+  within "server.rid_states" states states';
+  (* each window decides two batch registers at every server *)
+  Alcotest.(check bool)
+    (Printf.sprintf "batch registers collected (%d held, %d windows)"
+       instances' windows')
+    true
+    (instances' < 2 * windows')
+
+(* Crash the leaseholder once the Decide rounds of [n] windows are
+   acknowledged; the takeover's re-sealed slots and its seal span. Links
+   take a constant 2 ms, so the seal's duration depends only on the work
+   it does. *)
+let takeover_after n =
+  let clients = 8 in
+  let reg = Obs.Registry.create () in
+  let e, c =
+    Harness.Simrun.cluster ~seed:3 ~obs:reg ~net:(Dnet.Netmodel.constant 2.)
+      ~shards:1 ~batch:16 ~seed_data:(bank_seed ~clients)
+      ~business:Workload.Bank.update
+      ~scripts:(bank_scripts ~clients ~requests:20)
+      ()
+  in
+  let terminated () =
+    List.length
+      (List.filter
+         (fun (sp : Obs.Span.t) -> sp.name = "terminate" && Obs.Span.closed sp)
+         (Obs.Registry.spans reg))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d windows terminated" n)
+    true
+    (c.rt.run_until ~deadline:600_000. (fun () -> terminated () >= n));
+  Dsim.Engine.crash_at e (Dsim.Engine.now_of e) (Cluster.primary c ~shard:0);
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  Alcotest.(check int) "all delivered" (clients * 20)
+    (List.length (Cluster.all_records c));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+  let seal =
+    match
+      List.filter (fun (sp : Obs.Span.t) -> sp.name = "seal")
+        (Obs.Registry.spans reg)
+    with
+    | [ sp ] -> Option.get (Obs.Span.duration sp)
+    | sps -> Alcotest.failf "%d seal spans" (List.length sps)
+  in
+  (Obs.Registry.counter_total reg "server.sealed_slots", seal)
+
+let test_takeover_work_flat () =
+  let slots, ms = takeover_after 4 in
+  let slots', ms' = takeover_after 16 in
+  Alcotest.(check int) "same slots re-sealed after N and 4N windows" slots
+    slots';
+  Alcotest.(check bool) "a few slots, not the epoch" true (slots < 4);
+  if Float.abs (ms -. ms') > 1. then
+    Alcotest.failf "seal phase %.3f ms after N windows, %.3f ms after 4N" ms
+      ms'
+
+(* A follower down long enough to be suspected misses the decision
+   relays of the windows decided meanwhile: the channel stops resending a
+   relay to a suspected peer. Recovered from its log, it learns later
+   elections whose floors pass the slots it missed, and fetches those
+   slots. A takeover cut off the same way seals them instead
+   ({!test_isolated_follower_takes_over}). *)
+let test_missed_slots_fetched () =
+  let clients = 8 in
+  let reg = Obs.Registry.create () in
+  let e, c =
+    Harness.Simrun.cluster ~seed:7 ~obs:reg ~recoverable:true ~shards:1
+      ~batch:16
+      ~fd_spec:
+        (Appserver.Fd_heartbeat
+           { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
+      ~seed_data:(bank_seed ~clients) ~business:Workload.Bank.update
+      ~scripts:(bank_scripts ~clients ~requests:12)
+      ()
+  in
+  let follower = List.nth c.groups.(0).app_servers 2 in
+  Dsim.Engine.crash_at e 1_000. follower;
+  Dsim.Engine.recover_at e 1_600. follower;
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  Alcotest.(check int) "all delivered" (clients * 12)
+    (List.length (Cluster.all_records c));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+  Alcotest.(check bool) "the follower fetched missed slots" true
+    (List.exists
+       (fun (pid, note) -> pid = follower && note = "fork batch-fetch")
+       (c.rt.notes ()));
+  (* without the fetch it would hold about two registers per window *)
+  let held =
+    List.find_map
+      (fun ((k : Obs.Registry.key), v) ->
+        if k.name = "consensus.instances" && k.node = "a3" then
+          Some (int_of_float v)
+        else None)
+      (Obs.Registry.gauges reg)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the follower collects too (%d held, %d windows)"
+       (Option.value ~default:(-1) held)
+       (windows reg))
+    true
+    (match held with Some n -> n < windows reg | None -> false)
+
+(* The same cut as a network partition: the follower suspects the holder
+   too and takes the next lease once it is back, sealing from the first
+   slot it missed; every register above the floor still collects. *)
+let test_isolated_follower_takes_over () =
+  let clients = 8 in
+  let part, net =
+    Dnet.Netmodel.partitionable (Dnet.Netmodel.three_tier ~n_dbs:1 ())
+  in
+  let reg = Obs.Registry.create () in
+  let e, c =
+    Harness.Simrun.cluster ~seed:7 ~obs:reg ~net ~shards:1 ~batch:16
+      ~fd_spec:
+        (Appserver.Fd_heartbeat
+           { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
+      ~seed_data:(bank_seed ~clients) ~business:Workload.Bank.update
+      ~scripts:(bank_scripts ~clients ~requests:12)
+      ()
+  in
+  let follower = List.nth c.groups.(0).app_servers 2 in
+  Dsim.Engine.schedule e ~delay:1_000. (fun () ->
+      Dnet.Netmodel.isolate part follower);
+  Dsim.Engine.schedule e ~delay:1_600. (fun () ->
+      Dnet.Netmodel.rejoin part follower);
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  Alcotest.(check int) "all delivered" (clients * 12)
+    (List.length (Cluster.all_records c));
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+  Alcotest.(check bool) "the follower took the lease" true
+    (List.mem (follower, "lease-acquired:g0:e2") (c.rt.notes ()));
+  let instances = gauges reg "consensus.instances" in
+  Alcotest.(check bool)
+    (Printf.sprintf "registers collected everywhere (%s; %d windows)"
+       (String.concat " " (List.map string_of_int instances))
+       (windows reg))
+    true
+    (List.for_all (fun n -> n < windows reg) instances)
+
+(* A client whose only request was delivered in the first window sends a
+   late copy of it to every surviving server after a takeover that sealed
+   from above that window: it is answered from the recorded outcome, not
+   executed again. *)
+let test_no_reexecution_below_floor () =
+  let reg = Obs.Registry.create () in
+  let scripts =
+    (fun ~issue -> ignore (issue "acct0:1"))
+    :: List.tl (bank_scripts ~clients:8 ~requests:12)
+  in
+  let e, c =
+    Harness.Simrun.cluster ~seed:5 ~obs:reg ~shards:1 ~batch:16
+      ~seed_data:(bank_seed ~clients:8) ~business:Workload.Bank.update
+      ~scripts ()
+  in
+  Alcotest.(check bool) "6 windows delivered" true
+    (c.rt.run_until ~deadline:600_000. (fun () -> windows reg >= 6));
+  let primary = Cluster.primary c ~shard:0 in
+  Dsim.Engine.crash_at e (Dsim.Engine.now_of e) primary;
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  Alcotest.(check bool) "sealed from above the first window" true
+    (Obs.Registry.counter_total reg "server.sealed_slots" < 5);
+  let client = Client.pid (List.hd c.clients) in
+  let r =
+    match Client.records (List.hd c.clients) with
+    | [ r ] -> r
+    | rs -> Alcotest.failf "first client: %d records" (List.length rs)
+  in
+  let request = { Etx_types.rid = r.rid; key = "acct0"; body = "acct0:1" } in
+  List.iter
+    (fun server ->
+      if server <> primary then
+        Dsim.Engine.post e ~src:client ~dst:server
+          (Etx_types.Request_msg { request; j = r.tries; group = 0; span = 0 }))
+    c.groups.(0).app_servers;
+  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
+  let prefix = Printf.sprintf "computed:%d:" r.rid in
+  let n = String.length prefix in
+  Alcotest.(check int) "computed once" 1
+    (List.length
+       (List.filter
+          (fun (_, note) ->
+            String.length note >= n && String.sub note 0 n = prefix)
+          (c.rt.notes ())));
+  let xid = Dbms.Xid.make ~rid:r.rid ~j:r.tries in
+  List.iter
+    (fun (_, rm) ->
+      Alcotest.(check int) "committed once" 1
+        (List.length
+           (List.filter (fun x -> x = xid) (Dbms.Rm.committed_xids rm))))
+    c.groups.(0).dbs;
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
 (* ------------------------------------------------------------------ *)
 (* Conflict-aware windows: two tries touching one key never share a
    window, so neither waits on the other's locks. *)
@@ -384,7 +684,8 @@ let prop_window_assembly =
       List.iteri
         (fun i body ->
           Window.push q
-            { request = { rid = i; key = ""; body }; j = 1; keys = keys.(i) };
+            { client = 0; request = { rid = i; key = ""; body }; j = 1;
+              keys = keys.(i) };
           if Runtime.Rng.int rng 4 = 0 then take ())
         bodies;
       while not (Window.is_empty q) do
@@ -605,6 +906,7 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_reg_name_round_trip;
           Alcotest.test_case "rejects non-regA names" `Quick
             test_reg_name_rejects_others;
+          Alcotest.test_case "batch readers" `Quick test_reg_name_batch_readers;
           q prop_reg_name_round_trip;
         ] );
       ( "group-commit",
@@ -641,5 +943,22 @@ let () =
           Alcotest.test_case "no stale wake-ups after a batched run" `Quick
             test_no_stale_wakeups;
         ] );
-      ("random-crashes", [ q prop_batched_spec_under_leaseholder_crashes ]);
+      ( "random-crashes",
+        [
+          q prop_batched_spec_under_leaseholder_crashes;
+          q prop_batched_spec_under_late_leaseholder_crashes;
+        ] );
+      ( "delivered-floor",
+        [
+          Alcotest.test_case "bounded leased state" `Quick
+            test_bounded_leased_state;
+          Alcotest.test_case "takeover work does not grow with history"
+            `Quick test_takeover_work_flat;
+          Alcotest.test_case "no re-execution below the floor" `Quick
+            test_no_reexecution_below_floor;
+          Alcotest.test_case "missed slots are fetched" `Quick
+            test_missed_slots_fetched;
+          Alcotest.test_case "an isolated follower takes over" `Quick
+            test_isolated_follower_takes_over;
+        ] );
     ]
