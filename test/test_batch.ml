@@ -948,7 +948,7 @@ let () =
           q prop_batched_spec_under_leaseholder_crashes;
           q prop_batched_spec_under_late_leaseholder_crashes;
         ] );
-      ( "delivered-floor",
+      ( "floor",
         [
           Alcotest.test_case "bounded leased state" `Quick
             test_bounded_leased_state;
