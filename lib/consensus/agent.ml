@@ -69,8 +69,8 @@ type t = {
   round_timeout : float;
   instances : (string, instance) Hashtbl.t;
   gone : (int, int) Hashtbl.t;
-      (** by family ({!Reg_name.family_of}): one past the highest
-          {!Reg_name.position} of a register of it collected here *)
+      (** by client: one past the highest {!Reg_name.position} of a
+          classic register collected here *)
   everyone : int;  (** [informed] once every peer holds the decision *)
   mutable retired : string -> bool;  (** the owner's rule; see [collect] *)
   mutable on_decide : string -> unit;
@@ -109,12 +109,12 @@ let collect t inst =
     && t.retired inst.key
   then begin
     Hashtbl.remove t.instances inst.key;
-    let family = Reg_name.family_of inst.key in
-    if family <> -1 then begin
+    let client = Reg_name.client_of inst.key in
+    if client >= 0 then begin
       let above = Reg_name.position inst.key + 1 in
-      match Hashtbl.find t.gone family with
-      | mark -> if above > mark then Hashtbl.replace t.gone family above
-      | exception Not_found -> Hashtbl.add t.gone family above
+      match Hashtbl.find t.gone client with
+      | mark -> if above > mark then Hashtbl.replace t.gone client above
+      | exception Not_found -> Hashtbl.add t.gone client above
     end;
     gauge_instances t
   end
@@ -469,22 +469,23 @@ let start_driver ?first t inst =
 (* --- dispatcher: auto-join, decisions, and stale-message service --- *)
 
 let never_held t key =
-  let family = Reg_name.family_of key in
-  family <> -1
+  let client = Reg_name.client_of key in
+  client >= 0
   &&
-  match Hashtbl.find t.gone family with
+  match Hashtbl.find t.gone client with
   | mark -> Reg_name.position key >= mark
   | exception Not_found -> true
 
 (* A message about an instance absent here creates it, unless the owner's
    rule retires its key and the instance may have been collected here:
-   [known] raises [Not_found] for it. Every register collected here sits
-   below its family's [gone] mark (its client's, or its batch array's),
-   so a retired one at or above the mark was never held here. Then no
-   peer has collected it either, as a collection needs every peer to hold
-   the decision, and a server that has not learned the retirement may
-   still drive it, with a database waiting on its outcome: this one takes
-   part. *)
+   [known] raises [Not_found] for it. Every classic register collected
+   here sits below its client's [gone] mark, so a retired one at or above
+   the mark was never held here. Then no peer has collected it either, as
+   a collection needs every peer to hold the decision, and a server that
+   has not learned the retirement may still drive it, with a database
+   waiting on its outcome: this one takes part. The rule retires any
+   other key only once it is decided here (a batch slot below its epoch's
+   settled slots), so an absent one was collected. *)
 let known t key =
   match Hashtbl.find t.instances key with
   | inst -> inst

@@ -124,14 +124,14 @@ val retire_when : t -> (string -> bool) -> unit
     events, at a driver's exit and at {!release}; nothing polls. A message
     about an absent instance whose key [rule] retires is dropped if the
     instance may have been collected here: it never re-creates such an
-    instance or forks a driver for it. A register key of a collection
-    family ({!Reg_name.family_of}: a classic register's client, or a
-    batch array) ordered at or past every key of its family collected
-    here ({!Reg_name.position}) was never held here, so no peer has
-    collected it: a message about it creates and joins the instance, so
-    that a register a live server still drives decides. The
-    rule must be monotone (a retired key stays retired) and must not
-    block.
+    instance or forks a driver for it. A classic register key
+    ({!Reg_name.client_of} [>= 0]) ordered at or past every register of
+    its client collected here ({!Reg_name.position}) was never held here,
+    so no peer has collected it: a message about it creates and joins the
+    instance, so that a register a live server still drives decides. Any
+    other key the rule retires must be one decided here, so an absent one
+    was collected. The rule must be monotone (a retired key stays retired)
+    and must not block.
 
     A peer that never acks — crashed, or suspected so that the channel
     stopped resending the relay — keeps the instance here until it acks an

@@ -54,6 +54,12 @@ let batch_a ~group ~epoch ~seq =
 let batch_d ~group ~epoch ~seq =
   ints3 "g" group ":batchD:e" epoch ":k" seq ""
 
+let batch_a_key ~group ~epoch ~seq =
+  ints3 "g" group ":batchA:e" epoch ":k" seq "[0]"
+
+let batch_d_key ~group ~epoch ~seq =
+  ints3 "g" group ":batchD:e" epoch ":k" seq "[0]"
+
 let gx_vote ~rid ~j ~k = ints3 "gx:r" rid "." j ":p" k ""
 let gx_exec ~rid ~j ~k = ints3 "gx:r" rid "." j ":p" k ":a"
 
@@ -171,28 +177,11 @@ let seq_of s =
     let k = digits_end s e + 2 in
     number s k (digits_end s k) 0
 
-let batch_a_family = -2
-let batch_d_family = -3
-
-let family_of s =
-  let c = classic s in
-  if c >= 0 then client_of_at s c
-  else
-    let e = batch s in
-    if e < 0 then -1
-    else if s.[e - 3] = 'A' then batch_a_family
-    else batch_d_family
-
 let position s =
   let c = classic s in
-  if c >= 0 then
-    let j = try_of s in
-    if j < 0 then -1
-    else
-      (rid_of_at s c lsl 20) lor (j lsl 1) lor if family s c = 'D' then 1 else 0
-  else
-    let e = batch s in
-    if e < 0 then -1 else (epoch_of s lsl 31) lor seq_of s
+  let j = try_of s in
+  if c < 0 || j < 0 then -1
+  else (rid_of_at s c lsl 20) lor (j lsl 1) lor if family s c = 'D' then 1 else 0
 
 let parse fam name =
   let c = classic name in

@@ -25,6 +25,12 @@ val batch_a : group:int -> epoch:int -> seq:int -> string
 
 val batch_d : group:int -> epoch:int -> seq:int -> string
 
+val batch_a_key : group:int -> epoch:int -> seq:int -> string
+(** [key ~name:(batch_a ~group ~epoch ~seq) ~j:0], built in one
+    allocation. *)
+
+val batch_d_key : group:int -> epoch:int -> seq:int -> string
+
 val gx_vote : rid:int -> j:int -> k:int -> string
 (** Paxos-Commit registers of the cross-shard path. The global transaction
     is identified by the try [(rid, j)] that planned it, and participant
@@ -69,21 +75,7 @@ val try_of : string -> int
 val epoch_of : string -> int
 val seq_of : string -> int
 
-(** {1 Collection families}
-
-    The consensus agent keeps one collection mark per family
-    ({!Agent.retire_when}): a classic register's family is its client, and
-    each batch array is one family. *)
-
-val batch_a_family : int
-val batch_d_family : int
-
-val family_of : string -> int
-(** {!client_of} of a classic name or key, {!batch_a_family} or
-    {!batch_d_family} of a batch one, [-1] for any other string. *)
-
 val position : string -> int
-(** The order of an instance key within its family. A classic key: by
-    request, then try, [regA\[j\]] before [regD\[j\]]. A batch key: by
-    epoch, then slot. [-1] for any other string and for a classic name
-    without its try. *)
+(** The order of a classic instance key among its client's: by request,
+    then try, [regA\[j\]] before [regD\[j\]]; [-1] for any other
+    string. *)

@@ -12,9 +12,10 @@ let write t ~name ~j v =
   | Ct a -> Agent.propose a ~key v
   | Paxos s -> Synod.propose s ~key v
 
-let read t ~name ~j =
-  let key = key ~name ~j in
+let read_key t key =
   match t with Ct a -> Agent.peek a ~key | Paxos s -> Synod.peek s ~key
+
+let read t ~name ~j = read_key t (key ~name ~j)
 
 let wake t ~name ~j =
   let key = key ~name ~j in
@@ -34,5 +35,7 @@ let retire_when t rule =
 let on_decide t f =
   match t with Ct a -> Agent.on_decide a f | Paxos s -> Synod.on_decide s f
 
-let release t ~name ~j =
-  match t with Ct a -> Agent.release a ~key:(key ~name ~j) | Paxos _ -> ()
+let release_key t key =
+  match t with Ct a -> Agent.release a ~key | Paxos _ -> ()
+
+let release t ~name ~j = release_key t (key ~name ~j)

@@ -37,6 +37,10 @@ val write : t -> name:string -> j:int -> Types.payload -> Types.payload
 val read : t -> name:string -> j:int -> Types.payload option
 (** Non-blocking read: the written value, or [None] for [⊥]. *)
 
+val read_key : t -> string -> Types.payload option
+(** {!read} of the register with instance key [key] ({!Reg_name.key}, or
+    the key {!on_decide} passes). *)
+
 val wake : t -> name:string -> j:int -> Etx_runtime.Wake.t
 (** Woken when register [j] of [name] is decided here, on either backend:
     a fiber blocks on it ({!Etx_runtime.Wake.sleep}) until the register is
@@ -58,3 +62,6 @@ val on_decide : t -> (string -> unit) -> unit
 val release : t -> name:string -> j:int -> unit
 (** The owner's rule now retires register [j] of [name]: collect it as
     soon as it is decided and every peer holds it ({!Agent.release}). *)
+
+val release_key : t -> string -> unit
+(** {!release} of the register with instance key [key]. *)

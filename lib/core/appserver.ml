@@ -146,17 +146,8 @@ type replica_memo =
    its regA/regD registers are collected once every server holds their
    decisions, its state is dropped and a late copy of it is dropped at
    intake. [tries] is the highest try of [newest] seen here: the
-   registers to release when it retires. On the leased path [learned] is
-   the try of [newest] whose outcome ([outcome]) a decided batch slot
-   showed here (0 = none): evidence for a takeover, which makes it this
-   server's termination record; until then the server answers nothing
-   from it. *)
-type floor = {
-  mutable newest : int;
-  mutable tries : int;
-  mutable learned : int;
-  mutable outcome : decision;
-}
+   registers to release when it retires. *)
+type floor = { mutable newest : int; mutable tries : int }
 
 (* What this server knows of the batch slots of one lease epoch
    (DESIGN.md §12). [floor] is the highest delivered floor a decided
@@ -166,13 +157,34 @@ type floor = {
    [ahead] the slots above it that are; a known slot's requests have
    raised their clients' floors. Below both ({!settled}) a slot is finished
    everywhere and known here: a takeover seals the epoch from there, and
-   the slot's two registers retire. [fetching]: a fiber is learning the
-   slots below [floor] that are not known here ({!fetch_missed}). *)
+   the slot's two registers retire. [sealed] is the slot whose election
+   register holds Seal, once decided here (-1 before): the epoch ended
+   there. [fetching]: a fiber is learning the slots below [floor] that
+   are not known here ({!fetch_missed}). *)
 type slots = {
   mutable floor : int;
   mutable known : int;
   mutable ahead : int list;
+  mutable sealed : int;
   mutable fetching : bool;
+}
+
+(* The newest request of a client that a decided batch slot showed here,
+   with its try and outcome: evidence for a takeover, which makes it this
+   server's termination record; until then the server answers nothing
+   from it. *)
+type learned = {
+  mutable l_rid : int;
+  mutable l_j : int;
+  mutable l_outcome : decision;
+}
+
+(* What this server learned of the leased path: [epochs] by lease epoch,
+   [outcomes] by client. Made when the first batch register decides here,
+   so a server that never sees one holds none of it. *)
+type leased = {
+  epochs : (int, slots) Hashtbl.t;
+  outcomes : (Types.proc_id, learned) Hashtbl.t;
 }
 
 type ctx = {
@@ -186,7 +198,7 @@ type ctx = {
   rd : Dbms.Stub.Readiness.t;
   rids : (int, rid_state) Hashtbl.t;  (** by rid; live requests only *)
   floors : (Types.proc_id, floor) Hashtbl.t;  (** by client *)
-  epochs : (int, slots) Hashtbl.t;  (** by lease epoch; leased path only *)
+  mutable leased : leased option;  (** None until a batch register decides *)
   replica_memo : (int, replica_memo) Hashtbl.t;  (** by rid; replicas only *)
   running : (int * int * int, unit) Hashtbl.t;
       (** tries and branches in flight here, keyed (rid, j, k): fresh tries
@@ -253,12 +265,10 @@ let admit ctx ~client ~rid ~j =
       let old = f.newest and tries = f.tries in
       f.newest <- rid;
       f.tries <- j;
-      f.learned <- 0;
       forget_request ctx ~client ~rid:old ~tries;
       true
   | exception Not_found ->
-      Hashtbl.add ctx.floors client
-        { newest = rid; tries = j; learned = 0; outcome = abort_decision };
+      Hashtbl.add ctx.floors client { newest = rid; tries = j };
       true
 
 let retired ctx ~client ~rid =
@@ -277,16 +287,39 @@ let set_last st ~j (d : decision) =
 (* The slots of [epoch] below which everything is finished and known
    here; 0 for an epoch nothing is known of. *)
 let settled ctx epoch =
-  match Hashtbl.find ctx.epochs epoch with
-  | s -> Int.min s.floor s.known
-  | exception Not_found -> 0
+  match ctx.leased with
+  | None -> 0
+  | Some l -> (
+      match Hashtbl.find l.epochs epoch with
+      | s -> Int.min s.floor s.known
+      | exception Not_found -> 0)
 
-let slots ctx epoch =
-  match Hashtbl.find ctx.epochs epoch with
+(* Every slot of [epoch] is known here, up to the one its Seal ended it
+   at: a takeover has nothing of the epoch to learn or close. *)
+let known_to_seal ctx epoch =
+  match ctx.leased with
+  | None -> false
+  | Some l -> (
+      match Hashtbl.find l.epochs epoch with
+      | s -> s.sealed >= 0 && s.known >= s.sealed
+      | exception Not_found -> false)
+
+let leased ctx =
+  match ctx.leased with
+  | Some l -> l
+  | None ->
+      let l = { epochs = Hashtbl.create 4; outcomes = Hashtbl.create 16 } in
+      ctx.leased <- Some l;
+      l
+
+let slots l epoch =
+  match Hashtbl.find l.epochs epoch with
   | s -> s
   | exception Not_found ->
-      let s = { floor = 0; known = 0; ahead = []; fetching = false } in
-      Hashtbl.add ctx.epochs epoch s;
+      let s =
+        { floor = 0; known = 0; ahead = []; sealed = -1; fetching = false }
+      in
+      Hashtbl.add l.epochs epoch s;
       s
 
 (* Slots that finish out of order: once [seq] finishes too, the first
@@ -305,29 +338,31 @@ let finish_slot ~next ~ahead seq =
 let settle ctx ~epoch s ~before =
   let group = ctx.cfg.group in
   for seq = before to Int.min s.floor s.known - 1 do
-    Woreg.release ctx.regs ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0;
-    Woreg.release ctx.regs ~name:(Reg_name.batch_d ~group ~epoch ~seq) ~j:0
+    Woreg.release_key ctx.regs (Reg_name.batch_a_key ~group ~epoch ~seq);
+    Woreg.release_key ctx.regs (Reg_name.batch_d_key ~group ~epoch ~seq)
   done
 
 (* Slot [seq] of [epoch] is decided here: each of its requests admits
    its rid (which retires the client's previous request) and, if it is
-   still the client's newest, leaves its outcome in the client's floor,
-   so the server that takes the next lease knows the outcome of every
+   still the client's newest, leaves its outcome in [l.outcomes], so
+   the server that takes the next lease knows the outcome of every
    client's newest request without a takeover of its slot. *)
-let learn_slot ctx ~epoch ~seq ~items decision =
+let learn_slot ctx l s ~epoch ~seq ~items decision =
   let record (client, rid, j) d =
-    if admit ctx ~client ~rid ~j then begin
-      let f = Hashtbl.find ctx.floors client in
-      if j > f.learned then begin
-        f.learned <- j;
-        f.outcome <- d
-      end
-    end
+    if admit ctx ~client ~rid ~j then
+      match Hashtbl.find l.outcomes client with
+      | o ->
+          if rid > o.l_rid || j > o.l_j then begin
+            o.l_rid <- rid;
+            o.l_j <- j;
+            o.l_outcome <- d
+          end
+      | exception Not_found ->
+          Hashtbl.add l.outcomes client { l_rid = rid; l_j = j; l_outcome = d }
   in
   (match decision with
   | Reg_batch_decide ds -> List.iter2 record items ds
   | _ -> List.iter (fun item -> record item abort_decision) items);
-  let s = slots ctx epoch in
   if seq >= s.known && not (List.mem seq s.ahead) then begin
     let before = Int.min s.floor s.known in
     let known, ahead = finish_slot ~next:s.known ~ahead:s.ahead seq in
@@ -362,30 +397,41 @@ let fetch_missed ctx ~epoch s =
       fetch ();
       s.fetching <- false)
 
-(* A batch register decided here: an election raises its epoch's floor,
-   and the second of a slot's two registers to decide here learns the
-   slot. Only local reads: no message, unless the floor passed a slot
-   not known here. *)
-let learn_batch ctx key =
-  let epoch = Reg_name.epoch_of key and seq = Reg_name.seq_of key in
-  let group = ctx.cfg.group in
-  match
-    Woreg.read ctx.regs ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0
-  with
+(* Slot [seq]'s election, as decided here, raises its epoch's floor;
+   with its decision also decided here, the slot is learned. *)
+let learn_election ctx l s ~epoch ~seq election decision =
+  match election with
   | Some (Reg_batch_elect { floor; items; _ }) -> (
-      let s = slots ctx epoch in
       if floor > s.floor then begin
         let before = Int.min s.floor s.known in
         s.floor <- floor;
         settle ctx ~epoch s ~before;
         if s.known < floor && not s.fetching then fetch_missed ctx ~epoch s
       end;
-      match
-        Woreg.read ctx.regs ~name:(Reg_name.batch_d ~group ~epoch ~seq) ~j:0
-      with
-      | Some decision -> learn_slot ctx ~epoch ~seq ~items decision
+      match decision with
+      | Some decision -> learn_slot ctx l s ~epoch ~seq ~items decision
       | None -> ())
   | Some _ | None -> ()
+
+(* A batch register decided here: a Seal marks where its epoch ended, and
+   otherwise the slot's other register is read and the slot learned as
+   far as both are decided here. Only local reads: no message, unless the
+   floor passed a slot not known here. *)
+let learn_batch ctx key =
+  let epoch = Reg_name.epoch_of key and seq = Reg_name.seq_of key in
+  let group = ctx.cfg.group in
+  let l = leased ctx in
+  let s = slots l epoch in
+  match Woreg.read_key ctx.regs key with
+  | Some Reg_batch_seal -> s.sealed <- seq
+  | Some (Reg_batch_elect _) as election ->
+      learn_election ctx l s ~epoch ~seq election
+        (Woreg.read_key ctx.regs (Reg_name.batch_d_key ~group ~epoch ~seq))
+  | Some _ as decision ->
+      learn_election ctx l s ~epoch ~seq
+        (Woreg.read_key ctx.regs (Reg_name.batch_a_key ~group ~epoch ~seq))
+        decision
+  | None -> ()
 
 (* The agent's view of the floors: a decided classic register admits its
    request, and a decided batch register is learned. A classic register
@@ -1772,8 +1818,7 @@ let decide_slot ctx ~epoch ~seq ~items claim =
    re-delivered as one window (idempotent): a Decide of any size is one
    round to the databases, and each client gets one result. Below the
    settled slots there is nothing to do: each was delivered everywhere,
-   and its outcomes are recorded here. Answers whether slot 0 holds a
-   window, i.e. whether the epoch's holder served. *)
+   and its outcomes are recorded here. *)
 let seal_epoch ctx ~epoch =
   let from = settled ctx epoch in
   let rec scan seq items decisions =
@@ -1794,15 +1839,19 @@ let seal_epoch ctx ~epoch =
   count ctx ~n:(sealed_at - from) "server.sealed_slots";
   (match items with
   | [] -> ()
-  | (_, trace, _) :: _ -> deliver_batch ctx ~trace ~items ~decisions ());
-  sealed_at > 0
+  | (_, trace, _) :: _ -> deliver_batch ctx ~trace ~items ~decisions ())
 
 (* Contest the next lease epoch. Whoever wins must seal its predecessor
    epochs BEFORE serving: sealing sets [st.last] for every (rid, j) that
    entered an unsettled batch slot, so the new window can never re-commit
-   an already-decided try. It seals downwards and stops at the first
-   epoch whose holder served: that holder sealed every epoch below before
-   serving. *)
+   an already-decided try. It passes over every epoch known here up to
+   its Seal slot. Any other epoch it seals from its settled slots, even
+   below an epoch whose holder served and so sealed it already: this
+   server may have missed that seal's decisions (the channel does not
+   resend a decision relay to a peer it suspects), and with them the
+   outcomes it must answer a late retransmission from. Sealing an epoch
+   already sealed writes nothing new: it learns its slots' decisions and
+   delivers them again. *)
 let lease_takeover ctx ls =
   let next = ls.epoch + 1 in
   let winner =
@@ -1830,20 +1879,25 @@ let lease_takeover ctx ls =
        server also "wins" (it owns the old register value), misdelivering
        the previous window's results under the new window's rids. *)
     ls.holder <- None;
-    let rec seal epoch =
-      if epoch >= 1 && not (seal_epoch ctx ~epoch) then seal (epoch - 1)
+    let seal () =
+      for epoch = next - 1 downto 1 do
+        if not (known_to_seal ctx epoch) then seal_epoch ctx ~epoch
+      done
     in
-    if next > 1 then ospan ctx ~trace:0 "seal" (fun () -> seal (next - 1));
+    if next > 1 then ospan ctx ~trace:0 "seal" seal;
     (* the outcomes learned from settled slots become termination records
        here: this server answers and assembles windows from them now *)
-    Hashtbl.iter
-      (fun client f ->
-        if f.learned > 0 then begin
-          let st = rid_state ctx f.newest in
-          if st.client = None then st.client <- Some client;
-          set_last st ~j:f.learned f.outcome
-        end)
-      ctx.floors;
+    (match ctx.leased with
+    | None -> ()
+    | Some l ->
+        Hashtbl.iter
+          (fun client o ->
+            if not (retired ctx ~client ~rid:o.l_rid) then begin
+              let st = rid_state ctx o.l_rid in
+              if st.client = None then st.client <- Some client;
+              set_last st ~j:o.l_j o.l_outcome
+            end)
+          l.outcomes);
     ls.seq <- 0;
     ls.floor <- 0;
     ls.delivered <- [];
@@ -2222,7 +2276,7 @@ let spawn cfg =
             rd;
             rids = Hashtbl.create 16;
             floors = Hashtbl.create 16;
-            epochs = Hashtbl.create 4;
+            leased = None;
             replica_memo = Hashtbl.create 16;
             running = Hashtbl.create 16;
             rc;

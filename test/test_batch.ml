@@ -59,8 +59,8 @@ let test_reg_name_rejects_others () =
   Alcotest.(check int) "no trace id outside the classic arrays" (-1)
     (Reg_name.rid_of (Reg_name.key ~name:(Reg_name.lease ~group:1) ~j:2))
 
-(* Batch names and keys read back their epoch and slot, and order by
-   epoch, then slot, within one family per array. *)
+(* Batch names and keys read back their epoch and slot; a batch key is
+   its name's register 0. *)
 let test_reg_name_batch_readers () =
   let a = Reg_name.key ~name:(Reg_name.batch_a ~group:3 ~epoch:12 ~seq:407) ~j:0
   and d = Reg_name.batch_d ~group:3 ~epoch:12 ~seq:407 in
@@ -68,17 +68,10 @@ let test_reg_name_batch_readers () =
     [ 12; 407; 12; 407 ]
     [ Reg_name.epoch_of a; Reg_name.seq_of a; Reg_name.epoch_of d;
       Reg_name.seq_of d ];
-  Alcotest.(check (list int)) "families"
-    [ Reg_name.batch_a_family; Reg_name.batch_d_family; 7; -1 ]
-    (List.map Reg_name.family_of
-       [ a; d; Reg_name.reg_d ~group:3 ~client:7 ~rid:2;
-         Reg_name.key ~name:(Reg_name.lease ~group:3) ~j:12 ]);
-  let pos epoch seq =
-    Reg_name.position
-      (Reg_name.key ~name:(Reg_name.batch_a ~group:0 ~epoch ~seq) ~j:0)
-  in
-  Alcotest.(check bool) "by epoch, then slot" true
-    (pos 1 5 < pos 1 6 && pos 1 1_000_000 < pos 2 0);
+  Alcotest.(check (list string)) "keys built at once"
+    [ a; Reg_name.key ~name:d ~j:0 ]
+    [ Reg_name.batch_a_key ~group:3 ~epoch:12 ~seq:407;
+      Reg_name.batch_d_key ~group:3 ~epoch:12 ~seq:407 ];
   List.iter
     (fun s ->
       Alcotest.(check (list int)) (s ^ " is not a batch name") [ -1; -1 ]
@@ -618,6 +611,106 @@ let test_no_reexecution_below_floor () =
     c.groups.(0).dbs;
   Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
 
+(* Five servers. A follower (a3) is cut off while the leaseholder of
+   epoch 1 (a1) decides its last windows and crashes, so it misses those
+   slots and the seal a2 makes of them when it takes epoch 2. Once back,
+   a3 learns epoch 2's windows, whose elections carry only epoch 2's
+   floor; then a2 crashes too and a3 takes epoch 3 (on a 100 ms grid its
+   takeover comes first). Four clients stop once a result reaches them
+   after the cut, so their newest requests end in the slots a3 missed. A
+   late copy of each, sent to a3, must be answered from its outcome, not
+   run again: a3 never learned epoch 1 up to its Seal slot, so it seals
+   that epoch too, although epoch 2's holder served. *)
+let test_sealed_tail_learned () =
+  let clients = 8 and cut = 1_000. in
+  let part, net =
+    Dnet.Netmodel.partitionable (Dnet.Netmodel.three_tier ~n_dbs:1 ())
+  in
+  let scripts =
+    List.init clients (fun i ~issue ->
+        let body = Printf.sprintf "acct%d:1" i in
+        if i < 4 then
+          while Runtime.Etx_runtime.now () < cut do
+            ignore (issue body)
+          done
+        else
+          for _ = 1 to 12 do
+            ignore (issue body)
+          done)
+  in
+  let e, c =
+    Harness.Simrun.cluster ~seed:7 ~clean_period:100. ~net ~n_app_servers:5
+      ~shards:1 ~batch:16
+      ~fd_spec:
+        (Appserver.Fd_heartbeat
+           { period = 10.; initial_timeout = 60.; timeout_bump = 30. })
+      ~seed_data:(bank_seed ~clients) ~business:Workload.Bank.update
+      ~scripts ()
+  in
+  let server i = List.nth c.groups.(0).app_servers i in
+  let follower = server 2 in
+  Dsim.Engine.schedule e ~delay:cut (fun () ->
+      Dnet.Netmodel.isolate part follower);
+  Dsim.Engine.crash_at e 1_250. (server 0);
+  Dsim.Engine.schedule e ~delay:1_800. (fun () ->
+      Dnet.Netmodel.rejoin part follower);
+  Dsim.Engine.crash_at e 2_600. (server 1);
+  Alcotest.(check bool) "quiesced" true
+    (Cluster.run_to_quiescence ~deadline:600_000. c);
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c);
+  let notes = c.rt.notes () in
+  Alcotest.(check bool) "a2 took epoch 2" true
+    (List.mem (server 1, "lease-acquired:g0:e2") notes);
+  Alcotest.(check bool) "the follower took epoch 3" true
+    (List.mem (follower, "lease-acquired:g0:e3") notes);
+  let late =
+    List.filteri (fun i _ -> i < 4) c.clients
+    |> List.map (fun cl ->
+           (Client.pid cl, List.hd (List.rev (Client.records cl))))
+  in
+  Alcotest.(check bool) "the late requests were decided after the cut" true
+    (List.for_all
+       (fun (_, (r : Client.record)) -> r.tries = 1 && r.delivered_at > cut)
+       late);
+  List.iteri
+    (fun i (client, (r : Client.record)) ->
+      let request =
+        {
+          Etx_types.rid = r.rid;
+          key = Printf.sprintf "acct%d" i;
+          body = Printf.sprintf "acct%d:1" i;
+        }
+      in
+      Dsim.Engine.post e ~src:client ~dst:follower
+        (Etx_types.Request_msg { request; j = r.tries; group = 0; span = 0 }))
+    late;
+  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 2_000.) e);
+  let after =
+    List.filteri (fun i _ -> i >= List.length notes) (c.rt.notes ())
+  in
+  List.iter
+    (fun (_, (r : Client.record)) ->
+      let prefix = Printf.sprintf "computed:%d:" r.rid in
+      let n = String.length prefix in
+      Alcotest.(check int)
+        (Printf.sprintf "rid %d not computed again" r.rid)
+        0
+        (List.length
+           (List.filter
+              (fun (_, note) ->
+                String.length note >= n && String.sub note 0 n = prefix)
+              after));
+      let xid = Dbms.Xid.make ~rid:r.rid ~j:r.tries in
+      List.iter
+        (fun (_, rm) ->
+          Alcotest.(check int) "committed once" 1
+            (List.length
+               (List.filter (fun x -> x = xid) (Dbms.Rm.committed_xids rm))))
+        c.groups.(0).dbs)
+    late;
+  Alcotest.(check (list string)) "cluster spec after the late copies" []
+    (Cluster.Spec.check_all c)
+
 (* ------------------------------------------------------------------ *)
 (* Conflict-aware windows: two tries touching one key never share a
    window, so neither waits on the other's locks. *)
@@ -960,5 +1053,7 @@ let () =
             test_missed_slots_fetched;
           Alcotest.test_case "an isolated follower takes over" `Quick
             test_isolated_follower_takes_over;
+          Alcotest.test_case "a sealed tail is learned" `Quick
+            test_sealed_tail_learned;
         ] );
     ]

@@ -739,17 +739,13 @@ let test_retired_never_held_register_decides () =
   | Some v -> Alcotest.(check int) "the retired peer holds it" 5 (int_of_v v)
   | None -> Alcotest.fail "the retired peer never took part"
 
-(* Slot [seq] of epoch [epoch]'s decision array: a batch key, which the
-   agent orders among the array's keys. *)
-let batch_key ~epoch ~seq =
-  Consensus.Reg_name.key
-    ~name:(Consensus.Reg_name.batch_d ~group:0 ~epoch ~seq)
-    ~j:0
-
-(* Once a key is collected, a late proposal for it, or for an earlier key
-   of the same family, never re-creates the instance; a later key this
-   agent never held does. *)
-let test_collected_keys_stay_gone ~collected ~earlier ~later () =
+(* Once a classic key is collected, a late proposal for it, or for an
+   earlier key of the same client, never re-creates the instance; a later
+   key this agent never held does. *)
+let test_collected_classic_keys_stay_gone () =
+  let collected = classic_key ~rid:1017 ~j:1
+  and earlier = classic_key ~rid:1016 ~j:3
+  and later = classic_key ~rid:1018 ~j:1 in
   let late = ref (Some (V 0)) in
   let t =
     members_scenario ~n:3
@@ -941,15 +937,7 @@ let () =
           Alcotest.test_case "retired never-held register decides" `Quick
             test_retired_never_held_register_decides;
           Alcotest.test_case "collected classic keys stay gone" `Quick
-            (test_collected_keys_stay_gone
-               ~collected:(classic_key ~rid:1017 ~j:1)
-               ~earlier:(classic_key ~rid:1016 ~j:3)
-               ~later:(classic_key ~rid:1018 ~j:1));
-          Alcotest.test_case "collected batch keys stay gone" `Quick
-            (test_collected_keys_stay_gone
-               ~collected:(batch_key ~epoch:2 ~seq:5)
-               ~earlier:(batch_key ~epoch:1 ~seq:9)
-               ~later:(batch_key ~epoch:2 ~seq:6));
+            test_collected_classic_keys_stay_gone;
           Alcotest.test_case "suspected peer pins until its ack" `Quick
             test_suspected_peer_pins_until_ack;
           Alcotest.test_case "latecomer after local GC" `Quick
