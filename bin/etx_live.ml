@@ -48,7 +48,6 @@ let shards = ref 1
 let batch = ref 1
 let cache = ref false
 let replicas = ref 0
-let replica_bound = ref 8
 let group_commit = ref false
 let cross = ref false
 let migrate = ref false
@@ -75,10 +74,6 @@ let speclist =
       "R  asynchronous change-log read replicas per database; clients issue \
        the read-dominant mix so cache-miss audits route to the replicas \
        (default 0)" );
-    ( "-replica-bound",
-      Arg.Set_int replica_bound,
-      "L  staleness bound (LSN delta) above which replica reads fall back \
-       to the primary (default 8)" );
     ( "-group-commit",
       Arg.Set group_commit,
       "  coalesce concurrent redo-log forces into one disk write per \
@@ -240,8 +235,7 @@ let run_sharded () =
   let t_start = Unix.gettimeofday () in
   let c =
     Cluster.build ~map ~recoverable:true ~batch:!batch ~cache:!cache
-      ~replicas:!replicas ~replica_bound:!replica_bound
-      ~group_commit:!group_commit ~seed_data ~business ~rt ~scripts ()
+      ~replicas:!replicas ~group_commit:!group_commit ~seed_data ~business ~rt ~scripts ()
   in
   let delivered () = List.length (Cluster.all_records c) in
   let total = n_clients * n_requests in
@@ -565,7 +559,7 @@ let () =
   Arg.parse speclist
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "etx_live [-clients N] [-requests N] [-shards S] [-batch B] [-cache] \
-     [-replicas R] [-replica-bound L] [-group-commit] [-cross] [-migrate] \
+     [-replicas R] [-group-commit] [-cross] [-migrate] \
      [-seed N] [-out FILE] [-obs FILE]";
   if !shards < 1 then (prerr_endline "etx_live: -shards must be >= 1"; exit 2);
   if !batch < 1 then (prerr_endline "etx_live: -batch must be >= 1"; exit 2);

@@ -98,7 +98,7 @@ let write_obs_dump ~file ~delivered reg =
    drawn from the workload generator (transfers stay intra-shard), requests
    dealt round-robin to the clients. Faults target shard 0. *)
 let demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
-    batch cache replicas replica_bound group_commit force_latency cross_ratio
+    batch cache replicas group_commit force_latency cross_ratio
     crash_primary_at crash_db obs =
   let kind =
     let accounts = max 8 (4 * shards) in
@@ -129,7 +129,7 @@ let demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
   let reg = Option.map (fun _ -> Obs.Registry.create ()) obs in
   let engine, c =
     Harness.Simrun.cluster ~seed ~map ?obs:reg ~n_app_servers ~n_dbs ~batch
-      ~cache ~replicas ~replica_bound ~group_commit
+      ~cache ~replicas ~group_commit
       ~cross:(cross_ratio > 0.) ~disk_force_latency:force_latency
       ~client_period:300.
       ~seed_data:(Workload.Generator.seed_data_of kind)
@@ -194,7 +194,7 @@ let demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
   if (not quiesced) || violations <> [] || not obs_ok then exit 1
 
 let demo_run seed workload requests n_app_servers n_dbs shards clients batch
-    cache replicas replica_bound group_commit force_latency cross_ratio
+    cache replicas group_commit force_latency cross_ratio
     crash_primary_at crash_db verbose diagram obs =
   if shards < 1 then (Printf.eprintf "--shards must be >= 1\n"; exit 2);
   if clients < 1 then (Printf.eprintf "--clients must be >= 1\n"; exit 2);
@@ -206,7 +206,7 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
     (Printf.eprintf "--cross-ratio needs --shards >= 2\n"; exit 2);
   if shards > 1 || clients > 1 then
     demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
-      batch cache replicas replica_bound group_commit force_latency cross_ratio
+      batch cache replicas group_commit force_latency cross_ratio
       crash_primary_at crash_db obs
   else
   let business, seed_data, body_of =
@@ -238,7 +238,7 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
   in
   let engine, c =
     Harness.Simrun.cluster ~seed ?obs:reg ~n_app_servers ~n_dbs ~batch
-      ~cache ~replicas ~replica_bound ~group_commit
+      ~cache ~replicas ~group_commit
       ~disk_force_latency:force_latency ~client_period:300. ~seed_data
       ~business
       ~scripts:
@@ -398,16 +398,6 @@ let demo_cmd =
              replica-consistency obligation joins the specification checks \
              (0 = the classic primary-only read path).")
   in
-  let replica_bound =
-    Arg.(
-      value & opt int 8
-      & info [ "replica-bound" ] ~docv:"L"
-          ~doc:
-            "Staleness bound for replica reads (LSN delta between the \
-             primary's committed watermark and the replica's applied \
-             prefix); a lagging replica answers stale and the request falls \
-             back to the primary.")
-  in
   let group_commit =
     Arg.(
       value & flag
@@ -480,7 +470,7 @@ let demo_cmd =
           delivered results and check the e-Transaction specification.")
     Term.(
       const demo_run $ seed_arg $ workload $ requests $ apps $ dbs $ shards
-      $ clients $ batch $ cache $ replicas $ replica_bound $ group_commit
+      $ clients $ batch $ cache $ replicas $ group_commit
       $ force_latency $ cross_ratio $ crash_primary $ crash_db $ verbose
       $ diagram $ obs)
 

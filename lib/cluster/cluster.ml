@@ -15,7 +15,6 @@ type t = {
   groups : group array;
   clients : Etx.Client.handle list;
   business : Etx.Business.t;
-  replica_bound : int;
   cross : bool;
   reconfig : bool;
   maps : Etx.Shard_map.t list ref;
@@ -46,11 +45,9 @@ let ship_period = 5.
 let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     ?(fd_spec = Etx.Appserver.Fd_oracle) ?(timing = Dbms.Rm.paper_timing)
     ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?(clean_period = 20.) ?(backend = Etx.Appserver.Reg_ct)
-    ?(recoverable = false) ?batch ?(cache = false)
-    ?(group_commit = false) ?(replicas = 0) ?(replica_bound = 8)
-    ?(cross = false) ?(reconfig = false) ?(provision = 0)
-    ~rt ~business ~scripts () =
+    ?(clean_period = 20.) ?(recoverable = false) ?batch ?(cache = false)
+    ?(group_commit = false) ?(replicas = 0) ?(cross = false)
+    ?(reconfig = false) ?(provision = 0) ~rt ~business ~scripts () =
   if replicas < 0 then invalid_arg "Cluster.build: replicas must be >= 0";
   if provision < 0 then invalid_arg "Cluster.build: provision must be >= 0";
   if provision > 0 && not reconfig then
@@ -186,9 +183,8 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
                 else None
               in
               let cfg =
-                Etx.Appserver.config ~fd_spec ~clean_period
-                  ~backend ?persist ?batch ?cache:mcache
-                  ?replicas:reps ~replica_bound ?cross:cross_cfg
+                Etx.Appserver.config ~fd_spec ~clean_period ?persist ?batch
+                  ?cache:mcache ?replicas:reps ?cross:cross_cfg
                   ?reconfig:reconfig_cfg ~group:s ~rt ~index ~servers
                   ~dbs:db_pids ~business ()
               in
@@ -268,7 +264,6 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
     groups;
     clients;
     business;
-    replica_bound;
     cross;
     reconfig;
     maps = ref [ map ];
@@ -448,7 +443,7 @@ module Spec = struct
                List.filter (fun (pid, _) -> t.rt.is_up pid) g.caches;
              business = Some t.business;
              replicas = g.replicas;
-             replica_bound = t.replica_bound;
+             replica_bound = Etx.Appserver.replica_bound;
            })
          t.groups)
 

@@ -49,7 +49,6 @@ type t = {
       (** every replica group, spare (pre-provisioned) groups included *)
   clients : Etx.Client.handle list;
   business : Etx.Business.t;
-  replica_bound : int;
   cross : bool;  (** built with cross-shard commit wiring *)
   reconfig : bool;  (** built with elastic reconfiguration wiring *)
   maps : Etx.Shard_map.t list ref;
@@ -70,13 +69,11 @@ val build :
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   ?clean_period:float ->
-  ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
   ?replicas:int ->
-  ?replica_bound:int ->
   ?cross:bool ->
   ?reconfig:bool ->
   ?provision:int ->
@@ -122,7 +119,7 @@ val build :
     ships committed write-sets every 5 ms and every application server
     routes cache-miss read-only requests to a replica, falling back to
     the primary when the replica's provable staleness exceeds
-    [replica_bound] (LSN delta, default 8). Replicas spawn after the
+    {!Etx.Appserver.replica_bound}. Replicas spawn after the
     clients, so [replicas:0] clusters keep their exact pid layout.
 
     [cross:true] supplies every application server the cross-shard commit

@@ -1,41 +1,14 @@
-type t = Ct of Agent.t | Paxos of Synod.t
-
-let of_agent agent = Ct agent
-let of_synod synod = Paxos synod
+type t = Agent.t
 
 (* the instance key of register [j] of array [name]: "name[j]" *)
 let key = Reg_name.key
 
-let write t ~name ~j v =
-  let key = key ~name ~j in
-  match t with
-  | Ct a -> Agent.propose a ~key v
-  | Paxos s -> Synod.propose s ~key v
-
-let read_key t key =
-  match t with Ct a -> Agent.peek a ~key | Paxos s -> Synod.peek s ~key
-
+let write t ~name ~j v = Agent.propose t ~key:(key ~name ~j) v
+let read_key t key = Agent.peek t ~key
 let read t ~name ~j = read_key t (key ~name ~j)
-
-let wake t ~name ~j =
-  let key = key ~name ~j in
-  match t with
-  | Ct a -> Agent.decision_wake a ~key
-  | Paxos s -> Synod.decision_wake s ~key
-
-let decided_keys t =
-  List.filter_map Reg_name.split
-    (match t with
-    | Ct a -> Agent.decided_keys a
-    | Paxos s -> Synod.decided_keys s)
-
-let retire_when t rule =
-  match t with Ct a -> Agent.retire_when a rule | Paxos _ -> ()
-
-let on_decide t f =
-  match t with Ct a -> Agent.on_decide a f | Paxos s -> Synod.on_decide s f
-
-let release_key t key =
-  match t with Ct a -> Agent.release a ~key | Paxos _ -> ()
-
+let wake t ~name ~j = Agent.decision_wake t ~key:(key ~name ~j)
+let decided_keys t = List.filter_map Reg_name.split (Agent.decided_keys t)
+let retire_when = Agent.retire_when
+let on_decide = Agent.on_decide
+let release_key t key = Agent.release t ~key
 let release t ~name ~j = release_key t (key ~name ~j)

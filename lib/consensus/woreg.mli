@@ -1,33 +1,23 @@
-(** Write-once registers (the paper's wo-registers) over a pluggable
-    consensus.
+(** Write-once registers (the paper's wo-registers) over the
+    Chandra–Toueg consensus {!Agent} ("along the lines of [4]").
 
     A wo-register behaves like a CD-ROM: it can be written once and read
     many times. [write v] returns either [v] (this writer won) or the value
     some other process already wrote; [read] returns the written value or
     [⊥] ([None]) — and if a value was written, repeated reads eventually
-    return it (both backends broadcast their decisions).
+    return it (the agent broadcasts its decisions).
 
     Registers come in arrays: register [j] of array [name] (the protocol's
     [regA\[j\]], [regD\[j\]], a lease epoch, a batch slot, ...) is one
     consensus instance. Arrays with the same name on different processes
     denote the same shared registers, so the name must encode the scope.
-    This module maps [(name, j)] to an instance key ({!Reg_name.key});
-    the backend behind it is chosen once, at construction ("along the lines
-    of [4]" — the paper leaves the consensus pluggable). *)
+    This module maps [(name, j)] to an instance key ({!Reg_name.key}). *)
 
 open Runtime
 
-type t
-(** One process's view of every register, backed by one consensus
-    multiplexer. *)
-
-val of_agent : Agent.t -> t
-(** Registers over the Chandra–Toueg {!Agent} (the default backend; the
-    only one with persistence and register collection). *)
-
-val of_synod : Synod.t -> t
-(** Registers over single-decree Paxos ({!Synod}). It keeps every instance
-    forever: the retirement calls below do nothing. *)
+type t = Agent.t
+(** One process's view of every register: its consensus agent, which
+    multiplexes one instance per register. *)
 
 val write : t -> name:string -> j:int -> Types.payload -> Types.payload
 (** [write t ~name ~j v] writes register [j] of [name]: blocks until the
@@ -42,10 +32,10 @@ val read_key : t -> string -> Types.payload option
     the key {!on_decide} passes). *)
 
 val wake : t -> name:string -> j:int -> Etx_runtime.Wake.t
-(** Woken when register [j] of [name] is decided here, on either backend:
-    a fiber blocks on it ({!Etx_runtime.Wake.sleep}) until the register is
-    written. Take it while {!read} answers [None]: the wake of a decided
-    register never fires. *)
+(** Woken when register [j] of [name] is decided here: a fiber blocks on
+    it ({!Etx_runtime.Wake.sleep}) until the register is written. Take it
+    while {!read} answers [None]: the wake of a decided register never
+    fires. *)
 
 val decided_keys : t -> (string * int) list
 (** Every register this process knows decided, as [(name, j)], sorted by
@@ -56,7 +46,7 @@ val retire_when : t -> (string -> bool) -> unit
     see {!Agent.retire_when}. *)
 
 val on_decide : t -> (string -> unit) -> unit
-(** [f key] runs as each register is decided here, on either backend; see
+(** [f key] runs as each register is decided here; see
     {!Agent.on_decide}. *)
 
 val release : t -> name:string -> j:int -> unit

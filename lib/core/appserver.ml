@@ -12,8 +12,6 @@ type fd_spec =
       timeout_bump : float;
     }
 
-type register_backend = Reg_ct | Reg_synod
-
 (* Cross-shard commit wiring (DESIGN.md §15). [shard_of_key] is the
    cluster's routing map; [peers] names the application servers of a
    participant group, [[]] past the last group (a function because the
@@ -45,7 +43,6 @@ type config = {
   business : Business.t;
   fd_spec : fd_spec;
   clean_period : float;
-  backend : register_backend;
   persist : Consensus.Agent.persistence option;
   batch : int;
       (** max results per leased batch; 1 = the classic per-result path *)
@@ -57,10 +54,6 @@ type config = {
           [None] = replica routing off (the request path is then
           byte-identical to the replica-less protocol). A thunk because
           replicas are spawned after the application servers. *)
-  replica_bound : int;
-      (** max provable staleness (LSN delta) tolerated on a replica read;
-          a replica whose lag exceeds it answers stale and the request
-          falls back to the primary pipeline *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] = cross-shard requests cannot
           arise (the request path is then byte-identical to the
@@ -71,14 +64,13 @@ type config = {
           the static protocol) *)
 }
 
-let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(backend = Reg_ct)
-    ?persist ?(group = 0) ?(batch = 1) ?cache ?replicas ?(replica_bound = 8)
-    ?cross ?reconfig ~rt ~index ~servers ~dbs ~business () =
-  (match (backend, persist) with
-  | Reg_synod, Some _ ->
-      invalid_arg
-        "Appserver.config: the Synod backend does not support persistence"
-  | (Reg_ct | Reg_synod), _ -> ());
+(* Max provable staleness (LSN delta) tolerated on a replica read: a
+   replica whose lag exceeds it answers stale and the request falls back
+   to the primary pipeline. *)
+let replica_bound = 8
+
+let config ?persist ?(group = 0) ?(batch = 1) ?cache ?replicas ?cross
+    ?reconfig ~fd_spec ~clean_period ~rt ~index ~servers ~dbs ~business () =
   if batch < 1 then invalid_arg "Appserver.config: batch must be >= 1";
   {
     rt;
@@ -89,12 +81,10 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(backend = Reg_ct)
     business;
     fd_spec;
     clean_period;
-    backend;
     persist;
     batch;
     cache;
     replicas;
-    replica_bound;
     cross;
     reconfig;
   }
@@ -202,9 +192,10 @@ type ctx = {
   replica_memo : (int, replica_memo) Hashtbl.t;  (** by rid; replicas only *)
   running : (int * int * int, unit) Hashtbl.t;
       (** tries and branches in flight here, keyed (rid, j, k): fresh tries
-          ([k] = -1) and cross-shard branch executions ([k] = participant
-          shard). Purely a duplicate-suppression memo — the registers stay
-          the safety argument *)
+          and tries of a window ([k] = -1), and cross-shard branch
+          executions ([k] = participant shard). Purely a
+          duplicate-suppression memo — the registers stay the safety
+          argument *)
   rc : rc_state option;  (** reconfiguration state; None = map fixed *)
   sink : Rt.obs_sink option;  (** fetched once at spawn; None = obs off *)
   silent : (Types.proc_id, float) Hashtbl.t;
@@ -602,7 +593,6 @@ let serve_replica ctx ~(request : request) ~j ~client =
       ctx.cfg.business.Business.read_only request.body
       && begin
            let rid = request.rid in
-           let bound = ctx.cfg.replica_bound in
            let t0 = Rt.now () in
            let seq = ref 0 in
            let snapshot = ref None in
@@ -624,7 +614,8 @@ let serve_replica ctx ~(request : request) ~j ~client =
              let s = !seq in
              incr seq;
              Rchannel.send ctx.ch replica
-               (Dbms.Msg.Replica_exec { rid; seq = s; ops; bound });
+               (Dbms.Msg.Replica_exec
+                  { rid; seq = s; ops; bound = replica_bound });
              let filter m =
                m.Types.src = replica
                &&
@@ -1976,11 +1967,18 @@ let slot_delivered ls ~epoch ~seq =
    XA start/end round, concurrently-executing business logic (the simulated
    SQL of the N transactions overlaps), one group-commit prepare, a single
    batchD decision write — still the commit point — and one batched
-   terminate round. *)
+   terminate round. Each try of the window is marked running until the
+   window ends here, so a retransmission of it is not queued for a second
+   window meanwhile ({!batch_enqueue}). *)
 let process_batch ctx ls (items : Window.entry list) =
   let epoch = ls.epoch and seq = ls.seq in
   let ids =
     List.map (fun (e : Window.entry) -> (e.client, e.request.rid, e.j)) items
+  in
+  let mark (_, rid, j) = Hashtbl.replace ctx.running (rid, j, -1) () in
+  List.iter mark ids;
+  let release () =
+    List.iter (fun (_, rid, j) -> Hashtbl.remove ctx.running (rid, j, -1)) ids
   in
   let n = List.length items in
   let trace = match ids with (_, rid, _) :: _ -> rid | [] -> 0 in
@@ -2013,6 +2011,7 @@ let process_batch ctx ls (items : Window.entry list) =
          items, and assembly re-filters against [st.last]. *)
       if elected <> ids then begin
         ls.seq <- seq + 1;
+        release ();
         if ls.holder = Some ctx.self then Window.push_front ls.pending items;
         close_span ctx ~attr:("stale-slot", "true") bspan
       end
@@ -2080,7 +2079,9 @@ let process_batch ctx ls (items : Window.entry list) =
       ls.tails <- ls.tails + 1;
       Rt.fork "batch-tail" (fun () ->
           Fun.protect
-            ~finally:(fun () -> ls.tails <- ls.tails - 1)
+            ~finally:(fun () ->
+              ls.tails <- ls.tails - 1;
+              release ())
             tail;
           (* not in [finally]: a fiber unwinding out of a dead process
              must not perform effects *)
@@ -2092,12 +2093,14 @@ let process_batch ctx ls (items : Window.entry list) =
          holder; nothing may be delivered from a lost election. *)
       ls.holder <- None;
       Window.clear ls.pending;
+      release ();
       close_span ctx ~attr:("deposed", "true") bspan
 
 (* Request intake on the batched path ({!intake}, then): cross-shard
    requests bypass the batching windows — they commit through their own
    Paxos-Commit instance, not a batchD register, and the running mark
-   suppresses duplicate drives while retransmissions keep arriving. Only
+   suppresses duplicate drives while retransmissions keep arriving. The
+   same mark keeps a try whose window is in flight out of the queue. Only
    the holder queues; followers DROP the request (the client's
    retransmission reaches the holder). Queueing on a follower would be
    unsound: its queue could go stale across an epoch change and feed an
@@ -2111,7 +2114,11 @@ let batch_enqueue ctx ls =
     | Some _ as shards -> start_try ctx st ~client ~request ~j shards
     | None ->
         let enqueue q =
-          if not (Window.mem q ~rid:request.rid ~j) then
+          if
+            not
+              (Window.mem q ~rid:request.rid ~j
+              || Hashtbl.mem ctx.running (request.rid, j, -1))
+          then
             Window.push q
               {
                 client;
@@ -2241,19 +2248,10 @@ let spawn cfg =
         in
         Fdetect.start fd;
         let regs =
-          match cfg.backend with
-          | Reg_ct ->
-              let agent =
-                Consensus.Agent.create ?persist:cfg.persist ~peers:cfg.servers
-                  ~fd ~ch ()
-              in
-              Consensus.Agent.start agent;
-              Woreg.of_agent agent
-          | Reg_synod ->
-              let synod = Consensus.Synod.create ~peers:cfg.servers ~ch () in
-              Consensus.Synod.start synod;
-              Woreg.of_synod synod
+          Consensus.Agent.create ?persist:cfg.persist ~peers:cfg.servers ~fd
+            ~ch ()
         in
+        Consensus.Agent.start regs;
         let rd = Dbms.Stub.Readiness.create ~dbs:cfg.dbs in
         Dbms.Stub.Readiness.start rd;
         let rc =

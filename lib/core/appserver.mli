@@ -2,7 +2,7 @@
 
     Each application server runs two protocol threads over a shared stack
     (reliable channels, failure detector, the wo-registers of
-    {!Consensus.Woreg} over the configured consensus backend, database
+    {!Consensus.Woreg} over the Chandra–Toueg consensus agent, database
     readiness tracker):
 
     - the {e computation thread} (Fig. 5): every client request passes one
@@ -51,14 +51,6 @@ type fd_spec =
       initial_timeout : float;
       timeout_bump : float;
     }  (** the ◇P heartbeat detector of {!Dnet.Fdetect} *)
-
-(** Which consensus implements the wo-registers — the paper treats this as
-    pluggable ("e.g. \[4\]"); ablation A8 compares the two. *)
-type register_backend =
-  | Reg_ct  (** rotating-coordinator agent ({!Consensus.Agent}) *)
-  | Reg_synod
-      (** Paxos ({!Consensus.Synod}); detector-free, but without the
-          persistence and register-collection extensions *)
 
 type cross_cfg = {
   shard_of_key : string -> int;
@@ -124,7 +116,6 @@ type config = {
   clean_period : float;
       (** cleaning-thread scan interval while a server is suspected (the
           lease takeover and reconfiguration monitor use it too) *)
-  backend : register_backend;
   persist : Consensus.Agent.persistence option;
       (** when set, the server's registers live on this stable storage and
           the server supports {e crash-recovery} (the paper's §5 pointer to
@@ -161,8 +152,6 @@ type config = {
           because replicas are spawned after the application servers;
           [None] (the default) leaves the request path byte-identical to
           the replica-less protocol. *)
-  replica_bound : int;
-      (** max provable staleness (LSN delta) tolerated on a replica read *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] (the default) confines every
           request to this server's own group — no gx fiber is forked and
@@ -174,18 +163,21 @@ type config = {
           byte-identical to the static protocol *)
 }
 
+val replica_bound : int
+(** Max provable staleness (LSN delta, 8) tolerated on a replica read: a
+    replica whose lag exceeds it answers stale and the request falls back
+    to the primary pipeline. *)
+
 val config :
-  ?fd_spec:fd_spec ->
-  ?clean_period:float ->
-  ?backend:register_backend ->
   ?persist:Consensus.Agent.persistence ->
   ?group:int ->
   ?batch:int ->
   ?cache:Method_cache.t ->
   ?replicas:(unit -> (Types.proc_id * Types.proc_id list) list) ->
-  ?replica_bound:int ->
   ?cross:cross_cfg ->
   ?reconfig:reconfig_cfg ->
+  fd_spec:fd_spec ->
+  clean_period:float ->
   rt:Etx_runtime.t ->
   index:int ->
   servers:Types.proc_id list ->
@@ -193,11 +185,10 @@ val config :
   business:Business.t ->
   unit ->
   config
-(** Defaults: oracle failure detector, 20 ms clean period, the [Reg_ct]
-    backend, no persistence, group 0, batch 1 (classic path), no cache, no
-    replicas, replica bound 8, no cross-shard wiring, no reconfiguration.
-    Raises [Invalid_argument] if [batch < 1], or if [Reg_synod] is
-    combined with [persist]. *)
+(** Defaults: no persistence, group 0, batch 1 (classic path), no cache,
+    no replicas, no cross-shard wiring, no reconfiguration. The deployment
+    supplies the detector and the clean period. Raises [Invalid_argument]
+    if [batch < 1]. *)
 
 val spawn : config -> Types.proc_id
 (** Spawns on the backend in [cfg.rt]. *)

@@ -314,15 +314,6 @@ let all =
                [ ("clients", i c); ("contended_tx_per_s", f hot);
                  ("disjoint_tx_per_s", f cold) ]))
           (E.throughput_sweep ~seed ~domains ()));
-    entry "registers" "A8 (ablation)"
-      "Ablation A8: wo-register backends, failure-free and fail-over write \
-       latency."
-      (fun ~seed ~domains ->
-        out E.render_register_backends
-          (List.map (fun (backend, nice, fo) ->
-               [ ("backend", s backend); ("nice_write_ms", f nice);
-                 ("failover_write_ms", f fo) ]))
-          (E.register_backend_comparison ~seed ~domains ()));
     entry "fd-quality" "A9 (ablation)"
       "Ablation A9: spurious cleanings and retries vs the suspicion timeout."
       (fun ~seed ~domains ->

@@ -1153,85 +1153,6 @@ let render_migrate rows =
    throughput by migration phase (deterministic)\n"
   ^ Stats.Table.render ~headers ~rows:body
 
-let register_backend_comparison ?(seed = 42) ?domains () =
-  (* one register write among three members; [writer] proposes, the member
-     being measured records the elapsed time; optionally member 0 (the
-     primary / ballot-0 owner) is crashed at t=1 *)
-  let run ~make_agent ~writer ~crash_primary ~seed =
-    let t =
-      Dsim.Engine.create ~seed ~net:(Dnet.Netmodel.lan ()) ~tracing:false ()
-    in
-    let rt = Dsim.Runtime_sim.of_engine t in
-    let peers = [ 0; 1; 2 ] in
-    let latency = ref infinity in
-    List.iter
-      (fun i ->
-        let pid =
-          Dsim.Engine.spawn t
-            ~name:(Printf.sprintf "m%d" (i + 1))
-            ~main:(fun ~recovery:_ () ->
-              let ch = Dnet.Rchannel.create () in
-              Dnet.Rchannel.start ch;
-              let write = make_agent rt ~peers ~ch in
-              if i = writer then begin
-                Dsim.Engine.sleep 10.;
-                let t0 = Dsim.Engine.now () in
-                ignore (write ~key:"k" Sweep_value);
-                latency := Dsim.Engine.now () -. t0
-              end)
-        in
-        assert (pid = i))
-      peers;
-    if crash_primary then Dsim.Engine.crash_at t 1. 0;
-    if
-      not
-        (Dsim.Engine.run_until ~deadline:300_000. t (fun () ->
-             !latency < infinity))
-    then failwith "register_backend_comparison: no decision";
-    !latency
-  in
-  let ct ~fd_of rt ~peers ~ch =
-    let fd = fd_of rt in
-    Dnet.Fdetect.start fd;
-    let agent = Consensus.Agent.create ~peers ~fd ~ch () in
-    Consensus.Agent.start agent;
-    fun ~key v -> Consensus.Agent.propose agent ~key v
-  in
-  let ct_oracle = ct ~fd_of:(fun rt -> Dnet.Fdetect.oracle rt) in
-  let ct_blind =
-    ct ~fd_of:(fun _ ->
-        Dnet.Fdetect.heartbeat ~initial_timeout:1_000_000. ~peers:[ 0; 1; 2 ]
-          ())
-  in
-  let synod _rt ~peers ~ch =
-    let s = Consensus.Synod.create ~peers ~ch () in
-    Consensus.Synod.start s;
-    fun ~key v -> Consensus.Synod.propose s ~key v
-  in
-  sweep ?domains ~seed
-    [
-      ("CT agent, perfect detector", ct_oracle);
-      ("CT agent, useless detector (100ms rounds)", ct_blind);
-      ("Synod (Paxos), no detector", synod);
-    ]
-    (fun (name, make_agent) ~seed ->
-      ( name,
-        run ~make_agent ~writer:0 ~crash_primary:false ~seed,
-        run ~make_agent ~writer:1 ~crash_primary:true ~seed ))
-
-let render_register_backends rows =
-  let headers =
-    [ "backend"; "primary write (ms)"; "fail-over write (ms)" ]
-  in
-  let body =
-    List.map
-      (fun (name, nice, failover) ->
-        [ name; Stats.Table.fmt_ms nice; Stats.Table.fmt_ms failover ])
-      rows
-  in
-  "A8 — wo-register substrates: failure-free vs crashed-coordinator writes\n"
-  ^ Stats.Table.render ~headers ~rows:body
-
 let fd_quality_sweep ?(seed = 42) ?(requests = 10)
     ?(timeouts = [ 15.; 25.; 50.; 100.; 200. ]) ?domains () =
   (* tracing stays on: cleanings are counted from trace notes and

@@ -280,17 +280,6 @@ val migrate_sweep : ?seed:int -> ?domains:int -> unit -> migrate_row list
 
 val render_migrate : migrate_row list -> string
 
-val register_backend_comparison :
-  ?seed:int -> ?domains:int -> unit -> (string * float * float) list
-(** A8: the two wo-register substrates compared — the Chandra–Toueg agent
-    (with a perfect and with a useless failure detector) and the Synod
-    (Paxos) backend. For each: latency of a failure-free write by the
-    default primary, and of a write by a backup while the round-0
-    coordinator/ballot-0 owner is crashed. Returns
-    (backend, nice write, fail-over write) in ms. *)
-
-val render_register_backends : (string * float * float) list -> string
-
 val fd_quality_sweep :
   ?seed:int ->
   ?requests:int ->

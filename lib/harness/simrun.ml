@@ -9,16 +9,14 @@ let engine ?(seed = 1) ?(tracing = true) ?obs () =
 
 let cluster ?seed ?tracing ?obs ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec
     ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period
-    ?backend ?recoverable ?batch ?cache ?group_commit
-    ?replicas ?replica_bound ?cross ?reconfig ?provision ~business ~scripts
-    () =
+    ?recoverable ?batch ?cache ?group_commit ?replicas ?cross ?reconfig
+    ?provision ~business ~scripts () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let c =
     Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?timing
       ?disk_force_latency ?seed_data ?client_period ?clean_period
-      ?backend ?recoverable ?batch ?cache ?group_commit
-      ?replicas ?replica_bound ?cross ?reconfig ?provision ~rt ~business
-      ~scripts ()
+      ?recoverable ?batch ?cache ?group_commit ?replicas ?cross ?reconfig
+      ?provision ~rt ~business ~scripts ()
   in
   (e, c)
 

@@ -33,13 +33,11 @@ val cluster :
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   ?clean_period:float ->
-  ?backend:Etx.Appserver.register_backend ->
   ?recoverable:bool ->
   ?batch:int ->
   ?cache:bool ->
   ?group_commit:bool ->
   ?replicas:int ->
-  ?replica_bound:int ->
   ?cross:bool ->
   ?reconfig:bool ->
   ?provision:int ->

@@ -337,211 +337,29 @@ let test_participant_gives_up_at_suspicion () =
     "a3 enters round 1 at the crash" [ (2, 1, crash_at) ] round1_estimates
 
 (* ------------------------------------------------------------------ *)
-(* The Synod (Paxos) register backend *)
+(* Write-once registers: a register view is the member's agent *)
 
-let synod_scenario ?(seed = 1) ?(net = Netmodel.lan ()) ~n ~behave () =
-  let t = Engine.create ~seed ~net () in
-  let peers = List.init n (fun i -> i) in
-  List.iteri
-    (fun i _ ->
-      let pid =
-        Engine.spawn t ~name:(Printf.sprintf "s%d" (i + 1))
-          ~main:(fun ~recovery:_ () ->
-            let ch = Rchannel.create () in
-            Rchannel.start ch;
-            let synod = Consensus.Synod.create ~peers ~ch () in
-            Consensus.Synod.start synod;
-            behave i synod)
-      in
-      assert (pid = i))
-    peers;
-  t
-
-let test_synod_primary_fast_path () =
-  let elapsed = ref infinity in
-  let decided = Array.make 3 None in
-  let t =
-    synod_scenario ~n:3
-      ~behave:(fun i synod ->
-        if i = 0 then begin
-          let t0 = Engine.now () in
-          decided.(i) <- Some (Consensus.Synod.propose synod ~key:"k" (V 7));
-          elapsed := Engine.now () -. t0
-        end
-        else begin
-          Engine.sleep 300.;
-          decided.(i) <- Consensus.Synod.peek synod ~key:"k"
-        end)
-      ()
-  in
-  ignore (Engine.run ~deadline:2_000. t);
-  Array.iteri
-    (fun i d ->
-      match d with
-      | Some v -> Alcotest.(check int) (Printf.sprintf "s%d learned" i) 7 (int_of_v v)
-      | None -> Alcotest.failf "s%d undecided" i)
-    decided;
-  Alcotest.(check bool)
-    (Printf.sprintf "ballot-0 fast path: one round trip (%.2f ms)" !elapsed)
-    true (!elapsed < 7.
-
-)
-
-let test_synod_backup_writes_without_fd_wait () =
-  (* The primary is dead; a backup proposer needs both phases but NO
-     failure-detection wait: decision in a few round trips. *)
-  let elapsed = ref infinity in
-  let t =
-    synod_scenario ~n:3
-      ~behave:(fun i synod ->
-        if i = 1 then begin
-          Engine.sleep 10.;
-          let t0 = Engine.now () in
-          ignore (Consensus.Synod.propose synod ~key:"k" (V 42));
-          elapsed := Engine.now () -. t0
-        end)
-      ()
-  in
-  Engine.crash_at t 1. 0;
-  let ok = Engine.run_until ~deadline:10_000. t (fun () -> !elapsed < infinity) in
-  Alcotest.(check bool) "decided" true ok;
-  Alcotest.(check bool)
-    (Printf.sprintf "two phases, no detector wait (%.2f ms)" !elapsed)
-    true (!elapsed < 15.)
-
-let test_synod_concurrent_writers_write_once () =
+let test_woreg_write_once () =
   let results = Array.make 3 None in
   let t =
-    synod_scenario ~n:3
-      ~behave:(fun i synod ->
-        results.(i) <- Some (Consensus.Synod.propose synod ~key:"k" (V (100 + i))))
-      ()
-  in
-  ignore (Engine.run ~deadline:30_000. t);
-  let values = Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v in
-  Alcotest.(check int) "all returned" 3 (List.length values);
-  match values with
-  | v :: rest ->
-      List.iter (fun v' -> Alcotest.(check int) "write-once" v v') rest;
-      Alcotest.(check bool) "validity" true (List.mem v [ 100; 101; 102 ])
-  | [] -> Alcotest.fail "no values"
-
-let test_synod_majority_crash_blocks () =
-  let decided = ref false in
-  let t =
-    synod_scenario ~n:3
-      ~behave:(fun i synod ->
-        if i = 2 then begin
-          Engine.sleep 20.;
-          ignore (Consensus.Synod.propose synod ~key:"k" (V 1));
-          decided := true
-        end)
-      ()
-  in
-  Engine.crash_at t 1. 0;
-  Engine.crash_at t 1. 1;
-  ignore (Engine.run ~deadline:3_000. t);
-  Alcotest.(check bool) "no quorum, no decision" false !decided
-
-let test_synod_adopts_partially_accepted_value () =
-  (* The Paxos safety crux: proposer s1 (ballot 0) gets its value accepted
-     at ONE acceptor (s3) and crashes; the link s1→s2 is cut so s2 never
-     saw it. When s2 later proposes its own value, its phase-1 quorum must
-     include s3, discover the ballot-0 acceptance, and adopt s1's value —
-     even though s1 never finished. *)
-  let net _rng ~src ~dst =
-    if src = 0 && dst = 1 then [] (* s1 -> s2 cut *) else [ 2.0 ]
-  in
-  let result = ref None in
-  let t =
-    synod_scenario ~net ~n:3
-      ~behave:(fun i synod ->
-        if i = 0 then begin
-          Engine.sleep 5.;
-          ignore (Consensus.Synod.propose synod ~key:"k" (V 111))
-        end
-        else if i = 1 then begin
-          Engine.sleep 100.;
-          result := Some (Consensus.Synod.propose synod ~key:"k" (V 222))
-        end)
-      ()
-  in
-  (* s1 crashes just after its accepts left, before any reply came back *)
-  Engine.crash_at t 6. 0;
-  let ok = Engine.run_until ~deadline:30_000. t (fun () -> !result <> None) in
-  Alcotest.(check bool) "decided" true ok;
-  match !result with
-  | Some v ->
-      Alcotest.(check int) "the dead proposer's value was adopted" 111
-        (int_of_v v)
-  | None -> Alcotest.fail "no decision"
-
-let prop_synod_agreement_under_faults =
-  QCheck.Test.make ~name:"synod agreement under loss and a crash" ~count:30
-    QCheck.(triple (int_range 0 100_000) (float_range 0. 0.2) (int_range 0 2))
-    (fun (seed, loss, victim) ->
-      let n = 3 in
-      let results = Array.make n None in
-      let net = Netmodel.lossy ~loss (Netmodel.lan ()) in
-      let t =
-        synod_scenario ~seed ~net ~n
-          ~behave:(fun i synod ->
-            results.(i) <-
-              Some (Consensus.Synod.propose synod ~key:"k" (V (100 + i))))
-          ()
-      in
-      Engine.crash_at t (float_of_int (seed mod 13)) victim;
-      let correct = List.filter (fun i -> i <> victim) [ 0; 1; 2 ] in
-      let all_done () = List.for_all (fun i -> results.(i) <> None) correct in
-      Engine.run_until ~deadline:120_000. t all_done
-      &&
-      let values =
-        List.filter_map (fun i -> results.(i)) correct |> List.map int_of_v
-      in
-      match values with
-      | v :: rest -> List.for_all (( = ) v) rest && List.mem v [ 100; 101; 102 ]
-      | [] -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Write-once registers: one body per property, run over both backends *)
-
-type backend = Ct | Paxos
-
-let woreg_scenario backend ?seed ~n ~behave () =
-  match backend with
-  | Ct ->
-      members_scenario ?seed ~n
-        ~behave:(fun i agent -> behave i (Consensus.Woreg.of_agent agent))
-        ()
-  | Paxos ->
-      synod_scenario ?seed ~n
-        ~behave:(fun i synod -> behave i (Consensus.Woreg.of_synod synod))
-        ()
-
-(* Paxos needs more virtual time: its duelling proposers back off *)
-let woreg_deadline = function Ct -> 5_000. | Paxos -> 30_000.
-
-let test_woreg_write_once backend () =
-  let results = Array.make 3 None in
-  let t =
-    woreg_scenario backend ~n:3
+    members_scenario ~n:3
       ~behave:(fun i reg ->
         results.(i) <-
           Some (Consensus.Woreg.write reg ~name:"regA:r0" ~j:1 (V i)))
       ()
   in
-  ignore (Engine.run ~deadline:(woreg_deadline backend) t);
+  ignore (Engine.run ~deadline:5_000. t);
   let values = Array.to_list results |> List.filter_map Fun.id |> List.map int_of_v in
   Alcotest.(check int) "all writes returned" 3 (List.length values);
   match values with
   | v :: rest -> List.iter (fun v' -> Alcotest.(check int) "single written value" v v') rest
   | [] -> Alcotest.fail "no writes"
 
-let test_woreg_read_bottom_then_value backend () =
+let test_woreg_read_bottom_then_value () =
   let before = ref (Some (V 999)) in
   let after = ref None in
   let t =
-    woreg_scenario backend ~n:3
+    members_scenario ~n:3
       ~behave:(fun i reg ->
         if i = 1 then begin
           before := Consensus.Woreg.read reg ~name:"regD:r0" ~j:1;
@@ -560,10 +378,10 @@ let test_woreg_read_bottom_then_value backend () =
   | Some v -> Alcotest.(check int) "value after write" 5 (int_of_v v)
   | None -> Alcotest.fail "read still ⊥ after write"
 
-let test_woreg_distinct_indices_independent backend () =
+let test_woreg_distinct_indices_independent () =
   let r1 = ref None and r2 = ref None in
   let t =
-    woreg_scenario backend ~n:3
+    members_scenario ~n:3
       ~behave:(fun i reg ->
         if i = 0 then
           r1 := Some (Consensus.Woreg.write reg ~name:"regA:r1" ~j:1 (V 10))
@@ -571,16 +389,16 @@ let test_woreg_distinct_indices_independent backend () =
           r2 := Some (Consensus.Woreg.write reg ~name:"regA:r1" ~j:2 (V 20)))
       ()
   in
-  ignore (Engine.run ~deadline:(woreg_deadline backend) t);
+  ignore (Engine.run ~deadline:5_000. t);
   Alcotest.(check bool) "j=1 got 10" true
     (match !r1 with Some v -> int_of_v v = 10 | None -> false);
   Alcotest.(check bool) "j=2 got 20" true
     (match !r2 with Some v -> int_of_v v = 20 | None -> false)
 
-let test_woreg_distinct_arrays_independent backend () =
+let test_woreg_distinct_arrays_independent () =
   let ra = ref None and rd = ref None and keys = ref [] in
   let t =
-    woreg_scenario backend ~n:3
+    members_scenario ~n:3
       ~behave:(fun i reg ->
         if i = 0 then begin
           ra := Some (Consensus.Woreg.write reg ~name:"regA:r2" ~j:1 (V 1));
@@ -589,7 +407,7 @@ let test_woreg_distinct_arrays_independent backend () =
         end)
       ()
   in
-  ignore (Engine.run ~deadline:(woreg_deadline backend) t);
+  ignore (Engine.run ~deadline:5_000. t);
   Alcotest.(check bool) "regA independent" true
     (match !ra with Some v -> int_of_v v = 1 | None -> false);
   Alcotest.(check bool) "regD independent" true
@@ -599,7 +417,7 @@ let test_woreg_distinct_arrays_independent backend () =
     [ ("regA:r2", 1); ("regD:r2", 1) ]
     !keys
 
-let prop_write_once_under_concurrency backend =
+let prop_write_once_under_concurrency =
   QCheck.Test.make ~name:"wo-register write-once under concurrent writers"
     ~count:40
     QCheck.(int_range 0 100_000)
@@ -607,7 +425,7 @@ let prop_write_once_under_concurrency backend =
       let n = 3 in
       let results = Array.make n None in
       let t =
-        woreg_scenario backend ~seed ~n
+        members_scenario ~seed ~n
           ~behave:(fun i reg ->
             Engine.sleep (float_of_int (seed mod (i + 2)));
             results.(i) <-
@@ -621,16 +439,16 @@ let prop_write_once_under_concurrency backend =
       List.length values = n
       && match values with v :: rest -> List.for_all (( = ) v) rest | [] -> false)
 
-let woreg_cases backend =
+let woreg_cases =
   [
-    Alcotest.test_case "write-once" `Quick (test_woreg_write_once backend);
+    Alcotest.test_case "write-once" `Quick test_woreg_write_once;
     Alcotest.test_case "read ⊥ then value" `Quick
-      (test_woreg_read_bottom_then_value backend);
+      test_woreg_read_bottom_then_value;
     Alcotest.test_case "indices independent" `Quick
-      (test_woreg_distinct_indices_independent backend);
+      test_woreg_distinct_indices_independent;
     Alcotest.test_case "arrays independent" `Quick
-      (test_woreg_distinct_arrays_independent backend);
-    QCheck_alcotest.to_alcotest (prop_write_once_under_concurrency backend);
+      test_woreg_distinct_arrays_independent;
+    QCheck_alcotest.to_alcotest prop_write_once_under_concurrency;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -912,22 +730,7 @@ let () =
         ] );
       (* Alcotest sizes its name column by the longest group name and cuts
          test names to fit, so group names here stay at five characters. *)
-      ("woreg", woreg_cases Ct);
-      ("paxos", woreg_cases Paxos);
-      ( "synod",
-        [
-          Alcotest.test_case "primary fast path" `Quick
-            test_synod_primary_fast_path;
-          Alcotest.test_case "backup writes without fd wait" `Quick
-            test_synod_backup_writes_without_fd_wait;
-          Alcotest.test_case "concurrent writers, write-once" `Quick
-            test_synod_concurrent_writers_write_once;
-          Alcotest.test_case "majority crash blocks" `Quick
-            test_synod_majority_crash_blocks;
-          Alcotest.test_case "adopts partially-accepted value" `Quick
-            test_synod_adopts_partially_accepted_value;
-          q prop_synod_agreement_under_faults;
-        ] );
+      ("woreg", woreg_cases);
       ( "gc",
         [
           Alcotest.test_case "collects retired decided instances" `Quick

@@ -764,69 +764,6 @@ let test_late_retired_request_dropped () =
     (List.filter (fun (_, n) -> n > 0) (held reg "server.rid_states"));
   check_no_violations "late retransmission" d
 
-(* --- the Synod (Paxos) register backend at the protocol level --- *)
-
-let test_synod_backend_nice_run () =
-  let _e, d =
-    Harness.Simrun.cluster ~backend:Appserver.Reg_synod
-      ~business:Business.trivial
-      ~scripts:[ (fun ~issue -> ignore (issue "via-paxos")) ]
-      ()
-  in
-  let ok = Cluster.run_to_quiescence ~deadline:60_000. d in
-  Alcotest.(check bool) "quiesced" true ok;
-  (match Cluster.all_records d with
-  | [ r ] ->
-      Alcotest.(check int) "one try" 1 r.tries;
-      Alcotest.(check string) "result" "ok:via-paxos" r.result;
-      (* the fast path is preserved: same latency band as the CT backend *)
-      let latency = r.delivered_at -. r.issued_at in
-      Alcotest.(check bool)
-        (Printf.sprintf "latency %.1f in [230,280]" latency)
-        true
-        (latency > 230. && latency < 280.)
-  | _ -> Alcotest.fail "expected one record");
-  check_no_violations "synod nice run" d
-
-let test_synod_backend_failover () =
-  (* both fail-over shapes of Fig. 1, on the Paxos substrate *)
-  List.iter
-    (fun (crash_at, expect_tries) ->
-      let e, d =
-        Harness.Simrun.cluster ~backend:Appserver.Reg_synod ~client_period:300.
-          ~business:Business.trivial
-          ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
-          ()
-      in
-      Dsim.Engine.crash_at e crash_at (Cluster.primary d ~shard:0);
-      let ok = Cluster.run_to_quiescence ~deadline:120_000. d in
-      Alcotest.(check bool)
-        (Printf.sprintf "quiesced (crash at %.0f)" crash_at)
-        true ok;
-      (match Cluster.all_records d with
-      | [ r ] ->
-          Alcotest.(check bool)
-            (Printf.sprintf "tries at crash %.0f" crash_at)
-            true (r.tries >= expect_tries)
-      | _ -> Alcotest.fail "expected one record");
-      check_no_violations "synod failover" d)
-    [ (230., 1); (100., 2) ]
-
-let prop_synod_backend_random_faults =
-  QCheck.Test.make ~name:"spec holds on the Synod backend under faults"
-    ~count:15
-    QCheck.(pair (int_range 0 100_000) (float_range 1. 400.))
-    (fun (seed, crash_time) ->
-      let e, d =
-        Harness.Simrun.cluster ~seed ~backend:Appserver.Reg_synod
-          ~client_period:300. ~business:Business.trivial
-          ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
-          ()
-      in
-      Dsim.Engine.crash_at e crash_time (Cluster.primary d ~shard:0);
-      Cluster.run_to_quiescence ~deadline:300_000. d
-      && Cluster.Spec.check_all d = [])
-
 (* --- §5 extension: crash-recovery application servers --- *)
 
 let test_recoverable_all_servers_crash () =
@@ -996,22 +933,18 @@ let prop_spec_with_db_restarts =
       ok && Cluster.Spec.check_all d = [])
 
 (* Everything at once: loss, an imperfect detector, an application-server
-   crash, a database restart, an impatient client, several requests, and a
-   randomly chosen register backend. *)
+   crash, a database restart, an impatient client and several requests. *)
 let prop_kitchen_sink =
   QCheck.Test.make ~name:"kitchen sink: combined fault schedules" ~count:12
     QCheck.(
       pair
-        (quad (int_range 0 100_000) (float_range 0. 0.1)
-           (float_range 50. 600.) (int_range 0 1))
+        (triple (int_range 0 100_000) (float_range 0. 0.1)
+           (float_range 50. 600.))
         bool)
-    (fun ((seed, loss, crash_time, backend_choice), group_commit) ->
-      let backend =
-        if backend_choice = 0 then Appserver.Reg_ct else Appserver.Reg_synod
-      in
+    (fun ((seed, loss, crash_time), group_commit) ->
       let net = Dnet.Netmodel.lossy ~loss (Dnet.Netmodel.three_tier ~n_dbs:1 ()) in
       let e, d =
-        Harness.Simrun.cluster ~seed ~net ~backend ~group_commit
+        Harness.Simrun.cluster ~seed ~net ~group_commit
           ~client_period:(50. +. float_of_int (seed mod 400))
           ~fd_spec:
             (Appserver.Fd_heartbeat
@@ -1113,13 +1046,6 @@ let () =
             test_gc_collects_registers;
           Alcotest.test_case "late retired request dropped" `Quick
             test_late_retired_request_dropped;
-        ] );
-      ( "synod-backend",
-        [
-          Alcotest.test_case "nice run" `Quick test_synod_backend_nice_run;
-          Alcotest.test_case "fail-over (both shapes)" `Quick
-            test_synod_backend_failover;
-          q prop_synod_backend_random_faults;
         ] );
       ( "crash-recovery-servers",
         [

@@ -352,22 +352,6 @@ let test_ablation_throughput_contention () =
         (cold4 > cold1)
   | _ -> Alcotest.fail "expected two rows"
 
-let test_ablation_register_backends () =
-  match Experiments.register_backend_comparison () with
-  | [ (_, ct_nice, ct_failover); (_, blind_nice, blind_failover);
-      (_, synod_nice, synod_failover) ] ->
-      (* both substrates share the one-round-trip fast path *)
-      Alcotest.(check bool) "CT fast path" true (ct_nice < 7.);
-      Alcotest.(check bool) "blind-CT fast path" true (blind_nice < 7.);
-      Alcotest.(check bool) "Synod fast path" true (synod_nice < 7.);
-      (* fail-over: Paxos never waits on a detector; blind CT pays rounds *)
-      Alcotest.(check bool) "Synod failover fast" true (synod_failover < 15.);
-      Alcotest.(check bool) "oracle CT failover decent" true
-        (ct_failover < 40.);
-      Alcotest.(check bool) "blind CT pays the round timeout" true
-        (blind_failover > 90.)
-  | _ -> Alcotest.fail "expected three backends"
-
 let test_ablation_fd_quality () =
   (* the sweep itself asserts the spec in every configuration; here we
      check the performance shape: an aggressive timeout causes spurious
@@ -609,13 +593,42 @@ let check_cases =
         ~bad:[ [ obs_row "disabled" 2950; obs_row "traced" 2951 ] ] );
   ]
 
-let test_path_golden name build () =
-  let file = Paths.golden_file "paths" name in
-  let ic = open_in_bin file in
+let read_golden name =
+  let ic = open_in_bin (Paths.golden_file "paths" name) in
   let golden = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  golden
+
+let test_path_golden name build () =
   Alcotest.(check string)
-    (file ^ " byte-identical") golden (Paths.render build)
+    (Paths.golden_file "paths" name ^ " byte-identical")
+    (read_golden name) (Paths.render build)
+
+(* Each try's business logic runs once per path: a [computed:<rid>:<j>:]
+   note seen twice in a golden is a try that ran in two windows. *)
+let test_goldens_compute_once () =
+  let computed line =
+    match String.split_on_char ' ' line with
+    | "note" :: _ :: note :: _ -> (
+        match String.split_on_char ':' note with
+        | "computed" :: rid :: j :: _ -> Some (rid ^ ":" ^ j)
+        | _ -> None)
+    | _ -> None
+  in
+  List.iter
+    (fun (name, _) ->
+      let tries =
+        List.filter_map computed
+          (String.split_on_char '\n' (read_golden name))
+      in
+      let repeats =
+        List.filter
+          (fun t -> List.length (List.filter (String.equal t) tries) > 1)
+          (List.sort_uniq compare tries)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": tries computed twice") [] repeats)
+    Paths.paths
 
 (* a golden pins a run, not its correctness: each path must also meet the
    full cluster specification *)
@@ -634,7 +647,11 @@ let () =
         List.map
           (fun (name, build) ->
             Alcotest.test_case name `Quick (test_path_golden name build))
-          Paths.paths );
+          Paths.paths
+        @ [
+            Alcotest.test_case "each try computed once" `Quick
+              test_goldens_compute_once;
+          ] );
       ( "paths-spec",
         List.map
           (fun (name, build) ->
@@ -688,8 +705,6 @@ let () =
             test_ablation_consensus_failover_monotone;
           Alcotest.test_case "throughput contention" `Quick
             test_ablation_throughput_contention;
-          Alcotest.test_case "register backends" `Quick
-            test_ablation_register_backends;
           Alcotest.test_case "fd quality" `Quick test_ablation_fd_quality;
         ] );
       ( "artefacts",
