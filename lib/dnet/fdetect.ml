@@ -1,18 +1,11 @@
 open Runtime
 module Rt = Etx_runtime
 
-type Types.payload +=
-  | Fd_heartbeat
-  | Fd_wake  (** self-delivered poke: re-plan the coalesced monitor timer *)
+type Types.payload += Fd_heartbeat
 
 let cls_hb =
   Rt.register_class ~name:"fd-heartbeat" (function
     | Fd_heartbeat -> true
-    | _ -> false)
-
-let cls_wake =
-  Rt.register_class ~name:"fd-wake" (function
-    | Fd_wake -> true
     | _ -> false)
 
 type peer_state = {
@@ -20,6 +13,14 @@ type peer_state = {
   mutable timeout : float;
   mutable suspected : bool;
 }
+
+(* Where the monitor is; see [Rchannel]'s retransmitter, which runs the
+   same way. *)
+type phase =
+  | Unstarted  (** {!start} armed its timer for its first run *)
+  | Idle  (** every peer suspected: waits for a cleared suspicion *)
+  | Armed  (** the timer is armed toward [target] *)
+  | Running
 
 type hb = {
   period : float;
@@ -29,6 +30,11 @@ type hb = {
   states : peer_state option array;  (** indexed by pid; O(1) per lookup *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
   hchanged : Rt.Wake.t;
+  mutable beat : Rt.timer;  (** the broadcaster *)
+  mutable mon : Rt.timer;  (** the monitor *)
+  mutable phase : phase;
+  mutable tick : float;  (** the last grid point examined *)
+  mutable target : float;  (** the grid point [mon] is armed toward *)
 }
 
 let count hb name =
@@ -65,6 +71,11 @@ let heartbeat ?(period = 10.) ?(initial_timeout = 50.) ?(timeout_bump = 25.)
       states;
       sink = Rt.obs ();
       hchanged = Rt.Wake.create ();
+      beat = Rt.no_timer;
+      mon = Rt.no_timer;
+      phase = Unstarted;
+      tick = now;
+      target = now;
     }
 
 let oracle rt = Oracle { rt; ochanged = Rt.Wake.create () }
@@ -79,16 +90,93 @@ let changed = function
 let state_of hb pid =
   if pid < 0 || pid >= Array.length hb.states then None else hb.states.(pid)
 
-let broadcaster hb () =
-  let self = Rt.self () in
-  let rec loop () =
-    List.iter
-      (fun pid -> if pid <> self then Rt.send pid Fd_heartbeat)
-      hb.peer_ids;
-    Rt.sleep hb.period;
-    loop ()
-  in
-  loop ()
+(* Heartbeats to every peer, every [period]. *)
+let beat hb () =
+  List.iter
+    (fun pid -> if pid <> hb.owner then Rt.send pid Fd_heartbeat)
+    hb.peer_ids;
+  Rt.arm hb.beat hb.period
+
+(* One coalesced timer instead of scanning every peer each half-period.
+   Suspicions happen on the half-period grid ([tick] accumulates
+   [period/2]), but the monitor only wakes at grid points where some
+   unsuspected peer's [last_heard + timeout] deadline can actually have
+   expired — O(peers) work per deadline rather than per half-period. *)
+let next_deadline hb =
+  let d = ref infinity in
+  Array.iteri
+    (fun pid st_opt ->
+      match st_opt with
+      | Some st when pid <> hb.owner && not st.suspected ->
+          let dl = st.last_heard +. st.timeout in
+          if dl < !d then d := dl
+      | _ -> ())
+    hb.states;
+  !d
+
+(* At or past the grid point [target]: suspect each overdue peer. *)
+let examine hb target =
+  let now = Rt.now () in
+  if now >= target then begin
+    let fresh = ref false in
+    Array.iteri
+      (fun pid st_opt ->
+        match st_opt with
+        | Some st
+          when pid <> hb.owner
+               && (not st.suspected)
+               && now -. st.last_heard > st.timeout ->
+            st.suspected <- true;
+            fresh := true;
+            count hb "fd.suspicions"
+        | _ -> ())
+      hb.states;
+    hb.tick <- target;
+    if !fresh then Rt.Wake.wake hb.hchanged
+  end
+
+(* One wake-up of the monitor ([due]: it waited toward [hb.target] and the
+   timer fired or a cleared suspicion cut the wait short), then the next
+   wait: none while every peer is suspected, else toward the first grid
+   point strictly past the earliest deadline (suspicion uses
+   [now -. last_heard > timeout], i.e. strict). *)
+let rec monitor hb ~due =
+  hb.phase <- Running;
+  if due then examine hb hb.target;
+  let deadline = next_deadline hb in
+  if deadline = infinity then hb.phase <- Idle
+  else begin
+    let h = hb.period /. 2. in
+    let target = ref (hb.tick +. h) in
+    while !target <= deadline do
+      target := !target +. h
+    done;
+    hb.target <- !target;
+    let delay = !target -. Rt.now () in
+    if delay <= 0. then monitor hb ~due:true
+    else begin
+      hb.phase <- Armed;
+      Rt.arm hb.mon delay
+    end
+  end
+
+(* A cleared suspicion: the peer re-enters the deadline computation,
+   possibly earlier than the current wait. Only the monitor suspects, and
+   no heartbeat is handled while it runs. *)
+let replan hb =
+  match hb.phase with
+  | Idle -> monitor hb ~due:false
+  | Armed ->
+      Rt.cancel hb.mon;
+      monitor hb ~due:true
+  | Unstarted | Running -> ()
+
+let on_monitor hb () =
+  match hb.phase with
+  | Unstarted ->
+      hb.tick <- Rt.now ();
+      monitor hb ~due:false
+  | Idle | Armed | Running -> monitor hb ~due:true
 
 (* Runs inside each heartbeat's delivery event. *)
 let on_heartbeat hb (m : Types.message) =
@@ -97,78 +185,13 @@ let on_heartbeat hb (m : Types.message) =
   | Some st ->
       st.last_heard <- Rt.now ();
       if st.suspected then begin
-        (* false suspicion: the ◇P adaptation rule. The cleared peer
-           re-enters the monitor's deadline computation, possibly
-           earlier than its current timer — poke it to re-plan. *)
+        (* false suspicion: the ◇P adaptation rule *)
         st.suspected <- false;
         st.timeout <- st.timeout +. hb.bump;
         count hb "fd.clears";
-        Rt.redeliver ~src:hb.owner Fd_wake;
+        replan hb;
         Rt.Wake.wake hb.hchanged
       end
-
-(* One coalesced timer instead of scanning every peer each half-period.
-   Suspicions still happen on the same half-period tick grid (the [tick]
-   cursor accumulates [period/2] exactly as the old sleep-per-tick loop
-   did), but the monitor only wakes at ticks where some unsuspected peer's
-   [last_heard + timeout] deadline can actually have expired — O(peers)
-   work per deadline rather than per half-period. *)
-let monitor hb () =
-  let self = Rt.self () in
-  let h = hb.period /. 2. in
-  let tick = ref (Rt.now ()) in
-  (* next unexamined grid point is [!tick +. h] *)
-  let next_deadline () =
-    let d = ref infinity in
-    Array.iteri
-      (fun pid st_opt ->
-        match st_opt with
-        | Some st when pid <> self && not st.suspected ->
-            let dl = st.last_heard +. st.timeout in
-            if dl < !d then d := dl
-        | _ -> ())
-      hb.states;
-    !d
-  in
-  let rec loop () =
-    let deadline = next_deadline () in
-    if deadline = infinity then begin
-      (* nothing to monitor until a suspicion is cleared *)
-      ignore (Rt.recv_cls cls_wake);
-      loop ()
-    end
-    else begin
-      (* first grid point strictly past the deadline (suspicion uses
-         [now -. last_heard > timeout], i.e. strict) *)
-      let target = ref (!tick +. h) in
-      while !target <= deadline do
-        target := !target +. h
-      done;
-      let delay = !target -. Rt.now () in
-      if delay > 0. then ignore (Rt.recv_cls ~timeout:delay cls_wake);
-      let now = Rt.now () in
-      if now >= !target then begin
-        let fresh = ref false in
-        Array.iteri
-          (fun pid st_opt ->
-            match st_opt with
-            | Some st
-              when pid <> self
-                   && (not st.suspected)
-                   && now -. st.last_heard > st.timeout ->
-                st.suspected <- true;
-                fresh := true;
-                count hb "fd.suspicions"
-            | _ -> ())
-          hb.states;
-        tick := !target;
-        if !fresh then Rt.Wake.wake hb.hchanged
-      end;
-      (* else: woken by a poke — re-plan from the unchanged cursor *)
-      loop ()
-    end
-  in
-  loop ()
 
 (* The scripted detector's poller: the one place suspicion is polled. *)
 let poller f peers w () =
@@ -196,9 +219,13 @@ let start = function
   | Scripted { f; speers; schanged } ->
       Rt.fork "fd-poll" (poller f speers schanged)
   | Heartbeat hb ->
-      Rt.fork "fd-broadcast" (broadcaster hb);
+      (* each timer's first run is an event of its own, as it was when
+         the broadcaster and the monitor were fibers *)
+      hb.beat <- Rt.timer (beat hb);
+      Rt.arm hb.beat 0.;
       Rt.on_message cls_hb (on_heartbeat hb);
-      Rt.fork "fd-monitor" (monitor hb)
+      hb.mon <- Rt.timer (on_monitor hb);
+      Rt.arm hb.mon 0.
 
 let suspects t pid =
   match t with

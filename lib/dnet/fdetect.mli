@@ -44,9 +44,13 @@ val of_fun : peers:Types.proc_id list -> (Types.proc_id -> bool) -> t
     that polls. *)
 
 val start : t -> unit
-(** Heartbeat: forks the broadcaster and monitor fibers and registers the
-    heartbeat handler ({!Etx_runtime.on_message}), which notes each
-    heartbeat and clears a false suspicion inside its delivery event.
+(** Heartbeat: arms the broadcaster and the monitor, two runtime timers
+    ({!Etx_runtime.timer}), and registers the heartbeat handler
+    ({!Etx_runtime.on_message}), which notes each heartbeat and clears a
+    false suspicion inside its delivery event. The broadcaster sends a
+    heartbeat to every peer each period. The monitor wakes at the first
+    half-period grid point past the earliest deadline of an unsuspected
+    peer; a cleared suspicion re-plans it at once.
     Oracle: subscribes to the runtime's crash and recovery notices
     ({!Etx_runtime.watch}, one per process). Scripted: forks its poller. *)
 

@@ -26,16 +26,10 @@ type Types.payload +=
       inner : Types.payload;
     }
   | Rc_ack of { rc_ep : int; rc_seq : int; rc_cum : int }
-  | Rc_kick
 
 let cls_frame =
   Rt.register_class ~name:"rc-frame" (function
     | Rc_data _ | Rc_ack _ -> true
-    | _ -> false)
-
-let cls_kick =
-  Rt.register_class ~name:"rc-kick" (function
-    | Rc_kick -> true
     | _ -> false)
 
 (* Float-only, so the floats are stored unboxed and updating them
@@ -58,7 +52,7 @@ let no_entry =
   {
     dst = -1;
     seq = 0;
-    inner = Rc_kick;
+    inner = Rc_ack { rc_ep = 0; rc_seq = 0; rc_cum = 0 };
     tm = { next_delay = 0.; due = 0. };
     acked = true;
   }
@@ -86,6 +80,16 @@ type rx_state = {
   ooo : (int, unit) Hashtbl.t;  (** delivered out of order, above [cum] *)
 }
 
+(* Where the retransmitter is. It runs as one runtime timer; it wakes when
+   that fires or when a new entry must be seen at once (a kick: the first
+   entry after an idle spell, an entry due before a probe's timer, parked
+   entries re-armed by an ack). *)
+type phase =
+  | Unstarted  (** {!start} armed the timer for its first run *)
+  | Idle  (** nothing to time: waits for a kick *)
+  | Armed  (** the timer is armed toward [wake_at] *)
+  | Running
+
 (* Retransmission timers: a lazy-deletion queue of (due, entry) snapshots.
    Acking or rescheduling an entry leaves its old snapshot queued; pops skip
    snapshots whose entry is retired or whose due time moved on. Equal due
@@ -100,6 +104,8 @@ type t = {
   mutable wake_at : float;
       (** the due time the retransmitter sleeps toward; [infinity] while it
           waits for a kick *)
+  mutable timer : Rt.timer;
+  mutable phase : phase;
   rx : (int, rx_state) Hashtbl.t;  (** by sending endpoint *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
   on_silent : (Types.proc_id -> Types.payload -> unit) option;
@@ -133,6 +139,8 @@ let create ?on_silent () =
     pending = 0;
     probing = 0;
     wake_at = Float.infinity;
+    timer = Rt.no_timer;
+    phase = Unstarted;
     rx = Hashtbl.create 16;
     sink = Rt.obs ();
     on_silent;
@@ -176,10 +184,21 @@ let stream_from t rc_ep =
 
 let push_timer t e = Timeq.push t.timers e.tm.due e
 
+(* With nothing unacked the retransmitter has nothing to time: a finished
+   simulation reaches quiescence. *)
+let go_idle t =
+  Timeq.clear t.timers;
+  t.wake_at <- Float.infinity;
+  t.phase <- Idle
+
 let retire t (e : out_entry) =
   if not e.acked then begin
     e.acked <- true;
-    t.pending <- t.pending - 1
+    t.pending <- t.pending - 1;
+    if t.pending = 0 && t.phase = Armed then begin
+      Rt.cancel t.timer;
+      go_idle t
+    end
   end
 
 let retire_seq t ds seq =
@@ -227,30 +246,6 @@ let park t ds e now =
         count t "rc.park";
         true
 
-(* Any ack is proof of life: the probe is done, and every parked entry is
-   re-armed in [seq] order for immediate retransmission. [sent_at] is the
-   ack's send time: reading it instead of the clock keeps the per-ack path
-   allocation-free. *)
-let heard_from t ds ~sent_at =
-  ds.last_ack <- sent_at;
-  match ds.silence with
-  | Heard -> ()
-  | Probing { parked; _ } -> (
-      ds.silence <- Heard;
-      t.probing <- t.probing - 1;
-      match parked with
-      | [] -> ()
-      | parked ->
-          let now = Rt.now () in
-          List.iter
-            (fun e ->
-              if not e.acked then begin
-                e.tm.due <- now;
-                push_timer t e
-              end)
-            (List.sort (fun a b -> Int.compare a.seq b.seq) parked);
-          Rt.redeliver ~src:t.owner Rc_kick)
-
 (* Extends the delivered prefix through the out-of-order entries that now
    join it. *)
 let extend_cum rs =
@@ -293,6 +288,109 @@ let drop_unneeded t ds (e : out_entry) now =
           push_timer t oldest)
   | Heard | Probing _ -> ()
 
+(* At [e]'s third retransmission, before its timer moves on: a destination
+   that has acked nothing since [e] was sent is reported. *)
+let check_silence t ds e =
+  match t.on_silent with
+  | Some report when ds.last_ack < e.tm.due -. silent_after ->
+      count t "rc.silent";
+      report e.dst e.inner
+  | Some _ | None -> ()
+
+(* Drops stale snapshots from the front of the queue. *)
+let rec skip_stale t =
+  if not (Timeq.is_empty t.timers) then begin
+    let e = Timeq.min_value t.timers in
+    if e.acked || Timeq.min_time t.timers <> e.tm.due then begin
+      ignore (Timeq.pop t.timers);
+      skip_stale t
+    end
+  end
+
+(* Retransmits every entry due by [now]. *)
+let rec fire t now =
+  skip_stale t;
+  if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now
+  then begin
+    let e = Timeq.pop t.timers in
+    let ds = Hashtbl.find t.streams e.dst in
+    if t.unneeded e.dst e.inner then drop_unneeded t ds e now
+    else begin
+      count t "rc.retransmit";
+      Rt.send e.dst
+        (Rc_data
+           {
+             rc_ep = t.ep;
+             rc_seq = e.seq;
+             rc_low = ds.min_live;
+             inner = e.inner;
+           });
+      if e.tm.next_delay = third_delay then check_silence t ds e;
+      e.tm.next_delay <-
+        Float.min max_backoff (e.tm.next_delay *. backoff_factor);
+      e.tm.due <- now +. e.tm.next_delay;
+      if e.tm.next_delay < max_backoff || not (park t ds e now) then
+        push_timer t e
+    end;
+    fire t now
+  end
+
+(* One wake-up of the retransmitter ([due]: the timer fired, or a kick cut
+   its wait short), then the next wait: none while nothing is unacked, else
+   toward the earliest due entry, at least 0.01 ms on. *)
+let run t ~due =
+  t.phase <- Running;
+  if due then fire t (Rt.now ());
+  if t.pending > 0 then skip_stale t;
+  if t.pending = 0 then go_idle t
+  else if Timeq.is_empty t.timers then begin
+    (* with work pending the queue is empty only while every live entry is
+       parked behind a live probe, whose ack kicks *)
+    t.wake_at <- Float.infinity;
+    t.phase <- Idle
+  end
+  else begin
+    let due = Timeq.min_time t.timers in
+    t.wake_at <- due;
+    t.phase <- Armed;
+    Rt.arm t.timer (Float.max 0.01 (due -. Rt.now ()))
+  end
+
+(* A kick before the first run finds nothing due yet ([start] follows
+   [create] in the same event), and one during a run is seen as the run
+   reads the queue. *)
+let wake t =
+  match t.phase with
+  | Idle -> run t ~due:false
+  | Armed ->
+      Rt.cancel t.timer;
+      run t ~due:true
+  | Unstarted | Running -> ()
+
+(* Any ack is proof of life: the probe is done, and every parked entry is
+   re-armed in [seq] order for immediate retransmission. [sent_at] is the
+   ack's send time: reading it instead of the clock keeps the per-ack path
+   allocation-free. *)
+let heard_from t ds ~sent_at =
+  ds.last_ack <- sent_at;
+  match ds.silence with
+  | Heard -> ()
+  | Probing { parked; _ } -> (
+      ds.silence <- Heard;
+      t.probing <- t.probing - 1;
+      match parked with
+      | [] -> ()
+      | parked ->
+          let now = Rt.now () in
+          List.iter
+            (fun e ->
+              if not e.acked then begin
+                e.tm.due <- now;
+                push_timer t e
+              end)
+            (List.sort (fun a b -> Int.compare a.seq b.seq) parked);
+          wake t)
+
 let handle_incoming t (m : Types.message) =
   match m.payload with
   | Rc_data { rc_ep; rc_seq; rc_low; inner } ->
@@ -319,87 +417,13 @@ let handle_incoming t (m : Types.message) =
         | exception Not_found -> ())
   | _ -> ()
 
-(* At [e]'s third retransmission, before its timer moves on: a destination
-   that has acked nothing since [e] was sent is reported. *)
-let check_silence t ds e =
-  match t.on_silent with
-  | Some report when ds.last_ack < e.tm.due -. silent_after ->
-      count t "rc.silent";
-      report e.dst e.inner
-  | Some _ | None -> ()
-
-(* The retransmitter sleeps only while work is pending; with nothing unacked
-   it blocks on a kick message, so a finished simulation reaches
-   quiescence. *)
-let retransmitter_loop t () =
-  (* drops stale snapshots from the front of the queue *)
-  let rec skip_stale () =
-    if not (Timeq.is_empty t.timers) then begin
-      let e = Timeq.min_value t.timers in
-      if e.acked || Timeq.min_time t.timers <> e.tm.due then begin
-        ignore (Timeq.pop t.timers);
-        skip_stale ()
-      end
-    end
-  in
-  let rec fire now =
-    skip_stale ();
-    if (not (Timeq.is_empty t.timers)) && Timeq.min_time t.timers <= now then begin
-      let e = Timeq.pop t.timers in
-      let ds = Hashtbl.find t.streams e.dst in
-      if t.unneeded e.dst e.inner then drop_unneeded t ds e now
-      else begin
-        count t "rc.retransmit";
-        Rt.send e.dst
-          (Rc_data
-             {
-               rc_ep = t.ep;
-               rc_seq = e.seq;
-               rc_low = ds.min_live;
-               inner = e.inner;
-             });
-        if e.tm.next_delay = third_delay then check_silence t ds e;
-        e.tm.next_delay <-
-          Float.min max_backoff (e.tm.next_delay *. backoff_factor);
-        e.tm.due <- now +. e.tm.next_delay;
-        if e.tm.next_delay < max_backoff || not (park t ds e now) then
-          push_timer t e
-      end;
-      fire now
-    end
-  in
-  let rec loop () =
-    if t.pending = 0 then begin
-      Timeq.clear t.timers;
-      t.wake_at <- Float.infinity;
-      ignore (Rt.recv_cls cls_kick);
-      loop ()
-    end
-    else begin
-      skip_stale ();
-      if Timeq.is_empty t.timers then begin
-        (* unreachable while every live entry has a timer or is parked
-           behind a live probe (whose ack kicks us); blocking on a kick
-           keeps quiescence safe regardless *)
-        t.wake_at <- Float.infinity;
-        ignore (Rt.recv_cls cls_kick)
-      end
-      else begin
-        let due = Timeq.min_time t.timers in
-        t.wake_at <- due;
-        let delay = Float.max 0.01 (due -. Rt.now ()) in
-        ignore (Rt.recv_cls ~timeout:delay cls_kick);
-        fire (Rt.now ())
-      end;
-      loop ()
-    end
-  in
-  loop ()
-
-(* Frames are handled inside their delivery event: no receive fiber. *)
+(* Frames are handled inside their delivery event: no receive fiber. The
+   retransmitter's first run is an event of its own, as it was when it
+   was a fiber. *)
 let start t =
   Rt.on_message cls_frame (handle_incoming t);
-  Rt.fork "rchannel-retransmit" (retransmitter_loop t)
+  t.timer <- Rt.timer (fun () -> run t ~due:true);
+  Rt.arm t.timer 0.
 
 (* The retransmitter learns of a new entry only through a kick. An idle one
    always needs it. A busy one sleeps toward its earliest due time, which
@@ -429,11 +453,11 @@ let send t dst inner =
     (Rc_data { rc_ep = t.ep; rc_seq = seq; rc_low = ds.min_live; inner });
   if kick then begin
     t.wake_at <- now;
-    Rt.redeliver ~src:t.owner Rc_kick
+    wake t
   end
 
 let broadcast t dsts inner = List.iter (fun dst -> send t dst inner) dsts
 
 let inner_payload = function Rc_data { inner; _ } -> Some inner | _ -> None
 
-let is_overhead = function Rc_ack _ | Rc_kick -> true | _ -> false
+let is_overhead = function Rc_ack _ -> true | _ -> false

@@ -38,13 +38,14 @@ val create : ?on_silent:(Types.proc_id -> Types.payload -> unit) -> unit -> t
 
     [on_silent dst p] is called once for a message [p] at its third
     retransmission, 70 ms after its send, if [dst] has acked nothing since
-    the send (counted as [rc.silent]). It runs in the retransmitter fiber
-    and must not block. *)
+    the send (counted as [rc.silent]). It runs in the retransmitter's timer
+    ({!Etx_runtime.timer}) and must not block. *)
 
 val start : t -> unit
 (** Registers the frame handler ({!Etx_runtime.on_message}), which acks,
     deduplicates and hands on each data frame and applies each ack inside
-    its delivery event, and forks the retransmitter fiber. Call once, from
+    its delivery event, and arms the retransmitter, a runtime timer that
+    is armed only while a message is unacked. Call once, from
     the owning process, after [create]. *)
 
 val send : t -> Types.proc_id -> Types.payload -> unit
@@ -60,7 +61,7 @@ val retire_when : t -> (Types.proc_id -> Types.payload -> bool) -> unit
     [rc.retire]): it leaves the outbox as if acknowledged, so it may never
     be delivered. A retired probe hands its role to the oldest parked
     message to the same destination, which is retransmitted at once. The
-    rule runs in the retransmitter fiber, never for a message acked within
+    rule runs in the retransmitter's timer, never for a message acked within
     its first 10 ms, and must not block. *)
 
 val on_ack : t -> (Types.proc_id -> Types.payload -> unit) -> unit
@@ -88,5 +89,5 @@ val inner_payload : Types.payload -> Types.payload option
     rather than channel frames. *)
 
 val is_overhead : Types.payload -> bool
-(** Channel bookkeeping (acks, kicks) that message-count analyses should
+(** Channel bookkeeping (acks) that message-count analyses should
     ignore. *)

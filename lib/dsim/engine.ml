@@ -26,18 +26,16 @@ let class_name = ER.class_name
 let classify = ER.classify
 let registered_classes = ER.registered_classes
 
-type waiter = {
-  wfilter : (message -> bool) option;  (** [None]: any message of the class *)
-  wk : (message option, unit) Effect.Deep.continuation;
-}
-
 type proc = {
   pid : proc_id;
   pname : string;
   mutable up : bool;
   mutable incarnation : int;
   mailbox : message Cq.t;  (** oldest first, bucketed by class *)
-  waiters : waiter Cq.t;  (** registration order, bucketed by class *)
+  mutable waiting : bucket array;
+      (** blocked receives by class + 1, registration order; slot 0 holds
+          those of any class *)
+  mutable wseq : int;  (** registration counter, to compare two buckets *)
   main : recovery:bool -> unit -> unit;
   psink : ER.obs_sink option;  (** per-process obs sink, built at spawn *)
   mutable handler : (unit, unit) Effect.Deep.handler;
@@ -49,9 +47,48 @@ type proc = {
       (** [Etx_runtime.on_message] handlers, until a crash or recovery *)
 }
 
+and bucket = { mutable head : event; mutable tail : event }
+
+(* What the event queue holds. The common events carry their arguments
+   instead of a closure over them. A blocked receive is one [Wait] record:
+   the waiter, its node in its class's waiter list and, while queued, its
+   own timeout; whatever ends the wait takes the timeout out of the queue.
+   [Timer] is an [Etx_runtime.timer]; [wslot] and [tslot] are the entry's
+   queue slot, -1 while it is not queued. *)
+and event =
+  | Nothing
+  | Call of (unit -> unit)
+  | Deliver of message
+  | Resume of {
+      rp : proc;
+      rinc : int;
+      rk : (unit, unit) Effect.Deep.continuation;
+    }  (** the end of a sleep or a work *)
+  | Start of { sp : proc; sinc : int; sf : unit -> unit }  (** a fork *)
+  | Wait of {
+      wp : proc;
+      wcls : int;
+      wseq : int;
+      wfilter : (message -> bool) option;
+          (** [None]: any message of the class *)
+      wk : (message option, unit) Effect.Deep.continuation;
+      mutable wslot : int;
+      mutable wprev : event;
+      mutable wnext : event;
+      mutable blocked : bool;  (** linked in [wp.waiting] *)
+    }
+  | Timer of {
+      tp : proc;
+      tinc : int;
+      tfire : unit -> unit;
+      mutable tslot : int;
+    }
+
+type ER.timer += Engine_timer of event
+
 type t = {
   mutable vnow : time;  (** boxed once per event, so reading it is free *)
-  queue : (unit -> unit) Timeq.t;
+  queue : event Timeq.t;
   mutable procs : proc array;
   mutable nprocs : int;
   grng : Rng.t;
@@ -91,7 +128,8 @@ let no_proc =
     up = false;
     incarnation = 0;
     mailbox = Cq.create ();
-    waiters = Cq.create ();
+    waiting = [||];
+    wseq = 0;
     main = (fun ~recovery:_ () -> ());
     psink = None;
     handler = unset_handler;
@@ -99,11 +137,18 @@ let no_proc =
     on_msg = [];
   }
 
+(* Keeps each cancellable entry's queue slot. *)
+let moved ev slot =
+  match ev with
+  | Wait w -> w.wslot <- slot
+  | Timer tm -> tm.tslot <- slot
+  | Nothing | Call _ | Deliver _ | Resume _ | Start _ -> ()
+
 let make ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
   let grng = Rng.create ~seed in
   {
     vnow = 0.;
-    queue = Timeq.create ~dummy:ignore ();
+    queue = Timeq.create ~moved ~dummy:Nothing ();
     procs = [||];
     nprocs = 0;
     grng;
@@ -148,9 +193,11 @@ let set_net t net = t.net <- net
 let now_of t = t.vnow
 let events_of t = t.nevents
 
-let schedule t ~delay run =
+let schedule_ev t ~delay ev =
   assert (delay >= 0.);
-  Timeq.push t.queue (t.vnow +. delay) run
+  Timeq.push t.queue (t.vnow +. delay) ev
+
+let schedule t ~delay run = schedule_ev t ~delay (Call run)
 
 let proc_of t pid =
   if pid < 0 || pid >= t.nprocs then
@@ -160,17 +207,101 @@ let proc_of t pid =
 let name_of t pid = (proc_of t pid).pname
 let is_up t pid = (proc_of t pid).up
 
-(* Running fibers ----------------------------------------------------- *)
+(* Waiter lists ---------------------------------------------------------- *)
+
+let bucket_of p cls =
+  let i = cls + 1 in
+  let cap = Array.length p.waiting in
+  if i >= cap then
+    p.waiting <-
+      Array.init (max 8 (max (i + 1) (cap * 2))) (fun j ->
+          if j < cap then p.waiting.(j)
+          else { head = Nothing; tail = Nothing });
+  p.waiting.(i)
+
+let link p w =
+  match w with
+  | Wait r ->
+      let b = bucket_of p r.wcls in
+      r.wprev <- b.tail;
+      (match b.tail with Wait last -> last.wnext <- w | _ -> b.head <- w);
+      b.tail <- w
+  | _ -> ()
+
+let unlink p = function
+  | Wait r ->
+      let b = p.waiting.(r.wcls + 1) in
+      (match r.wprev with
+      | Wait q -> q.wnext <- r.wnext
+      | _ -> b.head <- r.wnext);
+      (match r.wnext with
+      | Wait q -> q.wprev <- r.wprev
+      | _ -> b.tail <- r.wprev);
+      r.wprev <- Nothing;
+      r.wnext <- Nothing;
+      r.blocked <- false
+  | _ -> ()
+
+let is_blocked = function Wait r -> r.blocked | _ -> false
+
+(* Ends a wait that its timeout did not end: the timeout leaves the
+   queue. *)
+let end_wait t p w =
+  unlink p w;
+  match w with
+  | Wait r when r.wslot >= 0 -> Timeq.remove t.queue r.wslot
+  | _ -> ()
+
+(* A crash or recovery ends every wait of [p] with no answer. *)
+let drop_waiters t p =
+  let rec drop = function
+    | Wait r ->
+        let next = r.wnext in
+        if r.wslot >= 0 then Timeq.remove t.queue r.wslot;
+        r.wprev <- Nothing;
+        r.wnext <- Nothing;
+        r.blocked <- false;
+        drop next
+    | _ -> ()
+  in
+  Array.iter
+    (fun b ->
+      drop b.head;
+      b.head <- Nothing;
+      b.tail <- Nothing)
+    p.waiting
 
 (* A waiting fiber takes a message when it waits on the message's class or
-   on any class, and its filter, if any, accepts it. Top-level, so matching
-   one delivery against the waiters builds no closure. *)
-let accepts m w = match w.wfilter with None -> true | Some f -> f m
+   on any class, and its filter, if any, accepts it. *)
+let accepts m = function None -> true | Some f -> f m
+
+let rec first_accepting m = function
+  | Wait r as w -> if accepts m r.wfilter then w else first_accepting m r.wnext
+  | _ -> Nothing
+
+let head p cls =
+  let i = cls + 1 in
+  if i < Array.length p.waiting then p.waiting.(i).head else Nothing
+
+(* Of the waiters that take [m] (class [c]), the one that registered
+   first. *)
+let claimant p c m =
+  let u = first_accepting m (head p (-1)) in
+  let w = if c >= 0 then first_accepting m (head p c) else Nothing in
+  match u with
+  | Nothing -> w
+  | Wait a -> ( match w with Wait b when b.wseq < a.wseq -> w | _ -> u)
+  | _ -> u
+
+(* Running fibers ----------------------------------------------------- *)
 
 let self_delay = [ 0.001 ]
 
 let handler_suspended () =
   invalid_arg "Etx_runtime.on_message: a message handler must not suspend"
+
+let timer_suspended () =
+  invalid_arg "Etx_runtime.timer: a timer callback must not suspend"
 
 let no_handler (_ : message) = ()
 
@@ -205,6 +336,9 @@ let run_main f h = Effect.Deep.match_with f () h
    [effc] refuses it. *)
 let apply_handler f m =
   match f m with () -> () | exception Effect.Unhandled _ -> handler_suspended ()
+
+let apply_timer f () =
+  match f () with () -> () | exception Effect.Unhandled _ -> timer_suspended ()
 
 (* The handler and its answers are built once per process. An answer that
    needs the effect's arguments reads them from the engine's effect slot:
@@ -280,9 +414,7 @@ and perform_unit :
 
 and wake_after : t -> proc -> (unit, unit) Effect.Deep.continuation -> time -> unit =
  fun t p k d ->
-  let inc = p.incarnation in
-  schedule t ~delay:d (fun () ->
-      if p.up && p.incarnation = inc then resume t p k ())
+  schedule_ev t ~delay:d (Resume { rp = p; rinc = p.incarnation; rk = k })
 
 (* Resumes a fiber of [p] with [p]'s context installed. *)
 and resume : 'a. t -> proc -> ('a, unit) Effect.Deep.continuation -> 'a -> unit =
@@ -305,15 +437,24 @@ and receive :
 
 (* Queue a waiter whose receive found nothing, with its timeout. *)
 and block t p k cls filter timeout =
-  let node = Cq.push p.waiters ~cls { wfilter = filter; wk = k } in
-  if timeout < Float.infinity then begin
-    let inc = p.incarnation in
-    schedule t ~delay:timeout (fun () ->
-        if p.up && p.incarnation = inc then
-          if Cq.remove p.waiters node then
-            resume t p (Cq.node_value node).wk None)
-  end;
-  node
+  p.wseq <- p.wseq + 1;
+  let w =
+    Wait
+      {
+        wp = p;
+        wcls = cls;
+        wseq = p.wseq;
+        wfilter = filter;
+        wk = k;
+        wslot = -1;
+        wprev = Nothing;
+        wnext = Nothing;
+        blocked = true;
+      }
+  in
+  link p w;
+  if timeout < Float.infinity then schedule_ev t ~delay:timeout w;
+  w
 
 (* A receive that a wake of [w] or [w'] also ends: the ticket left with
    each ends the wait the way its timeout would. *)
@@ -322,12 +463,12 @@ and await t p k w w' cls filter timeout =
   match taken with
   | Some _ -> Effect.Deep.continue k taken
   | None ->
-      let node = block t p k cls filter timeout in
+      let wt = block t p k cls filter timeout in
       let ticket fire =
-        Cq.mem p.waiters node
+        is_blocked wt
         && begin
              if fire then begin
-               ignore (Cq.remove p.waiters node);
+               end_wait t p wt;
                resume t p k None
              end;
              true
@@ -357,9 +498,11 @@ and enqueue_message t p m =
   let f = handler_for c p.on_msg in
   if f != no_handler then handle t p f m
   else
-    match Cq.take_first_in_either p.waiters c accepts m with
-    | None -> ignore (Cq.push p.mailbox ~cls:c m)
-    | Some w -> resume t p w.wk (Some m)
+    match claimant p c m with
+    | Wait r as w ->
+        end_wait t p w;
+        resume t p r.wk (Some m)
+    | _ -> Cq.push p.mailbox ~cls:c m
 
 (* Per-class traffic counters are keyed by the classifier's class name so
    the sim and live dumps line up metric-for-metric. *)
@@ -372,16 +515,16 @@ and transmit t ~src ~dst payload =
   | [] ->
       if t.trace_on then Trace.record t.tracer t.vnow (Trace.Dropped m);
       if t.obs <> None then count_net t src "net.dropped." m
-  | delays -> send_copies t m (fun () -> deliver t m) delays
+  | delays -> send_copies t m (Deliver m) delays
 
-(* One event per copy, all sharing the transmit's one delivery closure. *)
+(* One event per copy, all sharing the transmit's one [Deliver]. *)
 and send_copies t m deliver_m = function
   | [] -> ()
   | d :: rest ->
       if t.trace_on then
         Trace.record t.tracer t.vnow (Trace.Sent (m, t.vnow +. d));
       if t.obs <> None then count_net t m.src "net.sent." m;
-      schedule t ~delay:d deliver_m;
+      schedule_ev t ~delay:d deliver_m;
       send_copies t m deliver_m rest
 
 and deliver t m =
@@ -394,6 +537,36 @@ and deliver t m =
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Dead_letter m);
     if t.obs <> None then count_net t m.dst "net.dead_letter." m
   end
+
+let dispatch t = function
+  | Deliver m -> deliver t m
+  | Resume r ->
+      if r.rp.up && r.rp.incarnation = r.rinc then resume t r.rp r.rk ()
+  | Wait r as w ->
+      if r.blocked then begin
+        unlink r.wp w;
+        resume t r.wp r.wk None
+      end
+  | Timer r ->
+      if r.tp.up && r.tp.incarnation = r.tinc then
+        within t r.tp ~handling:true apply_timer r.tfire ()
+  | Start r ->
+      if r.sp.up && r.sp.incarnation = r.sinc then run_fiber t r.sp r.sf
+  | Call f -> f ()
+  | Nothing -> ()
+
+let timer_event = function
+  | Engine_timer ev -> ev
+  | _ -> invalid_arg "Etx_runtime: not a timer of this engine"
+
+let cancel t tm =
+  match timer_event tm with
+  | Timer r when r.tslot >= 0 -> Timeq.remove t.queue r.tslot
+  | _ -> ()
+
+let arm t tm delay =
+  cancel t tm;
+  schedule_ev t ~delay (timer_event tm)
 
 (* Registers [p]'s handler of class [cls] and hands it what the mailbox
    already holds of the class. *)
@@ -427,15 +600,19 @@ let context t =
     cx_fork =
       (fun fname f ->
         let p = t.running in
-        let inc = p.incarnation in
-        schedule t ~delay:0. (fun () ->
-            if p.up && p.incarnation = inc then run_fiber t p f);
+        schedule_ev t ~delay:0.
+          (Start { sp = p; sinc = p.incarnation; sf = f });
         if t.trace_on then
           Trace.record t.tracer t.vnow (Trace.Note (p.pid, "fork " ^ fname)));
     cx_watch = (fun f -> t.running.watcher <- Some f);
     cx_on_message = (fun cls f -> on_message t t.running cls f);
-    cx_random_float = (fun bound -> Rng.float t.grng bound);
-    cx_random_int = (fun bound -> Rng.int t.grng bound);
+    cx_timer =
+      (fun f ->
+        let p = t.running in
+        Engine_timer
+          (Timer { tp = p; tinc = p.incarnation; tfire = f; tslot = -1 }));
+    cx_arm = (fun tm delay -> arm t tm delay);
+    cx_cancel = (fun tm -> cancel t tm);
     cx_fresh_uid =
       (fun () ->
         t.next_uid <- t.next_uid + 1;
@@ -466,7 +643,8 @@ let spawn t ~name ~main =
       up = true;
       incarnation = 0;
       mailbox = Cq.create ();
-      waiters = Cq.create ();
+      waiting = [||];
+      wseq = 0;
       main;
       psink = obs_sink_for t name;
       handler = unset_handler;
@@ -505,7 +683,7 @@ let crash t pid =
     p.watcher <- None;
     p.on_msg <- [];
     Cq.clear p.mailbox;
-    Cq.clear p.waiters;
+    drop_waiters t p;
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Crashed pid);
     obs_event t p.pname "crash" "";
     notify t p
@@ -518,7 +696,7 @@ let recover t pid =
     p.incarnation <- p.incarnation + 1;
     p.on_msg <- [];
     Cq.clear p.mailbox;
-    Cq.clear p.waiters;
+    drop_waiters t p;
     if t.trace_on then Trace.record t.tracer t.vnow (Trace.Recovered pid);
     obs_event t p.pname "recover" "";
     notify t p;
@@ -559,11 +737,11 @@ let advance t limit =
       Some Deadline_reached
     end
     else begin
-      let run = Timeq.pop t.queue in
+      let ev = Timeq.pop t.queue in
       assert (at >= t.vnow);
       t.vnow <- at;
       t.nevents <- t.nevents + 1;
-      run ();
+      dispatch t ev;
       None
     end
 
@@ -580,10 +758,10 @@ let next_due t =
   if Timeq.is_empty t.queue then Float.infinity else Timeq.min_time t.queue
 
 let run_next t ~at =
-  let run = Timeq.pop t.queue in
+  let ev = Timeq.pop t.queue in
   t.vnow <- Float.max t.vnow at;
   t.nevents <- t.nevents + 1;
-  run ()
+  dispatch t ev
 
 let run_until ?deadline t pred =
   t.stopping <- false;
@@ -610,8 +788,6 @@ let recv_cls = ER.recv_cls
 let recv_any = ER.recv_any
 let fork = ER.fork
 let on_message = ER.on_message
-let random_float = ER.random_float
-let random_int = ER.random_int
 let fresh_uid = ER.fresh_uid
 let note = ER.note
 let exit_fiber = ER.exit_fiber

@@ -5,8 +5,10 @@
     suspends (receive, sleep, work); the other fiber-side operations are
     direct calls through the engine's [Etx_runtime.ctx], which the engine
     installs in the domain while it runs a process's fiber or message
-    handler. Virtual time advances only through the event queue; identical
-    seeds give identical executions.
+    handler or one of its timers ([Etx_runtime.timer]). Virtual time advances
+    only through the event queue, from which a finished wait's timeout and
+    a cancelled timer leave at once; identical seeds give identical
+    executions.
     {!Runtime_live} runs the same engine on the wall clock through
     {!next_due} and {!run_next}.
 
@@ -187,9 +189,6 @@ val fork : string -> (unit -> unit) -> unit
 val on_message : cls -> (message -> unit) -> unit
 (** A handler run inside the delivery event; see
     [Etx_runtime.on_message]. *)
-
-val random_float : float -> float
-val random_int : int -> int
 
 val fresh_uid : unit -> int
 (** A fresh identifier unique within this engine, monotonically increasing

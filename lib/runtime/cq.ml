@@ -5,8 +5,6 @@ type 'a node =
   | Node of {
       v : 'a;
       cls : int;
-      seq : int;
-      mutable gen : int;  (** the queue's generation at push; [-1] once unlinked *)
       mutable gprev : 'a node;
       mutable gnext : 'a node;
       mutable cprev : 'a node;
@@ -21,18 +19,12 @@ type 'a t = {
   g : 'a dl;
   mutable buckets : 'a dl array;  (** index [cls + 1]; slot 0 is unclassed *)
   mutable len : int;
-  mutable seqc : int;
-  mutable gen : int;
 }
 
-let create () = { g = dl_create (); buckets = [||]; len = 0; seqc = 0; gen = 0 }
+let create () = { g = dl_create (); buckets = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
-
-let node_value = function
-  | Nil -> invalid_arg "Cq.node_value"
-  | Node n -> n.v
 
 let bucket_of t cls =
   let i = cls + 1 in
@@ -54,14 +46,11 @@ let set_cprev s x = match s with Nil -> () | Node s -> s.cprev <- x
 
 let push t ~cls v =
   let b = bucket_of t cls in
-  t.seqc <- t.seqc + 1;
   let n =
     Node
       {
         v;
         cls;
-        seq = t.seqc;
-        gen = t.gen;
         gprev = t.g.tail;
         gnext = Nil;
         cprev = b.tail;
@@ -72,8 +61,7 @@ let push t ~cls v =
   t.g.tail <- n;
   (match b.tail with Nil -> b.head <- n | p -> set_cnext p n);
   b.tail <- n;
-  t.len <- t.len + 1;
-  n
+  t.len <- t.len + 1
 
 let unlink t = function
   | Nil -> ()
@@ -87,16 +75,7 @@ let unlink t = function
       r.gnext <- Nil;
       r.cprev <- Nil;
       r.cnext <- Nil;
-      r.gen <- -1;
       t.len <- t.len - 1
-
-let remove t = function
-  | Node r as n when r.gen = t.gen ->
-      unlink t n;
-      true
-  | _ -> false
-
-let mem t = function Node r -> r.gen = t.gen | Nil -> false
 
 let take t = function
   | Nil -> None
@@ -112,29 +91,16 @@ let bucket_head t cls =
 
 let pop_cls t cls = take t (bucket_head t cls)
 
-(* Scans pass the predicate and its argument separately, so a caller
-   matching against one value needs no closure over it. *)
-let rec find_g pred x = function
+let rec find_g pred = function
   | Nil -> Nil
-  | Node r as n -> if pred x r.v then n else find_g pred x r.gnext
+  | Node r as n -> if pred r.v then n else find_g pred r.gnext
 
-let rec find_c pred x = function
+let rec find_c pred = function
   | Nil -> Nil
-  | Node r as n -> if pred x r.v then n else find_c pred x r.cnext
+  | Node r as n -> if pred r.v then n else find_c pred r.cnext
 
-let apply f v = f v
-
-let take_first t pred = take t (find_g apply pred t.g.head)
-
-let take_first_in_cls t cls pred =
-  take t (find_c apply pred (bucket_head t cls))
-
-let take_first_in_either t cls pred x =
-  let u = find_c pred x (bucket_head t (-1)) in
-  let c = if cls >= 0 then find_c pred x (bucket_head t cls) else Nil in
-  match (u, c) with
-  | Node a, Node b -> take t (if a.seq <= b.seq then u else c)
-  | Nil, n | n, Nil -> take t n
+let take_first t pred = take t (find_g pred t.g.head)
+let take_first_in_cls t cls pred = take t (find_c pred (bucket_head t cls))
 
 let cls_length t cls =
   let rec go acc = function Nil -> acc | Node r -> go (acc + 1) r.cnext in
@@ -148,19 +114,11 @@ let clear t =
       b.head <- Nil;
       b.tail <- Nil)
     t.buckets;
-  t.len <- 0;
-  t.gen <- t.gen + 1
-
-let iter f t =
-  let rec go = function
-    | Nil -> ()
-    | Node r ->
-        f r.v;
-        go r.gnext
-  in
-  go t.g.head
+  t.len <- 0
 
 let to_list t =
-  let acc = ref [] in
-  iter (fun v -> acc := v :: !acc) t;
-  List.rev !acc
+  let rec go acc = function
+    | Nil -> List.rev acc
+    | Node r -> go (r.v :: acc) r.gnext
+  in
+  go [] t.g.head

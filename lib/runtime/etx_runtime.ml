@@ -79,6 +79,11 @@ type wake = {
   mutable prune_at : int;
 }
 
+(* A backend's timer ([timer] below). Each backend adds its own
+   constructor; [No_timer] is a placeholder that is never armed. *)
+type timer = ..
+type timer += No_timer
+
 (* The effects a fiber performs where it suspends. The handler (installed
    per fiber by the hosting backend) closes over the backend state, so the
    declarations carry no backend reference. *)
@@ -104,8 +109,9 @@ type ctx = {
   cx_fork : string -> (unit -> unit) -> unit;
   cx_watch : (proc_id -> unit) -> unit;
   cx_on_message : cls -> (message -> unit) -> unit;
-  cx_random_float : float -> float;
-  cx_random_int : int -> int;
+  cx_timer : (unit -> unit) -> timer;
+  cx_arm : timer -> time -> unit;
+  cx_cancel : timer -> unit;
   cx_fresh_uid : unit -> int;
   cx_note : string -> unit;
   cx_obs : unit -> obs_sink option;
@@ -124,8 +130,9 @@ let no_ctx =
     cx_fork = (fun _ _ -> outside "fork");
     cx_watch = (fun _ -> outside "watch");
     cx_on_message = (fun _ _ -> outside "on_message");
-    cx_random_float = (fun _ -> outside "random_float");
-    cx_random_int = (fun _ -> outside "random_int");
+    cx_timer = (fun _ -> outside "timer");
+    cx_arm = (fun _ _ -> outside "arm");
+    cx_cancel = (fun _ -> outside "cancel");
     cx_fresh_uid = (fun () -> outside "fresh_uid");
     cx_note = (fun _ -> outside "note");
     cx_obs = (fun () -> None);
@@ -188,8 +195,10 @@ let recv_cls ?timeout c = Effect.perform (E_recv (c, None, forever timeout))
 let recv_any ?timeout () = Effect.perform (E_recv (-1, None, forever timeout))
 let fork name f = (current ()).cx_fork name f
 let on_message cls f = (current ()).cx_on_message cls f
-let random_float bound = (current ()).cx_random_float bound
-let random_int bound = (current ()).cx_random_int bound
+let no_timer = No_timer
+let timer f = (current ()).cx_timer f
+let arm tm delay = (current ()).cx_arm tm delay
+let cancel tm = (current ()).cx_cancel tm
 let fresh_uid () = (current ()).cx_fresh_uid ()
 let note s = (current ()).cx_note s
 

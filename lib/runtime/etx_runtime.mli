@@ -98,6 +98,10 @@ type obs_sink = {
 type wake
 (** A wake-up source; see {!Wake}. *)
 
+type timer = ..
+(** A one-shot timer of one process; see {!val-timer}. Each backend adds
+    its own constructor. *)
+
 (** The operations where a fiber suspends. *)
 type _ Effect.t +=
   | E_sleep : time -> unit Effect.t
@@ -122,8 +126,9 @@ type ctx = {
   cx_fork : string -> (unit -> unit) -> unit;
   cx_watch : (proc_id -> unit) -> unit;
   cx_on_message : cls -> (message -> unit) -> unit;
-  cx_random_float : float -> float;
-  cx_random_int : int -> int;
+  cx_timer : (unit -> unit) -> timer;
+  cx_arm : timer -> time -> unit;
+  cx_cancel : timer -> unit;
   cx_fresh_uid : unit -> int;
   cx_note : string -> unit;
   cx_obs : unit -> obs_sink option;
@@ -226,8 +231,27 @@ val on_message : cls -> (message -> unit) -> unit
     A second handler for the same class of one process raises
     [Invalid_argument]. *)
 
-val random_float : float -> float
-val random_int : int -> int
+val timer : (unit -> unit) -> timer
+(** [timer f] is a disarmed one-shot timer of the calling process. Once
+    {!arm}ed it runs [f] when it falls due, inside that event and with the
+    process's context installed, like an {!on_message} handler: [f] must
+    not suspend, and a receive, sleep or wait in it raises
+    [Invalid_argument]. A timer never runs after its process crashes, not
+    even in a later incarnation. One timer serves any number of armings,
+    so arming allocates nothing. *)
+
+val arm : timer -> time -> unit
+(** [arm tm d] makes [tm] fire [d] ms from now. Arming an armed timer
+    moves it. An event queued at the same time earlier runs first, one
+    queued later runs after, as with {!sleep}. *)
+
+val cancel : timer -> unit
+(** Disarms the timer: its event leaves the backend's queue. A no-op on a
+    disarmed timer. *)
+
+val no_timer : timer
+(** A placeholder for a record field that gets its timer once the record
+    exists; it must never be armed. *)
 
 val fresh_uid : unit -> int
 (** A fresh identifier unique within the hosting backend instance,

@@ -279,6 +279,34 @@ let frames_to t ~src ~dst ~lo ~hi =
       | _ -> None)
     (Trace.entries (Engine.trace t))
 
+let test_rchannel_lost_frame_schedule () =
+  (* every frame from the sender is lost: a message sent at 5 ms goes on
+     the wire again at +10, +30 and +70 ms, one period of 10, 20 and
+     40 ms after another *)
+  let sender_pid = 1 in
+  let net _ ~src ~dst:_ = if src = sender_pid then [] else [ 1.0 ] in
+  let t = Engine.create ~net () in
+  let recorder = spawn_recorder t (ref []) in
+  let sender =
+    Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        Rchannel.start ch;
+        Engine.sleep 5.;
+        Rchannel.send ch recorder (App 7))
+  in
+  Alcotest.(check int) "sender pid" sender_pid sender;
+  ignore (Engine.run ~deadline:100. t);
+  let wire =
+    List.filter_map
+      (fun { Trace.at; event } ->
+        match event with
+        | Trace.Dropped m when m.src = sender -> Some at
+        | _ -> None)
+      (Trace.entries (Engine.trace t))
+  in
+  Alcotest.(check (list (float 1e-9)))
+    "sent at 5, resent at 15, 35, 75" [ 5.; 15.; 35.; 75. ] wire
+
 let test_rchannel_silent_destination_probed () =
   (* 50 messages wait for a receiver that is down for 3 s. Once they have
      backed off to the 200 ms cap, one probe frame per cap period goes on
@@ -671,6 +699,39 @@ let test_fd_heartbeat_suspect_clear_bump () =
         true (timeout > 50.)
   | None -> Alcotest.fail "no timeout recorded"
 
+let test_fd_monitor_grid_and_replan () =
+  (* p0 hears nothing from p1: its 50 ms deadline passes at 50, so p1 is
+     suspected at the first half-period grid point past it, 55. One
+     heartbeat from p1 at 101 clears the suspicion and re-plans the idle
+     monitor at once: the new deadline 101 + 75 is overdue at the grid
+     point 180, when p1, silent again, is suspected again. *)
+  let t = Engine.create () in
+  let log = ref [] in
+  let _p0 =
+    Engine.spawn t ~name:"p0" ~main:(fun ~recovery:_ () ->
+        let fd = Fdetect.heartbeat ~peers:[ 0; 1 ] () in
+        Fdetect.start fd;
+        let rec watch last =
+          Etx_runtime.Wake.until (Fdetect.changed fd) (fun () ->
+              Fdetect.suspects fd 1 <> last);
+          log := (Engine.now (), not last) :: !log;
+          watch (not last)
+        in
+        watch false)
+  in
+  let p1 =
+    Engine.spawn t ~name:"p1" ~main:(fun ~recovery:_ () ->
+        Engine.sleep 100.;
+        Fdetect.start (Fdetect.heartbeat ~peers:[ 0; 1 ] ());
+        Engine.sleep infinity)
+  in
+  Engine.crash_at t 105. p1;
+  ignore (Engine.run ~deadline:400. t);
+  Alcotest.(check (list (pair (float 1e-9) bool)))
+    "suspected at 55, cleared at 101, suspected at 180"
+    [ (55., true); (101., false); (180., true) ]
+    (List.rev !log)
+
 let prop_fd_eventually_suspects_crashed =
   QCheck.Test.make ~name:"fd completeness across seeds and loss" ~count:15
     QCheck.(pair (int_range 0 1000) (float_range 0. 0.3))
@@ -730,6 +791,8 @@ let () =
             test_rchannel_retire_due_entry;
           Alcotest.test_case "retired probe hands over to oldest parked"
             `Quick test_rchannel_retired_probe_promotes;
+          Alcotest.test_case "lost frame resent at +10, +30, +70 ms" `Quick
+            test_rchannel_lost_frame_schedule;
         ] );
       ( "fdetect",
         [
@@ -742,5 +805,7 @@ let () =
           Alcotest.test_case "suspect, clear, bump (heartbeat mode)" `Quick
             test_fd_heartbeat_suspect_clear_bump;
           q prop_fd_eventually_suspects_crashed;
+          Alcotest.test_case "suspected on the grid, re-planned on a clear"
+            `Quick test_fd_monitor_grid_and_replan;
         ] );
     ]

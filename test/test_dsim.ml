@@ -130,6 +130,64 @@ let prop_heap_matches_sorted_keys =
         ops
       && drain q = List.map snd !model)
 
+let prop_heap_remove =
+  (* pushes, pops and removals at the root, a middle slot, the last slot or
+     any slot, against a list kept sorted by (time, push number); the
+     [moved] callback keeps every entry's slot *)
+  QCheck.Test.make ~name:"heap removal keeps the order of the rest" ~count:500
+    QCheck.(small_list (pair (int_bound 4) (int_bound 5)))
+    (fun ops ->
+      let slot = Hashtbl.create 16 in
+      let q =
+        Timeq.create ~moved:(fun v i -> Hashtbl.replace slot v i) ~dummy:(-1) ()
+      in
+      let model = ref [] and n = ref 0 in
+      let at i =
+        Hashtbl.fold (fun v j acc -> if j = i then v else acc) slot (-1)
+      in
+      let remove_slot i =
+        let v = at i in
+        Timeq.remove q i;
+        model := List.filter (fun (_, v') -> v' <> v) !model;
+        Hashtbl.find slot v = -1
+      in
+      let slots_agree () =
+        List.for_all
+          (fun (_, v) ->
+            let i = Hashtbl.find slot v in
+            i >= 0 && i < Timeq.length q && at i = v)
+          !model
+      in
+      List.for_all
+        (fun (op, k) ->
+          let len = Timeq.length q in
+          (match op with
+          | 0 | 1 ->
+              (* few distinct times, so many ties *)
+              let time = float_of_int (k mod 3) in
+              incr n;
+              Timeq.push q time !n;
+              model := List.merge compare [ (time, !n) ] !model;
+              true
+          | 2 -> (
+              match !model with
+              | [] -> Timeq.is_empty q
+              | (_, v) :: rest ->
+                  model := rest;
+                  Timeq.pop q = v && Hashtbl.find slot v = -1)
+          | _ ->
+              len = 0
+              || remove_slot
+                   (match k with
+                   | 0 -> 0
+                   | 1 -> len / 2
+                   | 2 -> len - 1
+                   | _ -> k mod len))
+          && Timeq.length q = List.length !model
+          && slots_agree ())
+        ops
+      && drain q = List.map snd !model)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -606,7 +664,7 @@ let run_trace_of seed =
   let _ =
     Engine.spawn t ~name:"a" ~main:(fun ~recovery:_ () ->
         for i = 1 to 10 do
-          Engine.sleep (Engine.random_float 3.);
+          Engine.sleep (Rng.float (Engine.rng t) 3.);
           Engine.send b (Ping i)
         done)
   in
@@ -750,7 +808,7 @@ let test_fork_dies_with_process () =
   ignore (Engine.run t);
   Alcotest.(check bool) "forked fiber died with the crash" false !child_woke
 
-let test_send_all_and_random_int () =
+let test_send_all () =
   let t = Engine.create () in
   let got = ref 0 in
   let receivers =
@@ -764,9 +822,7 @@ let test_send_all_and_random_int () =
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        let n = Engine.random_int 5 in
-        Alcotest.(check bool) "random_int in range" true (n >= 0 && n < 5);
-        Engine.send_all receivers (Ping n))
+        Engine.send_all receivers (Ping 3))
   in
   ignore (Engine.run t);
   Alcotest.(check int) "all three got it" 3 !got
@@ -912,8 +968,97 @@ let test_frame_handler_acks_at_delivery () =
         | _ -> None)
       entries
   in
-  Alcotest.(check (list string)) "only the retransmitter is forked"
-    [ "fork rchannel-retransmit" ] forks
+  Alcotest.(check (list string)) "a channel forks nothing" [] forks
+
+let test_ended_wait_leaves_nothing_queued () =
+  (* a receive that a message ends, and a wait that a wake ends: neither
+     leaves its 100 ms timeout queued, so the run goes quiescent at the
+     delivery and at the wake *)
+  let t = Engine.create () in
+  let got = ref None in
+  let rx =
+    Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
+        got :=
+          Option.map
+            (fun _ -> Engine.now ())
+            (Engine.recv_cls ~timeout:100. cls_ping))
+  in
+  let _ =
+    Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
+        Engine.send rx (Ping 1))
+  in
+  Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
+  Alcotest.(check (option (float 1e-9))) "received at 1.0" (Some 1.0) !got;
+  check_float "quiescent at the delivery" 1.0 (Engine.now_of t);
+  let t = Engine.create () in
+  let woke = ref None in
+  let _ =
+    Engine.spawn t ~name:"w" ~main:(fun ~recovery:_ () ->
+        let w = Etx_runtime.Wake.create () in
+        Engine.fork "waker" (fun () ->
+            Engine.sleep 5.;
+            Etx_runtime.Wake.wake w);
+        Etx_runtime.Wake.sleep w w 100.;
+        woke := Some (Engine.now ()))
+  in
+  Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
+  Alcotest.(check (option (float 1e-9))) "woken at 5" (Some 5.) !woke;
+  check_float "quiescent at the wake" 5. (Engine.now_of t)
+
+let test_timer_fenced_by_incarnation () =
+  (* a timer armed before a crash never runs, not even once the process
+     has recovered; one armed by the new incarnation runs *)
+  let t = Engine.create () in
+  let fired = ref [] in
+  let p =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery () ->
+        let label = if recovery then "recovered" else "first" in
+        let tm =
+          Etx_runtime.timer (fun () ->
+              fired := (label, Engine.now ()) :: !fired)
+        in
+        Etx_runtime.arm tm (if recovery then 30. else 50.);
+        Engine.sleep 1_000.)
+  in
+  Engine.crash_at t 10. p;
+  Engine.recover_at t 20. p;
+  ignore (Engine.run t);
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "only the recovered incarnation's timer" [ ("recovered", 50.) ] !fired
+
+let test_timer_arm_cancel () =
+  (* arming an armed timer moves it; a cancelled one never runs; the
+     callback runs with its process's context *)
+  let t = Engine.create () in
+  let fired = ref [] in
+  let at name () = fired := (name, Engine.now (), Engine.self ()) :: !fired in
+  let p =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
+        let a = Etx_runtime.timer (at "a")
+        and b = Etx_runtime.timer (at "b")
+        and c = Etx_runtime.timer (at "c") in
+        Etx_runtime.arm a 10.;
+        Etx_runtime.arm b 20.;
+        Etx_runtime.arm c 40.;
+        Etx_runtime.arm a 30.;
+        Engine.sleep 25.;
+        Etx_runtime.cancel c;
+        Etx_runtime.cancel c;
+        Etx_runtime.cancel b)
+  in
+  ignore (Engine.run t);
+  Alcotest.(check (list (triple string (float 1e-9) int)))
+    "a moved to 30, b ran at 20, c cancelled" [ ("b", 20., p); ("a", 30., p) ]
+    (List.rev !fired);
+  check_float "nothing left queued" 30. (Engine.now_of t);
+  let t = Engine.create () in
+  let _ =
+    Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
+        Etx_runtime.arm (Etx_runtime.timer (fun () -> Engine.sleep 1.)) 5.)
+  in
+  Alcotest.check_raises "a suspending callback raises"
+    (Invalid_argument "Etx_runtime.timer: a timer callback must not suspend")
+    (fun () -> ignore (Engine.run t))
 
 let suspended =
   Invalid_argument "Etx_runtime.on_message: a message handler must not suspend"
@@ -1088,10 +1233,10 @@ let test_mailbox_enqueue_linear () =
 
 let test_cq_order () =
   let q = Cq.create () in
-  ignore (Cq.push q ~cls:0 "a");
-  ignore (Cq.push q ~cls:1 "b");
-  ignore (Cq.push q ~cls:0 "c");
-  ignore (Cq.push q ~cls:(-1) "d");
+  Cq.push q ~cls:0 "a";
+  Cq.push q ~cls:1 "b";
+  Cq.push q ~cls:0 "c";
+  Cq.push q ~cls:(-1) "d";
   Alcotest.(check int) "length" 4 (Cq.length q);
   Alcotest.(check (list string)) "global order" [ "a"; "b"; "c"; "d" ]
     (Cq.to_list q);
@@ -1103,10 +1248,10 @@ let test_cq_order () =
 
 let test_cq_take_first () =
   let q = Cq.create () in
-  ignore (Cq.push q ~cls:0 1);
-  ignore (Cq.push q ~cls:1 2);
-  ignore (Cq.push q ~cls:0 3);
-  ignore (Cq.push q ~cls:1 4);
+  Cq.push q ~cls:0 1;
+  Cq.push q ~cls:1 2;
+  Cq.push q ~cls:0 3;
+  Cq.push q ~cls:1 4;
   (* global scan crosses classes, oldest first *)
   Alcotest.(check (option int)) "take_first even" (Some 2)
     (Cq.take_first q (fun x -> x mod 2 = 0));
@@ -1117,45 +1262,29 @@ let test_cq_take_first () =
     (Cq.take_first_in_cls q 0 (fun x -> x > 1));
   Alcotest.(check (list int)) "rest in order" [ 1; 4 ] (Cq.to_list q)
 
-let test_cq_remove_and_clear () =
+let test_cq_clear () =
+  (* a clear empties both lists; the queue then works as new *)
   let q = Cq.create () in
-  let a = Cq.push q ~cls:0 "a" in
-  let b = Cq.push q ~cls:0 "b" in
-  Alcotest.(check bool) "remove live" true (Cq.remove q a);
-  Alcotest.(check bool) "remove twice" false (Cq.remove q a);
-  Alcotest.(check (list string)) "b left" [ "b" ] (Cq.to_list q);
+  Cq.push q ~cls:0 "a";
+  Cq.push q ~cls:1 "b";
   Cq.clear q;
-  Alcotest.(check bool) "stale after clear" false (Cq.remove q b);
   Alcotest.(check int) "cleared" 0 (Cq.length q);
-  (* handles from before the clear must not resurrect new-generation nodes *)
-  let c = Cq.push q ~cls:0 "c" in
-  Alcotest.(check bool) "remove b again" false (Cq.remove q b);
-  Alcotest.(check bool) "new node fine" true (Cq.remove q c)
-
-let test_cq_remove_after_clear () =
-  (* a handle from before a clear never unlinks anything, even once the
-     queue holds new nodes *)
-  let q = Cq.create () in
-  let a = Cq.push q ~cls:1 "a" in
-  Cq.clear q;
-  ignore (Cq.push q ~cls:1 "b");
-  Alcotest.(check bool) "stale handle" false (Cq.remove q a);
-  Alcotest.(check int) "length kept" 1 (Cq.length q);
-  Alcotest.(check (list string)) "contents kept" [ "b" ] (Cq.to_list q);
-  Alcotest.(check (option string)) "bucket intact" (Some "b") (Cq.pop_cls q 1)
+  Alcotest.(check (option string)) "bucket emptied" None (Cq.pop_cls q 1);
+  Cq.push q ~cls:1 "c";
+  Alcotest.(check int) "length" 1 (Cq.length q);
+  Alcotest.(check (list string)) "contents" [ "c" ] (Cq.to_list q);
+  Alcotest.(check (option string)) "bucket intact" (Some "c") (Cq.pop_cls q 1)
 
 type cq_op =
   | Push of int * int  (** class, value *)
   | Pop_cls of int
   | Take_even of int  (** take_first_in_cls with an even-value filter *)
-  | Remove of int  (** the handle of the n-th push *)
   | Clear
 
 let show_cq_op = function
   | Push (c, v) -> Printf.sprintf "push %d %d" c v
   | Pop_cls c -> Printf.sprintf "pop_cls %d" c
   | Take_even c -> Printf.sprintf "take_even %d" c
-  | Remove i -> Printf.sprintf "remove #%d" i
   | Clear -> "clear"
 
 let prop_cq_model =
@@ -1166,7 +1295,6 @@ let prop_cq_model =
           (5, map2 (fun c v -> Push (c, v)) (int_range (-1) 2) (int_bound 9));
           (2, map (fun c -> Pop_cls c) (int_range (-1) 3));
           (2, map (fun c -> Take_even c) (int_range (-1) 3));
-          (2, map (fun i -> Remove i) (int_bound 30));
           (1, return Clear);
         ])
   in
@@ -1177,7 +1305,7 @@ let prop_cq_model =
     (fun ops ->
       let q = Cq.create () in
       (* the model: (push number, class, value), oldest first *)
-      let model = ref [] and handles = ref [||] in
+      let model = ref [] and pushes = ref 0 in
       let take_model pred =
         match List.find_opt pred !model with
         | None -> None
@@ -1187,8 +1315,9 @@ let prop_cq_model =
       in
       let step = function
         | Push (c, v) ->
-            let id = Array.length !handles in
-            handles := Array.append !handles [| Cq.push q ~cls:c v |];
+            let id = !pushes in
+            incr pushes;
+            Cq.push q ~cls:c v;
             model := !model @ [ (id, c, v) ];
             true
         | Pop_cls c ->
@@ -1197,10 +1326,6 @@ let prop_cq_model =
         | Take_even c ->
             let want = take_model (fun (_, c', v) -> c' = c && v mod 2 = 0) in
             Cq.take_first_in_cls q c (fun v -> v mod 2 = 0) = want
-        | Remove i when i >= Array.length !handles -> true
-        | Remove i ->
-            let live = take_model (fun (id, _, _) -> id = i) <> None in
-            Cq.remove q !handles.(i) = live
         | Clear ->
             Cq.clear q;
             model := [];
@@ -1346,6 +1471,7 @@ let () =
           q prop_heap_sorts;
           q prop_heap_stable_on_ties;
           q prop_heap_matches_sorted_keys;
+          q prop_heap_remove;
         ] );
       ( "fifo",
         [
@@ -1359,9 +1485,7 @@ let () =
         [
           Alcotest.test_case "cq order" `Quick test_cq_order;
           Alcotest.test_case "cq take_first" `Quick test_cq_take_first;
-          Alcotest.test_case "cq remove/clear" `Quick test_cq_remove_and_clear;
-          Alcotest.test_case "cq remove after clear" `Quick
-            test_cq_remove_after_clear;
+          Alcotest.test_case "cq clear" `Quick test_cq_clear;
           q prop_cq_model;
           Alcotest.test_case "interleaved waiters" `Quick
             test_demux_interleaved_waiters;
@@ -1452,8 +1576,7 @@ let () =
           Alcotest.test_case "nested fork" `Quick test_nested_fork;
           Alcotest.test_case "fork dies with process" `Quick
             test_fork_dies_with_process;
-          Alcotest.test_case "send_all/random_int" `Quick
-            test_send_all_and_random_int;
+          Alcotest.test_case "send_all" `Quick test_send_all;
           Alcotest.test_case "accessors" `Quick test_name_and_is_up_accessors;
         ] );
       ( "handlers",
@@ -1464,6 +1587,15 @@ let () =
             test_handler_that_receives_raises;
           Alcotest.test_case "cleared by crash and recovery" `Quick
             test_handlers_cleared_by_crash_and_recovery;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "an ended wait leaves nothing queued" `Quick
+            test_ended_wait_leaves_nothing_queued;
+          Alcotest.test_case "fenced by incarnation" `Quick
+            test_timer_fenced_by_incarnation;
+          Alcotest.test_case "arm moves, cancel disarms" `Quick
+            test_timer_arm_cancel;
         ] );
       ( "trace",
         [
