@@ -22,8 +22,9 @@ let baseline_crash = 200.
 let etx_crash = 230.
 
 let baseline_run () =
-  let engine, b =
-    Harness.Simrun.baseline ~client_period:300. ~seed_data
+  let engine, rt = Harness.Simrun.engine () in
+  let b =
+    Baselines.Baseline.build ~rt ~client_period:300. ~seed_data
       ~business:Workload.Bank.update
       ~script:(fun ~issue ->
         let r = issue "card:-100" in

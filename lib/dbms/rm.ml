@@ -939,5 +939,3 @@ let import t ~src ?snapshot ~entries ~upto () =
   end
 
 let commit_lsn_of t xid = Hashtbl.find_opt t.commit_lsns xid
-
-let snapshot_floor t = t.snapshot_lsn

@@ -279,10 +279,6 @@ val commit_lsn_of : t -> Xid.t -> int option
     committed it. The [migration_integrity] oracle compares it against
     the destination's import watermark. *)
 
-val snapshot_floor : t -> int
-(** The retention floor (latest checkpoint snapshot LSN); [0] when the
-    full history is retained. *)
-
 (** {1 Introspection (tests, property checkers, experiments)} *)
 
 type txn_phase = Active | Prepared | Committed | Aborted

@@ -115,23 +115,3 @@ let pp_stats ppf s =
      recoveries=%d notes=%d"
     s.sent s.delivered s.dropped s.dead_lettered s.crashes s.recoveries
     s.notes
-
-let pp_event ppf = function
-  | Spawned (p, name) -> Format.fprintf ppf "spawn %a (%s)" Types.pp_proc p name
-  | Sent (m, d) ->
-      Format.fprintf ppf "send %a->%a #%d (delivery %.3f)" Types.pp_proc m.src
-        Types.pp_proc m.dst m.msg_id d
-  | Dropped m ->
-      Format.fprintf ppf "drop %a->%a #%d" Types.pp_proc m.src Types.pp_proc
-        m.dst m.msg_id
-  | Delivered m ->
-      Format.fprintf ppf "deliver %a->%a #%d" Types.pp_proc m.src Types.pp_proc
-        m.dst m.msg_id
-  | Dead_letter m ->
-      Format.fprintf ppf "dead-letter %a->%a #%d" Types.pp_proc m.src
-        Types.pp_proc m.dst m.msg_id
-  | Crashed p -> Format.fprintf ppf "crash %a" Types.pp_proc p
-  | Recovered p -> Format.fprintf ppf "recover %a" Types.pp_proc p
-  | Work (p, label, d) ->
-      Format.fprintf ppf "work %a %s %.3fms" Types.pp_proc p label d
-  | Note (p, s) -> Format.fprintf ppf "note %a %s" Types.pp_proc p s

@@ -60,4 +60,3 @@ val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val pp_event : Format.formatter -> event -> unit

@@ -8,11 +8,12 @@
     reports a failure. *)
 
 type row = (string * Stats.Json.t) list
-(** One data point, as named fields. The keys are the CSV header and the
-    JSON field names. *)
+(** One data point, as named fields ({!Stats.Table.fields} of a sweep's
+    row). The keys are the CSV header and the JSON field names. *)
 
 type output = { text : string; rows : row list }
-(** [text] is the rendered table, printed under the entry's title. *)
+(** Both derive from the sweep's declared table ({!Stats.Table.t}):
+    [text] is the printed table, shown under the entry's title. *)
 
 type t = {
   name : string;  (** bench argument and etx_sim subcommand *)
@@ -36,6 +37,12 @@ type t = {
 
 val all : t list
 val find : string -> t option
+
+val num : row -> string -> float
+(** A numeric field as a float; [nan] when absent or not a number. *)
+
+val flag : row -> string -> bool
+(** Whether a boolean field is present and true. *)
 
 val csv : row list -> string
 (** A header line of the first row's keys, then one line per row. *)

@@ -1,9 +1,11 @@
 (** Drivers that regenerate every table and figure of the paper's
     evaluation, plus the ablations called out in DESIGN.md.
 
-    Each driver returns structured data and has a [render_*] companion that
-    prints a table in the shape the paper uses. All runs are deterministic
-    for a given seed.
+    Each driver returns its table ({!Stats.Table.t}): the caption and one
+    row of cells per data point, each cell declaring its column's printed
+    header and text and its CSV / JSON key and typed value at once, so the
+    printed table, the CSV and the row checks of {!Artefact} read the same
+    cells. All runs are deterministic for a given seed.
 
     Every sweep is a list of self-contained {!trial}s mapped over a domain
     pool ({!Dsim.Pool}): each trial builds its own engine, RNG, trace and
@@ -23,38 +25,35 @@ val run_trials : ?domains:int -> 'a trial list -> 'a list
 
 (** {1 E1/E4 — Figure 8: latency components and the cost of reliability} *)
 
-type fig8_protocol = {
-  protocol : string;
-  components : (string * float) list;
-      (** mean ms per transaction for each Figure 8 row *)
-  other : float;
-  total : float;  (** mean client-visible latency *)
-  overhead_pct : float;  (** vs the baseline protocol *)
-  ci90_ratio : float;  (** paper methodology: must stay below 10% *)
-}
-
-type fig8 = { transactions : int; protocols : fig8_protocol list }
-
-val figure8 : ?transactions:int -> ?seed:int -> ?domains:int -> unit -> fig8
+val figure8 :
+  ?transactions:int -> ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** Runs baseline, asynchronous replication (this paper), 2PC, and — as a
     validation the paper argued analytically — primary-backup, each over
     [transactions] identical bank-account updates (default 40), with an
-    obs registry attached to every trial. *)
+    obs registry attached to every trial. The table is transposed: one
+    {!fig8_column} per protocol. *)
 
 val fig8_column :
   protocol:string ->
   ar:bool ->
   transactions:int ->
+  baseline:float ->
   Obs.Registry.t ->
   latencies:float list ->
-  fig8_protocol
+  Stats.Table.cell list
 (** One protocol's Figure 8 column read from its trial's registry: each
     row is its instrument's total divided by [transactions] — the XA
     stub's [xa.start_ms], [xa.exec_ms] (SQL) and [xa.end_ms] histograms,
-    and the phase spans. With [ar] the spans are the AR's ("election" for
-    log-start, "prepare", "consensus" for log-outcome, "terminate" for
-    commit); otherwise they are named after the row. [other] is the mean
-    of [latencies] less every row, [overhead_pct] is 0. *)
+    and the phase spans — keyed by the row's name. With [ar] the spans
+    are the AR's ("election" for log-start, "prepare", "consensus" for
+    log-outcome, "terminate" for commit); otherwise they are named after
+    the row. [other] is the mean of [latencies] less every row, [total]
+    that mean, [overhead_pct] its excess over the [baseline] protocol's
+    mean latency in percent and [ci90_ratio] the paper's methodology
+    check (must stay below 10%). *)
+
+val fig8_table : transactions:int -> Stats.Table.cell list list -> Stats.Table.t
+(** Figure 8's caption over the given columns. *)
 
 val fig8_ar_records :
   obs:Obs.Registry.t option ->
@@ -64,103 +63,74 @@ val fig8_ar_records :
 (** The client records of Figure 8's AR trial, with [obs] attached or not;
     fails unless the run quiesces and the cluster spec holds. *)
 
-val render_figure8 : fig8 -> string
-
 (** {1 E2 — Figure 7: communication in failure-free executions} *)
 
-type fig7_row = {
-  proto : string;
-  app_messages : int;  (** application-level messages for one request *)
-  all_messages : int;  (** including the wo-register substrate *)
-  steps : int;  (** longest causal message chain *)
-  forced_ios : int;  (** eager log writes at the application tier *)
-}
-
-val figure7 : ?seed:int -> ?domains:int -> unit -> fig7_row list
-
-val render_figure7 : fig7_row list -> string
+val figure7 : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
+(** Per protocol, for one request: application-level messages
+    ([app_messages]), messages including the wo-register substrate
+    ([all_messages]), the longest causal message chain ([steps]) and eager
+    log writes at the application tier ([forced_ios]). *)
 
 (** {1 E3 — Figure 1: the four canonical executions} *)
 
-type fig1_scenario = {
-  label : string;
-  delivered : bool;
-  tries : int;  (** final result identifier [j] *)
-  cleaner_outcome : string option;
-      (** what the cleaning thread terminated with, if it ran *)
-  violations : string list;  (** must be empty *)
-}
-
-val figure1 : ?seed:int -> ?domains:int -> unit -> fig1_scenario list
-
-val render_figure1 : fig1_scenario list -> string
+val figure1 : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
+(** Per scenario: whether the request was [delivered], its final result
+    identifier [j] ([tries]), what the cleaning thread terminated with if
+    it ran ([cleaner], empty otherwise) and the count of specification
+    [violations] (must be 0). *)
 
 (** {1 A1–A4 — ablations} *)
 
-val failover_sweep :
-  ?seed:int -> ?domains:int -> unit -> (float * float * int) list
+val failover_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** Heartbeat-detector timeout (20 to 400 ms) vs client-visible latency
     (and tries) of a request whose primary crashes mid-compute. *)
-
-val render_failover : (float * float * int) list -> string
 
 val backoff_sweep :
   ?seed:int ->
   ?periods:float list ->
   ?domains:int ->
   unit ->
-  (float * float * float) list
-(** Client back-off period vs (nice-run latency, fail-over latency). *)
-
-val render_backoff : (float * float * float) list -> string
+  Stats.Table.t
+(** Client back-off period vs nice-run and fail-over latency. *)
 
 val loss_sweep :
   ?seed:int ->
   ?rates:float list ->
   ?domains:int ->
   unit ->
-  (float * float * int) list
+  Stats.Table.t
 (** Message-loss rate vs mean latency and protocol message count (the
     reliable-channel retransmission cost). *)
-
-val render_loss : (float * float * int) list -> string
 
 val db_sweep :
   ?seed:int ->
   ?counts:int list ->
   ?domains:int ->
   unit ->
-  (int * float * float * float) list
+  Stats.Table.t
 (** Number of databases vs mean latency for baseline / AR / 2PC (prepare
     fan-out happens in parallel, so the curves should stay nearly flat —
     the three-tier scalability argument). *)
 
-val render_dbs : (int * float * float * float) list -> string
-
 val persistence_ablation :
-  ?seed:int -> ?transactions:int -> ?domains:int -> unit -> (string * float) list
+  ?seed:int -> ?transactions:int -> ?domains:int -> unit -> Stats.Table.t
 (** A5: why the paper keeps the middle tier diskless. Mean nice-run latency
     of (i) the diskless protocol, (ii) the crash-recovery variant with
     persistent registers (forced IO on every register write, enabling
     application-server recovery), and (iii) 2PC for reference: persistence
     pushes the e-Transaction protocol past 2PC's cost. *)
 
-val render_persistence : (string * float) list -> string
-
 val consensus_failover_sweep :
   ?seed:int ->
   ?round_timeouts:float list ->
   ?domains:int ->
   unit ->
-  (float * float) list
+  Stats.Table.t
 (** A6: the paper's closing remark — response time under failures depends on
     the consensus being optimised for failure cases. Measures the latency of
     a wo-register write whose round-0 coordinator has crashed, as a function
     of the consensus round timeout (the failure detector is made useless so
-    the timeout is the only escape). Returns (round timeout, decision
-    latency). *)
-
-val render_consensus_failover : (float * float) list -> string
+    the timeout is the only escape). *)
 
 val throughput_sweep :
   ?seed:int ->
@@ -168,49 +138,34 @@ val throughput_sweep :
   ?requests_per_client:int ->
   ?domains:int ->
   unit ->
-  (int * float * float) list
+  Stats.Table.t
 (** A7: aggregate throughput vs number of concurrent clients, with all
     clients hammering one hot account (lock contention) vs each client
-    owning its account (disjoint). Returns
-    (clients, contended tx/s, disjoint tx/s). *)
-
-val render_throughput : (int * float * float) list -> string
+    owning its account (disjoint). *)
 
 val scale_points : (int * int) list
 (** Default (app servers, clients) points for {!scale_sweep}:
     (3,1) (3,8) (5,32) (10,128) (25,512). *)
 
 val scale_sweep :
-  ?seed:int ->
-  ?obs:Obs.Registry.t ->
-  ?points:(int * int) list ->
-  ?requests_per_client:int ->
-  unit ->
-  (int * int * int * float * float) list
+  ?seed:int -> ?points:(int * int) list -> unit -> Stats.Table.t
 (** A10: substrate scalability. For each (app servers, clients) point, run a
     full deployment with disjoint accounts until every client script
-    finishes, and report (servers, clients, simulated events, wall-clock
-    seconds, events/sec), with [obs] attached to every point's engine.
-    Unlike the other experiments this measures the simulator itself
-    (wall-clock, host-dependent), so points run sequentially on one
+    finishes, and report simulated events, wall-clock seconds and
+    events/sec. Unlike the other experiments this measures the simulator
+    itself (wall-clock, host-dependent), so points run sequentially on one
     domain. *)
 
-val render_scale : (int * int * int * float * float) list -> string
-
-type shard_row = {
-  shards : int;
-  clients : int;
-  requests : int;  (** total issued across all clients *)
-  delivered : int;
-  events : int;  (** simulation events to quiescence *)
-  vtime_ms : float;  (** virtual time at quiescence *)
-  tx_per_vs : float;  (** delivered per {e virtual} second *)
-}
+val obs_overhead : seed:int -> Stats.Table.t
+(** The A10 point of 3 app servers and 8 clients (two requests each) with
+    no registry, with metrics only and fully traced: simulated events,
+    wall-clock seconds and events/sec per mode. Fails unless each
+    registry's [client.committed] counts every delivered request. *)
 
 val shard_accounts : map:Etx.Shard_map.t -> per_shard:int -> string list array
 (** The first [per_shard] of [acct0], [acct1], … owned by each shard. *)
 
-val shard_sweep : ?seed:int -> ?domains:int -> unit -> shard_row list
+val shard_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A11: shard scaling. For each shard count S of 1, 2 and 4, build an
     S-shard {!Cluster} serving two clients per shard (each client owning
     one account on its shard and issuing four updates), run to quiescence,
@@ -220,24 +175,7 @@ val shard_sweep : ?seed:int -> ?domains:int -> unit -> shard_row list
     flat quiescence time — is the point of the artefact. Deterministic per
     seed; trials map over the domain pool. *)
 
-val render_shard : shard_row list -> string
-
-type cross_row = {
-  cx_shards : int;
-  cx_ratio : float;  (** requested cross-shard fraction of the workload *)
-  cx_clients : int;
-  cx_requests : int;
-  cx_cross : int;  (** bodies whose two accounts live on different shards *)
-  cx_delivered : int;
-  cx_mean_participants : float;
-      (** mean distinct shards per delivered transfer *)
-  cx_events : int;
-  cx_vtime_ms : float;
-  cx_tx_per_vs : float;
-  cx_msgs_per_commit : float;
-}
-
-val cross_sweep : ?seed:int -> ?domains:int -> unit -> cross_row list
+val cross_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A16: cross-shard commit cost. For each point of shards 2 and 4 × cross
     ratio 0, 0.1, 0.5 and 1, build a cluster with [~cross:true], feed it
     12 bank transfers from three clients, of which the given fraction have
@@ -245,29 +183,13 @@ val cross_sweep : ?seed:int -> ?domains:int -> unit -> cross_row list
     ({!Workload.Generator.sharded_bodies} with [cross_ratio]), run to
     quiescence, assert {!Cluster.Spec.check_all} — including global
     atomicity — is clean, and report virtual-time throughput plus protocol
-    messages per delivered commit alongside the mean participant count.
-    Ratio 0 reproduces the classic intra-shard workload, so the first row
+    messages per delivered commit alongside the mean participant count
+    ([cross] counts the bodies whose two accounts live on different
+    shards). Ratio 0 reproduces the classic intra-shard workload, so the first row
     of each shard count is the zero-overhead baseline. Deterministic per
     seed; trials map over the domain pool. *)
 
-val render_cross : cross_row list -> string
-
-type migrate_row = {
-  mg_clients : int;
-  mg_requests : int;  (** issued across all clients *)
-  mg_delivered : int;
-  mg_before_tx_per_vs : float;
-  mg_during_tx_per_vs : float;
-  mg_after_tx_per_vs : float;
-  mg_during_ms : float;  (** split -> flip window, virtual ms *)
-  mg_drain_ms : float;  (** source databases' seal-to-drained time *)
-  mg_keys_moved : int;
-  mg_bounced : int;
-  mg_map_refresh : int;
-  mg_events : int;
-}
-
-val migrate_sweep : ?seed:int -> ?domains:int -> unit -> migrate_row list
+val migrate_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A17: elastic reconfiguration. Warm a 2-shard cluster (one
     pre-provisioned spare group) with bank-update traffic, split group 0's
     slots toward the spare while the clients keep issuing, and report
@@ -278,92 +200,51 @@ val migrate_sweep : ?seed:int -> ?domains:int -> unit -> migrate_row list
     integrity and exactly-once included — and that every issued request was
     delivered exactly once. Deterministic per seed. *)
 
-val render_migrate : migrate_row list -> string
-
 val fd_quality_sweep :
   ?seed:int ->
   ?requests:int ->
   ?timeouts:float list ->
   ?domains:int ->
   unit ->
-  (float * int * int * float) list
+  Stats.Table.t
 (** A9: the paper's §5 claim that failure-suspicion mistakes never cost
     consistency, only performance. Under a jittery network, sweep the
     heartbeat detector's initial timeout and measure, over [requests]
     failure-free requests: spurious cleanings (the cleaning thread aborting
     a perfectly alive primary), extra client tries, and mean latency. The
-    specification is asserted to hold in every configuration. Returns
-    (timeout, spurious cleanings, total tries beyond one, mean latency). *)
-
-val render_fd_quality : (float * int * int * float) list -> string
-
-type phase_row = { phase : string; mean_ms : float; share_pct : float }
-
-type failover_phase_report = {
-  trials : int;
-  mean_latency_ms : float;
-  mean_tries : float;
-  abandoned_spans : float;  (** mean spans left open by the crash *)
-  phases : phase_row list;
-  other_ms : float;
-}
+    specification is asserted to hold in every configuration. *)
 
 val failover_phase_names : string list
 (** The attributed phases, in pipeline order:
     election, compute, prepare, consensus, terminate. *)
 
-val failover_phases :
-  ?seed:int -> ?domains:int -> unit -> failover_phase_report
+val failover_phases : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A12: per-phase latency attribution of the fail-over path, measured from
     the observability span layer rather than the simulator trace. Re-runs
     the Figure 1(c) scenario (primary crashed mid-request) five times
     with a registry attached and splits the committed request's mean
     client-visible latency into closed-span time per phase; the crashed
-    owner's never-closed spans are reported as abandoned work, and the
-    unattributed residue (failure detection, client back-off, transport)
-    as [other_ms]. *)
+    owner's never-closed spans are counted in the caption as abandoned
+    work, and the unattributed residue (failure detection, client
+    back-off, transport) is the [other] row. *)
 
-val render_failover_phases : failover_phase_report -> string
-
-type batch_row = {
-  batch : int;  (** window cap (1 = classic, unbatched path) *)
-  tx_per_vs : float;  (** delivered requests per virtual second *)
-  msgs_per_commit : float;  (** protocol messages per delivered request *)
-  mean_latency_ms : float;
-  mean_fill : float;  (** mean transactions per assembled window *)
-}
-
-val batch_sweep : ?seed:int -> ?domains:int -> unit -> batch_row list
+val batch_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A13: single-shard throughput and message amortization against the
     batch cap (1, 4, 16, 64). 128 concurrent clients (twice the deepest
     cap, so consecutive windows serve disjoint client sets and never
     contend on the previous window's still-held locks) on disjoint
     accounts each issue two updates, so the leaseholder drains a deep
-    queue; every run must deliver everything and quiesce. *)
+    queue; every run must deliver everything and quiesce. [mean_fill] is
+    the mean transactions per assembled window. *)
 
-val render_batch : batch_row list -> string
-
-val batch_phases :
-  ?seed:int -> ?domains:int -> unit -> (int * phase_row list) list
+val batch_phases : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A13b: amortized per-commit phase cost (closed-span ms over delivered
     requests) on the A13 workload, classic path (cap 1) versus a deep
     window (cap 16), using the same phase names as {!failover_phases} so
-    the A12 and A13b tables line up. *)
+    the A12 and A13b tables line up. A transposed table with no fields:
+    it prints under A13 and adds no CSV row. *)
 
-val render_batch_phases : (int * phase_row list) list -> string
-
-type read_row = {
-  servers : int;  (** app servers in the (single) group *)
-  cache : bool;  (** method cache + commit-piggybacked invalidation on? *)
-  reads : int;  (** delivered read (audit) requests *)
-  tx_per_vs : float;  (** all delivered requests per virtual second *)
-  read_tx_per_vs : float;  (** delivered reads per virtual second *)
-  msgs_per_read : float;  (** protocol messages on the wire per read *)
-  hit_rate : float;  (** cache.hit / (cache.hit + cache.miss); 0 when off *)
-  mean_read_latency_ms : float;
-}
-
-val read_sweep : ?seed:int -> ?domains:int -> unit -> read_row list
+val read_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A14: the method cache under a read-dominant mix. For each app-server
     count of 1 to 4 × cache off/on, run a single-shard cluster of eight
     clients each issuing eight {!Workload.Generator.Read_heavy} bodies
@@ -373,9 +254,8 @@ val read_sweep : ?seed:int -> ?domains:int -> unit -> read_row list
     clean. With caching on, clients rotate their first-try server, so
     cached read throughput scales with the server count while the uncached
     curve stays flat and messages per read collapse (a hit is one
-    request/response round trip). Deterministic per seed. *)
-
-val render_read : read_row list -> string
+    request/response round trip). [hit_rate] is cache.hit / (cache.hit +
+    cache.miss), 0 when off. Deterministic per seed. *)
 
 (** {1 A15 — the log-structured storage tier}
 
@@ -383,68 +263,39 @@ val render_read : read_row list -> string
     scheduler, checkpoint-bounded recovery, and change-log read
     replicas. *)
 
-type gc_row = {
-  gc_batch : int;  (** window cap, as in A13 *)
-  gc_on : bool;  (** group-commit coalescing scheduler on? *)
-  forces : int;  (** {!Dstore.Disk.force} calls over the whole run *)
-  forces_per_commit : float;
-  gc_tx_per_vs : float;
-  gc_mean_latency_ms : float;
-}
-
-val group_commit_sweep : ?seed:int -> ?domains:int -> unit -> gc_row list
+val group_commit_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A15a: disk forces per committed request against the batch cap (1, 4,
     16, 64) × coalescing off/on, at the default 12.5 ms force latency (the
     A13 workload: 128 concurrent clients on disjoint accounts, spec
     asserted per row). The cap amortizes one window's log writes into one
     force; the scheduler additionally merges forces from concurrent
     sessions, so both columns fall with the cap and the coalesced one
-    stays at or below its per-call twin.
+    stays at or below its per-call twin ([forces] counts the
+    {!Dstore.Disk.force} calls over the whole run).
 
     It runs 16 application servers, not the cluster default 3, to raise
     the db-side commitment concurrency: each server's compute thread
     drives one transaction at a time, and a group-commit window can only
     merge forces that actually overlap. *)
 
-val render_gc : gc_row list -> string
-
-type recovery_row = {
-  commits : int;  (** committed transactions before the measured crash *)
-  checkpointed : bool;
-  log_len : int;  (** log records retained at the crash point *)
-  steps : int;  (** records replayed — {!Dbms.Rm.recovery_steps} *)
-  replay_ms : float;
-      (** host CPU cost of one recovery over that log (mean of 32 runs;
-          machine-dependent, unlike [steps]) *)
-}
-
-val recovery_sweep : ?seed:int -> ?domains:int -> unit -> recovery_row list
+val recovery_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A15b: a direct {!Dbms.Rm} micro-harness — commit histories of 64, 256
     and 1024 transactions with and without a checkpoint every 48 commits
     (deliberately not a divisor of the lengths, so a residual suffix
     survives the last snapshot), then measure recovery.
     Uncheckpointed replay grows linearly with the history; checkpointed
-    replay is bounded by the suffix since the last snapshot. *)
+    replay is bounded by the suffix since the last snapshot: [log_len]
+    log records retained at the crash point, [replay_steps] records
+    replayed ({!Dbms.Rm.recovery_steps}) and [replay_ms] the host CPU
+    cost of one recovery (mean of 32 runs; machine-dependent, unlike the
+    steps). *)
 
-val render_recovery : recovery_row list -> string
-
-type replica_row = {
-  rep_replicas : int;  (** read replicas per database *)
-  rep_reads : int;  (** delivered read (audit) requests *)
-  rep_read_tx_per_vs : float;
-  rep_served : int;  (** reads answered from a replica snapshot *)
-  rep_fallbacks : int;
-      (** replica attempts that fell back to the primary pipeline *)
-  rep_hit_rate : float;  (** method-cache hit rate (the cache stays on) *)
-  rep_mean_read_latency_ms : float;
-}
-
-val replica_sweep : ?seed:int -> ?domains:int -> unit -> replica_row list
+val replica_sweep : ?seed:int -> ?domains:int -> unit -> Stats.Table.t
 (** A15c: the A14 read-heavy mix with the method cache {e on}, across
     0, 1 and 2 replicas per database. Cache-miss reads are answered by
     bounded-staleness change-log replicas — no election, no transaction,
     no primary SQL — so read throughput keeps improving after the cache
     alone has saturated, and the full specification (including replica
-    consistency) is asserted per row. *)
-
-val render_replica : replica_row list -> string
+    consistency) is asserted per row: [replica_served] counts reads
+    answered from a replica snapshot, [fallbacks] replica attempts that
+    fell back to the primary pipeline. *)

@@ -1,12 +1,13 @@
-(** Build deployments on a fresh simulator engine in one call.
+(** Build deployments on a fresh simulator engine.
 
     The protocol builders ({!Cluster.build} and the {!Baselines}
     equivalents) are backend-agnostic: they take a runtime
     capability and never see the engine. Simulator-based sweeps and tests,
     however, routinely need the engine itself — for [crash_at], the trace,
-    sequence diagrams, or virtual-time inspection — so these wrappers create
-    the engine, adapt it with {!Dsim.Runtime_sim.of_engine}, run the builder,
-    and return both. *)
+    sequence diagrams, or virtual-time inspection — so {!engine} creates
+    one and adapts it with {!Dsim.Runtime_sim.of_engine}: a comparison
+    protocol is [Baselines.X.build ~rt] on its runtime, and {!cluster}
+    does the same for a {!Cluster} in one call. *)
 
 val engine :
   ?seed:int ->
@@ -47,49 +48,3 @@ val cluster :
   Dsim.Engine.t * Cluster.t
 (** A {!Cluster} on a fresh engine — one script per client. The paper's
     deployment is the default one-shard cluster. *)
-
-val baseline :
-  ?seed:int ->
-  ?tracing:bool ->
-  ?obs:Obs.Registry.t ->
-  ?net:Runtime.Etx_runtime.netmodel ->
-  ?n_dbs:int ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
-  ?seed_data:(string * Dbms.Value.t) list ->
-  ?client_period:float ->
-  business:Etx.Business.t ->
-  script:(issue:(string -> Etx.Client.record) -> unit) ->
-  unit ->
-  Dsim.Engine.t * Baselines.Baseline.t
-
-val tpc :
-  ?seed:int ->
-  ?tracing:bool ->
-  ?obs:Obs.Registry.t ->
-  ?net:Runtime.Etx_runtime.netmodel ->
-  ?n_dbs:int ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
-  ?seed_data:(string * Dbms.Value.t) list ->
-  ?client_period:float ->
-  business:Etx.Business.t ->
-  script:(issue:(string -> Etx.Client.record) -> unit) ->
-  unit ->
-  Dsim.Engine.t * Baselines.Tpc.t
-
-val pbackup :
-  ?seed:int ->
-  ?tracing:bool ->
-  ?obs:Obs.Registry.t ->
-  ?net:Runtime.Etx_runtime.netmodel ->
-  ?n_dbs:int ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
-  ?seed_data:(string * Dbms.Value.t) list ->
-  ?client_period:float ->
-  ?backup_fd:(Runtime.Etx_runtime.t -> Dnet.Fdetect.t) ->
-  business:Etx.Business.t ->
-  script:(issue:(string -> Etx.Client.record) -> unit) ->
-  unit ->
-  Dsim.Engine.t * Baselines.Pbackup.t

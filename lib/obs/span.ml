@@ -62,20 +62,3 @@ let rec tree_size t = 1 + List.fold_left (fun a c -> a + tree_size c) 0 t.childr
 
 let find spans ~trace ~name =
   List.filter (fun s -> s.trace = trace && s.name = name) spans
-
-(* Indented one-line-per-span rendering of a trace, for demos and docs. *)
-let pp_forest ppf forest =
-  let rec pp indent { span = s; children } =
-    Format.fprintf ppf "%s%s@%s [%.1f..%s]%s@."
-      (String.make (2 * indent) ' ')
-      s.name s.node s.start
-      (if closed s then Printf.sprintf "%.1f" s.stop else "open")
-      (match s.attrs with
-      | [] -> ""
-      | attrs ->
-          " "
-          ^ String.concat ","
-              (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) attrs));
-    List.iter (pp (indent + 1)) children
-  in
-  List.iter (pp 0) forest

@@ -45,4 +45,3 @@ val forest : t list -> trace:int -> tree list
 
 val tree_size : tree -> int
 val find : t list -> trace:int -> name:string -> t list
-val pp_forest : Format.formatter -> tree list -> unit

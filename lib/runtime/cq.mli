@@ -1,7 +1,7 @@
 (** Class-indexed FIFO backing the engine's mailboxes.
 
     Every element lives on two intrusive doubly-linked lists at once: a
-    global list (overall arrival order, like {!Fifo}) and a per-class bucket
+    global list (overall arrival order) and a per-class bucket
     (arrival order within one message class). That gives O(1) classed pop,
     while the global list keeps the legacy predicate scan — oldest-first
     over all classes — exactly as the plain FIFO behaved. A push allocates

@@ -51,12 +51,3 @@ let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0. then epsilon_float else u in
   -.mean *. log u
-
-let gaussian t ~mean ~stddev =
-  let rec non_zero () =
-    let u = float t 1.0 in
-    if u <= 0. then non_zero () else u
-  in
-  let u1 = non_zero () and u2 = float t 1.0 in
-  let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-  mean +. (stddev *. z)

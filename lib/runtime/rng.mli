@@ -29,5 +29,3 @@ val bool : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean. *)
 
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Normally distributed value (Box–Muller). *)

@@ -27,3 +27,31 @@ let render ~headers ~rows =
   | header :: body ->
       String.concat "\n" (render_row header :: sep :: List.map render_row body)
   | [] -> ""
+
+type cell = { data : (string * Json.t) list; shown : (string * string) option }
+
+let cell header key value text =
+  { data = [ (key, value) ]; shown = Some (header, text) }
+
+let field_only key value = { data = [ (key, value) ]; shown = None }
+let shown_as header text data = { data; shown = Some (header, text) }
+
+type t = { caption : string; transposed : bool; rows : cell list list }
+
+let rec transpose = function
+  | [] | [] :: _ -> []
+  | lines -> List.map List.hd lines :: transpose (List.map List.tl lines)
+
+let text t =
+  let shown = List.map (List.filter_map (fun c -> c.shown)) t.rows in
+  let lines =
+    match shown with
+    | [] -> []
+    | first :: _ -> List.map fst first :: List.map (List.map snd) shown
+  in
+  let caption = if t.caption = "" then "" else t.caption ^ "\n" in
+  match if t.transposed then transpose lines else lines with
+  | headers :: rows -> caption ^ render ~headers ~rows
+  | [] -> caption
+
+let fields row = List.concat_map (fun c -> c.data) row

@@ -9,6 +9,11 @@ let seed_data = Workload.Bank.seed_accounts [ ("card", 1000) ]
 
 let one_debit ~issue = ignore (issue "card:-100")
 
+(* a comparison protocol built on a fresh engine's runtime *)
+let on_engine build =
+  let e, rt = Harness.Simrun.engine () in
+  (e, build ~rt)
+
 let balance dbs =
   let _, rm = List.hd dbs in
   match Dbms.Rm.read_committed rm "card" with
@@ -20,7 +25,7 @@ let balance dbs =
 
 let test_baseline_nice_run () =
   let e, b =
-    Harness.Simrun.baseline ~seed_data ~business:bank
+    on_engine @@ Baselines.Baseline.build ~seed_data ~business:bank
       ~script:(fun ~issue ->
         let r = issue "card:-100" in
         Alcotest.(check int) "one try" 1 r.tries)
@@ -35,7 +40,7 @@ let test_baseline_nice_run () =
 
 let test_baseline_latency_beats_everyone () =
   let e, b =
-    Harness.Simrun.baseline ~seed_data ~business:bank ~script:one_debit ()
+    on_engine @@ Baselines.Baseline.build ~seed_data ~business:bank ~script:one_debit ()
   in
   ignore
     (Dsim.Engine.run_until ~deadline:60_000. e (fun () ->
@@ -53,7 +58,7 @@ let test_baseline_double_charge () =
   (* The motivating hazard: crash after commit, before reply; the retry is
      a new transaction and the card is charged twice. *)
   let e, b =
-    Harness.Simrun.baseline ~client_period:300. ~seed_data ~business:bank
+    on_engine @@ Baselines.Baseline.build ~client_period:300. ~seed_data ~business:bank
       ~script:one_debit ()
   in
   Dsim.Engine.crash_at e 200. b.server;
@@ -66,7 +71,7 @@ let test_baseline_double_charge () =
 let test_baseline_user_abort_propagates () =
   (* A poisoned transaction must not one-phase-commit. *)
   let e, b =
-    Harness.Simrun.baseline
+    on_engine @@ Baselines.Baseline.build
       ~seed_data:(Workload.Bank.seed_accounts [ ("a", 10); ("b", 0) ])
       ~business:Workload.Bank.transfer
       ~script:(fun ~issue ->
@@ -89,7 +94,7 @@ let test_baseline_user_abort_propagates () =
 
 let test_tpc_nice_run () =
   let e, t =
-    Harness.Simrun.tpc ~seed_data ~business:bank
+    on_engine @@ Baselines.Tpc.build ~seed_data ~business:bank
       ~script:(fun ~issue ->
         let r = issue "card:-100" in
         Alcotest.(check int) "one try" 1 r.tries)
@@ -109,7 +114,7 @@ let test_tpc_blocking_then_recovery_resolves () =
      stays in-doubt — locks held — until the coordinator recovers (2PC is
      blocking). Presumed-nothing recovery then aborts. *)
   let e, t =
-    Harness.Simrun.tpc ~client_period:300. ~seed_data ~business:bank
+    on_engine @@ Baselines.Tpc.build ~client_period:300. ~seed_data ~business:bank
       ~script:one_debit ()
   in
   (* with the calibrated model, votes are in around t≈228 and the outcome
@@ -147,7 +152,7 @@ let test_tpc_recovery_redrives_logged_commit () =
   (* Crash after the outcome record was forced but before the decides went
      out: recovery must re-drive the COMMIT. *)
   let e, t =
-    Harness.Simrun.tpc ~client_period:300. ~seed_data ~business:bank
+    on_engine @@ Baselines.Tpc.build ~client_period:300. ~seed_data ~business:bank
       ~script:one_debit ()
   in
   (* log-outcome is forced around t≈229-241.5; crash just after *)
@@ -174,7 +179,7 @@ let test_tpc_recovery_redrives_logged_commit () =
 
 let test_pb_nice_run () =
   let e, p =
-    Harness.Simrun.pbackup ~seed_data ~business:bank
+    on_engine @@ Baselines.Pbackup.build ~seed_data ~business:bank
       ~script:(fun ~issue ->
         let r = issue "card:-100" in
         Alcotest.(check int) "one try" 1 r.tries)
@@ -191,7 +196,7 @@ let test_pb_failover_with_oracle_fd () =
   (* Primary crashes mid-compute; the backup (perfect detector) aborts the
      recorded transaction and serves the client's retry itself. *)
   let e, p =
-    Harness.Simrun.pbackup ~client_period:300. ~seed_data ~business:bank
+    on_engine @@ Baselines.Pbackup.build ~client_period:300. ~seed_data ~business:bank
       ~script:one_debit ()
   in
   Dsim.Engine.crash_at e 100. p.primary;
@@ -206,7 +211,7 @@ let test_pb_failover_finishes_recorded_commit () =
   (* Primary crashes after recording the commit outcome at the backup but
      before the decides: the backup finishes the COMMIT. *)
   let e, p =
-    Harness.Simrun.pbackup ~client_period:300. ~seed_data ~business:bank
+    on_engine @@ Baselines.Pbackup.build ~client_period:300. ~seed_data ~business:bank
       ~script:one_debit ()
   in
   (* outcome is recorded at the backup around t≈232 *)
@@ -246,7 +251,7 @@ let test_pb_false_suspicion_inconsistency () =
         pid = 2 && Runtime.Etx_runtime.now () > 600.)
   in
   let e, p =
-    Harness.Simrun.pbackup ~net ~n_dbs ~client_period:10_000. ~seed_data
+    on_engine @@ Baselines.Pbackup.build ~net ~n_dbs ~client_period:10_000. ~seed_data
       ~business:bank ~backup_fd ~script:one_debit ()
   in
   ignore (Dsim.Engine.run ~deadline:60_000. e);

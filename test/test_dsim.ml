@@ -886,44 +886,6 @@ let prop_engine_deterministic =
     (fun seed -> run_trace_of seed = run_trace_of seed)
 
 (* ------------------------------------------------------------------ *)
-(* Fifo *)
-
-let test_fifo_order () =
-  let f = Fifo.create () in
-  List.iter (Fifo.push f) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (Fifo.length f);
-  let rec drain acc =
-    match Fifo.pop f with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4 ] (drain []);
-  Alcotest.(check bool) "empty after drain" true (Fifo.is_empty f)
-
-let test_fifo_take_first () =
-  let f = Fifo.create () in
-  List.iter (Fifo.push f) [ 1; 2; 3; 4; 5 ];
-  (* remove from the middle *)
-  Alcotest.(check (option int)) "first even" (Some 2)
-    (Fifo.take_first f (fun x -> x mod 2 = 0));
-  Alcotest.(check (list int)) "rest intact" [ 1; 3; 4; 5 ] (Fifo.to_list f);
-  (* remove the tail, then push again: the tail pointer must be fixed up *)
-  Alcotest.(check (option int)) "take tail" (Some 5)
-    (Fifo.take_first f (fun x -> x = 5));
-  Fifo.push f 6;
-  Alcotest.(check (list int)) "append after tail removal" [ 1; 3; 4; 6 ]
-    (Fifo.to_list f);
-  Alcotest.(check (option int)) "no match" None
-    (Fifo.take_first f (fun x -> x = 99))
-
-let test_fifo_clear () =
-  let f = Fifo.create () in
-  List.iter (Fifo.push f) [ 1; 2; 3 ];
-  Fifo.clear f;
-  Alcotest.(check int) "cleared" 0 (Fifo.length f);
-  Fifo.push f 7;
-  Alcotest.(check (list int)) "usable after clear" [ 7 ] (Fifo.to_list f)
-
-
-(* ------------------------------------------------------------------ *)
 (* Message handlers *)
 
 (* A reliable-channel frame is handled inside its delivery event: the ack
@@ -1204,7 +1166,7 @@ let test_pool_empty_and_oversized () =
 
 (* ------------------------------------------------------------------ *)
 (* Mailbox growth regression: enqueueing n messages into a process that
-   never receives must be ~O(n). The pre-Fifo representation appended with
+   never receives must be ~O(n). The pre-deque representation appended with
    [mailbox @ [m]] — O(n) each, quadratic overall — which takes tens of
    seconds at this size; the deque version finishes in milliseconds. *)
 
@@ -1475,9 +1437,6 @@ let () =
         ] );
       ( "fifo",
         [
-          Alcotest.test_case "order" `Quick test_fifo_order;
-          Alcotest.test_case "take_first" `Quick test_fifo_take_first;
-          Alcotest.test_case "clear" `Quick test_fifo_clear;
           Alcotest.test_case "mailbox enqueue linear" `Quick
             test_mailbox_enqueue_linear;
         ] );

@@ -1,5 +1,5 @@
-(* Tests for the stable-storage substrate: simulated disk, LSN-addressed
-   redo log, stable key-value store. *)
+(* Tests for the stable-storage substrate: simulated disk and LSN-addressed
+   redo log. *)
 
 open Dsim
 
@@ -260,24 +260,6 @@ let prop_log_truncate_then_cut =
           in
           Dstore.Log.records log = expect))
 
-let test_stable_kv () =
-  in_sim (fun _ ->
-      let disk = Dstore.Disk.create ~force_latency:1. ~label:"log" () in
-      let kv = Dstore.Stable_kv.create ~disk () in
-      Dstore.Stable_kv.put kv "a" 1;
-      Dstore.Stable_kv.put kv "b" 2;
-      Dstore.Stable_kv.put kv "a" 3;
-      Alcotest.(check (option int)) "latest wins" (Some 3)
-        (Dstore.Stable_kv.get kv "a");
-      Alcotest.(check (option int)) "other" (Some 2)
-        (Dstore.Stable_kv.get kv "b");
-      Dstore.Stable_kv.remove kv "a";
-      Alcotest.(check (option int)) "removed" None (Dstore.Stable_kv.get kv "a");
-      Alcotest.(check (list (pair string int))) "bindings"
-        [ ("b", 2) ]
-        (Dstore.Stable_kv.bindings kv);
-      Alcotest.(check int) "4 forced writes" 4 (Dstore.Disk.forced_writes disk))
-
 let test_log_survives_crash () =
   (* The log object lives outside the process; a crash between appends must
      not lose forced records, and must lose the unforced tail. *)
@@ -375,6 +357,4 @@ let () =
           q prop_log_crash_cut_keeps_durable_prefix;
           q prop_log_truncate_then_cut;
         ] );
-      ( "stable-kv",
-        [ Alcotest.test_case "put/get/remove" `Quick test_stable_kv ] );
     ]

@@ -4,29 +4,35 @@
 
 open Harness
 
-let find_protocol (f : Experiments.fig8) name =
-  match
-    List.find_opt
-      (fun (p : Experiments.fig8_protocol) ->
-        String.length p.protocol >= String.length name
-        && String.sub p.protocol 0 (String.length name) = name)
-      f.protocols
-  with
+(* a sweep's rows, read by key the way the artefact checks read them *)
+let rows (t : Stats.Table.t) = List.map Stats.Table.fields t.rows
+let num = Artefact.num
+let int row k = int_of_float (num row k)
+
+let str row k =
+  match List.assoc_opt k row with
+  | Some (Stats.Json.String s) -> s
+  | _ -> Alcotest.failf "no string field %s" k
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let find_protocol rows name =
+  match List.find_opt (fun r -> has_prefix name (str r "protocol")) rows with
   | Some p -> p
   | None -> Alcotest.failf "protocol %s missing from figure 8" name
 
 (* figure 8 is the most expensive artefact; compute it once *)
 let fig8 = lazy (Experiments.figure8 ~transactions:15 ())
+let fig8_rows () = rows (Lazy.force fig8)
 
 let test_fig8_has_four_protocols () =
-  let f = Lazy.force fig8 in
-  Alcotest.(check int) "protocols" 4 (List.length f.protocols)
+  Alcotest.(check int) "protocols" 4 (List.length (fig8_rows ()))
 
 let test_fig8_component_values_match_paper () =
-  let f = Lazy.force fig8 in
-  let ar = find_protocol f "AR" in
+  let ar = find_protocol (fig8_rows ()) "AR" in
   let expect name lo hi =
-    let v = List.assoc name ar.components in
+    let v = num ar name in
     Alcotest.(check bool)
       (Printf.sprintf "%s=%.1f in [%.1f,%.1f]" name v lo hi)
       true
@@ -43,46 +49,44 @@ let test_fig8_component_values_match_paper () =
   expect "log-outcome" 3.0 5.5
 
 let test_fig8_2pc_forced_io_rows () =
-  let f = Lazy.force fig8 in
-  let tpc = find_protocol f "2PC" in
+  let tpc = find_protocol (fig8_rows ()) "2PC" in
   (* the paper's 12.5/12.7 ms eager IOs *)
   Alcotest.(check bool) "log-start is a forced write" true
-    (List.assoc "log-start" tpc.components >= 12.0);
+    (num tpc "log-start" >= 12.0);
   Alcotest.(check bool) "log-outcome is a forced write" true
-    (List.assoc "log-outcome" tpc.components >= 12.0);
-  let baseline = find_protocol f "baseline" in
+    (num tpc "log-outcome" >= 12.0);
+  let baseline = find_protocol (fig8_rows ()) "baseline" in
   Alcotest.(check (float 1e-9)) "baseline has no log rows" 0.
-    (List.assoc "log-start" baseline.components)
+    (num baseline "log-start")
 
 let test_fig8_overhead_ordering () =
-  let f = Lazy.force fig8 in
-  let baseline = find_protocol f "baseline" in
-  let ar = find_protocol f "AR" in
-  let tpc = find_protocol f "2PC" in
-  let pb = find_protocol f "primary-backup" in
-  Alcotest.(check bool) "baseline < AR" true (baseline.total < ar.total);
+  let f = fig8_rows () in
+  let total p = num (find_protocol f p) "total" in
+  let overhead p = num (find_protocol f p) "overhead_pct" in
+  let ar = total "AR" in
+  Alcotest.(check bool) "baseline < AR" true (total "baseline" < ar);
   Alcotest.(check bool) "AR < 2PC (the headline result)" true
-    (ar.total < tpc.total);
+    (ar < total "2PC");
   (* the paper argues PB and AR have the same cost profile *)
   Alcotest.(check bool) "PB within 3% of AR" true
-    (Float.abs (pb.total -. ar.total) /. ar.total < 0.03);
+    (Float.abs (total "primary-backup" -. ar) /. ar < 0.03);
   (* overhead bands: paper 16% and 23%; our calibrated substrate lands at
      12-13% and 20% (the residual is the paper's run-to-run SQL noise) *)
   Alcotest.(check bool) "AR overhead in [8%,20%]" true
-    (ar.overhead_pct > 8. && ar.overhead_pct < 20.);
+    (overhead "AR" > 8. && overhead "AR" < 20.);
   Alcotest.(check bool) "2PC overhead in [15%,28%]" true
-    (tpc.overhead_pct > 15. && tpc.overhead_pct < 28.);
+    (overhead "2PC" > 15. && overhead "2PC" < 28.);
   Alcotest.(check bool) "2PC costs more than AR" true
-    (tpc.overhead_pct > ar.overhead_pct)
+    (overhead "2PC" > overhead "AR")
 
 let test_fig8_ci_methodology () =
-  let f = Lazy.force fig8 in
   List.iter
-    (fun (p : Experiments.fig8_protocol) ->
+    (fun p ->
       Alcotest.(check bool)
-        (p.protocol ^ " ci90/mean < 10% (paper methodology)")
-        true (p.ci90_ratio < 0.10))
-    f.protocols
+        (str p "protocol" ^ " ci90/mean < 10% (paper methodology)")
+        true
+        (num p "ci90_ratio" < 0.10))
+    (fig8_rows ())
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -90,7 +94,7 @@ let contains haystack needle =
   scan 0
 
 let test_fig8_rendering () =
-  let s = Experiments.render_figure8 (Lazy.force fig8) in
+  let s = Stats.Table.text (Lazy.force fig8) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("table mentions " ^ needle) true
@@ -133,8 +137,15 @@ let test_fig8_column_from_registry () =
   let reg = fig8_test_registry () in
   let latencies = [ 190.; 200.; 210. ] in
   let ar =
-    Experiments.fig8_column ~protocol:"AR" ~ar:true ~transactions:2 reg
-      ~latencies
+    Experiments.fig8_column ~protocol:"AR" ~ar:true ~transactions:2
+      ~baseline:200. reg ~latencies
+  in
+  (* the seven rows between the protocol and [other] *)
+  let components column =
+    let row = Stats.Table.fields column in
+    List.map
+      (fun (k, _) -> (k, num row k))
+      (List.filteri (fun i _ -> i >= 1 && i <= 7) row)
   in
   let expect =
     [
@@ -143,12 +154,13 @@ let test_fig8_column_from_registry () =
     ]
   in
   Alcotest.(check (list (pair string (float 1e-9)))) "AR rows" expect
-    ar.components;
-  Alcotest.(check (float 1e-9)) "AR other" 13. ar.other;
-  Alcotest.(check (float 1e-9)) "AR total" 200. ar.total;
+    (components ar);
+  let ar_row = Stats.Table.fields ar in
+  Alcotest.(check (float 1e-9)) "AR other" 13. (num ar_row "other");
+  Alcotest.(check (float 1e-9)) "AR total" 200. (num ar_row "total");
   let cmp =
-    Experiments.fig8_column ~protocol:"2PC" ~ar:false ~transactions:2 reg
-      ~latencies
+    Experiments.fig8_column ~protocol:"2PC" ~ar:false ~transactions:2
+      ~baseline:200. reg ~latencies
   in
   Alcotest.(check (list (pair string (float 1e-9))))
     "rows named after themselves"
@@ -156,7 +168,7 @@ let test_fig8_column_from_registry () =
       ("start", 2.); ("end", 2.); ("commit", 0.5); ("prepare", 15.);
       ("SQL", 153.); ("log-start", 13.); ("log-outcome", 0.);
     ]
-    cmp.components;
+    (components cmp);
   Alcotest.(check string) "rendered"
     "Figure 8 — latency components over 2 identical transactions (ms)\n\
     \                        AR    2PC\n\
@@ -172,8 +184,7 @@ let test_fig8_column_from_registry () =
      total                200.0  200.0\n\
      cost of reliability    +0%    +0%\n\
      ci90/mean             9.5%   9.5%"
-    (Experiments.render_figure8
-       { transactions = 2; protocols = [ ar; cmp ] })
+    (Stats.Table.text (Experiments.fig8_table ~transactions:2 [ ar; cmp ]))
 
 (* Attaching the registry must not move the AR trial's schedule. *)
 let test_fig8_ar_obs_invisible () =
@@ -189,69 +200,53 @@ let test_fig8_ar_obs_invisible () =
 
 let fig7 = lazy (Experiments.figure7 ())
 
-let fig7_find name =
-  let rows = Lazy.force fig7 in
-  match
-    List.find_opt (fun (r : Experiments.fig7_row) -> r.proto = name) rows
-  with
-  | Some r -> r
-  | None ->
-      (* prefix match for the AR row *)
-      List.find
-        (fun (r : Experiments.fig7_row) ->
-          String.length r.proto >= 2 && String.sub r.proto 0 2 = "AR")
-        rows
+(* the row of the protocol whose name starts with [name] *)
+let fig7_find name = find_protocol (rows (Lazy.force fig7)) name
 
 let test_fig7_parallel_determinism () =
   (* the tentpole guarantee: mapping the trial list over 4 domains renders
      byte-for-byte the same table as the sequential run *)
-  let seq = Experiments.render_figure7 (Experiments.figure7 ~domains:1 ()) in
-  let par = Experiments.render_figure7 (Experiments.figure7 ~domains:4 ()) in
+  let seq = Stats.Table.text (Experiments.figure7 ~domains:1 ()) in
+  let par = Stats.Table.text (Experiments.figure7 ~domains:4 ()) in
   Alcotest.(check string) "4-domain table byte-identical to 1-domain" seq par
 
 let test_fig1_parallel_determinism () =
-  let seq = Experiments.render_figure1 (Experiments.figure1 ~domains:1 ()) in
-  let par = Experiments.render_figure1 (Experiments.figure1 ~domains:4 ()) in
+  let seq = Stats.Table.text (Experiments.figure1 ~domains:1 ()) in
+  let par = Stats.Table.text (Experiments.figure1 ~domains:4 ()) in
   Alcotest.(check string) "4-domain table byte-identical to 1-domain" seq par
 
 let test_fig7_message_ordering () =
-  let baseline = fig7_find "baseline" in
-  let tpc = fig7_find "2PC" in
-  let pb = fig7_find "primary-backup" in
-  let ar = fig7_find "AR" in
+  let app p = int (fig7_find p) "app_messages" in
   Alcotest.(check bool) "baseline fewest app msgs" true
-    (baseline.app_messages < tpc.app_messages
-    && baseline.app_messages < pb.app_messages);
+    (app "baseline" < app "2PC" && app "baseline" < app "primary-backup");
   Alcotest.(check bool) "AR app msgs = 2PC app msgs (same commit traffic)"
     true
-    (ar.app_messages = tpc.app_messages);
+    (app "AR" = app "2PC");
   Alcotest.(check bool) "PB extra backup round trips" true
-    (pb.app_messages > tpc.app_messages);
+    (app "primary-backup" > app "2PC");
   Alcotest.(check bool) "AR replication costs extra substrate msgs" true
-    (ar.all_messages > ar.app_messages)
+    (int (fig7_find "AR") "all_messages" > app "AR")
 
 let test_fig7_steps_ordering () =
   (* the paper's analytic claim: AR has the same number of communication
      steps as primary-backup, more than 2PC, more than baseline *)
-  let baseline = fig7_find "baseline" in
-  let tpc = fig7_find "2PC" in
-  let pb = fig7_find "primary-backup" in
-  let ar = fig7_find "AR" in
-  Alcotest.(check bool) "baseline ≤ 2PC" true (baseline.steps <= tpc.steps);
-  Alcotest.(check bool) "2PC < PB" true (tpc.steps < pb.steps);
-  Alcotest.(check int) "AR = PB (the paper's claim)" pb.steps ar.steps
+  let steps p = int (fig7_find p) "steps" in
+  Alcotest.(check bool) "baseline ≤ 2PC" true (steps "baseline" <= steps "2PC");
+  Alcotest.(check bool) "2PC < PB" true (steps "2PC" < steps "primary-backup");
+  Alcotest.(check int) "AR = PB (the paper's claim)" (steps "primary-backup")
+    (steps "AR")
 
 let test_fig7_forced_ios () =
-  let tpc = fig7_find "2PC" in
-  let ar = fig7_find "AR" in
-  let baseline = fig7_find "baseline" in
-  Alcotest.(check int) "2PC: two eager IOs" 2 tpc.forced_ios;
-  Alcotest.(check int) "AR: none" 0 ar.forced_ios;
-  Alcotest.(check int) "baseline: none" 0 baseline.forced_ios
+  let forced p = int (fig7_find p) "forced_ios" in
+  Alcotest.(check int) "2PC: two eager IOs" 2 (forced "2PC");
+  Alcotest.(check int) "AR: none" 0 (forced "AR");
+  Alcotest.(check int) "baseline: none" 0 (forced "baseline")
 
 (* ------------------------------------------------------------------ *)
-(* byte-identity: renders captured on the commit before the classed-demux
-   and indexed-outbox rework; same seeds must render the same bytes *)
+(* byte-identity: the text sections were captured before the
+   classed-demux and indexed-outbox rework, the CSV and Figure 1 sections
+   before the tables were declared as cells; same seeds must print the
+   same bytes *)
 
 let find_sub haystack needle from =
   let n = String.length needle in
@@ -263,53 +258,84 @@ let find_sub haystack needle from =
   in
   scan from
 
+(* the file's sections, in order, each under a [===NAME===] line *)
+let golden_names = [ "FIG7"; "FIG8"; "FIG7CSV"; "FIG8CSV"; "FIG1"; "FIG1CSV" ]
+
 let golden_figures =
   lazy
     (let ic = open_in "figures.golden" in
      let s = really_input_string ic (in_channel_length ic) in
      close_in ic;
-     let m7 = "===FIG7===\n" and m8 = "===FIG8===\n" in
-     let i7 = find_sub s m7 0 + String.length m7 in
-     let i8 = find_sub s m8 i7 in
-     ( String.sub s i7 (i8 - i7),
-       String.sub s
-         (i8 + String.length m8)
-         (String.length s - i8 - String.length m8) ))
+     let bounds =
+       List.map
+         (fun name ->
+           let m = "===" ^ name ^ "===\n" in
+           let i = find_sub s m 0 in
+           (name, i, i + String.length m))
+         golden_names
+     in
+     List.mapi
+       (fun k (name, _, body) ->
+         let stop =
+           match List.nth_opt bounds (k + 1) with
+           | Some (_, i, _) -> i
+           | None -> String.length s
+         in
+         (name, String.sub s body (stop - body)))
+       bounds)
+
+let golden name = List.assoc name (Lazy.force golden_figures)
+let csv t = Artefact.csv (rows t)
+let fig8_3 = lazy (Experiments.figure8 ~transactions:3 ())
+let fig1 = lazy (Experiments.figure1 ())
 
 let test_fig7_golden_identity () =
-  let g7, _ = Lazy.force golden_figures in
-  Alcotest.(check string) "figure7 byte-identical to pre-demux render" g7
-    (Experiments.render_figure7 (Lazy.force fig7))
+  Alcotest.(check string) "figure7 byte-identical to pre-demux render"
+    (golden "FIG7")
+    (Stats.Table.text (Lazy.force fig7))
 
 let test_fig8_golden_identity () =
-  let _, g8 = Lazy.force golden_figures in
-  Alcotest.(check string) "figure8 byte-identical to pre-demux render" g8
-    (Experiments.render_figure8 (Experiments.figure8 ~transactions:3 ()))
+  Alcotest.(check string) "figure8 byte-identical to pre-demux render"
+    (golden "FIG8")
+    (Stats.Table.text (Lazy.force fig8_3))
+
+let test_golden_csv name table () =
+  Alcotest.(check string)
+    (name ^ " CSV byte-identical to the golden")
+    (golden name)
+    (csv (Lazy.force table))
+
+let test_fig1_golden_identity () =
+  Alcotest.(check string) "figure1 byte-identical to the golden"
+    (golden "FIG1")
+    (Stats.Table.text (Lazy.force fig1))
 
 (* ------------------------------------------------------------------ *)
 
 let test_fig1_scenarios () =
-  let scenarios = Experiments.figure1 () in
+  let scenarios = rows (Lazy.force fig1) in
   Alcotest.(check int) "four scenarios" 4 (List.length scenarios);
   List.iter
-    (fun (s : Experiments.fig1_scenario) ->
-      Alcotest.(check bool) (s.label ^ " delivered") true s.delivered;
-      Alcotest.(check (list string)) (s.label ^ " violations") [] s.violations)
+    (fun s ->
+      let label = str s "scenario" in
+      Alcotest.(check bool) (label ^ " delivered") true
+        (Artefact.flag s "delivered");
+      Alcotest.(check int) (label ^ " violations") 0 (int s "violations"))
     scenarios;
-  let nth i = List.nth scenarios i in
-  Alcotest.(check int) "(a) single try" 1 (nth 0).tries;
-  Alcotest.(check int) "(b) abort then commit" 2 (nth 1).tries;
-  Alcotest.(check int) "(c) original result survives" 1 (nth 2).tries;
-  Alcotest.(check (option string)) "(c) cleaner finished the commit"
-    (Some "commit") (nth 2).cleaner_outcome;
-  Alcotest.(check int) "(d) fail-over retry" 2 (nth 3).tries;
-  Alcotest.(check (option string)) "(d) cleaner aborted" (Some "abort")
-    (nth 3).cleaner_outcome
+  let tries i = int (List.nth scenarios i) "tries" in
+  let cleaner i = str (List.nth scenarios i) "cleaner" in
+  Alcotest.(check int) "(a) single try" 1 (tries 0);
+  Alcotest.(check int) "(b) abort then commit" 2 (tries 1);
+  Alcotest.(check int) "(c) original result survives" 1 (tries 2);
+  Alcotest.(check string) "(c) cleaner finished the commit" "commit"
+    (cleaner 2);
+  Alcotest.(check int) "(d) fail-over retry" 2 (tries 3);
+  Alcotest.(check string) "(d) cleaner aborted" "abort" (cleaner 3)
 
 let test_ablation_backoff_monotonic_failover () =
-  let rows = Experiments.backoff_sweep ~periods:[ 100.; 400.; 1600. ] () in
-  match rows with
-  | [ (_, n1, f1); (_, n2, f2); (_, n3, f3) ] ->
+  let rows = rows (Experiments.backoff_sweep ~periods:[ 100.; 400.; 1600. ] ()) in
+  match List.map (fun r -> (num r "nice_ms", num r "failover_ms")) rows with
+  | [ (n1, f1); (n2, f2); (n3, f3) ] ->
       Alcotest.(check bool) "nice latency flat" true
         (Float.abs (n1 -. n3) < 10.);
       Alcotest.(check bool) "failover latency grows with back-off" true
@@ -318,32 +344,46 @@ let test_ablation_backoff_monotonic_failover () =
   | _ -> Alcotest.fail "expected three rows"
 
 let test_ablation_loss_monotonic () =
-  let rows = Experiments.loss_sweep ~rates:[ 0.; 0.3 ] () in
-  match rows with
-  | [ (_, lat0, msgs0); (_, lat3, msgs3) ] ->
+  let rows = rows (Experiments.loss_sweep ~rates:[ 0.; 0.3 ] ()) in
+  match
+    List.map (fun r -> (num r "latency_ms", num r "msgs_per_request")) rows
+  with
+  | [ (lat0, msgs0); (lat3, msgs3) ] ->
       Alcotest.(check bool) "loss costs latency" true (lat3 > lat0);
       Alcotest.(check bool) "loss costs messages" true (msgs3 > msgs0)
   | _ -> Alcotest.fail "expected two rows"
 
 let test_ablation_persistence_ordering () =
   (* the design point: persistent registers push AR past 2PC *)
-  match Experiments.persistence_ablation ~transactions:5 () with
-  | [ (_, diskless); (_, persistent); (_, tpc) ] ->
+  match
+    List.map
+      (fun r -> num r "latency_ms")
+      (rows (Experiments.persistence_ablation ~transactions:5 ()))
+  with
+  | [ diskless; persistent; tpc ] ->
       Alcotest.(check bool) "diskless < 2PC" true (diskless < tpc);
       Alcotest.(check bool) "persistent > 2PC" true (persistent > tpc)
   | _ -> Alcotest.fail "expected three configurations"
 
 let test_ablation_consensus_failover_monotone () =
   (* with a useless detector, the round timeout is the fail-over latency *)
-  match Experiments.consensus_failover_sweep ~round_timeouts:[ 25.; 200. ] () with
-  | [ (_, fast); (_, slow) ] ->
+  match
+    List.map
+      (fun r -> num r "latency_ms")
+      (rows (Experiments.consensus_failover_sweep ~round_timeouts:[ 25.; 200. ] ()))
+  with
+  | [ fast; slow ] ->
       Alcotest.(check bool) "latency tracks the round timeout" true
         (fast < 60. && slow > 200. && fast < slow)
   | _ -> Alcotest.fail "expected two rows"
 
 let test_ablation_throughput_contention () =
-  match Experiments.throughput_sweep ~clients:[ 1; 4 ] ~requests_per_client:3 () with
-  | [ (_, hot1, cold1); (_, hot4, cold4) ] ->
+  match
+    List.map
+      (fun r -> (num r "contended_tx_per_s", num r "disjoint_tx_per_s"))
+      (rows (Experiments.throughput_sweep ~clients:[ 1; 4 ] ~requests_per_client:3 ()))
+  with
+  | [ (hot1, cold1); (hot4, cold4) ] ->
       Alcotest.(check bool) "single client: contention irrelevant" true
         (Float.abs (hot1 -. cold1) < 0.5);
       Alcotest.(check bool) "disjoint accounts scale better" true
@@ -356,8 +396,12 @@ let test_ablation_fd_quality () =
   (* the sweep itself asserts the spec in every configuration; here we
      check the performance shape: an aggressive timeout causes spurious
      cleanings and retries, a generous one does not *)
-  match Experiments.fd_quality_sweep ~requests:5 ~timeouts:[ 15.; 200. ] () with
-  | [ (_, aggressive_cleanings, aggressive_tries, _); (_, calm_cleanings, calm_tries, _) ] ->
+  match
+    List.map
+      (fun r -> (int r "spurious_cleanings", int r "extra_tries"))
+      (rows (Experiments.fd_quality_sweep ~requests:5 ~timeouts:[ 15.; 200. ] ()))
+  with
+  | [ (aggressive_cleanings, aggressive_tries); (calm_cleanings, calm_tries) ] ->
       Alcotest.(check bool) "aggressive timeout misfires" true
         (aggressive_cleanings > 0);
       Alcotest.(check bool) "retries follow" true (aggressive_tries > 0);
@@ -366,9 +410,13 @@ let test_ablation_fd_quality () =
   | _ -> Alcotest.fail "expected two rows"
 
 let test_ablation_dbs_flat () =
-  let rows = Experiments.db_sweep ~counts:[ 1; 4 ] () in
-  match rows with
-  | [ (_, b1, a1, t1); (_, b4, a4, t4) ] ->
+  let rows = rows (Experiments.db_sweep ~counts:[ 1; 4 ] ()) in
+  match
+    List.map
+      (fun r -> (num r "baseline_ms", num r "ar_ms", num r "tpc_ms"))
+      rows
+  with
+  | [ (b1, a1, t1); (b4, a4, t4) ] ->
       (* prepare fan-out is parallel: latency must not grow linearly *)
       Alcotest.(check bool) "baseline flat" true (Float.abs (b4 -. b1) < 10.);
       Alcotest.(check bool) "AR flat" true (Float.abs (a4 -. a1) < 10.);
@@ -671,6 +719,8 @@ let () =
           Alcotest.test_case "rendering" `Quick test_fig8_rendering;
           Alcotest.test_case "golden byte-identity" `Quick
             test_fig8_golden_identity;
+          Alcotest.test_case "golden CSV" `Quick
+            (test_golden_csv "FIG8CSV" fig8_3);
           Alcotest.test_case "column from a hand-built registry" `Quick
             test_fig8_column_from_registry;
           Alcotest.test_case "AR records identical with obs" `Quick
@@ -686,12 +736,18 @@ let () =
             test_fig7_parallel_determinism;
           Alcotest.test_case "golden byte-identity" `Quick
             test_fig7_golden_identity;
+          Alcotest.test_case "golden CSV" `Quick
+            (test_golden_csv "FIG7CSV" fig7);
         ] );
       ( "figure1",
         [
           Alcotest.test_case "four executions" `Quick test_fig1_scenarios;
           Alcotest.test_case "parallel determinism" `Quick
             test_fig1_parallel_determinism;
+          Alcotest.test_case "golden byte-identity" `Quick
+            test_fig1_golden_identity;
+          Alcotest.test_case "golden CSV" `Quick
+            (test_golden_csv "FIG1CSV" fig1);
         ] );
       ( "ablations",
         [
