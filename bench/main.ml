@@ -4,6 +4,7 @@
    and the BENCH_harness.json schema. *)
 
 module A = Harness.Artefact
+module Rt = Runtime.Etx_runtime
 
 let domains = ref 1
 let host_cores = Domain.recommended_domain_count ()
@@ -193,7 +194,7 @@ open Bechamel
 type Runtime.Types.payload += Micro_ping of int | Micro_pong of int
 
 let cls_micro =
-  Runtime.Etx_runtime.register_class ~name:"bench-micro" (function
+  Rt.register_class ~name:"bench-micro" (function
     | Micro_ping _ | Micro_pong _ -> true
     | _ -> false)
 
@@ -211,7 +212,7 @@ let rchannel_roundtrip () =
   let ponger =
     peer (fun ch ->
         for _ = 1 to n do
-          match Dsim.Engine.recv_cls cls_micro with
+          match Rt.recv_cls cls_micro with
           | Some { src; payload = Micro_ping i; _ } ->
               Dnet.Rchannel.send ch src (Micro_pong i)
           | _ -> ()
@@ -223,7 +224,7 @@ let rchannel_roundtrip () =
            Dnet.Rchannel.send ch ponger (Micro_ping i)
          done;
          for _ = 1 to n do
-           ignore (Dsim.Engine.recv_cls cls_micro)
+           ignore (Rt.recv_cls cls_micro)
          done));
   ignore (Dsim.Engine.run e)
 

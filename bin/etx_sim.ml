@@ -98,8 +98,8 @@ let write_obs_dump ~file ~delivered reg =
    drawn from the workload generator (transfers stay intra-shard), requests
    dealt round-robin to the clients. Faults target shard 0. *)
 let demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
-    batch cache replicas group_commit force_latency cross_ratio
-    crash_primary_at crash_db obs =
+    batch cache replicas group_commit cross_ratio crash_primary_at crash_db
+    obs =
   let kind =
     let accounts = max 8 (4 * shards) in
     match workload with
@@ -129,8 +129,7 @@ let demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
   let reg = Option.map (fun _ -> Obs.Registry.create ()) obs in
   let engine, c =
     Harness.Simrun.cluster ~seed ~map ?obs:reg ~n_app_servers ~n_dbs ~batch
-      ~cache ~replicas ~group_commit
-      ~cross:(cross_ratio > 0.) ~disk_force_latency:force_latency
+      ~cache ~replicas ~group_commit ~cross:(cross_ratio > 0.)
       ~client_period:300.
       ~seed_data:(Workload.Generator.seed_data_of kind)
       ~business:(Workload.Generator.business_of kind)
@@ -194,8 +193,8 @@ let demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
   if (not quiesced) || violations <> [] || not obs_ok then exit 1
 
 let demo_run seed workload requests n_app_servers n_dbs shards clients batch
-    cache replicas group_commit force_latency cross_ratio
-    crash_primary_at crash_db verbose diagram obs =
+    cache replicas group_commit cross_ratio crash_primary_at crash_db verbose
+    diagram obs =
   if shards < 1 then (Printf.eprintf "--shards must be >= 1\n"; exit 2);
   if clients < 1 then (Printf.eprintf "--clients must be >= 1\n"; exit 2);
   if batch < 1 then (Printf.eprintf "--batch must be >= 1\n"; exit 2);
@@ -206,8 +205,8 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
     (Printf.eprintf "--cross-ratio needs --shards >= 2\n"; exit 2);
   if shards > 1 || clients > 1 then
     demo_run_cluster seed workload requests n_app_servers n_dbs shards clients
-      batch cache replicas group_commit force_latency cross_ratio
-      crash_primary_at crash_db obs
+      batch cache replicas group_commit cross_ratio crash_primary_at crash_db
+      obs
   else
   let business, seed_data, body_of =
     match workload with
@@ -238,9 +237,7 @@ let demo_run seed workload requests n_app_servers n_dbs shards clients batch
   in
   let engine, c =
     Harness.Simrun.cluster ~seed ?obs:reg ~n_app_servers ~n_dbs ~batch
-      ~cache ~replicas ~group_commit
-      ~disk_force_latency:force_latency ~client_period:300. ~seed_data
-      ~business
+      ~cache ~replicas ~group_commit ~client_period:300. ~seed_data ~business
       ~scripts:
         [
           (fun ~issue ->
@@ -407,12 +404,6 @@ let demo_cmd =
              disk write per group-commit window (amortizes the forced write \
              the same way the batched pipeline amortizes consensus).")
   in
-  let force_latency =
-    Arg.(
-      value & opt float 12.5
-      & info [ "force-latency" ] ~docv:"MS"
-          ~doc:"Latency of one forced redo-log disk write (default 12.5).")
-  in
   let cross_ratio =
     Arg.(
       value & opt float 0.
@@ -470,9 +461,8 @@ let demo_cmd =
           delivered results and check the e-Transaction specification.")
     Term.(
       const demo_run $ seed_arg $ workload $ requests $ apps $ dbs $ shards
-      $ clients $ batch $ cache $ replicas $ group_commit
-      $ force_latency $ cross_ratio $ crash_primary $ crash_db $ verbose
-      $ diagram $ obs)
+      $ clients $ batch $ cache $ replicas $ group_commit $ cross_ratio
+      $ crash_primary $ crash_db $ verbose $ diagram $ obs)
 
 let main_cmd =
   let doc =

@@ -4,13 +4,11 @@ open Dnet
 open Etx.Etx_types
 
 (* Shared by the comparison protocols: spawn the database tier. *)
-let spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data ~observers =
+let spawn_dbs rt ~n_dbs ~seed_data ~observers =
   List.init n_dbs (fun i ->
       let name = Printf.sprintf "db%d" (i + 1) in
-      let disk =
-        Dstore.Disk.create ~force_latency:disk_force_latency ~label:"log" ()
-      in
-      let rm = Dbms.Rm.create ~timing ~seed_data ~disk ~name () in
+      let disk = Dstore.Disk.create ~label:"log" () in
+      let rm = Dbms.Rm.create ~seed_data ~disk ~name () in
       let pid = Dbms.Server.spawn rt ~name ~rm ~observers () in
       (pid, rm))
 
@@ -63,8 +61,8 @@ let serve_requests ?(active = fun () -> true) ch serve =
    commit everywhere, under a fresh [xid] per execution — an unreliable
    server has no exactly-once bookkeeping, so a client retry is a
    brand-new database transaction (the double-charge hazard). *)
-let spawn (rt : Rt.t) ?(name = "baseline") ~dbs ~business () =
-  rt.spawn ~name ~main:(fun ~recovery:_ () ->
+let spawn (rt : Rt.t) ~dbs ~business () =
+  rt.spawn ~name:"baseline" ~main:(fun ~recovery:_ () ->
       (* stateless: a recovery simply starts serving afresh — which is
          exactly why a retried request can execute twice *)
       let ch = Rchannel.create () in
@@ -88,17 +86,12 @@ type t = {
   client : Etx.Client.handle;
 }
 
-let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
-    ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ~rt ~business ~script () =
-  let net =
-    match net with Some n -> n | None -> Netmodel.three_tier ~n_dbs ()
-  in
-  (rt : Rt.t).set_net net;
+let build ?(n_dbs = 1) ?(seed_data = []) ?(client_period = 400.) ~rt
+    ~business ~script () =
+  (rt : Rt.t).set_net (Netmodel.three_tier ~n_dbs ());
   let server_pid = ref [] in
   let dbs =
-    spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data
-      ~observers:(fun () -> !server_pid)
+    spawn_dbs rt ~n_dbs ~seed_data ~observers:(fun () -> !server_pid)
   in
   let server = spawn rt ~dbs:(List.map fst dbs) ~business () in
   server_pid := [ server ];

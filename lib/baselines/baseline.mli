@@ -14,8 +14,6 @@ open Runtime
 val spawn_dbs :
   Etx_runtime.t ->
   n_dbs:int ->
-  timing:Dbms.Rm.timing ->
-  disk_force_latency:float ->
   seed_data:(string * Dbms.Value.t) list ->
   observers:(unit -> Types.proc_id list) ->
   (Types.proc_id * Dbms.Rm.t) list
@@ -60,7 +58,6 @@ val serve_requests :
 
 val spawn :
   Etx_runtime.t ->
-  ?name:string ->
   dbs:Types.proc_id list ->
   business:Etx.Business.t ->
   unit ->
@@ -74,10 +71,7 @@ type t = {
 }
 
 val build :
-  ?net:Etx_runtime.netmodel ->
   ?n_dbs:int ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   rt:Etx_runtime.t ->

@@ -142,8 +142,7 @@ type t = {
   client : Etx.Client.handle;
 }
 
-let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
-    ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
+let build ?net ?(n_dbs = 1) ?(seed_data = []) ?(client_period = 400.)
     ?(backup_fd = Fdetect.oracle) ~rt ~business ~script () =
   let net =
     match net with Some n -> n | None -> Netmodel.three_tier ~n_dbs ()
@@ -151,8 +150,7 @@ let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
   (rt : Rt.t).set_net net;
   let server_pids = ref [] in
   let dbs =
-    Baseline.spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data
-      ~observers:(fun () -> !server_pids)
+    Baseline.spawn_dbs rt ~n_dbs ~seed_data ~observers:(fun () -> !server_pids)
   in
   let db_pids = List.map fst dbs in
   let n_db = List.length dbs in

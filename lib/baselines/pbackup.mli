@@ -29,8 +29,6 @@ type t = {
 val build :
   ?net:Etx_runtime.netmodel ->
   ?n_dbs:int ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   ?backup_fd:(Etx_runtime.t -> Dnet.Fdetect.t) ->

@@ -53,8 +53,8 @@ let recover_log ~log ~dbs ch rd =
           Dbms.Stub.decide ch rd ~dbs ~items:[ (xid, Dbms.Rm.Abort) ])
     (List.rev !started)
 
-let spawn (rt : Rt.t) ?(name = "2pc-coord") ~log ~dbs ~business () =
-  rt.spawn ~name ~main:(fun ~recovery () ->
+let spawn (rt : Rt.t) ~log ~dbs ~business () =
+  rt.spawn ~name:"2pc-coord" ~main:(fun ~recovery () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
       let rd = Dbms.Stub.Readiness.create ~dbs in
@@ -73,21 +73,14 @@ type t = {
   client : Etx.Client.handle;
 }
 
-let build ?net ?(n_dbs = 1) ?(timing = Dbms.Rm.paper_timing)
-    ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ~rt ~business ~script () =
-  let net =
-    match net with Some n -> n | None -> Netmodel.three_tier ~n_dbs ()
-  in
-  (rt : Rt.t).set_net net;
+let build ?(n_dbs = 1) ?(seed_data = []) ?(client_period = 400.) ~rt
+    ~business ~script () =
+  (rt : Rt.t).set_net (Netmodel.three_tier ~n_dbs ());
   let coord_pid = ref [] in
   let dbs =
-    Baseline.spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data
-      ~observers:(fun () -> !coord_pid)
+    Baseline.spawn_dbs rt ~n_dbs ~seed_data ~observers:(fun () -> !coord_pid)
   in
-  let coordinator_disk =
-    Dstore.Disk.create ~force_latency:disk_force_latency ~label:"coord-log" ()
-  in
+  let coordinator_disk = Dstore.Disk.create ~label:"coord-log" () in
   let log = Dstore.Log.create ~disk:coordinator_disk () in
   let coordinator =
     spawn rt ~log ~dbs:(List.map fst dbs) ~business ()

@@ -23,7 +23,6 @@ type log_record =
 
 val spawn :
   Etx_runtime.t ->
-  ?name:string ->
   log:log_record Dstore.Log.t ->
   dbs:Types.proc_id list ->
   business:Etx.Business.t ->
@@ -42,10 +41,7 @@ type t = {
 }
 
 val build :
-  ?net:Etx_runtime.netmodel ->
   ?n_dbs:int ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   rt:Etx_runtime.t ->

@@ -34,20 +34,17 @@ let primary t ~shard = List.hd t.groups.(shard).app_servers
 let all_records t =
   List.concat_map (fun c -> Etx.Client.records c) t.clients
 
-(* Forced-write cost of a recoverable application server's register
-   storage (virtual ms). *)
-let register_disk_latency = 12.5
-
 (* How often a primary database ships committed write-sets to its read
    replicas (virtual ms). *)
 let ship_period = 5.
 
 let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
-    ?(fd_spec = Etx.Appserver.Fd_oracle) ?(timing = Dbms.Rm.paper_timing)
-    ?(disk_force_latency = 12.5) ?(seed_data = []) ?(client_period = 400.)
-    ?(clean_period = 20.) ?(recoverable = false) ?batch ?(cache = false)
-    ?(group_commit = false) ?(replicas = 0) ?(cross = false)
-    ?(reconfig = false) ?(provision = 0) ~rt ~business ~scripts () =
+    ?(fd_spec = Etx.Appserver.Fd_oracle) ?(seed_data = [])
+    ?(client_period = 400.) ?(clean_period = 20.) ?(recoverable = false)
+    ?(batch = 1) ?(cache = false) ?(group_commit = false) ?(replicas = 0)
+    ?(cross = false) ?(reconfig = false) ?(provision = 0) ~rt ~business
+    ~scripts () =
+  if batch < 1 then invalid_arg "Cluster.build: batch must be >= 1";
   if replicas < 0 then invalid_arg "Cluster.build: replicas must be >= 0";
   if provision < 0 then invalid_arg "Cluster.build: provision must be >= 0";
   if provision > 0 && not reconfig then
@@ -89,13 +86,8 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
         let seed_data = seed_for s in
         List.init n_dbs (fun i ->
             let name = gname s (Printf.sprintf "db%d" (i + 1)) in
-            let disk =
-              Dstore.Disk.create ~force_latency:disk_force_latency
-                ~label:"log" ()
-            in
-            let rm =
-              Dbms.Rm.create ~timing ~seed_data ~group_commit ~disk ~name ()
-            in
+            let disk = Dstore.Disk.create ~label:"log" () in
+            let rm = Dbms.Rm.create ~seed_data ~group_commit ~disk ~name () in
             let cell = ref [] in
             let ship =
               if replicas > 0 then Some (ship_period, fun () -> !cell)
@@ -149,10 +141,7 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
                 if recoverable then
                   Some
                     (Consensus.Agent.make_persistence
-                       ~disk:
-                         (Dstore.Disk.create
-                            ~force_latency:register_disk_latency
-                            ~label:"reg-log" ()))
+                       ~disk:(Dstore.Disk.create ~label:"reg-log" ()))
                 else None
               in
               let mcache =
@@ -182,13 +171,25 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
                     }
                 else None
               in
-              let cfg =
-                Etx.Appserver.config ~fd_spec ~clean_period ?persist ?batch
-                  ?cache:mcache ?replicas:reps ?cross:cross_cfg
-                  ?reconfig:reconfig_cfg ~group:s ~rt ~index ~servers
-                  ~dbs:db_pids ~business ()
+              let pid =
+                Etx.Appserver.spawn
+                  {
+                    rt;
+                    group = s;
+                    index;
+                    servers;
+                    dbs = db_pids;
+                    business;
+                    fd_spec;
+                    clean_period;
+                    persist;
+                    batch;
+                    cache = mcache;
+                    replicas = reps;
+                    cross = cross_cfg;
+                    reconfig = reconfig_cfg;
+                  }
               in
-              let pid = Etx.Appserver.spawn cfg in
               (match mcache with
               | Some c -> caches := !caches @ [ (pid, c) ]
               | None -> ());
@@ -249,7 +250,8 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
                      in
                      let rpid =
                        Dbms.Replica.spawn rt
-                         ~sql_cpu:timing.Dbms.Rm.sql_cpu ~name ~replica ()
+                         ~sql_cpu:Dbms.Rm.paper_timing.sql_cpu ~name
+                         ~replica ()
                      in
                      cell := !cell @ [ rpid ];
                      (rpid, replica, db_pid)))
@@ -314,13 +316,13 @@ let await_epoch ?(deadline = 600_000.) t e =
    which it then records in the cluster's map history. [await_epoch] (or
    [run_to_quiescence], which waits for all pending operator actions)
    rendezvouses with completion. *)
-let split ?boundary t ~group ~target =
+let split t ~group ~target =
   if not t.reconfig then
     invalid_arg "Cluster.split: build the cluster with ~reconfig:true";
   if target < 0 || target >= Array.length t.groups then
     invalid_arg "Cluster.split: target group not provisioned";
   let from = current_map t in
-  let tgt = Etx.Shard_map.split ?boundary from ~group ~target () in
+  let tgt = Etx.Shard_map.split from ~group ~target () in
   let e = Etx.Shard_map.epoch tgt in
   let cfg_servers = t.groups.(0).app_servers in
   t.ops := !(t.ops) + 1;

@@ -64,8 +64,6 @@ val build :
   ?n_app_servers:int ->
   ?n_dbs:int ->
   ?fd_spec:Etx.Appserver.fd_spec ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   ?clean_period:float ->
@@ -93,14 +91,18 @@ val build :
     Defaults: three-tier network model (installed via [rt.set_net]), 3
     application servers per group (tolerating one crash, as in the
     paper's measurements), 1 database per group (the paper's
-    configuration), oracle failure detector, paper-calibrated timing,
-    400 ms client back-off.
+    configuration), oracle failure detector, 400 ms client back-off. Costs
+    are the paper's calibration and not options: {!Dbms.Rm.paper_timing}
+    for every database and {!Dstore.Disk.create}'s 12.5 ms per forced
+    write for every log.
 
     [recoverable:true] equips each application server with stable
-    register storage (12.5 ms per forced write), enabling crash-recovery
-    of application servers — see {!Etx.Appserver.config} for semantics
-    and cost. [batch] (default 1) selects the leased, batched commit
-    pipeline on every application server.
+    register storage on such a disk, enabling crash-recovery of
+    application servers — see the [persist] field of
+    {!Etx.Appserver.config} for semantics and cost. [batch] (default 1)
+    above 1 selects the leased, batched commit pipeline on every
+    application server; this function fills every server's
+    {!Etx.Appserver.config} record itself.
 
     [cache:true] equips every application server with a method cache for
     read-only business calls and every database with commit-piggybacked
@@ -139,7 +141,11 @@ val build :
     owning no keys — as {!split} destinations; database pids stay first
     ([0 .. (shards+provision)*n_dbs - 1]). With the default [false]
     nothing changes: no cfg fiber, no spare processes, message streams
-    identical to the static cluster. *)
+    identical to the static cluster.
+
+    Raises [Invalid_argument] before it spawns anything if [batch < 1],
+    [replicas < 0], [provision < 0], [provision > 0] without [reconfig],
+    or [scripts] is empty. *)
 
 val run_to_quiescence : ?deadline:float -> t -> bool
 (** Run until every client script finished, every database of every
@@ -169,8 +175,7 @@ val await_epoch : ?deadline:float -> t -> int -> bool
 (** Drive the runtime until the cluster's observed epoch reaches the
     given value (or the deadline passes — then [false]). *)
 
-val split :
-  ?boundary:string -> t -> group:int -> target:int -> int
+val split : t -> group:int -> target:int -> int
 (** Initiate an online split of [group]'s key slots toward the spare
     group [target] (see {!Etx.Shard_map.split}) and return the epoch the
     migration will establish. Asynchronous: an ephemeral operator-console

@@ -69,26 +69,6 @@ type config = {
    to the primary pipeline. *)
 let replica_bound = 8
 
-let config ?persist ?(group = 0) ?(batch = 1) ?cache ?replicas ?cross
-    ?reconfig ~fd_spec ~clean_period ~rt ~index ~servers ~dbs ~business () =
-  if batch < 1 then invalid_arg "Appserver.config: batch must be >= 1";
-  {
-    rt;
-    group;
-    index;
-    servers;
-    dbs;
-    business;
-    fd_spec;
-    clean_period;
-    persist;
-    batch;
-    cache;
-    replicas;
-    cross;
-    reconfig;
-  }
-
 (* Live reconfiguration state of one server: its current map view, and —
    while it belongs to a migration's source group — the target map it is
    sealed against. [driving] dedups driver fibers per target epoch (a

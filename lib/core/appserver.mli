@@ -128,7 +128,7 @@ type config = {
           string, so the delivered result may degrade to an error report
           even though the transaction's effect applies exactly once. *)
   batch : int;
-      (** maximum results per leased batch; 1 (the default) selects the
+      (** maximum results per leased batch, at least 1; 1 selects the
           classic per-result path, byte-identical to earlier revisions. *)
   cache : Method_cache.t option;
       (** method cache for read-only business calls (DESIGN.md §13). On a
@@ -138,8 +138,8 @@ type config = {
           fiber consumes the databases' commit-piggybacked [Invalidate]
           broadcasts — the deployment must spawn its database servers
           with [~invalidate:true] whenever caches are supplied. [None]
-          (the default) leaves the request path byte-identical to the
-          uncached protocol. *)
+          leaves the request path byte-identical to the uncached
+          protocol. *)
   replicas : (unit -> (Types.proc_id * Types.proc_id list) list) option;
       (** per-database asynchronous read replicas (DESIGN.md §14): on a
           cache-miss read-only request the server runs the business logic
@@ -148,19 +148,17 @@ type config = {
           and its provable staleness — no election, no transaction, no
           primary SQL. A stale/refusing replica, one silent for 1,000 ms,
           or any loss of a single provable snapshot falls back to the
-          normal pipeline. A thunk
-          because replicas are spawned after the application servers;
-          [None] (the default) leaves the request path byte-identical to
-          the replica-less protocol. *)
+          normal pipeline. A thunk because replicas are spawned after the
+          application servers; [None] leaves the request path
+          byte-identical to the replica-less protocol. *)
   cross : cross_cfg option;
-      (** cross-shard commit wiring; [None] (the default) confines every
-          request to this server's own group — no gx fiber is forked and
-          the request path stays byte-identical to the single-shard
-          protocol *)
+      (** cross-shard commit wiring; [None] confines every request to this
+          server's own group — no gx fiber is forked and the request path
+          stays byte-identical to the single-shard protocol *)
   reconfig : reconfig_cfg option;
-      (** elastic reconfiguration; [None] (the default) fixes the map
-          forever — no cfg fiber is forked and the request path stays
-          byte-identical to the static protocol *)
+      (** elastic reconfiguration; [None] fixes the map forever — no cfg
+          fiber is forked and the request path stays byte-identical to the
+          static protocol *)
 }
 
 val replica_bound : int
@@ -168,27 +166,6 @@ val replica_bound : int
     replica whose lag exceeds it answers stale and the request falls back
     to the primary pipeline. *)
 
-val config :
-  ?persist:Consensus.Agent.persistence ->
-  ?group:int ->
-  ?batch:int ->
-  ?cache:Method_cache.t ->
-  ?replicas:(unit -> (Types.proc_id * Types.proc_id list) list) ->
-  ?cross:cross_cfg ->
-  ?reconfig:reconfig_cfg ->
-  fd_spec:fd_spec ->
-  clean_period:float ->
-  rt:Etx_runtime.t ->
-  index:int ->
-  servers:Types.proc_id list ->
-  dbs:Types.proc_id list ->
-  business:Business.t ->
-  unit ->
-  config
-(** Defaults: no persistence, group 0, batch 1 (classic path), no cache,
-    no replicas, no cross-shard wiring, no reconfiguration. The deployment
-    supplies the detector and the clean period. Raises [Invalid_argument]
-    if [batch < 1]. *)
-
 val spawn : config -> Types.proc_id
-(** Spawns on the backend in [cfg.rt]. *)
+(** Spawns on the backend in [cfg.rt]. The deployment fills the record and
+    checks it ([batch >= 1]) before it spawns anything. *)

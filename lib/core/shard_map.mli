@@ -3,8 +3,7 @@
     An alias of {!Reconfig.Shard_map} — the epoch-versioned map of
     DESIGN.md §16 — plus the body-routing helper core layers use. Epoch-0
     maps reproduce the historical unversioned placement bit-for-bit:
-    FNV-1a modulo the shard count ([Hash], the default) or strictly-sorted
-    boundary strings ([Range]). Later epochs are refinements produced by
+    FNV-1a modulo the shard count. Later epochs are refinements produced by
     {!Reconfig.Shard_map.split} during online migration. *)
 
 include module type of struct

@@ -787,8 +787,6 @@ let checkpoint t =
 
 let log_length t = Dstore.Log.length t.log
 let log_bytes t = Dstore.Log.bytes t.log
-let appended_lsn t = Dstore.Log.appended_lsn t.log
-let durable_lsn t = Dstore.Log.durable_lsn t.log
 let last_commit_lsn t = t.last_commit_lsn
 let recovery_steps t = t.recovery_steps
 

@@ -182,12 +182,6 @@ val log_length : t -> int
 val log_bytes : t -> int
 (** Estimated byte footprint of the retained log records. O(1). *)
 
-val durable_lsn : t -> int
-(** Highest log sequence number guaranteed to survive a crash. O(1). *)
-
-val appended_lsn : t -> int
-(** Highest log sequence number handed out (volatile tail included). O(1). *)
-
 val last_commit_lsn : t -> int
 (** LSN of the newest committed-state mutation (commit record or snapshot).
     The change-log shipping watermark: a replica that has applied up to this

@@ -4,27 +4,17 @@ module ER = Runtime.Etx_runtime
 
 (* The engine is the one backend of the Etx_runtime substrate, on
    the virtual clock ([run], [run_until]: the simulator) or on the wall
-   clock ({!Runtime_live}'s loop over [next_due] and [run_next]): the
-   effect declarations, message-class registry and fiber-side wrappers
-   live in Runtime.Etx_runtime and are re-exported here so existing
-   [Dsim.Engine] call sites keep working. The adapters packaging an engine
-   as a runtime capability are {!Runtime_sim} and {!Runtime_live}. *)
+   clock ({!Runtime_live}'s loop over [next_due] and [run_next]). The
+   effect declarations, message-class registry and fiber-side operations
+   live in Runtime.Etx_runtime; fibers call them there. The adapters
+   packaging an engine as a runtime capability are {!Runtime_sim} and
+   {!Runtime_live}. *)
 
 exception Exit_fiber = ER.Exit_fiber
 
 type netmodel = ER.netmodel
 
 let default_net = ER.default_net
-
-(* Message classes: global, backend-independent registry (see
-   Etx_runtime). *)
-
-type cls = ER.cls
-
-let register_class = ER.register_class
-let class_name = ER.class_name
-let classify = ER.classify
-let registered_classes = ER.registered_classes
 
 type proc = {
   pid : proc_id;
@@ -43,7 +33,7 @@ type proc = {
   mutable watcher : (proc_id -> unit) option;
       (** [Etx_runtime.watch]: runs at each other process's crash or
           recovery, until this process crashes *)
-  mutable on_msg : (cls * (message -> unit)) list;
+  mutable on_msg : (ER.cls * (message -> unit)) list;
       (** [Etx_runtime.on_message] handlers, until a crash or recovery *)
 }
 
@@ -425,7 +415,7 @@ and receive :
     t ->
     proc ->
     (message option, unit) Effect.Deep.continuation ->
-    cls ->
+    ER.cls ->
     (message -> bool) option ->
     time ->
     unit =
@@ -494,7 +484,7 @@ and enqueue_message t p m =
      one. Otherwise it can be claimed by a class-[c] waiter or by a legacy
      predicate (unclassed) waiter; of the acceptors, the one that
      registered first wins — exactly the old single-list scan order. *)
-  let c = classify m.payload in
+  let c = ER.classify m.payload in
   let f = handler_for c p.on_msg in
   if f != no_handler then handle t p f m
   else
@@ -507,7 +497,8 @@ and enqueue_message t p m =
 (* Per-class traffic counters are keyed by the classifier's class name so
    the sim and live dumps line up metric-for-metric. *)
 and count_net t pid what m =
-  obs_incr t t.procs.(pid).pname (what ^ class_name (classify m.payload))
+  obs_incr t t.procs.(pid).pname
+    (what ^ ER.class_name (ER.classify m.payload))
 
 and transmit t ~src ~dst payload =
   let m = { src; dst; payload; msg_id = fresh_msg_id t; sent_at = t.vnow } in
@@ -574,7 +565,7 @@ let on_message t p cls f =
   if List.mem_assoc cls p.on_msg then
     invalid_arg
       (Printf.sprintf "Etx_runtime.on_message: %s already handles class %s"
-         p.pname (class_name cls));
+         p.pname (ER.class_name cls));
   p.on_msg <- (cls, f) :: p.on_msg;
   let rec drain () =
     match Cq.pop_cls p.mailbox cls with
@@ -772,22 +763,3 @@ let run_until ?deadline t pred =
     else match advance t limit with None -> loop () | Some _ -> pred ()
   in
   loop ()
-
-(* Fiber-side wrappers: shared with every backend, re-exported for existing
-   call sites. *)
-
-let now = ER.now
-let self = ER.self
-let sleep = ER.sleep
-let work = ER.work
-let send = ER.send
-let send_all = ER.send_all
-let redeliver = ER.redeliver
-let recv = ER.recv
-let recv_cls = ER.recv_cls
-let recv_any = ER.recv_any
-let fork = ER.fork
-let on_message = ER.on_message
-let fresh_uid = ER.fresh_uid
-let note = ER.note
-let exit_fiber = ER.exit_fiber

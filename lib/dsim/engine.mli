@@ -19,9 +19,11 @@
     stable storage) survives. Recovery re-runs the process main with
     [~recovery:true].
 
-    Fiber-side operations ([now], [send], [recv], ...) must be called from
-    inside a fiber or a message handler; outside, the suspending ones raise
-    [Effect.Unhandled] and the others [Failure]. Orchestration operations
+    The fiber-side operations are {!Runtime.Etx_runtime}'s ([now], [send],
+    [recv], ...); they must be called from inside a fiber or a message
+    handler; outside, the suspending ones raise [Effect.Unhandled] and the
+    others [Failure]. Message classes are registered there too
+    ({!Runtime.Etx_runtime.register_class}). Orchestration operations
     ([spawn], [run], [crash_at], ...) must be called outside the event loop
     or from scheduled closures. *)
 
@@ -61,31 +63,6 @@ val obs_registry : t -> Obs.Registry.t option
 val rng : t -> Rng.t
 val set_net : t -> netmodel -> unit
 
-(** {1 Message classes}
-
-    A class is a small integer naming a disjoint family of payloads, used to
-    demultiplex deliveries in O(1) instead of predicate-scanning mailboxes
-    and waiter lists. Protocol modules register their classes once at
-    module-initialisation time (before any engine runs; the registry is
-    read-only afterwards, so it is safe to share across {!Pool} domains).
-    Classification order is registration order: the first predicate
-    accepting a payload names its class; payloads no predicate accepts are
-    "unclassed" and reachable only through the predicate receive path. *)
-
-type cls = int
-
-val register_class : ?name:string -> (Types.payload -> bool) -> cls
-(** Register a payload family; returns its class id. Call only from
-    module-level initialisation code. *)
-
-val classify : Types.payload -> cls
-(** First registered class accepting the payload, [-1] if none. *)
-
-val class_name : cls -> string
-
-val registered_classes : unit -> (cls * string) list
-(** Registration order; for diagnostics and docs. *)
-
 (** {1 Orchestration} *)
 
 val spawn : t -> name:string -> main:(recovery:bool -> unit -> unit) -> proc_id
@@ -107,7 +84,7 @@ val recover : t -> proc_id -> unit
 val crash_at : t -> time -> proc_id -> unit
 val recover_at : t -> time -> proc_id -> unit
 
-val mailbox_length : t -> ?cls:cls -> proc_id -> int
+val mailbox_length : t -> ?cls:Etx_runtime.cls -> proc_id -> int
 (** Messages delivered to the process but not yet received — of one class
     with [?cls]. Test/diagnostic use. *)
 
@@ -145,60 +122,3 @@ val run_next : t -> at:time -> unit
     at [at], or at the current time if that is later: the step of a run
     loop that keeps its own clock. [at] must not be earlier than the
     event's due time. *)
-
-(** {1 Fiber-side operations} *)
-
-val now : unit -> time
-val self : unit -> proc_id
-
-val sleep : time -> unit
-
-val work : string -> time -> unit
-(** [work label d] advances virtual time by [d], recording a [Trace.Work]
-    entry — used to model local computation such as SQL execution or a
-    forced disk write, and to account latency components (paper Fig. 8). *)
-
-val send : proc_id -> payload -> unit
-
-val send_all : proc_id list -> payload -> unit
-
-val redeliver : src:proc_id -> payload -> unit
-(** Enqueue a payload into the calling process's own mailbox, attributed to
-    [src], bypassing the network. Used by the reliable-channel layer to hand
-    deduplicated payloads to the protocol above. *)
-
-val recv :
-  ?timeout:time -> ?cls:cls -> filter:(message -> bool) -> unit -> message option
-(** Selective receive: first scans the mailbox, then blocks. [None] only on
-    timeout. Messages rejected by every waiting fiber stay queued.
-
-    With [?cls] the scan is confined to that class's bucket (the filter then
-    only refines within the class — callers must ensure the filter accepts
-    no payload outside the class, or those messages become unreachable). *)
-
-val recv_cls : ?timeout:time -> cls -> message option
-(** O(1) classed receive: pops the oldest message of the class, or blocks
-    in the class's waiter bucket. The fast path for converted hot loops. *)
-
-val recv_any : ?timeout:time -> unit -> message option
-
-val fork : string -> (unit -> unit) -> unit
-(** Start a sibling fiber in the calling process. It dies with the process
-    and is not restarted on recovery (the main must re-fork its helpers). *)
-
-val on_message : cls -> (message -> unit) -> unit
-(** A handler run inside the delivery event; see
-    [Etx_runtime.on_message]. *)
-
-val fresh_uid : unit -> int
-(** A fresh identifier unique within this engine, monotonically increasing
-    from 1000 (so values stay disjoint from client try counters). Used for
-    request ids, channel endpoints and comparison-protocol transaction ids;
-    keeping the counter per-engine (rather than process-global) makes
-    trials self-contained, so parallel runs stay deterministic. *)
-
-val note : string -> unit
-(** Free-form trace annotation by the calling process. *)
-
-val exit_fiber : unit -> 'a
-(** Terminate the calling fiber silently. *)

@@ -1,7 +1,7 @@
 type t = { engine : Engine.t; t0 : float  (** the wall clock's zero *) }
 
-let create ?seed ?net ?obs () =
-  { engine = Engine.create ?seed ?net ?obs (); t0 = Unix.gettimeofday () }
+let create ?seed ?obs () =
+  { engine = Engine.create ?seed ?obs (); t0 = Unix.gettimeofday () }
 
 let engine lt = lt.engine
 let now_ms lt = (Unix.gettimeofday () -. lt.t0) *. 1000.

@@ -22,14 +22,10 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?net:Runtime.Etx_runtime.netmodel ->
-  ?obs:Obs.Registry.t ->
-  unit ->
-  t
+val create : ?seed:int -> ?obs:Obs.Registry.t -> unit -> t
 (** [?obs] opts in observability exactly as on the simulator; timestamps
-    are wall-clock ms since creation. *)
+    are wall-clock ms since creation. The network model is the
+    deployment's: builders install theirs with [set_net]. *)
 
 val engine : t -> Engine.t
 (** The engine underneath, for the simulator's fault scripts and trace

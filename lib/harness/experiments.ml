@@ -1,4 +1,5 @@
 module T = Stats.Table
+module Rt = Runtime.Etx_runtime
 
 let bank_seed = Workload.Bank.seed_accounts [ ("acct0", 1_000_000) ]
 
@@ -480,10 +481,10 @@ let consensus_failover_sweep ?(seed = 42)
             in
             Consensus.Agent.start agent;
             if i = 1 then begin
-              Dsim.Engine.sleep 10.;
-              let t0 = Dsim.Engine.now () in
+              Rt.sleep 10.;
+              let t0 = Rt.now () in
               ignore (Consensus.Agent.propose agent ~key:"k" Sweep_value);
-              latency := Dsim.Engine.now () -. t0
+              latency := Rt.now () -. t0
             end)
       in
       assert (pid = i)

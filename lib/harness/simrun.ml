@@ -7,14 +7,12 @@ let engine ?(seed = 1) ?(tracing = true) ?obs () =
   (e, Dsim.Runtime_sim.of_engine e)
 
 let cluster ?seed ?tracing ?obs ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec
-    ?timing ?disk_force_latency ?seed_data ?client_period ?clean_period
-    ?recoverable ?batch ?cache ?group_commit ?replicas ?cross ?reconfig
-    ?provision ~business ~scripts () =
+    ?seed_data ?client_period ?clean_period ?recoverable ?batch ?cache
+    ?group_commit ?replicas ?cross ?reconfig ?provision ~business ~scripts () =
   let e, rt = engine ?seed ?tracing ?obs () in
   let c =
-    Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?timing
-      ?disk_force_latency ?seed_data ?client_period ?clean_period
-      ?recoverable ?batch ?cache ?group_commit ?replicas ?cross ?reconfig
-      ?provision ~rt ~business ~scripts ()
+    Cluster.build ?net ?map ?shards ?n_app_servers ?n_dbs ?fd_spec ?seed_data
+      ?client_period ?clean_period ?recoverable ?batch ?cache ?group_commit
+      ?replicas ?cross ?reconfig ?provision ~rt ~business ~scripts ()
   in
   (e, c)

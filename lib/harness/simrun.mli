@@ -29,8 +29,6 @@ val cluster :
   ?n_app_servers:int ->
   ?n_dbs:int ->
   ?fd_spec:Etx.Appserver.fd_spec ->
-  ?timing:Dbms.Rm.timing ->
-  ?disk_force_latency:float ->
   ?seed_data:(string * Dbms.Value.t) list ->
   ?client_period:float ->
   ?clean_period:float ->
@@ -46,5 +44,7 @@ val cluster :
   scripts:(issue:(string -> Etx.Client.record) -> unit) list ->
   unit ->
   Dsim.Engine.t * Cluster.t
-(** A {!Cluster} on a fresh engine — one script per client. The paper's
-    deployment is the default one-shard cluster. *)
+(** A {!Cluster} on a fresh engine — one script per client. The first
+    three options are {!engine}'s; the rest are {!Cluster.build}'s, with
+    its defaults and its rejections. The paper's deployment is the default
+    one-shard cluster. *)

@@ -159,15 +159,10 @@ let counter_value t ~node ~name =
 let histogram t ~node ~name =
   Option.map Histogram.copy (Hashtbl.find_opt t.hists (key ~node ~name))
 
-let merged_histogram ?group t name =
+let merged_histogram t name =
   let hs =
     List.filter_map
-      (fun (k, h) ->
-        if
-          k.name = name
-          && match group with None -> true | Some g -> k.group = g
-        then Some h
-        else None)
+      (fun (k, h) -> if k.name = name then Some h else None)
       (histograms t)
   in
   match hs with

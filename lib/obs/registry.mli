@@ -50,7 +50,7 @@ val counter_total : ?group:int -> t -> string -> int
 
 val counter_value : t -> node:string -> name:string -> int
 val histogram : t -> node:string -> name:string -> Histogram.t option
-val merged_histogram : ?group:int -> t -> string -> Histogram.t option
+val merged_histogram : t -> string -> Histogram.t option
 
 (** {2 Fiber-side sink} *)
 

@@ -3,8 +3,7 @@
     A shard map is pure data shared by every client, server and register:
     the same key always lands on the same group, on any process, in any
     run. Epoch 0 reproduces the unversioned map bit-for-bit — [slots]
-    top-level shards placed by FNV-1a modulo (Hash policy) or by
-    strictly-sorted boundary strings (Range policy). Every later epoch is
+    top-level shards placed by FNV-1a modulo [slots]. Every later epoch is
     a {e refinement} produced by {!split}: one group's key region is
     divided between it and a target group, and nothing else moves.
 
@@ -12,23 +11,18 @@
     [cfg:e<n>] write-once register sequence (see {!Rmsg} and
     DESIGN.md §16); the value stored there is exactly a [t]. *)
 
-type policy = Hash | Range of string list
-
 type node =
   | Leaf of int  (** the whole region belongs to this group *)
   | Hsplit of node * node
       (** consume one bit of the key's hash quotient; 0 → left, 1 → right *)
-  | Rsplit of string * node * node
-      (** keys below the boundary → left, at or above → right *)
 
-type t = { epoch : int; policy : policy; assignment : node array }
+type t = { epoch : int; assignment : node array }
 (** [assignment] has one root node per top-level slot. Treat as
     read-only; build values with {!create} / {!split}. *)
 
-val create : ?policy:policy -> shards:int -> unit -> t
+val create : shards:int -> unit -> t
 (** Epoch-0 map: slot [i] is [Leaf i]. Raises [Invalid_argument] if
-    [shards < 1], or if a [Range] policy does not carry exactly
-    [shards - 1] strictly-sorted boundaries. *)
+    [shards < 1]. *)
 
 val epoch : t -> int
 
@@ -45,17 +39,17 @@ val groups : t -> int list
 
 val shard_of : t -> string -> int
 (** Group owning a routing key; in [0, shards). At epoch 0 this is
-    exactly the unversioned placement (FNV-1a mod slots / boundary scan). *)
+    exactly the unversioned placement (FNV-1a mod slots). *)
 
 val shards_of : t -> string list -> int list
 (** Participant set of a key set: the groups owning the keys, sorted and
     deduplicated. A singleton means the keys are co-located and the
     request can ride the intra-shard path. *)
 
-val split : ?boundary:string -> t -> group:int -> target:int -> unit -> t
+val split : t -> group:int -> target:int -> unit -> t
 (** [split t ~group ~target ()] is epoch [t.epoch + 1] with every leaf of
-    [group] divided between [group] and [target]: by one further hash bit
-    (default), or at [boundary] (keys [>= boundary] move). [target] may
+    [group] divided between [group] and [target] by one further hash bit
+    (keys whose bit is 1 move). [target] may
     be a fresh group ([shards t]) or an existing one; raises
     [Invalid_argument] if it equals [group], would leave an index gap, or
     if [group] owns nothing. *)
@@ -70,18 +64,6 @@ val diff : t -> t -> move list
 
 val moved : t -> t -> string -> (int * int) option
 (** [Some (src, dst)] iff the key's owner differs between the two maps. *)
-
-val suggest_boundary : keys:string list -> string
-(** The median of the distinct observed keys — splitting at it moves the
-    upper half of the key {e space} (not the access load) regardless of
-    skew. Raises [Invalid_argument] on fewer than 2 distinct keys. *)
-
-val range_of_keys : shards:int -> keys:string list -> unit -> t
-(** An epoch-0 [Range] map whose boundaries are the [shards]-quantiles of
-    the distinct observed keys, so each shard starts with an equal share
-    of the key population — no hand-sorted boundary strings. Raises
-    [Invalid_argument] if fewer than [shards] distinct keys were
-    observed. *)
 
 (**/**)
 

@@ -235,7 +235,7 @@ let test_batch_one_equivalence () =
 
 let test_batch_config_validation () =
   Alcotest.check_raises "batch must be >= 1"
-    (Invalid_argument "Appserver.config: batch must be >= 1") (fun () ->
+    (Invalid_argument "Cluster.build: batch must be >= 1") (fun () ->
       ignore
         (Harness.Simrun.cluster ~batch:0 ~business:Business.trivial
            ~scripts:[ (fun ~issue:_ -> ()) ]

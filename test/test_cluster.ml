@@ -19,32 +19,52 @@ let test_shard_map_determinism () =
   let one = Shard_map.create ~shards:1 () in
   Alcotest.(check int) "one shard" 0 (Shard_map.shard_of one "anything")
 
-let test_shard_map_range_policy () =
-  let m = Shard_map.create ~policy:(Shard_map.Range [ "g"; "p" ]) ~shards:3 () in
-  Alcotest.(check int) "below first bound" 0 (Shard_map.shard_of m "acct");
-  Alcotest.(check int) "between bounds" 1 (Shard_map.shard_of m "horse");
-  Alcotest.(check int) "at a bound goes right" 1 (Shard_map.shard_of m "g");
-  Alcotest.(check int) "above last bound" 2 (Shard_map.shard_of m "zebra")
-
 let test_shard_map_validation () =
   Alcotest.check_raises "shards must be positive"
     (Invalid_argument "Shard_map.create: shards must be >= 1") (fun () ->
-      ignore (Shard_map.create ~shards:0 ()));
-  Alcotest.check_raises "range bounds must match shard count"
-    (Invalid_argument
-       "Shard_map.create: a Range policy needs exactly shards-1 boundaries")
-    (fun () ->
-      ignore (Shard_map.create ~policy:(Shard_map.Range [ "a" ]) ~shards:3 ()));
-  Alcotest.check_raises "range bounds must be sorted"
-    (Invalid_argument "Shard_map.create: Range boundaries must be strictly sorted")
-    (fun () ->
-      ignore (Shard_map.create ~policy:(Shard_map.Range [ "p"; "g" ]) ~shards:3 ()))
+      ignore (Shard_map.create ~shards:0 ()))
 
 let test_routing_key () =
   Alcotest.(check string) "key before colon" "acct7"
     (Etx_types.routing_key "acct7:25");
   Alcotest.(check string) "whole body when unkeyed" "ping"
     (Etx_types.routing_key "ping")
+
+(* ------------------------------------------------------------------ *)
+(* Build rejections: each unsafe combination raises before anything is
+   spawned, and split refuses what the cluster was not built for. *)
+
+let no_script ~issue:_ = ()
+
+let rejects msg build () =
+  Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (build ()))
+
+let build ?replicas ?provision ?reconfig ?(scripts = [ no_script ]) () =
+  Harness.Simrun.cluster ?replicas ?provision ?reconfig
+    ~business:Business.trivial ~scripts ()
+
+let build_rejections =
+  [
+    ( "replicas < 0",
+      rejects "Cluster.build: replicas must be >= 0" (build ~replicas:(-1)) );
+    ( "provision < 0",
+      rejects "Cluster.build: provision must be >= 0"
+        (build ~reconfig:true ~provision:(-1)) );
+    ( "provision without reconfig",
+      rejects "Cluster.build: provision needs ~reconfig:true"
+        (build ~provision:1) );
+    ( "no client scripts",
+      rejects "Cluster.build: no client scripts" (build ~scripts:[]) );
+    ( "split of a static cluster",
+      rejects "Cluster.split: build the cluster with ~reconfig:true"
+        (fun () ->
+          let _, c = build () in
+          Cluster.split c ~group:0 ~target:1) );
+    ( "split to an unprovisioned target",
+      rejects "Cluster.split: target group not provisioned" (fun () ->
+          let _, c = build ~reconfig:true ~provision:1 () in
+          Cluster.split c ~group:0 ~target:2) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-shard routing: every request lands on (and only on) its key's
@@ -336,10 +356,13 @@ let () =
         [
           Alcotest.test_case "hash placement deterministic" `Quick
             test_shard_map_determinism;
-          Alcotest.test_case "range policy" `Quick test_shard_map_range_policy;
           Alcotest.test_case "validation" `Quick test_shard_map_validation;
           Alcotest.test_case "routing key" `Quick test_routing_key;
         ] );
+      ( "build",
+        List.map
+          (fun (name, f) -> Alcotest.test_case ("rejects " ^ name) `Quick f)
+          build_rejections );
       ( "routing",
         [
           Alcotest.test_case "two shards route by key" `Quick

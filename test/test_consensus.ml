@@ -3,6 +3,7 @@
 open Dsim
 open Runtime
 open Dnet
+module Rt = Runtime.Etx_runtime
 
 type Types.payload += V of int
 
@@ -46,7 +47,7 @@ let test_single_proposer_decides () =
           decisions.(i) <- Some (Consensus.Agent.propose agent ~key:"k" (V 7))
         else begin
           (* learn passively *)
-          Engine.sleep 500.;
+          Rt.sleep 500.;
           decisions.(i) <- Consensus.Agent.peek agent ~key:"k"
         end)
       ()
@@ -88,7 +89,7 @@ let test_decision_survives_coordinator_crash_after_decide () =
           decisions.(i) <- Some (Consensus.Agent.propose agent ~key:"k" (V 1))
         end
         else begin
-          Engine.sleep 1_000.;
+          Rt.sleep 1_000.;
           decisions.(i) <- Consensus.Agent.peek agent ~key:"k"
         end)
       ()
@@ -109,10 +110,10 @@ let test_crashed_initial_coordinator_rotation () =
     members_scenario ~n:3
       ~behave:(fun i agent ->
         if i = 1 then begin
-          Engine.sleep 20.;
+          Rt.sleep 20.;
           decisions.(i) <- Some (Consensus.Agent.propose agent ~key:"k" (V 42))
         end
-        else Engine.sleep infinity)
+        else Rt.sleep infinity)
       ()
   in
   Engine.crash_at t 1. 0;
@@ -130,9 +131,9 @@ let test_latency_one_round_trip_for_primary () =
     members_scenario ~n:3
       ~behave:(fun i agent ->
         if i = 0 then begin
-          let t0 = Engine.now () in
+          let t0 = Rt.now () in
           ignore (Consensus.Agent.propose agent ~key:"k" (V 7));
-          elapsed := Engine.now () -. t0
+          elapsed := Rt.now () -. t0
         end)
       ()
   in
@@ -152,9 +153,9 @@ let test_every_local_proposer_wakes () =
         if i = 0 then
           List.iter
             (fun v ->
-              Engine.fork "proposer" (fun () ->
+              Rt.fork "proposer" (fun () ->
                   let d = Consensus.Agent.propose agent ~key:"k" (V v) in
-                  returns := (Engine.now (), int_of_v d) :: !returns))
+                  returns := (Rt.now (), int_of_v d) :: !returns))
             [ 1; 2 ])
       ()
   in
@@ -172,11 +173,11 @@ let test_five_members_minority_crash () =
     members_scenario ~n:5
       ~behave:(fun i agent ->
         if i >= 2 then begin
-          Engine.sleep 10.;
+          Rt.sleep 10.;
           decisions.(i) <-
             Some (Consensus.Agent.propose agent ~key:"k" (V i))
         end
-        else Engine.sleep infinity)
+        else Rt.sleep infinity)
       ()
   in
   Engine.crash_at t 1. 0;
@@ -250,7 +251,7 @@ let test_relay_survives_decider_crash () =
       ~behave:(fun i agent ->
         if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 5))
         else if i = 2 then begin
-          Engine.sleep 1_000.;
+          Rt.sleep 1_000.;
           a3 := Consensus.Agent.peek agent ~key:"k"
         end)
       ()
@@ -273,7 +274,7 @@ let test_acked_participant_moves_on oracle_fd () =
       ~behave:(fun i agent ->
         if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 3))
         else begin
-          Engine.sleep 500.;
+          Rt.sleep 500.;
           decisions.(i) <- Consensus.Agent.peek agent ~key:"k"
         end)
       ()
@@ -316,7 +317,7 @@ let test_participant_gives_up_at_suspicion () =
     members_scenario ~net:Engine.default_net ~oracle_fd:true ~n:3
       ~behave:(fun i agent ->
         if i = 0 then ignore (Consensus.Agent.propose agent ~key:"k" (V 3))
-        else Engine.sleep 500.)
+        else Rt.sleep 500.)
       ()
   in
   Engine.crash_at t crash_at 0;
@@ -363,11 +364,11 @@ let test_woreg_read_bottom_then_value () =
       ~behave:(fun i reg ->
         if i = 1 then begin
           before := Consensus.Woreg.read reg ~name:"regD:r0" ~j:1;
-          Engine.sleep 200.;
+          Rt.sleep 200.;
           after := Consensus.Woreg.read reg ~name:"regD:r0" ~j:1
         end
         else if i = 0 then begin
-          Engine.sleep 10.;
+          Rt.sleep 10.;
           ignore (Consensus.Woreg.write reg ~name:"regD:r0" ~j:1 (V 5))
         end)
       ()
@@ -427,7 +428,7 @@ let prop_write_once_under_concurrency =
       let t =
         members_scenario ~seed ~n
           ~behave:(fun i reg ->
-            Engine.sleep (float_of_int (seed mod (i + 2)));
+            Rt.sleep (float_of_int (seed mod (i + 2)));
             results.(i) <-
               Some (Consensus.Woreg.write reg ~name:"reg" ~j:7 (V i)))
           ()
@@ -472,7 +473,7 @@ let test_collects_retired_instances () =
           let count () = Consensus.Agent.instance_count agent in
           ignore (Consensus.Agent.propose agent ~key:"a" (V 1));
           ignore (Consensus.Agent.propose agent ~key:"b" (V 2));
-          Engine.sleep 100.;
+          Rt.sleep 100.;
           let before = count () in
           Consensus.Agent.retire_when agent (fun key -> key <> "b");
           (* the rule alone removes nothing: its owner says when *)
@@ -483,7 +484,7 @@ let test_collects_retired_instances () =
              relays, with no release *)
           ignore (Consensus.Agent.propose agent ~key:"c" (V 3));
           let deciding = count () in
-          Engine.sleep 100.;
+          Rt.sleep 100.;
           counts := [ before; ruled; released; deciding; count () ]
         end)
       ()
@@ -499,9 +500,9 @@ let test_stale_messages_leave_collected_key () =
         if i = 0 then begin
           Consensus.Agent.retire_when agent (fun _ -> true);
           ignore (Consensus.Agent.propose agent ~key:"k" (V 1));
-          Engine.sleep 100.;
+          Rt.sleep 100.;
           let collected = Consensus.Agent.instance_count agent in
-          Engine.sleep 400.;
+          Rt.sleep 400.;
           counts := (collected, Consensus.Agent.instance_count agent)
         end)
       ()
@@ -539,11 +540,11 @@ let test_retired_never_held_register_decides () =
       ~behave:(fun i agent ->
         if i = 1 then begin
           Consensus.Agent.retire_when agent (fun _ -> true);
-          Engine.sleep 1_000.;
+          Rt.sleep 1_000.;
           peer1 := Consensus.Agent.peek agent ~key
         end
         else if i = 2 then begin
-          Engine.sleep 10.;
+          Rt.sleep 10.;
           got := Some (Consensus.Agent.propose agent ~key (V 5))
         end)
       ()
@@ -571,7 +572,7 @@ let test_collected_classic_keys_stay_gone () =
         if i = 0 then begin
           Consensus.Agent.retire_when agent (fun _ -> true);
           ignore (Consensus.Agent.propose agent ~key:collected (V 1));
-          Engine.sleep 500.;
+          Rt.sleep 500.;
           late := Consensus.Agent.peek agent ~key:collected
         end)
       ()
@@ -595,15 +596,15 @@ let test_suspected_peer_pins_until_ack () =
       ~behave:(fun i agent ->
         if i = 0 then begin
           Consensus.Agent.retire_when agent (fun _ -> true);
-          Engine.sleep 1.;
+          Rt.sleep 1.;
           ignore (Consensus.Agent.propose agent ~key:"k" (V 3));
-          Engine.sleep 300.;
+          Rt.sleep 300.;
           (* peer 2 is down: the relay to it was never acked *)
           let pinned = Consensus.Agent.instance_count agent in
-          Engine.sleep 700.;
+          Rt.sleep 700.;
           counts := [ pinned; Consensus.Agent.instance_count agent ]
         end
-        else if i = 2 && Engine.now () > 100. then
+        else if i = 2 && Rt.now () > 100. then
           (* recovered: asks, and acks the answer *)
           late := Some (Consensus.Agent.propose agent ~key:"k" (V 4)))
       ()
@@ -628,7 +629,7 @@ let test_latecomer_gets_decide_after_driver_exit () =
         else if i = 1 then begin
           (* collect locally, then re-propose: the fresh driver's messages
              hit peers whose drivers are long gone *)
-          Engine.sleep 300.;
+          Rt.sleep 300.;
           Consensus.Agent.retire_when agent (fun _ -> true);
           Consensus.Agent.release agent ~key:"k";
           collected := Consensus.Agent.instance_count agent;

@@ -3,6 +3,7 @@
    concurrency races between the vote/decide/exec paths. *)
 
 open Dbms
+module Rt = Runtime.Etx_runtime
 
 (* Run [f] inside a single-fiber simulation. Most RM entry points charge
    virtual time and therefore must run inside a fiber. *)
@@ -410,12 +411,12 @@ let test_decide_window_lock_release () =
             ignore (Rm.exec rm ~xid:x [ Rm.Put (k, Value.Int 1) ]))
           [ (xa, "a"); (xc, "c") ];
         ignore (Rm.vote_many rm ~xids:[ xa; xc ]);
-        Dsim.Engine.fork "decider" (fun () ->
+        Rt.fork "decider" (fun () ->
             ignore
               (Rm.decide_many rm ~items:[ (xa, Rm.Abort); (xc, Rm.Commit) ]));
         Rm.xa_start rm ~xid:y;
         Rm.xa_start rm ~xid:z;
-        Dsim.Engine.sleep 5.;
+        Rt.sleep 5.;
         on_aborted := Some (Rm.exec rm ~xid:y [ Rm.Put ("a", Value.Int 2) ]);
         on_committed := Some (Rm.exec rm ~xid:z [ Rm.Put ("c", Value.Int 2) ]))
   in
@@ -442,10 +443,10 @@ let test_vote_decide_race () =
         Rm.xa_start rm ~xid:x;
         ignore (Rm.exec rm ~xid:x [ Rm.Put ("k", Value.Int 1) ]);
         (* the voting fiber suspends inside vote (cpu + forced IO) *)
-        Dsim.Engine.fork "voter" (fun () ->
+        Rt.fork "voter" (fun () ->
             vote_result := Some (Rm.vote rm ~xid:x));
         (* meanwhile the cleaner's abort lands *)
-        Dsim.Engine.sleep 5.;
+        Rt.sleep 5.;
         ignore (Rm.decide rm ~xid:x Rm.Abort))
   in
   ignore (Dsim.Engine.run t);
@@ -472,7 +473,7 @@ let gc_commit_storm ~gc n =
   let _ =
     Dsim.Engine.spawn t ~name:"db" ~main:(fun ~recovery:_ () ->
         for i = 1 to n do
-          Dsim.Engine.fork "session" (fun () ->
+          Rt.fork "session" (fun () ->
               let x = xid i in
               Rm.xa_start rm ~xid:x;
               ignore
@@ -687,7 +688,7 @@ let test_server_ready_on_recovery () =
         let x = xid 1 in
         Stub.xa_start ch rd ~dbs:[ db ] ~xids:[ x ];
         ignore (Stub.exec_of ch rd ~xid:x ~db [ Rm.Put ("k", Value.Int 1) ]);
-        Dsim.Engine.sleep 60.;
+        Rt.sleep 60.;
         (* db is down now; this blocks until recovery *)
         List.hd (Stub.prepare ch rd ~dbs:[ db ] ~xids:[ x ]))
       ()
@@ -714,10 +715,10 @@ let test_ready_wakes_each_waiter () =
         Dnet.Rchannel.start ch;
         let rd = Stub.Readiness.create ~dbs:[ db ] in
         Stub.Readiness.start rd;
-        Dsim.Engine.sleep 20.;
+        Rt.sleep 20.;
         List.iter
           (fun x ->
-            Dsim.Engine.fork "voter" (fun () ->
+            Rt.fork "voter" (fun () ->
                 let outcome =
                   List.hd (Stub.prepare ch rd ~dbs:[ db ] ~xids:[ x ])
                 in
@@ -789,7 +790,7 @@ let test_server_in_doubt_across_crash () =
         let outcome = List.hd (Stub.prepare ch rd ~dbs ~xids:[ x ]) in
         Alcotest.(check bool) "voted yes before crash" true
           (outcome = Rm.Commit);
-        Dsim.Engine.sleep 150.;
+        Rt.sleep 150.;
         (* db crashed and came back; the prepared txn must still decide *)
         Stub.decide ch rd ~dbs ~items:[ (x, Rm.Commit) ])
       ()
@@ -825,7 +826,7 @@ let test_prepare_round_across_recovery () =
         List.iter
           (fun db -> ignore (exec ~db [ Rm.Put ("k", Value.Int 1) ]))
           dbs;
-        Dsim.Engine.sleep 60.;
+        Rt.sleep 60.;
         (* db2 is down now; the round blocks until it recovers *)
         let o = List.hd (Stub.prepare ch rd ~dbs ~xids:[ x ]) in
         outcome := Some o;
@@ -1063,10 +1064,10 @@ let test_crash_after_window_abort_release () =
         put rm xa "a";
         put rm xb "b";
         ignore (Rm.vote_many rm ~xids:[ xa; xb ]);
-        Dsim.Engine.fork "decider" (fun () ->
+        Rt.fork "decider" (fun () ->
             ignore
               (Rm.decide_many rm ~items:[ (xa, Rm.Abort); (xb, Rm.Commit) ]));
-        Dsim.Engine.sleep 1.;
+        Rt.sleep 1.;
         put rm y "a";
         Alcotest.(check bool) "y votes yes" true (Rm.vote rm ~xid:y = Rm.Yes))
       ()

@@ -4,6 +4,7 @@
 open Dsim
 open Runtime
 open Dnet
+module Rt = Runtime.Etx_runtime
 
 type Types.payload += App of int
 
@@ -14,7 +15,7 @@ let spawn_recorder t received =
       Rchannel.start ch;
       let rec loop () =
         match
-          Engine.recv
+          Rt.recv
             ~filter:(fun m ->
               match m.Types.payload with App _ -> true | _ -> false)
             ()
@@ -33,7 +34,7 @@ let spawn_sender t dst payloads =
       List.iter
         (fun n ->
           Rchannel.send ch dst (App n);
-          Engine.sleep 1.)
+          Rt.sleep 1.)
         payloads)
 
 (* ------------------------------------------------------------------ *)
@@ -137,7 +138,7 @@ let test_rchannel_pending_drains () =
         let ch = Rchannel.create () in
         Rchannel.start ch;
         Rchannel.send ch recorder (App 1);
-        Engine.sleep 1_000.;
+        Rt.sleep 1_000.;
         pending_after := Rchannel.pending ch)
   in
   ignore (Engine.run ~deadline:5_000. t);
@@ -161,12 +162,12 @@ let test_rchannel_pending_exact () =
         done;
         (* no yield since the sends: nothing can have been acked yet *)
         snap "after-5-sends";
-        Engine.sleep 1_000.;
+        Rt.sleep 1_000.;
         snap "after-acks";
         Rchannel.send ch recorder (App 6);
         Rchannel.send ch recorder (App 7);
         snap "after-2-more";
-        Engine.sleep 1_000.;
+        Rt.sleep 1_000.;
         snap "end")
   in
   ignore (Engine.run ~deadline:10_000. t);
@@ -231,7 +232,7 @@ let test_rchannel_recovered_receiver_bounded () =
         Rchannel.start ch;
         let rec loop () =
           match
-            Engine.recv
+            Rt.recv
               ~filter:(fun m ->
                 match m.Types.payload with App _ -> true | _ -> false)
               ()
@@ -250,9 +251,9 @@ let test_rchannel_recovered_receiver_bounded () =
         let ch = Rchannel.create () in
         Rchannel.start ch;
         for n = 0 to 199 do
-          if n = 100 then Engine.sleep (400. -. Engine.now ());
+          if n = 100 then Rt.sleep (400. -. Rt.now ());
           Rchannel.send ch recorder (App n);
-          Engine.sleep 1.
+          Rt.sleep 1.
         done)
   in
   Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
@@ -291,7 +292,7 @@ let test_rchannel_lost_frame_schedule () =
     Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
         let ch = Rchannel.create () in
         Rchannel.start ch;
-        Engine.sleep 5.;
+        Rt.sleep 5.;
         Rchannel.send ch recorder (App 7))
   in
   Alcotest.(check int) "sender pid" sender_pid sender;
@@ -369,7 +370,7 @@ let test_rchannel_dead_neighbour () =
           for n = 0 to 19 do
             if with_dead then Rchannel.send ch dead (App (100 + n));
             Rchannel.send ch live (App n);
-            Engine.sleep 5.
+            Rt.sleep 5.
           done)
     in
     ignore (Engine.run ~deadline:3_000. t);
@@ -407,7 +408,7 @@ let test_rchannel_probe_does_not_hold_back_fresh () =
         for n = 0 to 4 do
           Rchannel.send ch dead (App n)
         done;
-        Engine.sleep 1_000.;
+        Rt.sleep 1_000.;
         Rchannel.send ch live (App 7))
   in
   ignore (Engine.run_until ~deadline:2_000. t (fun () -> !received <> []));
@@ -436,14 +437,14 @@ let test_rchannel_retire_due_entry () =
           | App n -> n = 1 | _ -> false);
         Rchannel.start ch;
         let snap tag = observed := (tag, Rchannel.pending ch) :: !observed in
-        Engine.sleep 1.;
+        Rt.sleep 1.;
         Rchannel.send ch dead (App 1);
         Rchannel.send ch dead (App 2);
         Rchannel.send ch live (App 1);
         snap "sent";
-        Engine.sleep 9.5;
+        Rt.sleep 9.5;
         snap "before due";
-        Engine.sleep 1.;
+        Rt.sleep 1.;
         snap "after due")
   in
   ignore (Engine.run ~deadline:1_000. t);
@@ -483,13 +484,13 @@ let test_rchannel_retired_probe_promotes () =
         Rchannel.retire_when ch (fun _ -> function
           | App n -> n = !unneeded | _ -> false);
         Rchannel.start ch;
-        Engine.sleep 1.;
+        Rt.sleep 1.;
         for n = 0 to 4 do
           Rchannel.send ch recorder (App n)
         done;
-        Engine.sleep 999.;
+        Rt.sleep 999.;
         unneeded := 0;
-        Engine.sleep 4_000.;
+        Rt.sleep 4_000.;
         pending_at_end := Rchannel.pending ch)
   in
   ignore (Engine.run ~deadline:6_000. t);
@@ -509,14 +510,14 @@ let test_rchannel_retired_probe_promotes () =
 let spawn_reporting_sender t sends reports =
   Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
       let on_silent dst = function
-        | App n -> reports := (Engine.now (), dst, n) :: !reports
+        | App n -> reports := (Rt.now (), dst, n) :: !reports
         | _ -> ()
       in
       let ch = Rchannel.create ~on_silent () in
       Rchannel.start ch;
       List.iter
         (fun (at, dst, n) ->
-          Engine.sleep (at -. Engine.now ());
+          Rt.sleep (at -. Rt.now ());
           Rchannel.send ch dst (App n))
         sends)
 
@@ -591,10 +592,10 @@ let fd_scenario ~seed ~loss ~crash_p1_at ~probe_at =
         let fd = Fdetect.heartbeat ~peers () in
         Fdetect.start fd;
         if observe then begin
-          Engine.sleep probe_at;
+          Rt.sleep probe_at;
           suspicion := Some (Fdetect.suspects fd 1)
         end
-        else Engine.sleep infinity)
+        else Rt.sleep infinity)
   in
   let p0 = spawn_member "p0" true in
   let _p1 = spawn_member "p1" false in
@@ -623,13 +624,13 @@ let test_fd_oracle () =
     Engine.spawn t ~name:"watcher" ~main:(fun ~recovery:_ () ->
         let fd = Fdetect.oracle rt in
         Fdetect.start fd;
-        Engine.sleep 10.;
+        Rt.sleep 10.;
         observed := Fdetect.suspects fd !victim :: !observed;
-        Engine.sleep 20.;
+        Rt.sleep 20.;
         observed := Fdetect.suspects fd !victim :: !observed)
   in
   victim := Engine.spawn t ~name:"victim" ~main:(fun ~recovery:_ () ->
-      Engine.sleep infinity);
+      Rt.sleep infinity);
   Engine.crash_at t 15. !victim;
   ignore (Engine.run ~deadline:100. t);
   Alcotest.(check (list bool)) "oracle tracks truth exactly" [ true; false ]
@@ -646,14 +647,14 @@ let test_fd_adaptive_timeout_grows () =
     Engine.spawn t ~name:"p0" ~main:(fun ~recovery:_ () ->
         let fd = Fdetect.heartbeat ~initial_timeout:30. ~peers () in
         Fdetect.start fd;
-        Engine.sleep 5_000.;
+        Rt.sleep 5_000.;
         final_timeout := Fdetect.current_timeout fd 1)
   in
   let _ =
     Engine.spawn t ~name:"p1" ~main:(fun ~recovery:_ () ->
         let fd = Fdetect.heartbeat ~peers () in
         Fdetect.start fd;
-        Engine.sleep infinity)
+        Rt.sleep infinity)
   in
   ignore (Engine.run ~deadline:6_000. t);
   match !final_timeout with
@@ -674,9 +675,9 @@ let test_fd_heartbeat_suspect_clear_bump () =
           Fdetect.heartbeat ~initial_timeout:50. ~timeout_bump:25. ~peers ()
         in
         Fdetect.start fd;
-        Engine.sleep 400.;
+        Rt.sleep 400.;
         during := Some (Fdetect.suspects fd 1);
-        Engine.sleep 500.;
+        Rt.sleep 500.;
         after := Some (Fdetect.suspects fd 1);
         bumped := Fdetect.current_timeout fd 1)
   in
@@ -684,7 +685,7 @@ let test_fd_heartbeat_suspect_clear_bump () =
     Engine.spawn t ~name:"p1" ~main:(fun ~recovery:_ () ->
         let fd = Fdetect.heartbeat ~peers () in
         Fdetect.start fd;
-        Engine.sleep infinity)
+        Rt.sleep infinity)
   in
   (* p1 goes silent at 100 and reappears at 600 *)
   Engine.crash_at t 100. p1;
@@ -714,16 +715,16 @@ let test_fd_monitor_grid_and_replan () =
         let rec watch last =
           Etx_runtime.Wake.until (Fdetect.changed fd) (fun () ->
               Fdetect.suspects fd 1 <> last);
-          log := (Engine.now (), not last) :: !log;
+          log := (Rt.now (), not last) :: !log;
           watch (not last)
         in
         watch false)
   in
   let p1 =
     Engine.spawn t ~name:"p1" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 100.;
+        Rt.sleep 100.;
         Fdetect.start (Fdetect.heartbeat ~peers:[ 0; 1 ] ());
-        Engine.sleep infinity)
+        Rt.sleep infinity)
   in
   Engine.crash_at t 105. p1;
   ignore (Engine.run ~deadline:400. t);

@@ -2,6 +2,7 @@
 
 open Dsim
 open Runtime
+module Rt = Runtime.Etx_runtime
 
 type Types.payload += Ping of int | Pong of int
 
@@ -9,12 +10,12 @@ type Types.payload += Ping of int | Pong of int
    every Ping/Pong in this binary lands in these buckets — semantically
    invisible to the predicate-based tests *)
 let cls_ping =
-  Engine.register_class ~name:"test-ping" (function
+  Rt.register_class ~name:"test-ping" (function
     | Ping _ -> true
     | _ -> false)
 
 let cls_pong =
-  Engine.register_class ~name:"test-pong" (function
+  Rt.register_class ~name:"test-pong" (function
     | Pong _ -> true
     | _ -> false)
 
@@ -324,16 +325,16 @@ let test_sleep_ordering () =
   let mark tag = log := tag :: !log in
   let _ =
     Engine.spawn t ~name:"a" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 10.;
+        Rt.sleep 10.;
         mark "a10";
-        Engine.sleep 20.;
+        Rt.sleep 20.;
         mark "a30")
   in
   let _ =
     Engine.spawn t ~name:"b" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 5.;
+        Rt.sleep 5.;
         mark "b5";
-        Engine.sleep 20.;
+        Rt.sleep 20.;
         mark "b25")
   in
   let outcome = Engine.run t in
@@ -346,8 +347,8 @@ let test_virtual_time_advances () =
   let seen = ref 0. in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 42.5;
-        seen := Engine.now ())
+        Rt.sleep 42.5;
+        seen := Rt.now ())
   in
   ignore (Engine.run t);
   check_float "time" 42.5 !seen;
@@ -358,13 +359,13 @@ let test_send_recv () =
   let got = ref None in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        match Engine.recv_any () with
+        match Rt.recv_any () with
         | Some m -> got := Some m.Types.payload
         | None -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 7))
+        Rt.send receiver (Ping 7))
   in
   ignore (Engine.run t);
   Alcotest.(check bool) "got ping" true (!got = Some (Ping 7))
@@ -376,22 +377,22 @@ let test_selective_receive () =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
         (* Wait for Pong first even though Ping arrives first. *)
         (match
-           Engine.recv
+           Rt.recv
              ~filter:(fun m ->
                match m.Types.payload with Pong _ -> true | _ -> false)
              ()
          with
         | Some { payload = Pong n; _ } -> order := ("pong", n) :: !order
         | _ -> ());
-        match Engine.recv_any () with
+        match Rt.recv_any () with
         | Some { payload = Ping n; _ } -> order := ("ping", n) :: !order
         | _ -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1);
-        Engine.sleep 5.;
-        Engine.send receiver (Pong 2))
+        Rt.send receiver (Ping 1);
+        Rt.sleep 5.;
+        Rt.send receiver (Pong 2))
   in
   ignore (Engine.run t);
   Alcotest.(check (list (pair string int)))
@@ -405,10 +406,10 @@ let test_recv_timeout () =
   let at = ref 0. in
   let _ =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        (match Engine.recv_any ~timeout:25. () with
+        (match Rt.recv_any ~timeout:25. () with
         | Some _ -> ()
         | None -> result := None);
-        at := Engine.now ())
+        at := Rt.now ())
   in
   ignore (Engine.run t);
   Alcotest.(check bool) "timed out" true (!result = None);
@@ -419,14 +420,14 @@ let test_recv_timeout_beaten_by_message () =
   let got = ref false in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        match Engine.recv_any ~timeout:50. () with
+        match Rt.recv_any ~timeout:50. () with
         | Some _ -> got := true
         | None -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 10.;
-        Engine.send receiver (Ping 0))
+        Rt.sleep 10.;
+        Rt.send receiver (Ping 0))
   in
   ignore (Engine.run t);
   Alcotest.(check bool) "message won" true !got
@@ -436,9 +437,9 @@ let test_fork_shares_mailbox () =
   let tags = ref [] in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        Engine.fork "pong-handler" (fun () ->
+        Rt.fork "pong-handler" (fun () ->
             match
-              Engine.recv
+              Rt.recv
                 ~filter:(fun m ->
                   match m.Types.payload with Pong _ -> true | _ -> false)
                 ()
@@ -446,7 +447,7 @@ let test_fork_shares_mailbox () =
             | Some _ -> tags := "pong" :: !tags
             | None -> ());
         match
-          Engine.recv
+          Rt.recv
             ~filter:(fun m ->
               match m.Types.payload with Ping _ -> true | _ -> false)
             ()
@@ -456,10 +457,10 @@ let test_fork_shares_mailbox () =
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 1.;
-        Engine.send receiver (Pong 0);
-        Engine.sleep 1.;
-        Engine.send receiver (Ping 0))
+        Rt.sleep 1.;
+        Rt.send receiver (Pong 0);
+        Rt.sleep 1.;
+        Rt.send receiver (Ping 0))
   in
   ignore (Engine.run t);
   Alcotest.(check (list string)) "both fibers got their message"
@@ -470,9 +471,9 @@ let test_work_traced () =
   let t = Engine.create ~obs:reg () in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.work "sql" 187.;
-        Engine.work "sql" 6.;
-        Engine.work "commit" 18.6)
+        Rt.work "sql" 187.;
+        Rt.work "sql" 6.;
+        Rt.work "commit" 18.6)
   in
   ignore (Engine.run t);
   (* work charges land in the registry's per-label histograms *)
@@ -495,7 +496,7 @@ let test_crash_drops_sleeper () =
   let woke = ref false in
   let victim =
     Engine.spawn t ~name:"v" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 100.;
+        Rt.sleep 100.;
         woke := true)
   in
   Engine.crash_at t 50. victim;
@@ -508,7 +509,7 @@ let test_recovery_flag () =
   let victim =
     Engine.spawn t ~name:"v" ~main:(fun ~recovery () ->
         runs := recovery :: !runs;
-        Engine.sleep 1000.)
+        Rt.sleep 1000.)
   in
   Engine.crash_at t 10. victim;
   Engine.recover_at t 20. victim;
@@ -521,13 +522,13 @@ let test_message_to_down_process_lost () =
   let got = ref false in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        match Engine.recv_any () with Some _ -> got := true | None -> ())
+        match Rt.recv_any () with Some _ -> got := true | None -> ())
   in
   Engine.crash_at t 1. receiver;
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 5.;
-        Engine.send receiver (Ping 1))
+        Rt.sleep 5.;
+        Rt.send receiver (Ping 1))
   in
   Engine.recover_at t 20. receiver;
   ignore (Engine.run ~deadline:100. t);
@@ -539,13 +540,13 @@ let test_mailbox_cleared_on_crash () =
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery () ->
         if recovery then
-          match Engine.recv_any ~timeout:100. () with
+          match Rt.recv_any ~timeout:100. () with
           | Some _ -> incr got
           | None -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1))
+        Rt.send receiver (Ping 1))
   in
   (* Message delivered at t=1 into the mailbox; crash at t=5 must clear it. *)
   Engine.crash_at t 5. receiver;
@@ -559,7 +560,7 @@ let test_incarnation_fences_stale_wakeups () =
   let victim =
     Engine.spawn t ~name:"v" ~main:(fun ~recovery () ->
         if not recovery then begin
-          Engine.sleep 100.;
+          Rt.sleep 100.;
           incr wakes
         end)
   in
@@ -587,13 +588,13 @@ let test_lossy_network_drops () =
   let got = ref false in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        match Engine.recv_any ~timeout:100. () with
+        match Rt.recv_any ~timeout:100. () with
         | Some _ -> got := true
         | None -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1))
+        Rt.send receiver (Ping 1))
   in
   ignore (Engine.run t);
   Alcotest.(check bool) "dropped" false !got
@@ -605,7 +606,7 @@ let test_duplicating_network () =
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
         let rec loop () =
-          match Engine.recv_any ~timeout:50. () with
+          match Rt.recv_any ~timeout:50. () with
           | Some _ ->
               incr count;
               loop ()
@@ -615,7 +616,7 @@ let test_duplicating_network () =
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1))
+        Rt.send receiver (Ping 1))
   in
   ignore (Engine.run t);
   Alcotest.(check int) "three copies" 3 !count
@@ -626,8 +627,8 @@ let test_self_send_bypasses_loss () =
   let got = ref false in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.send (Engine.self ()) (Ping 9);
-        match Engine.recv_any ~timeout:10. () with
+        Rt.send (Rt.self ()) (Ping 9);
+        match Rt.recv_any ~timeout:10. () with
         | Some _ -> got := true
         | None -> ())
   in
@@ -639,8 +640,8 @@ let test_redeliver () =
   let src_seen = ref (-1) in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.redeliver ~src:42 (Ping 5);
-        match Engine.recv_any ~timeout:10. () with
+        Rt.redeliver ~src:42 (Ping 5);
+        match Rt.recv_any ~timeout:10. () with
         | Some m -> src_seen := m.Types.src
         | None -> ())
   in
@@ -653,9 +654,9 @@ let run_trace_of seed =
   let b =
     Engine.spawn t ~name:"b" ~main:(fun ~recovery:_ () ->
         let rec loop () =
-          match Engine.recv_any ~timeout:30. () with
+          match Rt.recv_any ~timeout:30. () with
           | Some m ->
-              events := (Engine.now (), m.Types.msg_id) :: !events;
+              events := (Rt.now (), m.Types.msg_id) :: !events;
               loop ()
           | None -> ()
         in
@@ -664,8 +665,8 @@ let run_trace_of seed =
   let _ =
     Engine.spawn t ~name:"a" ~main:(fun ~recovery:_ () ->
         for i = 1 to 10 do
-          Engine.sleep (Rng.float (Engine.rng t) 3.);
-          Engine.send b (Ping i)
+          Rt.sleep (Rng.float (Engine.rng t) 3.);
+          Rt.send b (Ping i)
         done)
   in
   ignore (Engine.run t);
@@ -687,7 +688,7 @@ let test_run_deadline () =
   let _ =
     Engine.spawn t ~name:"ticker" ~main:(fun ~recovery:_ () ->
         let rec loop () =
-          Engine.sleep 10.;
+          Rt.sleep 10.;
           incr ticks;
           loop ()
         in
@@ -703,7 +704,7 @@ let test_run_until_pred () =
   let _ =
     Engine.spawn t ~name:"ticker" ~main:(fun ~recovery:_ () ->
         let rec loop () =
-          Engine.sleep 10.;
+          Rt.sleep 10.;
           incr ticks;
           loop ()
         in
@@ -718,7 +719,7 @@ let test_post_from_orchestration () =
   let got = ref false in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        match Engine.recv_any ~timeout:100. () with
+        match Rt.recv_any ~timeout:100. () with
         | Some _ -> got := true
         | None -> ())
   in
@@ -733,7 +734,7 @@ let test_stop_interrupts_run () =
   let _ =
     Engine.spawn t ~name:"ticker" ~main:(fun ~recovery:_ () ->
         let rec loop () =
-          Engine.sleep 10.;
+          Rt.sleep 10.;
           incr ticks;
           if !ticks = 3 then Engine.stop t;
           loop ()
@@ -749,9 +750,9 @@ let test_exit_fiber () =
   let after = ref false in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.fork "child" (fun () ->
-            Engine.exit_fiber () |> ignore);
-        Engine.sleep 1.;
+        Rt.fork "child" (fun () ->
+            Rt.exit_fiber () |> ignore);
+        Rt.sleep 1.;
         after := true)
   in
   let outcome = Engine.run t in
@@ -764,9 +765,9 @@ let test_zero_sleep_and_timeout () =
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
         order := "before" :: !order;
-        Engine.sleep 0.;
+        Rt.sleep 0.;
         order := "after-sleep0" :: !order;
-        (match Engine.recv_any ~timeout:0. () with
+        (match Rt.recv_any ~timeout:0. () with
         | None -> order := "timeout0" :: !order
         | Some _ -> ());
         order := "done" :: !order)
@@ -782,11 +783,11 @@ let test_nested_fork () =
   let depth = ref 0 in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.fork "child" (fun () ->
+        Rt.fork "child" (fun () ->
             incr depth;
-            Engine.fork "grandchild" (fun () ->
+            Rt.fork "grandchild" (fun () ->
                 incr depth;
-                Engine.fork "great" (fun () -> incr depth))))
+                Rt.fork "great" (fun () -> incr depth))))
   in
   ignore (Engine.run t);
   Alcotest.(check int) "all generations ran" 3 !depth
@@ -797,10 +798,10 @@ let test_fork_dies_with_process () =
   let p =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery () ->
         if not recovery then begin
-          Engine.fork "child" (fun () ->
-              Engine.sleep 100.;
+          Rt.fork "child" (fun () ->
+              Rt.sleep 100.;
               child_woke := true);
-          Engine.sleep 1_000.
+          Rt.sleep 1_000.
         end)
   in
   Engine.crash_at t 50. p;
@@ -816,13 +817,13 @@ let test_send_all () =
         Engine.spawn t
           ~name:(Printf.sprintf "rx%d" i)
           ~main:(fun ~recovery:_ () ->
-            match Engine.recv_any ~timeout:100. () with
+            match Rt.recv_any ~timeout:100. () with
             | Some _ -> incr got
             | None -> ()))
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send_all receivers (Ping 3))
+        Rt.send_all receivers (Ping 3))
   in
   ignore (Engine.run t);
   Alcotest.(check int) "all three got it" 3 !got
@@ -843,17 +844,17 @@ let test_communication_steps_chain () =
   (* a -> b -> c is two sequential steps. *)
   let c =
     Engine.spawn t ~name:"c" ~main:(fun ~recovery:_ () ->
-        ignore (Engine.recv_any ~timeout:100. ()))
+        ignore (Rt.recv_any ~timeout:100. ()))
   in
   let b =
     Engine.spawn t ~name:"b" ~main:(fun ~recovery:_ () ->
-        match Engine.recv_any ~timeout:100. () with
-        | Some _ -> Engine.send c (Ping 2)
+        match Rt.recv_any ~timeout:100. () with
+        | Some _ -> Rt.send c (Ping 2)
         | None -> ())
   in
   let _ =
     Engine.spawn t ~name:"a" ~main:(fun ~recovery:_ () ->
-        Engine.send b (Ping 1))
+        Rt.send b (Ping 1))
   in
   ignore (Engine.run t);
   Alcotest.(check int) "messages" 2 (Trace.message_count (Engine.trace t));
@@ -865,15 +866,15 @@ let test_communication_steps_parallel () =
   (* a multicasts to b and c in parallel: 2 messages but 1 step. *)
   let b =
     Engine.spawn t ~name:"b" ~main:(fun ~recovery:_ () ->
-        ignore (Engine.recv_any ~timeout:100. ()))
+        ignore (Rt.recv_any ~timeout:100. ()))
   in
   let c =
     Engine.spawn t ~name:"c" ~main:(fun ~recovery:_ () ->
-        ignore (Engine.recv_any ~timeout:100. ()))
+        ignore (Rt.recv_any ~timeout:100. ()))
   in
   let _ =
     Engine.spawn t ~name:"a" ~main:(fun ~recovery:_ () ->
-        Engine.send_all [ b; c ] (Ping 1))
+        Rt.send_all [ b; c ] (Ping 1))
   in
   ignore (Engine.run t);
   Alcotest.(check int) "messages" 2 (Trace.message_count (Engine.trace t));
@@ -897,8 +898,8 @@ let test_frame_handler_acks_at_delivery () =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
         let ch = Dnet.Rchannel.create () in
         Dnet.Rchannel.start ch;
-        match Engine.recv_cls cls_ping with
-        | Some { Types.payload = Ping n; _ } -> got := [ (n, Engine.now ()) ]
+        match Rt.recv_cls cls_ping with
+        | Some { Types.payload = Ping n; _ } -> got := [ (n, Rt.now ()) ]
         | _ -> ())
   in
   let _ =
@@ -942,12 +943,12 @@ let test_ended_wait_leaves_nothing_queued () =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
         got :=
           Option.map
-            (fun _ -> Engine.now ())
-            (Engine.recv_cls ~timeout:100. cls_ping))
+            (fun _ -> Rt.now ())
+            (Rt.recv_cls ~timeout:100. cls_ping))
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send rx (Ping 1))
+        Rt.send rx (Ping 1))
   in
   Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
   Alcotest.(check (option (float 1e-9))) "received at 1.0" (Some 1.0) !got;
@@ -957,11 +958,11 @@ let test_ended_wait_leaves_nothing_queued () =
   let _ =
     Engine.spawn t ~name:"w" ~main:(fun ~recovery:_ () ->
         let w = Etx_runtime.Wake.create () in
-        Engine.fork "waker" (fun () ->
-            Engine.sleep 5.;
+        Rt.fork "waker" (fun () ->
+            Rt.sleep 5.;
             Etx_runtime.Wake.wake w);
         Etx_runtime.Wake.sleep w w 100.;
-        woke := Some (Engine.now ()))
+        woke := Some (Rt.now ()))
   in
   Alcotest.(check bool) "quiescent" true (Engine.run t = Engine.Quiescent);
   Alcotest.(check (option (float 1e-9))) "woken at 5" (Some 5.) !woke;
@@ -977,10 +978,10 @@ let test_timer_fenced_by_incarnation () =
         let label = if recovery then "recovered" else "first" in
         let tm =
           Etx_runtime.timer (fun () ->
-              fired := (label, Engine.now ()) :: !fired)
+              fired := (label, Rt.now ()) :: !fired)
         in
         Etx_runtime.arm tm (if recovery then 30. else 50.);
-        Engine.sleep 1_000.)
+        Rt.sleep 1_000.)
   in
   Engine.crash_at t 10. p;
   Engine.recover_at t 20. p;
@@ -993,7 +994,7 @@ let test_timer_arm_cancel () =
      callback runs with its process's context *)
   let t = Engine.create () in
   let fired = ref [] in
-  let at name () = fired := (name, Engine.now (), Engine.self ()) :: !fired in
+  let at name () = fired := (name, Rt.now (), Rt.self ()) :: !fired in
   let p =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
         let a = Etx_runtime.timer (at "a")
@@ -1003,7 +1004,7 @@ let test_timer_arm_cancel () =
         Etx_runtime.arm b 20.;
         Etx_runtime.arm c 40.;
         Etx_runtime.arm a 30.;
-        Engine.sleep 25.;
+        Rt.sleep 25.;
         Etx_runtime.cancel c;
         Etx_runtime.cancel c;
         Etx_runtime.cancel b)
@@ -1016,7 +1017,7 @@ let test_timer_arm_cancel () =
   let t = Engine.create () in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Etx_runtime.arm (Etx_runtime.timer (fun () -> Engine.sleep 1.)) 5.)
+        Etx_runtime.arm (Etx_runtime.timer (fun () -> Rt.sleep 1.)) 5.)
   in
   Alcotest.check_raises "a suspending callback raises"
     (Invalid_argument "Etx_runtime.timer: a timer callback must not suspend")
@@ -1030,26 +1031,26 @@ let test_handler_that_receives_raises () =
   let t = Engine.create () in
   let p =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.on_message cls_ping (fun _ -> ignore (Engine.recv_any ())))
+        Rt.on_message cls_ping (fun _ -> ignore (Rt.recv_any ())))
   in
   let _ =
-    Engine.spawn t ~name:"q" ~main:(fun ~recovery:_ () -> Engine.send p (Ping 1))
+    Engine.spawn t ~name:"q" ~main:(fun ~recovery:_ () -> Rt.send p (Ping 1))
   in
   Alcotest.check_raises "delivery" suspended (fun () -> ignore (Engine.run t));
   (* inside the registering fiber, through a redelivery *)
   let t = Engine.create () in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.on_message cls_ping (fun _ -> Engine.sleep 1.);
-        Engine.redeliver ~src:0 (Ping 2))
+        Rt.on_message cls_ping (fun _ -> Rt.sleep 1.);
+        Rt.redeliver ~src:0 (Ping 2))
   in
   Alcotest.check_raises "redelivery" suspended (fun () -> ignore (Engine.run t));
   (* one handler per class *)
   let t = Engine.create () in
   let _ =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery:_ () ->
-        Engine.on_message cls_ping ignore;
-        Engine.on_message cls_ping ignore)
+        Rt.on_message cls_ping ignore;
+        Rt.on_message cls_ping ignore)
   in
   Alcotest.check_raises "second handler"
     (Invalid_argument "Etx_runtime.on_message: p already handles class test-ping")
@@ -1058,19 +1059,19 @@ let test_handler_that_receives_raises () =
   Alcotest.(check bool) "obs outside" true (Etx_runtime.obs () = None);
   Alcotest.check_raises "now outside"
     (Failure "Etx_runtime.now: called outside a fiber") (fun () ->
-      ignore (Engine.now ()))
+      ignore (Rt.now ()))
 
 let test_handlers_cleared_by_crash_and_recovery () =
   let t = Engine.create ~net:(Dnet.Netmodel.constant 1.0) () in
   let handled = ref [] in
   let register () =
-    Engine.on_message cls_ping (function
-      | { Types.payload = Ping n; _ } -> handled := (n, Engine.now ()) :: !handled
+    Rt.on_message cls_ping (function
+      | { Types.payload = Ping n; _ } -> handled := (n, Rt.now ()) :: !handled
       | _ -> ())
   in
   let p =
     Engine.spawn t ~name:"p" ~main:(fun ~recovery () ->
-        if recovery then Engine.sleep 50.;
+        if recovery then Rt.sleep 50.;
         register ())
   in
   let q = Engine.spawn t ~name:"q" ~main:(fun ~recovery:_ () -> ()) in
@@ -1175,12 +1176,12 @@ let test_mailbox_enqueue_linear () =
   let t = Engine.create ~tracing:false () in
   let sink =
     Engine.spawn t ~name:"sink" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 1e12)
+        Rt.sleep 1e12)
   in
   let _ =
     Engine.spawn t ~name:"src" ~main:(fun ~recovery:_ () ->
         for i = 1 to n do
-          Engine.send sink (Ping i)
+          Rt.send sink (Ping i)
         done)
   in
   let t0 = Sys.time () in
@@ -1307,13 +1308,13 @@ let test_demux_interleaved_waiters () =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
         (* classed waiter registered before a predicate waiter that also
            matches Ping: registration order must decide who gets it *)
-        Engine.fork "classed" (fun () ->
-            match Engine.recv_cls cls_ping with
+        Rt.fork "classed" (fun () ->
+            match Rt.recv_cls cls_ping with
             | Some { Types.payload = Ping n; _ } -> log := ("cls", n) :: !log
             | _ -> ());
-        Engine.fork "pred" (fun () ->
+        Rt.fork "pred" (fun () ->
             match
-              Engine.recv
+              Rt.recv
                 ~filter:(fun m ->
                   match m.Types.payload with
                   | Ping _ | Pong _ -> true
@@ -1326,9 +1327,9 @@ let test_demux_interleaved_waiters () =
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1);
-        Engine.sleep 5.;
-        Engine.send receiver (Ping 2))
+        Rt.send receiver (Ping 1);
+        Rt.sleep 5.;
+        Rt.send receiver (Ping 2))
   in
   ignore (Engine.run t);
   Alcotest.(check (list (pair string int)))
@@ -1341,23 +1342,23 @@ let test_demux_classed_skips_other_classes () =
   let log = ref [] in
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
-        Engine.sleep 10.;
+        Rt.sleep 10.;
         (* mailbox now holds Ping 1, Ping 2, Pong 7 *)
-        (match Engine.recv_cls cls_pong with
+        (match Rt.recv_cls cls_pong with
         | Some { Types.payload = Pong n; _ } -> log := ("pong", n) :: !log
         | _ -> ());
-        (match Engine.recv_any () with
+        (match Rt.recv_any () with
         | Some { Types.payload = Ping n; _ } -> log := ("ping", n) :: !log
         | _ -> ());
-        match Engine.recv_any () with
+        match Rt.recv_any () with
         | Some { Types.payload = Ping n; _ } -> log := ("ping", n) :: !log
         | _ -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1);
-        Engine.send receiver (Ping 2);
-        Engine.send receiver (Pong 7))
+        Rt.send receiver (Ping 1);
+        Rt.send receiver (Ping 2);
+        Rt.send receiver (Pong 7))
   in
   ignore (Engine.run t);
   Alcotest.(check (list (pair string int)))
@@ -1371,13 +1372,13 @@ let test_demux_crash_clears_class_buckets () =
   let receiver =
     Engine.spawn t ~name:"rx" ~main:(fun ~recovery () ->
         if recovery then
-          match Engine.recv_cls ~timeout:100. cls_ping with
+          match Rt.recv_cls ~timeout:100. cls_ping with
           | Some _ -> incr got
           | None -> ())
   in
   let _ =
     Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
-        Engine.send receiver (Ping 1))
+        Rt.send receiver (Ping 1))
   in
   (* classed message buffered at t=1; crash at t=5 must clear its bucket *)
   Engine.crash_at t 5. receiver;
@@ -1395,17 +1396,17 @@ let test_demux_classed_recv_linear () =
   let sink =
     Engine.spawn t ~name:"sink" ~main:(fun ~recovery:_ () ->
         for _ = 1 to n do
-          ignore (Engine.recv_cls cls_pong)
+          ignore (Rt.recv_cls cls_pong)
         done;
-        Engine.sleep 1e12)
+        Rt.sleep 1e12)
   in
   let _ =
     Engine.spawn t ~name:"src" ~main:(fun ~recovery:_ () ->
         for i = 1 to n do
-          Engine.send sink (Ping i)
+          Rt.send sink (Ping i)
         done;
         for i = 1 to n do
-          Engine.send sink (Pong i)
+          Rt.send sink (Pong i)
         done)
   in
   let t0 = Sys.time () in

@@ -2,6 +2,7 @@
    redo log. *)
 
 open Dsim
+module Rt = Runtime.Etx_runtime
 
 (* Run [f] inside a single-process simulation and return its result. *)
 let in_sim f =
@@ -15,10 +16,10 @@ let test_disk_charges_time () =
   let elapsed =
     in_sim (fun _ ->
         let disk = Dstore.Disk.create ~force_latency:12.5 ~label:"log" () in
-        let t0 = Engine.now () in
+        let t0 = Rt.now () in
         Dstore.Disk.force disk;
         Dstore.Disk.force disk;
-        Engine.now () -. t0)
+        Rt.now () -. t0)
   in
   Alcotest.(check (float 1e-9)) "two forced writes" 25.0 elapsed
 
@@ -139,7 +140,7 @@ let in_one_process t committers =
   ignore
     (Engine.spawn t ~name:"db" ~main:(fun ~recovery:_ () ->
          List.iteri
-           (fun i f -> Engine.fork (Printf.sprintf "w%d" i) f)
+           (fun i f -> Rt.fork (Printf.sprintf "w%d" i) f)
            committers))
 
 let test_log_group_commit_coalesces () =
@@ -153,7 +154,7 @@ let test_log_group_commit_coalesces () =
     (List.init 4 (fun i () ->
          ignore (Dstore.Log.append log (Printf.sprintf "r%d" (i + 1)));
          Dstore.Log.force log;
-         done_at := Engine.now () :: !done_at));
+         done_at := Rt.now () :: !done_at));
   ignore (Engine.run t);
   Alcotest.(check int) "all four committed" 4 (List.length !done_at);
   Alcotest.(check int) "durable" 4 (Dstore.Log.durable_lsn log);
@@ -174,7 +175,7 @@ let test_log_group_commit_late_window () =
         ignore (Dstore.Log.append log "early");
         Dstore.Log.force log);
       (fun () ->
-        Engine.sleep 5.;
+        Rt.sleep 5.;
         (* mid-window: the first force's write is in flight *)
         ignore (Dstore.Log.append log "late");
         Dstore.Log.force log;
@@ -197,10 +198,10 @@ let test_log_group_commit_next_window_at_landing () =
         ignore (Dstore.Log.append log "early");
         Dstore.Log.force log);
       (fun () ->
-        Engine.sleep 5.1;
+        Rt.sleep 5.1;
         ignore (Dstore.Log.append log "late");
         Dstore.Log.force log;
-        late_done := Engine.now ());
+        late_done := Rt.now ());
     ];
   ignore (Engine.run t);
   let force_starts =
@@ -277,7 +278,7 @@ let test_log_survives_crash () =
           ignore (Dstore.Log.append log "committed-1");
           Dstore.Log.force log;
           ignore (Dstore.Log.append log "appended-not-forced");
-          Engine.sleep 100.;
+          Rt.sleep 100.;
           ignore (Dstore.Log.append log "never-happens")
         end)
   in

@@ -3,6 +3,7 @@
    machine-checked, not eyeballed). *)
 
 open Harness
+module Rt = Runtime.Etx_runtime
 
 (* a sweep's rows, read by key the way the artefact checks read them *)
 let rows (t : Stats.Table.t) = List.map Stats.Table.fields t.rows
@@ -433,7 +434,7 @@ let test_msgclass_kinds () =
     Dsim.Engine.spawn t ~name:"rx" ~main:(fun ~recovery:_ () ->
         let ch = Dnet.Rchannel.create () in
         Dnet.Rchannel.start ch;
-        Dsim.Engine.sleep 1_000.)
+        Rt.sleep 1_000.)
   in
   let _ =
     Dsim.Engine.spawn t ~name:"tx" ~main:(fun ~recovery:_ () ->
@@ -441,7 +442,7 @@ let test_msgclass_kinds () =
         Dnet.Rchannel.start ch;
         Dnet.Rchannel.send ch rx (Etx.Etx_types.Request_msg
            { request = { rid = 1; key = "x"; body = "x" }; j = 1; group = 0; span = 0 });
-        Dsim.Engine.sleep 1_000.)
+        Rt.sleep 1_000.)
   in
   ignore (Dsim.Engine.run ~deadline:100. t);
   List.iter

@@ -171,28 +171,6 @@ let test_prom_roundtrip () =
   Alcotest.(check bool) "histogram count" true (has "etx_db_vote_ms_count");
   Alcotest.(check bool) "type lines" true (has "# TYPE etx_client_committed counter")
 
-let test_json_export () =
-  let r = R.create () in
-  R.incr r ~node:"n" ~name:"c" 1;
-  R.observe r ~node:"n" ~name:"h" 3.;
-  ignore (R.span_open r ~node:"n" ~at:1. ~trace:7 "request");
-  let j = Obs.Export_json.to_json ~spans:true r in
-  (match Stats.Json.member "schema" j with
-  | Some (Stats.Json.String s) ->
-      Alcotest.(check string) "schema" "etx-obs/1" s
-  | _ -> Alcotest.fail "missing schema");
-  (match Stats.Json.member "spans" j with
-  | Some (Stats.Json.List [ Stats.Json.Obj fields ]) ->
-      Alcotest.(check bool)
-        "open span has null stop" true
-        (List.assoc "stop" fields = Stats.Json.Null)
-  | _ -> Alcotest.fail "expected one span");
-  (* the document must round-trip through the parser *)
-  let s = Stats.Json.to_string j in
-  match Stats.Json.of_string s with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "export does not re-parse: %s" e
-
 (* ------------------------------------------------------------------ *)
 (* End-to-end: span trees under fail-over on the simulator *)
 
@@ -471,7 +449,6 @@ let () =
         [
           Alcotest.test_case "prometheus round-trip" `Quick
             test_prom_roundtrip;
-          Alcotest.test_case "json export" `Quick test_json_export;
         ] );
       ( "end-to-end",
         [

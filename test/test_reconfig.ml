@@ -91,39 +91,6 @@ let test_split_validation () =
     (Invalid_argument "Shard_map.diff: epochs are not consecutive") (fun () ->
       ignore (Shard_map.diff m1 m1))
 
-let test_range_split_boundary () =
-  let m0 = Shard_map.create ~policy:(Shard_map.Range [ "m" ]) ~shards:2 () in
-  let m1 = Shard_map.split ~boundary:"f" m0 ~group:0 ~target:2 () in
-  Alcotest.(check int) "below boundary stays" 0 (Shard_map.shard_of m1 "acct");
-  Alcotest.(check int) "at boundary moves" 2 (Shard_map.shard_of m1 "f");
-  Alcotest.(check int) "between f and m moves" 2 (Shard_map.shard_of m1 "horse" |> fun s -> if s = 2 then 2 else s);
-  Alcotest.(check int) "above m untouched" 1 (Shard_map.shard_of m1 "zebra")
-
-let test_boundary_helpers () =
-  (* median of distinct keys *)
-  let b = Shard_map.suggest_boundary ~keys:[ "d"; "a"; "c"; "b"; "a" ] in
-  Alcotest.(check bool) "median within observed range" true ("a" < b && b <= "d");
-  Alcotest.check_raises "too few distinct keys"
-    (Invalid_argument
-       "Shard_map.suggest_boundary: need at least 2 distinct keys to split")
-    (fun () -> ignore (Shard_map.suggest_boundary ~keys:[ "a"; "a" ]));
-  (* quantile boundaries: each shard owns a roughly equal key share *)
-  let keys = List.init 90 (Printf.sprintf "k%02d") in
-  let m = Shard_map.range_of_keys ~shards:3 ~keys () in
-  let counts = Array.make 3 0 in
-  List.iter
-    (fun k ->
-      let s = Shard_map.shard_of m k in
-      counts.(s) <- counts.(s) + 1)
-    keys;
-  Array.iteri
-    (fun i n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d holds a fair share (%d)" i n)
-        true
-        (n >= 20 && n <= 40))
-    counts
-
 (* ------------------------------------------------------------------ *)
 (* Storage surface: seal and import at the resource-manager level *)
 
@@ -584,9 +551,6 @@ let () =
           Alcotest.test_case "split refines, diff names the move" `Quick
             test_split_refinement;
           Alcotest.test_case "split validation" `Quick test_split_validation;
-          Alcotest.test_case "range split at a boundary" `Quick
-            test_range_split_boundary;
-          Alcotest.test_case "boundary helpers" `Quick test_boundary_helpers;
         ] );
       ( "storage",
         [
